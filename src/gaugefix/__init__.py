@@ -38,12 +38,10 @@ from .fields import (
     FormulationKind,
     SnapshotFormatError,
     SpectralWorkspace,
-    canonical_rhs,
     constraint_norms,
     correct_initial_data,
     dirac_kernel_check,
     energy,
-    gauge_fixed_rhs,
     get_workspace,
     l2_norm,
     longitudinal_norms,

@@ -1,14 +1,16 @@
 """Time integration with constraint diagnostics.
 
-The field evolution keeps the state in spectral form between steps and
-shares its right-hand sides with the field module, so the integrator
-contains no physics of its own. Diagnostics are sampled on a stride,
+The field evolution keeps the state in spectral form and advances it by
+the per-mode amplification map of its stepper (the linear system is
+diagonal in Fourier modes), applied as one matrix power per block of
+steps between diagnostics rows. Diagnostics are sampled on a stride,
 written as CSV with a fixed column set, and evolution aborts (flagged,
 not raised) as soon as a non-finite value appears in the state.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -66,8 +68,50 @@ def _coerce_stepper(stepper) -> StepperKind:
 
 
 def _finite(y_hat: np.ndarray) -> bool:
-    total = complex(y_hat.sum())
-    return bool(np.isfinite(total.real) and np.isfinite(total.imag))
+    return bool(np.isfinite(y_hat).all())
+
+
+def _stable(method: StepperKind, x_max: float) -> bool:
+    """Whether every power of the one-step map stays bounded for h^2 k^2 <= x_max.
+
+    RK4's stability polynomial has |R(iy)| <= 1 for y^2 <= 8; the Verlet
+    map has determinant 1 and |trace| < 2 for x < 4.
+    """
+    if method is StepperKind.RK4:
+        return x_max <= 8.0
+    return x_max < 4.0
+
+
+def _step_map(method: StepperKind, kind: FormulationKind, h: float,
+              ws: SpectralWorkspace) -> fields.ModeMap:
+    """Per-mode amplification of one step (docs/derivations.md section 7).
+
+    With x = h^2 k^2, RK4 on the transverse oscillator is
+    [[c, s], [-k^2 s, c]], c = 1 - x/2 + x^2/24, s = h (1 - x/6), and
+    kick-drift-kick Verlet is [[1 - x/2, h], [-k^2 h (1 - x/4), 1 - x/2]].
+    Both steppers are exact on the longitudinal pair: A_L += h pi_L in the
+    canonical formulation, nothing moves once gauge-fixed.
+    """
+    k2 = ws.k2
+    x = h * h * k2
+    if method is StepperKind.RK4:
+        c = 1.0 - x / 2.0 + x * x / 24.0
+        s = h * (1.0 - x / 6.0)
+        blocks = (c, s, -k2 * s, c)
+    else:
+        d = 1.0 - x / 2.0
+        blocks = (d, np.full_like(k2, h), -k2 * h * (1.0 - x / 4.0), d)
+    lp = h if kind is FormulationKind.CANONICAL else 0.0
+    return fields.ModeMap(*blocks, lp=lp, ws=ws)
+
+
+def _next_event(step: int, n_steps: int, stride: int,
+                reproject_every: int | None) -> int:
+    """First step after `step` that writes a row, reprojects or ends the run."""
+    nxt = min(n_steps, (step // stride + 1) * stride)
+    if reproject_every is not None:
+        nxt = min(nxt, (step // reproject_every + 1) * reproject_every)
+    return nxt
 
 
 def evolve(initial: FieldState, formulation, stepper, dt: float, t_end: float,
@@ -82,6 +126,11 @@ def evolve(initial: FieldState, formulation, stepper, dt: float, t_end: float,
     column holds the joint L2 distance to it, otherwise NaN. When
     reproject_every = n, the transverse projection is applied to both
     fields every n steps, before any diagnostics due at that step.
+
+    The steps between two such events are applied at once, as a power of
+    the one-step map, when dt is inside the stepper's stability interval
+    for every mode. Otherwise they are applied one at a time, so that
+    abort_time is the last step whose state was finite.
     """
     kind = _coerce_formulation(formulation)
     method = _coerce_stepper(stepper)
@@ -98,68 +147,53 @@ def evolve(initial: FieldState, formulation, stepper, dt: float, t_end: float,
     if stride < 1:
         raise ValueError("stride must be a positive integer")
 
-    length = initial.domain_length
-    y = np.stack([ws.forward(initial.a), ws.forward(initial.pi)])
-
-    def to_state(y_hat: np.ndarray) -> FieldState:
-        return FieldState(ws.backward(y_hat[0]), ws.backward(y_hat[1]), length)
-
+    y = ws.forward(np.stack([initial.a, initial.pi]))
+    out = np.empty_like(y)
     rows: list[tuple[float, ...]] = []
 
     def record(t: float, y_hat: np.ndarray) -> None:
-        state = to_state(y_hat)
-        div_a, div_pi = fields.constraint_norms(state, ws)
-        al, pil = fields.longitudinal_norms(state, ws)
-        if reference is not None:
-            ref_a, ref_pi = reference(t)
-            err = float(np.hypot(fields.l2_norm(state.a - ref_a, length),
-                                 fields.l2_norm(state.pi - ref_pi, length)))
-        else:
-            err = float("nan")
-        rows.append((t, fields.energy(state, ws), div_a, div_pi, al, pil, err))
+        ref_hat = None if reference is None else ws.forward(np.stack(reference(t)))
+        energy, div_a, div_pi, a_l, pi_l, err = fields.spectral_diagnostics(
+            y_hat, ws, ref_hat)
+        rows.append((t, energy, div_a, div_pi, a_l, pi_l, err))
 
-    if method is StepperKind.RK4:
-        def advance(y_hat):
-            k1 = fields.rhs_hat(y_hat, ws, kind)
-            k2 = fields.rhs_hat(y_hat + 0.5 * dt * k1, ws, kind)
-            k3 = fields.rhs_hat(y_hat + 0.5 * dt * k2, ws, kind)
-            k4 = fields.rhs_hat(y_hat + dt * k3, ws, kind)
-            return y_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    else:
-        # Kick-drift-kick splitting: the drift uses only pi, the kick only A.
-        def advance(y_hat):
-            pi_half = y_hat[1] + 0.5 * dt * fields.momentum_rhs_hat(y_hat[0], ws)
-            a_new = y_hat[0] + dt * fields.position_rhs_hat(pi_half, ws, kind)
-            pi_new = pi_half + 0.5 * dt * fields.momentum_rhs_hat(a_new, ws)
-            return np.stack([a_new, pi_new])
+    step_map = _step_map(method, kind, dt, ws)
+    # Few block lengths recur: the stride, the last partial block, and the
+    # gaps between rows and reprojections.
+    block_map = functools.lru_cache(maxsize=4)(step_map.power)
+    stable = _stable(method, dt * dt * float(ws.k2.max()))
 
     record(0.0, y)
     aborted = False
     abort_time = None
+    step = 0
     last_recorded = 0
     # Overflow on the way to a detected abort is expected, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
-            y_next = advance(y)
-            if not _finite(y_next):
+        while step < n_steps:
+            j = _next_event(step, n_steps, stride, reproject_every) - step if stable else 1
+            block_map(j).apply(y, out)
+            if not _finite(out):
                 aborted = True
-                abort_time = (step - 1) * dt
-                if last_recorded != step - 1:
+                abort_time = step * dt
+                if last_recorded != step:
                     record(abort_time, y)
                 break
-            y = y_next
+            y, out = out, y
+            step += j
             if reproject_every is not None and step % reproject_every == 0:
-                y = np.stack([fields.transverse_project_hat(y[0], ws),
-                              fields.transverse_project_hat(y[1], ws)])
+                y[0] = fields.transverse_project_hat(y[0], ws)
+                y[1] = fields.transverse_project_hat(y[1], ws)
             if step % stride == 0 or step == n_steps:
                 record(step * dt, y)
                 last_recorded = step
 
     data = np.array(rows)
+    grid = ws.backward(y)
     return DiagnosticsSeries(
         t=data[:, 0], energy=data[:, 1], norm_divA=data[:, 2],
         norm_divPi=data[:, 3], norm_A_L=data[:, 4], norm_pi_L=data[:, 5],
-        l2_error=data[:, 6], final_state=to_state(y),
+        l2_error=data[:, 6], final_state=FieldState(grid[0], grid[1], initial.domain_length),
         aborted=aborted, abort_time=abort_time,
     )
 

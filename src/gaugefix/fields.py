@@ -116,8 +116,17 @@ class FieldState:
 # Spectral operators (hat-level cores and grid-level wrappers)
 # ---------------------------------------------------------------------------
 
+def k_dot(v_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
+    """k . v per mode, for a vector field v in Fourier space."""
+    kx, ky, kz = ws.kvec
+    out = kx * v_hat[0]
+    out += ky * v_hat[1]
+    out += kz * v_hat[2]
+    return out
+
+
 def div_hat(v_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    return 1j * np.sum(ws.kvec * v_hat, axis=0)
+    return 1j * k_dot(v_hat, ws)
 
 
 def grad_hat(f_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
@@ -134,7 +143,7 @@ def curl_hat(v_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
 
 
 def transverse_project_hat(v_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    longitudinal = ws.kvec * (np.sum(ws.kvec * v_hat, axis=0) * ws.inv_k2)
+    longitudinal = ws.kvec * (k_dot(v_hat, ws) * ws.inv_k2)
     return v_hat - longitudinal
 
 
@@ -166,6 +175,10 @@ def longitudinal_part(v: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Equations of motion
+#
+# The right-hand sides state the equations directly. The integrator does
+# not call them: it advances the state with a ModeMap, and the tests check
+# that map against RK4 and Verlet steps built from these functions.
 # ---------------------------------------------------------------------------
 
 def momentum_rhs_hat(a_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
@@ -189,25 +202,65 @@ def rhs_hat(y_hat: np.ndarray, ws: SpectralWorkspace,
                      momentum_rhs_hat(y_hat[0], ws)])
 
 
-def canonical_rhs(state: FieldState, ws: SpectralWorkspace | None = None):
-    """(A_dot, pi_dot) of the unfixed evolution, on the grid."""
-    ws = ws or state.workspace()
-    a_hat = ws.forward(state.a)
-    return state.pi.copy(), ws.backward(momentum_rhs_hat(a_hat, ws))
+class ModeMap:
+    """A linear map of the Fourier state (A^, pi^) that acts mode by mode.
 
-
-def gauge_fixed_rhs(state: FieldState, ws: SpectralWorkspace | None = None):
-    """(A_dot, pi_dot) with the multiplier terms folded in.
-
-    The gauge-fixing multipliers remove exactly the longitudinal part of
-    A_dot, so A follows the transverse part of pi while pi_dot is
-    unchanged (its longitudinal part already vanishes identically).
+    Each mode splits into a transverse part and a longitudinal part along
+    k (docs/derivations.md section 7). The map acts on the transverse pair
+    as the 2x2 block [[aa, ap], [pa, pp]], given per mode, and on the
+    longitudinal pair as [[1, lp], [0, 1]] with one scalar lp for all
+    modes. Where k^2 = 0 a mode has no longitudinal part and the
+    transverse block acts on the whole vector.
     """
-    ws = ws or state.workspace()
-    a_hat = ws.forward(state.a)
-    pi_hat = ws.forward(state.pi)
-    return (ws.backward(transverse_project_hat(pi_hat, ws)),
-            ws.backward(momentum_rhs_hat(a_hat, ws)))
+
+    def __init__(self, aa, ap, pa, pp, lp: float, ws: SpectralWorkspace):
+        self.aa, self.ap, self.pa, self.pp = aa, ap, pa, pp
+        self.lp = float(lp)
+        self.ws = ws
+        # apply() adds k (ga k.A + gb k.pi) to A and k (ha k.A + hb k.pi) to
+        # pi: the longitudinal block minus what the transverse block did to
+        # the longitudinal part, with the 1/k^2 of that part folded in.
+        self._ga = (1.0 - aa) * ws.inv_k2
+        self._gb = (self.lp - ap) * ws.inv_k2
+        self._ha = -pa * ws.inv_k2
+        self._hb = (1.0 - pp) * ws.inv_k2
+
+    def compose(self, first: "ModeMap") -> "ModeMap":
+        """The map that applies `first`, then this one."""
+        return ModeMap(self.aa * first.aa + self.ap * first.pa,
+                       self.aa * first.ap + self.ap * first.pp,
+                       self.pa * first.aa + self.pp * first.pa,
+                       self.pa * first.ap + self.pp * first.pp,
+                       self.lp + first.lp, self.ws)
+
+    def power(self, j: int) -> "ModeMap":
+        """This map applied j >= 1 times, by repeated squaring."""
+        result, base = None, self
+        while True:
+            if j & 1:
+                result = base if result is None else result.compose(base)
+            j >>= 1
+            if not j:
+                return result
+            base = base.compose(base)
+
+    def apply(self, y_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the image of the stacked state y = (A^, pi^) into out."""
+        a_hat, pi_hat = y_hat
+        ka = k_dot(a_hat, self.ws)
+        kp = k_dot(pi_hat, self.ws)
+        long_a = self._ga * ka
+        long_a += self._gb * kp
+        long_pi = self._ha * ka
+        long_pi += self._hb * kp
+        tmp = ka
+        for i, k in enumerate(self.ws.kvec):
+            for dst, c_a, c_pi, long in ((out[0, i], self.aa, self.ap, long_a),
+                                         (out[1, i], self.pa, self.pp, long_pi)):
+                np.multiply(c_a, a_hat[i], out=dst)
+                dst += np.multiply(c_pi, pi_hat[i], out=tmp)
+                dst += np.multiply(k, long, out=tmp)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +294,58 @@ def energy(state: FieldState, ws: SpectralWorkspace | None = None) -> float:
     b = curl(state.a, ws)
     dv = (state.domain_length / state.grid_n) ** 3
     return float(0.5 * np.sum(state.pi ** 2 + b ** 2) * dv)
+
+
+def _half_spectrum_sum(sq: np.ndarray, ws: SpectralWorkspace) -> float:
+    """Sum of a per-mode quantity over the full spectrum of a real field.
+
+    sq lives on the rfft half spectrum. The kz = 0 plane and, for even N,
+    the Nyquist plane hold their own mirror modes, so they count once;
+    every other plane stands for itself and its mirror and counts twice.
+    """
+    total = 2.0 * np.sum(sq) - np.sum(sq[..., 0])
+    if ws.grid_n % 2 == 0:
+        total -= np.sum(sq[..., -1])
+    return float(total)
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    out = np.square(z.real)
+    out += np.square(z.imag)
+    return out
+
+
+def spectral_diagnostics(y_hat: np.ndarray, ws: SpectralWorkspace,
+                         ref_hat: np.ndarray | None = None):
+    """Energy and constraint norms of a Fourier state, by Parseval.
+
+    y_hat = (A^, pi^) stacked. Returns (energy, norm of div A, norm of
+    div pi, norm of A_L, norm of pi_L, L2 distance to ref_hat), the values
+    energy, constraint_norms, longitudinal_norms and state_distance give on
+    the grid state up to rounding; the distance is NaN without ref_hat.
+    """
+    a_hat, pi_hat = y_hat
+    # Continuum norm: sum f^2 dV = (L/N)^3 / N^3 * sum over modes |f^|^2.
+    scale = (ws.domain_length / ws.grid_n ** 2) ** 3
+    ka2 = _abs2(k_dot(a_hat, ws))
+    kp2 = _abs2(k_dot(pi_hat, ws))
+    div_a = _half_spectrum_sum(ka2, ws)
+    div_pi = _half_spectrum_sum(kp2, ws)
+    a_l = _half_spectrum_sum(ka2 * ws.inv_k2, ws)
+    pi_l = _half_spectrum_sum(kp2 * ws.inv_k2, ws)
+    # |k x A^|^2 = k^2 |A^|^2 - |k . A^|^2; |k| A^ is exactly 0 where k = 0,
+    # even when |A^|^2 itself overflows there.
+    k_abs = np.sqrt(ws.k2)
+    curl = sum(_half_spectrum_sum(_abs2(k_abs * c), ws) for c in a_hat) - div_a
+    kinetic = sum(_half_spectrum_sum(_abs2(c), ws) for c in pi_hat)
+    dist = float("nan")
+    if ref_hat is not None:
+        dist = float(np.sqrt(scale * sum(
+            _half_spectrum_sum(_abs2(y_hat[f, i] - ref_hat[f, i]), ws)
+            for f in range(2) for i in range(3))))
+    return (float(0.5 * scale * (kinetic + curl)),
+            float(np.sqrt(scale * div_a)), float(np.sqrt(scale * div_pi)),
+            float(np.sqrt(scale * a_l)), float(np.sqrt(scale * pi_l)), dist)
 
 
 def state_distance(s1: FieldState, s2: FieldState) -> float:

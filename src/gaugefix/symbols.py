@@ -125,19 +125,51 @@ def _certified_imag(matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _clusters(w: np.ndarray, tol: float) -> list[list[int]]:
+    """Indices of eigenvalues grouped by single linkage at distance tol."""
+    groups: list[list[int]] = []
+    for i, lam in enumerate(w):
+        near = [g for g in groups if np.min(np.abs(w[g] - lam)) <= tol]
+        groups = [g for g in groups if g not in near]
+        groups.append(sorted([i, *(j for g in near for j in g)]))
+    return groups
+
+
+def _cluster_basis_cond(matrix: np.ndarray, w: np.ndarray) -> float:
+    """Condition number of an eigenbasis built cluster by cluster.
+
+    A cluster of m eigenvalues around lambda (a defective eigenvalue comes
+    back split, see _certified_imag) has a full eigenspace when
+    M - lambda I has m singular values at rounding level; their right
+    singular vectors span it. Returns inf when some cluster is defective.
+    The basis is not taken from eig: for a repeated eigenvalue dgeev may
+    return nearly parallel eigenvectors although a well-conditioned basis
+    exists.
+    """
+    scale = 1.0 + float(np.abs(matrix).max())
+    eye = np.eye(matrix.shape[0])
+    vectors = []
+    for group in _clusters(w, 1e-6 * scale):
+        _, s, vh = np.linalg.svd(matrix - w[group].mean() * eye)
+        nullity = int(np.sum(s <= 1e-8 * scale))
+        if nullity != len(group):
+            return np.inf
+        vectors.append(vh[-nullity:].conj().T)
+    s = np.linalg.svd(np.hstack(vectors), compute_uv=False)
+    return float(s[0] / s[-1]) if s[-1] > 0 else np.inf
+
+
 def _probe_direction(sym: PrincipalSymbol, n: np.ndarray,
                      cond_bound: float) -> DirectionSample:
     matrix = sym.at(n)
     try:
-        w, v = np.linalg.eig(matrix)
+        w, _ = np.linalg.eig(matrix)
+        cond = _cluster_basis_cond(matrix, w)
     except np.linalg.LinAlgError as exc:
         return DirectionSample(n, np.zeros(0, dtype=complex), np.inf, False,
                                error=f"eigendecomposition failed: {exc}")
-    s = np.linalg.svd(v, compute_uv=False)
-    rank = int(np.sum(s > 1e-8 * s[0])) if s[0] > 0 else 0
-    cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
-    complete = bool(rank == sym.size and cond < cond_bound)
-    return DirectionSample(n, w, cond, complete, _certified_imag(matrix, w))
+    return DirectionSample(n, w, cond, bool(cond < cond_bound),
+                           _certified_imag(matrix, w))
 
 
 def sample_directions(n_samples: int, rng: np.random.Generator) -> np.ndarray:

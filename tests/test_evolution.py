@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gaugefix import fields
 from gaugefix.constraints import constraint_set
 from gaugefix.evolution import (
     CSV_HEADER,
@@ -11,9 +12,11 @@ from gaugefix.evolution import (
 )
 from gaugefix.fields import (
     FieldState,
+    FormulationKind,
     correct_initial_data,
     plane_wave_initial_data,
     plane_wave_reference,
+    l2_norm,
     random_smooth_fields,
     state_distance,
 )
@@ -161,6 +164,92 @@ def test_abort_on_blowup(tmp_path):
     path = tmp_path / "aborted.csv"
     series.to_csv(path)
     assert len(path.read_text().splitlines()) == 1 + len(series.t)
+
+
+def test_abort_time_independent_of_stride():
+    # Outside the stability interval blocks shrink to single steps, so the
+    # abort is found at the same step whatever the row spacing.
+    state, _ = small_wave(n=8)
+    runs = [evolve(state.copy(), "canonical", "rk4", 50.0, 5000.0, stride=stride)
+            for stride in (1, 7)]
+    assert runs[0].abort_time == runs[1].abort_time == 2150.0
+
+
+def test_large_finite_state_does_not_abort():
+    # 2e305 on every cell: each value is finite, although their sum is not.
+    n = 8
+    state = FieldState(np.full((3, n, n, n), 2e305), np.zeros((3, n, n, n)), TWO_PI)
+    series = evolve(state, "gauge_fixed", "rk4", 0.01, 0.1)
+    assert not series.aborted
+    assert len(series.t) == 11
+    assert np.all(series.energy == 0.0)
+    assert_allclose(series.final_state.a, state.a, rtol=1e-14)
+
+
+def rhs_oracle(state, kind, stepper, dt, n_steps, reproject_every=None):
+    """Per-step RK4 / kick-drift-kick on the reference right-hand sides."""
+    ws = state.workspace()
+    kind = FormulationKind(kind)
+    y = np.stack([ws.forward(state.a), ws.forward(state.pi)])
+    for step in range(1, n_steps + 1):
+        if stepper == "rk4":
+            k1 = fields.rhs_hat(y, ws, kind)
+            k2 = fields.rhs_hat(y + 0.5 * dt * k1, ws, kind)
+            k3 = fields.rhs_hat(y + 0.5 * dt * k2, ws, kind)
+            k4 = fields.rhs_hat(y + dt * k3, ws, kind)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        else:
+            pi_half = y[1] + 0.5 * dt * fields.momentum_rhs_hat(y[0], ws)
+            a_new = y[0] + dt * fields.position_rhs_hat(pi_half, ws, kind)
+            y = np.stack([a_new, pi_half + 0.5 * dt * fields.momentum_rhs_hat(a_new, ws)])
+        if reproject_every is not None and step % reproject_every == 0:
+            y = np.stack([fields.transverse_project_hat(y[0], ws),
+                          fields.transverse_project_hat(y[1], ws)])
+    return FieldState(ws.backward(y[0]), ws.backward(y[1]), state.domain_length)
+
+
+def raw_random_state(n, seed=3):
+    a, pi = random_smooth_fields(np.random.default_rng(seed), n, TWO_PI)
+    return FieldState(a, pi, TWO_PI)
+
+
+def state_norm(state):
+    return np.hypot(l2_norm(state.a, state.domain_length),
+                    l2_norm(state.pi, state.domain_length))
+
+
+@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("reproject_every", [None, 3])
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("stepper", ["rk4", "stormer_verlet"])
+@pytest.mark.parametrize("kind", ["canonical", "gauge_fixed"])
+def test_amplification_map_matches_rhs_oracle(kind, stepper, stride, reproject_every, n):
+    # Raw data: both longitudinal and transverse content. 30 steps, so
+    # stride 7 ends in a shorter block.
+    state = raw_random_state(n)
+    series = evolve(state, kind, stepper, 0.05, 1.5, stride=stride,
+                    reproject_every=reproject_every)
+    expected = rhs_oracle(state, kind, stepper, 0.05, 30, reproject_every)
+    assert state_distance(series.final_state, expected) <= 1e-13 * state_norm(expected)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_parseval_diagnostics_match_grid_diagnostics(n):
+    state = raw_random_state(n)
+    other = raw_random_state(n, seed=4)
+    length = state.domain_length
+
+    def reference(t):
+        return other.a, other.pi
+
+    series = evolve(state, "canonical", "stormer_verlet", 0.05, 0.5, reference=reference)
+    for row, s in ((0, state), (-1, series.final_state)):
+        expected = (fields.energy(s), *fields.constraint_norms(s),
+                    *fields.longitudinal_norms(s),
+                    np.hypot(l2_norm(s.a - other.a, length), l2_norm(s.pi - other.pi, length)))
+        got = (series.energy[row], series.norm_divA[row], series.norm_divPi[row],
+               series.norm_A_L[row], series.norm_pi_L[row], series.l2_error[row])
+        assert_allclose(got, expected, rtol=1e-13)
 
 
 def test_evolve_validation():

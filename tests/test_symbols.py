@@ -41,6 +41,19 @@ def test_gauge_fixed_symbol_strongly_hyperbolic():
     assert all(s.cond < 1e8 for s in report.samples)
 
 
+@pytest.mark.parametrize("seed", [16, 24, 216, 218])
+def test_classification_holds_on_every_direction_seed(seed):
+    # These seeds sample a gauge-fixed direction where eig returns nearly
+    # parallel eigenvectors for a repeated eigenvalue, although the
+    # symbol has an orthonormal eigenbasis there.
+    fixed = analyze_symbol(maxwell_gauge_fixed_symbol(), seed=seed)
+    assert fixed.classification is Hyperbolicity.STRONGLY_HYPERBOLIC
+    assert all(s.complete and s.cond < 10.0 for s in fixed.samples)
+    canonical = analyze_symbol(maxwell_canonical_symbol(), seed=seed)
+    assert canonical.classification is Hyperbolicity.WEAKLY_HYPERBOLIC
+    assert not any(s.complete for s in canonical.samples)
+
+
 @given(unit_dirs)
 def test_transverse_projector_idempotent_and_annihilates_n(n):
     p = transverse_projector(n)
