@@ -78,42 +78,63 @@ class RunConfig:
     def validate(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        try:
-            self.dt = float(self.dt)
-            self.t_end = float(self.t_end)
-        except (TypeError, ValueError):
-            raise ConfigError("dt and t_end must be numbers") from None
-        if not (self.dt > 0 and np.isfinite(self.dt)):
-            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
-        if not (self.t_end >= self.dt and np.isfinite(self.t_end)):
-            raise ConfigError("t_end must be finite and at least one step long")
-        if not isinstance(self.grid_n, int) or self.grid_n < 4:
+        self.dt = _number(self.dt, "dt and t_end must be finite numbers")
+        self.t_end = _number(self.t_end, "dt and t_end must be finite numbers")
+        if not self.dt > 0:
+            raise ConfigError(f"dt must be positive, got {self.dt}")
+        if not self.t_end >= self.dt:
+            raise ConfigError("t_end must be at least one step long")
+        if not _is_int(self.grid_n) or self.grid_n < 4:
             raise ConfigError(f"grid_n must be an integer >= 4, got {self.grid_n!r}")
-        self.domain_length = float(self.domain_length)
-        if not (self.domain_length > 0 and np.isfinite(self.domain_length)):
-            raise ConfigError("domain_length must be positive and finite")
+        message = "domain_length must be a positive finite number"
+        self.domain_length = _number(self.domain_length, message)
+        if not self.domain_length > 0:
+            raise ConfigError(message)
         if self.formulation not in ("canonical", "gauge-fixed", "gauge_fixed"):
             raise ConfigError(f"formulation must be canonical or gauge-fixed, "
                               f"got {self.formulation!r}")
         if self.stepper not in ("rk4", "stormer_verlet", "stormer-verlet"):
             raise ConfigError(f"stepper must be rk4 or stormer_verlet, got {self.stepper!r}")
-        mode = np.asarray(self.mode)
-        if mode.shape != (3,):
+        if not (_is_triple(self.mode) and all(map(_is_int, self.mode))):
             raise ConfigError("mode must be a 3-vector of integers")
-        pol = np.asarray(self.polarization, dtype=float)
-        if pol.shape != (3,):
-            raise ConfigError("polarization must be a 3-vector")
+        message = "polarization must be a 3-vector of finite numbers"
+        if not _is_triple(self.polarization):
+            raise ConfigError(message)
+        self.polarization = tuple(_number(v, message) for v in self.polarization)
+        self.amplitude = _number(self.amplitude, "amplitude must be a finite number")
+        self.contamination_amplitude = _number(
+            self.contamination_amplitude, "contamination_amplitude must be a finite number")
         if self.reproject_every is not None and (
-                not isinstance(self.reproject_every, int) or self.reproject_every < 1):
+                not _is_int(self.reproject_every) or self.reproject_every < 1):
             raise ConfigError("reproject_every must be a positive integer or null")
-        if self.stride is not None and (not isinstance(self.stride, int) or self.stride < 1):
+        if self.stride is not None and (not _is_int(self.stride) or self.stride < 1):
             raise ConfigError("stride must be a positive integer or null")
-        if self.seed is not None and not isinstance(self.seed, int):
-            raise ConfigError("seed must be an integer or null")
+        if self.seed is not None and (not _is_int(self.seed) or self.seed < 0):
+            raise ConfigError("seed must be a non-negative integer or null")
+        if self.out_csv is not None and not isinstance(self.out_csv, str):
+            raise ConfigError("out_csv must be a path string or null")
         if self.scenario == "random_smooth" and self.seed is None:
             raise ConfigError("scenario random_smooth requires a seed")
         if self.scenario == "contaminated" and not self.contamination_amplitude > 0:
             raise ConfigError("scenario contaminated requires contamination_amplitude > 0")
+
+
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, which Python counts as int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_triple(value) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == 3
+
+
+def _number(value, message: str) -> float:
+    """A finite JSON number (not a bool) as a float, else ConfigError(message)."""
+    # The comparison is exact for ints, so float() cannot overflow, and it
+    # fails for inf and nan.
+    if (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ConfigError(message)
 
 
 def load_config(path, seed_override: int | None = None) -> RunConfig:
@@ -313,7 +334,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, fields.SnapshotFormatError, ValueError) as exc:
         # ValueError covers library input guards reachable from the command
-        # line, such as --tol 0 or a malformed GAUGEFIX_THREADS.
+        # line, such as --tol 0.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -9,6 +9,9 @@ back onto the constraint surface.
 Weak equality (vanishing on the constraint surface) is made decidable by
 evaluating brackets at a batch of on-surface sample points produced by a
 least-squares sampler that is independent of the symplectic structure.
+Bracket matrices at a point are products of one stacked constraint
+Jacobian G with the cosymplectic matrix J, [C_A, C_B] = (G J G^T)_AB and
+[C_A, f] = (G J grad f)_A: one gradient evaluation per constraint.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from enum import Enum
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, null_space
 
 from .phase import (
     CosymplecticForm,
@@ -146,9 +148,8 @@ def constraint_set(functions: Sequence[PhaseFunction], dim: int,
 class CommutationMatrix:
     """Mutual bracket matrix M_AB = [C_A, C_B] at a point.
 
-    Entries are computed bracket by bracket; antisymmetry is a checked
-    invariant rather than a solver assumption, and linear solves go
-    through a cached LU factorization.
+    Antisymmetry is a checked invariant rather than a solver assumption,
+    and a numerically singular matrix is refused before any solve.
     """
 
     def __init__(self, entries: np.ndarray):
@@ -159,7 +160,6 @@ class CommutationMatrix:
         if entries.size and np.abs(entries + entries.T).max() > 1e-12 * (1.0 + scale):
             raise ValueError("commutation matrix is not antisymmetric to 1e-12")
         self.entries = entries
-        self._lu = None
         self._sv = None
 
     @property
@@ -181,21 +181,20 @@ class CommutationMatrix:
                 "commutation matrix is singular (gauge not fully fixed): "
                 "first-class directions remain, no Dirac bracket exists"
             )
-        if self._lu is None:
-            self._lu = lu_factor(self.entries)
-        return lu_solve(self._lu, np.asarray(rhs, dtype=float))
+        return np.linalg.solve(self.entries, np.asarray(rhs, dtype=float))
+
+
+def _commutation(jac: np.ndarray, j: np.ndarray) -> CommutationMatrix:
+    """G J G^T for the stacked constraint Jacobian G, zero on the diagonal."""
+    entries = jac @ j @ jac.T
+    np.fill_diagonal(entries, 0.0)
+    return CommutationMatrix(entries)
 
 
 def commutation_matrix(cset: ConstraintSet, z, form: CosymplecticForm) -> CommutationMatrix:
     """All mutual Poisson brackets of the set's members at z."""
     z = as_phase_point(z)
-    m = len(cset)
-    entries = np.zeros((m, m))
-    for a in range(m):
-        for b in range(m):
-            if a != b:
-                entries[a, b] = poisson_bracket(cset[a].function, cset[b].function, z, form)
-    return CommutationMatrix(entries)
+    return _commutation(cset.jacobian(z), form.at(z))
 
 
 def bracket_function(f: PhaseFunction, g: PhaseFunction, form: CosymplecticForm,
@@ -276,12 +275,6 @@ def make_surface_sampler(rng: np.random.Generator, n_points: int = 32,
     return sampler
 
 
-def _bracket_scale(ga: np.ndarray, gb: np.ndarray) -> float:
-    # Normalization for weak-vanishing tests: 1 + product of gradient norms,
-    # so the tolerance is meaningful for both O(1) and large-gradient pairs.
-    return 1.0 + float(np.linalg.norm(ga) * np.linalg.norm(gb))
-
-
 # ---------------------------------------------------------------------------
 # Consistency chain and classification
 # ---------------------------------------------------------------------------
@@ -317,17 +310,17 @@ def consistency_chain(system: HamiltonianSystem, primaries: ConstraintSet,
         n_pts = points.shape[0]
 
         # b[k, i] = [C_i, H] at sample k; a[k, i, p] = [C_i, phi_p] there.
+        # Weak vanishing is judged against 1 + |grad C_i| |grad H|.
         b = np.empty((n_pts, m))
         a = np.empty((n_pts, m, n_primary))
         scales = np.empty((n_pts, m))
         for k, z in enumerate(points):
+            jac = cset.jacobian(z)
             gh = h.grad(z)
-            for i, c in enumerate(cset):
-                gc = c.grad(z)
-                b[k, i] = poisson_bracket(c.function, h, z, form)
-                scales[k, i] = 1.0 + np.linalg.norm(gc) * np.linalg.norm(gh)
-                for p in range(n_primary):
-                    a[k, i, p] = poisson_bracket(c.function, cset[p].function, z, form)
+            gj = jac @ form.at(z)
+            b[k] = gj @ gh
+            a[k] = gj @ jac[:n_primary].T
+            scales[k] = 1.0 + np.linalg.norm(jac, axis=1) * np.linalg.norm(gh)
 
         # Residual after the best pointwise multiplier fit.
         resid = np.empty_like(b)
@@ -352,7 +345,11 @@ def consistency_chain(system: HamiltonianSystem, primaries: ConstraintSet,
                     "primary bracket matrix varies across on-surface samples; "
                     "point-dependent multiplier structure is not supported"
                 )
-            basis = null_space(a_mean.T)
+            # Left null space of a_mean; singular values above
+            # max(shape) * eps * s_max count toward the rank.
+            _, s, vh = np.linalg.svd(a_mean.T)
+            rank = int(np.sum(s > max(a_mean.shape) * np.finfo(float).eps * s[0]))
+            basis = vh[rank:].T
             directions = [basis[:, j] for j in range(basis.shape[1])
                           if np.max(np.abs(resid @ basis[:, j])) >= tol_weak]
 
@@ -379,22 +376,17 @@ def _combination_bracket(cset: ConstraintSet, weights: np.ndarray,
                          h: PhaseFunction, form: CosymplecticForm) -> PhaseFunction:
     """u_i [C_i, H] as a phase function, with single-term labels kept tidy."""
     (idx,) = np.nonzero(np.abs(weights) > 1e-12)
-    if idx.size == 1 and abs(abs(weights[idx[0]]) - 1.0) < 1e-12:
-        i = int(idx[0])
-        sign = "-" if weights[i] < 0 else ""
-        inner = bracket_function(cset[i].function, h, form)
+    members = ConstraintSet(tuple(cset[int(i)] for i in idx), cset.dim)
+    w = weights[idx].astype(float)
+    if idx.size == 1 and abs(abs(w[0]) - 1.0) < 1e-12:
+        w = np.sign(w)
+        label = f"{'-' if w[0] < 0 else ''}[{members[0].label}, H]"
+    else:
+        label = " + ".join(f"{wi:+.3g}[{c.label}, H]" for wi, c in zip(w, members))
 
-        def value(z, f=inner, s=np.sign(weights[i])):
-            return float(s) * f(z)
+    def value(z, w=w, members=members, h=h, form=form):
+        return float(w @ (members.jacobian(z) @ form.at(z) @ h.grad(z)))
 
-        return PhaseFunction(value, None, label=f"{sign}[{cset[i].label}, H]")
-
-    terms = [(float(weights[i]), cset[int(i)].function) for i in idx]
-
-    def value(z, terms=terms, h=h, form=form):
-        return sum(w * poisson_bracket(c, h, z, form) for w, c in terms)
-
-    label = " + ".join(f"{w:+.3g}[{c.label}, H]" for w, c in terms)
     return PhaseFunction(value, None, label=label)
 
 
@@ -435,16 +427,15 @@ def classify_constraints(cset: ConstraintSet,
     points = sampler(cset)
     cset.check_irreducible(points)
 
+    # |[C_a, C_b]| / (1 + |grad C_a| |grad C_b|), so the tolerance means the
+    # same for O(1) and large-gradient pairs.
     m = len(cset)
     mag = np.zeros((m, m))
     for z in points:
-        grads = [c.grad(z) for c in cset]
-        for a in range(m):
-            for b in range(a + 1, m):
-                val = abs(poisson_bracket(cset[a].function, cset[b].function, z, form))
-                val /= _bracket_scale(grads[a], grads[b])
-                mag[a, b] = max(mag[a, b], val)
-                mag[b, a] = mag[a, b]
+        jac = cset.jacobian(z)
+        norms = np.linalg.norm(jac, axis=1)
+        brackets = _commutation(jac, form.at(z)).entries
+        mag = np.maximum(mag, np.abs(brackets) / (1.0 + np.outer(norms, norms)))
 
     ambiguous = [
         (cset[a].label, cset[b].label, mag[a, b])
@@ -477,11 +468,13 @@ def dirac_bracket(f: PhaseFunction, g: PhaseFunction, cset: ConstraintSet, z,
     gauge freedom is unfixed and raises GaugeNotFixedError.
     """
     z = as_phase_point(z)
-    mat = commutation_matrix(cset, z, form)
-    bf = np.array([poisson_bracket(f, c.function, z, form) for c in cset])
-    bg = np.array([poisson_bracket(c.function, g, z, form) for c in cset])
-    correction = float(bf @ mat.solve(bg, rel_tol)) if len(cset) else 0.0
-    return poisson_bracket(f, g, z, form) - correction
+    jac, j = cset.jacobian(z), form.at(z)
+    gf, gg = f.grad(z), g.grad(z)
+    correction = 0.0
+    if len(cset):
+        bf, bg = gf @ j @ jac.T, jac @ j @ gg
+        correction = float(bf @ _commutation(jac, j).solve(bg, rel_tol))
+    return float(gf @ j @ gg) - correction
 
 
 def gauge_fixed_multipliers(cset: ConstraintSet, system: HamiltonianSystem,
@@ -493,22 +486,18 @@ def gauge_fixed_multipliers(cset: ConstraintSet, system: HamiltonianSystem,
     transports the constraint surface into itself to first order.
     """
     z = as_phase_point(z)
-    mat = commutation_matrix(cset, z, system.form)
-    b = np.array([
-        poisson_bracket(c.function, system.hamiltonian, z, system.form) for c in cset
-    ])
-    return -mat.solve(b)
+    return _multipliers(cset.jacobian(z), system.form.at(z), system.hamiltonian.grad(z))
+
+
+def _multipliers(jac: np.ndarray, j: np.ndarray, gh: np.ndarray) -> np.ndarray:
+    return -_commutation(jac, j).solve(jac @ j @ gh)
 
 
 def extended_flow(system: HamiltonianSystem, cset: ConstraintSet, z) -> np.ndarray:
-    """Flow of H + Lambda . C with the multipliers evaluated at z."""
+    """Flow J (grad H + G^T Lambda) of H + Lambda . C, multipliers taken at z."""
     z = as_phase_point(z)
-    j = system.form.at(z)
-    lam = gauge_fixed_multipliers(cset, system, z)
-    flow = j @ system.hamiltonian.grad(z)
-    for lam_a, c in zip(lam, cset):
-        flow = flow + lam_a * (j @ c.grad(z))
-    return flow
+    jac, j, gh = cset.jacobian(z), system.form.at(z), system.hamiltonian.grad(z)
+    return j @ (gh + jac.T @ _multipliers(jac, j, gh))
 
 
 @dataclass(frozen=True)
@@ -539,10 +528,9 @@ def error_correction_step(cset: ConstraintSet, z_bar, form: CosymplecticForm,
     if report_tol is None:
         report_tol = 1e-12 * (1.0 + float(np.max(np.abs(z))))
 
-    mat = commutation_matrix(cset, z, form)
-    eps = mat.solve(c_bar)
-    jac = cset.jacobian(z)
-    delta = -(form.at(z) @ jac.T) @ eps
+    jac, j = cset.jacobian(z), form.at(z)
+    eps = _commutation(jac, j).solve(c_bar)
+    delta = -(j @ jac.T) @ eps
 
     final = float(np.max(np.abs(cset.values(z + delta))))
     report = ProjectionReport(1, initial, final, bool(final < report_tol))

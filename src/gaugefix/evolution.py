@@ -32,7 +32,11 @@ class StepperKind(Enum):
 
 @dataclass
 class DiagnosticsSeries:
-    """Sampled scalar diagnostics of one field evolution."""
+    """Sampled scalar diagnostics of one field evolution.
+
+    final_state is the last finite state, or None (and the run aborted)
+    when that state's finite spectrum overflows on the grid.
+    """
 
     t: np.ndarray
     energy: np.ndarray
@@ -41,7 +45,7 @@ class DiagnosticsSeries:
     norm_A_L: np.ndarray
     norm_pi_L: np.ndarray
     l2_error: np.ndarray
-    final_state: FieldState
+    final_state: FieldState | None
     aborted: bool = False
     abort_time: float | None = None
 
@@ -163,13 +167,13 @@ def evolve(initial: FieldState, formulation, stepper, dt: float, t_end: float,
     block_map = functools.lru_cache(maxsize=4)(step_map.power)
     stable = _stable(method, dt * dt * float(ws.k2.max()))
 
-    record(0.0, y)
     aborted = False
     abort_time = None
     step = 0
     last_recorded = 0
     # Overflow on the way to a detected abort is expected, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
+        record(0.0, y)
         while step < n_steps:
             j = _next_event(step, n_steps, stride, reproject_every) - step if stable else 1
             block_map(j).apply(y, out)
@@ -187,13 +191,17 @@ def evolve(initial: FieldState, formulation, stepper, dt: float, t_end: float,
             if step % stride == 0 or step == n_steps:
                 record(step * dt, y)
                 last_recorded = step
+        grid = ws.backward(y)
 
+    final_state = FieldState(grid[0], grid[1], initial.domain_length) if _finite(grid) else None
+    if final_state is None and not aborted:
+        # A finite spectrum near the overflow threshold can overflow on the grid.
+        aborted, abort_time = True, step * dt
     data = np.array(rows)
-    grid = ws.backward(y)
     return DiagnosticsSeries(
         t=data[:, 0], energy=data[:, 1], norm_divA=data[:, 2],
         norm_divPi=data[:, 3], norm_A_L=data[:, 4], norm_pi_L=data[:, 5],
-        l2_error=data[:, 6], final_state=FieldState(grid[0], grid[1], initial.domain_length),
+        l2_error=data[:, 6], final_state=final_state,
         aborted=aborted, abort_time=abort_time,
     )
 

@@ -11,8 +11,6 @@ with a defective eigenbasis somewhere is only weak hyperbolicity.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -89,18 +87,6 @@ class SymbolReport:
             "kappa": [float(v) for v in self.kappa],
             "samples": samples,
         }
-
-
-def worker_count() -> int:
-    """Thread count for direction sweeps, from GAUGEFIX_THREADS (default 1)."""
-    raw = os.environ.get("GAUGEFIX_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"GAUGEFIX_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ValueError(f"GAUGEFIX_THREADS must be >= 1, got {n}")
-    return n
 
 
 def _certified_imag(matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -212,15 +198,7 @@ def analyze_symbol(sym: PrincipalSymbol, n_samples: int = 64,
     if tol_imag <= 0 or cond_bound <= 1:
         raise ValueError("tol_imag must be > 0 and cond_bound > 1")
     directions = sample_directions(n_samples, np.random.default_rng(seed))
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(
-                lambda n: _probe_direction(sym, n, cond_bound), directions
-            ))
-    else:
-        samples = [_probe_direction(sym, n, cond_bound) for n in directions]
+    samples = [_probe_direction(sym, n, cond_bound) for n in directions]
 
     failed = [s for s in samples if s.error is not None]
     speeds: list[float] = []

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from gaugefix.cli import ConfigError, RunConfig, main
+import gaugefix
+from gaugefix.cli import SCENARIOS, ConfigError, RunConfig, main
 from gaugefix.fields import (
     FieldState,
     constraint_norms,
@@ -12,6 +19,15 @@ from gaugefix.fields import (
     random_smooth_fields,
     read_snapshot,
     write_snapshot,
+)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=5)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner,
+                                                                 max_size=3),
+    max_leaves=6,
 )
 
 
@@ -125,6 +141,15 @@ class TestEvolveCommand:
         assert "aborted" in captured.err
         assert out.exists()
 
+    def test_grid_overflow_is_an_abort(self, tmp_path, capsys):
+        # pi_x = 4e303 cos x: the last finite spectrum overflows on the grid.
+        cfg = write_config(tmp_path, scenario="contaminated", dt=0.5, t_end=1000.0,
+                           amplitude=0.0, contamination_amplitude=4e303)
+        out = tmp_path / "overflow.csv"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "evolution aborted at t=175.5" in capsys.readouterr().err
+        assert len(out.read_text().splitlines()) == 1 + 352
+
     def test_bad_polarization_reported(self, tmp_path, capsys):
         cfg = write_config(tmp_path, polarization=[1, 0, 0])
         assert main(["evolve", "--config", str(cfg), "--out", "x.csv"]) == 1
@@ -173,13 +198,6 @@ class TestSymbolCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "tol" in err
-
-    def test_bad_thread_env_is_a_clean_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("GAUGEFIX_THREADS", "zero")
-        assert main(["symbol", "--formulation", "canonical"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "GAUGEFIX_THREADS" in err
 
 
 class TestProjectCommand:
@@ -298,9 +316,51 @@ class TestRunConfig:
         ({"reproject_every": 0}, "reproject_every"),
         ({"stride": -2}, "stride"),
         ({"seed": 1.5}, "seed"),
+        *(({key: True}, key) for key in (
+            "dt", "t_end", "seed", "stride", "reproject_every", "amplitude",
+            "contamination_amplitude", "domain_length", "grid_n")),
+        ({"amplitude": "x"}, "amplitude"),
+        ({"contamination_amplitude": [1]}, "contamination_amplitude"),
+        ({"mode": ["a", "b", "c"]}, "mode"),
+        ({"mode": [1.5, 0, 0]}, "mode"),
+        ({"polarization": ["a", "b", "c"]}, "polarization"),
+        ({"polarization": [10 ** 400, 0, 0]}, "polarization"),
+        ({"domain_length": "2pi"}, "domain_length"),
+        ({"out_csv": 5}, "out_csv"),
     ])
     def test_validation_failures(self, patch, fragment):
         base = {"scenario": "plane_wave", "dt": 0.1, "t_end": 1.0}
         base.update(patch)
         with pytest.raises(ConfigError, match=fragment):
             RunConfig.from_dict(base)
+
+    def test_bad_value_is_a_clean_cli_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, mode=["a", "b", "c"])
+        assert main(["evolve", "--config", str(cfg), "--out", "x.csv"]) == 1
+        assert capsys.readouterr().err.startswith("error: mode")
+
+    @given(st.fixed_dictionaries(
+        {"scenario": st.sampled_from(SCENARIOS) | JSON, "dt": st.floats(0.01, 1.0) | JSON,
+         "t_end": st.floats(1.0, 10.0) | JSON},
+        optional={key: JSON for key in (
+            "grid_n", "domain_length", "formulation", "stepper", "mode",
+            "polarization", "amplitude", "contamination_amplitude",
+            "reproject_every", "stride", "seed", "out_csv", "extra")},
+    ) | JSON)
+    def test_from_dict_returns_config_or_config_error(self, raw):
+        try:
+            cfg = RunConfig.from_dict(raw)
+        except ConfigError:
+            return
+        assert isinstance(cfg.dt, float) and isinstance(cfg.t_end, float)
+        assert np.isfinite(cfg.dt) and np.isfinite(cfg.t_end)
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(gaugefix.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, gaugefix.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

@@ -31,6 +31,7 @@ from gaugefix.constraints import (
 from gaugefix.phase import (
     CosymplecticForm,
     HamiltonianSystem,
+    PhaseFunction,
     linear_function,
     poisson_bracket,
     quadratic_function,
@@ -157,6 +158,27 @@ def test_four_generation_chain(sampler):
     assert directions == [3, 0, 2, 1]
     labeled = classify_constraints(chain, sampler, form=system.form)
     assert all(c.class_label is ConstraintClass.SECOND_CLASS for c in labeled)
+
+
+def test_chain_with_unabsorbable_residual_uses_left_null_space(sampler):
+    """H = p1^2/2 + p2 q3 on (q1, q2, q3, p1, p2, p3), primaries p1, q1, p3.
+
+    [p1, q1] = -1 lets a multiplier absorb the p1 and q1 rows, so the
+    left null space of the primary bracket matrix is e3, and [p3, H] = -p2
+    is the one new constraint (docs/derivations.md section 4).
+    """
+    quad = np.zeros((6, 6))
+    quad[3, 3] = 1.0
+    quad[2, 4] = quad[4, 2] = 1.0
+    system = HamiltonianSystem.canonical(3, quadratic_function(quad))
+    primaries = constraint_set([coord(6, 3, "p1"), coord(6, 0, "q1"), coord(6, 5, "p3")], 6)
+    chain = consistency_chain(system, primaries, sampler)
+    assert chain.labels == ["p1", "q1", "p3", "[p3, H]"]
+    assert chain[3].origin is ConstraintOrigin.CONSISTENCY
+    assert_allclose(chain[3].grad(np.arange(6.0)), -np.eye(6)[4], atol=1e-9)
+    labeled = classify_constraints(chain, sampler, form=system.form)
+    second, first = ConstraintClass.SECOND_CLASS, ConstraintClass.FIRST_CLASS
+    assert [c.class_label for c in labeled] == [second, second, first, first]
 
 
 def test_chain_detects_inconsistent_dynamics(sampler):
@@ -435,3 +457,87 @@ def test_constraint_set_jacobian_shape():
     jac = model.primaries.jacobian(model.sample_point)
     assert jac.shape == (2, 4)
     assert_allclose(jac[0], [0.0, -1.0, 1.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# Jacobian-product brackets against the pairwise Poisson-bracket oracle
+# ---------------------------------------------------------------------------
+
+def _random_quadratic(rng, dim, label):
+    a = rng.standard_normal((dim, dim))
+    return quadratic_function(a + a.T, lin=rng.standard_normal(dim), label=label)
+
+
+def _point_dependent_form(rng):
+    k = rng.standard_normal((4, 4))
+    k = k - k.T
+    j0 = CosymplecticForm.canonical(2).at(np.zeros(4))
+    return CosymplecticForm(matrix_fn=lambda z: j0 + 0.3 * np.sin(z[0]) * k)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(11)
+    quadratic = constraint_set([_random_quadratic(rng, 4, f"c{i}") for i in range(4)], 4)
+    fg4 = (_random_quadratic(rng, 4, "f"), _random_quadratic(rng, 4, "g"))
+    fg2 = (_random_quadratic(rng, 2, "f"), _random_quadratic(rng, 2, "g"))
+    return [
+        pytest.param(circle_pair(), FORM2, np.array([1.3, 0.5]), fg2, id="circle_pair"),
+        pytest.param(quadratic, FORM4, rng.standard_normal(4), fg4, id="quadratic"),
+        pytest.param(quadratic, _point_dependent_form(rng), rng.standard_normal(4), fg4,
+                     id="point_dependent_form"),
+    ]
+
+
+def _oracle_matrix(cset, z, form):
+    return np.array([[poisson_bracket(a.function, b.function, z, form) if i != k else 0.0
+                      for k, b in enumerate(cset)] for i, a in enumerate(cset)])
+
+
+@pytest.mark.parametrize("cset,form,z,fg", _oracle_cases())
+def test_jacobian_brackets_match_pairwise_oracle(cset, form, z, fg):
+    f, g = fg
+    oracle = _oracle_matrix(cset, z, form)
+    scale = np.abs(oracle).max()
+    assert_allclose(commutation_matrix(cset, z, form).entries, oracle,
+                    rtol=1e-13, atol=1e-13 * scale)
+
+    bf = np.array([poisson_bracket(f, c.function, z, form) for c in cset])
+    bg = np.array([poisson_bracket(c.function, g, z, form) for c in cset])
+    correction = bf @ np.linalg.solve(oracle, bg)
+    expected = poisson_bracket(f, g, z, form) - correction
+    assert dirac_bracket(f, g, cset, z, form) == pytest.approx(
+        expected, rel=1e-13, abs=1e-13 * (1.0 + abs(correction)))
+
+    h = _random_quadratic(np.random.default_rng(5), cset.dim, "H")
+    system = HamiltonianSystem(cset.dim // 2, h, form)
+    lam = -np.linalg.solve(oracle, [poisson_bracket(c.function, h, z, form) for c in cset])
+    assert_allclose(gauge_fixed_multipliers(cset, system, z), lam,
+                    rtol=1e-13, atol=1e-13 * np.abs(lam).max())
+
+
+def _counting(fn, calls):
+    def gradient(z):
+        calls[fn.label] = calls.get(fn.label, 0) + 1
+        return fn.grad(z)
+
+    return PhaseFunction(fn.value, gradient, label=fn.label)
+
+
+@pytest.mark.parametrize("op", ["commutation_matrix", "dirac_bracket",
+                                "gauge_fixed_multipliers", "extended_flow"])
+def test_each_constraint_gradient_evaluated_once(op):
+    rng = np.random.default_rng(3)
+    calls = {}
+    cset = constraint_set(
+        [_counting(_random_quadratic(rng, 4, f"c{i}"), calls) for i in range(4)], 4)
+    system = HamiltonianSystem.canonical(2, _random_quadratic(rng, 4, "H"))
+    z = rng.standard_normal(4)
+    if op == "commutation_matrix":
+        commutation_matrix(cset, z, FORM4)
+    elif op == "dirac_bracket":
+        dirac_bracket(coord(4, 0), coord(4, 2), cset, z, FORM4)
+    elif op == "gauge_fixed_multipliers":
+        gauge_fixed_multipliers(cset, system, z)
+    else:
+        extended_flow(system, cset, z)
+    assert calls == {f"c{i}": 1 for i in range(4)}

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -184,6 +186,33 @@ def test_large_finite_state_does_not_abort():
     assert len(series.t) == 11
     assert np.all(series.energy == 0.0)
     assert_allclose(series.final_state.a, state.a, rtol=1e-14)
+
+
+def huge_longitudinal_momentum(n=8):
+    # pi_x = 4e303 cos x: its squares overflow, and A_L = t pi_L grows until
+    # it overflows too (canonical formulation).
+    x, _, _ = fields.grid_coordinates(n, TWO_PI)
+    pi = np.zeros((3, n, n, n))
+    pi[0] = 4e303 * np.cos(x)
+    return FieldState(np.zeros_like(pi), pi, TWO_PI)
+
+
+def test_huge_initial_state_records_silently():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = evolve(huge_longitudinal_momentum(), "canonical", "rk4", 0.5, 1.0)
+    assert not series.aborted
+    assert series.t.tolist() == [0.0, 0.5, 1.0]
+
+
+def test_grid_overflow_of_last_finite_state_aborts():
+    # The spectrum overflows first at t = 176; the last finite spectrum
+    # (t = 175.5) already overflows on its way back to the grid.
+    series = evolve(huge_longitudinal_momentum(), "canonical", "rk4", 0.5, 1000.0)
+    assert series.aborted
+    assert series.abort_time == 175.5
+    assert series.t[-1] == 175.5
+    assert series.final_state is None
 
 
 def rhs_oracle(state, kind, stepper, dt, n_steps, reproject_every=None):

@@ -16,7 +16,6 @@ from gaugefix.symbols import (
     maxwell_gauge_fixed_symbol,
     sample_directions,
     transverse_projector,
-    worker_count,
 )
 
 unit_dirs = st.tuples(
@@ -189,27 +188,6 @@ def test_json_report_is_strict_json():
     conds = [s["cond"] for s in doc["samples"]]
     assert any(c is None for c in conds)
     assert all(c is None or math.isfinite(c) for c in conds)
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("GAUGEFIX_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("GAUGEFIX_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("GAUGEFIX_THREADS", "zero")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.setenv("GAUGEFIX_THREADS", "0")
-    with pytest.raises(ValueError):
-        worker_count()
-
-
-def test_threaded_sweep_matches_serial(monkeypatch):
-    serial = analyze_symbol(maxwell_canonical_symbol(), n_samples=12)
-    monkeypatch.setenv("GAUGEFIX_THREADS", "3")
-    threaded = analyze_symbol(maxwell_canonical_symbol(), n_samples=12)
-    assert serial.classification == threaded.classification
-    assert serial.to_json_dict() == threaded.to_json_dict()
 
 
 def test_seed_changes_random_directions_only():
