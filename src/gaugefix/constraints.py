@@ -12,6 +12,14 @@ least-squares sampler that is independent of the symplectic structure.
 Bracket matrices at a point are products of one stacked constraint
 Jacobian G with the cosymplectic matrix J, [C_A, C_B] = (G J G^T)_AB and
 [C_A, f] = (G J grad f)_A: one gradient evaluation per constraint.
+
+Brackets as functions (the chain's candidates [C, H], bracket_function)
+are built in closed form by phase.polynomial_bracket when every input is
+a polynomial of degree <= 2 and J is constant, which covers all the
+linear and quadratic constraints and Hamiltonians shipped here: every
+generation of the chain then has exact gradients. Only an opaque input
+or a point-dependent J leaves a bracket whose gradient is taken by
+finite differences.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from .phase import (
     PhaseFunction,
     as_phase_point,
     poisson_bracket,
+    polynomial_bracket,
 )
 
 
@@ -201,15 +210,21 @@ def bracket_function(f: PhaseFunction, g: PhaseFunction, form: CosymplecticForm,
                      label: str = "") -> PhaseFunction:
     """The bracket [f, g] as a new phase function.
 
-    The gradient falls back to finite differences (second derivatives of
-    f and g are not part of the PhaseFunction contract), which is exact
-    for the polynomial constraints the chain generates in practice.
+    Closed form, with exact gradient and coefficients, when f and g are
+    polynomials of degree <= 2 and the form is constant. Otherwise (an
+    opaque f or g, or a point-dependent form) the value is evaluated
+    pointwise and its gradient falls back to finite differences, since
+    second derivatives are not part of the PhaseFunction contract.
     """
+    label = label or f"[{f.label}, {g.label}]"
+    exact = polynomial_bracket([f], [1.0], g, form, label)
+    if exact is not None:
+        return exact
 
     def value(z, f=f, g=g, form=form):
         return poisson_bracket(f, g, z, form)
 
-    return PhaseFunction(value, None, label=label or f"[{f.label}, {g.label}]")
+    return PhaseFunction(value, None, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +389,12 @@ def consistency_chain(system: HamiltonianSystem, primaries: ConstraintSet,
 
 def _combination_bracket(cset: ConstraintSet, weights: np.ndarray,
                          h: PhaseFunction, form: CosymplecticForm) -> PhaseFunction:
-    """u_i [C_i, H] as a phase function, with single-term labels kept tidy."""
+    """u_i [C_i, H] as a phase function, with single-term labels kept tidy.
+
+    One closed-form bracket [u_i C_i, H] when H and every member are
+    polynomials and the form is constant; else a pointwise value with a
+    finite-difference gradient.
+    """
     (idx,) = np.nonzero(np.abs(weights) > 1e-12)
     members = ConstraintSet(tuple(cset[int(i)] for i in idx), cset.dim)
     w = weights[idx].astype(float)
@@ -383,6 +403,9 @@ def _combination_bracket(cset: ConstraintSet, weights: np.ndarray,
         label = f"{'-' if w[0] < 0 else ''}[{members[0].label}, H]"
     else:
         label = " + ".join(f"{wi:+.3g}[{c.label}, H]" for wi, c in zip(w, members))
+    exact = polynomial_bracket([c.function for c in members], w, h, form, label)
+    if exact is not None:
+        return exact
 
     def value(z, w=w, members=members, h=h, form=form):
         return float(w @ (members.jacobian(z) @ form.at(z) @ h.grad(z)))

@@ -24,6 +24,12 @@ from .phase import HamiltonianSystem, as_phase_point, hamiltonian_flow
 
 CSV_HEADER = "t,energy,norm_divA,norm_divPi,norm_A_L,norm_pi_L,l2_error"
 
+# Most passes one evolve call may make through its loop: diagnostics rows
+# and reprojections, or single steps when steps cannot be batched. A run
+# asking for more is refused up front instead of running for ages and
+# growing its row list without bound.
+MAX_LOOP_PASSES = 1_000_000
+
 
 class StepperKind(Enum):
     RK4 = "rk4"
@@ -109,6 +115,19 @@ def _step_map(method: StepperKind, kind: FormulationKind, h: float,
     return fields.ModeMap(*blocks, lp=lp, ws=ws)
 
 
+def _step_count(dt: float, t_end: float) -> int:
+    """t_end / dt rounded to whole steps, refusing non-finite or empty runs."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    steps = t_end / dt
+    if not np.isfinite(steps):
+        raise ValueError(f"t_end / dt = {t_end!r} / {dt!r} is not a finite step count")
+    n_steps = int(round(steps))
+    if n_steps < 1:
+        raise ValueError(f"t_end={t_end} is less than one step dt={dt}")
+    return n_steps
+
+
 def _next_event(step: int, n_steps: int, stride: int,
                 reproject_every: int | None) -> int:
     """First step after `step` that writes a row, reprojects or ends the run."""
@@ -134,15 +153,14 @@ def evolve(initial: FieldState, formulation, stepper, dt: float, t_end: float,
     The steps between two such events are applied at once, as a power of
     the one-step map, when dt is inside the stepper's stability interval
     for every mode. Otherwise they are applied one at a time, so that
-    abort_time is the last step whose state was finite.
+    abort_time is the last step whose state was finite. A run that would
+    pass through its loop more than MAX_LOOP_PASSES times (rows plus
+    reprojections, or steps when they go one at a time) raises ValueError
+    before anything is allocated.
     """
     kind = _coerce_formulation(formulation)
     method = _coerce_stepper(stepper)
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    n_steps = int(round(t_end / dt))
-    if n_steps < 1:
-        raise ValueError(f"t_end={t_end} is less than one step dt={dt}")
+    n_steps = _step_count(dt, t_end)
     if reproject_every is not None and reproject_every < 1:
         raise ValueError("reproject_every must be a positive integer")
     ws = workspace or initial.workspace()
@@ -150,6 +168,13 @@ def evolve(initial: FieldState, formulation, stepper, dt: float, t_end: float,
         stride = 1 if initial.grid_n <= 32 else 10
     if stride < 1:
         raise ValueError("stride must be a positive integer")
+    stable = _stable(method, dt * dt * float(ws.k2.max()))
+    passes = n_steps if not stable else (
+        n_steps // stride + 1 + (n_steps // reproject_every if reproject_every else 0))
+    if passes > MAX_LOOP_PASSES:
+        raise ValueError(
+            f"run of {n_steps:.3g} steps needs {passes:.3g} passes (rows and "
+            f"reprojections, or single steps), more than the limit of {MAX_LOOP_PASSES}")
 
     y = ws.forward(np.stack([initial.a, initial.pi]))
     out = np.empty_like(y)
@@ -165,7 +190,6 @@ def evolve(initial: FieldState, formulation, stepper, dt: float, t_end: float,
     # Few block lengths recur: the stride, the last partial block, and the
     # gaps between rows and reprojections.
     block_map = functools.lru_cache(maxsize=4)(step_map.power)
-    stable = _stable(method, dt * dt * float(ws.k2.max()))
 
     aborted = False
     abort_time = None
@@ -231,15 +255,13 @@ def evolve_finite(system: HamiltonianSystem, z0, dt: float, t_end: float,
     a (second-class) constraint set the flow is extended by the
     gauge-fixed multiplier terms, re-solved at every stage evaluation, so
     the constraint values should stay at their initial size up to
-    integration error.
+    integration error. More than MAX_LOOP_PASSES steps raise ValueError.
     """
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    n_steps = int(round(t_end / dt))
-    if n_steps < 1:
-        raise ValueError(f"t_end={t_end} is less than one step dt={dt}")
+    n_steps = _step_count(dt, t_end)
     if stride < 1:
         raise ValueError("stride must be a positive integer")
+    if n_steps > MAX_LOOP_PASSES:
+        raise ValueError(f"run needs {n_steps:.3g} steps, more than the limit of {MAX_LOOP_PASSES}")
 
     z = as_phase_point(z0).astype(float).copy()
     if constraint_set is None:

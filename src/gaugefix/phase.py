@@ -7,12 +7,16 @@ Phase points are plain 1-d numpy arrays of length 2N ordered as
 
 with the canonical cosymplectic matrix J = [[0, I], [-I, 0]], so that
 [q^a, p_b] = delta^a_b and Hamilton's equations read zdot = J grad(H).
+
+Linear and quadratic phase functions carry their coefficients, and under
+a constant J their bracket is again such a polynomial, computed in
+closed form by polynomial_bracket (docs/derivations.md section 4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,9 +50,11 @@ def as_phase_point(z) -> np.ndarray:
 def fd_gradient(value: Callable[[np.ndarray], float], z, step: float | None = None) -> np.ndarray:
     """Central finite-difference gradient of a scalar callable.
 
-    The step for component k is ``cbrt(eps) * max(1, |z_k|)``. Exact for
-    polynomials of degree <= 2, which covers the linear and quadratic
-    constraint functions used throughout.
+    The step for component k is ``cbrt(eps) * max(1, |z_k|)``. Free of
+    truncation error for polynomials of degree <= 2, but each level of
+    nesting multiplies the rounding error. PhaseFunction uses it only for
+    functions without an analytic gradient: opaque callables, and
+    brackets that involve one or are taken under a point-dependent form.
     """
     z = np.asarray(z, dtype=float)
     base = _FD_STEP if step is None else step
@@ -63,18 +69,29 @@ def fd_gradient(value: Callable[[np.ndarray], float], z, step: float | None = No
     return grad
 
 
+class Coefficients(NamedTuple):
+    """(A, a, alpha) of the polynomial z.A.z/2 + a.z + alpha, A symmetric."""
+
+    quad: np.ndarray
+    lin: np.ndarray
+    const: float
+
+
 @dataclass(frozen=True)
 class PhaseFunction:
     """Scalar function of a phase point together with its gradient.
 
     ``gradient`` may be None, in which case a central finite-difference
     fallback is used; ``uses_fd_gradient`` flags that situation so callers
-    can tell analytic from approximate gradients.
+    can tell analytic from approximate gradients. ``coefficients`` is set
+    for polynomials of degree <= 2 (linear_function, quadratic_function,
+    and their closed-form brackets) and None for opaque callables.
     """
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = ""
+    coefficients: Coefficients | None = None
 
     @property
     def uses_fd_gradient(self) -> bool:
@@ -106,7 +123,9 @@ def linear_function(coeffs, const: float = 0.0, label: str = "") -> PhaseFunctio
     def gradient(z, c=coeffs):
         return c.copy()
 
-    return PhaseFunction(value, gradient, label=label)
+    n = coeffs.size
+    return PhaseFunction(value, gradient, label=label,
+                         coefficients=Coefficients(np.zeros((n, n)), coeffs, float(const)))
 
 
 def quadratic_function(quad, lin=None, const: float = 0.0, label: str = "") -> PhaseFunction:
@@ -122,7 +141,8 @@ def quadratic_function(quad, lin=None, const: float = 0.0, label: str = "") -> P
     def gradient(z, a=quad, b=lin):
         return a @ z + b
 
-    return PhaseFunction(value, gradient, label=label)
+    return PhaseFunction(value, gradient, label=label,
+                         coefficients=Coefficients(quad, lin, float(const)))
 
 
 class CosymplecticForm:
@@ -250,6 +270,35 @@ def poisson_bracket(f: PhaseFunction, g: PhaseFunction, z, form: CosymplecticFor
             f"dimension mismatch: gradients {gf.size}/{gg.size}, form {j.shape[0]}"
         )
     return float(gf @ j @ gg)
+
+
+def polynomial_bracket(fs: Sequence[PhaseFunction], weights, g: PhaseFunction,
+                       form: CosymplecticForm, label: str = "") -> PhaseFunction | None:
+    """sum_i w_i [f_i, g] in closed form, or None when it has none here.
+
+    For f = z.A.z/2 + a.z + alpha and g = z.B.z/2 + b.z + beta under a
+    constant J, [f, g] = (Az + a) . J (Bz + b) is the polynomial with
+    quadratic matrix AJB - BJA, linear part AJb - BJa and constant a.J.b
+    (docs/derivations.md section 4). The weighted sum is the bracket of
+    sum_i w_i f_i, whose coefficients are the weighted sums. The result
+    has an exact gradient and coefficients of its own, so brackets of
+    brackets stay exact. None when some input has no coefficients or J
+    depends on the point.
+    """
+    coeffs = [f.coefficients for f in fs]
+    if g.coefficients is None or not form.is_constant or any(c is None for c in coeffs):
+        return None
+    if any(c.lin.size != form.size for c in coeffs + [g.coefficients]):
+        raise ValueError(f"polynomial dimension does not match form size {form.size}")
+    w = np.asarray(weights, dtype=float)
+    a_mat = np.tensordot(w, [c.quad for c in coeffs], axes=1)
+    a = w @ [c.lin for c in coeffs]
+    b_mat, b = g.coefficients.quad, g.coefficients.lin
+    j = form.at(None)
+    ajb = a_mat @ j @ b_mat
+    # AJB - BJA, with BJA = -(AJB)^T written so the sum is exactly symmetric.
+    return quadratic_function(ajb + ajb.T, a_mat @ j @ b - b_mat @ j @ a,
+                              float(a @ j @ b), label=label)
 
 
 def hamiltonian_flow(system: HamiltonianSystem, z) -> np.ndarray:

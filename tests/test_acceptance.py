@@ -298,7 +298,7 @@ def test_criterion_8_property_bundle():
                  + poisson_bracket(g, bracket_function(h, f, form), z, form)
                  + poisson_bracket(h, bracket_function(f, g, form), z, form))
         jacobi_dev = max(jacobi_dev, abs(total))
-    jacobi_ok = jacobi_dev < 1e-6
+    jacobi_ok = jacobi_dev < 1e-12
 
     # Spectral identities on random smooth fields.
     n = 16

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,16 @@ class TestEvolveCommand:
         assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
         assert "evolution aborted at t=175.5" in capsys.readouterr().err
         assert len(out.read_text().splitlines()) == 1 + 352
+
+    def test_astronomical_step_count_refused_fast(self, tmp_path, capsys):
+        # 1e302 steps in 1e296 rows: refused before the loop, not run forever.
+        cfg = write_config(tmp_path, dt=0.01, t_end=1e300, stride=1000000)
+        out = tmp_path / "huge.csv"
+        t0 = time.perf_counter()
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_bad_polarization_reported(self, tmp_path, capsys):
         cfg = write_config(tmp_path, polarization=[1, 0, 0])

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,6 +16,7 @@ from gaugefix.constraints import (
     ConstraintSet,
     GaugeNotFixedError,
     SamplerError,
+    _combination_bracket,
     bracket_function,
     classify_constraints,
     commutation_matrix,
@@ -179,6 +182,97 @@ def test_chain_with_unabsorbable_residual_uses_left_null_space(sampler):
     labeled = classify_constraints(chain, sampler, form=system.form)
     second, first = ConstraintClass.SECOND_CLASS, ConstraintClass.FIRST_CLASS
     assert [c.class_label for c in labeled] == [second, second, first, first]
+
+
+def _dim6_chain_system():
+    """H = p1^2/2 + q1 q2 + p2 q3 on (q1, q2, q3, p1, p2, p3)."""
+    quad = np.zeros((6, 6))
+    quad[3, 3] = 1.0
+    quad[0, 1] = quad[1, 0] = 1.0
+    quad[2, 4] = quad[4, 2] = 1.0
+    return HamiltonianSystem.canonical(3, quadratic_function(quad, label="H"))
+
+
+def test_dim6_six_generation_chain(sampler):
+    """Primary p3 walks p3 -> -p2 -> q1 -> p1 -> -q2 -> -q3, all second class
+    (docs/derivations.md section 4). With nested finite-difference brackets
+    this chain did not finish in 900 s."""
+    t0 = time.perf_counter()
+    system = _dim6_chain_system()
+    primaries = constraint_set([coord(6, 5, "p3")], 6)
+    chain = consistency_chain(system, primaries, sampler)
+    labeled = classify_constraints(chain, sampler, form=system.form)
+    elapsed = time.perf_counter() - t0
+    e = np.eye(6)
+    expected = [e[5], -e[4], e[0], e[3], -e[1], -e[2]]
+    assert len(chain) == 6
+    for z in sampler(chain)[:3]:
+        assert_allclose(chain.jacobian(z), expected, rtol=0, atol=1e-14)
+    assert all(c.class_label is ConstraintClass.SECOND_CLASS for c in labeled)
+    assert elapsed < 5.0
+
+
+def test_chain_members_have_exact_gradients(sampler):
+    """Every generation of a polynomial chain is a closed-form bracket."""
+    quad = np.zeros((4, 4))
+    quad[2, 2] = 1.0
+    quad[0, 1] = quad[1, 0] = 1.0
+    system = HamiltonianSystem.canonical(2, quadratic_function(quad))
+    chain = consistency_chain(system, constraint_set([coord(4, 3, "p2")], 4), sampler)
+    assert len(chain) == 4
+    assert all(c.function.uses_fd_gradient is False for c in chain)
+    assert all(c.function.coefficients is not None for c in chain)
+
+
+def test_combination_bracket_closed_form_and_fallback():
+    rng = np.random.default_rng(21)
+    members = [_random_quadratic(rng, 4, f"c{i}") for i in range(2)]
+    h = _random_quadratic(rng, 4, "H")
+    w = np.array([0.6, -0.8])
+    opaque = PhaseFunction(lambda z: float(np.sin(z[0]) * z[2]),
+                           lambda z: np.array([np.cos(z[0]) * z[2], 0.0, np.sin(z[0]), 0.0]),
+                           label="opaque")
+    for fns, exact in ((members, True), ([members[0], opaque], False)):
+        cset = constraint_set(fns, 4)
+        combo = _combination_bracket(cset, w, h, FORM4)
+        assert combo.uses_fd_gradient is not exact
+        for z in rng.standard_normal((4, 4)):
+            expected = sum(wi * poisson_bracket(f, h, z, FORM4) for wi, f in zip(w, fns))
+            assert combo(z) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+
+
+def test_bracket_function_fd_fallback_point_dependent_form():
+    """J(z) = (1 + q^2) J0: no closed form, so the gradient is finite-differenced."""
+    rng = np.random.default_rng(4)
+    j0 = FORM2.at(None)
+    form = CosymplecticForm(matrix_fn=lambda z: (1.0 + z[0] ** 2) * j0)
+    f, g = _random_quadratic(rng, 2, "f"), _random_quadratic(rng, 2, "g")
+    fg = bracket_function(f, g, form)
+    assert fg.uses_fd_gradient
+    a, b = f.coefficients.quad, g.coefficients.quad
+    for z in rng.standard_normal((4, 2)):
+        assert fg(z) == poisson_bracket(f, g, z, form)
+        gf, gg = f.grad(z), g.grad(z)
+        grad = (1.0 + z[0] ** 2) * (a @ j0 @ gg - b @ j0 @ gf)
+        grad[0] += 2.0 * z[0] * (gf @ j0 @ gg)
+        assert_allclose(fg.grad(z), grad, rtol=1e-7, atol=1e-8)
+
+
+def test_bracket_function_fd_fallback_opaque_function():
+    """f = sin(q) has no coefficients: [f, g] = cos(q) dg/dp, gradient by FD."""
+    rng = np.random.default_rng(6)
+    f = PhaseFunction(lambda z: float(np.sin(z[0])),
+                      lambda z: np.array([np.cos(z[0]), 0.0]), label="sin q")
+    g = _random_quadratic(rng, 2, "g")
+    b = g.coefficients.quad
+    fg = bracket_function(f, g, FORM2)
+    assert fg.uses_fd_gradient
+    for z in rng.standard_normal((4, 2)):
+        dg_dp = g.grad(z)[1]
+        assert fg(z) == pytest.approx(np.cos(z[0]) * dg_dp, rel=1e-13, abs=1e-13)
+        grad = np.array([-np.sin(z[0]) * dg_dp + np.cos(z[0]) * b[1, 0],
+                         np.cos(z[0]) * b[1, 1]])
+        assert_allclose(fg.grad(z), grad, rtol=1e-7, atol=1e-8)
 
 
 def test_chain_detects_inconsistent_dynamics(sampler):

@@ -14,11 +14,18 @@ import sympy as sp
 from gaugefix.constraints import (
     classify_constraints,
     consistency_chain,
+    constraint_set,
     dirac_bracket,
     gauge_fixed_multipliers,
     make_surface_sampler,
 )
-from gaugefix.phase import CosymplecticForm, poisson_bracket
+from gaugefix.phase import (
+    CosymplecticForm,
+    HamiltonianSystem,
+    linear_function,
+    poisson_bracket,
+    quadratic_function,
+)
 from gaugefix.toys import chain_demo, circle_pair, coulomb_mode_demo, second_class_demo
 
 q1, q2, p1, p2 = sp.symbols("q1 q2 p1 p2", real=True)
@@ -149,6 +156,56 @@ class TestSecondClassDemoDerivation:
         ]:
             got = dirac_bracket(pairs[fa], pairs[fb], classified, z, form)
             assert got == pytest.approx(expected, abs=1e-10)
+
+
+class TestSixGenerationChainDerivation:
+    """H = p1^2/2 + q1 q2 + p2 q3 with primary p3 (derivations section 4)."""
+
+    q3, p3 = sp.symbols("q3 p3", real=True)
+    coords = ((q1, p1), (q2, p2), (q3, p3))
+    variables = (q1, q2, q3, p1, p2, p3)
+    h = p1 ** 2 / 2 + q1 * q2 + p2 * q3
+
+    def chain(self):
+        # [C, p3] vanishes for every member but the last, -q3, so no
+        # multiplier absorbs a residual: each bracket [C, H] is the next
+        # member until it vanishes.
+        members = [self.p3]
+        while True:
+            nxt = pb(members[-1], self.h, self.coords)
+            if nxt == 0:
+                return members
+            members.append(nxt)
+
+    def test_chain_members(self):
+        assert self.chain() == [self.p3, -p2, q1, p1, -q2, -self.q3]
+
+    def test_all_second_class(self):
+        members = self.chain()
+        m = sp.Matrix(6, 6, lambda i, j: pb(members[i], members[j], self.coords))
+        assert m.det() != 0
+        # Every member has a nonzero bracket with some other member.
+        assert all(any(m[i, j] != 0 for j in range(6)) for i in range(6))
+
+    def test_package_agrees(self):
+        quad = np.zeros((6, 6))
+        quad[3, 3] = 1.0
+        quad[0, 1] = quad[1, 0] = 1.0
+        quad[2, 4] = quad[4, 2] = 1.0
+        system = HamiltonianSystem.canonical(3, quadratic_function(quad))
+        primaries = constraint_set([linear_function(np.eye(6)[5], label="p3")], 6)
+        sampler = make_surface_sampler(np.random.default_rng(1))
+        chain = consistency_chain(system, primaries, sampler)
+        members = self.chain()
+        assert len(chain) == len(members)
+        for z in np.random.default_rng(2).normal(size=(5, 6)):
+            for c, expr in zip(chain, members):
+                assert c(z) == pytest.approx(float(sp.lambdify(self.variables, expr)(*z)),
+                                             abs=1e-12)
+                grad = [float(sp.diff(expr, v)) for v in self.variables]
+                assert np.allclose(c.grad(z), grad, rtol=0, atol=1e-14)
+        classified = classify_constraints(chain, sampler)
+        assert all(c.class_label.value == "second_class" for c in classified)
 
 
 class TestCirclePairDerivation:

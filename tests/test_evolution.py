@@ -8,6 +8,7 @@ from gaugefix import fields
 from gaugefix.constraints import constraint_set
 from gaugefix.evolution import (
     CSV_HEADER,
+    MAX_LOOP_PASSES,
     StepperKind,
     evolve,
     evolve_finite,
@@ -175,6 +176,35 @@ def test_abort_time_independent_of_stride():
     runs = [evolve(state.copy(), "canonical", "rk4", 50.0, 5000.0, stride=stride)
             for stride in (1, 7)]
     assert runs[0].abort_time == runs[1].abort_time == 2150.0
+
+
+@pytest.mark.parametrize("kwargs", [
+    # Stable steps go in blocks: rows (and reprojections) count.
+    dict(dt=0.01, t_end=0.01 * (MAX_LOOP_PASSES + 1), stride=1),
+    dict(dt=0.01, t_end=1e300, stride=10 ** 6),
+    dict(dt=0.01, t_end=0.01 * 2 * MAX_LOOP_PASSES, stride=10 ** 9, reproject_every=1),
+    # Unstable steps go one at a time: steps count, whatever the stride.
+    dict(dt=50.0, t_end=50.0 * (MAX_LOOP_PASSES + 1), stride=10 ** 9),
+    # t_end / dt overflows.
+    dict(dt=1e-300, t_end=1e300),
+])
+def test_step_and_row_budget_refused_up_front(kwargs):
+    state, _ = small_wave(n=8)
+    with pytest.raises(ValueError):
+        evolve(state, "canonical", "rk4", **kwargs)
+
+
+def test_budget_leaves_runs_at_the_limit_alone():
+    state, _ = small_wave(n=8)
+    series = evolve(state, "gauge_fixed", "rk4", 0.01, 0.01 * MAX_LOOP_PASSES,
+                    stride=MAX_LOOP_PASSES // 4)
+    assert len(series.t) == 5 and not series.aborted
+
+
+def test_finite_step_budget():
+    system = HamiltonianSystem.canonical(1, quadratic_function(np.eye(2)))
+    with pytest.raises(ValueError, match="limit"):
+        evolve_finite(system, [1.0, 0.0], 0.1, 0.1 * (MAX_LOOP_PASSES + 1))
 
 
 def test_large_finite_state_does_not_abort():

@@ -17,6 +17,7 @@ from gaugefix.phase import (
     hessian_rank,
     linear_function,
     poisson_bracket,
+    polynomial_bracket,
     quadratic_function,
     verify_constant_rank,
 )
@@ -79,7 +80,7 @@ def test_bracket_antisymmetric_for_quadratics(z, coeffs, idx):
 
 @given(phase_points(4))
 def test_jacobi_identity_for_polynomials(z):
-    """Sum of cyclic double brackets vanishes (inner bracket FD-differentiated)."""
+    """Sum of cyclic double brackets vanishes (inner bracket in closed form)."""
     from gaugefix.constraints import bracket_function
 
     form = CosymplecticForm.canonical(2)
@@ -93,7 +94,7 @@ def test_jacobi_identity_for_polynomials(z):
         + poisson_bracket(bracket_function(g, h, form), f, z, form)
         + poisson_bracket(bracket_function(h, f, form), g, z, form)
     )
-    assert abs(total) <= 1e-8 * (1.0 + np.linalg.norm(z) ** 2)
+    assert abs(total) <= 1e-12 * (1.0 + np.linalg.norm(z) ** 2)
 
 
 def test_fd_gradient_matches_analytic_quadratic():
@@ -187,3 +188,82 @@ def test_nonfinite_gradient_raises():
     f = PhaseFunction(lambda z: z[0], lambda z: np.array([np.inf, 0.0]))
     with pytest.raises(FloatingPointError):
         f.grad(np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# Closed-form brackets of polynomials of degree <= 2
+# ---------------------------------------------------------------------------
+
+def _random_polynomial(rng, dim):
+    a = rng.standard_normal((dim, dim))
+    return quadratic_function(a + a.T, lin=rng.standard_normal(dim),
+                              const=float(rng.standard_normal()))
+
+
+def _constant_noncanonical_form(rng, dim):
+    k = rng.standard_normal((dim, dim))
+    return CosymplecticForm(matrix=k - k.T)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+@pytest.mark.parametrize("kind", ["canonical", "noncanonical"])
+def test_closed_form_bracket_matches_oracle(dim, kind):
+    """Value against poisson_bracket, gradient against (A J grad g - B J grad f)."""
+    from gaugefix.constraints import bracket_function
+
+    rng = np.random.default_rng(100 + dim)
+    form = (CosymplecticForm.canonical(dim // 2) if kind == "canonical"
+            else _constant_noncanonical_form(rng, dim))
+    j = form.at(None)
+    for _ in range(20):
+        f, g = _random_polynomial(rng, dim), _random_polynomial(rng, dim)
+        fg = bracket_function(f, g, form)
+        assert not fg.uses_fd_gradient
+        assert fg.coefficients is not None
+        for z in rng.standard_normal((5, dim)):
+            expected = poisson_bracket(f, g, z, form)
+            assert fg(z) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+            grad = f.coefficients.quad @ j @ g.grad(z) - g.coefficients.quad @ j @ f.grad(z)
+            assert_allclose(fg.grad(z), grad, rtol=1e-13, atol=1e-13 * np.abs(grad).max())
+
+
+def test_closed_form_weighted_sum_matches_oracle():
+    rng = np.random.default_rng(7)
+    form = _constant_noncanonical_form(rng, 4)
+    fs = [_random_polynomial(rng, 4) for _ in range(3)]
+    g = _random_polynomial(rng, 4)
+    w = np.array([0.6, -0.8, 2.5])
+    combo = polynomial_bracket(fs, w, g, form)
+    for z in rng.standard_normal((5, 4)):
+        expected = sum(wi * poisson_bracket(f, g, z, form) for wi, f in zip(w, fs))
+        assert combo(z) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+
+
+def test_linear_function_coefficients():
+    f = linear_function(np.array([1.0, -2.0]), const=0.5)
+    assert_allclose(f.coefficients.quad, np.zeros((2, 2)), atol=0)
+    assert_allclose(f.coefficients.lin, [1.0, -2.0])
+    assert f.coefficients.const == 0.5
+    # [q - 2p + 1/2, qp] = (1, -2) . J . (p, q) = q + 2p
+    qp = quadratic_function(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    bracket = polynomial_bracket([f], [1.0], qp, CosymplecticForm.canonical(1))
+    assert_allclose(bracket.coefficients.quad, np.zeros((2, 2)), atol=0)
+    assert_allclose(bracket.coefficients.lin, [1.0, 2.0])
+    assert bracket.coefficients.const == 0.0
+
+
+def test_polynomial_bracket_declines_without_closed_form():
+    f = quadratic_function(np.eye(2))
+    opaque = PhaseFunction(lambda z: float(np.sin(z[0])), lambda z: np.array([np.cos(z[0]), 0.0]))
+    point_dependent = CosymplecticForm(
+        matrix_fn=lambda z: (1.0 + z[0] ** 2) * np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    canonical = CosymplecticForm.canonical(1)
+    assert polynomial_bracket([f], [1.0], opaque, canonical) is None
+    assert polynomial_bracket([opaque], [1.0], f, canonical) is None
+    assert polynomial_bracket([f], [1.0], f, point_dependent) is None
+
+
+def test_polynomial_bracket_rejects_dimension_mismatch():
+    f = quadratic_function(np.eye(4))
+    with pytest.raises(ValueError, match="dimension"):
+        polynomial_bracket([f], [1.0], f, CosymplecticForm.canonical(1))
