@@ -18,7 +18,6 @@ from .constraints import (
     GaugeNotFixedError,
     ProjectionReport,
     SamplerError,
-    bracket_function,
     classify_constraints,
     commutation_matrix,
     consistency_chain,
@@ -58,6 +57,7 @@ from .phase import (
     LagrangianSystem,
     PhaseFunction,
     RankVariationError,
+    bracket_function,
     hamiltonian_flow,
     hessian_rank,
     linear_function,

@@ -13,12 +13,13 @@ Bracket matrices at a point are products of one stacked constraint
 Jacobian G with the cosymplectic matrix J, [C_A, C_B] = (G J G^T)_AB and
 [C_A, f] = (G J grad f)_A: one gradient evaluation per constraint.
 
-Brackets as functions (the chain's candidates [C, H], bracket_function)
-are built in closed form by phase.polynomial_bracket when every input is
-a polynomial of degree <= 2 and J is constant, which covers all the
-linear and quadratic constraints and Hamiltonians shipped here: every
-generation of the chain then has exact gradients. Only an opaque input
-or a point-dependent J leaves a bracket whose gradient is taken by
+Brackets as functions (the chain's candidates [C, H], the terms of the
+second-order correction) come from phase.bracket_function, applied to
+phase.combination for weighted sums. Both stay in closed form when every
+input is a polynomial of degree <= 2 and J is constant, which covers all
+the linear and quadratic constraints and Hamiltonians shipped here:
+every generation of the chain then has exact gradients. Only an opaque
+input or a point-dependent J leaves a bracket whose gradient is taken by
 finite differences.
 """
 
@@ -36,8 +37,9 @@ from .phase import (
     HamiltonianSystem,
     PhaseFunction,
     as_phase_point,
+    bracket_function,
+    combination,
     poisson_bracket,
-    polynomial_bracket,
 )
 
 
@@ -135,13 +137,14 @@ class ConstraintSet:
         )
         return ConstraintSet(relabeled, self.dim)
 
-    def check_irreducible(self, points, rel_tol: float = 1e-8) -> None:
-        """Raise if the constraint gradients degenerate at any sample point."""
+    def check_irreducible(self, points) -> None:
+        """Raise if the constraint gradients degenerate at any sample point
+        (smallest singular value below 1e-8 of the largest)."""
         if len(self.constraints) == 0:
             return
         for z in np.atleast_2d(points):
             s = np.linalg.svd(self.jacobian(z), compute_uv=False)
-            if s[0] == 0.0 or s[-1] < rel_tol * s[0]:
+            if s[0] == 0.0 or s[-1] < 1e-8 * s[0]:
                 raise ValueError(
                     f"constraint set is not irreducible at z={z} "
                     f"(singular values {s})"
@@ -177,15 +180,16 @@ class CommutationMatrix:
             self._sv = np.linalg.svd(self.entries, compute_uv=False)
         return self._sv
 
-    def is_invertible(self, rel_tol: float = 1e-10) -> bool:
+    def is_invertible(self) -> bool:
+        """Smallest singular value above 1e-10 of the largest."""
         s = self.singular_values
         if s.size == 0:
             return False
-        return bool(s[-1] > rel_tol * s[0])
+        return bool(s[-1] > 1e-10 * s[0])
 
-    def solve(self, rhs, rel_tol: float = 1e-10) -> np.ndarray:
+    def solve(self, rhs) -> np.ndarray:
         """Solve M x = rhs, refusing when M is numerically singular."""
-        if not self.is_invertible(rel_tol):
+        if not self.is_invertible():
             raise GaugeNotFixedError(
                 "commutation matrix is singular (gauge not fully fixed): "
                 "first-class directions remain, no Dirac bracket exists"
@@ -204,27 +208,6 @@ def commutation_matrix(cset: ConstraintSet, z, form: CosymplecticForm) -> Commut
     """All mutual Poisson brackets of the set's members at z."""
     z = as_phase_point(z)
     return _commutation(cset.jacobian(z), form.at(z))
-
-
-def bracket_function(f: PhaseFunction, g: PhaseFunction, form: CosymplecticForm,
-                     label: str = "") -> PhaseFunction:
-    """The bracket [f, g] as a new phase function.
-
-    Closed form, with exact gradient and coefficients, when f and g are
-    polynomials of degree <= 2 and the form is constant. Otherwise (an
-    opaque f or g, or a point-dependent form) the value is evaluated
-    pointwise and its gradient falls back to finite differences, since
-    second derivatives are not part of the PhaseFunction contract.
-    """
-    label = label or f"[{f.label}, {g.label}]"
-    exact = polynomial_bracket([f], [1.0], g, form, label)
-    if exact is not None:
-        return exact
-
-    def value(z, f=f, g=g, form=form):
-        return poisson_bracket(f, g, z, form)
-
-    return PhaseFunction(value, None, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -389,34 +372,22 @@ def consistency_chain(system: HamiltonianSystem, primaries: ConstraintSet,
 
 def _combination_bracket(cset: ConstraintSet, weights: np.ndarray,
                          h: PhaseFunction, form: CosymplecticForm) -> PhaseFunction:
-    """u_i [C_i, H] as a phase function, with single-term labels kept tidy.
-
-    One closed-form bracket [u_i C_i, H] when H and every member are
-    polynomials and the form is constant; else a pointwise value with a
-    finite-difference gradient.
-    """
+    """u_i [C_i, H] as the bracket [u_i C_i, H], with single-term labels kept tidy."""
     (idx,) = np.nonzero(np.abs(weights) > 1e-12)
-    members = ConstraintSet(tuple(cset[int(i)] for i in idx), cset.dim)
+    members = [cset[int(i)].function for i in idx]
     w = weights[idx].astype(float)
     if idx.size == 1 and abs(abs(w[0]) - 1.0) < 1e-12:
         w = np.sign(w)
         label = f"{'-' if w[0] < 0 else ''}[{members[0].label}, H]"
     else:
         label = " + ".join(f"{wi:+.3g}[{c.label}, H]" for wi, c in zip(w, members))
-    exact = polynomial_bracket([c.function for c in members], w, h, form, label)
-    if exact is not None:
-        return exact
-
-    def value(z, w=w, members=members, h=h, form=form):
-        return float(w @ (members.jacobian(z) @ form.at(z) @ h.grad(z)))
-
-    return PhaseFunction(value, None, label=label)
+    return bracket_function(combination(members, w), h, form, label)
 
 
-def _gradient_is_new(cset: ConstraintSet, cand: PhaseFunction, points,
-                     rel_tol: float = 1e-8) -> bool:
+def _gradient_is_new(cset: ConstraintSet, cand: PhaseFunction, points) -> bool:
     """True if cand's gradient leaves the span of the set's gradients
-    at at least one sample point (SVD residual test)."""
+    at at least one sample point: its least-squares residual exceeds
+    1e-8 of its norm."""
     for z in np.atleast_2d(points):
         g = cand.grad(z)
         gn = np.linalg.norm(g)
@@ -427,7 +398,7 @@ def _gradient_is_new(cset: ConstraintSet, cand: PhaseFunction, points,
             return True
         coeff, *_ = np.linalg.lstsq(existing.T, g, rcond=None)
         residual = np.linalg.norm(g - existing.T @ coeff)
-        if residual > rel_tol * gn:
+        if residual > 1e-8 * gn:
             return True
     return False
 
@@ -484,7 +455,7 @@ def classify_constraints(cset: ConstraintSet,
 # ---------------------------------------------------------------------------
 
 def dirac_bracket(f: PhaseFunction, g: PhaseFunction, cset: ConstraintSet, z,
-                  form: CosymplecticForm, rel_tol: float = 1e-10) -> float:
+                  form: CosymplecticForm) -> float:
     """Dirac bracket [f, g] - [f, C_A] (M^-1)_AB [C_B, g] at z.
 
     Requires an invertible commutation matrix; a singular one means some
@@ -496,7 +467,7 @@ def dirac_bracket(f: PhaseFunction, g: PhaseFunction, cset: ConstraintSet, z,
     correction = 0.0
     if len(cset):
         bf, bg = gf @ j @ jac.T, jac @ j @ gg
-        correction = float(bf @ _commutation(jac, j).solve(bg, rel_tol))
+        correction = float(bf @ _commutation(jac, j).solve(bg))
     return float(gf @ j @ gg) - correction
 
 
@@ -531,8 +502,7 @@ class ProjectionReport:
     converged: bool
 
 
-def error_correction_step(cset: ConstraintSet, z_bar, form: CosymplecticForm,
-                          report_tol: float | None = None):
+def error_correction_step(cset: ConstraintSet, z_bar, form: CosymplecticForm):
     """One bracket-generated correction step toward the constraint surface.
 
     The step is the canonical transformation generated by -eps . C with
@@ -542,14 +512,13 @@ def error_correction_step(cset: ConstraintSet, z_bar, form: CosymplecticForm,
 
     which cancels the constraint values to first order, and exactly for
     constraints linear in z with constant brackets. Returns (delta_z,
-    report); report.converged records whether the post-step values fell
-    below report_tol (default 1e-12 scaled by the point size).
+    report); report.final_norm is max |C(z_bar + delta_z)| and
+    report.converged records whether it fell below 1e-12 (1 + max |z_bar|).
     """
     z = as_phase_point(z_bar)
     c_bar = cset.values(z)
     initial = float(np.max(np.abs(c_bar))) if len(cset) else 0.0
-    if report_tol is None:
-        report_tol = 1e-12 * (1.0 + float(np.max(np.abs(z))))
+    report_tol = 1e-12 * (1.0 + float(np.max(np.abs(z))))
 
     jac, j = cset.jacobian(z), form.at(z)
     eps = _commutation(jac, j).solve(c_bar)
@@ -579,9 +548,9 @@ def project_to_constraint_surface(cset: ConstraintSet, z_bar, tol: float = 1e-12
         return z, ProjectionReport(0, initial, initial, True)
     final = initial
     for it in range(1, max_iter + 1):
-        delta, _ = error_correction_step(cset, z, form)
+        delta, step = error_correction_step(cset, z, form)
         z = z + delta
-        final = float(np.max(np.abs(cset.values(z))))
+        final = step.final_norm
         if final < tol:
             return z, ProjectionReport(it, initial, final, True)
     return z, ProjectionReport(max_iter, initial, final, False)
@@ -597,9 +566,11 @@ def second_order_coefficients(cset: ConstraintSet, z_bar,
         eps2_G = sum_P (M^-1)_GP [[C_P, E], E]
                + 1/2 sum_{S,P,T} (M^-1)_GS (M^-1)_PT [[C_S, C_T], E] [C_P, E]
 
-    where E = -eps1 . C is the first-order generator. Identically zero
-    when all brackets are constant, which covers every shipped scenario;
-    provided so field-dependent algebras can at least be probed.
+    where E = -eps1 . C is the first-order generator, a polynomial when
+    every C_A is one, so that all these brackets are then exact.
+    Identically zero when all brackets are constant, which covers every
+    shipped scenario; provided so field-dependent algebras can at least
+    be probed.
     """
     z = as_phase_point(z_bar)
     m = len(cset)
@@ -607,13 +578,7 @@ def second_order_coefficients(cset: ConstraintSet, z_bar,
     eps1 = mat.solve(cset.values(z))
     minv = np.linalg.inv(mat.entries)
 
-    def e_value(pt, eps=eps1, cs=cset):
-        return -float(eps @ cs.values(pt))
-
-    def e_gradient(pt, eps=eps1, cs=cset):
-        return -(cs.jacobian(pt).T @ eps)
-
-    e_fn = PhaseFunction(e_value, e_gradient, label="correction generator")
+    e_fn = combination([c.function for c in cset], -eps1, label="correction generator")
 
     # [C_P, E] both as numbers at z and as functions for the outer brackets.
     ce_fns = [bracket_function(c.function, e_fn, form) for c in cset]

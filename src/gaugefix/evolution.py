@@ -139,8 +139,7 @@ def _next_event(step: int, n_steps: int, stride: int,
 
 def evolve(initial: FieldState, formulation, stepper, dt: float, t_end: float,
            reproject_every: int | None = None, reference=None,
-           stride: int | None = None,
-           workspace: SpectralWorkspace | None = None) -> DiagnosticsSeries:
+           stride: int | None = None) -> DiagnosticsSeries:
     """Integrate the field equations and collect diagnostics.
 
     t_end is rounded to a whole number of steps. Diagnostics rows land at
@@ -163,7 +162,7 @@ def evolve(initial: FieldState, formulation, stepper, dt: float, t_end: float,
     n_steps = _step_count(dt, t_end)
     if reproject_every is not None and reproject_every < 1:
         raise ValueError("reproject_every must be a positive integer")
-    ws = workspace or initial.workspace()
+    ws = initial.workspace()
     if stride is None:
         stride = 1 if initial.grid_n <= 32 else 10
     if stride < 1:

@@ -274,23 +274,23 @@ def l2_norm(f: np.ndarray, domain_length: float) -> float:
     return float(np.sqrt(np.sum(f ** 2) * dv))
 
 
-def constraint_norms(state: FieldState, ws: SpectralWorkspace | None = None):
+def constraint_norms(state: FieldState):
     """(norm of div A, norm of div pi) in the continuum L2 norm."""
-    ws = ws or state.workspace()
+    ws = state.workspace()
     return (l2_norm(div(state.a, ws), state.domain_length),
             l2_norm(div(state.pi, ws), state.domain_length))
 
 
-def longitudinal_norms(state: FieldState, ws: SpectralWorkspace | None = None):
+def longitudinal_norms(state: FieldState):
     """(norm of A_L, norm of pi_L), the longitudinal field content."""
-    ws = ws or state.workspace()
+    ws = state.workspace()
     return (l2_norm(longitudinal_part(state.a, ws), state.domain_length),
             l2_norm(longitudinal_part(state.pi, ws), state.domain_length))
 
 
-def energy(state: FieldState, ws: SpectralWorkspace | None = None) -> float:
+def energy(state: FieldState) -> float:
     """H = 1/2 integral of (pi^2 + |curl A|^2)."""
-    ws = ws or state.workspace()
+    ws = state.workspace()
     b = curl(state.a, ws)
     dv = (state.domain_length / state.grid_n) ** 3
     return float(0.5 * np.sum(state.pi ** 2 + b ** 2) * dv)

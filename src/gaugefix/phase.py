@@ -8,9 +8,12 @@ Phase points are plain 1-d numpy arrays of length 2N ordered as
 with the canonical cosymplectic matrix J = [[0, I], [-I, 0]], so that
 [q^a, p_b] = delta^a_b and Hamilton's equations read zdot = J grad(H).
 
-Linear and quadratic phase functions carry their coefficients, and under
-a constant J their bracket is again such a polynomial, computed in
-closed form by polynomial_bracket (docs/derivations.md section 4).
+Linear and quadratic phase functions carry their coefficients, and so
+do their weighted sums (combination). Under a constant J their bracket
+is again such a polynomial: bracket_function builds it in closed form
+(docs/derivations.md section 4), falling back to pointwise brackets
+with finite-difference gradients only for opaque inputs or a
+point-dependent J.
 """
 
 from __future__ import annotations
@@ -85,7 +88,8 @@ class PhaseFunction:
     fallback is used; ``uses_fd_gradient`` flags that situation so callers
     can tell analytic from approximate gradients. ``coefficients`` is set
     for polynomials of degree <= 2 (linear_function, quadratic_function,
-    and their closed-form brackets) and None for opaque callables.
+    their combinations and closed-form brackets) and None for opaque
+    callables.
     """
 
     value: Callable[[np.ndarray], float]
@@ -272,33 +276,58 @@ def poisson_bracket(f: PhaseFunction, g: PhaseFunction, z, form: CosymplecticFor
     return float(gf @ j @ gg)
 
 
-def polynomial_bracket(fs: Sequence[PhaseFunction], weights, g: PhaseFunction,
-                       form: CosymplecticForm, label: str = "") -> PhaseFunction | None:
-    """sum_i w_i [f_i, g] in closed form, or None when it has none here.
+def bracket_function(f: PhaseFunction, g: PhaseFunction, form: CosymplecticForm,
+                     label: str = "") -> PhaseFunction:
+    """The bracket [f, g] as a new phase function.
 
     For f = z.A.z/2 + a.z + alpha and g = z.B.z/2 + b.z + beta under a
     constant J, [f, g] = (Az + a) . J (Bz + b) is the polynomial with
     quadratic matrix AJB - BJA, linear part AJb - BJa and constant a.J.b
-    (docs/derivations.md section 4). The weighted sum is the bracket of
-    sum_i w_i f_i, whose coefficients are the weighted sums. The result
-    has an exact gradient and coefficients of its own, so brackets of
-    brackets stay exact. None when some input has no coefficients or J
-    depends on the point.
+    (docs/derivations.md section 4). It has an exact gradient and
+    coefficients of its own, so brackets of brackets stay exact.
+    Otherwise (an input without coefficients, or a point-dependent J)
+    the value is the pointwise poisson_bracket and its gradient falls
+    back to finite differences, since second derivatives are not part of
+    the PhaseFunction contract.
     """
-    coeffs = [f.coefficients for f in fs]
-    if g.coefficients is None or not form.is_constant or any(c is None for c in coeffs):
-        return None
-    if any(c.lin.size != form.size for c in coeffs + [g.coefficients]):
+    label = label or f"[{f.label}, {g.label}]"
+    cf, cg = f.coefficients, g.coefficients
+    if cf is None or cg is None or not form.is_constant:
+        def value(z, f=f, g=g, form=form):
+            return poisson_bracket(f, g, z, form)
+
+        return PhaseFunction(value, None, label=label)
+    if cf.lin.size != form.size or cg.lin.size != form.size:
         raise ValueError(f"polynomial dimension does not match form size {form.size}")
-    w = np.asarray(weights, dtype=float)
-    a_mat = np.tensordot(w, [c.quad for c in coeffs], axes=1)
-    a = w @ [c.lin for c in coeffs]
-    b_mat, b = g.coefficients.quad, g.coefficients.lin
     j = form.at(None)
-    ajb = a_mat @ j @ b_mat
+    ajb = cf.quad @ j @ cg.quad
     # AJB - BJA, with BJA = -(AJB)^T written so the sum is exactly symmetric.
-    return quadratic_function(ajb + ajb.T, a_mat @ j @ b - b_mat @ j @ a,
-                              float(a @ j @ b), label=label)
+    return quadratic_function(ajb + ajb.T, cf.quad @ j @ cg.lin - cg.quad @ j @ cf.lin,
+                              float(cf.lin @ j @ cg.lin), label=label)
+
+
+def combination(fs: Sequence[PhaseFunction], weights, label: str = "") -> PhaseFunction:
+    """The weighted sum sum_i w_i f_i as a phase function.
+
+    Carries the weighted sums of the coefficients when every f_i has
+    them, so its brackets stay in closed form. Otherwise its value and
+    gradient are the weighted sums of the members' values and gradients.
+    """
+    fs = tuple(fs)
+    w = np.asarray(weights, dtype=float)
+    coeffs = [f.coefficients for f in fs]
+    if all(c is not None for c in coeffs):
+        return quadratic_function(np.tensordot(w, [c.quad for c in coeffs], axes=1),
+                                  w @ [c.lin for c in coeffs],
+                                  float(w @ [c.const for c in coeffs]), label=label)
+
+    def value(z, fs=fs, w=w):
+        return float(w @ [f(z) for f in fs])
+
+    def gradient(z, fs=fs, w=w):
+        return w @ [f.grad(z) for f in fs]
+
+    return PhaseFunction(value, gradient, label=label)
 
 
 def hamiltonian_flow(system: HamiltonianSystem, z) -> np.ndarray:

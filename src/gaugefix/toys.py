@@ -16,7 +16,6 @@ import numpy as np
 from .constraints import Constraint, ConstraintOrigin, ConstraintSet
 from .phase import (
     HamiltonianSystem,
-    LagrangianSystem,
     PhaseFunction,
     linear_function,
     quadratic_function,
@@ -29,8 +28,6 @@ class ToyModel:
     system: HamiltonianSystem
     primaries: ConstraintSet
     sample_point: np.ndarray
-    lagrangian: LagrangianSystem | None = None
-    description: str = ""
     # Bracket pairs worth reporting for this model, as (label, function) pairs.
     check_functions: tuple = field(default=())
 
@@ -52,11 +49,6 @@ def chain_demo() -> ToyModel:
     """
     dim = 4
 
-    def lag(q, v):
-        return 0.5 * (v[0] - q[1]) ** 2
-
-    lagrangian = LagrangianSystem(2, lag, velocity_hessian=lambda q, v: np.diag([1.0, 0.0]))
-
     # H = p1^2/2 + q2 p1 in ordering (q1, q2, p1, p2).
     quad = np.zeros((4, 4))
     quad[2, 2] = 1.0
@@ -76,8 +68,6 @@ def chain_demo() -> ToyModel:
         system=system,
         primaries=primaries,
         sample_point=np.array([0.7, -0.3, 0.0, 0.0]),
-        lagrangian=lagrangian,
-        description="singular kinetic term; primary p2 spawns secondary -p1, all first class",
         check_functions=checks,
     )
 
@@ -91,11 +81,6 @@ def second_class_demo() -> ToyModel:
     The Dirac bracket then eliminates the (q2, p2) pair entirely.
     """
     dim = 4
-
-    def lag(q, v):
-        return v[0] * q[1]
-
-    lagrangian = LagrangianSystem(2, lag)
 
     h = linear_function(np.zeros(dim), label="0")
     system = HamiltonianSystem.canonical(2, h)
@@ -120,8 +105,6 @@ def second_class_demo() -> ToyModel:
         system=system,
         primaries=primaries,
         sample_point=np.array([0.4, 0.25, 0.25, 0.0]),
-        lagrangian=lagrangian,
-        description="two second-class primaries; Dirac bracket kills the (q2, p2) pair",
         check_functions=checks,
     )
 
@@ -129,11 +112,6 @@ def second_class_demo() -> ToyModel:
 def regular_demo() -> ToyModel:
     """L = (qdot1^2 + qdot2^2) / 2: invertible Hessian, no constraints."""
     dim = 4
-
-    def lag(q, v):
-        return 0.5 * (v[0] ** 2 + v[1] ** 2)
-
-    lagrangian = LagrangianSystem(2, lag, velocity_hessian=lambda q, v: np.eye(2))
     quad = np.zeros((4, 4))
     quad[2, 2] = quad[3, 3] = 1.0
     h = quadratic_function(quad, label="(p1^2 + p2^2)/2")
@@ -143,8 +121,6 @@ def regular_demo() -> ToyModel:
         system=system,
         primaries=ConstraintSet((), dim),
         sample_point=np.array([0.1, 0.2, 0.3, 0.4]),
-        lagrangian=lagrangian,
-        description="regular kinetic term, empty constraint chain",
     )
 
 
@@ -204,7 +180,6 @@ def coulomb_mode_demo(k_abs: float = 1.0) -> ToyModel:
         system=system,
         primaries=pair,
         sample_point=np.zeros(2),
-        description="one Fourier amplitude with its gauge-fixing pair",
     )
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from gaugefix import phase
 from gaugefix.constraints import (
     classify_constraints,
     consistency_chain,
@@ -18,6 +19,7 @@ from gaugefix.constraints import (
     dirac_bracket,
     gauge_fixed_multipliers,
     make_surface_sampler,
+    second_order_coefficients,
 )
 from gaugefix.phase import (
     CosymplecticForm,
@@ -286,6 +288,48 @@ class TestCorrectionStepDerivation:
         delta = -jmat * g.T * m.inv() * (g * z_bar)
         assert delta == sp.Matrix([sp.Rational(-1, 10), 0, 0,
                                    sp.Rational(-1, 10)])
+
+
+class TestSecondOrderCorrectionDerivation:
+    """C = (p, q + q^2) at z = (2/5, 3/10) (derivations section 6)."""
+
+    q, p = sp.symbols("q p", real=True)
+    coords = ((q, p),)
+    at = {q: sp.Rational(2, 5), p: sp.Rational(3, 10)}
+
+    def eps2(self):
+        # The docstring formula of second_order_coefficients, term by term.
+        c = [self.p, self.q + self.q ** 2]
+        m = sp.Matrix(2, 2, lambda i, j: pb(c[i], c[j], self.coords).subs(self.at))
+        minv = m.inv()
+        eps1 = minv * sp.Matrix([ci.subs(self.at) for ci in c])
+        e = -sum(eps1[i] * c[i] for i in range(2))
+        ce = [pb(ci, e, self.coords) for ci in c]
+        return [
+            sum(minv[g, a] * pb(ce[a], e, self.coords).subs(self.at) for a in range(2))
+            + sp.Rational(1, 2) * sum(
+                minv[g, s] * minv[a, t]
+                * pb(pb(c[s], c[t], self.coords), e, self.coords).subs(self.at)
+                * ce[a].subs(self.at)
+                for s in range(2) for a in range(2) for t in range(2))
+            for g in range(2)
+        ]
+
+    def test_worked_example_numbers(self):
+        assert self.eps2() == [sp.Rational(196, 3645), sp.Rational(-7, 243)]
+
+    def test_package_exact_without_finite_differences(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fd_gradient called on polynomial constraints")
+
+        monkeypatch.setattr(phase, "fd_gradient", refuse)
+        cset = constraint_set([
+            linear_function(np.array([0.0, 1.0]), label="p"),
+            quadratic_function(np.diag([2.0, 0.0]), lin=np.array([1.0, 0.0]), label="q + q^2"),
+        ], 2)
+        got = second_order_coefficients(cset, np.array([0.4, 0.3]), CosymplecticForm.canonical(1))
+        for g, expected in zip(got, self.eps2()):
+            assert g == pytest.approx(float(expected), rel=1e-14)
 
 
 class TestFieldEnergyDerivation:

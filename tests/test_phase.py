@@ -12,12 +12,13 @@ from gaugefix.phase import (
     PhaseFunction,
     RankVariationError,
     as_phase_point,
+    bracket_function,
+    combination,
     fd_gradient,
     hamiltonian_flow,
     hessian_rank,
     linear_function,
     poisson_bracket,
-    polynomial_bracket,
     quadratic_function,
     verify_constant_rank,
 )
@@ -81,8 +82,6 @@ def test_bracket_antisymmetric_for_quadratics(z, coeffs, idx):
 @given(phase_points(4))
 def test_jacobi_identity_for_polynomials(z):
     """Sum of cyclic double brackets vanishes (inner bracket in closed form)."""
-    from gaugefix.constraints import bracket_function
-
     form = CosymplecticForm.canonical(2)
     a = np.zeros((4, 4))
     a[0, 2] = a[2, 0] = 1.0
@@ -209,8 +208,6 @@ def _constant_noncanonical_form(rng, dim):
 @pytest.mark.parametrize("kind", ["canonical", "noncanonical"])
 def test_closed_form_bracket_matches_oracle(dim, kind):
     """Value against poisson_bracket, gradient against (A J grad g - B J grad f)."""
-    from gaugefix.constraints import bracket_function
-
     rng = np.random.default_rng(100 + dim)
     form = (CosymplecticForm.canonical(dim // 2) if kind == "canonical"
             else _constant_noncanonical_form(rng, dim))
@@ -233,8 +230,15 @@ def test_closed_form_weighted_sum_matches_oracle():
     fs = [_random_polynomial(rng, 4) for _ in range(3)]
     g = _random_polynomial(rng, 4)
     w = np.array([0.6, -0.8, 2.5])
-    combo = polynomial_bracket(fs, w, g, form)
+    total = combination(fs, w)
+    assert total.coefficients is not None
+    combo = bracket_function(total, g, form)
+    assert combo.coefficients is not None
     for z in rng.standard_normal((5, 4)):
+        assert total(z) == pytest.approx(sum(wi * f(z) for wi, f in zip(w, fs)),
+                                         rel=1e-13, abs=1e-13)
+        assert_allclose(total.grad(z), sum(wi * f.grad(z) for wi, f in zip(w, fs)),
+                        rtol=1e-13, atol=1e-13)
         expected = sum(wi * poisson_bracket(f, g, z, form) for wi, f in zip(w, fs))
         assert combo(z) == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
@@ -246,24 +250,33 @@ def test_linear_function_coefficients():
     assert f.coefficients.const == 0.5
     # [q - 2p + 1/2, qp] = (1, -2) . J . (p, q) = q + 2p
     qp = quadratic_function(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    bracket = polynomial_bracket([f], [1.0], qp, CosymplecticForm.canonical(1))
+    bracket = bracket_function(f, qp, CosymplecticForm.canonical(1))
     assert_allclose(bracket.coefficients.quad, np.zeros((2, 2)), atol=0)
     assert_allclose(bracket.coefficients.lin, [1.0, 2.0])
     assert bracket.coefficients.const == 0.0
 
 
-def test_polynomial_bracket_declines_without_closed_form():
+def test_bracket_function_falls_back_without_closed_form():
+    """An opaque input, also inside a combination, or a point-dependent form
+    gives the pointwise bracket with a finite-difference gradient."""
     f = quadratic_function(np.eye(2))
     opaque = PhaseFunction(lambda z: float(np.sin(z[0])), lambda z: np.array([np.cos(z[0]), 0.0]))
+    mixed = combination([f, opaque], [2.0, -1.0])
+    assert mixed.coefficients is None
+    z = np.array([0.3, -0.7])
+    assert mixed(z) == pytest.approx(2.0 * f(z) - opaque(z), rel=1e-15)
+    assert_allclose(mixed.grad(z), 2.0 * f.grad(z) - opaque.grad(z), rtol=1e-15)
     point_dependent = CosymplecticForm(
         matrix_fn=lambda z: (1.0 + z[0] ** 2) * np.array([[0.0, 1.0], [-1.0, 0.0]]))
     canonical = CosymplecticForm.canonical(1)
-    assert polynomial_bracket([f], [1.0], opaque, canonical) is None
-    assert polynomial_bracket([opaque], [1.0], f, canonical) is None
-    assert polynomial_bracket([f], [1.0], f, point_dependent) is None
+    for a, b, form in ((f, opaque, canonical), (opaque, f, canonical),
+                       (mixed, f, canonical), (f, f, point_dependent)):
+        fg = bracket_function(a, b, form)
+        assert fg.coefficients is None and fg.uses_fd_gradient
+        assert fg(z) == poisson_bracket(a, b, z, form)
 
 
-def test_polynomial_bracket_rejects_dimension_mismatch():
+def test_bracket_function_rejects_dimension_mismatch():
     f = quadratic_function(np.eye(4))
-    with pytest.raises(ValueError, match="dimension"):
-        polynomial_bracket([f], [1.0], f, CosymplecticForm.canonical(1))
+    with pytest.raises(ValueError, match="does not match form size 2"):
+        bracket_function(f, f, CosymplecticForm.canonical(1))
