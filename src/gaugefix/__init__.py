@@ -54,16 +54,14 @@ from .fields import (
 from .phase import (
     CosymplecticForm,
     HamiltonianSystem,
-    LagrangianSystem,
     PhaseFunction,
-    RankVariationError,
+    QuadraticLagrangian,
     bracket_function,
     hamiltonian_flow,
-    hessian_rank,
+    legendre,
     linear_function,
     poisson_bracket,
     quadratic_function,
-    verify_constant_rank,
 )
 from .symbols import (
     Hyperbolicity,

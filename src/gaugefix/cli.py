@@ -218,6 +218,8 @@ def cmd_symbol(args) -> int:
 
 
 def cmd_project(args) -> int:
+    if not args.tol >= 0:
+        raise ConfigError(f"--tol must be a non-negative number, got {args.tol!r}")
     state = fields.read_snapshot(args.input)
     before = fields.constraint_norms(state)
     projected = fields.project_state(state)

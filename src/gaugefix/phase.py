@@ -14,6 +14,10 @@ is again such a polynomial: bracket_function builds it in closed form
 (docs/derivations.md section 4), falling back to pointwise brackets
 with finite-difference gradients only for opaque inputs or a
 point-dependent J.
+
+Systems enter either as a HamiltonianSystem with primary constraints
+given directly, or as a QuadraticLagrangian, whose exact Legendre map
+(legendre) yields both (docs/derivations.md section 3a).
 """
 
 from __future__ import annotations
@@ -23,19 +27,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-# Central-difference step prefactors. cbrt(eps) balances truncation and
-# rounding for first derivatives, eps**(1/4) for second derivatives.
+# Central-difference step prefactor: cbrt(eps) balances truncation and
+# rounding for first derivatives.
 _FD_STEP = float(np.cbrt(np.finfo(float).eps))
-# Second-difference step. Larger than the classical eps**0.25: velocity
-# Hessians feed a rank decision at ~1e-10, and for the (near-)quadratic
-# kinetic terms this targets, second differences carry no truncation
-# error, so pushing the step up mainly shrinks the cancellation noise
-# eps/h^2 below that threshold.
-_FD_STEP2 = float(np.finfo(float).eps ** (1.0 / 6.0))
-
-
-class RankVariationError(RuntimeError):
-    """Velocity-Hessian rank changed between sample points."""
 
 
 def as_phase_point(z) -> np.ndarray:
@@ -50,7 +44,7 @@ def as_phase_point(z) -> np.ndarray:
     return z
 
 
-def fd_gradient(value: Callable[[np.ndarray], float], z, step: float | None = None) -> np.ndarray:
+def fd_gradient(value: Callable[[np.ndarray], float], z) -> np.ndarray:
     """Central finite-difference gradient of a scalar callable.
 
     The step for component k is ``cbrt(eps) * max(1, |z_k|)``. Free of
@@ -60,10 +54,9 @@ def fd_gradient(value: Callable[[np.ndarray], float], z, step: float | None = No
     brackets that involve one or are taken under a point-dependent form.
     """
     z = np.asarray(z, dtype=float)
-    base = _FD_STEP if step is None else step
     grad = np.empty_like(z)
     for k in range(z.size):
-        h = base * max(1.0, abs(z[k]))
+        h = _FD_STEP * max(1.0, abs(z[k]))
         zp = z.copy()
         zm = z.copy()
         zp[k] += h
@@ -117,6 +110,10 @@ class PhaseFunction:
         return g
 
 
+def _is_symmetric(m: np.ndarray) -> bool:
+    return bool(np.allclose(m, m.T, atol=1e-14 * (1.0 + np.abs(m).max(initial=0.0))))
+
+
 def linear_function(coeffs, const: float = 0.0, label: str = "") -> PhaseFunction:
     """Affine phase function coeffs . z + const with its exact gradient."""
     coeffs = np.asarray(coeffs, dtype=float)
@@ -135,7 +132,7 @@ def linear_function(coeffs, const: float = 0.0, label: str = "") -> PhaseFunctio
 def quadratic_function(quad, lin=None, const: float = 0.0, label: str = "") -> PhaseFunction:
     """Phase function z.A.z/2 + b.z + c for symmetric A, with exact gradient."""
     quad = np.asarray(quad, dtype=float)
-    if not np.allclose(quad, quad.T, atol=1e-14 * (1.0 + np.abs(quad).max())):
+    if not _is_symmetric(quad):
         raise ValueError("quadratic coefficient matrix must be symmetric")
     lin = np.zeros(quad.shape[0]) if lin is None else np.asarray(lin, dtype=float)
 
@@ -215,54 +212,6 @@ class HamiltonianSystem:
         return cls(n_dof, hamiltonian, CosymplecticForm.canonical(n_dof))
 
 
-@dataclass(frozen=True)
-class LagrangianSystem:
-    """Configuration-space Lagrangian L(q, qdot); optionally with an analytic
-    velocity Hessian d^2 L / dqdot dqdot for singular-Legendre analysis."""
-
-    n_config: int
-    lagrangian: Callable[[np.ndarray, np.ndarray], float]
-    velocity_hessian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-
-    def hessian(self, q, qdot) -> np.ndarray:
-        """Velocity Hessian at (q, qdot), symmetrized and symmetry-checked."""
-        q = np.asarray(q, dtype=float)
-        v = np.asarray(qdot, dtype=float)
-        n = self.n_config
-        if q.size != n or v.size != n:
-            raise ValueError("q and qdot must have length n_config")
-        if self.velocity_hessian is not None:
-            t = np.asarray(self.velocity_hessian(q, v), dtype=float)
-        else:
-            t = _fd_velocity_hessian(self.lagrangian, q, v)
-        scale = np.abs(t).max() or 1.0
-        if np.abs(t - t.T).max() > 1e-10 * scale:
-            raise ValueError("velocity Hessian is not symmetric")
-        return 0.5 * (t + t.T)
-
-
-def _fd_velocity_hessian(lag, q, v):
-    n = v.size
-    t = np.empty((n, n))
-    h = np.array([_FD_STEP2 * max(1.0, abs(v[k])) for k in range(n)])
-
-    def f(dv):
-        return lag(q, v + dv)
-
-    f0 = f(np.zeros(n))
-    for a in range(n):
-        ea = np.zeros(n)
-        ea[a] = h[a]
-        t[a, a] = (f(ea) - 2.0 * f0 + f(-ea)) / h[a] ** 2
-        for b in range(a + 1, n):
-            eb = np.zeros(n)
-            eb[b] = h[b]
-            t[a, b] = t[b, a] = (
-                f(ea + eb) - f(ea - eb) - f(-ea + eb) + f(-ea - eb)
-            ) / (4.0 * h[a] * h[b])
-    return t
-
-
 def poisson_bracket(f: PhaseFunction, g: PhaseFunction, z, form: CosymplecticForm) -> float:
     """Poisson bracket [f, g] = grad(f) . J . grad(g) at the point z."""
     z = as_phase_point(z)
@@ -338,43 +287,85 @@ def hamiltonian_flow(system: HamiltonianSystem, z) -> np.ndarray:
     return system.form.at(z) @ system.hamiltonian.grad(z)
 
 
-def hessian_rank(lag: LagrangianSystem, q, qdot, tol: float = 1e-10):
-    """Rank and kernel of the velocity Hessian at (q, qdot).
+# Rank cut for constant matrices: an eigenvalue that is zero in exact
+# arithmetic comes out of eigh below n * eps * max|lambda| (numpy's
+# matrix_rank default); the factor 100 leaves room for rounding in the
+# matrix itself, say one assembled as R D R^T.
+_RANK_RTOL = 100.0 * np.finfo(float).eps
 
-    Returns (rank, null_directions) where null_directions is an
-    orthonormal basis of the kernel, shape (n_config, n_config - rank).
-    The threshold is tol times max(largest singular value, 1): measured
-    against unity as a floor, so the finite-difference noise of an
-    exactly singular Hessian does not masquerade as rank. A regular
-    Lagrangian yields full rank and an empty kernel.
+
+@dataclass(frozen=True)
+class QuadraticLagrangian:
+    """L(q, qdot) = qdot.W.qdot/2 + qdot.B.q + q.K.q/2 with constant n x n
+    matrices, W and K symmetric. W is the velocity Hessian."""
+
+    w: np.ndarray
+    b: np.ndarray
+    k: np.ndarray
+
+    def __post_init__(self):
+        w, b, k = mats = [np.asarray(m, dtype=float) for m in (self.w, self.b, self.k)]
+        if w.ndim != 2 or w.size == 0 or not w.shape == w.T.shape == b.shape == k.shape:
+            raise ValueError(f"W, B and K must be n x n with n >= 1, "
+                             f"got shapes {w.shape}, {b.shape}, {k.shape}")
+        if not (all(np.isfinite(m).all() for m in mats) and _is_symmetric(w) and _is_symmetric(k)):
+            raise ValueError("W, B and K must be finite, and W and K symmetric")
+        for name, m in zip("wbk", mats):
+            object.__setattr__(self, name, m)
+
+
+def legendre(lag: QuadraticLagrangian) -> tuple[HamiltonianSystem, tuple[PhaseFunction, ...]]:
+    """Exact Legendre map: the canonical system and the primary constraints.
+
+    With p = W qdot + B q, each kernel vector u of W gives a primary
+    u . (p - B q), and on their surface H = p . qdot - L equals
+    (p - B q).W+.(p - B q)/2 - q.K.q/2 for every qdot, W+ the
+    pseudo-inverse (docs/derivations.md section 3a). The rank of the
+    constant W is read off its eigenvalues once. The kernel basis is put
+    in reduced row echelon form, so the primaries, their order and labels
+    do not depend on the basis eigh returns.
     """
-    if lag.n_config == 0:
-        raise ValueError("Lagrangian has no configuration variables")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    t = lag.hessian(q, qdot)
-    _, s, vt = np.linalg.svd(t)
-    rank = int(np.sum(s > tol * max(s[0], 1.0)))
-    return rank, vt[rank:].T.copy()
+    n = len(lag.w)
+    lam, vec = np.linalg.eigh(lag.w)
+    tol = n * _RANK_RTOL
+    nonzero = np.abs(lam) > tol * np.abs(lam).max()
+    # p - B q = t z for z = (q, p).
+    t = np.hstack([-lag.b, np.eye(n)])
+    x = vec[:, nonzero].T @ t
+    quad = x.T @ (x / lam[nonzero, None])
+    # Symmetric only up to rounding otherwise, and the gradient A z assumes A = A^T.
+    quad = 0.5 * (quad + quad.T)
+    quad[:n, :n] -= lag.k
+    hamiltonian = quadratic_function(quad, label="H")
+    rows = _rref(vec[:, ~nonzero].T, tol) @ t
+    primaries = tuple(linear_function(row, label=_linear_label(row)) for row in rows)
+    return HamiltonianSystem.canonical(n, hamiltonian), primaries
 
 
-def verify_constant_rank(lag: LagrangianSystem, points, tol: float = 1e-10) -> int:
-    """Check that the velocity-Hessian rank agrees across sample points.
+def _rref(rows: np.ndarray, tol: float) -> np.ndarray:
+    """Reduced row echelon form of a full-row-rank matrix with entries of
+    order one (Gauss-Jordan, partial pivoting). Entries within tol of zero
+    come out as exact zeros."""
+    a = rows.copy()
+    r = 0
+    for col in range(a.shape[1]):
+        if r == a.shape[0]:
+            break
+        piv = r + int(np.argmax(np.abs(a[r:, col])))
+        if abs(a[piv, col]) <= tol:
+            continue
+        a[[r, piv]] = a[[piv, r]]
+        a[r] /= a[r, col]
+        others = np.arange(a.shape[0]) != r
+        a[others] -= np.outer(a[others, col], a[r])
+        r += 1
+    return np.where(np.abs(a) > tol, a, 0.0)
 
-    ``points`` is an iterable of (q, qdot) pairs. Returns the common rank,
-    or raises RankVariationError naming the disagreeing points. Constraint
-    analysis downstream assumes the rank is constant, so a disagreement is
-    an error rather than a warning.
-    """
-    ranks = {}
-    for q, qdot in points:
-        r, _ = hessian_rank(lag, q, qdot, tol)
-        ranks.setdefault(r, (np.asarray(q), np.asarray(qdot)))
-    if len(ranks) == 0:
-        raise ValueError("no sample points supplied")
-    if len(ranks) > 1:
-        desc = ", ".join(
-            f"rank {r} at q={qp[0]}, qdot={qp[1]}" for r, qp in sorted(ranks.items())
-        )
-        raise RankVariationError(f"velocity-Hessian rank varies across samples: {desc}")
-    return next(iter(ranks))
+
+def _linear_label(coeffs: np.ndarray) -> str:
+    """Label of coeffs . z such as 'p1 - q2', momenta first."""
+    n = coeffs.size // 2
+    text = " ".join(f"{'-' if c < 0 else '+'} {'' if abs(c) == 1 else f'{abs(c):g} '}{x}{i + 1}"
+                    for x, part in (("p", coeffs[n:]), ("q", coeffs[:n]))
+                    for i, c in enumerate(part) if c != 0)
+    return text[2:] if text[0] == "+" else "-" + text[2:]

@@ -195,7 +195,8 @@ def analyze_symbol(sym: PrincipalSymbol, n_samples: int = 64,
     """
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
-    if tol_imag <= 0 or cond_bound <= 1:
+    # Written as negations so that NaN is rejected too.
+    if not tol_imag > 0 or not cond_bound > 1:
         raise ValueError("tol_imag must be > 0 and cond_bound > 1")
     directions = sample_directions(n_samples, np.random.default_rng(seed))
     samples = [_probe_direction(sym, n, cond_bound) for n in directions]

@@ -1,9 +1,12 @@
 """Small built-in systems exercising the constraint pipeline end to end.
 
-Each Lagrangian toy carries its phase-space Hamiltonian, the primary
-constraints read off from the singular velocity Hessian, and a point on
-the constraint surface suitable for matrix evaluations. The nonlinear
-circle pair exists purely to stress the iterative surface projection.
+The three Lagrangian toys are each one QuadraticLagrangian: legendre
+turns it into the phase-space Hamiltonian and the primary constraints,
+and the toy adds a point on the constraint surface for matrix
+evaluations and the coordinates whose brackets are worth reporting
+(docs/derivations.md sections 1-3). The nonlinear circle pair exists
+purely to stress the iterative surface projection; the Coulomb mode is
+a hand-typed one-mode surrogate of the gauge-fixed field system.
 """
 
 from __future__ import annotations
@@ -13,10 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import Constraint, ConstraintOrigin, ConstraintSet
+from .constraints import Constraint, ConstraintOrigin, ConstraintSet, constraint_set
 from .phase import (
     HamiltonianSystem,
     PhaseFunction,
+    QuadraticLagrangian,
+    legendre,
     linear_function,
     quadratic_function,
 )
@@ -32,10 +37,19 @@ class ToyModel:
     check_functions: tuple = field(default=())
 
 
-def _coordinate(dim: int, index: int, label: str) -> PhaseFunction:
-    coeffs = np.zeros(dim)
-    coeffs[index] = 1.0
-    return linear_function(coeffs, label=label)
+def _lagrangian_toy(name: str, lag: QuadraticLagrangian, sample_point,
+                    check_names=()) -> ToyModel:
+    """ToyModel of a quadratic Lagrangian; check_names are coordinates
+    such as 'q1' or 'p2'."""
+    system, primaries = legendre(lag)
+    n = len(lag.w)
+    checks = []
+    for label in check_names:
+        coeffs = np.zeros(2 * n)
+        coeffs[int(label[1:]) - 1 + (n if label[0] == "p" else 0)] = 1.0
+        checks.append((label, linear_function(coeffs, label=label)))
+    return ToyModel(name, system, constraint_set(primaries, 2 * n),
+                    np.array(sample_point, dtype=float), tuple(checks))
 
 
 def chain_demo() -> ToyModel:
@@ -47,29 +61,9 @@ def chain_demo() -> ToyModel:
     commute, so the final set is first class: q2 is pure gauge and the
     reduced dynamics is a free particle frozen at p1 = 0.
     """
-    dim = 4
-
-    # H = p1^2/2 + q2 p1 in ordering (q1, q2, p1, p2).
-    quad = np.zeros((4, 4))
-    quad[2, 2] = 1.0
-    quad[1, 2] = quad[2, 1] = 1.0
-    h = quadratic_function(quad, label="p1^2/2 + q2 p1")
-    system = HamiltonianSystem.canonical(2, h)
-
-    primaries = ConstraintSet(
-        (Constraint(_coordinate(dim, 3, "p2"), ConstraintOrigin.PRIMARY),), dim
-    )
-    checks = (
-        ("q1", _coordinate(dim, 0, "q1")),
-        ("p1", _coordinate(dim, 2, "p1")),
-    )
-    return ToyModel(
-        name="chain-demo",
-        system=system,
-        primaries=primaries,
-        sample_point=np.array([0.7, -0.3, 0.0, 0.0]),
-        check_functions=checks,
-    )
+    lag = QuadraticLagrangian(np.diag([1.0, 0.0]), [[0.0, -1.0], [0.0, 0.0]],
+                              np.diag([0.0, 1.0]))
+    return _lagrangian_toy("chain-demo", lag, [0.7, -0.3, 0.0, 0.0], ("q1", "p1"))
 
 
 def second_class_demo() -> ToyModel:
@@ -80,48 +74,15 @@ def second_class_demo() -> ToyModel:
     the pair second class with commutation matrix [[0, -1], [1, 0]].
     The Dirac bracket then eliminates the (q2, p2) pair entirely.
     """
-    dim = 4
-
-    h = linear_function(np.zeros(dim), label="0")
-    system = HamiltonianSystem.canonical(2, h)
-
-    phi1 = linear_function(np.array([0.0, -1.0, 1.0, 0.0]), label="p1 - q2")
-    phi2 = _coordinate(dim, 3, "p2")
-    primaries = ConstraintSet(
-        (
-            Constraint(phi1, ConstraintOrigin.PRIMARY),
-            Constraint(phi2, ConstraintOrigin.PRIMARY),
-        ),
-        dim,
-    )
-    checks = (
-        ("q1", _coordinate(dim, 0, "q1")),
-        ("q2", _coordinate(dim, 1, "q2")),
-        ("p1", _coordinate(dim, 2, "p1")),
-        ("p2", _coordinate(dim, 3, "p2")),
-    )
-    return ToyModel(
-        name="second-class-demo",
-        system=system,
-        primaries=primaries,
-        sample_point=np.array([0.4, 0.25, 0.25, 0.0]),
-        check_functions=checks,
-    )
+    lag = QuadraticLagrangian(np.zeros((2, 2)), [[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 2)))
+    return _lagrangian_toy("second-class-demo", lag, [0.4, 0.25, 0.25, 0.0],
+                           ("q1", "q2", "p1", "p2"))
 
 
 def regular_demo() -> ToyModel:
     """L = (qdot1^2 + qdot2^2) / 2: invertible Hessian, no constraints."""
-    dim = 4
-    quad = np.zeros((4, 4))
-    quad[2, 2] = quad[3, 3] = 1.0
-    h = quadratic_function(quad, label="(p1^2 + p2^2)/2")
-    system = HamiltonianSystem.canonical(2, h)
-    return ToyModel(
-        name="regular-demo",
-        system=system,
-        primaries=ConstraintSet((), dim),
-        sample_point=np.array([0.1, 0.2, 0.3, 0.4]),
-    )
+    lag = QuadraticLagrangian(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
+    return _lagrangian_toy("regular-demo", lag, [0.1, 0.2, 0.3, 0.4])
 
 
 def circle_pair(theta0: float = 0.25) -> ConstraintSet:

@@ -205,10 +205,12 @@ class TestSymbolCommand:
         assert any(s["cond"] is None for s in doc["samples"])
 
     def test_zero_tol_is_a_clean_error(self, capsys):
-        assert main(["symbol", "--formulation", "canonical", "--tol", "0"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "tol" in err
+        # Negative and NaN tolerances are refused the same way as zero.
+        for tol in ("0", "-1", "nan"):
+            assert main(["symbol", "--formulation", "canonical", "--tol", tol]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert "tol" in err
 
 
 class TestProjectCommand:
@@ -249,6 +251,14 @@ class TestProjectCommand:
         assert main(["project", str(path), "--out", str(out),
                      "--tol", repr(tol)]) == 1
         assert "above tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tol_is_a_clean_error(self, tmp_path, capsys, tol):
+        _, path = self.make_snapshot(tmp_path)
+        out = tmp_path / "out.gfsn"
+        assert main(["project", str(path), "--out", str(out), "--tol", tol]) == 1
+        assert capsys.readouterr().err.startswith("error: --tol")
+        assert not out.exists()
 
     def test_malformed_snapshot(self, tmp_path, capsys):
         bad = tmp_path / "bad.gfsn"
@@ -294,6 +304,13 @@ class TestConstraintsCommand:
     def test_unknown_model_rejected(self):
         with pytest.raises(SystemExit):
             main(["constraints", "nonexistent-model"])
+
+    @pytest.mark.parametrize("seed", ["0", "901"])
+    @pytest.mark.parametrize("model", ["chain-demo", "second-class-demo", "regular-demo"])
+    def test_output_matches_golden_file(self, capsys, model, seed):
+        assert main(["constraints", model, "--seed", seed]) == 0
+        golden = Path(__file__).parent / "golden" / f"constraints_{model}.json"
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
 
     def test_out_flag_and_determinism(self, tmp_path, capsys):
         out1, out2 = tmp_path / "c1.json", tmp_path / "c2.json"

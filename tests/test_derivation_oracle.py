@@ -52,6 +52,26 @@ def legendre(lagrangian):
     return mom1, mom2, h, velocity_solutions
 
 
+def quadratic_lagrangian(lagrangian):
+    """The package's QuadraticLagrangian, with W, B and K read off by sympy."""
+    v, q = (v1, v2), (q1, q2)
+    w = sp.hessian(lagrangian, v)
+    b = sp.Matrix(2, 2, lambda i, j: sp.diff(lagrangian, v[i], q[j]))
+    k = sp.hessian(lagrangian, q)
+    return phase.QuadraticLagrangian(*(np.array(m, dtype=float) for m in (w, b, k)))
+
+
+def assert_coefficients_exact(fn, expr):
+    """fn carries exactly the coefficients of the sympy polynomial expr in z."""
+    z = (q1, q2, p1, p2)
+    at_origin = dict.fromkeys(z, 0)
+    c = fn.coefficients
+    assert np.array_equal(c.quad, np.array(sp.hessian(expr, z), dtype=float))
+    assert np.array_equal(c.lin, np.array([sp.diff(expr, x).subs(at_origin) for x in z],
+                                          dtype=float))
+    assert c.const == float(expr.subs(at_origin))
+
+
 class TestChainDemoDerivation:
     lagrangian = sp.Rational(1, 2) * (v1 - q2) ** 2
 
@@ -63,14 +83,23 @@ class TestChainDemoDerivation:
                              for m in (mom1, mom2)])
         assert hessian.rank() == 1
 
-    def test_hamiltonian(self):
+    def canonical_hamiltonian(self):
         # v1 solves from p1 = v1 - q2; v2 is undetermined and drops out
         # of H because its coefficient is exactly the primary p2.
         h = (p1 * (p1 + q2) + p2 * v2
              - self.lagrangian.subs(v1, p1 + q2))
         assert sp.simplify(sp.diff(h, v2)) == p2
-        h_canonical = sp.simplify(h.subs(v2, 0))
-        assert sp.simplify(h_canonical - (p1 ** 2 / 2 + q2 * p1)) == 0
+        return sp.expand(h.subs(v2, 0))
+
+    def test_hamiltonian(self):
+        assert sp.simplify(self.canonical_hamiltonian() - (p1 ** 2 / 2 + q2 * p1)) == 0
+
+    def test_package_legendre_is_exact(self):
+        system, primaries = phase.legendre(quadratic_lagrangian(self.lagrangian))
+        assert_coefficients_exact(system.hamiltonian, self.canonical_hamiltonian())
+        _, mom2, _, _ = legendre(self.lagrangian)
+        assert [f.label for f in primaries] == ["p2"]
+        assert_coefficients_exact(primaries[0], p2 - mom2)
 
     def test_chain_terminates_after_one_secondary(self):
         h = p1 ** 2 / 2 + q2 * p1
@@ -114,6 +143,18 @@ class TestSecondClassDemoDerivation:
         assert sp.simplify(sp.diff(h, v1) - (p1 - q2)) == 0
         assert sp.simplify(sp.diff(h, v2) - p2) == 0
         assert sp.simplify(h.subs([(p1, q2), (p2, 0)])) == 0
+
+    def test_package_legendre_is_exact(self):
+        # Both momentum relations are velocity-free, so p_i - mom_i are the
+        # primaries, and H is what remains of p.v - L without them.
+        mom1, mom2, h, _ = legendre(self.lagrangian)
+        primaries_expr = [p1 - mom1, p2 - mom2]
+        h_canonical = sp.expand(h - v1 * primaries_expr[0] - v2 * primaries_expr[1])
+        system, primaries = phase.legendre(quadratic_lagrangian(self.lagrangian))
+        assert_coefficients_exact(system.hamiltonian, h_canonical)
+        assert [f.label for f in primaries] == ["p1 - q2", "p2"]
+        for f, expr in zip(primaries, primaries_expr, strict=True):
+            assert_coefficients_exact(f, expr)
 
     def test_commutation_matrix(self):
         chi = [p1 - q2, p2]

@@ -8,19 +8,17 @@ from numpy.testing import assert_allclose
 from gaugefix.phase import (
     CosymplecticForm,
     HamiltonianSystem,
-    LagrangianSystem,
     PhaseFunction,
-    RankVariationError,
+    QuadraticLagrangian,
     as_phase_point,
     bracket_function,
     combination,
     fd_gradient,
     hamiltonian_flow,
-    hessian_rank,
+    legendre,
     linear_function,
     poisson_bracket,
     quadratic_function,
-    verify_constant_rank,
 )
 
 finite_floats = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -126,61 +124,60 @@ def test_hamiltonian_flow_dimension_mismatch():
         hamiltonian_flow(system, np.zeros(4))
 
 
-class TestHessianRank:
-    def test_free_particle_full_rank(self):
-        lag = LagrangianSystem(2, lambda q, v: 0.5 * (v[0] ** 2 + v[1] ** 2))
-        rank, null = hessian_rank(lag, np.zeros(2), np.zeros(2))
-        assert rank == 2
-        assert null.shape == (2, 0)
+def _random_lagrangian(rng, n, rank):
+    """W = R D R^T with `rank` nonzero eigenvalues of either sign, random B, K."""
+    r = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    d = np.zeros(n)
+    d[:rank] = rng.uniform(0.5, 2.0, rank) * rng.choice([-1.0, 1.0], rank)
+    w = r @ np.diag(d) @ r.T
+    k = rng.standard_normal((n, n))
+    return QuadraticLagrangian(0.5 * (w + w.T), rng.standard_normal((n, n)), k + k.T)
 
-    def test_singular_direction_found(self):
-        lag = LagrangianSystem(2, lambda q, v: 0.5 * (v[0] - q[1]) ** 2)
-        rank, null = hessian_rank(lag, np.zeros(2), np.zeros(2))
-        assert rank == 1
-        assert null.shape == (2, 1)
-        assert_allclose(np.abs(null[:, 0]), [0.0, 1.0], atol=1e-12)
 
-    def test_zero_hessian(self):
-        lag = LagrangianSystem(2, lambda q, v: v[0] * q[1])
-        rank, null = hessian_rank(lag, np.array([0.1, 0.2]), np.array([0.3, 0.4]))
-        assert rank == 0
-        assert null.shape == (2, 2)
-        # Kernel basis comes back orthonormal.
-        assert_allclose(null.T @ null, np.eye(2), atol=1e-12)
+def _is_rref(rows):
+    pivots = [int(np.flatnonzero(row)[0]) for row in rows]
+    return (pivots == sorted(set(pivots))
+            and all(np.array_equal(rows[:, c], np.eye(len(rows))[i])
+                    for i, c in enumerate(pivots)))
 
-    def test_analytic_hessian_used_when_given(self):
-        calls = []
 
-        def hess(q, v):
-            calls.append(1)
-            return np.eye(2)
+class TestLegendre:
+    @pytest.mark.parametrize("rank", [0, 1, 3])
+    def test_primaries_and_hamiltonian_at_random_velocities(self, rank):
+        rng = np.random.default_rng(10 + rank)
+        lag = _random_lagrangian(rng, 3, rank)
+        system, primaries = legendre(lag)
+        assert len(primaries) == 3 - rank
+        kernel = np.array([f.coefficients.lin[3:] for f in primaries]).reshape(-1, 3)
+        assert _is_rref(kernel)
+        for _ in range(20):
+            q, v = rng.standard_normal(3), rng.standard_normal(3)
+            p = lag.w @ v + lag.b @ q
+            z = np.concatenate([q, p])
+            for f in primaries:
+                assert abs(f(z)) <= 1e-12
+            lagrangian = 0.5 * v @ lag.w @ v + v @ lag.b @ q + 0.5 * q @ lag.k @ q
+            # Relative to the terms, which may cancel: H = p.qdot - L for every qdot.
+            scale = abs(p @ v) + abs(lagrangian)
+            assert abs(system.hamiltonian(z) - (p @ v - lagrangian)) <= 1e-12 * scale
 
-        lag = LagrangianSystem(2, lambda q, v: 0.0, velocity_hessian=hess)
-        rank, _ = hessian_rank(lag, np.zeros(2), np.zeros(2))
-        assert rank == 2 and calls
+    def test_labels_list_momenta_first(self):
+        lag = QuadraticLagrangian(np.zeros((2, 2)), [[0.0, 0.0], [2.0, -1.0]], np.zeros((2, 2)))
+        _, primaries = legendre(lag)
+        assert [f.label for f in primaries] == ["p1", "p2 - 2 q1 + q2"]
 
-    def test_bad_tolerance_rejected(self):
-        lag = LagrangianSystem(1, lambda q, v: 0.5 * v[0] ** 2)
+    @pytest.mark.parametrize("w, b, k", [
+        ([[1.0, 2.0], [0.0, 1.0]], np.zeros((2, 2)), np.zeros((2, 2))),
+        (np.eye(2), np.zeros((2, 2)), [[0.0, 1.0], [0.0, 0.0]]),
+        (np.eye(2), np.zeros((2, 3)), np.zeros((2, 2))),
+        (np.eye(2), np.zeros((2, 2)), np.zeros((3, 3))),
+        (np.ones(2), np.zeros(2), np.zeros(2)),
+        (np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0))),
+        ([[np.nan, 0.0], [0.0, 1.0]], np.zeros((2, 2)), np.zeros((2, 2))),
+    ])
+    def test_bad_matrices_rejected(self, w, b, k):
         with pytest.raises(ValueError):
-            hessian_rank(lag, np.zeros(1), np.zeros(1), tol=0.0)
-
-
-def test_verify_constant_rank_accepts_uniform():
-    lag = LagrangianSystem(2, lambda q, v: 0.5 * (v[0] - q[1]) ** 2)
-    points = [(np.zeros(2), np.zeros(2)), (np.ones(2), np.full(2, -1.0))]
-    assert verify_constant_rank(lag, points) == 1
-
-
-def test_verify_constant_rank_raises_on_variation():
-    # Hessian diag(1, q1): rank drops from 2 to 1 at q1 = 0.
-    lag = LagrangianSystem(
-        2,
-        lambda q, v: 0.5 * v[0] ** 2 + 0.5 * q[0] * v[1] ** 2,
-        velocity_hessian=lambda q, v: np.diag([1.0, q[0]]),
-    )
-    points = [(np.array([1.0, 0.0]), np.zeros(2)), (np.array([0.0, 0.0]), np.zeros(2))]
-    with pytest.raises(RankVariationError):
-        verify_constant_rank(lag, points)
+            QuadraticLagrangian(w, b, k)
 
 
 def test_nonfinite_gradient_raises():

@@ -162,10 +162,12 @@ def test_analyze_validates_arguments():
     sym = maxwell_canonical_symbol()
     with pytest.raises(ValueError):
         analyze_symbol(sym, n_samples=-1)
-    with pytest.raises(ValueError):
-        analyze_symbol(sym, tol_imag=0.0)
-    with pytest.raises(ValueError):
-        analyze_symbol(sym, cond_bound=1.0)
+    for tol_imag in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            analyze_symbol(sym, tol_imag=tol_imag)
+    for cond_bound in (1.0, np.nan):
+        with pytest.raises(ValueError):
+            analyze_symbol(sym, cond_bound=cond_bound)
 
 
 def test_json_report_schema():
