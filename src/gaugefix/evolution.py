@@ -1,16 +1,20 @@
 """Time integration with constraint diagnostics.
 
-The field evolution keeps the state in spectral form and advances it by
-the per-mode amplification map of its stepper (the linear system is
-diagonal in Fourier modes), applied as one matrix power per block of
-steps between diagnostics rows. Diagnostics are sampled on a stride,
+The field system is linear and diagonal in Fourier modes, and a mode's
+one-step map depends on it only through k^2. So the field evolution
+groups modes into k^2 shells and carries, between diagnostics rows, each
+shell's transverse and longitudinal second moments of (A^, pi^): a block
+of j steps takes a moment matrix G to M^j G M^jT. The final state is one
+map power applied to the initial spectrum. Where the moments cannot
+stand in for the state (an unstable step, overflowing moments, a
+reference without a spectral form) the state itself is advanced, block by
+block, and the rows are read off it. Diagnostics are sampled on a stride,
 written as CSV with a fixed column set, and evolution aborts (flagged,
 not raised) as soon as a non-finite value appears in the state.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -92,9 +96,8 @@ def _stable(method: StepperKind, x_max: float) -> bool:
     return x_max < 4.0
 
 
-def _step_map(method: StepperKind, kind: FormulationKind, h: float,
-              ws: SpectralWorkspace) -> fields.ModeMap:
-    """Per-mode amplification of one step (docs/derivations.md section 7).
+def _step_blocks(method: StepperKind, h: float, k2: np.ndarray) -> tuple:
+    """Transverse block (aa, ap, pa, pp) of one step at each k^2 (derivations section 7).
 
     With x = h^2 k^2, RK4 on the transverse oscillator is
     [[c, s], [-k^2 s, c]], c = 1 - x/2 + x^2/24, s = h (1 - x/6), and
@@ -102,17 +105,106 @@ def _step_map(method: StepperKind, kind: FormulationKind, h: float,
     Both steppers are exact on the longitudinal pair: A_L += h pi_L in the
     canonical formulation, nothing moves once gauge-fixed.
     """
-    k2 = ws.k2
     x = h * h * k2
     if method is StepperKind.RK4:
         c = 1.0 - x / 2.0 + x * x / 24.0
         s = h * (1.0 - x / 6.0)
-        blocks = (c, s, -k2 * s, c)
-    else:
-        d = 1.0 - x / 2.0
-        blocks = (d, np.full_like(k2, h), -k2 * h * (1.0 - x / 4.0), d)
-    lp = h if kind is FormulationKind.CANONICAL else 0.0
-    return fields.ModeMap(*blocks, lp=lp, ws=ws)
+        return c, s, -k2 * s, c
+    d = 1.0 - x / 2.0
+    return d, np.full_like(k2, h), -k2 * h * (1.0 - x / 4.0), d
+
+
+def _compose(m: tuple, first: tuple) -> tuple:
+    """The 2x2 blocks that apply `first`, then m."""
+    aa, ap, pa, pp = m
+    fa, fb, fc, fd = first
+    return aa * fa + ap * fc, aa * fb + ap * fd, pa * fa + pp * fc, pa * fb + pp * fd
+
+
+class _ShellMaps:
+    """The one-step map on each k^2 shell, its powers, and their per-mode form.
+
+    The longitudinal block of j steps is [[1, j lp], [0, 1]] for every mode.
+    """
+
+    def __init__(self, method: StepperKind, kind: FormulationKind, h: float,
+                 ws: SpectralWorkspace):
+        self.ws = ws
+        self.step = _step_blocks(method, h, ws.shells[0])
+        self.lp = h if kind is FormulationKind.CANONICAL else 0.0
+        self._mode_map = (None, None)
+
+    def power(self, j: int) -> tuple:
+        """Transverse blocks of j >= 1 steps, by repeated squaring."""
+        result, base = None, self.step
+        while True:
+            if j & 1:
+                result = base if result is None else _compose(result, base)
+            j >>= 1
+            if not j:
+                return result
+            base = _compose(base, base)
+
+    def mode_map(self, j: int) -> fields.ModeMap:
+        """The j-step map gathered from the shells to every mode."""
+        if self._mode_map[0] != j:
+            shape, index = self.ws.k2.shape, self.ws.shells[1]
+            blocks = (b[index].reshape(shape) for b in self.power(j))
+            self._mode_map = (j, fields.ModeMap(*blocks, lp=j * self.lp, ws=self.ws))
+        return self._mode_map[1]
+
+
+def _congruence(m: tuple, g: np.ndarray) -> np.ndarray:
+    """M G M^T per shell, for symmetric G stored as rows (aa, ap, pp)."""
+    m_aa, m_ap, m_pa, m_pp = m
+    g_aa, g_ap, g_pp = g
+    # Rows of M G.
+    x_a, x_p = m_aa * g_aa + m_ap * g_ap, m_aa * g_ap + m_ap * g_pp
+    y_a, y_p = m_pa * g_aa + m_pp * g_ap, m_pa * g_ap + m_pp * g_pp
+    return np.stack([x_a * m_aa + x_p * m_ap, x_a * m_pa + x_p * m_pp,
+                     y_a * m_pa + y_p * m_pp])
+
+
+class _Support:
+    """Modes carried as explicit vectors outside the shells.
+
+    These are a spectral reference's support, where the distance to the
+    reference is summed mode by mode. Empty without such a reference.
+    """
+
+    def __init__(self, ws: SpectralWorkspace, index: tuple = ((), (), ())):
+        k2, shell_of = ws.shells
+        self.n_shells = len(k2)
+        self.index = tuple(np.asarray(i, dtype=np.intp) for i in index)
+        flat = np.ravel_multi_index(self.index, ws.k2.shape)
+        self.shell = shell_of[flat]
+        self.kvec = ws.kvec[(slice(None), *self.index)]
+        self.inv_k2 = ws.inv_k2[self.index]
+        self.weight = ws.plane_weight[self.index[2]]
+        # Shell index of every mode, with the support moved past the last shell.
+        self.shell_of = shell_of
+        if flat.size:
+            self.shell_of = shell_of.copy()
+            self.shell_of[flat] = self.n_shells
+
+    def take(self, y_hat: np.ndarray) -> np.ndarray:
+        return y_hat[(slice(None), slice(None), *self.index)]
+
+    def split(self, y_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(transverse, longitudinal) parts of the support vectors."""
+        coef = np.sum(self.kvec * y_s, axis=1) * self.inv_k2
+        long = self.kvec * coef[:, None]
+        return y_s - long, long
+
+    def advance(self, m: tuple, lp: float, y_s: np.ndarray) -> np.ndarray:
+        """Apply the transverse blocks m and the longitudinal [[1, lp], [0, 1]]."""
+        (a_t, p_t), (a_l, p_l) = self.split(y_s)
+        aa, ap, pa, pp = (b[self.shell] for b in m)
+        return np.stack([aa * a_t + ap * p_t + a_l + lp * p_l, pa * a_t + pp * p_t + p_l])
+
+    def moments(self, y_s: np.ndarray):
+        return fields.mode_moments(y_s, self.kvec, self.inv_k2, self.weight,
+                                   self.shell, self.n_shells)
 
 
 def _step_count(dt: float, t_end: float) -> int:
@@ -149,13 +241,19 @@ def evolve(initial: FieldState, formulation, stepper, dt: float, t_end: float,
     reproject_every = n, the transverse projection is applied to both
     fields every n steps, before any diagnostics due at that step.
 
-    The steps between two such events are applied at once, as a power of
-    the one-step map, when dt is inside the stepper's stability interval
-    for every mode. Otherwise they are applied one at a time, so that
-    abort_time is the last step whose state was finite. A run that would
-    pass through its loop more than MAX_LOOP_PASSES times (rows plus
-    reprojections, or steps when they go one at a time) raises ValueError
-    before anything is allocated.
+    Rows are read off per-shell second moments, advanced between rows by
+    the map powers on each k^2 shell, and the final state is one map power
+    applied to the initial spectrum. A reference that carries a spectral
+    form (`support` and `spectrum(t)`, as plane_wave_reference gives) is
+    compared on its support mode by mode. The state itself is advanced
+    instead, and the rows read off it, when dt is outside the stepper's
+    stability interval for some mode (then one step at a time, so that
+    abort_time is the last step whose state was finite), when a moment or
+    the final spectrum is not finite (the run restarts from step 0), and
+    when the reference has no spectral form (it is then transformed at
+    every row). A run that would pass through its loop more than
+    MAX_LOOP_PASSES times (rows plus reprojections, or steps when they go
+    one at a time) raises ValueError before anything is allocated.
     """
     kind = _coerce_formulation(formulation)
     method = _coerce_stepper(stepper)
@@ -176,46 +274,22 @@ def evolve(initial: FieldState, formulation, stepper, dt: float, t_end: float,
             f"reprojections, or single steps), more than the limit of {MAX_LOOP_PASSES}")
 
     y = ws.forward(np.stack([initial.a, initial.pi]))
-    out = np.empty_like(y)
-    rows: list[tuple[float, ...]] = []
-
-    def record(t: float, y_hat: np.ndarray) -> None:
-        ref_hat = None if reference is None else ws.forward(np.stack(reference(t)))
-        energy, div_a, div_pi, a_l, pi_l, err = fields.spectral_diagnostics(
-            y_hat, ws, ref_hat)
-        rows.append((t, energy, div_a, div_pi, a_l, pi_l, err))
-
-    step_map = _step_map(method, kind, dt, ws)
-    # Few block lengths recur: the stride, the last partial block, and the
-    # gaps between rows and reprojections.
-    block_map = functools.lru_cache(maxsize=4)(step_map.power)
-
-    aborted = False
-    abort_time = None
-    step = 0
-    last_recorded = 0
-    # Overflow on the way to a detected abort is expected, not a warning.
+    maps = _ShellMaps(method, kind, dt, ws)
+    run = (n_steps, dt, stride, reproject_every, reference)
+    # Overflow on the way to a detected abort or a restart is expected, not
+    # a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        record(0.0, y)
-        while step < n_steps:
-            j = _next_event(step, n_steps, stride, reproject_every) - step if stable else 1
-            block_map(j).apply(y, out)
-            if not _finite(out):
-                aborted = True
-                abort_time = step * dt
-                if last_recorded != step:
-                    record(abort_time, y)
-                break
-            y, out = out, y
-            step += j
-            if reproject_every is not None and step % reproject_every == 0:
-                y[0] = fields.transverse_project_hat(y[0], ws)
-                y[1] = fields.transverse_project_hat(y[1], ws)
-            if step % stride == 0 or step == n_steps:
-                record(step * dt, y)
-                last_recorded = step
+        moments = None
+        if stable and (reference is None or hasattr(reference, "spectrum")):
+            moments = _moment_run(y, maps, *run)
+        if moments is not None:
+            rows, y = moments
+            aborted, step = False, n_steps
+        else:
+            rows, y, step, aborted = _state_run(y, maps, stable, *run)
         grid = ws.backward(y)
 
+    abort_time = step * dt if aborted else None
     final_state = FieldState(grid[0], grid[1], initial.domain_length) if _finite(grid) else None
     if final_state is None and not aborted:
         # A finite spectrum near the overflow threshold can overflow on the grid.
@@ -227,6 +301,98 @@ def evolve(initial: FieldState, formulation, stepper, dt: float, t_end: float,
         l2_error=data[:, 6], final_state=final_state,
         aborted=aborted, abort_time=abort_time,
     )
+
+
+def _moment_run(y0: np.ndarray, maps: _ShellMaps, n_steps: int, dt: float,
+                stride: int, reproject_every: int | None, reference):
+    """Rows from per-shell moments; the final spectrum from one map power.
+
+    Returns (rows, final spectrum), or None as soon as a moment or the
+    final spectrum is not finite. y0 is left as it is.
+    """
+    ws = maps.ws
+    support = _Support(ws) if reference is None else _Support(ws, reference.support)
+    g_t, g_l = fields.shell_moments(y0, ws, support.shell_of)
+    y_s = support.take(y0)
+    rows: list[tuple[float, ...]] = []
+
+    def record(t: float) -> None:
+        dist2 = None
+        if reference is not None:
+            # Off the support the reference is zero: the distance there is
+            # the state's own moments. On it, |y - r|^2 mode by mode.
+            dist2 = (np.sum(g_t[0]) + np.sum(g_t[2]) + np.sum(g_l[0]) + np.sum(g_l[2])
+                     + np.sum(support.weight * np.abs(y_s - reference.spectrum(t)) ** 2))
+        s_t, s_l = support.moments(y_s)
+        rows.append((t, *fields.diagnostics_row(g_t + s_t, g_l + s_l, ws, dist2)))
+
+    def finite() -> bool:
+        return _finite(g_t) and _finite(g_l) and _finite(y_s)
+
+    if not finite():
+        return None
+    record(0.0)
+    step = 0
+    reprojected = False
+    while step < n_steps:
+        j = _next_event(step, n_steps, stride, reproject_every) - step
+        m = maps.power(j)
+        g_t = _congruence(m, g_t)
+        a_l, ap_l, p_l = g_l
+        s = j * maps.lp
+        g_l = np.stack([a_l + 2.0 * s * ap_l + s * s * p_l, ap_l + s * p_l, p_l])
+        y_s = support.advance(m, s, y_s)
+        step += j
+        if reproject_every is not None and step % reproject_every == 0:
+            g_l = np.zeros_like(g_l)
+            y_s = support.split(y_s)[0]
+            reprojected = True
+        if not finite():
+            return None
+        if step % stride == 0 or step == n_steps:
+            record(step * dt)
+
+    y = maps.mode_map(n_steps).apply(y0, np.empty_like(y0))
+    if reprojected:
+        y[0] = fields.transverse_project_hat(y[0], ws)
+        y[1] = fields.transverse_project_hat(y[1], ws)
+    return (rows, y) if _finite(y) else None
+
+
+def _state_run(y: np.ndarray, maps: _ShellMaps, stable: bool, n_steps: int,
+               dt: float, stride: int, reproject_every: int | None, reference):
+    """Advance the state itself and read each row off it.
+
+    Returns (rows, last finite spectrum, its step, aborted). y is
+    overwritten.
+    """
+    ws = maps.ws
+    out = np.empty_like(y)
+    rows: list[tuple[float, ...]] = []
+
+    def record(t: float, y_hat: np.ndarray) -> None:
+        ref_hat = None if reference is None else ws.forward(np.stack(reference(t)))
+        rows.append((t, *fields.spectral_diagnostics(y_hat, ws, ref_hat)))
+
+    step = 0
+    last_recorded = 0
+    record(0.0, y)
+    while step < n_steps:
+        j = _next_event(step, n_steps, stride, reproject_every) - step if stable else 1
+        maps.mode_map(j).apply(y, out)
+        if not _finite(out):
+            if last_recorded != step:
+                record(step * dt, y)
+            return rows, y, step, True
+        y, out = out, y
+        step += j
+        if reproject_every is not None and step % reproject_every == 0:
+            y[0] = fields.transverse_project_hat(y[0], ws)
+            y[1] = fields.transverse_project_hat(y[1], ws)
+        if step % stride == 0 or step == n_steps:
+            record(step * dt, y)
+            last_recorded = step
+    return rows, y, step, False
 
 
 @dataclass

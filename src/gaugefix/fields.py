@@ -63,6 +63,24 @@ class SpectralWorkspace:
         self.inv_k2 = np.zeros_like(self.k2)
         nonzero = self.k2 > 0
         self.inv_k2[nonzero] = 1.0 / self.k2[nonzero]
+        # Parseval weight of each rfft plane: the kz = 0 and (even N) Nyquist
+        # planes hold their own mirror modes and count once; every other
+        # plane stands for itself and its mirror and counts twice.
+        self.plane_weight = np.full(k3.size, 2.0)
+        self.plane_weight[0] = 1.0
+        if grid_n % 2 == 0:
+            self.plane_weight[-1] = 1.0
+
+    @functools.cached_property
+    def shells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(k^2 of each shell, flat shell index of each mode).
+
+        Modes are grouped by their exact k^2, so every mode of a shell has
+        the same one-step map. Shells are sorted by k^2: shell 0 is k^2 = 0,
+        which holds the mean mode and the pure-Nyquist modes.
+        """
+        k2, index = np.unique(self.k2.ravel(), return_inverse=True)
+        return k2, index
 
     def forward(self, f: np.ndarray) -> np.ndarray:
         return np.fft.rfftn(f, axes=(-3, -2, -1))
@@ -177,8 +195,9 @@ def longitudinal_part(v: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
 # Equations of motion
 #
 # The right-hand sides state the equations directly. The integrator does
-# not call them: it advances the state with a ModeMap, and the tests check
-# that map against RK4 and Verlet steps built from these functions.
+# not call them: it advances shell moments and the state with per-mode
+# 2x2 maps, and the tests check those against RK4 and Verlet steps built
+# from these functions.
 # ---------------------------------------------------------------------------
 
 def momentum_rhs_hat(a_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
@@ -224,25 +243,6 @@ class ModeMap:
         self._gb = (self.lp - ap) * ws.inv_k2
         self._ha = -pa * ws.inv_k2
         self._hb = (1.0 - pp) * ws.inv_k2
-
-    def compose(self, first: "ModeMap") -> "ModeMap":
-        """The map that applies `first`, then this one."""
-        return ModeMap(self.aa * first.aa + self.ap * first.pa,
-                       self.aa * first.ap + self.ap * first.pp,
-                       self.pa * first.aa + self.pp * first.pa,
-                       self.pa * first.ap + self.pp * first.pp,
-                       self.lp + first.lp, self.ws)
-
-    def power(self, j: int) -> "ModeMap":
-        """This map applied j >= 1 times, by repeated squaring."""
-        result, base = None, self
-        while True:
-            if j & 1:
-                result = base if result is None else result.compose(base)
-            j >>= 1
-            if not j:
-                return result
-            base = base.compose(base)
 
     def apply(self, y_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the image of the stacked state y = (A^, pi^) into out."""
@@ -296,23 +296,87 @@ def energy(state: FieldState) -> float:
     return float(0.5 * np.sum(state.pi ** 2 + b ** 2) * dv)
 
 
-def _half_spectrum_sum(sq: np.ndarray, ws: SpectralWorkspace) -> float:
-    """Sum of a per-mode quantity over the full spectrum of a real field.
-
-    sq lives on the rfft half spectrum. The kz = 0 plane and, for even N,
-    the Nyquist plane hold their own mirror modes, so they count once;
-    every other plane stands for itself and its mirror and counts twice.
-    """
-    total = 2.0 * np.sum(sq) - np.sum(sq[..., 0])
-    if ws.grid_n % 2 == 0:
-        total -= np.sum(sq[..., -1])
-    return float(total)
-
-
 def _abs2(z: np.ndarray) -> np.ndarray:
     out = np.square(z.real)
     out += np.square(z.imag)
     return out
+
+
+def mode_moments(y_hat: np.ndarray, kvec: np.ndarray, inv_k2: np.ndarray,
+                 weight: np.ndarray, shell: np.ndarray, n_shells: int):
+    """Transverse and longitudinal second moments of modes, summed per shell.
+
+    y_hat = (A^, pi^) stacked, on any array of modes with wavevectors
+    kvec, 1/k^2 table inv_k2 and Parseval weights weight. shell holds
+    each mode's flat shell index; modes whose index is n_shells are left
+    out. Returns (g_t, g_l), each of shape (3, n_shells): the weighted
+    sums of |A^|^2, Re A^ . conj(pi^) and |pi^|^2 over the transverse and
+    over the longitudinal part of a shell's modes. The transverse part
+    is the projected mode itself, not the full moment minus the
+    longitudinal one, so a longitudinal part that overflows when squared
+    leaves it finite.
+    """
+    a_hat, pi_hat = y_hat
+
+    def shell_sum(q):
+        return np.bincount(shell, (weight * q).ravel(),
+                           minlength=n_shells + 1)[:n_shells]
+
+    # A_L^ = k alpha, pi_L^ = k beta.
+    kx, ky, kz = kvec
+    ka = kx * a_hat[0] + ky * a_hat[1] + kz * a_hat[2]
+    kp = kx * pi_hat[0] + ky * pi_hat[1] + kz * pi_hat[2]
+    g_l = np.stack([shell_sum(_abs2(ka) * inv_k2),
+                    shell_sum((ka.real * kp.real + ka.imag * kp.imag) * inv_k2),
+                    shell_sum(_abs2(kp) * inv_k2)])
+    alpha = ka * inv_k2
+    beta = kp * inv_k2
+    del ka, kp
+    t_aa = np.zeros(inv_k2.shape)
+    t_ap = np.zeros(inv_k2.shape)
+    t_pp = np.zeros(inv_k2.shape)
+    for k, a_i, pi_i in zip(kvec, a_hat, pi_hat):
+        a_t = a_i - k * alpha
+        pi_t = pi_i - k * beta
+        t_aa += _abs2(a_t)
+        t_ap += a_t.real * pi_t.real
+        t_ap += a_t.imag * pi_t.imag
+        t_pp += _abs2(pi_t)
+    return np.stack([shell_sum(t_aa), shell_sum(t_ap), shell_sum(t_pp)]), g_l
+
+
+def shell_moments(y_hat: np.ndarray, ws: SpectralWorkspace,
+                  shell: np.ndarray | None = None):
+    """mode_moments of a whole half spectrum, on the workspace's shells.
+
+    shell defaults to ws.shells[1]; a copy with some entries set to the
+    number of shells leaves those modes out.
+    """
+    k2, index = ws.shells
+    return mode_moments(y_hat, ws.kvec, ws.inv_k2, ws.plane_weight,
+                        index if shell is None else shell, len(k2))
+
+
+def diagnostics_row(g_t: np.ndarray, g_l: np.ndarray, ws: SpectralWorkspace,
+                    dist2: float | None = None):
+    """One diagnostics row from shell moments (docs/derivations.md section 7).
+
+    Returns (energy, norm of div A, norm of div pi, norm of A_L, norm of
+    pi_L, L2 distance), where the distance is the square root of the
+    scaled dist2, a weighted sum of |y^ - ref^|^2, or NaN without one.
+    """
+    k2 = ws.shells[0]
+    # Continuum norm: sum f^2 dV = (L/N)^3 / N^3 * sum over modes |f^|^2.
+    scale = (ws.domain_length / ws.grid_n ** 2) ** 3
+    # Shell 0 has k^2 = 0: it adds nothing to k^2 A_T, even where A_T
+    # overflows there.
+    energy = np.sum(g_t[2]) + np.sum(g_l[2]) + np.sum(k2[1:] * g_t[0, 1:])
+    dist = float("nan") if dist2 is None else float(np.sqrt(scale * dist2))
+    return (float(0.5 * scale * energy),
+            float(np.sqrt(scale * np.sum(k2 * g_l[0]))),
+            float(np.sqrt(scale * np.sum(k2 * g_l[2]))),
+            float(np.sqrt(scale * np.sum(g_l[0]))),
+            float(np.sqrt(scale * np.sum(g_l[2]))), dist)
 
 
 def spectral_diagnostics(y_hat: np.ndarray, ws: SpectralWorkspace,
@@ -324,28 +388,11 @@ def spectral_diagnostics(y_hat: np.ndarray, ws: SpectralWorkspace,
     energy, constraint_norms, longitudinal_norms and state_distance give on
     the grid state up to rounding; the distance is NaN without ref_hat.
     """
-    a_hat, pi_hat = y_hat
-    # Continuum norm: sum f^2 dV = (L/N)^3 / N^3 * sum over modes |f^|^2.
-    scale = (ws.domain_length / ws.grid_n ** 2) ** 3
-    ka2 = _abs2(k_dot(a_hat, ws))
-    kp2 = _abs2(k_dot(pi_hat, ws))
-    div_a = _half_spectrum_sum(ka2, ws)
-    div_pi = _half_spectrum_sum(kp2, ws)
-    a_l = _half_spectrum_sum(ka2 * ws.inv_k2, ws)
-    pi_l = _half_spectrum_sum(kp2 * ws.inv_k2, ws)
-    # |k x A^|^2 = k^2 |A^|^2 - |k . A^|^2; |k| A^ is exactly 0 where k = 0,
-    # even when |A^|^2 itself overflows there.
-    k_abs = np.sqrt(ws.k2)
-    curl = sum(_half_spectrum_sum(_abs2(k_abs * c), ws) for c in a_hat) - div_a
-    kinetic = sum(_half_spectrum_sum(_abs2(c), ws) for c in pi_hat)
-    dist = float("nan")
+    dist2 = None
     if ref_hat is not None:
-        dist = float(np.sqrt(scale * sum(
-            _half_spectrum_sum(_abs2(y_hat[f, i] - ref_hat[f, i]), ws)
-            for f in range(2) for i in range(3))))
-    return (float(0.5 * scale * (kinetic + curl)),
-            float(np.sqrt(scale * div_a)), float(np.sqrt(scale * div_pi)),
-            float(np.sqrt(scale * a_l)), float(np.sqrt(scale * pi_l)), dist)
+        dist2 = sum(float(np.sum(ws.plane_weight * _abs2(y_hat[f, i] - ref_hat[f, i])))
+                    for f in range(2) for i in range(3))
+    return diagnostics_row(*shell_moments(y_hat, ws), ws, dist2)
 
 
 def state_distance(s1: FieldState, s2: FieldState) -> float:
@@ -446,6 +493,19 @@ def _check_mode(mode: np.ndarray, grid_n: int) -> np.ndarray:
     return mode
 
 
+def _check_polarization(polarization, mode: np.ndarray) -> np.ndarray:
+    """The unit polarization; it must be a finite nonzero 3-vector orthogonal to mode."""
+    e = np.asarray(polarization, dtype=float)
+    if e.shape != (3,) or not np.all(np.isfinite(e)) or not np.any(e):
+        raise ValueError("polarization must be a finite nonzero 3-vector")
+    # Scaling by the largest entry first keeps the norm from over- or underflowing.
+    e = e / np.max(np.abs(e))
+    e = e / np.linalg.norm(e)
+    if abs(float(e @ mode)) > 1e-12:
+        raise ValueError("polarization must be orthogonal to the mode vector")
+    return e
+
+
 def plane_wave_initial_data(mode, polarization, amplitude: float = 1.0,
                             kind: str = "transverse", grid_n: int = 32,
                             domain_length: float = 2.0 * np.pi,
@@ -458,12 +518,7 @@ def plane_wave_initial_data(mode, polarization, amplitude: float = 1.0,
     is added, which violates the Gauss constraint by a known amount.
     """
     mode = _check_mode(mode, grid_n)
-    e = np.asarray(polarization, dtype=float)
-    if e.shape != (3,) or np.linalg.norm(e) == 0:
-        raise ValueError("polarization must be a nonzero 3-vector")
-    e = e / np.linalg.norm(e)
-    if abs(float(e @ mode)) > 1e-12:
-        raise ValueError("polarization must be orthogonal to the mode vector")
+    e = _check_polarization(polarization, mode)
     if kind not in ("transverse", "contaminated"):
         raise ValueError(f"unknown plane wave kind {kind!r}")
 
@@ -484,21 +539,35 @@ def plane_wave_reference(mode, polarization, amplitude: float = 1.0,
     """Exact standing-wave solution as a callable t -> (a, pi).
 
     A(t) = a e cos(k.x) cos(w t) with w = |k|, pi = dA/dt. Valid for both
-    formulations since the data is purely transverse.
+    formulations since the data is purely transverse. The polarization is
+    checked as in plane_wave_initial_data.
+
+    The callable also carries its spectral form. `support` indexes the one
+    or two entries of the rfft half spectrum that hold the modes +-m (one
+    when m_z != 0, since -m is then the stored entry's mirror), and
+    `spectrum(t)` gives the (2, 3, entries) Fourier coefficients of
+    (a, pi) there: (a e N^3 / 2) times cos(w t) and -w sin(w t). Every
+    other coefficient is zero.
     """
     mode = _check_mode(mode, grid_n)
-    e = np.asarray(polarization, dtype=float)
-    e = e / np.linalg.norm(e)
+    e = _check_polarization(polarization, mode)
     x, y, z = grid_coordinates(grid_n, domain_length)
     k = 2.0 * np.pi * mode / domain_length
     omega = float(np.linalg.norm(k))
     pattern = amplitude * e[:, None, None, None] * np.cos(k[0] * x + k[1] * y + k[2] * z)[None]
+    half = [mode] if mode[2] > 0 else [-mode] if mode[2] < 0 else [mode, -mode]
+    coeff = (0.5 * grid_n ** 3 * amplitude) * e[:, None] * np.ones(len(half))
 
     def reference(t: float):
         return pattern * np.cos(omega * t), -omega * pattern * np.sin(omega * t)
 
+    def spectrum(t: float) -> np.ndarray:
+        return np.stack([coeff * np.cos(omega * t), -omega * coeff * np.sin(omega * t)])
+
     reference.omega = omega
     reference.period = 2.0 * np.pi / omega
+    reference.support = tuple(np.array([m[i] % grid_n for m in half]) for i in range(3))
+    reference.spectrum = spectrum
     return reference
 
 

@@ -245,11 +245,15 @@ def test_grid_overflow_of_last_finite_state_aborts():
     assert series.final_state is None
 
 
-def rhs_oracle(state, kind, stepper, dt, n_steps, reproject_every=None):
-    """Per-step RK4 / kick-drift-kick on the reference right-hand sides."""
+def oracle_states(state, kind, stepper, dt, n_steps, reproject_every=None):
+    """Per-step RK4 / kick-drift-kick on the reference right-hand sides.
+
+    Returns the grid state at every step 0 .. n_steps.
+    """
     ws = state.workspace()
     kind = FormulationKind(kind)
     y = np.stack([ws.forward(state.a), ws.forward(state.pi)])
+    states = [state]
     for step in range(1, n_steps + 1):
         if stepper == "rk4":
             k1 = fields.rhs_hat(y, ws, kind)
@@ -264,7 +268,12 @@ def rhs_oracle(state, kind, stepper, dt, n_steps, reproject_every=None):
         if reproject_every is not None and step % reproject_every == 0:
             y = np.stack([fields.transverse_project_hat(y[0], ws),
                           fields.transverse_project_hat(y[1], ws)])
-    return FieldState(ws.backward(y[0]), ws.backward(y[1]), state.domain_length)
+        states.append(FieldState(ws.backward(y[0]), ws.backward(y[1]), state.domain_length))
+    return states
+
+
+def rhs_oracle(state, kind, stepper, dt, n_steps, reproject_every=None):
+    return oracle_states(state, kind, stepper, dt, n_steps, reproject_every)[-1]
 
 
 def raw_random_state(n, seed=3):
@@ -290,6 +299,97 @@ def test_amplification_map_matches_rhs_oracle(kind, stepper, stride, reproject_e
                     reproject_every=reproject_every)
     expected = rhs_oracle(state, kind, stepper, 0.05, 30, reproject_every)
     assert state_distance(series.final_state, expected) <= 1e-13 * state_norm(expected)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("reproject_every", [None, 3])
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("stepper", ["rk4", "stormer_verlet"])
+@pytest.mark.parametrize("kind", ["canonical", "gauge_fixed"])
+def test_rows_match_rhs_oracle(kind, stepper, stride, reproject_every, n):
+    # Every row, read off propagated shell moments, against the grid
+    # diagnostics of the per-step oracle state at that row's step.
+    state = raw_random_state(n)
+    series = evolve(state, kind, stepper, 0.05, 1.5, stride=stride,
+                    reproject_every=reproject_every)
+    oracle = oracle_states(state, kind, stepper, 0.05, 30, reproject_every)
+    steps = np.rint(series.t / 0.05).astype(int)
+    assert steps.tolist() == sorted({*range(0, 30, stride), 30})
+    floor = 1e-12 * state_norm(state)  # columns that reprojection zeroes
+    for i, step in enumerate(steps):
+        s = oracle[step]
+        expected = (fields.energy(s), *fields.constraint_norms(s), *fields.longitudinal_norms(s))
+        got = (series.energy[i], series.norm_divA[i], series.norm_divPi[i],
+               series.norm_A_L[i], series.norm_pi_L[i])
+        assert_allclose(got, expected, rtol=1e-12, atol=floor)
+
+
+@pytest.mark.parametrize("reproject_every", [None, 3])
+@pytest.mark.parametrize("data, mode, polarization", [
+    ("transverse", (1, 0, 0), (0, 1, 0)),    # support: the two entries +-m
+    ("transverse", (1, 2, 1), (1, 0, -1)),   # support: one entry
+    ("contaminated", (1, 0, 0), (0, 1, 0)),  # longitudinal content on the support
+    ("random", (1, 2, 1), (1, 0, -1)),       # content on and off the support
+])
+@pytest.mark.parametrize("stepper", ["rk4", "stormer_verlet"])
+@pytest.mark.parametrize("kind", ["canonical", "gauge_fixed"])
+def test_rows_with_reference_match_rhs_oracle(kind, stepper, data, mode, polarization,
+                                              reproject_every):
+    # The plane-wave reference is compared in spectral form, on its support
+    # modes; every column against the grid diagnostics of the oracle state.
+    n, dt = 8, 0.1
+    if data == "random":
+        state = raw_random_state(n)
+    else:
+        state = plane_wave_initial_data(mode, polarization, grid_n=n, kind=data)
+    ref = plane_wave_reference(mode, polarization, grid_n=n)
+    series = evolve(state, kind, stepper, dt, 2.0, reference=ref, stride=3,
+                    reproject_every=reproject_every)
+    oracle = oracle_states(state, kind, stepper, dt, 20, reproject_every)
+    floor = 1e-12 * state_norm(state)
+    for i, t in enumerate(series.t):
+        s = oracle[int(round(t / dt))]
+        expected = (fields.energy(s), *fields.constraint_norms(s), *fields.longitudinal_norms(s))
+        got = (series.energy[i], series.norm_divA[i], series.norm_divPi[i],
+               series.norm_A_L[i], series.norm_pi_L[i])
+        assert_allclose(got, expected, rtol=1e-12, atol=floor)
+        distance = state_distance(s, FieldState(*ref(t), s.domain_length))
+        assert abs(series.l2_error[i] - distance) <= 1e-13 + 1e-12 * distance
+    assert series.l2_error[-1] > 1e-6  # the comparison is not between zeros
+
+
+def overflowing_later(n, longitudinal):
+    # Moments square the amplitudes: finite at t = 0, they overflow once the
+    # modes pass ~1e154, long before the state itself does. Longitudinal:
+    # pi_x = c cos x makes A_L = t pi_L grow (canonical). Transverse:
+    # pi_y = c cos(k x) on a long box (k = 0.01) swings into A_T = pi_T / k,
+    # with a smaller c so that the energy itself stays below the overflow.
+    length = TWO_PI * (1.0 if longitudinal else 100.0)
+    x, _, _ = fields.grid_coordinates(n, length)
+    pi = np.zeros((3, n, n, n))
+    pi[0 if longitudinal else 1] = (2e151 if longitudinal else 1e150) * np.cos(TWO_PI * x / length)
+    return FieldState(np.zeros_like(pi), pi, length)
+
+
+@pytest.mark.parametrize("longitudinal, dt, t_end", [(True, 0.5, 20.0), (False, 5.0, 200.0)])
+def test_moment_overflow_mid_run_is_recorded_silently(longitudinal, dt, t_end):
+    state = overflowing_later(8, longitudinal)
+    ws = state.workspace()
+    assert all(np.all(np.isfinite(g)) for g in fields.shell_moments(
+        ws.forward(np.stack([state.a, state.pi])), ws))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = evolve(state, "canonical", "rk4", dt, t_end)
+    assert not series.aborted
+    columns = (series.energy, series.norm_divA, series.norm_divPi,
+               series.norm_A_L, series.norm_pi_L)
+    assert not any(np.isnan(c).any() for c in columns)
+    final = ws.forward(np.stack([series.final_state.a, series.final_state.pi]))
+    with np.errstate(over="ignore"):
+        assert not all(np.all(np.isfinite(g)) for g in fields.shell_moments(final, ws))
+    expected = rhs_oracle(state, "canonical", "rk4", dt, int(round(t_end / dt)))
+    for got, want in ((series.final_state.a, expected.a), (series.final_state.pi, expected.pi)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n", [8, 9])

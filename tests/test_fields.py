@@ -156,6 +156,84 @@ def test_plane_wave_validation():
         plane_wave_initial_data((1, 0, 0), (0, 1, 0), grid_n=8, kind="dirty")
 
 
+@pytest.mark.parametrize("build", [plane_wave_initial_data, plane_wave_reference])
+@pytest.mark.parametrize("polarization", [
+    (1, 0, 0),       # parallel to the mode: not transverse
+    (0, 1),          # not a 3-vector
+    (0, 0, 0),       # no direction
+    (np.inf, 0, 0),  # not finite
+])
+def test_plane_wave_polarization_validation(build, polarization):
+    with pytest.raises(ValueError, match="polarization"):
+        build((1, 0, 0), polarization, grid_n=8)
+
+
+def test_plane_wave_polarization_extreme_scales():
+    tiny = plane_wave_reference((1, 0, 0), (0, 1e-300, 0), grid_n=8)
+    huge = plane_wave_reference((1, 0, 0), (0, 1e300, 1e300), grid_n=8)
+    assert_allclose(tiny(0.0)[0], plane_wave_reference((1, 0, 0), (0, 1, 0), grid_n=8)(0.0)[0])
+    assert np.all(np.isfinite(huge(0.0)[0]))
+
+
+@pytest.mark.parametrize("mode, polarization", [
+    ((1, 0, 0), (0, 1, 0)),    # m_z = 0: +m and -m are both stored
+    ((1, -2, 1), (1, 0, -1)),  # m_z > 0: -m is the stored entry's mirror
+    ((2, 1, -1), (0, 1, 1)),   # m_z < 0: -m is the stored entry
+])
+@pytest.mark.parametrize("n", [8, 9])
+def test_plane_wave_reference_spectral_form(mode, polarization, n):
+    ref = plane_wave_reference(mode, polarization, amplitude=0.7, grid_n=n,
+                               domain_length=3.0)
+    ws = get_workspace(n, 3.0)
+    assert len(ref.support[0]) == (2 if mode[2] == 0 else 1)
+    for t in (0.0, 0.3, 1.9):
+        y_hat = ws.forward(np.stack(ref(t)))
+        on_support = y_hat[(slice(None), slice(None), *ref.support)]
+        assert_allclose(on_support, ref.spectrum(t), atol=1e-10 * n ** 3)
+        y_hat[(slice(None), slice(None), *ref.support)] = 0.0
+        assert np.max(np.abs(y_hat)) < 1e-10 * n ** 3
+
+
+@pytest.mark.parametrize("n", [8, 9, 32])
+def test_shells_group_modes_by_exact_k2(n):
+    ws = get_workspace(n, TWO_PI)
+    k2, shell = ws.shells
+    assert np.array_equal(k2[shell], ws.k2.ravel())
+    assert np.all(np.diff(k2) > 0) and k2[0] == 0.0
+    # Pure-Nyquist modes (every index 0 or N/2) carry zeroed wavenumbers.
+    if n % 2 == 0:
+        edge = np.isin(np.arange(n), [0, n // 2])
+        pure = edge[:, None, None] & edge[None, :, None] & np.array([True] + [False] * (n // 2 - 1) + [True])
+        assert pure.sum() == 8
+        assert np.all(shell.reshape(ws.k2.shape)[pure] == 0)
+    if n == 32:
+        assert (len(k2), shell.size) == (596, 17408)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_plane_weights_give_parseval(rng, n):
+    ws = get_workspace(n, TWO_PI)
+    f = rng.standard_normal((n, n, n))
+    f_hat = ws.forward(f)
+    assert np.sum(ws.plane_weight * np.abs(f_hat) ** 2) == pytest.approx(
+        n ** 3 * np.sum(f ** 2), rel=1e-13)
+
+
+def test_shell_moments_split_transverse_and_longitudinal(rng):
+    # The moments of raw data against the same sums over explicitly
+    # projected grid fields.
+    n = 8
+    ws = get_workspace(n, TWO_PI)
+    a, pi = random_smooth_fields(rng, n, TWO_PI)
+    y_hat = ws.forward(np.stack([a, pi]))
+    g_t, g_l = fields.shell_moments(y_hat, ws)
+    a_t, pi_t = transverse_project(a, ws), transverse_project(pi, ws)
+    a_l, pi_l = a - a_t, pi - pi_t
+    for g, (u, v) in ((g_t, (a_t, pi_t)), (g_l, (a_l, pi_l))):
+        assert_allclose(g.sum(axis=1), n ** 3 * np.array(
+            [np.sum(u * u), np.sum(u * v), np.sum(v * v)]), rtol=1e-12, atol=1e-9)
+
+
 def test_contaminated_wave_adds_longitudinal_momentum():
     clean = plane_wave_initial_data((0, 1, 0), (0, 0, 1), grid_n=16)
     dirty = plane_wave_initial_data(
