@@ -334,12 +334,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, fields.SnapshotFormatError, ValueError) as exc:
-        # ValueError covers library input guards reachable from the command
-        # line, such as --tol 0.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # ValueError covers ConfigError, SnapshotFormatError and library
+        # input guards reachable from the command line, such as --tol 0.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,17 +5,18 @@ one-step map depends on it only through k^2. So the field evolution
 groups modes into k^2 shells and carries, between diagnostics rows, each
 shell's transverse and longitudinal second moments of (A^, pi^): a block
 of j steps takes a moment matrix G to M^j G M^jT. The final state is one
-map power applied to the initial spectrum. Where the moments cannot
-stand in for the state (an unstable step, overflowing moments, a
-reference without a spectral form) the state itself is advanced, block by
-block, and the rows are read off it. Diagnostics are sampled on a stride,
-written as CSV with a fixed column set, and evolution aborts (flagged,
-not raised) as soon as a non-finite value appears in the state.
+map power applied to the initial spectrum, built when it is first read.
+Where the moments cannot stand in for the state (an unstable step,
+overflowing moments, a reference without a spectral form) the state
+itself is advanced, block by block, and the rows are read off it.
+Diagnostics are sampled on a stride, written as CSV with a fixed column
+set, and evolution aborts (flagged, not raised) as soon as a non-finite
+value appears in the state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -45,7 +46,14 @@ class DiagnosticsSeries:
     """Sampled scalar diagnostics of one field evolution.
 
     final_state is the last finite state, or None (and the run aborted)
-    when that state's finite spectrum overflows on the grid.
+    when that state's finite spectrum overflows on the grid. A run read
+    off shell moments holds the initial spectrum and the shell maps
+    instead, and builds the state from them when final_state is first
+    read: one map power, the reprojection if any, one transform back to
+    the grid. The state is then kept and the spectrum released. Such a
+    run does not abort on the grid (docs/derivations.md section 7), so a
+    non-finite result there raises FloatingPointError. The final state
+    takes no part in repr or ==.
     """
 
     t: np.ndarray
@@ -55,9 +63,15 @@ class DiagnosticsSeries:
     norm_A_L: np.ndarray
     norm_pi_L: np.ndarray
     l2_error: np.ndarray
-    final_state: FieldState | None
     aborted: bool = False
     abort_time: float | None = None
+    _final: FieldState | _FinalState | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def final_state(self) -> FieldState | None:
+        if isinstance(self._final, _FinalState):
+            self._final = self._final.build()
+        return self._final
 
     def to_csv(self, path) -> None:
         """Write all rows; missing reference errors serialize as 'nan'."""
@@ -83,6 +97,12 @@ def _coerce_stepper(stepper) -> StepperKind:
 
 def _finite(y_hat: np.ndarray) -> bool:
     return bool(np.isfinite(y_hat).all())
+
+
+def _grid_state(y_hat: np.ndarray, ws: SpectralWorkspace) -> FieldState | None:
+    """The state of spectrum y_hat on the grid, or None where it is not finite there."""
+    grid = ws.backward(y_hat)
+    return FieldState(grid[0], grid[1], ws.domain_length) if _finite(grid) else None
 
 
 def _stable(method: StepperKind, x_max: float) -> bool:
@@ -152,6 +172,31 @@ class _ShellMaps:
             blocks = (b[index].reshape(shape) for b in self.power(j))
             self._mode_map = (j, fields.ModeMap(*blocks, lp=j * self.lp, ws=self.ws))
         return self._mode_map[1]
+
+
+class _FinalState:
+    """A moment-path run's final state, until it is first read.
+
+    Holds the initial spectrum y0 and the shell maps, untouched by the run.
+    """
+
+    def __init__(self, y0: np.ndarray, maps: _ShellMaps, n_steps: int, reprojected: bool):
+        self.y0, self.maps, self.n_steps = y0, maps, n_steps
+        self.reprojected = reprojected
+
+    def build(self) -> FieldState:
+        ws = self.maps.ws
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = self.maps.mode_map(self.n_steps).apply(self.y0, np.empty_like(self.y0))
+            if self.reprojected:
+                y[0] = fields.transverse_project_hat(y[0], ws)
+                y[1] = fields.transverse_project_hat(y[1], ws)
+            state = _grid_state(y, ws)
+        if state is None:
+            # Finite moments in the last row bound every grid value.
+            raise FloatingPointError(
+                "final state is not finite on the grid although the run's moments were")
+        return state
 
 
 def _congruence(m: tuple, g: np.ndarray) -> np.ndarray:
@@ -243,15 +288,15 @@ def evolve(initial: FieldState, formulation, stepper, dt: float, t_end: float,
 
     Rows are read off per-shell second moments, advanced between rows by
     the map powers on each k^2 shell, and the final state is one map power
-    applied to the initial spectrum. A reference that carries a spectral
-    form (`support` and `spectrum(t)`, as plane_wave_reference gives) is
-    compared on its support mode by mode. The state itself is advanced
-    instead, and the rows read off it, when dt is outside the stepper's
-    stability interval for some mode (then one step at a time, so that
-    abort_time is the last step whose state was finite), when a moment or
-    the final spectrum is not finite (the run restarts from step 0), and
-    when the reference has no spectral form (it is then transformed at
-    every row). A run that would pass through its loop more than
+    applied to the initial spectrum when series.final_state is first read.
+    A reference that carries a spectral form (`support` and `spectrum(t)`,
+    as plane_wave_reference gives) is compared on its support mode by
+    mode. The state itself is advanced instead, and the rows read off it,
+    when dt is outside the stepper's stability interval for some mode
+    (then one step at a time, so that abort_time is the last step whose
+    state was finite), when a moment is not finite (the run restarts from
+    step 0), and when the reference has no spectral form (it is then
+    transformed at every row). A run that would pass through its loop more than
     MAX_LOOP_PASSES times (rows plus reprojections, or steps when they go
     one at a time) raises ValueError before anything is allocated.
     """
@@ -283,32 +328,32 @@ def evolve(initial: FieldState, formulation, stepper, dt: float, t_end: float,
         if stable and (reference is None or hasattr(reference, "spectrum")):
             moments = _moment_run(y, maps, *run)
         if moments is not None:
-            rows, y = moments
-            aborted, step = False, n_steps
+            # The last row's moments are finite, so the final state cannot
+            # overflow on the grid: it is built when first read.
+            rows, reprojected = moments
+            final = _FinalState(y, maps, n_steps, reprojected)
+            aborted = False
         else:
             rows, y, step, aborted = _state_run(y, maps, stable, *run)
-        grid = ws.backward(y)
+            final = _grid_state(y, ws)
+            # A finite spectrum near the overflow threshold can overflow on the grid.
+            aborted = aborted or final is None
 
-    abort_time = step * dt if aborted else None
-    final_state = FieldState(grid[0], grid[1], initial.domain_length) if _finite(grid) else None
-    if final_state is None and not aborted:
-        # A finite spectrum near the overflow threshold can overflow on the grid.
-        aborted, abort_time = True, step * dt
     data = np.array(rows)
     return DiagnosticsSeries(
         t=data[:, 0], energy=data[:, 1], norm_divA=data[:, 2],
         norm_divPi=data[:, 3], norm_A_L=data[:, 4], norm_pi_L=data[:, 5],
-        l2_error=data[:, 6], final_state=final_state,
-        aborted=aborted, abort_time=abort_time,
+        l2_error=data[:, 6], aborted=aborted,
+        abort_time=step * dt if aborted else None, _final=final,
     )
 
 
 def _moment_run(y0: np.ndarray, maps: _ShellMaps, n_steps: int, dt: float,
                 stride: int, reproject_every: int | None, reference):
-    """Rows from per-shell moments; the final spectrum from one map power.
+    """Rows from per-shell moments.
 
-    Returns (rows, final spectrum), or None as soon as a moment or the
-    final spectrum is not finite. y0 is left as it is.
+    Returns (rows, whether any reprojection happened), or None as soon as
+    a moment is not finite. y0 is left as it is.
     """
     ws = maps.ws
     support = _Support(ws) if reference is None else _Support(ws, reference.support)
@@ -351,12 +396,7 @@ def _moment_run(y0: np.ndarray, maps: _ShellMaps, n_steps: int, dt: float,
             return None
         if step % stride == 0 or step == n_steps:
             record(step * dt)
-
-    y = maps.mode_map(n_steps).apply(y0, np.empty_like(y0))
-    if reprojected:
-        y[0] = fields.transverse_project_hat(y[0], ws)
-        y[1] = fields.transverse_project_hat(y[1], ws)
-    return (rows, y) if _finite(y) else None
+    return rows, reprojected
 
 
 def _state_run(y: np.ndarray, maps: _ShellMaps, stable: bool, n_steps: int,

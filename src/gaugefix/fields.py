@@ -379,6 +379,14 @@ def diagnostics_row(g_t: np.ndarray, g_l: np.ndarray, ws: SpectralWorkspace,
             float(np.sqrt(scale * np.sum(g_l[2]))), dist)
 
 
+def _parseval_row(y_hat: np.ndarray, ws: SpectralWorkspace, ref_hat: np.ndarray | None):
+    dist2 = None
+    if ref_hat is not None:
+        dist2 = sum(float(np.sum(ws.plane_weight * _abs2(y_hat[f, i] - ref_hat[f, i])))
+                    for f in range(2) for i in range(3))
+    return diagnostics_row(*shell_moments(y_hat, ws), ws, dist2)
+
+
 def spectral_diagnostics(y_hat: np.ndarray, ws: SpectralWorkspace,
                          ref_hat: np.ndarray | None = None):
     """Energy and constraint norms of a Fourier state, by Parseval.
@@ -387,12 +395,26 @@ def spectral_diagnostics(y_hat: np.ndarray, ws: SpectralWorkspace,
     div pi, norm of A_L, norm of pi_L, L2 distance to ref_hat), the values
     energy, constraint_norms, longitudinal_norms and state_distance give on
     the grid state up to rounding; the distance is NaN without ref_hat.
+
+    Squares of coefficients past ~1e154 overflow although the norms may
+    be finite. A column that overflows is computed again from y_hat (and
+    ref_hat) scaled by the power of two that brings the largest magnitude
+    of y_hat near 2^256, and scaled back; powers of two scale exactly.
+    The other columns keep their first value, so a column far below the
+    largest one keeps all its digits.
     """
-    dist2 = None
-    if ref_hat is not None:
-        dist2 = sum(float(np.sum(ws.plane_weight * _abs2(y_hat[f, i] - ref_hat[f, i])))
-                    for f in range(2) for i in range(3))
-    return diagnostics_row(*shell_moments(y_hat, ws), ws, dist2)
+    row = _parseval_row(y_hat, ws, ref_hat)
+    if not any(np.isinf(row)):
+        return row
+    peak = max(float(np.max(np.abs(y_hat.real))), float(np.max(np.abs(y_hat.imag))))
+    shift = int(np.frexp(peak)[1]) - 256
+    if shift <= 0:
+        return row
+    factor = np.ldexp(1.0, -shift)
+    scaled = _parseval_row(y_hat * factor, ws, None if ref_hat is None else ref_hat * factor)
+    powers = (2 * shift,) + (shift,) * 5
+    return tuple(float(np.ldexp(s, p)) if np.isinf(v) else v
+                 for v, s, p in zip(row, scaled, powers))
 
 
 def state_distance(s1: FieldState, s2: FieldState) -> float:

@@ -387,9 +387,98 @@ def test_moment_overflow_mid_run_is_recorded_silently(longitudinal, dt, t_end):
     final = ws.forward(np.stack([series.final_state.a, series.final_state.pi]))
     with np.errstate(over="ignore"):
         assert not all(np.all(np.isfinite(g)) for g in fields.shell_moments(final, ws))
-    expected = rhs_oracle(state, "canonical", "rk4", dt, int(round(t_end / dt)))
+    oracle = oracle_states(state, "canonical", "rk4", dt, int(round(t_end / dt)))
+    expected = oracle[-1]
     for got, want in ((series.final_state.a, expected.a), (series.final_state.pi, expected.pi)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # The squared amplitudes overflow, the energy does not.
+    assert np.all(np.isfinite(series.energy))
+    energies = [fields.energy(oracle[step]) for step in np.rint(series.t / dt).astype(int)]
+    assert_allclose(series.energy, energies, rtol=1e-12)
+
+
+def test_state_path_rows_are_scaled_only_where_they_overflow():
+    # Unstable steps blow the transverse modes up until the energy, and at
+    # last the state, overflows; rows with an overflowing column are
+    # computed again from a scaled spectrum. The longitudinal part only
+    # grows linearly: scaled with the rest, it would underflow to 0.
+    state = plane_wave_initial_data((1, 2, 0), (0, 0, 1), grid_n=8, kind="contaminated")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = evolve(state, "canonical", "rk4", 2.0, 1000.0, stride=4)
+    assert series.aborted and np.isinf(series.energy[-1])
+    pi_l = series.norm_pi_L[0]
+    assert_allclose(series.norm_pi_L, pi_l, rtol=1e-12)
+    assert_allclose(series.norm_A_L, series.t * pi_l, rtol=1e-12)
+    assert_allclose(series.norm_divA, series.norm_A_L, rtol=1e-12)
+
+
+@pytest.fixture
+def backward_calls(monkeypatch):
+    """Counts SpectralWorkspace.backward calls; reset by assigning 0 to count[0]."""
+    count = [0]
+    backward = fields.SpectralWorkspace.backward
+
+    def counted(ws, f_hat):
+        count[0] += 1
+        return backward(ws, f_hat)
+
+    monkeypatch.setattr(fields.SpectralWorkspace, "backward", counted)
+    return count
+
+
+@pytest.mark.parametrize("reproject_every", [None, 4])
+def test_moment_path_builds_final_state_on_first_read(backward_calls, reproject_every):
+    state = raw_random_state(8)
+    backward_calls[0] = 0
+    series = evolve(state, "canonical", "stormer_verlet", 0.05, 1.0, stride=3,
+                    reproject_every=reproject_every)
+    assert backward_calls[0] == 0
+    assert "final" not in repr(series)
+    assert series == series and backward_calls[0] == 0
+    first = series.final_state
+    assert backward_calls[0] == 1
+    assert series.final_state is first
+    assert backward_calls[0] == 1
+    expected = rhs_oracle(state, "canonical", "stormer_verlet", 0.05, 20, reproject_every)
+    assert state_distance(first, expected) <= 1e-13 * state_norm(expected)
+
+
+def test_state_path_builds_final_state_eagerly(backward_calls):
+    state, _ = small_wave(n=8)
+    series = evolve(state, "canonical", "rk4", 50.0, 5000.0)
+    assert series.aborted and backward_calls[0] == 1
+    assert series.final_state is series.final_state
+    assert backward_calls[0] == 1
+
+
+def test_moment_path_near_overflow_builds_finite_final_state(backward_calls):
+    # A transverse wave whose moments reach ~1e307 and stay finite: the run
+    # keeps to the moments, and its grid state is bounded by them.
+    n, dt = 8, 0.1
+    state = plane_wave_initial_data((1, 0, 0), (0, 1, 0), amplitude=1e151, grid_n=n)
+    ws = state.workspace()
+    g_t, _ = fields.shell_moments(ws.forward(np.stack([state.a, state.pi])), ws)
+    assert 1e306 < np.max(g_t) < np.finfo(float).max
+    backward_calls[0] = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = evolve(state, "canonical", "rk4", dt, 3.0)
+    assert backward_calls[0] == 0 and not series.aborted
+    final = series.final_state
+    assert np.all(np.isfinite(final.a)) and np.all(np.isfinite(final.pi))
+    expected = rhs_oracle(state, "canonical", "rk4", dt, 30)
+    for got, want in ((final.a, expected.a), (final.pi, expected.pi)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_non_finite_deferred_final_state_raises(monkeypatch):
+    state, _ = small_wave(n=8)
+    series = evolve(state, "canonical", "rk4", 0.05, 0.5)
+    monkeypatch.setattr(fields.SpectralWorkspace, "backward",
+                        lambda ws, f_hat: np.full((2, 3, 8, 8, 8), np.inf))
+    with pytest.raises(FloatingPointError):
+        series.final_state
 
 
 @pytest.mark.parametrize("n", [8, 9])
