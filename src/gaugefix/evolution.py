@@ -4,11 +4,13 @@ The field system is linear and diagonal in Fourier modes, and a mode's
 one-step map depends on it only through k^2. So the field evolution
 groups modes into k^2 shells and carries, between diagnostics rows, each
 shell's transverse and longitudinal second moments of (A^, pi^): a block
-of j steps takes a moment matrix G to M^j G M^jT. The final state is one
-map power applied to the initial spectrum, built when it is first read.
-Where the moments cannot stand in for the state (an unstable step,
-overflowing moments, a reference without a spectral form) the state
-itself is advanced, block by block, and the rows are read off it.
+of j steps takes a moment matrix G to M^j G M^jT. Modes carried as
+explicit vectors go through one loop with the moments, advanced by the
+same maps on their transverse and longitudinal parts: a spectral
+reference's support, or every mode where the moments cannot stand in
+for the state (an unstable step, overflowing moments, a reference
+without a spectral form). The final state is one map power applied to
+every mode of the initial spectrum, built when it is first read.
 Diagnostics are sampled on a stride, written as CSV with a fixed column
 set, and evolution aborts (flagged, not raised) as soon as a non-finite
 value appears in the state.
@@ -41,7 +43,7 @@ class StepperKind(Enum):
     STORMER_VERLET = "stormer_verlet"
 
 
-@dataclass
+@dataclass(eq=False)
 class DiagnosticsSeries:
     """Sampled scalar diagnostics of one field evolution.
 
@@ -49,11 +51,13 @@ class DiagnosticsSeries:
     when that state's finite spectrum overflows on the grid. A run read
     off shell moments holds the initial spectrum and the shell maps
     instead, and builds the state from them when final_state is first
-    read: one map power, the reprojection if any, one transform back to
-    the grid. The state is then kept and the spectrum released. Such a
-    run does not abort on the grid (docs/derivations.md section 7), so a
-    non-finite result there raises FloatingPointError. The final state
-    takes no part in repr or ==.
+    read: one map power on every mode, the reprojection if any, one
+    transform back to the grid. The state is then kept and the spectrum
+    released. Such a run does not abort on the grid (docs/derivations.md
+    section 7), so a non-finite result there raises FloatingPointError.
+    The final state takes no part in repr. Series compare by identity:
+    == never looks at the arrays, so it neither raises nor builds the
+    final state.
     """
 
     t: np.ndarray
@@ -65,7 +69,7 @@ class DiagnosticsSeries:
     l2_error: np.ndarray
     aborted: bool = False
     abort_time: float | None = None
-    _final: FieldState | _FinalState | None = field(default=None, repr=False, compare=False)
+    _final: FieldState | _FinalState | None = field(default=None, repr=False)
 
     @property
     def final_state(self) -> FieldState | None:
@@ -142,7 +146,7 @@ def _compose(m: tuple, first: tuple) -> tuple:
 
 
 class _ShellMaps:
-    """The one-step map on each k^2 shell, its powers, and their per-mode form.
+    """The one-step map on each k^2 shell and its powers.
 
     The longitudinal block of j steps is [[1, j lp], [0, 1]] for every mode.
     """
@@ -152,7 +156,6 @@ class _ShellMaps:
         self.ws = ws
         self.step = _step_blocks(method, h, ws.shells[0])
         self.lp = h if kind is FormulationKind.CANONICAL else 0.0
-        self._mode_map = (None, None)
 
     def power(self, j: int) -> tuple:
         """Transverse blocks of j >= 1 steps, by repeated squaring."""
@@ -165,19 +168,14 @@ class _ShellMaps:
                 return result
             base = _compose(base, base)
 
-    def mode_map(self, j: int) -> fields.ModeMap:
-        """The j-step map gathered from the shells to every mode."""
-        if self._mode_map[0] != j:
-            shape, index = self.ws.k2.shape, self.ws.shells[1]
-            blocks = (b[index].reshape(shape) for b in self.power(j))
-            self._mode_map = (j, fields.ModeMap(*blocks, lp=j * self.lp, ws=self.ws))
-        return self._mode_map[1]
-
 
 class _FinalState:
     """A moment-path run's final state, until it is first read.
 
     Holds the initial spectrum y0 and the shell maps, untouched by the run.
+    The state is the n-step map applied to every mode of y0, with its
+    longitudinal part dropped if the run reprojected at all: the map keeps
+    a zero longitudinal part zero.
     """
 
     def __init__(self, y0: np.ndarray, maps: _ShellMaps, n_steps: int, reprojected: bool):
@@ -186,11 +184,11 @@ class _FinalState:
 
     def build(self) -> FieldState:
         ws = self.maps.ws
+        modes = _Support(ws, None)
         with np.errstate(over="ignore", invalid="ignore"):
-            y = self.maps.mode_map(self.n_steps).apply(self.y0, np.empty_like(self.y0))
+            y = modes.advance(self.maps.power(self.n_steps), self.n_steps * self.maps.lp, self.y0)
             if self.reprojected:
-                y[0] = fields.transverse_project_hat(y[0], ws)
-                y[1] = fields.transverse_project_hat(y[1], ws)
+                y = modes.split(y)[0]
             state = _grid_state(y, ws)
         if state is None:
             # Finite moments in the last row bound every grid value.
@@ -213,24 +211,28 @@ def _congruence(m: tuple, g: np.ndarray) -> np.ndarray:
 class _Support:
     """Modes carried as explicit vectors outside the shells.
 
-    These are a spectral reference's support, where the distance to the
-    reference is summed mode by mode. Empty without such a reference.
+    With an index, these are a spectral reference's support, where the
+    distance to the reference is summed mode by mode; the index is empty
+    without such a reference. With index None they are every mode of the
+    half spectrum, held as views of the workspace tables (`whole`), and
+    the shells are empty.
     """
 
-    def __init__(self, ws: SpectralWorkspace, index: tuple = ((), (), ())):
+    def __init__(self, ws: SpectralWorkspace, index: tuple | None = ((), (), ())):
         k2, shell_of = ws.shells
         self.n_shells = len(k2)
-        self.index = tuple(np.asarray(i, dtype=np.intp) for i in index)
-        flat = np.ravel_multi_index(self.index, ws.k2.shape)
-        self.shell = shell_of[flat]
+        self.whole = index is None
+        self.index = (Ellipsis,) if self.whole else tuple(
+            np.asarray(i, dtype=np.intp) for i in index)
+        self.shell = shell_of.reshape(ws.k2.shape)[self.index]
         self.kvec = ws.kvec[(slice(None), *self.index)]
         self.inv_k2 = ws.inv_k2[self.index]
-        self.weight = ws.plane_weight[self.index[2]]
+        self.weight = ws.plane_weight[self.index[-1]]
         # Shell index of every mode, with the support moved past the last shell.
         self.shell_of = shell_of
-        if flat.size:
+        if self.shell.size:
             self.shell_of = shell_of.copy()
-            self.shell_of[flat] = self.n_shells
+            self.shell_of.reshape(ws.k2.shape)[self.index] = self.n_shells
 
     def take(self, y_hat: np.ndarray) -> np.ndarray:
         return y_hat[(slice(None), slice(None), *self.index)]
@@ -242,7 +244,11 @@ class _Support:
         return y_s - long, long
 
     def advance(self, m: tuple, lp: float, y_s: np.ndarray) -> np.ndarray:
-        """Apply the transverse blocks m and the longitudinal [[1, lp], [0, 1]]."""
+        """Apply the transverse blocks m and the longitudinal [[1, lp], [0, 1]].
+
+        The two parts are advanced apart: pi_L passes through as it is and
+        A_L gains lp pi_L, however much the transverse block amplifies.
+        """
         (a_t, p_t), (a_l, p_l) = self.split(y_s)
         aa, ap, pa, pp = (b[self.shell] for b in m)
         return np.stack([aa * a_t + ap * p_t + a_l + lp * p_l, pa * a_t + pp * p_t + p_l])
@@ -290,13 +296,14 @@ def evolve(initial: FieldState, formulation, stepper, dt: float, t_end: float,
     the map powers on each k^2 shell, and the final state is one map power
     applied to the initial spectrum when series.final_state is first read.
     A reference that carries a spectral form (`support` and `spectrum(t)`,
-    as plane_wave_reference gives) is compared on its support mode by
-    mode. The state itself is advanced instead, and the rows read off it,
-    when dt is outside the stepper's stability interval for some mode
-    (then one step at a time, so that abort_time is the last step whose
-    state was finite), when a moment is not finite (the run restarts from
-    step 0), and when the reference has no spectral form (it is then
-    transformed at every row). A run that would pass through its loop more than
+    as plane_wave_reference gives) is compared on its support, whose modes
+    the same loop carries as explicit vectors. The loop carries every mode
+    explicitly instead, and reads the rows off the state, when dt is
+    outside the stepper's stability interval for some mode (then one step
+    at a time, so that abort_time is the last step whose state was
+    finite), when a moment is not finite (the run restarts from step 0),
+    and when the reference has no spectral form (it is then transformed at
+    every row). A run that would pass through its loop more than
     MAX_LOOP_PASSES times (rows plus reprojections, or steps when they go
     one at a time) raises ValueError before anything is allocated.
     """
@@ -320,24 +327,25 @@ def evolve(initial: FieldState, formulation, stepper, dt: float, t_end: float,
 
     y = ws.forward(np.stack([initial.a, initial.pi]))
     maps = _ShellMaps(method, kind, dt, ws)
-    run = (n_steps, dt, stride, reproject_every, reference)
+    run = (stable, n_steps, dt, stride, reproject_every, reference)
     # Overflow on the way to a detected abort or a restart is expected, not
     # a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        moments = None
+        result = None
         if stable and (reference is None or hasattr(reference, "spectrum")):
-            moments = _moment_run(y, maps, *run)
-        if moments is not None:
+            support = _Support(ws) if reference is None else _Support(ws, reference.support)
+            result = _run(y, maps, support, *run)
+        if result is not None:
             # The last row's moments are finite, so the final state cannot
             # overflow on the grid: it is built when first read.
-            rows, reprojected = moments
+            rows, _, step = result
+            reprojected = reproject_every is not None and reproject_every <= n_steps
             final = _FinalState(y, maps, n_steps, reprojected)
-            aborted = False
         else:
-            rows, y, step, aborted = _state_run(y, maps, stable, *run)
+            rows, y, step = _run(y, maps, _Support(ws, None), *run)
             final = _grid_state(y, ws)
-            # A finite spectrum near the overflow threshold can overflow on the grid.
-            aborted = aborted or final is None
+    # A finite spectrum near the overflow threshold can overflow on the grid.
+    aborted = step < n_steps or final is None
 
     data = np.array(rows)
     return DiagnosticsSeries(
@@ -348,20 +356,28 @@ def evolve(initial: FieldState, formulation, stepper, dt: float, t_end: float,
     )
 
 
-def _moment_run(y0: np.ndarray, maps: _ShellMaps, n_steps: int, dt: float,
-                stride: int, reproject_every: int | None, reference):
-    """Rows from per-shell moments.
+def _run(y0: np.ndarray, maps: _ShellMaps, support: _Support, stable: bool,
+         n_steps: int, dt: float, stride: int, reproject_every: int | None, reference):
+    """Rows of one run: the support modes as vectors, every other mode as moments.
 
-    Returns (rows, whether any reprojection happened), or None as soon as
-    a moment is not finite. y0 is left as it is.
+    Returns (rows, the support vectors at the last finite step, that
+    step). A step short of n_steps means the run aborted there, which only
+    a run with every mode explicit does: otherwise a value that is not
+    finite returns None at once. y0 is left as it is.
     """
     ws = maps.ws
-    support = _Support(ws) if reference is None else _Support(ws, reference.support)
-    g_t, g_l = fields.shell_moments(y0, ws, support.shell_of)
+    if support.whole:
+        g_t = g_l = np.zeros((3, support.n_shells))
+    else:
+        g_t, g_l = fields.shell_moments(y0, ws, support.shell_of)
     y_s = support.take(y0)
     rows: list[tuple[float, ...]] = []
 
     def record(t: float) -> None:
+        if support.whole:
+            ref_hat = None if reference is None else ws.forward(np.stack(reference(t)))
+            rows.append((t, *fields.spectral_diagnostics(y_s, ws, ref_hat)))
+            return
         dist2 = None
         if reference is not None:
             # Off the support the reference is zero: the distance there is
@@ -371,71 +387,39 @@ def _moment_run(y0: np.ndarray, maps: _ShellMaps, n_steps: int, dt: float,
         s_t, s_l = support.moments(y_s)
         rows.append((t, *fields.diagnostics_row(g_t + s_t, g_l + s_l, ws, dist2)))
 
-    def finite() -> bool:
+    def finite(g_t, g_l, y_s) -> bool:
         return _finite(g_t) and _finite(g_l) and _finite(y_s)
 
-    if not finite():
+    if not (support.whole or finite(g_t, g_l, y_s)):
         return None
     record(0.0)
     step = 0
-    reprojected = False
-    while step < n_steps:
-        j = _next_event(step, n_steps, stride, reproject_every) - step
-        m = maps.power(j)
-        g_t = _congruence(m, g_t)
-        a_l, ap_l, p_l = g_l
-        s = j * maps.lp
-        g_l = np.stack([a_l + 2.0 * s * ap_l + s * s * p_l, ap_l + s * p_l, p_l])
-        y_s = support.advance(m, s, y_s)
-        step += j
-        if reproject_every is not None and step % reproject_every == 0:
-            g_l = np.zeros_like(g_l)
-            y_s = support.split(y_s)[0]
-            reprojected = True
-        if not finite():
-            return None
-        if step % stride == 0 or step == n_steps:
-            record(step * dt)
-    return rows, reprojected
-
-
-def _state_run(y: np.ndarray, maps: _ShellMaps, stable: bool, n_steps: int,
-               dt: float, stride: int, reproject_every: int | None, reference):
-    """Advance the state itself and read each row off it.
-
-    Returns (rows, last finite spectrum, its step, aborted). y is
-    overwritten.
-    """
-    ws = maps.ws
-    out = np.empty_like(y)
-    rows: list[tuple[float, ...]] = []
-
-    def record(t: float, y_hat: np.ndarray) -> None:
-        ref_hat = None if reference is None else ws.forward(np.stack(reference(t)))
-        rows.append((t, *fields.spectral_diagnostics(y_hat, ws, ref_hat)))
-
-    step = 0
     last_recorded = 0
-    record(0.0, y)
     while step < n_steps:
         j = _next_event(step, n_steps, stride, reproject_every) - step if stable else 1
-        maps.mode_map(j).apply(y, out)
-        if not _finite(out):
+        m = maps.power(j)
+        s = j * maps.lp
+        a_l, ap_l, p_l = g_l
+        nxt = (_congruence(m, g_t),
+               np.stack([a_l + 2.0 * s * ap_l + s * s * p_l, ap_l + s * p_l, p_l]),
+               support.advance(m, s, y_s))
+        if reproject_every is not None and (step + j) % reproject_every == 0:
+            nxt = nxt[0], np.zeros_like(g_l), support.split(nxt[2])[0]
+        if not finite(*nxt):
+            if not support.whole:
+                return None
             if last_recorded != step:
-                record(step * dt, y)
-            return rows, y, step, True
-        y, out = out, y
+                record(step * dt)
+            return rows, y_s, step
+        g_t, g_l, y_s = nxt
         step += j
-        if reproject_every is not None and step % reproject_every == 0:
-            y[0] = fields.transverse_project_hat(y[0], ws)
-            y[1] = fields.transverse_project_hat(y[1], ws)
         if step % stride == 0 or step == n_steps:
-            record(step * dt, y)
+            record(step * dt)
             last_recorded = step
-    return rows, y, step, False
+    return rows, y_s, step
 
 
-@dataclass
+@dataclass(eq=False)
 class FiniteSeries:
     """Trajectory samples of a finite-dimensional evolution."""
 

@@ -95,7 +95,7 @@ def get_workspace(grid_n: int, domain_length: float) -> SpectralWorkspace:
     return SpectralWorkspace(grid_n, domain_length)
 
 
-@dataclass
+@dataclass(eq=False)
 class FieldState:
     """Vector potential and its conjugate momentum on the grid."""
 
@@ -195,9 +195,10 @@ def longitudinal_part(v: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
 # Equations of motion
 #
 # The right-hand sides state the equations directly. The integrator does
-# not call them: it advances shell moments and the state with per-mode
-# 2x2 maps, and the tests check those against RK4 and Verlet steps built
-# from these functions.
+# not call them: it advances shell moments, and modes it carries as
+# explicit vectors, by per-mode 2x2 maps on the transverse and the
+# longitudinal part (docs/derivations.md section 7). The tests check those
+# against RK4 and Verlet steps built from these functions.
 # ---------------------------------------------------------------------------
 
 def momentum_rhs_hat(a_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
@@ -219,48 +220,6 @@ def rhs_hat(y_hat: np.ndarray, ws: SpectralWorkspace,
     """Full right-hand side on the stacked hat state y = (A_hat, pi_hat)."""
     return np.stack([position_rhs_hat(y_hat[1], ws, kind),
                      momentum_rhs_hat(y_hat[0], ws)])
-
-
-class ModeMap:
-    """A linear map of the Fourier state (A^, pi^) that acts mode by mode.
-
-    Each mode splits into a transverse part and a longitudinal part along
-    k (docs/derivations.md section 7). The map acts on the transverse pair
-    as the 2x2 block [[aa, ap], [pa, pp]], given per mode, and on the
-    longitudinal pair as [[1, lp], [0, 1]] with one scalar lp for all
-    modes. Where k^2 = 0 a mode has no longitudinal part and the
-    transverse block acts on the whole vector.
-    """
-
-    def __init__(self, aa, ap, pa, pp, lp: float, ws: SpectralWorkspace):
-        self.aa, self.ap, self.pa, self.pp = aa, ap, pa, pp
-        self.lp = float(lp)
-        self.ws = ws
-        # apply() adds k (ga k.A + gb k.pi) to A and k (ha k.A + hb k.pi) to
-        # pi: the longitudinal block minus what the transverse block did to
-        # the longitudinal part, with the 1/k^2 of that part folded in.
-        self._ga = (1.0 - aa) * ws.inv_k2
-        self._gb = (self.lp - ap) * ws.inv_k2
-        self._ha = -pa * ws.inv_k2
-        self._hb = (1.0 - pp) * ws.inv_k2
-
-    def apply(self, y_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the image of the stacked state y = (A^, pi^) into out."""
-        a_hat, pi_hat = y_hat
-        ka = k_dot(a_hat, self.ws)
-        kp = k_dot(pi_hat, self.ws)
-        long_a = self._ga * ka
-        long_a += self._gb * kp
-        long_pi = self._ha * ka
-        long_pi += self._hb * kp
-        tmp = ka
-        for i, k in enumerate(self.ws.kvec):
-            for dst, c_a, c_pi, long in ((out[0, i], self.aa, self.ap, long_a),
-                                         (out[1, i], self.pa, self.pp, long_pi)):
-                np.multiply(c_a, a_hat[i], out=dst)
-                dst += np.multiply(c_pi, pi_hat[i], out=tmp)
-                dst += np.multiply(k, long, out=tmp)
-        return out
 
 
 # ---------------------------------------------------------------------------

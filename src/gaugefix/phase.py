@@ -294,7 +294,7 @@ def hamiltonian_flow(system: HamiltonianSystem, z) -> np.ndarray:
 _RANK_RTOL = 100.0 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticLagrangian:
     """L(q, qdot) = qdot.W.qdot/2 + qdot.B.q + q.K.q/2 with constant n x n
     matrices, W and K symmetric. W is the velocity Hessian."""

@@ -49,7 +49,7 @@ class PrincipalSymbol:
         return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectionSample:
     n: np.ndarray
     eigenvalues: np.ndarray
@@ -60,7 +60,7 @@ class DirectionSample:
     error: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolReport:
     classification: Hyperbolicity
     kappa: np.ndarray

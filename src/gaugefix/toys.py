@@ -27,7 +27,7 @@ from .phase import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ToyModel:
     name: str
     system: HamiltonianSystem

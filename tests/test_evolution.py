@@ -358,6 +358,37 @@ def test_rows_with_reference_match_rhs_oracle(kind, stepper, data, mode, polariz
     assert series.l2_error[-1] > 1e-6  # the comparison is not between zeros
 
 
+@pytest.mark.parametrize("reproject_every", [None, 3])
+@pytest.mark.parametrize("data", ["transverse", "contaminated"])
+@pytest.mark.parametrize("stepper", ["rk4", "stormer_verlet"])
+@pytest.mark.parametrize("kind", ["canonical", "gauge_fixed"])
+def test_support_and_all_modes_carriers_agree_row_by_row(kind, stepper, data, reproject_every):
+    # The same stable run twice: plane_wave_reference carries its support
+    # modes as vectors and the rest as shell moments; a plain callable has
+    # no spectral form, so every mode is carried explicitly and the
+    # reference is transformed at each row.
+    n, dt = 8, 0.1
+    state = plane_wave_initial_data((1, 0, 0), (0, 1, 0), grid_n=n, kind=data)
+    ref = plane_wave_reference((1, 0, 0), (0, 1, 0), grid_n=n)
+    calls = []
+
+    def plain(t):
+        calls.append(t)
+        return ref(t)
+
+    kw = dict(reproject_every=reproject_every, stride=3)
+    spectral = evolve(state, kind, stepper, dt, 2.0, reference=ref, **kw)
+    explicit = evolve(state, kind, stepper, dt, 2.0, reference=plain, **kw)
+    assert calls == explicit.t.tolist() == spectral.t.tolist()
+    for column in ("energy", "norm_divA", "norm_divPi", "norm_A_L", "norm_pi_L"):
+        # atol: columns that a reprojection zeroes on the moments keep
+        # ~1e-33 of rounding on the explicit modes.
+        assert_allclose(getattr(explicit, column), getattr(spectral, column),
+                        rtol=1e-12, atol=1e-30, err_msg=column)
+    assert_allclose(explicit.l2_error, spectral.l2_error, rtol=0, atol=1e-13)
+    assert spectral.l2_error[-1] > 1e-6  # the comparison is not between zeros
+
+
 def overflowing_later(n, longitudinal):
     # Moments square the amplitudes: finite at t = 0, they overflow once the
     # modes pass ~1e154, long before the state itself does. Longitudinal:
@@ -397,19 +428,23 @@ def test_moment_overflow_mid_run_is_recorded_silently(longitudinal, dt, t_end):
     assert_allclose(series.energy, energies, rtol=1e-12)
 
 
-def test_state_path_rows_are_scaled_only_where_they_overflow():
+@pytest.mark.parametrize("stepper, dt, t_end", [("rk4", 2.0, 1000.0),
+                                                ("stormer_verlet", 0.9, 600.0)])
+def test_state_path_rows_are_scaled_only_where_they_overflow(stepper, dt, t_end):
     # Unstable steps blow the transverse modes up until the energy, and at
     # last the state, overflows; rows with an overflowing column are
     # computed again from a scaled spectrum. The longitudinal part only
-    # grows linearly: scaled with the rest, it would underflow to 0.
+    # grows linearly: scaled with the rest, it would underflow to 0. The
+    # map passes pi_L through untouched and adds t pi_L to A_L, whatever
+    # the transverse block does, so |pi_L| stays exact.
     state = plane_wave_initial_data((1, 2, 0), (0, 0, 1), grid_n=8, kind="contaminated")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        series = evolve(state, "canonical", "rk4", 2.0, 1000.0, stride=4)
+        series = evolve(state, "canonical", stepper, dt, t_end, stride=4)
     assert series.aborted and np.isinf(series.energy[-1])
     pi_l = series.norm_pi_L[0]
-    assert_allclose(series.norm_pi_L, pi_l, rtol=1e-12)
-    assert_allclose(series.norm_A_L, series.t * pi_l, rtol=1e-12)
+    assert_allclose(series.norm_pi_L, pi_l, rtol=1e-15)
+    assert_allclose(series.norm_A_L, series.t * pi_l, rtol=1e-14)
     assert_allclose(series.norm_divA, series.norm_A_L, rtol=1e-12)
 
 
