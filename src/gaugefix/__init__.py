@@ -36,6 +36,7 @@ from .fields import (
     FieldState,
     FormulationKind,
     SnapshotFormatError,
+    SparseSpectrum,
     SpectralWorkspace,
     constraint_norms,
     correct_initial_data,
@@ -46,6 +47,7 @@ from .fields import (
     longitudinal_norms,
     plane_wave_initial_data,
     plane_wave_reference,
+    plane_wave_spectrum,
     random_smooth_fields,
     read_snapshot,
     transverse_project,

@@ -151,15 +151,17 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
 
 
 def build_initial_data(cfg: RunConfig):
-    """Construct (state, reference) for a run config.
+    """Construct (initial data, reference) for a run config.
 
-    plane_wave ships the exact standing-wave solution as reference;
-    the other scenarios have none, so the l2_error column will be NaN.
+    plane_wave and contaminated give their few Fourier coefficients
+    (fields.SparseSpectrum), random_smooth a grid state. plane_wave ships
+    the exact standing-wave solution as reference; the other scenarios
+    have none, so the l2_error column will be NaN.
     """
     try:
         if cfg.scenario in ("plane_wave", "contaminated"):
             kind = "transverse" if cfg.scenario == "plane_wave" else "contaminated"
-            state = fields.plane_wave_initial_data(
+            state = fields.plane_wave_spectrum(
                 cfg.mode, cfg.polarization, cfg.amplitude, kind=kind,
                 grid_n=cfg.grid_n, domain_length=cfg.domain_length,
                 contamination_amplitude=cfg.contamination_amplitude)

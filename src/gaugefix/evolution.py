@@ -7,10 +7,11 @@ shell's transverse and longitudinal second moments of (A^, pi^): a block
 of j steps takes a moment matrix G to M^j G M^jT. Modes carried as
 explicit vectors go through one loop with the moments, advanced by the
 same maps on their transverse and longitudinal parts: a spectral
-reference's support, or every mode where the moments cannot stand in
-for the state (an unstable step, overflowing moments, a reference
-without a spectral form). The final state is one map power applied to
-every mode of the initial spectrum, built when it is first read.
+reference's support, every mode where the moments cannot stand in for
+the state (an unstable step, overflowing moments, a reference without a
+spectral form), or, for initial data given by a few Fourier
+coefficients, those and the reference's alone. The final state is built
+when it is first read, where the run bounds it on the grid.
 Diagnostics are sampled on a stride, written as CSV with a fixed column
 set, and evolution aborts (flagged, not raised) as soon as a non-finite
 value appears in the state.
@@ -18,8 +19,10 @@ value appears in the state.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -52,9 +55,11 @@ class DiagnosticsSeries:
     off shell moments holds the initial spectrum and the shell maps
     instead, and builds the state from them when final_state is first
     read: one map power on every mode, the reprojection if any, one
-    transform back to the grid. The state is then kept and the spectrum
-    released. Such a run does not abort on the grid (docs/derivations.md
-    section 7), so a non-finite result there raises FloatingPointError.
+    transform back to the grid. A run on a SparseSpectrum holds its final
+    coefficients and sets them into a zero half spectrum then. The state
+    is then kept and the spectrum released. Such runs bound the state on
+    the grid (docs/derivations.md section 7), so a non-finite result
+    there raises FloatingPointError.
     The final state takes no part in repr. Series compare by identity:
     == never looks at the arrays, so it neither raises nor builds the
     final state.
@@ -69,12 +74,12 @@ class DiagnosticsSeries:
     l2_error: np.ndarray
     aborted: bool = False
     abort_time: float | None = None
-    _final: FieldState | _FinalState | None = field(default=None, repr=False)
+    _final: FieldState | Callable[[], FieldState] | None = field(default=None, repr=False)
 
     @property
     def final_state(self) -> FieldState | None:
-        if isinstance(self._final, _FinalState):
-            self._final = self._final.build()
+        if callable(self._final):
+            self._final = self._final()
         return self._final
 
     def to_csv(self, path) -> None:
@@ -146,15 +151,13 @@ def _compose(m: tuple, first: tuple) -> tuple:
 
 
 class _ShellMaps:
-    """The one-step map on each k^2 shell and its powers.
+    """The one-step map on each shell of the k^2 table k2, and its powers.
 
     The longitudinal block of j steps is [[1, j lp], [0, 1]] for every mode.
     """
 
-    def __init__(self, method: StepperKind, kind: FormulationKind, h: float,
-                 ws: SpectralWorkspace):
-        self.ws = ws
-        self.step = _step_blocks(method, h, ws.shells[0])
+    def __init__(self, method: StepperKind, kind: FormulationKind, h: float, k2: np.ndarray):
+        self.step = _step_blocks(method, h, k2)
         self.lp = h if kind is FormulationKind.CANONICAL else 0.0
 
     def power(self, j: int) -> tuple:
@@ -169,32 +172,23 @@ class _ShellMaps:
             base = _compose(base, base)
 
 
-class _FinalState:
-    """A moment-path run's final state, until it is first read.
+def _deferred(spectrum, ws: SpectralWorkspace) -> FieldState:
+    """The grid state of spectrum(), for a run that bounds its grid values
+    (finite moments, or coefficient magnitudes summing below 2^1000)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = _grid_state(spectrum(), ws)
+    if state is None:
+        raise FloatingPointError("final state is not finite on the grid although the run bounds it")
+    return state
 
-    Holds the initial spectrum y0 and the shell maps, untouched by the run.
-    The state is the n-step map applied to every mode of y0, with its
-    longitudinal part dropped if the run reprojected at all: the map keeps
-    a zero longitudinal part zero.
-    """
 
-    def __init__(self, y0: np.ndarray, maps: _ShellMaps, n_steps: int, reprojected: bool):
-        self.y0, self.maps, self.n_steps = y0, maps, n_steps
-        self.reprojected = reprojected
-
-    def build(self) -> FieldState:
-        ws = self.maps.ws
-        modes = _Support(ws, None)
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = modes.advance(self.maps.power(self.n_steps), self.n_steps * self.maps.lp, self.y0)
-            if self.reprojected:
-                y = modes.split(y)[0]
-            state = _grid_state(y, ws)
-        if state is None:
-            # Finite moments in the last row bound every grid value.
-            raise FloatingPointError(
-                "final state is not finite on the grid although the run's moments were")
-        return state
+def _advanced(ws: SpectralWorkspace, maps: _ShellMaps, y0: np.ndarray, n_steps: int,
+              reprojected: bool) -> np.ndarray:
+    """The n-step map on every mode of y0, with its longitudinal part dropped
+    if the run reprojected at all: the map keeps a zero longitudinal part zero."""
+    modes = _Support(ws)
+    y = modes.advance(maps, n_steps, y0)
+    return modes.split(y)[0] if reprojected else y
 
 
 def _congruence(m: tuple, g: np.ndarray) -> np.ndarray:
@@ -211,51 +205,76 @@ def _congruence(m: tuple, g: np.ndarray) -> np.ndarray:
 class _Support:
     """Modes carried as explicit vectors outside the shells.
 
-    With an index, these are a spectral reference's support, where the
-    distance to the reference is summed mode by mode; the index is empty
-    without such a reference. With index None they are every mode of the
-    half spectrum, held as views of the workspace tables (`whole`), and
-    the shells are empty.
+    With an index, these are half-spectrum entries (a spectral reference's
+    support, or a SparseSpectrum's and the reference's), with wavevectors
+    from the workspace's axes, shells from the table k2 (by default their
+    own k^2), and the reference's entries at ref_at. With index None they
+    are every mode, as views of the workspace tables.
     """
 
-    def __init__(self, ws: SpectralWorkspace, index: tuple | None = ((), (), ())):
-        k2, shell_of = ws.shells
-        self.n_shells = len(k2)
+    def __init__(self, ws: SpectralWorkspace, index: tuple | None = None,
+                 k2: np.ndarray | None = None):
+        self.ws = ws
         self.whole = index is None
-        self.index = (Ellipsis,) if self.whole else tuple(
-            np.asarray(i, dtype=np.intp) for i in index)
-        self.shell = shell_of.reshape(ws.k2.shape)[self.index]
-        self.kvec = ws.kvec[(slice(None), *self.index)]
-        self.inv_k2 = ws.inv_k2[self.index]
-        self.weight = ws.plane_weight[self.index[-1]]
-        # Shell index of every mode, with the support moved past the last shell.
-        self.shell_of = shell_of
-        if self.shell.size:
-            self.shell_of = shell_of.copy()
-            self.shell_of.reshape(ws.k2.shape)[self.index] = self.n_shells
+        self.scale = (ws.domain_length / ws.grid_n ** 2) ** 3
+        self.ref_at = slice(None)
+        self._blocks = {}
+        if self.whole:
+            self.index = (Ellipsis,)
+            self.k2, shell = ws.shells
+            self.shell = shell.reshape(ws.k2.shape)
+            self.kvec, self.inv_k2, self.weight = ws.kvec, ws.inv_k2, ws.plane_weight
+            return
+        self.index = tuple(np.asarray(i, dtype=np.intp) for i in index)
+        ix, iy, iz = self.index
+        self.kvec = np.stack([ws.k1[ix], ws.k1[iy], ws.k3[iz]])
+        k2_modes = np.sum(self.kvec ** 2, axis=0)
+        self.inv_k2 = np.divide(1.0, k2_modes, out=np.zeros_like(k2_modes), where=k2_modes > 0)
+        self.k2 = np.array(sorted(set(k2_modes.tolist()))) if k2 is None else k2
+        self.shell = np.searchsorted(self.k2, k2_modes)
+        self.weight = ws.plane_weight[iz]
 
-    def take(self, y_hat: np.ndarray) -> np.ndarray:
-        return y_hat[(slice(None), slice(None), *self.index)]
+    def reference_at(self, reference, t: float) -> np.ndarray:
+        """The reference's coefficients on these modes at time t."""
+        if self.whole:
+            return self.ws.forward(np.stack(reference(t)))
+        r = np.zeros((2, 3, self.shell.size), dtype=complex)
+        r[..., self.ref_at] = reference.spectrum(t)
+        return r
 
     def split(self, y_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(transverse, longitudinal) parts of the support vectors."""
+        """(transverse, longitudinal) parts of the support vectors.
+
+        Where k . y overflows for a finite y (terms of opposite sign give
+        NaN), it is computed again from y scaled by a power of two.
+        """
         coef = np.sum(self.kvec * y_s, axis=1) * self.inv_k2
+        redo = ~np.isfinite(coef)
+        if redo.any() and _finite(y_s) and (shift := fields.overflow_shift(y_s)) > 0:
+            scaled = np.sum(self.kvec * (y_s * np.ldexp(1.0, -shift)), axis=1) * self.inv_k2
+            coef[redo] = scaled[redo] * np.ldexp(1.0, shift)
         long = self.kvec * coef[:, None]
         return y_s - long, long
 
-    def advance(self, m: tuple, lp: float, y_s: np.ndarray) -> np.ndarray:
-        """Apply the transverse blocks m and the longitudinal [[1, lp], [0, 1]].
+    def advance(self, maps: _ShellMaps, j: int, y_s: np.ndarray) -> np.ndarray:
+        """Apply j steps: the transverse blocks and the longitudinal [[1, j lp], [0, 1]].
 
         The two parts are advanced apart: pi_L passes through as it is and
-        A_L gains lp pi_L, however much the transverse block amplifies.
+        A_L gains j lp pi_L, however much the transverse block amplifies.
+        The blocks are gathered into mode shape once per j (up to four kept).
         """
+        if j not in self._blocks:
+            if len(self._blocks) >= 4:
+                self._blocks.clear()
+            self._blocks[j] = tuple(b[self.shell] for b in maps.power(j))
+        aa, ap, pa, pp = self._blocks[j]
+        lp = j * maps.lp
         (a_t, p_t), (a_l, p_l) = self.split(y_s)
-        aa, ap, pa, pp = (b[self.shell] for b in m)
         return np.stack([aa * a_t + ap * p_t + a_l + lp * p_l, pa * a_t + pp * p_t + p_l])
 
     def moments(self, y_s: np.ndarray):
         return fields.mode_moments(y_s, self.kvec, self.inv_k2, self.weight,
-                                   self.shell, self.n_shells)
+                                   self.shell, len(self.k2))
 
 
 def _step_count(dt: float, t_end: float) -> int:
@@ -280,8 +299,8 @@ def _next_event(step: int, n_steps: int, stride: int,
     return nxt
 
 
-def evolve(initial: FieldState, formulation, stepper, dt: float, t_end: float,
-           reproject_every: int | None = None, reference=None,
+def evolve(initial: FieldState | fields.SparseSpectrum, formulation, stepper, dt: float,
+           t_end: float, reproject_every: int | None = None, reference=None,
            stride: int | None = None) -> DiagnosticsSeries:
     """Integrate the field equations and collect diagnostics.
 
@@ -292,32 +311,54 @@ def evolve(initial: FieldState, formulation, stepper, dt: float, t_end: float,
     reproject_every = n, the transverse projection is applied to both
     fields every n steps, before any diagnostics due at that step.
 
-    Rows are read off per-shell second moments, advanced between rows by
-    the map powers on each k^2 shell, and the final state is one map power
-    applied to the initial spectrum when series.final_state is first read.
-    A reference that carries a spectral form (`support` and `spectrum(t)`,
+    A grid state is read off per-shell second moments, advanced between
+    rows by the map powers on each k^2 shell; its final state is one map
+    power applied to the initial spectrum when series.final_state is first
+    read. A reference with a spectral form (`support` and `spectrum(t)`,
     as plane_wave_reference gives) is compared on its support, whose modes
-    the same loop carries as explicit vectors. The loop carries every mode
-    explicitly instead, and reads the rows off the state, when dt is
+    the same loop carries as explicit vectors. Every mode is carried
+    explicitly instead, and the rows read off the state, when dt is
     outside the stepper's stability interval for some mode (then one step
     at a time, so that abort_time is the last step whose state was
     finite), when a moment is not finite (the run restarts from step 0),
     and when the reference has no spectral form (it is then transformed at
-    every row). A run that would pass through its loop more than
-    MAX_LOOP_PASSES times (rows plus reprojections, or steps when they go
-    one at a time) raises ValueError before anything is allocated.
+    every row).
+
+    A SparseSpectrum (as plane_wave_spectrum gives) with no reference or a
+    spectral one is carried as its entries and the reference's, and
+    nothing else: modes without content stay zero under the mode-diagonal
+    map. Stability is judged on these modes, a value that is not finite
+    aborts, and the final state is built when first read, so no N^3 array
+    is made before then.
+
+    A run that would pass through its loop more than MAX_LOOP_PASSES
+    times (rows plus reprojections, or steps when they go one at a time)
+    raises ValueError before anything is allocated.
     """
     kind = _coerce_formulation(formulation)
     method = _coerce_stepper(stepper)
     n_steps = _step_count(dt, t_end)
     if reproject_every is not None and reproject_every < 1:
         raise ValueError("reproject_every must be a positive integer")
+    spectral = reference is None or hasattr(reference, "spectrum")
+    sparse = isinstance(initial, fields.SparseSpectrum) and spectral
     ws = initial.workspace()
     if stride is None:
         stride = 1 if initial.grid_n <= 32 else 10
     if stride < 1:
         raise ValueError("stride must be a positive integer")
-    stable = _stable(method, dt * dt * float(ws.k2.max()))
+    ref_support = getattr(reference, "support", np.zeros((3, 0), dtype=int))
+    k2_max = ws.k2_max
+    if sparse:
+        shape = (ws.grid_n, ws.grid_n, ws.grid_n // 2 + 1)
+        flat = np.concatenate([np.ravel_multi_index(i, shape)
+                               for i in (initial.support, ref_support)])
+        # Sorted sets here and in _Support: a plain np.unique imports numpy.ma.
+        entries = np.array(sorted(set(flat.tolist())), dtype=np.intp)
+        support = _Support(ws, np.unravel_index(entries, shape))
+        at, support.ref_at = np.split(np.searchsorted(entries, flat), [initial.support[0].size])
+        k2_max = np.max(support.k2, initial=0.0)
+    stable = _stable(method, dt * dt * float(k2_max))
     passes = n_steps if not stable else (
         n_steps // stride + 1 + (n_steps // reproject_every if reproject_every else 0))
     if passes > MAX_LOOP_PASSES:
@@ -325,25 +366,43 @@ def evolve(initial: FieldState, formulation, stepper, dt: float, t_end: float,
             f"run of {n_steps:.3g} steps needs {passes:.3g} passes (rows and "
             f"reprojections, or single steps), more than the limit of {MAX_LOOP_PASSES}")
 
-    y = ws.forward(np.stack([initial.a, initial.pi]))
-    maps = _ShellMaps(method, kind, dt, ws)
     run = (stable, n_steps, dt, stride, reproject_every, reference)
     # Overflow on the way to a detected abort or a restart is expected, not
     # a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        result = None
-        if stable and (reference is None or hasattr(reference, "spectrum")):
-            support = _Support(ws) if reference is None else _Support(ws, reference.support)
-            result = _run(y, maps, support, *run)
-        if result is not None:
-            # The last row's moments are finite, so the final state cannot
-            # overflow on the grid: it is built when first read.
-            rows, _, step = result
-            reprojected = reproject_every is not None and reproject_every <= n_steps
-            final = _FinalState(y, maps, n_steps, reprojected)
+        if sparse:
+            y = np.zeros((2, 3, entries.size), dtype=complex)
+            y[..., at] = initial.coeff
+            rows, y, step = _run(y, None, _ShellMaps(method, kind, dt, support.k2), support, *run)
+            spectrum = fields.SparseSpectrum(ws.grid_n, ws.domain_length, support.index,
+                                             y).half_spectrum
+            # Past the bound, or after an abort, the grid state is built now
+            # to tell whether it is finite.
+            bounded = step == n_steps and np.sum(support.weight * np.abs(y)) < 2.0 ** 1000
+            final = partial(_deferred, spectrum, ws) if bounded else _grid_state(spectrum(), ws)
         else:
-            rows, y, step = _run(y, maps, _Support(ws, None), *run)
-            final = _grid_state(y, ws)
+            y = (initial.half_spectrum() if isinstance(initial, fields.SparseSpectrum)
+                 else ws.forward(np.stack([initial.a, initial.pi])))
+            maps = _ShellMaps(method, kind, dt, ws.shells[0])
+            result = None
+            if stable and spectral:
+                k2, shell_of = ws.shells
+                support = _Support(ws, ref_support, k2)
+                # Shell index of every mode, with the support moved past the last shell.
+                if support.shell.size:
+                    shell_of = shell_of.copy()
+                    shell_of.reshape(ws.k2.shape)[support.index] = len(k2)
+                result = _run(y[(slice(None), slice(None), *support.index)],
+                              fields.shell_moments(y, ws, shell_of), maps, support, *run)
+            if result is not None:
+                # The last row's moments are finite, so the final state cannot
+                # overflow on the grid: it is built when first read.
+                rows, _, step = result
+                reprojected = reproject_every is not None and reproject_every <= n_steps
+                final = partial(_deferred, partial(_advanced, ws, maps, y, n_steps, reprojected), ws)
+            else:
+                rows, y, step = _run(y, None, maps, _Support(ws), *run)
+                final = _grid_state(y, ws)
     # A finite spectrum near the overflow threshold can overflow on the grid.
     aborted = step < n_steps or final is None
 
@@ -356,57 +415,55 @@ def evolve(initial: FieldState, formulation, stepper, dt: float, t_end: float,
     )
 
 
-def _run(y0: np.ndarray, maps: _ShellMaps, support: _Support, stable: bool,
+def _run(y_s: np.ndarray, g, maps: _ShellMaps, support: _Support, stable: bool,
          n_steps: int, dt: float, stride: int, reproject_every: int | None, reference):
     """Rows of one run: the support modes as vectors, every other mode as moments.
 
-    Returns (rows, the support vectors at the last finite step, that
-    step). A step short of n_steps means the run aborted there, which only
-    a run with every mode explicit does: otherwise a value that is not
-    finite returns None at once. y0 is left as it is.
+    g is the moments (g_t, g_l) of the modes outside the support, or None
+    when the support holds all the content: rows are then read off the
+    vectors (fields.spectral_diagnostics) and a value that is not finite
+    aborts the run. Returns (rows, the support vectors at the last finite
+    step, that step); a step short of n_steps means the run aborted there.
+    With moments, a value that is not finite returns None at once.
     """
-    ws = maps.ws
-    if support.whole:
-        g_t = g_l = np.zeros((3, support.n_shells))
-    else:
-        g_t, g_l = fields.shell_moments(y0, ws, support.shell_of)
-    y_s = support.take(y0)
+    complete = g is None
+    g_t, g_l = (np.zeros((3, len(support.k2))),) * 2 if complete else g
     rows: list[tuple[float, ...]] = []
 
     def record(t: float) -> None:
-        if support.whole:
-            ref_hat = None if reference is None else ws.forward(np.stack(reference(t)))
-            rows.append((t, *fields.spectral_diagnostics(y_s, ws, ref_hat)))
+        ref = None if reference is None else support.reference_at(reference, t)
+        if complete:
+            rows.append((t, *fields.spectral_diagnostics(y_s, support, ref)))
             return
         dist2 = None
-        if reference is not None:
+        if ref is not None:
             # Off the support the reference is zero: the distance there is
             # the state's own moments. On it, |y - r|^2 mode by mode.
             dist2 = (np.sum(g_t[0]) + np.sum(g_t[2]) + np.sum(g_l[0]) + np.sum(g_l[2])
-                     + np.sum(support.weight * np.abs(y_s - reference.spectrum(t)) ** 2))
+                     + np.sum(support.weight * np.abs(y_s - ref) ** 2))
         s_t, s_l = support.moments(y_s)
-        rows.append((t, *fields.diagnostics_row(g_t + s_t, g_l + s_l, ws, dist2)))
+        rows.append((t, *fields.diagnostics_row(g_t + s_t, g_l + s_l, support.k2,
+                                                support.scale, dist2)))
 
     def finite(g_t, g_l, y_s) -> bool:
         return _finite(g_t) and _finite(g_l) and _finite(y_s)
 
-    if not (support.whole or finite(g_t, g_l, y_s)):
+    if not (complete or finite(g_t, g_l, y_s)):
         return None
     record(0.0)
     step = 0
     last_recorded = 0
     while step < n_steps:
         j = _next_event(step, n_steps, stride, reproject_every) - step if stable else 1
-        m = maps.power(j)
         s = j * maps.lp
         a_l, ap_l, p_l = g_l
-        nxt = (_congruence(m, g_t),
+        nxt = (_congruence(maps.power(j), g_t),
                np.stack([a_l + 2.0 * s * ap_l + s * s * p_l, ap_l + s * p_l, p_l]),
-               support.advance(m, s, y_s))
+               support.advance(maps, j, y_s))
         if reproject_every is not None and (step + j) % reproject_every == 0:
             nxt = nxt[0], np.zeros_like(g_l), support.split(nxt[2])[0]
         if not finite(*nxt):
-            if not support.whole:
+            if not complete:
                 return None
             if last_recorded != step:
                 record(step * dt)

@@ -33,7 +33,7 @@ class SnapshotFormatError(ValueError):
 
 
 class SpectralWorkspace:
-    """Precomputed wavenumber tables for one (grid_n, domain_length) pair.
+    """Wavenumber tables for one (grid_n, domain_length) pair.
 
     The Nyquist wavenumber is zeroed in the derivative tables. For real
     data the +N/2 and -N/2 modes alias onto the same stored coefficient,
@@ -42,6 +42,9 @@ class SpectralWorkspace:
     irfft round trip anyway. Zeroing makes every operator consistent on
     the resolved band |m| <= N/2 - 1 and keeps the transverse projector
     idempotent; pure Nyquist content is carried along as a constant.
+
+    The axes k1 (x, y) and k3 (rfft z), the plane weights and the largest
+    k^2 are set up front; the tables kvec, k2, inv_k2, shells on first use.
     """
 
     def __init__(self, grid_n: int, domain_length: float):
@@ -53,16 +56,13 @@ class SpectralWorkspace:
         self.grid_n = int(grid_n)
         self.domain_length = domain_length
         spacing = domain_length / grid_n
-        k1 = 2.0 * np.pi * np.fft.fftfreq(grid_n, d=spacing)
-        k3 = 2.0 * np.pi * np.fft.rfftfreq(grid_n, d=spacing)
+        self.k1 = k1 = 2.0 * np.pi * np.fft.fftfreq(grid_n, d=spacing)
+        self.k3 = k3 = 2.0 * np.pi * np.fft.rfftfreq(grid_n, d=spacing)
         if grid_n % 2 == 0:
             k1[grid_n // 2] = 0.0
             k3[-1] = 0.0
-        self.kvec = np.stack(np.meshgrid(k1, k1, k3, indexing="ij"))
-        self.k2 = np.sum(self.kvec ** 2, axis=0)
-        self.inv_k2 = np.zeros_like(self.k2)
-        nonzero = self.k2 > 0
-        self.inv_k2[nonzero] = 1.0 / self.k2[nonzero]
+        # Rounding is monotone, so this is k2.max() bit for bit.
+        self.k2_max = float(np.max(k1 ** 2) + np.max(k1 ** 2) + np.max(k3 ** 2))
         # Parseval weight of each rfft plane: the kz = 0 and (even N) Nyquist
         # planes hold their own mirror modes and count once; every other
         # plane stands for itself and its mirror and counts twice.
@@ -70,6 +70,19 @@ class SpectralWorkspace:
         self.plane_weight[0] = 1.0
         if grid_n % 2 == 0:
             self.plane_weight[-1] = 1.0
+
+    @functools.cached_property
+    def kvec(self) -> np.ndarray:
+        return np.stack(np.meshgrid(self.k1, self.k1, self.k3, indexing="ij"))
+
+    @functools.cached_property
+    def k2(self) -> np.ndarray:
+        return (self.k1[:, None, None] ** 2 + self.k1[None, :, None] ** 2
+                + self.k3[None, None, :] ** 2)
+
+    @functools.cached_property
+    def inv_k2(self) -> np.ndarray:
+        return np.divide(1.0, self.k2, out=np.zeros_like(self.k2), where=self.k2 > 0)
 
     @functools.cached_property
     def shells(self) -> tuple[np.ndarray, np.ndarray]:
@@ -128,6 +141,34 @@ class FieldState:
 
     def copy(self) -> "FieldState":
         return FieldState(self.a.copy(), self.pi.copy(), self.domain_length)
+
+
+@dataclass(eq=False)
+class SparseSpectrum:
+    """Field data with few nonzero Fourier coefficients: evolve advances them alone.
+
+    support holds three index arrays into the rfft half spectrum (the form
+    plane_wave_reference's support has) and coeff the (2, 3, entries)
+    coefficients of (A, pi) there; every other coefficient is zero.
+    """
+
+    grid_n: int
+    domain_length: float
+    support: tuple
+    coeff: np.ndarray
+
+    def __post_init__(self):
+        self.support = tuple(np.asarray(i, dtype=np.intp) for i in self.support)
+        self.coeff = np.asarray(self.coeff, dtype=complex)
+
+    def workspace(self) -> SpectralWorkspace:
+        return get_workspace(self.grid_n, float(self.domain_length))
+
+    def half_spectrum(self) -> np.ndarray:
+        n = self.grid_n
+        y_hat = np.zeros((2, 3, n, n, n // 2 + 1), dtype=complex)
+        y_hat[(slice(None), slice(None), *self.support)] = self.coeff
+        return y_hat
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +308,7 @@ def mode_moments(y_hat: np.ndarray, kvec: np.ndarray, inv_k2: np.ndarray,
 
     y_hat = (A^, pi^) stacked, on any array of modes with wavevectors
     kvec, 1/k^2 table inv_k2 and Parseval weights weight. shell holds
-    each mode's flat shell index; modes whose index is n_shells are left
+    each mode's shell index; modes whose index is n_shells are left
     out. Returns (g_t, g_l), each of shape (3, n_shells): the weighted
     sums of |A^|^2, Re A^ . conj(pi^) and |pi^|^2 over the transverse and
     over the longitudinal part of a shell's modes. The transverse part
@@ -278,7 +319,7 @@ def mode_moments(y_hat: np.ndarray, kvec: np.ndarray, inv_k2: np.ndarray,
     a_hat, pi_hat = y_hat
 
     def shell_sum(q):
-        return np.bincount(shell, (weight * q).ravel(),
+        return np.bincount(shell.ravel(), (weight * q).ravel(),
                            minlength=n_shells + 1)[:n_shells]
 
     # A_L^ = k alpha, pi_L^ = k beta.
@@ -316,20 +357,18 @@ def shell_moments(y_hat: np.ndarray, ws: SpectralWorkspace,
                         index if shell is None else shell, len(k2))
 
 
-def diagnostics_row(g_t: np.ndarray, g_l: np.ndarray, ws: SpectralWorkspace,
+def diagnostics_row(g_t: np.ndarray, g_l: np.ndarray, k2: np.ndarray, scale: float,
                     dist2: float | None = None):
     """One diagnostics row from shell moments (docs/derivations.md section 7).
 
+    k2 is the shell table and scale = (L/N^2)^3 the Parseval factor.
     Returns (energy, norm of div A, norm of div pi, norm of A_L, norm of
     pi_L, L2 distance), where the distance is the square root of the
     scaled dist2, a weighted sum of |y^ - ref^|^2, or NaN without one.
     """
-    k2 = ws.shells[0]
-    # Continuum norm: sum f^2 dV = (L/N)^3 / N^3 * sum over modes |f^|^2.
-    scale = (ws.domain_length / ws.grid_n ** 2) ** 3
-    # Shell 0 has k^2 = 0: it adds nothing to k^2 A_T, even where A_T
-    # overflows there.
-    energy = np.sum(g_t[2]) + np.sum(g_l[2]) + np.sum(k2[1:] * g_t[0, 1:])
+    # A k^2 = 0 shell (first if present) adds nothing to k^2 A_T, even where A_T overflows.
+    skip = int(k2.size > 0 and k2[0] == 0.0)
+    energy = np.sum(g_t[2]) + np.sum(g_l[2]) + np.sum(k2[skip:] * g_t[0, skip:])
     dist = float("nan") if dist2 is None else float(np.sqrt(scale * dist2))
     return (float(0.5 * scale * energy),
             float(np.sqrt(scale * np.sum(k2 * g_l[0]))),
@@ -338,42 +377,51 @@ def diagnostics_row(g_t: np.ndarray, g_l: np.ndarray, ws: SpectralWorkspace,
             float(np.sqrt(scale * np.sum(g_l[2]))), dist)
 
 
-def _parseval_row(y_hat: np.ndarray, ws: SpectralWorkspace, ref_hat: np.ndarray | None):
+def overflow_shift(y_hat: np.ndarray) -> int:
+    """The power of two that scales the largest magnitude of y_hat near 2^256."""
+    peak = max(float(np.max(np.abs(y_hat.real))), float(np.max(np.abs(y_hat.imag))))
+    return int(np.frexp(peak)[1]) - 256
+
+
+def _parseval_row(y_hat: np.ndarray, modes, ref_hat: np.ndarray | None):
     dist2 = None
     if ref_hat is not None:
-        dist2 = sum(float(np.sum(ws.plane_weight * _abs2(y_hat[f, i] - ref_hat[f, i])))
+        dist2 = sum(float(np.sum(modes.weight * _abs2(y_hat[f, i] - ref_hat[f, i])))
                     for f in range(2) for i in range(3))
-    return diagnostics_row(*shell_moments(y_hat, ws), ws, dist2)
+    g_t, g_l = mode_moments(y_hat, modes.kvec, modes.inv_k2, modes.weight,
+                            modes.shell, len(modes.k2))
+    return diagnostics_row(g_t, g_l, modes.k2, modes.scale, dist2)
 
 
-def spectral_diagnostics(y_hat: np.ndarray, ws: SpectralWorkspace,
-                         ref_hat: np.ndarray | None = None):
-    """Energy and constraint norms of a Fourier state, by Parseval.
+def spectral_diagnostics(y_hat: np.ndarray, modes, ref_hat: np.ndarray | None = None):
+    """Energy and constraint norms of Fourier modes, by Parseval.
 
-    y_hat = (A^, pi^) stacked. Returns (energy, norm of div A, norm of
+    y_hat = (A^, pi^) stacked on the modes that hold all the content, with
+    their tables in modes: kvec, inv_k2, weight, shell, the shell table k2
+    and the Parseval factor scale. Returns (energy, norm of div A, norm of
     div pi, norm of A_L, norm of pi_L, L2 distance to ref_hat), the values
     energy, constraint_norms, longitudinal_norms and state_distance give on
     the grid state up to rounding; the distance is NaN without ref_hat.
 
     Squares of coefficients past ~1e154 overflow although the norms may
-    be finite. A column that overflows is computed again from y_hat (and
-    ref_hat) scaled by the power of two that brings the largest magnitude
-    of y_hat near 2^256, and scaled back; powers of two scale exactly.
-    The other columns keep their first value, so a column far below the
-    largest one keeps all its digits.
+    be finite, and k . A^ overflowing from terms of opposite sign gives
+    NaN. A column that is not finite (bar the distance without ref_hat)
+    is computed again from y_hat (and ref_hat) scaled by
+    2^-overflow_shift(y_hat), and scaled back; powers of two scale
+    exactly. The other columns keep their first value, so a column far
+    below the largest one keeps all its digits.
     """
-    row = _parseval_row(y_hat, ws, ref_hat)
-    if not any(np.isinf(row)):
-        return row
-    peak = max(float(np.max(np.abs(y_hat.real))), float(np.max(np.abs(y_hat.imag))))
-    shift = int(np.frexp(peak)[1]) - 256
+    row = _parseval_row(y_hat, modes, ref_hat)
+    redo = [not np.isfinite(v) for v in row]
+    redo[5] = redo[5] and ref_hat is not None
+    shift = overflow_shift(y_hat) if any(redo) else 0
     if shift <= 0:
         return row
     factor = np.ldexp(1.0, -shift)
-    scaled = _parseval_row(y_hat * factor, ws, None if ref_hat is None else ref_hat * factor)
+    scaled = _parseval_row(y_hat * factor, modes, None if ref_hat is None else ref_hat * factor)
     powers = (2 * shift,) + (shift,) * 5
-    return tuple(float(np.ldexp(s, p)) if np.isinf(v) else v
-                 for v, s, p in zip(row, scaled, powers))
+    return tuple(float(np.ldexp(s, p)) if r else v
+                 for v, s, p, r in zip(row, scaled, powers, redo))
 
 
 def state_distance(s1: FieldState, s2: FieldState) -> float:
@@ -487,6 +535,21 @@ def _check_polarization(polarization, mode: np.ndarray) -> np.ndarray:
     return e
 
 
+def _check_wave(mode, polarization, grid_n: int, kind: str = "transverse"):
+    mode = _check_mode(mode, grid_n)
+    e = _check_polarization(polarization, mode)
+    if kind not in ("transverse", "contaminated"):
+        raise ValueError(f"unknown plane wave kind {kind!r}")
+    return mode, e
+
+
+def _wave_entries(mode: np.ndarray, e: np.ndarray, amplitude: float, grid_n: int):
+    """The half-spectrum entries of +-m and the coefficient a e N^3 / 2 of a e cos(k.x) at each."""
+    half = [mode] if mode[2] > 0 else [-mode] if mode[2] < 0 else [mode, -mode]
+    support = tuple(np.array([m[i] % grid_n for m in half]) for i in range(3))
+    return support, (0.5 * grid_n ** 3 * amplitude) * e[:, None] * np.ones(len(half))
+
+
 def plane_wave_initial_data(mode, polarization, amplitude: float = 1.0,
                             kind: str = "transverse", grid_n: int = 32,
                             domain_length: float = 2.0 * np.pi,
@@ -498,11 +561,7 @@ def plane_wave_initial_data(mode, polarization, amplitude: float = 1.0,
     kind="contaminated" a pure-gradient momentum c * grad sin(2 pi x / L)
     is added, which violates the Gauss constraint by a known amount.
     """
-    mode = _check_mode(mode, grid_n)
-    e = _check_polarization(polarization, mode)
-    if kind not in ("transverse", "contaminated"):
-        raise ValueError(f"unknown plane wave kind {kind!r}")
-
+    mode, e = _check_wave(mode, polarization, grid_n, kind)
     x, y, z = grid_coordinates(grid_n, domain_length)
     k = 2.0 * np.pi * mode / domain_length
     phase = k[0] * x + k[1] * y + k[2] * z
@@ -515,13 +574,38 @@ def plane_wave_initial_data(mode, polarization, amplitude: float = 1.0,
     return FieldState(a, pi, domain_length)
 
 
+def plane_wave_spectrum(mode, polarization, amplitude: float = 1.0,
+                        kind: str = "transverse", grid_n: int = 32,
+                        domain_length: float = 2.0 * np.pi,
+                        contamination_amplitude: float = 0.1) -> SparseSpectrum:
+    """plane_wave_initial_data as its few Fourier coefficients.
+
+    Same arguments and checks. The wave sits at the entries of +-m with
+    the coefficients plane_wave_reference's spectrum has at t = 0; the
+    contamination c (2 pi / L) cos(2 pi x / L) of pi_x adds c (2 pi / L)
+    N^3 / 2 at the entries of (+-1, 0, 0). The grid state differs from
+    plane_wave_initial_data's by rounding.
+    """
+    mode, e = _check_wave(mode, polarization, grid_n, kind)
+    support, coeff = _wave_entries(mode, e, amplitude, grid_n)
+    entries = {tuple(map(int, m)): np.stack([c, np.zeros(3)])
+               for m, c in zip(zip(*support), coeff.T)}
+    if kind == "contaminated":
+        gauss = 0.5 * grid_n ** 3 * (contamination_amplitude * (2.0 * np.pi / domain_length))
+        for m in ((1, 0, 0), (grid_n - 1, 0, 0)):
+            entries.setdefault(m, np.zeros((2, 3)))[1, 0] += gauss
+    return SparseSpectrum(grid_n, domain_length, tuple(zip(*entries)),
+                          np.stack(list(entries.values()), axis=-1))
+
+
 def plane_wave_reference(mode, polarization, amplitude: float = 1.0,
                          grid_n: int = 32, domain_length: float = 2.0 * np.pi):
     """Exact standing-wave solution as a callable t -> (a, pi).
 
     A(t) = a e cos(k.x) cos(w t) with w = |k|, pi = dA/dt. Valid for both
     formulations since the data is purely transverse. The polarization is
-    checked as in plane_wave_initial_data.
+    checked as in plane_wave_initial_data. The grid pattern is built on
+    the first call.
 
     The callable also carries its spectral form. `support` indexes the one
     or two entries of the rfft half spectrum that hold the modes +-m (one
@@ -530,24 +614,25 @@ def plane_wave_reference(mode, polarization, amplitude: float = 1.0,
     (a, pi) there: (a e N^3 / 2) times cos(w t) and -w sin(w t). Every
     other coefficient is zero.
     """
-    mode = _check_mode(mode, grid_n)
-    e = _check_polarization(polarization, mode)
-    x, y, z = grid_coordinates(grid_n, domain_length)
+    mode, e = _check_wave(mode, polarization, grid_n)
     k = 2.0 * np.pi * mode / domain_length
     omega = float(np.linalg.norm(k))
-    pattern = amplitude * e[:, None, None, None] * np.cos(k[0] * x + k[1] * y + k[2] * z)[None]
-    half = [mode] if mode[2] > 0 else [-mode] if mode[2] < 0 else [mode, -mode]
-    coeff = (0.5 * grid_n ** 3 * amplitude) * e[:, None] * np.ones(len(half))
+    support, coeff = _wave_entries(mode, e, amplitude, grid_n)
+
+    @functools.cache
+    def pattern():
+        x, y, z = grid_coordinates(grid_n, domain_length)
+        return amplitude * e[:, None, None, None] * np.cos(k[0] * x + k[1] * y + k[2] * z)[None]
 
     def reference(t: float):
-        return pattern * np.cos(omega * t), -omega * pattern * np.sin(omega * t)
+        return pattern() * np.cos(omega * t), -omega * pattern() * np.sin(omega * t)
 
     def spectrum(t: float) -> np.ndarray:
         return np.stack([coeff * np.cos(omega * t), -omega * coeff * np.sin(omega * t)])
 
     reference.omega = omega
     reference.period = 2.0 * np.pi / omega
-    reference.support = tuple(np.array([m[i] % grid_n for m in half]) for i in range(3))
+    reference.support = support
     reference.spectrum = spectrum
     return reference
 

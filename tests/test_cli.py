@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 
 import gaugefix
 from gaugefix.cli import SCENARIOS, ConfigError, RunConfig, main
+from gaugefix.evolution import evolve
 from gaugefix.fields import (
     FieldState,
     constraint_norms,
     plane_wave_initial_data,
+    plane_wave_reference,
     project_state,
     random_smooth_fields,
     read_snapshot,
@@ -165,6 +168,54 @@ class TestEvolveCommand:
         cfg = write_config(tmp_path, polarization=[1, 0, 0])
         assert main(["evolve", "--config", str(cfg), "--out", "x.csv"]) == 1
         assert "orthogonal" in capsys.readouterr().err
+
+    def test_unstable_plane_wave_aborts_when_its_mode_overflows(self, tmp_path, capsys):
+        # The command evolves the wave's Fourier coefficients alone, so the
+        # abort comes from the wave's own mode, not from grid rounding noise.
+        cfg = write_config(tmp_path, dt=50.0, t_end=5000.0)
+        out = tmp_path / "aborted.csv"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "evolution aborted at t=2800.0" in capsys.readouterr().err
+        assert len(out.read_text().splitlines()) == 1 + 57
+
+
+# The wave_rk4 and growth_diag runs of perfbench/workloads.py, with its
+# output checks.
+BENCH_CONFIGS = {
+    "wave_rk4": dict(scenario="plane_wave", grid_n=32, formulation="gauge_fixed", stepper="rk4",
+                     dt=2.0 * np.pi / 1000.0, t_end=2.0 * np.pi, stride=50),
+    "growth_diag": dict(scenario="contaminated", grid_n=64, formulation="canonical",
+                        stepper="stormer_verlet", dt=0.01, t_end=0.2, stride=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_CONFIGS))
+def test_benchmark_runs_pass_their_checks(tmp_path, name):
+    cfg = BENCH_CONFIGS[name]
+    path = write_config(tmp_path, **cfg)
+    out = tmp_path / "diagnostics.csv"
+    assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+    table = read_csv(out)
+    assert len(table) == 21
+    if name == "wave_rk4":
+        assert table["l2_error"][-1] < 1e-6
+        assert np.max(np.abs(table["energy"] / table["energy"][0] - 1.0)) < 1e-8
+    else:
+        pi_l0 = table["norm_pi_L"][0]
+        slope = np.polyfit(table["t"], table["norm_A_L"], 1)[0]
+        assert abs(slope - pi_l0) / pi_l0 < 1e-6
+        assert np.max(np.abs(table["norm_pi_L"] - pi_l0)) / pi_l0 < 1e-10
+    # The same run from the grid data, through a transform and the shell
+    # moments, agrees column by column.
+    kind = "transverse" if cfg["scenario"] == "plane_wave" else "contaminated"
+    n = cfg["grid_n"]
+    state = plane_wave_initial_data((1, 0, 0), (0, 1, 0), kind=kind, grid_n=n)
+    ref = plane_wave_reference((1, 0, 0), (0, 1, 0), grid_n=n) if kind == "transverse" else None
+    grid = evolve(state, cfg["formulation"], cfg["stepper"], cfg["dt"], cfg["t_end"],
+                  reference=ref, stride=cfg["stride"])
+    for column in ("t", "energy", "norm_divA", "norm_divPi", "norm_A_L", "norm_pi_L"):
+        assert_allclose(table[column], getattr(grid, column), rtol=1e-14, atol=0, err_msg=column)
+    assert_allclose(table["l2_error"], grid.l2_error, rtol=0, atol=3e-15)
 
 
 class TestSymbolCommand:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gaugefix.evolution import DiagnosticsSeries, FiniteSeries, evolve, evolve_finite
-from gaugefix.fields import FieldState, plane_wave_initial_data
+from gaugefix.fields import FieldState, SparseSpectrum, plane_wave_initial_data, plane_wave_spectrum
 from gaugefix.phase import HamiltonianSystem, QuadraticLagrangian, quadratic_function
 from gaugefix.symbols import (
     DirectionSample,
@@ -39,6 +39,7 @@ FACTORIES = {
     DiagnosticsSeries: lambda: evolve(wave(), "canonical", "rk4", 0.1, 0.5),
     FiniteSeries: oscillator_run,
     FieldState: wave,
+    SparseSpectrum: lambda: plane_wave_spectrum((1, 0, 0), (0, 1, 0), grid_n=8),
     SymbolReport: symbol_report,
     DirectionSample: lambda: symbol_report().samples[0],
     ToyModel: chain_demo,

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from gaugefix.fields import (
     correct_initial_data,
     plane_wave_initial_data,
     plane_wave_reference,
+    plane_wave_spectrum,
     l2_norm,
     random_smooth_fields,
     state_distance,
@@ -514,6 +516,144 @@ def test_non_finite_deferred_final_state_raises(monkeypatch):
                         lambda ws, f_hat: np.full((2, 3, 8, 8, 8), np.inf))
     with pytest.raises(FloatingPointError):
         series.final_state
+
+
+def grid_of(spectrum):
+    grid = spectrum.workspace().backward(spectrum.half_spectrum())
+    return FieldState(grid[0], grid[1], spectrum.domain_length)
+
+
+@pytest.mark.parametrize("with_reference", [True, False])
+@pytest.mark.parametrize("data", ["transverse", "contaminated"])
+@pytest.mark.parametrize("mode, polarization", [((1, 0, 0), (0, 1, 0)), ((1, 2, 1), (1, 0, -1))])
+@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("reproject_every", [None, 3])
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("stepper", ["rk4", "stormer_verlet"])
+@pytest.mark.parametrize("kind", ["canonical", "gauge_fixed"])
+def test_spectral_path_matches_grid_path(kind, stepper, stride, reproject_every, n, mode,
+                                         polarization, data, with_reference):
+    # plane_wave_spectrum carries its few entries alone; the grid data goes
+    # through a transform and the shell moments.
+    args = (mode, polarization, 1.0, data, n)
+    spec = plane_wave_spectrum(*args)
+    grid = plane_wave_initial_data(*args)
+    ref = plane_wave_reference(mode, polarization, grid_n=n) if with_reference else None
+    kw = dict(reference=ref, stride=stride, reproject_every=reproject_every)
+    sparse = evolve(spec, kind, stepper, 0.1, 2.0, **kw)
+    full = evolve(grid, kind, stepper, 0.1, 2.0, **kw)
+    assert sparse.t.tolist() == full.t.tolist() and not sparse.aborted
+    # floor: columns that are zero on the entries and hold the grid data's
+    # transform noise on the grid path.
+    floor = 1e-13 * state_norm(grid)
+    for column in ("energy", "norm_divA", "norm_divPi", "norm_A_L", "norm_pi_L"):
+        assert_allclose(getattr(sparse, column), getattr(full, column), rtol=1e-12, atol=floor,
+                        err_msg=column)
+    if with_reference:
+        assert_allclose(sparse.l2_error, full.l2_error, rtol=0, atol=1e-13)
+        assert data == "contaminated" or sparse.l2_error[0] == 0.0
+    else:
+        assert np.all(np.isnan(sparse.l2_error))
+    final = full.final_state
+    assert state_distance(sparse.final_state, final) <= 1e-13 * state_norm(final)
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_spectral_abort_is_the_wave_mode_overflowing(stride):
+    # On the grid this run aborts at t = 2150, when rounding noise at the
+    # largest k^2 overflows; the spectral data has only the wave's modes.
+    spec = plane_wave_spectrum((1, 0, 0), (0, 1, 0), grid_n=8)
+    series = evolve(spec, "canonical", "rk4", 50.0, 5000.0, stride=stride)
+    assert series.aborted and series.abort_time == 2800.0
+    # The last finite state is 56 RK4 steps of the wave's oscillator
+    # (A_y^, pi_y^)' = (pi_y^, -A_y^), the series of exp(h L) to 4th order.
+    h_l = 50.0 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    step = sum(np.linalg.matrix_power(h_l, p) / f for p, f in enumerate((1, 1, 2, 6, 24)))
+    expected = np.linalg.matrix_power(step, 56) @ [spec.coeff[0, 1, 0].real, 0.0]
+    state = series.final_state
+    ws = state.workspace()
+    y_hat = ws.forward(np.stack([state.a, state.pi]))
+    assert_allclose(y_hat[:, 1, 1, 0, 0], expected, rtol=1e-12)
+
+
+def test_spectral_stability_is_judged_on_the_carried_modes():
+    # Verlet dt = 1 is stable for the wave (h^2 k^2 = 1 < 4) but not for
+    # the grid's largest wavenumber (48): the spectral run goes in blocks
+    # of a million steps, and the energy stays that of the wave.
+    spec = plane_wave_spectrum((1, 0, 0), (0, 1, 0), grid_n=8)
+    series = evolve(spec, "gauge_fixed", "stormer_verlet", 1.0, 3e6, stride=10 ** 6)
+    assert len(series.t) == 4 and not series.aborted
+    assert np.max(np.abs(series.energy / series.energy[0] - 1.0)) < 0.3
+    with pytest.raises(ValueError, match="passes"):
+        evolve(grid_of(spec), "gauge_fixed", "stormer_verlet", 1.0, 3e6, stride=10 ** 6)
+
+
+def test_spectral_run_makes_no_grid_array(monkeypatch):
+    # The growth_diag benchmark run: N = 64, where one grid state is 13 MB.
+    def refuse(ws, f):
+        raise AssertionError("transform on the spectral path")
+
+    fields.get_workspace.cache_clear()
+    spec = plane_wave_spectrum((1, 0, 0), (0, 1, 0), kind="contaminated", grid_n=64)
+    monkeypatch.setattr(fields.SpectralWorkspace, "forward", refuse)
+    monkeypatch.setattr(fields.SpectralWorkspace, "backward", refuse)
+    tracemalloc.start()
+    try:
+        series = evolve(spec, "canonical", "stormer_verlet", 0.01, 0.2, stride=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(series.t) == 21 and not series.aborted
+    assert peak < 1e6
+    assert not {"kvec", "k2", "inv_k2", "shells"} & set(vars(spec.workspace()))
+
+
+def test_spectral_final_state_overflowing_on_the_grid_is_an_abort():
+    # Two finite coefficients near the largest double: their sum in the
+    # backward transform overflows, so the state is built at once and the
+    # run reported as aborted, as a grid run with every mode explicit is.
+    coeff = np.zeros((2, 3, 2))
+    coeff[0, 1] = 1.7e308
+    spec = fields.SparseSpectrum(8, TWO_PI, ((1, 7), (0, 0), (0, 0)), coeff)
+    series = evolve(spec, "gauge_fixed", "rk4", 1e-6, 1e-6)
+    assert series.aborted and series.abort_time == 1e-6 and series.final_state is None
+    assert len(series.t) == 2
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_overflowing_k_dot_a_from_opposite_signs(sparse):
+    # A transverse wave with Fourier coefficients 1e308 e: k . A^ sums two
+    # overflowing terms of opposite sign, which gave NaN in row 0 and an
+    # abort at t = 0. The true energy overflows; the divergences are 0.
+    n, mode = 8, (3, 3, 0)
+    e = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    entries = ((3, 5), (3, 5), (0, 0))  # +-m
+    coeff = np.zeros((2, 3, 2))
+    coeff[0] = 1e308 * e[:, None]
+    spec = fields.SparseSpectrum(n, TWO_PI, entries, coeff)
+    state = grid_of(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = evolve(spec if sparse else state, "gauge_fixed", "rk4", 0.001, 0.005,
+                        reproject_every=1)
+    assert not series.aborted and len(series.t) == 6
+    # The oracle overflows on this state: run it on the state scaled by a
+    # power of two, which scales every value exactly, and scale back.
+    shift = 1000
+    small = FieldState(np.ldexp(state.a, -shift), np.ldexp(state.pi, -shift), TWO_PI)
+    oracle = oracle_states(small, "gauge_fixed", "rk4", 0.001, 5, reproject_every=1)
+    with np.errstate(over="ignore"):
+        energies = [np.ldexp(fields.energy(s), 2 * shift) for s in oracle]
+    assert_allclose(series.energy, energies, rtol=1e-12)
+    floor = 1e-13 * state_norm(small)
+    for i, s in enumerate(oracle):
+        got = (series.norm_divA[i], series.norm_divPi[i], series.norm_A_L[i], series.norm_pi_L[i])
+        assert_allclose(np.ldexp(got, -shift),
+                        (*fields.constraint_norms(s), *fields.longitudinal_norms(s)),
+                        rtol=1e-12, atol=floor)
+    final = series.final_state
+    for got, want in ((final.a, oracle[-1].a), (final.pi, oracle[-1].pi)):
+        assert_allclose(np.ldexp(got, -shift), want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("n", [8, 9])

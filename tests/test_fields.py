@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from gaugefix.fields import (
     longitudinal_part,
     plane_wave_initial_data,
     plane_wave_reference,
+    plane_wave_spectrum,
     project_state,
     random_smooth_fields,
     read_snapshot,
@@ -192,6 +194,74 @@ def test_plane_wave_reference_spectral_form(mode, polarization, n):
         assert_allclose(on_support, ref.spectrum(t), atol=1e-10 * n ** 3)
         y_hat[(slice(None), slice(None), *ref.support)] = 0.0
         assert np.max(np.abs(y_hat)) < 1e-10 * n ** 3
+
+
+@pytest.mark.parametrize("length", [TWO_PI, 3.0, 0.7])
+def test_workspace_tables_from_the_axes(length):
+    # The largest k^2, taken from the 1-D axes, and the k^2 table, built
+    # from them without kvec, equal the meshgrid sums bit for bit.
+    for n in range(4, 18):
+        ws = SpectralWorkspace(n, length)
+        assert "kvec" not in vars(ws) and "k2" not in vars(ws)
+        k2 = np.sum(ws.kvec ** 2, axis=0)
+        assert ws.k2_max == k2.max() == ws.k2.max()
+        assert np.array_equal(ws.k2, k2)
+
+
+def test_plane_wave_reference_builds_its_grid_pattern_on_first_call():
+    n = 64  # one grid component is 2 MB
+    args = ((1, 2, 1), (1, 0, -1), 0.7)
+    tracemalloc.start()
+    try:
+        ref = plane_wave_reference(*args, grid_n=n)
+        ref.spectrum(0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    x, y, z = fields.grid_coordinates(n, TWO_PI)
+    e = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
+    pattern = 0.7 * e[:, None, None, None] * np.cos(1.0 * x + 2.0 * y + 1.0 * z)[None]
+    a, pi = ref(0.3)
+    assert np.array_equal(a, pattern * np.cos(ref.omega * 0.3))
+    assert np.array_equal(pi, -ref.omega * pattern * np.sin(ref.omega * 0.3))
+
+
+@pytest.mark.parametrize("kind", ["transverse", "contaminated"])
+@pytest.mark.parametrize("mode, polarization", [
+    ((1, 0, 0), (0, 1, 0)),    # the contamination shares the wave's entries
+    ((1, -2, 1), (1, 0, -1)),
+    ((2, 1, -1), (0, 1, 1)),
+])
+@pytest.mark.parametrize("n", [8, 9])
+def test_plane_wave_spectrum_is_the_grid_data_transformed(kind, mode, polarization, n):
+    args = (mode, polarization, 0.7, kind, n, 3.0, 0.2)
+    spec = plane_wave_spectrum(*args)
+    y_hat = spec.half_spectrum()
+    grid = plane_wave_initial_data(*args)
+    ws = get_workspace(n, 3.0)
+    assert_allclose(y_hat, ws.forward(np.stack([grid.a, grid.pi])), rtol=0, atol=1e-13 * n ** 3)
+    # The wave's entries hold the reference's coefficients at t = 0 exactly
+    # (pi_x also holds the contamination).
+    ref = plane_wave_reference(*args[:3], grid_n=n, domain_length=3.0)
+    on_support = y_hat[(slice(None), slice(None), *ref.support)]
+    expected = ref.spectrum(0.0)
+    assert np.array_equal(on_support[0], expected[0])
+    assert np.array_equal(on_support[1, 1:], expected[1, 1:])
+    assert len(set(zip(*spec.support))) == spec.coeff.shape[-1]
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(mode=(0, 0, 0)), "nonzero"),
+    (dict(polarization=(1, 1, 0)), "orthogonal"),
+    (dict(mode=(4, 0, 0)), "resolved"),
+    (dict(kind="dirty"), "kind"),
+    (dict(polarization=(np.inf, 0, 0)), "polarization"),
+])
+def test_plane_wave_spectrum_validation(kwargs, match):
+    args = dict(mode=(1, 0, 0), polarization=(0, 1, 0), grid_n=8) | kwargs
+    with pytest.raises(ValueError, match=match):
+        plane_wave_spectrum(**args)
 
 
 @pytest.mark.parametrize("n", [8, 9, 32])
