@@ -326,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("model", choices=sorted(toys.BUILTIN_MODELS))
     p_con.add_argument("--out", default=None, help="JSON report path (default stdout)")
     p_con.add_argument("--seed", type=int, default=None,
-                       help="seed for the on-surface sampler")
+                       help="seed for the on-surface sampler (unused by the built-in "
+                            "models: their affine constraints draw no samples)")
     p_con.set_defaults(func=cmd_constraints)
     return parser
 

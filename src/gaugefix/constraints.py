@@ -6,12 +6,19 @@ M_AB = [C_A, C_B], Dirac brackets, gauge-fixed Lagrange multipliers, and
 the bracket-generated correction step that projects an off-surface point
 back onto the constraint surface.
 
-Weak equality (vanishing on the constraint surface) is made decidable by
-evaluating brackets at a batch of on-surface sample points produced by a
-least-squares sampler that is independent of the symplectic structure.
 Bracket matrices at a point are products of one stacked constraint
 Jacobian G with the cosymplectic matrix J, [C_A, C_B] = (G J G^T)_AB and
 [C_A, f] = (G J grad f)_A: one gradient evaluation per constraint.
+
+For affine constraints C = R z + r under a constant J and a Hamiltonian
+with coefficients, the chain and the classes are linear algebra on the
+coefficient rows [R | r] (docs/derivations.md section 4): a candidate
+vanishes weakly when its row lies in their span, it is new when its
+linear part raises the rank of R, and the classes come from the constant
+R J R^T. Sampling now serves only non-affine sets or point-dependent
+forms, where weak equality (vanishing on the constraint surface) is
+judged at a batch of on-surface points from a least-squares sampler
+that is independent of the symplectic structure.
 
 Brackets as functions (the chain's candidates [C, H], the terms of the
 second-order correction) come from phase.bracket_function, applied to
@@ -143,12 +150,13 @@ class ConstraintSet:
         if len(self.constraints) == 0:
             return
         for z in np.atleast_2d(points):
-            s = np.linalg.svd(self.jacobian(z), compute_uv=False)
-            if s[0] == 0.0 or s[-1] < 1e-8 * s[0]:
-                raise ValueError(
-                    f"constraint set is not irreducible at z={z} "
-                    f"(singular values {s})"
-                )
+            _require_full_rank(self.jacobian(z), f" at z={z}")
+
+
+def _require_full_rank(jac: np.ndarray, where: str = "") -> None:
+    s = np.linalg.svd(jac, compute_uv=False)
+    if s[0] == 0.0 or s[-1] < 1e-8 * s[0]:
+        raise ValueError(f"constraint set is not irreducible{where} (singular values {s})")
 
 
 def constraint_set(functions: Sequence[PhaseFunction], dim: int,
@@ -285,18 +293,115 @@ def consistency_chain(system: HamiltonianSystem, primaries: ConstraintSet,
 
     Each generation demands that every constraint's bracket with the
     Hamiltonian vanish weakly, allowing multipliers of the primaries to
-    absorb what they can: at each on-surface sample the residual of
-    [C_i, H] + lambda^a [C_i, phi_a] = 0 is minimized over lambda, and
-    only the unabsorbable part (the left-null-space component of the
-    primary bracket matrix) spawns candidate constraints. Candidates are
-    admitted when their gradient leaves the span of the existing ones.
+    absorb what they can: the residual of [C_i, H] + lambda^a [C_i, phi_a]
+    = 0 is minimized over lambda, and only the unabsorbable part (the
+    left-null-space component of the primary bracket matrix) spawns
+    candidate constraints. Candidates are admitted when their gradient
+    leaves the span of the existing ones.
+
+    Affine primaries under a constant form and a Hamiltonian with
+    coefficients take the exact route: rank tests on coefficient rows,
+    no sampler call. A residual within a factor 10 of tol_weak there is
+    refused with AmbiguousClassificationError. Otherwise the decisions
+    are made at on-surface points drawn from the sampler.
 
     Raises ChainTerminationError if the chain is still growing after
     max_generations, or if a residual can neither be absorbed nor yield
     an independent constraint (inconsistent dynamics).
     """
+    _check_tolerance(tol_weak)
+    if max_generations < 1:
+        raise ValueError(f"max_generations must be at least 1, got {max_generations!r}")
     if len(primaries) == 0:
         return primaries
+    rows = _affine_rows(primaries) if system.form.is_constant else None
+    if rows is None or system.hamiltonian.coefficients is None:
+        return _sampled_chain(system, primaries, sampler, tol_weak, max_generations)
+    h = system.hamiltonian
+    form = system.form
+    n_primary = len(primaries)
+    cset = primaries
+
+    for _generation in range(max_generations):
+        # The primary bracket matrix by the sampled route's operations, so the
+        # left null space, the weights and the labels come out the same.
+        gj = rows[:, :-1] @ form.at(None)
+        a = gj @ rows[:n_primary, :-1].T
+        directions = np.eye(len(cset)) if np.max(np.abs(a)) < tol_weak else _left_null(a)
+
+        new = []
+        for u in directions:
+            cand = _combination_bracket(cset, u, h, form)
+            row = np.append(cand.coefficients.lin, cand.coefficients.const)
+            # Vanishes weakly, or repeats a member admitted this generation.
+            if _residual(rows, row, cand.label, "weak vanishing", tol_weak) < tol_weak:
+                continue
+            # A nonzero constant on the surface: inconsistent dynamics.
+            if _residual(rows[:, :-1], row[:-1], cand.label, "newness", tol_weak) < tol_weak:
+                raise _unsatisfiable([cset[int(i)].label
+                                      for i in np.flatnonzero(np.abs(u) > 1e-12)])
+            new.append(Constraint(cand, ConstraintOrigin.CONSISTENCY))
+            rows = np.vstack([rows, row])
+        if not new:
+            return cset
+        cset = cset.extended(new)
+
+    raise _still_growing(max_generations, cset)
+
+
+def _check_tolerance(tol_weak: float) -> None:
+    if not (np.isfinite(tol_weak) and tol_weak > 0):
+        raise ValueError(f"tol_weak must be positive and finite, got {tol_weak!r}")
+
+
+def _affine_rows(cset: ConstraintSet) -> np.ndarray | None:
+    """[R | r] for a set of affine constraints R z + r, else None."""
+    coeffs = [c.function.coefficients for c in cset]
+    if any(k is None or k.lin.size != cset.dim or np.any(k.quad) for k in coeffs):
+        return None
+    return np.array([np.append(k.lin, k.const) for k in coeffs])
+
+
+def _residual(rows: np.ndarray, v: np.ndarray, label: str, decision: str,
+              tol_weak: float) -> float:
+    """|v - its least-squares projection onto the rows| / (1 + |v|),
+    refused within a factor 10 of tol_weak on either side."""
+    coef, *_ = np.linalg.lstsq(rows.T, v, rcond=None)
+    res = float(np.linalg.norm(v - rows.T @ coef) / (1.0 + np.linalg.norm(v)))
+    if tol_weak / 10.0 <= res <= tol_weak * 10.0:
+        raise AmbiguousClassificationError(
+            f"{decision} of candidate {label} is ambiguous: residual {res:.3e} "
+            f"within a factor 10 of tol_weak={tol_weak:g}"
+        )
+    return res
+
+
+def _left_null(a: np.ndarray) -> np.ndarray:
+    """Rows spanning the left null space of a; singular values above
+    max(shape) * eps * s_max count toward the rank."""
+    _, s, vh = np.linalg.svd(a.T)
+    rank = int(np.sum(s > max(a.shape) * np.finfo(float).eps * s[0]))
+    return vh[rank:]
+
+
+def _unsatisfiable(labels: list[str]) -> ChainTerminationError:
+    return ChainTerminationError(
+        f"consistency conditions cannot be satisfied: residuals of {labels} are "
+        "neither absorbable by multipliers nor independent constraints"
+    )
+
+
+def _still_growing(max_generations: int, cset: ConstraintSet) -> ChainTerminationError:
+    return ChainTerminationError(
+        f"consistency chain still growing after {max_generations} generations "
+        f"({len(cset)} constraints so far)"
+    )
+
+
+def _sampled_chain(system: HamiltonianSystem, primaries: ConstraintSet,
+                   sampler: Callable[[ConstraintSet], np.ndarray],
+                   tol_weak: float, max_generations: int) -> ConstraintSet:
+    """consistency_chain with every decision made at on-surface samples."""
     h = system.hamiltonian
     form = system.form
     n_primary = len(primaries)
@@ -343,13 +448,8 @@ def consistency_chain(system: HamiltonianSystem, primaries: ConstraintSet,
                     "primary bracket matrix varies across on-surface samples; "
                     "point-dependent multiplier structure is not supported"
                 )
-            # Left null space of a_mean; singular values above
-            # max(shape) * eps * s_max count toward the rank.
-            _, s, vh = np.linalg.svd(a_mean.T)
-            rank = int(np.sum(s > max(a_mean.shape) * np.finfo(float).eps * s[0]))
-            basis = vh[rank:].T
-            directions = [basis[:, j] for j in range(basis.shape[1])
-                          if np.max(np.abs(resid @ basis[:, j])) >= tol_weak]
+            directions = [u for u in _left_null(a_mean)
+                          if np.max(np.abs(resid @ u)) >= tol_weak]
 
         new = []
         for u in directions:
@@ -357,17 +457,10 @@ def consistency_chain(system: HamiltonianSystem, primaries: ConstraintSet,
             if _gradient_is_new(cset.extended(new), cand, points):
                 new.append(Constraint(cand, ConstraintOrigin.CONSISTENCY))
         if not new:
-            raise ChainTerminationError(
-                "consistency conditions cannot be satisfied: residuals of "
-                f"{[cset[i].label for i in failing]} are neither absorbable by "
-                "multipliers nor independent constraints"
-            )
+            raise _unsatisfiable([cset[i].label for i in failing])
         cset = cset.extended(new)
 
-    raise ChainTerminationError(
-        f"consistency chain still growing after {max_generations} generations "
-        f"({len(cset)} constraints so far)"
-    )
+    raise _still_growing(max_generations, cset)
 
 
 def _combination_bracket(cset: ConstraintSet, weights: np.ndarray,
@@ -407,30 +500,47 @@ def classify_constraints(cset: ConstraintSet,
                          sampler: Callable[[ConstraintSet], np.ndarray],
                          tol_weak: float = 1e-8,
                          form: CosymplecticForm | None = None) -> ConstraintSet:
-    """Label each constraint first or second class from on-surface brackets.
+    """Label each constraint first or second class from its brackets.
 
     A constraint is first class when its bracket with every other member
-    vanishes weakly at all sampled points. Magnitudes within a factor of
-    ten of tol_weak on either side are refused as ambiguous rather than
-    silently rounded one way.
+    vanishes weakly. Magnitudes within a factor of ten of tol_weak on
+    either side are refused as ambiguous rather than silently rounded one
+    way. Affine constraints under a constant form are classified from the
+    constant R J R^T without a sampler call; other sets from the brackets
+    at all sampled points.
     """
+    _check_tolerance(tol_weak)
     if len(cset) == 0:
         return cset
     if form is None:
         form = CosymplecticForm.canonical(cset.dim // 2)
+    rows = _affine_rows(cset) if form.is_constant else None
+    if rows is None:
+        return _sampled_classify(cset, sampler, tol_weak, form)
+    _require_full_rank(rows[:, :-1])
+    return _label_classes(cset, _bracket_magnitudes(rows[:, :-1], form.at(None)), tol_weak)
+
+
+def _sampled_classify(cset: ConstraintSet, sampler: Callable[[ConstraintSet], np.ndarray],
+                      tol_weak: float, form: CosymplecticForm) -> ConstraintSet:
+    """classify_constraints from the largest magnitudes at on-surface samples."""
     points = sampler(cset)
     cset.check_irreducible(points)
-
-    # |[C_a, C_b]| / (1 + |grad C_a| |grad C_b|), so the tolerance means the
-    # same for O(1) and large-gradient pairs.
-    m = len(cset)
-    mag = np.zeros((m, m))
+    mag = np.zeros((len(cset), len(cset)))
     for z in points:
-        jac = cset.jacobian(z)
-        norms = np.linalg.norm(jac, axis=1)
-        brackets = _commutation(jac, form.at(z)).entries
-        mag = np.maximum(mag, np.abs(brackets) / (1.0 + np.outer(norms, norms)))
+        mag = np.maximum(mag, _bracket_magnitudes(cset.jacobian(z), form.at(z)))
+    return _label_classes(cset, mag, tol_weak)
 
+
+def _bracket_magnitudes(jac: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """|[C_a, C_b]| / (1 + |grad C_a| |grad C_b|), so the tolerance means the
+    same for O(1) and large-gradient pairs."""
+    norms = np.linalg.norm(jac, axis=1)
+    return np.abs(_commutation(jac, j).entries) / (1.0 + np.outer(norms, norms))
+
+
+def _label_classes(cset: ConstraintSet, mag: np.ndarray, tol_weak: float) -> ConstraintSet:
+    m = len(cset)
     ambiguous = [
         (cset[a].label, cset[b].label, mag[a, b])
         for a in range(m) for b in range(a + 1, m)

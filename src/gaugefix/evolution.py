@@ -248,13 +248,24 @@ class _Support:
         Where k . y overflows for a finite y (terms of opposite sign give
         NaN), it is computed again from y scaled by a power of two.
         """
-        coef = np.sum(self.kvec * y_s, axis=1) * self.inv_k2
+        coef = self._k_dot(y_s)
+        coef *= self.inv_k2
         redo = ~np.isfinite(coef)
         if redo.any() and _finite(y_s) and (shift := fields.overflow_shift(y_s)) > 0:
-            scaled = np.sum(self.kvec * (y_s * np.ldexp(1.0, -shift)), axis=1) * self.inv_k2
+            scaled = self._k_dot(y_s * np.ldexp(1.0, -shift)) * self.inv_k2
             coef[redo] = scaled[redo] * np.ldexp(1.0, shift)
         long = self.kvec * coef[:, None]
         return y_s - long, long
+
+    def _k_dot(self, y_s: np.ndarray) -> np.ndarray:
+        """k . y of each field, one component at a time through one product
+        buffer. The sum equals np.sum(kvec * y_s, axis=1) bit for bit: that
+        adds onto zero, so the first product gets + 0.0 (-0 becomes +0)."""
+        buf = self.kvec[0] * y_s[:, 0]
+        dot = buf + 0.0
+        for i in (1, 2):
+            dot += np.multiply(self.kvec[i], y_s[:, i], out=buf)
+        return dot
 
     def advance(self, maps: _ShellMaps, j: int, y_s: np.ndarray) -> np.ndarray:
         """Apply j steps: the transverse blocks and the longitudinal [[1, j lp], [0, 1]].

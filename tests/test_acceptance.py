@@ -218,7 +218,7 @@ def test_criterion_6_toy_model_pipeline():
     doc_ok = doc.is_file() and all(
         key in doc.read_text() for key in ("p2", "p1 - q2", "Dirac"))
 
-    dt, in_time = elapsed_ok(t0, 10.0)
+    dt, in_time = elapsed_ok(t0, 2.0)
     report(chain_ok and matrix_ok and classes_ok and dirac_dev < 1e-10
            and regular_ok and doc_ok and in_time,
            f"criterion 6: toy chains, classes and the frozen commutation "
@@ -258,7 +258,7 @@ def test_criterion_7_error_correction_contract():
     proj_ok = proj_rep.converged and proj_rep.iterations <= 6
     final_ok = float(np.linalg.norm(circle.values(z_proj))) < 1e-12
 
-    dt, in_time = elapsed_ok(t0, 10.0)
+    dt, in_time = elapsed_ok(t0, 2.0)
     report(linear_ok and slope_ok and proj_ok and final_ok and in_time,
            f"criterion 7: linear pair corrected in one step to "
            f"{linear_residual:.2e} < 1e-12; circle residuals contract with "

@@ -17,6 +17,8 @@ from gaugefix.constraints import (
     GaugeNotFixedError,
     SamplerError,
     _combination_bracket,
+    _sampled_chain,
+    _sampled_classify,
     classify_constraints,
     commutation_matrix,
     consistency_chain,
@@ -144,12 +146,25 @@ def test_regular_demo_chain_empty(sampler):
     assert len(chain) == 0
 
 
-def test_four_generation_chain(sampler):
-    """H = p1^2/2 + q1 q2 with primary p2 walks p2 -> q1 -> p1 -> q2."""
+def _dim4_chain_system():
+    """H = p1^2/2 + q1 q2 on (q1, q2, p1, p2)."""
     quad = np.zeros((4, 4))
     quad[2, 2] = 1.0
     quad[0, 1] = quad[1, 0] = 1.0
-    system = HamiltonianSystem.canonical(2, quadratic_function(quad))
+    return HamiltonianSystem.canonical(2, quadratic_function(quad))
+
+
+def _left_null_system():
+    """H = p1^2/2 + p2 q3 on (q1, q2, q3, p1, p2, p3)."""
+    quad = np.zeros((6, 6))
+    quad[3, 3] = 1.0
+    quad[2, 4] = quad[4, 2] = 1.0
+    return HamiltonianSystem.canonical(3, quadratic_function(quad))
+
+
+def test_four_generation_chain(sampler):
+    """H = p1^2/2 + q1 q2 with primary p2 walks p2 -> q1 -> p1 -> q2."""
+    system = _dim4_chain_system()
     primaries = constraint_set([coord(4, 3, "p2")], 4)
     chain = consistency_chain(system, primaries, sampler)
     assert len(chain) == 4
@@ -170,10 +185,7 @@ def test_chain_with_unabsorbable_residual_uses_left_null_space(sampler):
     left null space of the primary bracket matrix is e3, and [p3, H] = -p2
     is the one new constraint (docs/derivations.md section 4).
     """
-    quad = np.zeros((6, 6))
-    quad[3, 3] = 1.0
-    quad[2, 4] = quad[4, 2] = 1.0
-    system = HamiltonianSystem.canonical(3, quadratic_function(quad))
+    system = _left_null_system()
     primaries = constraint_set([coord(6, 3, "p1"), coord(6, 0, "q1"), coord(6, 5, "p3")], 6)
     chain = consistency_chain(system, primaries, sampler)
     assert chain.labels == ["p1", "q1", "p3", "[p3, H]"]
@@ -209,15 +221,12 @@ def test_dim6_six_generation_chain(sampler):
     for z in sampler(chain)[:3]:
         assert_allclose(chain.jacobian(z), expected, rtol=0, atol=1e-14)
     assert all(c.class_label is ConstraintClass.SECOND_CLASS for c in labeled)
-    assert elapsed < 5.0
+    assert elapsed < 0.5
 
 
 def test_chain_members_have_exact_gradients(sampler):
     """Every generation of a polynomial chain is a closed-form bracket."""
-    quad = np.zeros((4, 4))
-    quad[2, 2] = 1.0
-    quad[0, 1] = quad[1, 0] = 1.0
-    system = HamiltonianSystem.canonical(2, quadratic_function(quad))
+    system = _dim4_chain_system()
     chain = consistency_chain(system, constraint_set([coord(4, 3, "p2")], 4), sampler)
     assert len(chain) == 4
     assert all(c.function.uses_fd_gradient is False for c in chain)
@@ -284,13 +293,123 @@ def test_chain_detects_inconsistent_dynamics(sampler):
 
 
 def test_chain_respects_generation_cap(sampler):
-    quad = np.zeros((4, 4))
-    quad[2, 2] = 1.0
-    quad[0, 1] = quad[1, 0] = 1.0
-    system = HamiltonianSystem.canonical(2, quadratic_function(quad))
+    system = _dim4_chain_system()
     primaries = constraint_set([coord(4, 3, "p2")], 4)
     with pytest.raises(ChainTerminationError, match="generations"):
         consistency_chain(system, primaries, sampler, max_generations=2)
+
+
+# ---------------------------------------------------------------------------
+# Exact linear-algebra route against the sampled route
+# ---------------------------------------------------------------------------
+
+def _no_sampling(cset):
+    raise AssertionError("the exact route drew from the sampler")
+
+
+def _route_cases():
+    models = [(name, factory()) for name, factory in (
+        ("chain-demo", chain_demo), ("second-class-demo", second_class_demo),
+        ("regular-demo", regular_demo))]
+    cases = [pytest.param(m.system, m.primaries, {}, id=name) for name, m in models]
+    return cases + [
+        pytest.param(_dim4_chain_system(), constraint_set([coord(4, 3, "p2")], 4), {},
+                     id="dim4"),
+        pytest.param(_dim6_chain_system(), constraint_set([coord(6, 5, "p3")], 6), {},
+                     id="dim6"),
+        pytest.param(_left_null_system(),
+                     constraint_set([coord(6, 3, "p1"), coord(6, 0, "q1"), coord(6, 5, "p3")], 6),
+                     {}, id="left-null-space"),
+        pytest.param(HamiltonianSystem.canonical(2, coord(4, 1, "q2")),
+                     constraint_set([coord(4, 3, "p2")], 4), {}, id="inconsistent"),
+        pytest.param(_dim4_chain_system(), constraint_set([coord(4, 3, "p2")], 4),
+                     {"max_generations": 2}, id="generation-cap"),
+    ]
+
+
+def _run_route(chain, classify, *args):
+    """(chain, classified) of one route, or the exception it raised."""
+    try:
+        found = chain(*args)
+        return found, classify(found)
+    except ChainTerminationError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("system,primaries,options", _route_cases())
+def test_exact_and_sampled_routes_agree(system, primaries, options, sampler):
+    tol, cap = 1e-8, options.get("max_generations", 10)
+    form = system.form
+    exact = _run_route(
+        lambda s, p: consistency_chain(s, p, _no_sampling, max_generations=cap),
+        lambda c: classify_constraints(c, _no_sampling, form=form), system, primaries)
+    sampled = _run_route(
+        lambda s, p: _sampled_chain(s, p, sampler, tol, cap) if len(p) else p,
+        lambda c: _sampled_classify(c, sampler, tol, form), system, primaries)
+    if isinstance(sampled, Exception):
+        assert type(exact) is type(sampled) and str(exact) == str(sampled)
+        return
+    (chain_e, classes_e), (chain_s, classes_s) = exact, sampled
+    assert chain_e.labels == chain_s.labels
+    assert [c.origin for c in chain_e] == [c.origin for c in chain_s]
+    assert [c.class_label for c in classes_e] == [c.class_label for c in classes_s]
+    for ce, cs in zip(chain_e, chain_s):
+        ke, ks = ce.function.coefficients, cs.function.coefficients
+        assert not ke.quad.any() and not ks.quad.any()
+        assert_allclose(ke.lin, ks.lin, rtol=0, atol=1e-14)
+        assert ke.const == pytest.approx(ks.const, rel=0, abs=1e-14)
+
+
+def test_exact_route_never_samples_and_other_sets_still_do():
+    system = _dim6_chain_system()
+    chain = consistency_chain(system, constraint_set([coord(6, 5, "p3")], 6), _no_sampling)
+    classify_constraints(chain, _no_sampling, form=system.form)
+    # A nonlinear set, or an affine one under a point-dependent form, is sampled.
+    with pytest.raises(AssertionError, match="drew from the sampler"):
+        classify_constraints(circle_pair(), _no_sampling, form=FORM2)
+    j0 = FORM2.at(None)
+    varying = CosymplecticForm(matrix_fn=lambda z: (1.0 + z[0] ** 2) * j0)
+    with pytest.raises(AssertionError, match="drew from the sampler"):
+        classify_constraints(constraint_set([coord(2, 1, "p")], 2), _no_sampling, form=varying)
+    opaque_h = PhaseFunction(lambda z: float(z[2] ** 2 / 2 + np.cos(z[1])), label="H")
+    with pytest.raises(AssertionError, match="drew from the sampler"):
+        consistency_chain(HamiltonianSystem.canonical(2, opaque_h),
+                          constraint_set([coord(4, 3, "p2")], 4), _no_sampling)
+
+
+def test_exact_route_refuses_a_candidate_residual_in_the_band():
+    # [p2, H] = -1e-8 q1: its row sits ~1e-8 off the span of p2's row.
+    quad = np.zeros((4, 4))
+    quad[2, 2] = 1.0
+    quad[0, 1] = quad[1, 0] = 1e-8
+    system = HamiltonianSystem.canonical(2, quadratic_function(quad))
+    with pytest.raises(AmbiguousClassificationError, match=r"candidate \[p2, H\]"):
+        consistency_chain(system, constraint_set([coord(4, 3, "p2")], 4), _no_sampling)
+
+
+@pytest.mark.parametrize("tol_weak", [float("nan"), float("inf"), 0.0, -1.0])
+def test_chain_and_classes_reject_bad_tol_weak(tol_weak, sampler):
+    model = chain_demo()
+    chain = consistency_chain(model.system, model.primaries, sampler)
+    # The exact route (the chain demo) and the sampled route (the circle pair).
+    for cset, form in ((chain, model.system.form), (circle_pair(), FORM2)):
+        with pytest.raises(ValueError, match="tol_weak"):
+            classify_constraints(cset, sampler, tol_weak=tol_weak, form=form)
+    circle_system = HamiltonianSystem.canonical(1, quadratic_function(np.eye(2)))
+    for system, primaries in ((model.system, model.primaries),
+                              (circle_system, circle_pair())):
+        with pytest.raises(ValueError, match="tol_weak"):
+            consistency_chain(system, primaries, sampler, tol_weak=tol_weak)
+
+
+@pytest.mark.parametrize("max_generations", [0, -1])
+def test_chain_rejects_generation_cap_below_one(max_generations, sampler):
+    model = chain_demo()
+    circle_system = HamiltonianSystem.canonical(1, quadratic_function(np.eye(2)))
+    for system, primaries in ((model.system, model.primaries),
+                              (circle_system, circle_pair())):
+        with pytest.raises(ValueError, match="max_generations"):
+            consistency_chain(system, primaries, sampler, max_generations=max_generations)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from gaugefix.evolution import (
     CSV_HEADER,
     MAX_LOOP_PASSES,
     StepperKind,
+    _Support,
     evolve,
     evolve_finite,
 )
@@ -761,3 +762,37 @@ class TestEvolveFinite:
             evolve_finite(system, [1.0, 0.0], 1.0, 0.1)
         with pytest.raises(ValueError):
             evolve_finite(system, [1.0, 0.0], 0.1, 1.0, stride=0)
+
+
+def _split_by_full_products(modes, y):
+    """_Support.split as one (2, 3, ...) product summed by np.sum(axis=1)."""
+    coef = np.sum(modes.kvec * y, axis=1) * modes.inv_k2
+    redo = ~np.isfinite(coef)
+    if redo.any() and np.isfinite(y).all() and (shift := fields.overflow_shift(y)) > 0:
+        scaled = np.sum(modes.kvec * (y * np.ldexp(1.0, -shift)), axis=1) * modes.inv_k2
+        coef[redo] = scaled[redo] * np.ldexp(1.0, shift)
+    long = modes.kvec * coef[:, None]
+    return y - long, long
+
+
+@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("data", ["grid", "overflow"])
+def test_support_split_matches_full_products_bit_for_bit(n, data):
+    ws = fields.SpectralWorkspace(n, TWO_PI)
+    if data == "grid":
+        state = raw_random_state(n)
+        y = ws.forward(np.stack([state.a, state.pi]))
+    else:
+        # k = +-(3, 3, 0) against e = (1, -1, 0)/sqrt 2: k . y overflows to NaN.
+        y = np.zeros((2, 3) + ws.k2.shape, dtype=complex)
+        e = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+        y[0, :, 3, 3, 0] = y[0, :, n - 3, n - 3, 0] = 1e308 * e
+    supports = [_Support(ws), _Support(ws, np.nonzero(np.abs(y[0, 0]) >= 0))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for modes in supports:
+            y_s = y[(slice(None), slice(None)) + modes.index]
+            got, want = modes.split(y_s), _split_by_full_products(modes, y_s)
+            if data == "overflow":
+                assert np.isnan(np.sum(modes.kvec * y_s, axis=1)).any()
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
