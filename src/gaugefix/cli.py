@@ -223,10 +223,8 @@ def cmd_project(args) -> int:
     if not args.tol >= 0:
         raise ConfigError(f"--tol must be a non-negative number, got {args.tol!r}")
     state = fields.read_snapshot(args.input)
-    before = fields.constraint_norms(state)
-    projected = fields.project_state(state)
-    after = fields.constraint_norms(projected)
-    fields.write_snapshot(projected, args.out)
+    before, after = fields.project_in_place(state)
+    fields.write_snapshot(state, args.out)
     print(f"before: norm_divA={before[0]!r} norm_divPi={before[1]!r}")
     print(f"after:  norm_divA={after[0]!r} norm_divPi={after[1]!r}")
     if args.tol > 0 and max(after) >= args.tol:
@@ -236,10 +234,26 @@ def cmd_project(args) -> int:
     return 0
 
 
+def _sampler_on_first_draw(seed: int):
+    """make_surface_sampler(np.random.default_rng(seed)), built on its first call.
+
+    The built-in models' affine constraints never draw, so their runs do
+    not load numpy.random; a model that draws gets the same stream.
+    """
+    sampler = None
+
+    def draw(cset):
+        nonlocal sampler
+        if sampler is None:
+            sampler = make_surface_sampler(np.random.default_rng(seed))
+        return sampler(cset)
+
+    return draw
+
+
 def cmd_constraints(args) -> int:
     model = toys.get_model(args.model)
-    rng = np.random.default_rng(0 if args.seed is None else args.seed)
-    sampler = make_surface_sampler(rng)
+    sampler = _sampler_on_first_draw(0 if args.seed is None else args.seed)
     form = model.system.form
 
     chain = consistency_chain(model.system, model.primaries, sampler)

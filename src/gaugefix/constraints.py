@@ -154,6 +154,11 @@ class ConstraintSet:
 
 
 def _require_full_rank(jac: np.ndarray, where: str = "") -> None:
+    # An (M, 2N) Jacobian with M > 2N has only 2N singular values to test.
+    if jac.shape[0] > jac.shape[1]:
+        raise ValueError(f"constraint set is not irreducible{where} "
+                         f"({jac.shape[0]} constraints on a {jac.shape[1]}-dimensional "
+                         f"phase space)")
     s = np.linalg.svd(jac, compute_uv=False)
     if s[0] == 0.0 or s[-1] < 1e-8 * s[0]:
         raise ValueError(f"constraint set is not irreducible{where} (singular values {s})")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -98,9 +99,9 @@ class SpectralWorkspace:
     def forward(self, f: np.ndarray) -> np.ndarray:
         return np.fft.rfftn(f, axes=(-3, -2, -1))
 
-    def backward(self, f_hat: np.ndarray) -> np.ndarray:
+    def backward(self, f_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         n = self.grid_n
-        return np.fft.irfftn(f_hat, s=(n, n, n), axes=(-3, -2, -1))
+        return np.fft.irfftn(f_hat, s=(n, n, n), axes=(-3, -2, -1), out=out)
 
 
 @functools.lru_cache(maxsize=8)
@@ -129,6 +130,9 @@ class FieldState:
         self.domain_length = float(self.domain_length)
         if not (np.isfinite(self.domain_length) and self.domain_length > 0):
             raise ValueError("domain_length must be finite and positive")
+        self.check_finite()
+
+    def check_finite(self) -> None:
         if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.pi))):
             raise ValueError("field values must be finite")
 
@@ -279,6 +283,12 @@ def constraint_norms(state: FieldState):
     ws = state.workspace()
     return (l2_norm(div(state.a, ws), state.domain_length),
             l2_norm(div(state.pi, ws), state.domain_length))
+
+
+def div_norm_hat(f_hat: np.ndarray, ws: SpectralWorkspace) -> float:
+    """Continuum L2 norm of div f from the half spectrum of f, by Parseval."""
+    scale = (ws.domain_length / ws.grid_n ** 2) ** 3
+    return float(np.sqrt(scale * np.sum(ws.plane_weight * _abs2(k_dot(f_hat, ws)))))
 
 
 def longitudinal_norms(state: FieldState):
@@ -455,6 +465,29 @@ def correct_initial_data(a_bar: np.ndarray, pi_bar: np.ndarray,
 
 def project_state(state: FieldState) -> FieldState:
     return correct_initial_data(state.a, state.pi, state.domain_length)
+
+
+def project_in_place(state: FieldState):
+    """Project state onto the constraint surface in place: (norms before, norms after).
+
+    One field at a time: one forward transform gives the constraint norm
+    before and the projected spectrum, one backward transform writes the
+    projected grid over the field, and one forward transform of that grid
+    gives the norm after, so the norms after are those of the fields as
+    left. Norms are by Parseval. The result equals project_state(state)
+    bit for bit; a transform that overflows raises ValueError.
+    """
+    ws = state.workspace()
+    before, after = [], []
+    for f in (state.a, state.pi):
+        f_hat = ws.forward(f)
+        before.append(div_norm_hat(f_hat, ws))
+        f_hat = transverse_project_hat(f_hat, ws)
+        ws.backward(f_hat, out=f)
+        del f_hat
+        after.append(div_norm_hat(ws.forward(f), ws))
+    state.check_finite()
+    return tuple(before), tuple(after)
 
 
 def dirac_kernel_check(state: FieldState, tol: float = 1e-12) -> bool:
@@ -701,7 +734,10 @@ def read_snapshot(path) -> FieldState:
     """Read a snapshot written by write_snapshot; raises SnapshotFormatError."""
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as fh:
+            # One read into a writable buffer that the fields then view.
+            raw = bytearray(os.fstat(fh.fileno()).st_size)
+            del raw[fh.readinto(raw):]
     except OSError as exc:
         raise SnapshotFormatError(f"cannot read snapshot {path}: {exc}") from exc
     if len(raw) < _HEADER.size:
@@ -721,6 +757,6 @@ def read_snapshot(path) -> FieldState:
     data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     grids = data.reshape(6, grid_n, grid_n, grid_n)
     try:
-        return FieldState(grids[:3].copy(), grids[3:].copy(), length)
+        return FieldState(grids[:3], grids[3:], length)
     except ValueError as exc:
         raise SnapshotFormatError(f"snapshot {path} payload invalid: {exc}") from exc

@@ -230,7 +230,9 @@ def analyze_symbol(sym: PrincipalSymbol, n_samples: int = 64,
 
     # Speeds are reported at 1e-6 resolution, which absorbs the sqrt(eps)
     # scatter of defective eigenvalues; + 0.0 folds -0.0 into plain 0.0.
-    kappa = np.unique(np.round(np.asarray(speeds), 6) + 0.0) if speeds else np.zeros(0)
+    # A sorted set, since a plain np.unique imports numpy.ma.
+    rounded = np.round(np.asarray(speeds, dtype=float), 6) + 0.0
+    kappa = np.array(sorted(set(rounded.tolist())), dtype=float)
     return SymbolReport(classification, kappa, tuple(samples), message)
 
 

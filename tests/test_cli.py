@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import gaugefix
-from gaugefix.cli import SCENARIOS, ConfigError, RunConfig, main
+from gaugefix.cli import SCENARIOS, ConfigError, RunConfig, _sampler_on_first_draw, main
+from gaugefix.constraints import constraint_set, make_surface_sampler
 from gaugefix.evolution import evolve
 from gaugefix.fields import (
     FieldState,
+    SpectralWorkspace,
     constraint_norms,
     plane_wave_initial_data,
     plane_wave_reference,
@@ -24,6 +26,7 @@ from gaugefix.fields import (
     read_snapshot,
     write_snapshot,
 )
+from gaugefix.phase import linear_function
 
 
 JSON = st.recursive(
@@ -303,6 +306,44 @@ class TestProjectCommand:
                      "--tol", repr(tol)]) == 1
         assert "above tol" in capsys.readouterr().err
 
+    def test_six_transforms_and_the_outputs_of_the_grid_route(self, tmp_path, capsys,
+                                                              monkeypatch):
+        a, pi = random_smooth_fields(np.random.default_rng(5), 16, 2.0 * np.pi)
+        state = FieldState(a, pi, 2.0 * np.pi)
+        path, out, ref = tmp_path / "in.gfsn", tmp_path / "out.gfsn", tmp_path / "ref.gfsn"
+        write_snapshot(state, path)
+        calls = []
+
+        def counted(name):
+            method = getattr(SpectralWorkspace, name)
+
+            def wrapper(ws, f, **kwargs):
+                calls.append(name)
+                return method(ws, f, **kwargs)
+            return wrapper
+
+        for name in ("forward", "backward"):
+            monkeypatch.setattr(SpectralWorkspace, name, counted(name))
+        assert main(["project", str(path), "--out", str(out)]) == 0
+        assert calls.count("forward") == 4 and calls.count("backward") == 2
+        monkeypatch.undo()
+        write_snapshot(project_state(state), ref)
+        assert out.read_bytes() == ref.read_bytes()
+        assert Path(f"{out}.json").read_bytes() == Path(f"{ref}.json").read_bytes()
+        before = capsys.readouterr().out.splitlines()[0]
+        printed = [float(v.split("=")[1]) for v in before.split()[1:]]
+        assert_allclose(printed, constraint_norms(state), rtol=1e-12)
+
+    def test_overflowing_projection_writes_nothing(self, tmp_path, capsys):
+        a = np.zeros((3, 8, 8, 8))
+        a[0] = 1e308 * (-1.0) ** np.arange(8)[:, None, None]
+        path, out = tmp_path / "in.gfsn", tmp_path / "out.gfsn"
+        write_snapshot(FieldState(a, np.zeros_like(a), 2.0 * np.pi), path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["project", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: field values must be finite\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("tol", ["-1", "nan"])
     def test_bad_tol_is_a_clean_error(self, tmp_path, capsys, tol):
         _, path = self.make_snapshot(tmp_path)
@@ -362,6 +403,13 @@ class TestConstraintsCommand:
         assert main(["constraints", model, "--seed", seed]) == 0
         golden = Path(__file__).parent / "golden" / f"constraints_{model}.json"
         assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+    def test_sampler_built_on_first_draw_draws_the_seeded_stream(self):
+        cset = constraint_set([linear_function(np.array([1.0, 0.0, 0.0, 0.0]))], 4)
+        lazy = _sampler_on_first_draw(901)
+        eager = make_surface_sampler(np.random.default_rng(901))
+        for _ in range(2):
+            assert lazy(cset).tobytes() == eager(cset).tobytes()
 
     def test_out_flag_and_determinism(self, tmp_path, capsys):
         out1, out2 = tmp_path / "c1.json", tmp_path / "c2.json"
@@ -446,3 +494,26 @@ def test_cli_import_leaves_scipy_out():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.split() == ["False", "True", "True"]
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["symbol", "--formulation", "canonical"], "numpy.ma"),
+    (["symbol", "--formulation", "gauge-fixed"], "numpy.ma"),
+    (["constraints", "chain-demo"], "numpy.random"),
+    (["constraints", "second-class-demo"], "numpy.random"),
+    (["constraints", "regular-demo"], "numpy.random"),
+])
+def test_commands_leave_the_numpy_modules_they_do_not_use_out(argv, unused):
+    # Neither the CLI import nor the command loads the module: symbol ranks
+    # its speeds by a sorted set, and the built-in models never draw samples.
+    src = str(Path(gaugefix.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import io, sys, contextlib, gaugefix.cli\n"
+            f"loaded = {unused!r} in sys.modules\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = gaugefix.cli.main({argv!r})\n"
+            f"print(code, loaded, {unused!r} in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["0", "False", "False"]

@@ -451,6 +451,19 @@ def test_check_irreducible_rejects_duplicates():
         cset.check_irreducible(np.zeros((1, 4)))
 
 
+def test_more_constraints_than_phase_dimensions_are_not_irreducible(sampler):
+    # The (3, 2) Jacobian has two singular values, both well away from zero,
+    # yet q + p depends on q and p.
+    q, p = coord(2, 0, "q"), coord(2, 1, "p")
+    cset = constraint_set([q, p, linear_function(np.array([1.0, 1.0]), label="q + p")], 2)
+    with pytest.raises(ValueError, match="not irreducible"):
+        cset.check_irreducible(np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="not irreducible"):
+        classify_constraints(cset, sampler, form=FORM2)
+    with pytest.raises(ValueError, match="not irreducible"):
+        _sampled_classify(cset, sampler, 1e-8, FORM2)
+
+
 # ---------------------------------------------------------------------------
 # Dirac bracket
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import tracemalloc
 
@@ -18,6 +19,7 @@ from gaugefix.fields import (
     curl,
     dirac_kernel_check,
     div,
+    div_norm_hat,
     energy,
     get_workspace,
     grad,
@@ -29,6 +31,7 @@ from gaugefix.fields import (
     plane_wave_reference,
     plane_wave_spectrum,
     project_state,
+    project_in_place,
     random_smooth_fields,
     read_snapshot,
     state_distance,
@@ -351,6 +354,29 @@ def test_project_state_removes_longitudinal_parts(rng):
     assert norm_pi_l < 1e-11
 
 
+@pytest.mark.parametrize("n", [8, 9])
+def test_project_in_place_matches_the_grid_route(rng, n):
+    # Odd n has no Nyquist plane; the Parseval weights must hold for both.
+    a, pi = random_smooth_fields(rng, n, 3.0)
+    state = FieldState(a=a + 0.25, pi=pi, domain_length=3.0)
+    projected = state.copy()
+    before, after = project_in_place(projected)
+    reference = project_state(state)
+    assert projected.a.tobytes() == reference.a.tobytes()
+    assert projected.pi.tobytes() == reference.pi.tobytes()
+    assert_allclose(before, constraint_norms(state), rtol=1e-12)
+    assert_allclose(after, constraint_norms(projected), rtol=0, atol=1e-12 * max(before))
+    ws = state.workspace()
+    assert after == tuple(div_norm_hat(ws.forward(f), ws) for f in (projected.a, projected.pi))
+
+
+def test_project_in_place_refuses_a_transform_that_overflows():
+    a = np.zeros((3, 8, 8, 8))
+    a[0] = 1e308 * (-1.0) ** np.arange(8)[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        project_in_place(FieldState(a=a, pi=np.zeros_like(a), domain_length=TWO_PI))
+
+
 @pytest.mark.parametrize("n", [8, 16])
 def test_dirac_kernel_check_passes(n):
     state = FieldState(
@@ -467,6 +493,36 @@ class TestSnapshotIO:
     def test_missing_file_reported_as_format_error(self, tmp_path):
         with pytest.raises(SnapshotFormatError, match="cannot read"):
             read_snapshot(tmp_path / "nope.gfsn")
+        with pytest.raises(SnapshotFormatError, match="cannot read"):
+            read_snapshot(tmp_path)
+
+    def test_fields_are_writable_views_of_one_read_buffer(self, rng, tmp_path):
+        a, pi = random_smooth_fields(rng, 8, TWO_PI)
+        path = tmp_path / "s.gfsn"
+        write_snapshot(FieldState(a=a, pi=pi, domain_length=TWO_PI), path)
+        loaded = read_snapshot(path)
+        assert loaded.a.flags.writeable and loaded.pi.flags.writeable
+        assert not loaded.a.flags.owndata and loaded.a.base is loaded.pi.base
+        loaded.a[0, 0, 0, 0] += 1.0
+        assert loaded.a[0, 0, 0, 0] == a[0, 0, 0, 0] + 1.0
+        assert np.array_equal(loaded.pi, pi)
+
+    @pytest.mark.parametrize("payload, message", [
+        (b"GF", "is too short for a header"),
+        (struct.pack("<4sIId", b"GFSN", 1, 4, 1.0) + bytes(100),
+         "has 120 bytes, expected 3092"),
+        (struct.pack("<4sIId", b"GFSN", 1, 3, 1.0) + bytes(6 * 27 * 8),
+         r"header is invalid \(N=3, L=1.0\)"),
+        (struct.pack("<4sIId", b"GFSN", 1, 4, float("nan")) + bytes(6 * 64 * 8),
+         r"header is invalid \(N=4, L=nan\)"),
+        (struct.pack("<4sIId", b"GFSN", 1, 4, 1.0) + struct.pack("<d", float("inf"))
+         + bytes(6 * 64 * 8 - 8), "payload invalid: field values must be finite"),
+    ])
+    def test_format_error_messages(self, tmp_path, payload, message):
+        path = tmp_path / "s.gfsn"
+        path.write_bytes(payload)
+        with pytest.raises(SnapshotFormatError, match=f"snapshot {re.escape(str(path))} {message}"):
+            read_snapshot(path)
 
 
 @settings(max_examples=20)

@@ -40,6 +40,22 @@ def test_gauge_fixed_symbol_strongly_hyperbolic():
     assert all(s.cond < 1e8 for s in report.samples)
 
 
+@pytest.mark.parametrize("sym", [maxwell_canonical_symbol(), maxwell_gauge_fixed_symbol()])
+def test_kappa_is_the_sorted_distinct_rounded_speeds(sym):
+    report = analyze_symbol(sym, seed=7)
+    speeds = np.concatenate([s.eigenvalues.real for s in report.samples])
+    expected = np.unique(np.round(speeds, 6) + 0.0)
+    assert report.kappa.dtype == expected.dtype
+    assert report.kappa.tobytes() == expected.tobytes()
+
+
+def test_kappa_is_empty_without_a_real_spectrum():
+    rotation = PrincipalSymbol(2, lambda n: np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    report = analyze_symbol(rotation, n_samples=4)
+    assert report.classification is Hyperbolicity.NOT_HYPERBOLIC
+    assert report.kappa.dtype == np.float64 and report.kappa.shape == (0,)
+
+
 @pytest.mark.parametrize("seed", [16, 24, 216, 218])
 def test_classification_holds_on_every_direction_seed(seed):
     # These seeds sample a gauge-fixed direction where eig returns nearly
