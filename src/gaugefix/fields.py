@@ -99,9 +99,9 @@ class SpectralWorkspace:
     def forward(self, f: np.ndarray) -> np.ndarray:
         return np.fft.rfftn(f, axes=(-3, -2, -1))
 
-    def backward(self, f_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def backward(self, f_hat: np.ndarray) -> np.ndarray:
         n = self.grid_n
-        return np.fft.irfftn(f_hat, s=(n, n, n), axes=(-3, -2, -1), out=out)
+        return np.fft.irfftn(f_hat, s=(n, n, n), axes=(-3, -2, -1))
 
 
 @functools.lru_cache(maxsize=8)
@@ -483,7 +483,7 @@ def project_in_place(state: FieldState):
         f_hat = ws.forward(f)
         before.append(div_norm_hat(f_hat, ws))
         f_hat = transverse_project_hat(f_hat, ws)
-        ws.backward(f_hat, out=f)
+        f[...] = ws.backward(f_hat)
         del f_hat
         after.append(div_norm_hat(ws.forward(f), ws))
     state.check_finite()
@@ -735,9 +735,11 @@ def read_snapshot(path) -> FieldState:
     path = Path(path)
     try:
         with open(path, "rb") as fh:
-            # One read into a writable buffer that the fields then view.
+            # One read into a writable buffer that the fields then view;
+            # a pipe has no size, and a file may have grown since fstat.
             raw = bytearray(os.fstat(fh.fileno()).st_size)
             del raw[fh.readinto(raw):]
+            raw += fh.read()
     except OSError as exc:
         raise SnapshotFormatError(f"cannot read snapshot {path}: {exc}") from exc
     if len(raw) < _HEADER.size:

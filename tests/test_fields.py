@@ -1,6 +1,8 @@
 import json
+import os
 import re
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -495,6 +497,25 @@ class TestSnapshotIO:
             read_snapshot(tmp_path / "nope.gfsn")
         with pytest.raises(SnapshotFormatError, match="cannot read"):
             read_snapshot(tmp_path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reads_a_snapshot_from_a_pipe(self, rng, tmp_path):
+        # A pipe reports size 0, and N=16 is more than one pipe buffer.
+        a, pi = random_smooth_fields(rng, 16, TWO_PI)
+        path = tmp_path / "s.gfsn"
+        write_snapshot(FieldState(a=a, pi=pi, domain_length=TWO_PI), path)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+        writer.start()
+        try:
+            loaded = read_snapshot(fifo)
+        finally:
+            if writer.is_alive():  # never opened: let the writer's open return
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join()
+        assert np.array_equal(loaded.a, a) and np.array_equal(loaded.pi, pi)
+        assert loaded.domain_length == TWO_PI
 
     def test_fields_are_writable_views_of_one_read_buffer(self, rng, tmp_path):
         a, pi = random_smooth_fields(rng, 8, TWO_PI)
