@@ -10,8 +10,10 @@ same maps on their transverse and longitudinal parts: a spectral
 reference's support, every mode where the moments cannot stand in for
 the state (an unstable step, overflowing moments, a reference without a
 spectral form), or, for initial data given by a few Fourier
-coefficients, those and the reference's alone. The final state is built
-when it is first read, where the run bounds it on the grid.
+coefficients, those and the reference's alone. The per-mode algebra
+(k . v, the transverse split, the Parseval rows) is fields.Modes. The
+final state is built when it is first read, where the run bounds it on
+the grid.
 Diagnostics are sampled on a stride, written as CSV with a fixed column
 set, and evolution aborts (flagged, not raised) as soon as a non-finite
 value appears in the state.
@@ -55,11 +57,13 @@ class DiagnosticsSeries:
     off shell moments holds the initial spectrum and the shell maps
     instead, and builds the state from them when final_state is first
     read: one map power on every mode, the reprojection if any, one
-    transform back to the grid. A run on a SparseSpectrum holds its final
-    coefficients and sets them into a zero half spectrum then. The state
-    is then kept and the spectrum released. Such runs bound the state on
-    the grid (docs/derivations.md section 7), so a non-finite result
-    there raises FloatingPointError.
+    transform back to the grid. A run carrying explicit vectors holds them
+    and sets them into a zero half spectrum then (every mode: the spectrum
+    as it is), when it ran to the end with coefficient magnitudes summing
+    below 2^1000; otherwise its state is built at once. The state is then
+    kept and the spectrum released. Deferring runs bound the state on the
+    grid (docs/derivations.md section 7), so a non-finite result there
+    raises FloatingPointError.
     The final state takes no part in repr. Series compare by identity:
     == never looks at the arrays, so it neither raises nor builds the
     final state.
@@ -182,11 +186,10 @@ def _deferred(spectrum, ws: SpectralWorkspace) -> FieldState:
     return state
 
 
-def _advanced(ws: SpectralWorkspace, maps: _ShellMaps, y0: np.ndarray, n_steps: int,
+def _advanced(modes: _Support, maps: _ShellMaps, y0: np.ndarray, n_steps: int,
               reprojected: bool) -> np.ndarray:
     """The n-step map on every mode of y0, with its longitudinal part dropped
     if the run reprojected at all: the map keeps a zero longitudinal part zero."""
-    modes = _Support(ws)
     y = modes.advance(maps, n_steps, y0)
     return modes.split(y)[0] if reprojected else y
 
@@ -202,37 +205,15 @@ def _congruence(m: tuple, g: np.ndarray) -> np.ndarray:
                      y_a * m_pa + y_p * m_pp])
 
 
-class _Support:
-    """Modes carried as explicit vectors outside the shells.
+class _Support(fields.Modes):
+    """Modes the loop carries as explicit vectors: a fields.Modes set with
+    the reference's entries at ref_at, and the step blocks in mode shape."""
 
-    With an index, these are half-spectrum entries (a spectral reference's
-    support, or a SparseSpectrum's and the reference's), with wavevectors
-    from the workspace's axes, shells from the table k2 (by default their
-    own k^2), and the reference's entries at ref_at. With index None they
-    are every mode, as views of the workspace tables.
-    """
+    ref_at = slice(None)
 
-    def __init__(self, ws: SpectralWorkspace, index: tuple | None = None,
-                 k2: np.ndarray | None = None):
-        self.ws = ws
-        self.whole = index is None
-        self.scale = (ws.domain_length / ws.grid_n ** 2) ** 3
-        self.ref_at = slice(None)
+    def __init__(self, *modes):
+        super().__init__(*modes)
         self._blocks = {}
-        if self.whole:
-            self.index = (Ellipsis,)
-            self.k2, shell = ws.shells
-            self.shell = shell.reshape(ws.k2.shape)
-            self.kvec, self.inv_k2, self.weight = ws.kvec, ws.inv_k2, ws.plane_weight
-            return
-        self.index = tuple(np.asarray(i, dtype=np.intp) for i in index)
-        ix, iy, iz = self.index
-        self.kvec = np.stack([ws.k1[ix], ws.k1[iy], ws.k3[iz]])
-        k2_modes = np.sum(self.kvec ** 2, axis=0)
-        self.inv_k2 = np.divide(1.0, k2_modes, out=np.zeros_like(k2_modes), where=k2_modes > 0)
-        self.k2 = np.array(sorted(set(k2_modes.tolist()))) if k2 is None else k2
-        self.shell = np.searchsorted(self.k2, k2_modes)
-        self.weight = ws.plane_weight[iz]
 
     def reference_at(self, reference, t: float) -> np.ndarray:
         """The reference's coefficients on these modes at time t."""
@@ -241,31 +222,6 @@ class _Support:
         r = np.zeros((2, 3, self.shell.size), dtype=complex)
         r[..., self.ref_at] = reference.spectrum(t)
         return r
-
-    def split(self, y_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(transverse, longitudinal) parts of the support vectors.
-
-        Where k . y overflows for a finite y (terms of opposite sign give
-        NaN), it is computed again from y scaled by a power of two.
-        """
-        coef = self._k_dot(y_s)
-        coef *= self.inv_k2
-        redo = ~np.isfinite(coef)
-        if redo.any() and _finite(y_s) and (shift := fields.overflow_shift(y_s)) > 0:
-            scaled = self._k_dot(y_s * np.ldexp(1.0, -shift)) * self.inv_k2
-            coef[redo] = scaled[redo] * np.ldexp(1.0, shift)
-        long = self.kvec * coef[:, None]
-        return y_s - long, long
-
-    def _k_dot(self, y_s: np.ndarray) -> np.ndarray:
-        """k . y of each field, one component at a time through one product
-        buffer. The sum equals np.sum(kvec * y_s, axis=1) bit for bit: that
-        adds onto zero, so the first product gets + 0.0 (-0 becomes +0)."""
-        buf = self.kvec[0] * y_s[:, 0]
-        dot = buf + 0.0
-        for i in (1, 2):
-            dot += np.multiply(self.kvec[i], y_s[:, i], out=buf)
-        return dot
 
     def advance(self, maps: _ShellMaps, j: int, y_s: np.ndarray) -> np.ndarray:
         """Apply j steps: the transverse blocks and the longitudinal [[1, j lp], [0, 1]].
@@ -282,10 +238,6 @@ class _Support:
         lp = j * maps.lp
         (a_t, p_t), (a_l, p_l) = self.split(y_s)
         return np.stack([aa * a_t + ap * p_t + a_l + lp * p_l, pa * a_t + pp * p_t + p_l])
-
-    def moments(self, y_s: np.ndarray):
-        return fields.mode_moments(y_s, self.kvec, self.inv_k2, self.weight,
-                                   self.shell, len(self.k2))
 
 
 def _step_count(dt: float, t_end: float) -> int:
@@ -326,21 +278,25 @@ def evolve(initial: FieldState | fields.SparseSpectrum, formulation, stepper, dt
     rows by the map powers on each k^2 shell; its final state is one map
     power applied to the initial spectrum when series.final_state is first
     read. A reference with a spectral form (`support` and `spectrum(t)`,
-    as plane_wave_reference gives) is compared on its support, whose modes
-    the same loop carries as explicit vectors. Every mode is carried
-    explicitly instead, and the rows read off the state, when dt is
+    and the `grid_n` and `domain_length` they belong to, as
+    plane_wave_reference gives) is compared on its support, whose modes
+    the same loop carries as explicit vectors; a spectral form for another
+    grid raises ValueError.
+
+    The other carrier is explicit vectors on a mode set, with no moments,
+    and rows read off the vectors. Every mode is carried so when dt is
     outside the stepper's stability interval for some mode (then one step
     at a time, so that abort_time is the last step whose state was
     finite), when a moment is not finite (the run restarts from step 0),
     and when the reference has no spectral form (it is then transformed at
-    every row).
-
-    A SparseSpectrum (as plane_wave_spectrum gives) with no reference or a
-    spectral one is carried as its entries and the reference's, and
-    nothing else: modes without content stay zero under the mode-diagonal
-    map. Stability is judged on these modes, a value that is not finite
-    aborts, and the final state is built when first read, so no N^3 array
-    is made before then.
+    every row). A SparseSpectrum (as plane_wave_spectrum gives) with no
+    reference or a spectral one is carried as its entries and the
+    reference's, and nothing else: modes without content stay zero under
+    the mode-diagonal map, and stability is judged on these modes. On
+    this carrier a value that is not finite aborts, and a run that ends
+    with coefficient magnitudes summing below 2^1000 builds its final
+    state when first read, so a SparseSpectrum run makes no N^3 array
+    before then.
 
     A run that would pass through its loop more than MAX_LOOP_PASSES
     times (rows plus reprojections, or steps when they go one at a time)
@@ -352,8 +308,13 @@ def evolve(initial: FieldState | fields.SparseSpectrum, formulation, stepper, dt
     if reproject_every is not None and reproject_every < 1:
         raise ValueError("reproject_every must be a positive integer")
     spectral = reference is None or hasattr(reference, "spectrum")
-    sparse = isinstance(initial, fields.SparseSpectrum) and spectral
     ws = initial.workspace()
+    if reference is not None and spectral and (
+            (reference.grid_n, reference.domain_length) != (ws.grid_n, ws.domain_length)):
+        raise ValueError(
+            f"reference is for N={reference.grid_n}, L={reference.domain_length!r}; "
+            f"the initial data is for N={ws.grid_n}, L={ws.domain_length!r}")
+    sparse = isinstance(initial, fields.SparseSpectrum) and spectral
     if stride is None:
         stride = 1 if initial.grid_n <= 32 else 10
     if stride < 1:
@@ -364,7 +325,7 @@ def evolve(initial: FieldState | fields.SparseSpectrum, formulation, stepper, dt
         shape = (ws.grid_n, ws.grid_n, ws.grid_n // 2 + 1)
         flat = np.concatenate([np.ravel_multi_index(i, shape)
                                for i in (initial.support, ref_support)])
-        # Sorted sets here and in _Support: a plain np.unique imports numpy.ma.
+        # Sorted sets here and in fields.Modes: a plain np.unique imports numpy.ma.
         entries = np.array(sorted(set(flat.tolist())), dtype=np.intp)
         support = _Support(ws, np.unravel_index(entries, shape))
         at, support.ref_at = np.split(np.searchsorted(entries, flat), [initial.support[0].size])
@@ -381,39 +342,41 @@ def evolve(initial: FieldState | fields.SparseSpectrum, formulation, stepper, dt
     # Overflow on the way to a detected abort or a restart is expected, not
     # a warning.
     with np.errstate(over="ignore", invalid="ignore"):
+        result = None
         if sparse:
             y = np.zeros((2, 3, entries.size), dtype=complex)
             y[..., at] = initial.coeff
-            rows, y, step = _run(y, None, _ShellMaps(method, kind, dt, support.k2), support, *run)
-            spectrum = fields.SparseSpectrum(ws.grid_n, ws.domain_length, support.index,
-                                             y).half_spectrum
-            # Past the bound, or after an abort, the grid state is built now
-            # to tell whether it is finite.
-            bounded = step == n_steps and np.sum(support.weight * np.abs(y)) < 2.0 ** 1000
-            final = partial(_deferred, spectrum, ws) if bounded else _grid_state(spectrum(), ws)
+            maps = _ShellMaps(method, kind, dt, support.k2)
         else:
             y = (initial.half_spectrum() if isinstance(initial, fields.SparseSpectrum)
                  else ws.forward(np.stack([initial.a, initial.pi])))
-            maps = _ShellMaps(method, kind, dt, ws.shells[0])
-            result = None
+            support = _Support(ws)
+            maps = _ShellMaps(method, kind, dt, support.k2)
             if stable and spectral:
-                k2, shell_of = ws.shells
-                support = _Support(ws, ref_support, k2)
-                # Shell index of every mode, with the support moved past the last shell.
-                if support.shell.size:
-                    shell_of = shell_of.copy()
-                    shell_of.reshape(ws.k2.shape)[support.index] = len(k2)
-                result = _run(y[(slice(None), slice(None), *support.index)],
-                              fields.shell_moments(y, ws, shell_of), maps, support, *run)
+                every = fields.Modes(ws)
+                carried = _Support(ws, ref_support, every.k2)
+                # The carried modes moved past the last shell, out of the moments.
+                if carried.shell.size:
+                    every.shell = every.shell.copy()
+                    every.shell[carried.index] = len(every.k2)
+                result = _run(y[(slice(None), slice(None), *carried.index)], every.moments(y),
+                              maps, carried, *run)
             if result is not None:
                 # The last row's moments are finite, so the final state cannot
                 # overflow on the grid: it is built when first read.
                 rows, _, step = result
                 reprojected = reproject_every is not None and reproject_every <= n_steps
-                final = partial(_deferred, partial(_advanced, ws, maps, y, n_steps, reprojected), ws)
-            else:
-                rows, y, step = _run(y, None, maps, _Support(ws), *run)
-                final = _grid_state(y, ws)
+                final = partial(_deferred, partial(_advanced, support, maps, y, n_steps, reprojected), ws)
+        if result is None:
+            # Explicit vectors on a mode set (the sparse entries, or every
+            # mode), with nothing outside it.
+            rows, y, step = _run(y, None, maps, support, *run)
+            spectrum = (lambda: y) if support.whole else fields.SparseSpectrum(
+                ws.grid_n, ws.domain_length, support.index, y).half_spectrum
+            # Past the bound, or after an abort, the grid state is built now
+            # to tell whether it is finite.
+            bounded = step == n_steps and np.sum(support.weight * np.abs(y)) < 2.0 ** 1000
+            final = partial(_deferred, spectrum, ws) if bounded else _grid_state(spectrum(), ws)
     # A finite spectrum near the overflow threshold can overflow on the grid.
     aborted = step < n_steps or final is None
 
@@ -432,54 +395,44 @@ def _run(y_s: np.ndarray, g, maps: _ShellMaps, support: _Support, stable: bool,
 
     g is the moments (g_t, g_l) of the modes outside the support, or None
     when the support holds all the content: rows are then read off the
-    vectors (fields.spectral_diagnostics) and a value that is not finite
+    vectors alone (fields.Modes.row) and a value that is not finite
     aborts the run. Returns (rows, the support vectors at the last finite
     step, that step); a step short of n_steps means the run aborted there.
     With moments, a value that is not finite returns None at once.
     """
-    complete = g is None
-    g_t, g_l = (np.zeros((3, len(support.k2))),) * 2 if complete else g
     rows: list[tuple[float, ...]] = []
 
     def record(t: float) -> None:
         ref = None if reference is None else support.reference_at(reference, t)
-        if complete:
-            rows.append((t, *fields.spectral_diagnostics(y_s, support, ref)))
-            return
-        dist2 = None
-        if ref is not None:
-            # Off the support the reference is zero: the distance there is
-            # the state's own moments. On it, |y - r|^2 mode by mode.
-            dist2 = (np.sum(g_t[0]) + np.sum(g_t[2]) + np.sum(g_l[0]) + np.sum(g_l[2])
-                     + np.sum(support.weight * np.abs(y_s - ref) ** 2))
-        s_t, s_l = support.moments(y_s)
-        rows.append((t, *fields.diagnostics_row(g_t + s_t, g_l + s_l, support.k2,
-                                                support.scale, dist2)))
+        rows.append((t, *support.row(y_s, ref, g)))
 
-    def finite(g_t, g_l, y_s) -> bool:
-        return _finite(g_t) and _finite(g_l) and _finite(y_s)
+    def finite(g, y_s) -> bool:
+        return _finite(y_s) and (g is None or (_finite(g[0]) and _finite(g[1])))
 
-    if not (complete or finite(g_t, g_l, y_s)):
+    if g is not None and not finite(g, y_s):
         return None
     record(0.0)
     step = 0
     last_recorded = 0
     while step < n_steps:
         j = _next_event(step, n_steps, stride, reproject_every) - step if stable else 1
-        s = j * maps.lp
-        a_l, ap_l, p_l = g_l
-        nxt = (_congruence(maps.power(j), g_t),
-               np.stack([a_l + 2.0 * s * ap_l + s * s * p_l, ap_l + s * p_l, p_l]),
-               support.advance(maps, j, y_s))
-        if reproject_every is not None and (step + j) % reproject_every == 0:
-            nxt = nxt[0], np.zeros_like(g_l), support.split(nxt[2])[0]
-        if not finite(*nxt):
-            if not complete:
+        reproject = reproject_every is not None and (step + j) % reproject_every == 0
+        y_next = support.advance(maps, j, y_s)
+        if reproject:
+            y_next = support.split(y_next)[0]
+        g_next = None
+        if g is not None:
+            s = j * maps.lp
+            a_l, ap_l, p_l = g_l = g[1]
+            g_next = (_congruence(maps.power(j), g[0]), np.zeros_like(g_l) if reproject else
+                      np.stack([a_l + 2.0 * s * ap_l + s * s * p_l, ap_l + s * p_l, p_l]))
+        if not finite(g_next, y_next):
+            if g is not None:
                 return None
             if last_recorded != step:
                 record(step * dt)
             return rows, y_s, step
-        g_t, g_l, y_s = nxt
+        g, y_s = g_next, y_next
         step += j
         if step % stride == 0 or step == n_steps:
             record(step * dt)

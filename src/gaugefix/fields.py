@@ -179,17 +179,190 @@ class SparseSpectrum:
 # Spectral operators (hat-level cores and grid-level wrappers)
 # ---------------------------------------------------------------------------
 
-def k_dot(v_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    """k . v per mode, for a vector field v in Fourier space."""
-    kx, ky, kz = ws.kvec
-    out = kx * v_hat[0]
-    out += ky * v_hat[1]
-    out += kz * v_hat[2]
+def k_dot(v: np.ndarray, kvec: np.ndarray) -> np.ndarray:
+    """k . v per mode, over v's component axis: the one before kvec's mode axes.
+
+    One component at a time through one product buffer. The sum equals
+    np.sum of the whole product over that axis bit for bit: that adds onto
+    zero, so the first product gets + 0.0 (-0 becomes +0).
+    """
+    lead = (slice(None),) * (v.ndim - kvec.ndim)
+    dot = kvec[0] * v[lead + (0,)]
+    dot += 0.0
+    buf = None
+    for i in (1, 2):
+        buf = np.multiply(kvec[i], v[lead + (i,)], out=buf)
+        dot += buf
+    return dot
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    out = np.square(z.real)
+    out += np.square(z.imag)
     return out
 
 
+def overflow_shift(y_hat: np.ndarray) -> int:
+    """The power of two that scales the largest magnitude of y_hat near 2^256."""
+    peak = max(float(np.max(np.abs(y_hat.real), initial=0.0)),
+               float(np.max(np.abs(y_hat.imag), initial=0.0)))
+    return int(np.frexp(peak)[1]) - 256
+
+
+class Modes:
+    """Tables of a set of Fourier modes, and the per-mode algebra on them.
+
+    Modes(ws) is every mode of the half spectrum, with views of the
+    workspace's tables; Modes(ws, index) the half-spectrum entries that
+    three index arrays list, with wavevectors from the workspace's axes
+    and shells from the table k2 (by default their own k^2). The tables
+    are the wavevector kvec, inv_k2 = 1/k^2 (0 at k = 0), the Parseval
+    weight, the shell table k2 with each mode's shell index, and the
+    Parseval factor scale = (L/N^2)^3. For every mode, k2 and shell come
+    from ws.shells on first use; split does not need them.
+    """
+
+    def __init__(self, ws: SpectralWorkspace, index: tuple | None = None,
+                 k2: np.ndarray | None = None):
+        self.ws = ws
+        self.scale = (ws.domain_length / ws.grid_n ** 2) ** 3
+        self.whole = index is None
+        if self.whole:
+            self.index = (Ellipsis,)
+            self.kvec, self.inv_k2, self.weight = ws.kvec, ws.inv_k2, ws.plane_weight
+            return
+        self.index = tuple(np.asarray(i, dtype=np.intp) for i in index)
+        ix, iy, iz = self.index
+        self.kvec = np.stack([ws.k1[ix], ws.k1[iy], ws.k3[iz]])
+        k2_modes = np.sum(self.kvec ** 2, axis=0)
+        self.inv_k2 = np.divide(1.0, k2_modes, out=np.zeros_like(k2_modes), where=k2_modes > 0)
+        # A sorted set: a plain np.unique imports numpy.ma.
+        self.k2 = np.array(sorted(set(k2_modes.tolist()))) if k2 is None else k2
+        self.shell = np.searchsorted(self.k2, k2_modes)
+        self.weight = ws.plane_weight[iz]
+
+    @functools.cached_property
+    def k2(self) -> np.ndarray:
+        return self.ws.shells[0]
+
+    @functools.cached_property
+    def shell(self) -> np.ndarray:
+        return self.ws.shells[1].reshape(self.ws.k2.shape)
+
+    def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(transverse, longitudinal) parts of vectors v on these modes.
+
+        v's component axis is the one before the mode axes. Where k . v
+        overflows for a finite v (terms of opposite sign give NaN), it is
+        computed again from v scaled by a power of two.
+        """
+        coef = k_dot(v, self.kvec)
+        coef *= self.inv_k2
+        redo = ~np.isfinite(coef)
+        if redo.any() and np.isfinite(v).all() and (shift := overflow_shift(v)) > 0:
+            scaled = k_dot(v * np.ldexp(1.0, -shift), self.kvec) * self.inv_k2
+            coef[redo] = scaled[redo] * np.ldexp(1.0, shift)
+        # coef with a unit axis where v has its components.
+        long = self.kvec * coef[(slice(None),) * (v.ndim - self.kvec.ndim) + (None,)]
+        del coef, redo  # Not alive next to both outputs: that is a projection's peak.
+        return v - long, long
+
+    def moments(self, y: np.ndarray):
+        """Transverse and longitudinal second moments of these modes, summed per shell.
+
+        y = (A^, pi^) stacked. Modes whose shell index is the number of
+        shells are left out. Returns (g_t, g_l), each of shape (3, shells):
+        the weighted sums of |A^|^2, Re A^ . conj(pi^) and |pi^|^2 over the
+        transverse and over the longitudinal part of a shell's modes. The
+        transverse part is the projected mode itself, not the full moment
+        minus the longitudinal one, so a longitudinal part that overflows
+        when squared leaves it finite. It is made one component at a time.
+        """
+        n_shells = len(self.k2)
+        shell = self.shell.ravel()
+
+        def shell_sum(q):
+            return np.bincount(shell, (self.weight * q).ravel(),
+                               minlength=n_shells + 1)[:n_shells]
+
+        # A_L^ = k alpha, pi_L^ = k beta.
+        inv_k2 = self.inv_k2
+        ka, kp = k_dot(y, self.kvec)
+        g_l = np.stack([shell_sum(_abs2(ka) * inv_k2),
+                        shell_sum((ka.real * kp.real + ka.imag * kp.imag) * inv_k2),
+                        shell_sum(_abs2(kp) * inv_k2)])
+        alpha = ka * inv_k2
+        beta = kp * inv_k2
+        del ka, kp
+        g_t = np.zeros((3,) + inv_k2.shape)
+        for k, a_i, pi_i in zip(self.kvec, *y):
+            a_t = a_i - k * alpha
+            pi_t = pi_i - k * beta
+            g_t[0] += _abs2(a_t)
+            g_t[1] += a_t.real * pi_t.real
+            g_t[1] += a_t.imag * pi_t.imag
+            g_t[2] += _abs2(pi_t)
+        return np.stack([shell_sum(q) for q in g_t]), g_l
+
+    def row(self, y: np.ndarray, ref: np.ndarray | None = None, g: tuple | None = None):
+        """One diagnostics row by Parseval (docs/derivations.md section 7).
+
+        y = (A^, pi^) stacked on these modes, ref the reference's
+        coefficients there, and g = (g_t, g_l) the moments of every other
+        mode, where the reference is zero; without g these modes hold all
+        the content. Returns (energy, norm of div A, norm of div pi, norm
+        of A_L, norm of pi_L, L2 distance to the reference), the values
+        energy, constraint_norms, longitudinal_norms and state_distance
+        give on the grid state up to rounding; the distance is NaN
+        without ref.
+
+        Squares of coefficients past ~1e154 overflow although the norms may
+        be finite, and k . A^ overflowing from terms of opposite sign gives
+        NaN. A column that is not finite (bar the distance without ref) is
+        computed again from y and ref scaled by 2^-overflow_shift(y), and g
+        by its square, and scaled back; powers of two scale exactly. The
+        other columns keep their first value, so a column far below the
+        largest one keeps all its digits.
+        """
+        k2, scale = self.k2, self.scale
+        # A k^2 = 0 shell (first if present) adds nothing to k^2 A_T, even where A_T overflows.
+        skip = int(k2.size > 0 and k2[0] == 0.0)
+
+        def columns(y, ref, g):
+            g_t, g_l = self.moments(y)
+            dist = float("nan")
+            if ref is not None:
+                dist2 = sum(float(np.sum(self.weight * _abs2(y[f, i] - ref[f, i])))
+                            for f in range(2) for i in range(3))
+                if g is not None:
+                    # Off these modes the distance is the state's own moments.
+                    dist2 += sum(float(np.sum(m[p])) for m in g for p in (0, 2))
+                dist = float(np.sqrt(scale * dist2))
+            if g is not None:
+                g_t, g_l = g_t + g[0], g_l + g[1]
+            energy = np.sum(g_t[2]) + np.sum(g_l[2]) + np.sum(k2[skip:] * g_t[0, skip:])
+            return (float(0.5 * scale * energy),
+                    float(np.sqrt(scale * np.sum(k2 * g_l[0]))),
+                    float(np.sqrt(scale * np.sum(k2 * g_l[2]))),
+                    float(np.sqrt(scale * np.sum(g_l[0]))),
+                    float(np.sqrt(scale * np.sum(g_l[2]))), dist)
+
+        row = columns(y, ref, g)
+        redo = [not np.isfinite(v) for v in row]
+        redo[5] = redo[5] and ref is not None
+        shift = overflow_shift(y) if any(redo) else 0
+        if shift <= 0:
+            return row
+        factor = np.ldexp(1.0, -shift)
+        scaled = columns(y * factor, None if ref is None else ref * factor,
+                         None if g is None else tuple(np.ldexp(m, -2 * shift) for m in g))
+        powers = (2 * shift,) + (shift,) * 5
+        return tuple(float(np.ldexp(s, p)) if r else v
+                     for v, s, p, r in zip(row, scaled, powers, redo))
+
+
 def div_hat(v_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    return 1j * k_dot(v_hat, ws)
+    return 1j * k_dot(v_hat, ws.kvec)
 
 
 def grad_hat(f_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
@@ -206,8 +379,7 @@ def curl_hat(v_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
 
 
 def transverse_project_hat(v_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    longitudinal = ws.kvec * (k_dot(v_hat, ws) * ws.inv_k2)
-    return v_hat - longitudinal
+    return Modes(ws).split(v_hat)[0]
 
 
 def div(v: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
@@ -222,11 +394,6 @@ def curl(v: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
     return ws.backward(curl_hat(ws.forward(v), ws))
 
 
-def inverse_laplacian(f: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    """Solve lap(u) = f mode by mode; the k = 0 mode of u is set to zero."""
-    return ws.backward(-ws.inv_k2 * ws.forward(f))
-
-
 def transverse_project(v: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
     """Remove grad(1/lap)div of a vector field; k = 0 passes through."""
     return ws.backward(transverse_project_hat(ws.forward(v), ws))
@@ -234,37 +401,6 @@ def transverse_project(v: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
 
 def longitudinal_part(v: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
     return v - transverse_project(v, ws)
-
-
-# ---------------------------------------------------------------------------
-# Equations of motion
-#
-# The right-hand sides state the equations directly. The integrator does
-# not call them: it advances shell moments, and modes it carries as
-# explicit vectors, by per-mode 2x2 maps on the transverse and the
-# longitudinal part (docs/derivations.md section 7). The tests check those
-# against RK4 and Verlet steps built from these functions.
-# ---------------------------------------------------------------------------
-
-def momentum_rhs_hat(a_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    """pi_dot = lap(A) - grad(div A), common to both formulations."""
-    ka = np.sum(ws.kvec * a_hat, axis=0)
-    return -ws.k2 * a_hat + ws.kvec * ka
-
-
-def position_rhs_hat(pi_hat: np.ndarray, ws: SpectralWorkspace,
-                     kind: FormulationKind) -> np.ndarray:
-    """A_dot: the full pi (canonical) or its transverse part (gauge fixed)."""
-    if kind is FormulationKind.CANONICAL:
-        return pi_hat
-    return transverse_project_hat(pi_hat, ws)
-
-
-def rhs_hat(y_hat: np.ndarray, ws: SpectralWorkspace,
-            kind: FormulationKind) -> np.ndarray:
-    """Full right-hand side on the stacked hat state y = (A_hat, pi_hat)."""
-    return np.stack([position_rhs_hat(y_hat[1], ws, kind),
-                     momentum_rhs_hat(y_hat[0], ws)])
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +424,7 @@ def constraint_norms(state: FieldState):
 def div_norm_hat(f_hat: np.ndarray, ws: SpectralWorkspace) -> float:
     """Continuum L2 norm of div f from the half spectrum of f, by Parseval."""
     scale = (ws.domain_length / ws.grid_n ** 2) ** 3
-    return float(np.sqrt(scale * np.sum(ws.plane_weight * _abs2(k_dot(f_hat, ws)))))
+    return float(np.sqrt(scale * np.sum(ws.plane_weight * _abs2(k_dot(f_hat, ws.kvec)))))
 
 
 def longitudinal_norms(state: FieldState):
@@ -304,134 +440,6 @@ def energy(state: FieldState) -> float:
     b = curl(state.a, ws)
     dv = (state.domain_length / state.grid_n) ** 3
     return float(0.5 * np.sum(state.pi ** 2 + b ** 2) * dv)
-
-
-def _abs2(z: np.ndarray) -> np.ndarray:
-    out = np.square(z.real)
-    out += np.square(z.imag)
-    return out
-
-
-def mode_moments(y_hat: np.ndarray, kvec: np.ndarray, inv_k2: np.ndarray,
-                 weight: np.ndarray, shell: np.ndarray, n_shells: int):
-    """Transverse and longitudinal second moments of modes, summed per shell.
-
-    y_hat = (A^, pi^) stacked, on any array of modes with wavevectors
-    kvec, 1/k^2 table inv_k2 and Parseval weights weight. shell holds
-    each mode's shell index; modes whose index is n_shells are left
-    out. Returns (g_t, g_l), each of shape (3, n_shells): the weighted
-    sums of |A^|^2, Re A^ . conj(pi^) and |pi^|^2 over the transverse and
-    over the longitudinal part of a shell's modes. The transverse part
-    is the projected mode itself, not the full moment minus the
-    longitudinal one, so a longitudinal part that overflows when squared
-    leaves it finite.
-    """
-    a_hat, pi_hat = y_hat
-
-    def shell_sum(q):
-        return np.bincount(shell.ravel(), (weight * q).ravel(),
-                           minlength=n_shells + 1)[:n_shells]
-
-    # A_L^ = k alpha, pi_L^ = k beta.
-    kx, ky, kz = kvec
-    ka = kx * a_hat[0] + ky * a_hat[1] + kz * a_hat[2]
-    kp = kx * pi_hat[0] + ky * pi_hat[1] + kz * pi_hat[2]
-    g_l = np.stack([shell_sum(_abs2(ka) * inv_k2),
-                    shell_sum((ka.real * kp.real + ka.imag * kp.imag) * inv_k2),
-                    shell_sum(_abs2(kp) * inv_k2)])
-    alpha = ka * inv_k2
-    beta = kp * inv_k2
-    del ka, kp
-    t_aa = np.zeros(inv_k2.shape)
-    t_ap = np.zeros(inv_k2.shape)
-    t_pp = np.zeros(inv_k2.shape)
-    for k, a_i, pi_i in zip(kvec, a_hat, pi_hat):
-        a_t = a_i - k * alpha
-        pi_t = pi_i - k * beta
-        t_aa += _abs2(a_t)
-        t_ap += a_t.real * pi_t.real
-        t_ap += a_t.imag * pi_t.imag
-        t_pp += _abs2(pi_t)
-    return np.stack([shell_sum(t_aa), shell_sum(t_ap), shell_sum(t_pp)]), g_l
-
-
-def shell_moments(y_hat: np.ndarray, ws: SpectralWorkspace,
-                  shell: np.ndarray | None = None):
-    """mode_moments of a whole half spectrum, on the workspace's shells.
-
-    shell defaults to ws.shells[1]; a copy with some entries set to the
-    number of shells leaves those modes out.
-    """
-    k2, index = ws.shells
-    return mode_moments(y_hat, ws.kvec, ws.inv_k2, ws.plane_weight,
-                        index if shell is None else shell, len(k2))
-
-
-def diagnostics_row(g_t: np.ndarray, g_l: np.ndarray, k2: np.ndarray, scale: float,
-                    dist2: float | None = None):
-    """One diagnostics row from shell moments (docs/derivations.md section 7).
-
-    k2 is the shell table and scale = (L/N^2)^3 the Parseval factor.
-    Returns (energy, norm of div A, norm of div pi, norm of A_L, norm of
-    pi_L, L2 distance), where the distance is the square root of the
-    scaled dist2, a weighted sum of |y^ - ref^|^2, or NaN without one.
-    """
-    # A k^2 = 0 shell (first if present) adds nothing to k^2 A_T, even where A_T overflows.
-    skip = int(k2.size > 0 and k2[0] == 0.0)
-    energy = np.sum(g_t[2]) + np.sum(g_l[2]) + np.sum(k2[skip:] * g_t[0, skip:])
-    dist = float("nan") if dist2 is None else float(np.sqrt(scale * dist2))
-    return (float(0.5 * scale * energy),
-            float(np.sqrt(scale * np.sum(k2 * g_l[0]))),
-            float(np.sqrt(scale * np.sum(k2 * g_l[2]))),
-            float(np.sqrt(scale * np.sum(g_l[0]))),
-            float(np.sqrt(scale * np.sum(g_l[2]))), dist)
-
-
-def overflow_shift(y_hat: np.ndarray) -> int:
-    """The power of two that scales the largest magnitude of y_hat near 2^256."""
-    peak = max(float(np.max(np.abs(y_hat.real))), float(np.max(np.abs(y_hat.imag))))
-    return int(np.frexp(peak)[1]) - 256
-
-
-def _parseval_row(y_hat: np.ndarray, modes, ref_hat: np.ndarray | None):
-    dist2 = None
-    if ref_hat is not None:
-        dist2 = sum(float(np.sum(modes.weight * _abs2(y_hat[f, i] - ref_hat[f, i])))
-                    for f in range(2) for i in range(3))
-    g_t, g_l = mode_moments(y_hat, modes.kvec, modes.inv_k2, modes.weight,
-                            modes.shell, len(modes.k2))
-    return diagnostics_row(g_t, g_l, modes.k2, modes.scale, dist2)
-
-
-def spectral_diagnostics(y_hat: np.ndarray, modes, ref_hat: np.ndarray | None = None):
-    """Energy and constraint norms of Fourier modes, by Parseval.
-
-    y_hat = (A^, pi^) stacked on the modes that hold all the content, with
-    their tables in modes: kvec, inv_k2, weight, shell, the shell table k2
-    and the Parseval factor scale. Returns (energy, norm of div A, norm of
-    div pi, norm of A_L, norm of pi_L, L2 distance to ref_hat), the values
-    energy, constraint_norms, longitudinal_norms and state_distance give on
-    the grid state up to rounding; the distance is NaN without ref_hat.
-
-    Squares of coefficients past ~1e154 overflow although the norms may
-    be finite, and k . A^ overflowing from terms of opposite sign gives
-    NaN. A column that is not finite (bar the distance without ref_hat)
-    is computed again from y_hat (and ref_hat) scaled by
-    2^-overflow_shift(y_hat), and scaled back; powers of two scale
-    exactly. The other columns keep their first value, so a column far
-    below the largest one keeps all its digits.
-    """
-    row = _parseval_row(y_hat, modes, ref_hat)
-    redo = [not np.isfinite(v) for v in row]
-    redo[5] = redo[5] and ref_hat is not None
-    shift = overflow_shift(y_hat) if any(redo) else 0
-    if shift <= 0:
-        return row
-    factor = np.ldexp(1.0, -shift)
-    scaled = _parseval_row(y_hat * factor, modes, None if ref_hat is None else ref_hat * factor)
-    powers = (2 * shift,) + (shift,) * 5
-    return tuple(float(np.ldexp(s, p)) if r else v
-                 for v, s, p, r in zip(row, scaled, powers, redo))
 
 
 def state_distance(s1: FieldState, s2: FieldState) -> float:
@@ -478,11 +486,12 @@ def project_in_place(state: FieldState):
     bit for bit; a transform that overflows raises ValueError.
     """
     ws = state.workspace()
+    modes = Modes(ws)
     before, after = [], []
     for f in (state.a, state.pi):
         f_hat = ws.forward(f)
         before.append(div_norm_hat(f_hat, ws))
-        f_hat = transverse_project_hat(f_hat, ws)
+        f_hat = modes.split(f_hat)[0]
         f[...] = ws.backward(f_hat)
         del f_hat
         after.append(div_norm_hat(ws.forward(f), ws))
@@ -645,7 +654,8 @@ def plane_wave_reference(mode, polarization, amplitude: float = 1.0,
     when m_z != 0, since -m is then the stored entry's mirror), and
     `spectrum(t)` gives the (2, 3, entries) Fourier coefficients of
     (a, pi) there: (a e N^3 / 2) times cos(w t) and -w sin(w t). Every
-    other coefficient is zero.
+    other coefficient is zero. `grid_n` and `domain_length` name the grid
+    these entries belong to.
     """
     mode, e = _check_wave(mode, polarization, grid_n)
     k = 2.0 * np.pi * mode / domain_length
@@ -667,6 +677,7 @@ def plane_wave_reference(mode, polarization, amplitude: float = 1.0,
     reference.period = 2.0 * np.pi / omega
     reference.support = support
     reference.spectrum = spectrum
+    reference.grid_n, reference.domain_length = grid_n, float(domain_length)
     return reference
 
 
@@ -714,7 +725,7 @@ def write_snapshot(state: FieldState, path) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         for comp in (*state.a, *state.pi):
-            fh.write(np.ascontiguousarray(comp, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(comp, dtype="<f8"))
     sidecar = {
         "format": "gaugefix-snapshot",
         "version": _SNAPSHOT_VERSION,

@@ -300,20 +300,14 @@ def adapted_blocks(matrix: np.ndarray, n: np.ndarray):
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(n, e1)
 
-    def block(u):
-        ua = np.concatenate([u, np.zeros(3)])
-        up = np.concatenate([np.zeros(3), u])
-        return np.array([
-            [ua @ matrix @ ua, ua @ matrix @ up],
-            [up @ matrix @ ua, up @ matrix @ up],
-        ])
-
-    frame = [e1, e2, n]
+    # Columns (u_A, u_pi) for u = e1, e2, n: the 2x2 diagonal blocks of the
+    # rotated matrix couple the (A, pi) components along one frame vector.
     basis = np.zeros((6, 6))
-    for j, u in enumerate(frame):
+    for j, u in enumerate((e1, e2, n)):
         basis[:3, 2 * j] = u
         basis[3:, 2 * j + 1] = u
     rotated = basis.T @ matrix @ basis
+    blocks = [rotated[2 * j:2 * j + 2, 2 * j:2 * j + 2].copy() for j in range(3)]
     off = rotated.copy()
     for j in range(3):
         off[2 * j:2 * j + 2, 2 * j:2 * j + 2] = 0.0
@@ -321,4 +315,4 @@ def adapted_blocks(matrix: np.ndarray, n: np.ndarray):
     if np.abs(off).max() > 1e-12 * scale:
         raise ValueError("symbol mixes the adapted frame directions; "
                          "no 2x2 block decomposition exists")
-    return block(n), [block(e1), block(e2)]
+    return blocks[2], blocks[:2]

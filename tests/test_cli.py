@@ -19,6 +19,7 @@ from gaugefix.fields import (
     FieldState,
     SpectralWorkspace,
     constraint_norms,
+    get_workspace,
     plane_wave_initial_data,
     plane_wave_reference,
     project_state,
@@ -333,6 +334,15 @@ class TestProjectCommand:
         before = capsys.readouterr().out.splitlines()[0]
         printed = [float(v.split("=")[1]) for v in before.split()[1:]]
         assert_allclose(printed, constraint_norms(state), rtol=1e-12)
+
+    def test_builds_no_shell_table(self, tmp_path, capsys):
+        # The shells (an np.unique over every mode) serve the evolution's
+        # moments; the projection's split does not need them.
+        state, path = self.make_snapshot(tmp_path)
+        get_workspace.cache_clear()
+        assert main(["project", str(path), "--out", str(tmp_path / "out.gfsn")]) == 0
+        ws = vars(get_workspace(state.grid_n, state.domain_length))
+        assert "kvec" in ws and "shells" not in ws
 
     def test_overflowing_projection_writes_nothing(self, tmp_path, capsys):
         a = np.zeros((3, 8, 8, 8))

