@@ -42,6 +42,11 @@ CSV_HEADER = "t,energy,norm_divA,norm_divPi,norm_A_L,norm_pi_L,l2_error"
 # growing its row list without bound.
 MAX_LOOP_PASSES = 1_000_000
 
+# Bytes of recorded states (vectors, reference coefficients, moments) that
+# one fields.Modes.rows call stacks. A state larger than this is built
+# alone, so an every-mode run on a large grid still goes row by row.
+ROW_STACK_BYTES = 2 ** 21
+
 
 class StepperKind(Enum):
     RK4 = "rk4"
@@ -359,8 +364,8 @@ def evolve(initial: FieldState | fields.SparseSpectrum, formulation, stepper, dt
                 if carried.shell.size:
                     every.shell = every.shell.copy()
                     every.shell[carried.index] = len(every.k2)
-                result = _run(y[(slice(None), slice(None), *carried.index)], every.moments(y),
-                              maps, carried, *run)
+                g = tuple(m[0] for m in every.moments(y[None]))
+                result = _run(y[(slice(None), slice(None), *carried.index)], g, maps, carried, *run)
             if result is not None:
                 # The last row's moments are finite, so the final state cannot
                 # overflow on the grid: it is built when first read.
@@ -380,11 +385,10 @@ def evolve(initial: FieldState | fields.SparseSpectrum, formulation, stepper, dt
     # A finite spectrum near the overflow threshold can overflow on the grid.
     aborted = step < n_steps or final is None
 
-    data = np.array(rows)
     return DiagnosticsSeries(
-        t=data[:, 0], energy=data[:, 1], norm_divA=data[:, 2],
-        norm_divPi=data[:, 3], norm_A_L=data[:, 4], norm_pi_L=data[:, 5],
-        l2_error=data[:, 6], aborted=aborted,
+        t=rows[:, 0], energy=rows[:, 1], norm_divA=rows[:, 2],
+        norm_divPi=rows[:, 3], norm_A_L=rows[:, 4], norm_pi_L=rows[:, 5],
+        l2_error=rows[:, 6], aborted=aborted,
         abort_time=step * dt if aborted else None, _final=final,
     )
 
@@ -395,16 +399,38 @@ def _run(y_s: np.ndarray, g, maps: _ShellMaps, support: _Support, stable: bool,
 
     g is the moments (g_t, g_l) of the modes outside the support, or None
     when the support holds all the content: rows are then read off the
-    vectors alone (fields.Modes.row) and a value that is not finite
-    aborts the run. Returns (rows, the support vectors at the last finite
-    step, that step); a step short of n_steps means the run aborted there.
-    With moments, a value that is not finite returns None at once.
+    vectors alone and a value that is not finite aborts the run. Returns
+    (rows as an array with t first, the support vectors at the last
+    finite step, that step); a step short of n_steps means the run
+    aborted there. With moments, a value that is not finite returns None
+    at once.
+
+    A row records (t, vectors, moments). The recorded states go to
+    fields.Modes.rows as one stack when the run ends or aborts, or before
+    the stack would pass ROW_STACK_BYTES.
     """
-    rows: list[tuple[float, ...]] = []
+    rows: list[np.ndarray] = []
+    saved: list[tuple] = []
+    saved_bytes = 0
+
+    def build() -> None:
+        nonlocal saved_bytes
+        ts, ys, gs = zip(*saved)
+        ref = None if reference is None else np.stack(
+            [support.reference_at(reference, t) for t in ts])
+        g_stack = None if gs[0] is None else tuple(np.stack(m) for m in zip(*gs))
+        rows.append(np.column_stack([ts, support.rows(np.stack(ys), ref, g_stack)]))
+        saved.clear()
+        saved_bytes = 0
 
     def record(t: float) -> None:
-        ref = None if reference is None else support.reference_at(reference, t)
-        rows.append((t, *support.row(y_s, ref, g)))
+        nonlocal saved_bytes
+        size = y_s.nbytes * (1 if reference is None else 2) + (
+            0 if g is None else g[0].nbytes + g[1].nbytes)
+        if saved and saved_bytes + size > ROW_STACK_BYTES:
+            build()
+        saved.append((t, y_s, g))
+        saved_bytes += size
 
     def finite(g, y_s) -> bool:
         return _finite(y_s) and (g is None or (_finite(g[0]) and _finite(g[1])))
@@ -431,13 +457,15 @@ def _run(y_s: np.ndarray, g, maps: _ShellMaps, support: _Support, stable: bool,
                 return None
             if last_recorded != step:
                 record(step * dt)
-            return rows, y_s, step
+            build()
+            return np.concatenate(rows), y_s, step
         g, y_s = g_next, y_next
         step += j
         if step % stride == 0 or step == n_steps:
             record(step * dt)
             last_recorded = step
-    return rows, y_s, step
+    build()
+    return np.concatenate(rows), y_s, step
 
 
 @dataclass(eq=False)

@@ -270,57 +270,65 @@ class Modes:
     def moments(self, y: np.ndarray):
         """Transverse and longitudinal second moments of these modes, summed per shell.
 
-        y = (A^, pi^) stacked. Modes whose shell index is the number of
-        shells are left out. Returns (g_t, g_l), each of shape (3, shells):
-        the weighted sums of |A^|^2, Re A^ . conj(pi^) and |pi^|^2 over the
-        transverse and over the longitudinal part of a shell's modes. The
-        transverse part is the projected mode itself, not the full moment
-        minus the longitudinal one, so a longitudinal part that overflows
-        when squared leaves it finite. It is made one component at a time.
+        y = (A^, pi^) stacked, for R states: shape (R, 2, 3, *modes). Modes
+        whose shell index is the number of shells are left out. Returns
+        (g_t, g_l), each of shape (R, 3, shells): the weighted sums of
+        |A^|^2, Re A^ . conj(pi^) and |pi^|^2 over the transverse and over
+        the longitudinal part of a shell's modes. The transverse part is the
+        projected mode itself, not the full moment minus the longitudinal
+        one, so a longitudinal part that overflows when squared leaves it
+        finite. It is made one component at a time. One bincount per moment
+        sums every state, state r's shells offset by r (shells + 1); each
+        bin adds its modes in the order a single state's bincount does.
         """
-        n_shells = len(self.k2)
-        shell = self.shell.ravel()
+        n_rows, n_shells = y.shape[0], len(self.k2)
+        bins = (self.shell.ravel() + (n_shells + 1) * np.arange(n_rows)[:, None]).ravel()
 
         def shell_sum(q):
-            return np.bincount(shell, (self.weight * q).ravel(),
-                               minlength=n_shells + 1)[:n_shells]
+            sums = np.bincount(bins, (self.weight * q).ravel(), minlength=n_rows * (n_shells + 1))
+            return sums.reshape(n_rows, n_shells + 1)[:, :n_shells]
 
         # A_L^ = k alpha, pi_L^ = k beta.
         inv_k2 = self.inv_k2
-        ka, kp = k_dot(y, self.kvec)
+        dot = k_dot(y, self.kvec)
+        ka, kp = dot[:, 0], dot[:, 1]
         g_l = np.stack([shell_sum(_abs2(ka) * inv_k2),
                         shell_sum((ka.real * kp.real + ka.imag * kp.imag) * inv_k2),
-                        shell_sum(_abs2(kp) * inv_k2)])
+                        shell_sum(_abs2(kp) * inv_k2)], axis=1)
         alpha = ka * inv_k2
         beta = kp * inv_k2
-        del ka, kp
-        g_t = np.zeros((3,) + inv_k2.shape)
-        for k, a_i, pi_i in zip(self.kvec, *y):
-            a_t = a_i - k * alpha
-            pi_t = pi_i - k * beta
+        del dot, ka, kp
+        g_t = np.zeros((3, n_rows) + inv_k2.shape)
+        for i, k in enumerate(self.kvec):
+            a_t = y[:, 0, i] - k * alpha
+            pi_t = y[:, 1, i] - k * beta
             g_t[0] += _abs2(a_t)
             g_t[1] += a_t.real * pi_t.real
             g_t[1] += a_t.imag * pi_t.imag
             g_t[2] += _abs2(pi_t)
-        return np.stack([shell_sum(q) for q in g_t]), g_l
+        return np.stack([shell_sum(q) for q in g_t], axis=1), g_l
 
-    def row(self, y: np.ndarray, ref: np.ndarray | None = None, g: tuple | None = None):
-        """One diagnostics row by Parseval (docs/derivations.md section 7).
+    def rows(self, y: np.ndarray, ref: np.ndarray | None = None, g: tuple | None = None):
+        """Diagnostics rows of a stack of states by Parseval (docs/derivations.md section 7).
 
-        y = (A^, pi^) stacked on these modes, ref the reference's
-        coefficients there, and g = (g_t, g_l) the moments of every other
+        y = (A^, pi^) of R states on these modes, shape (R, 2, 3, *modes),
+        ref the reference's coefficients there (shaped like y), and
+        g = (g_t, g_l), each (R, 3, shells), the moments of every other
         mode, where the reference is zero; without g these modes hold all
-        the content. Returns (energy, norm of div A, norm of div pi, norm
-        of A_L, norm of pi_L, L2 distance to the reference), the values
-        energy, constraint_norms, longitudinal_norms and state_distance
-        give on the grid state up to rounding; the distance is NaN
-        without ref.
+        the content. Returns an (R, 6) array whose columns are energy, norm
+        of div A, norm of div pi, norm of A_L, norm of pi_L and L2 distance
+        to the reference: the values energy, constraint_norms,
+        longitudinal_norms and state_distance give on the grid states up to
+        rounding; the distance is NaN without ref. Every sum runs along a
+        contiguous last axis, one state per row, so a state's row does not
+        depend on the other states of the stack.
 
         Squares of coefficients past ~1e154 overflow although the norms may
         be finite, and k . A^ overflowing from terms of opposite sign gives
-        NaN. A column that is not finite (bar the distance without ref) is
-        computed again from y and ref scaled by 2^-overflow_shift(y), and g
-        by its square, and scaled back; powers of two scale exactly. The
+        NaN. A row with a column that is not finite (bar the distance
+        without ref) is computed again alone, as a one-row stack, from its
+        y and ref scaled by 2^-overflow_shift(y), and g by its square, and
+        those columns are scaled back; powers of two scale exactly. The
         other columns keep their first value, so a column far below the
         largest one keeps all its digits.
         """
@@ -328,37 +336,43 @@ class Modes:
         # A k^2 = 0 shell (first if present) adds nothing to k^2 A_T, even where A_T overflows.
         skip = int(k2.size > 0 and k2[0] == 0.0)
 
+        def total(q):
+            # Each state's values along one contiguous last axis.
+            return np.sum(q.reshape(q.shape[0], q[0].size), axis=-1)
+
         def columns(y, ref, g):
             g_t, g_l = self.moments(y)
-            dist = float("nan")
+            dist = np.full(y.shape[0], np.nan)
             if ref is not None:
-                dist2 = sum(float(np.sum(self.weight * _abs2(y[f, i] - ref[f, i])))
+                dist2 = sum(total(self.weight * _abs2(y[:, f, i] - ref[:, f, i]))
                             for f in range(2) for i in range(3))
                 if g is not None:
                     # Off these modes the distance is the state's own moments.
-                    dist2 += sum(float(np.sum(m[p])) for m in g for p in (0, 2))
-                dist = float(np.sqrt(scale * dist2))
+                    dist2 = dist2 + sum(total(m[:, p]) for m in g for p in (0, 2))
+                dist = np.sqrt(scale * dist2)
             if g is not None:
                 g_t, g_l = g_t + g[0], g_l + g[1]
-            energy = np.sum(g_t[2]) + np.sum(g_l[2]) + np.sum(k2[skip:] * g_t[0, skip:])
-            return (float(0.5 * scale * energy),
-                    float(np.sqrt(scale * np.sum(k2 * g_l[0]))),
-                    float(np.sqrt(scale * np.sum(k2 * g_l[2]))),
-                    float(np.sqrt(scale * np.sum(g_l[0]))),
-                    float(np.sqrt(scale * np.sum(g_l[2]))), dist)
+            energy = total(g_t[:, 2]) + total(g_l[:, 2]) + total(k2[skip:] * g_t[:, 0, skip:])
+            return np.stack([0.5 * scale * energy,
+                             np.sqrt(scale * total(k2 * g_l[:, 0])),
+                             np.sqrt(scale * total(k2 * g_l[:, 2])),
+                             np.sqrt(scale * total(g_l[:, 0])),
+                             np.sqrt(scale * total(g_l[:, 2])), dist], axis=1)
 
-        row = columns(y, ref, g)
-        redo = [not np.isfinite(v) for v in row]
-        redo[5] = redo[5] and ref is not None
-        shift = overflow_shift(y) if any(redo) else 0
-        if shift <= 0:
-            return row
-        factor = np.ldexp(1.0, -shift)
-        scaled = columns(y * factor, None if ref is None else ref * factor,
-                         None if g is None else tuple(np.ldexp(m, -2 * shift) for m in g))
-        powers = (2 * shift,) + (shift,) * 5
-        return tuple(float(np.ldexp(s, p)) if r else v
-                     for v, s, p, r in zip(row, scaled, powers, redo))
+        out = columns(y, ref, g)
+        redo = ~np.isfinite(out)
+        if ref is None:
+            redo[:, 5] = False
+        powers = np.array([2, 1, 1, 1, 1, 1])
+        for r in np.flatnonzero(redo.any(axis=1)):
+            shift = overflow_shift(y[r])
+            if shift > 0:
+                factor = np.ldexp(1.0, -shift)
+                one = slice(r, r + 1)
+                scaled = columns(y[one] * factor, None if ref is None else ref[one] * factor,
+                                 None if g is None else tuple(np.ldexp(m[one], -2 * shift) for m in g))
+                out[r, redo[r]] = np.ldexp(scaled[0], powers * shift)[redo[r]]
+        return out
 
 
 def div_hat(v_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:

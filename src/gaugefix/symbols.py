@@ -195,9 +195,12 @@ def analyze_symbol(sym: PrincipalSymbol, n_samples: int = 64,
     """
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
-    # Written as negations so that NaN is rejected too.
-    if not tol_imag > 0 or not cond_bound > 1:
-        raise ValueError("tol_imag must be > 0 and cond_bound > 1")
+    # isfinite rejects NaN and inf: an infinite tol_imag or cond_bound
+    # would certify any spectrum.
+    if not (math.isfinite(tol_imag) and tol_imag > 0):
+        raise ValueError(f"tol_imag must be positive and finite, got {tol_imag!r}")
+    if not (math.isfinite(cond_bound) and cond_bound > 1):
+        raise ValueError(f"cond_bound must be finite and > 1, got {cond_bound!r}")
     directions = sample_directions(n_samples, np.random.default_rng(seed))
     samples = [_probe_direction(sym, n, cond_bound) for n in directions]
 

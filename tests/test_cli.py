@@ -222,6 +222,32 @@ def test_benchmark_runs_pass_their_checks(tmp_path, name):
     assert_allclose(table["l2_error"], grid.l2_error, rtol=0, atol=3e-15)
 
 
+# Evolve CSVs pinned byte for byte, one per carrier: the README example and
+# the growth_diag run (a few Fourier coefficients as vectors), random_smooth
+# with reprojection (shell moments), the unstable N=8 plane wave (its
+# coefficients, aborting at t=2800) and an unstable random_smooth run
+# (every mode as a vector, aborting at t=106).
+GOLDEN_EVOLVE = {
+    "readme_example": (dict(scenario="plane_wave", dt=0.0062831853, t_end=6.2831853, grid_n=32,
+                            formulation="gauge_fixed", stepper="rk4", stride=50), 0),
+    "growth_diag": (BENCH_CONFIGS["growth_diag"], 0),
+    "random_smooth_reproject": (dict(scenario="random_smooth", grid_n=16, seed=3, dt=0.05,
+                                     t_end=1.0, reproject_every=4, stride=3), 0),
+    "plane_wave_unstable": (dict(scenario="plane_wave", grid_n=8, dt=50.0, t_end=5000.0), 2),
+    "random_smooth_unstable": (dict(scenario="random_smooth", grid_n=16, seed=1, dt=1.0,
+                                    t_end=200.0), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EVOLVE))
+def test_evolve_csv_matches_golden_file(tmp_path, name):
+    cfg, code = GOLDEN_EVOLVE[name]
+    out = tmp_path / "diagnostics.csv"
+    assert main(["evolve", "--config", str(write_config(tmp_path, **cfg)), "--out", str(out)]) == code
+    golden = Path(__file__).parent / "golden" / f"evolve_{name}.csv"
+    assert out.read_bytes() == golden.read_bytes()
+
+
 class TestSymbolCommand:
     def run_json(self, capsys, *argv):
         assert main(["symbol", *argv]) == 0
@@ -260,8 +286,8 @@ class TestSymbolCommand:
         assert any(s["cond"] is None for s in doc["samples"])
 
     def test_zero_tol_is_a_clean_error(self, capsys):
-        # Negative and NaN tolerances are refused the same way as zero.
-        for tol in ("0", "-1", "nan"):
+        # Negative, NaN and infinite tolerances are refused the same way as zero.
+        for tol in ("0", "-1", "nan", "inf"):
             assert main(["symbol", "--formulation", "canonical", "--tol", tol]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error:")

@@ -10,6 +10,7 @@ from gaugefix.constraints import constraint_set
 from gaugefix.evolution import (
     CSV_HEADER,
     MAX_LOOP_PASSES,
+    ROW_STACK_BYTES,
     StepperKind,
     evolve,
     evolve_finite,
@@ -427,7 +428,7 @@ def test_moment_overflow_mid_run_is_recorded_silently(longitudinal, dt, t_end):
     state = overflowing_later(8, longitudinal)
     ws = state.workspace()
     assert all(np.all(np.isfinite(g)) for g in fields.Modes(ws).moments(
-        ws.forward(np.stack([state.a, state.pi]))))
+        ws.forward(np.stack([state.a, state.pi]))[None]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         series = evolve(state, "canonical", "rk4", dt, t_end)
@@ -437,7 +438,7 @@ def test_moment_overflow_mid_run_is_recorded_silently(longitudinal, dt, t_end):
     assert not any(np.isnan(c).any() for c in columns)
     final = ws.forward(np.stack([series.final_state.a, series.final_state.pi]))
     with np.errstate(over="ignore"):
-        assert not all(np.all(np.isfinite(g)) for g in fields.Modes(ws).moments(final))
+        assert not all(np.all(np.isfinite(g)) for g in fields.Modes(ws).moments(final[None]))
     oracle = oracle_states(state, "canonical", "rk4", dt, int(round(t_end / dt)))
     expected = oracle[-1]
     for got, want in ((series.final_state.a, expected.a), (series.final_state.pi, expected.pi)):
@@ -534,7 +535,7 @@ def test_moment_path_near_overflow_builds_finite_final_state(backward_calls):
     n, dt = 8, 0.1
     state = plane_wave_initial_data((1, 0, 0), (0, 1, 0), amplitude=1e151, grid_n=n)
     ws = state.workspace()
-    g_t, _ = fields.Modes(ws).moments(ws.forward(np.stack([state.a, state.pi])))
+    g_t, _ = fields.Modes(ws).moments(ws.forward(np.stack([state.a, state.pi]))[None])
     assert 1e306 < np.max(g_t) < np.finfo(float).max
     backward_calls[0] = 0
     with warnings.catch_warnings():
@@ -861,3 +862,71 @@ def test_support_split_matches_full_products_bit_for_bit(n, data):
                 assert np.isnan(np.sum(modes.kvec * y_s, axis=1)).any()
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("whole", [False, True])
+@pytest.mark.parametrize("with_g", [False, True])
+@pytest.mark.parametrize("with_ref", [False, True])
+def test_stacked_rows_equal_one_row_stacks_bit_for_bit(whole, with_g, with_ref):
+    # Rows 1 and 3 have coefficients ~1e160 and ~1e300: their squares
+    # overflow, so each is redone alone from scaled data, next to rows
+    # that need no redo.
+    ws = fields.SpectralWorkspace(8, TWO_PI)
+    rng = np.random.default_rng(5)
+    modes = fields.Modes(ws) if whole else fields.Modes(ws, ([1, 0, 2, 7], [0, 3, 2, 5], [0, 1, 4, 2]))
+    shape = (4, 2, 3) + modes.inv_k2.shape
+    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    y[1] *= 1e160
+    y[3] *= 1e300
+    ref = y * (1.0 + 1e-3 * rng.standard_normal(shape)) if with_ref else None
+    g = tuple(np.abs(rng.standard_normal((4, 3, len(modes.k2)))) for _ in range(2)) if with_g else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = modes.rows(y, ref, g)
+        for r in range(4):
+            one = slice(r, r + 1)
+            single = modes.rows(y[one], None if ref is None else ref[one],
+                                None if g is None else tuple(m[one] for m in g))
+            assert single.shape == (1, 6) and stacked[r].tobytes() == single[0].tobytes()
+        assert np.isinf(np.sum(np.abs(y[1]) ** 2))
+    assert stacked.shape == (4, 6)
+    assert np.all(np.isinf(stacked[[1, 3], 0])) and np.all(np.isfinite(stacked[[0, 2], 0]))
+    assert np.all(np.isfinite(stacked[:, 1:5]))
+    assert np.all(np.isfinite(stacked[:, 5]) if with_ref else np.isnan(stacked[:, 5]))
+
+
+def count_row_stacks(monkeypatch):
+    """States per fields.Modes.rows call, with each state's bytes."""
+    calls = []
+    rows = fields.Modes.rows
+
+    def counting(self, y, ref=None, g=None):
+        calls.append((y.shape[0], y[0].nbytes))
+        return rows(self, y, ref, g)
+
+    monkeypatch.setattr(fields.Modes, "rows", counting)
+    return calls
+
+
+def test_every_mode_rows_stack_within_the_byte_budget(monkeypatch):
+    # dt = 1 is unstable at N = 16: every mode is carried, one step and one
+    # row at a time, so a stack of all rows would hold 107 N^3 states.
+    calls = count_row_stacks(monkeypatch)
+    state = correct_initial_data(*random_smooth_fields(np.random.default_rng(1), 16, TWO_PI),
+                                 TWO_PI)
+    series = evolve(state, "canonical", "rk4", 1.0, 200.0)
+    assert series.aborted and len(series.t) == 107
+    assert sum(r for r, _ in calls) == len(series.t)
+    per_call = ROW_STACK_BYTES // calls[0][1]
+    assert per_call >= 2 and len(calls) > 1
+    assert all(r <= per_call for r, _ in calls)
+
+
+@pytest.mark.parametrize("reproject_every", [None, 4])
+def test_small_runs_build_all_rows_in_one_stack(monkeypatch, reproject_every):
+    calls = count_row_stacks(monkeypatch)
+    spec = plane_wave_spectrum((1, 0, 0), (0, 1, 0), grid_n=32)
+    ref = plane_wave_reference((1, 0, 0), (0, 1, 0), grid_n=32)
+    wave = evolve(spec, "gauge_fixed", "rk4", TWO_PI / 1000.0, TWO_PI, reference=ref, stride=50)
+    grid = evolve(raw_random_state(8), "canonical", "rk4", 0.05, 1.0,
+                  reproject_every=reproject_every)
+    assert [r for r, _ in calls] == [len(wave.t), len(grid.t)] == [21, 21]

@@ -305,7 +305,7 @@ def test_shell_moments_split_transverse_and_longitudinal(rng):
     ws = get_workspace(n, TWO_PI)
     a, pi = random_smooth_fields(rng, n, TWO_PI)
     y_hat = ws.forward(np.stack([a, pi]))
-    g_t, g_l = fields.Modes(ws).moments(y_hat)
+    g_t, g_l = (g[0] for g in fields.Modes(ws).moments(y_hat[None]))
     a_t, pi_t = transverse_project(a, ws), transverse_project(pi, ws)
     a_l, pi_l = a - a_t, pi - pi_t
     for g, (u, v) in ((g_t, (a_t, pi_t)), (g_l, (a_l, pi_l))):

@@ -186,6 +186,17 @@ def test_analyze_validates_arguments():
             analyze_symbol(sym, cond_bound=cond_bound)
 
 
+@pytest.mark.parametrize("argument", ["tol_imag", "cond_bound"])
+def test_analyze_rejects_infinite_tolerances(argument):
+    # An infinite tol_imag would certify the rotation symbol, whose
+    # eigenvalues are +-i, as strongly hyperbolic; an infinite cond_bound
+    # would pass any eigenbasis as well conditioned.
+    rotation = PrincipalSymbol(2, lambda n: np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    for value in (np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"{argument} must be .*finite"):
+            analyze_symbol(rotation, n_samples=2, **{argument: value})
+
+
 def test_json_report_schema():
     report = analyze_symbol(maxwell_gauge_fixed_symbol(), n_samples=3)
     doc = report.to_json_dict()
