@@ -3,9 +3,9 @@
 Subcommands: evolve (field run from a JSON config, CSV diagnostics out),
 symbol (hyperbolicity report as JSON), project (snapshot onto the
 constraint surface), constraints (run the Dirac-Bergmann pipeline on a
-built-in model). Exit codes: 0 success, 1 configuration or input error,
-2 evolution aborted on non-finite values. Given the same config and seed
-the outputs are byte-identical.
+built-in model). Exit codes: 0 success, 1 configuration or input error
+(or out of memory), 2 evolution aborted on non-finite values. Given the
+same config and seed the outputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 import sys
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -202,13 +203,22 @@ def cmd_evolve(args) -> int:
     return 0
 
 
+def _seed(args) -> int:
+    """The --seed of symbol and constraints, 0 when it is not given."""
+    if args.seed is None:
+        return 0
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+    return args.seed
+
+
 def cmd_symbol(args) -> int:
+    seed = _seed(args)
     if args.formulation == "canonical":
         sym = symbols.maxwell_canonical_symbol()
     else:
         sym = symbols.maxwell_gauge_fixed_symbol()
-    report = symbols.analyze_symbol(sym, tol_imag=args.tol,
-                                    seed=0 if args.seed is None else args.seed)
+    report = symbols.analyze_symbol(sym, tol_imag=args.tol, seed=seed)
     text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True,
                       allow_nan=False) + "\n"
     if args.out:
@@ -252,8 +262,8 @@ def _sampler_on_first_draw(seed: int):
 
 
 def cmd_constraints(args) -> int:
+    sampler = _sampler_on_first_draw(_seed(args))
     model = toys.get_model(args.model)
-    sampler = _sampler_on_first_draw(0 if args.seed is None else args.seed)
     form = model.system.form
 
     chain = consistency_chain(model.system, model.primaries, sampler)
@@ -304,57 +314,105 @@ def cmd_constraints(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gaugefix",
-        description="constrained Maxwell evolution and Dirac-Bergmann analysis",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+PROG = "gaugefix"
 
-    p_evolve = sub.add_parser("evolve", help="run a field evolution from a JSON config")
-    p_evolve.add_argument("--config", required=True, help="path to the run config JSON")
-    p_evolve.add_argument("--formulation", choices=["canonical", "gauge-fixed"],
-                          default=None, help="override the config's formulation")
-    p_evolve.add_argument("--out", default=None, help="diagnostics CSV path")
-    p_evolve.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_evolve.set_defaults(func=cmd_evolve)
 
-    p_symbol = sub.add_parser("symbol", help="principal-symbol hyperbolicity report")
-    p_symbol.add_argument("--formulation", choices=["canonical", "gauge-fixed"],
-                          required=True)
-    p_symbol.add_argument("--out", default=None, help="JSON report path (default stdout)")
-    p_symbol.add_argument("--tol", type=float, default=1e-10,
-                          help="imaginary-part tolerance for eigenvalues")
-    p_symbol.add_argument("--seed", type=int, default=None,
-                          help="seed for the random direction samples")
-    p_symbol.set_defaults(func=cmd_symbol)
+def _arg(*flags, **kwargs):
+    """One ``add_argument`` call of a command's parser."""
+    return flags, kwargs
 
-    p_project = sub.add_parser("project", help="project a snapshot onto the constraint surface")
-    p_project.add_argument("input", help="snapshot file to project")
-    p_project.add_argument("--out", required=True, help="projected snapshot path")
-    p_project.add_argument("--tol", type=float, default=0.0,
-                           help="fail if post-projection norms exceed this (0 disables)")
-    p_project.set_defaults(func=cmd_project)
 
-    p_con = sub.add_parser("constraints", help="Dirac-Bergmann pipeline on a built-in model")
-    p_con.add_argument("model", choices=sorted(toys.BUILTIN_MODELS))
-    p_con.add_argument("--out", default=None, help="JSON report path (default stdout)")
-    p_con.add_argument("--seed", type=int, default=None,
-                       help="seed for the on-surface sampler (unused by the built-in "
-                            "models: their affine constraints draw no samples)")
-    p_con.set_defaults(func=cmd_constraints)
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its help line, its handler and its arguments."""
+
+    help: str
+    run: Callable[[argparse.Namespace], int]
+    arguments: tuple
+
+
+COMMANDS = {
+    "evolve": Command("run a field evolution from a JSON config", cmd_evolve, (
+        _arg("--config", required=True, help="path to the run config JSON"),
+        _arg("--formulation", choices=["canonical", "gauge-fixed"], default=None,
+             help="override the config's formulation"),
+        _arg("--out", default=None, help="diagnostics CSV path"),
+        _arg("--seed", type=int, default=None, help="override the config seed"),
+    )),
+    "symbol": Command("principal-symbol hyperbolicity report", cmd_symbol, (
+        _arg("--formulation", choices=["canonical", "gauge-fixed"], required=True),
+        _arg("--out", default=None, help="JSON report path (default stdout)"),
+        _arg("--tol", type=float, default=1e-10,
+             help="imaginary-part tolerance for eigenvalues"),
+        _arg("--seed", type=int, default=None, help="seed for the random direction samples"),
+    )),
+    "project": Command("project a snapshot onto the constraint surface", cmd_project, (
+        _arg("input", help="snapshot file to project"),
+        _arg("--out", required=True, help="projected snapshot path"),
+        _arg("--tol", type=float, default=0.0,
+             help="fail if post-projection norms exceed this (0 disables)"),
+    )),
+    "constraints": Command("Dirac-Bergmann pipeline on a built-in model", cmd_constraints, (
+        _arg("model", choices=sorted(toys.BUILTIN_MODELS)),
+        _arg("--out", default=None, help="JSON report path (default stdout)"),
+        _arg("--seed", type=int, default=None,
+             help="seed for the on-surface sampler (unused by the built-in "
+                  "models: their affine constraints draw no samples)"),
+    )),
+}
+
+
+def _command_parser(parser: argparse.ArgumentParser,
+                    command: Command) -> argparse.ArgumentParser:
+    for flags, kwargs in command.arguments:
+        parser.add_argument(*flags, **kwargs)
+    parser.set_defaults(func=command.run)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every command as a subparser of ``gaugefix``."""
+    parser = argparse.ArgumentParser(
+        prog=PROG,
+        description="constrained Maxwell evolution and Dirac-Bergmann analysis",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        _command_parser(sub.add_parser(name, help=command.help), command)
+    return parser
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv, building only the named command's parser when one is named.
+
+    That parser is the subparser ``build_parser`` makes for the command, so
+    its help, errors and exit codes are the same. Left-over arguments are
+    reported by the top-level parser, so those go to the full parser, as
+    does anything that does not start with a command name.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        parser = _command_parser(argparse.ArgumentParser(prog=f"{PROG} {argv[0]}"), command)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
         # ValueError covers ConfigError, SnapshotFormatError and library
         # input guards reachable from the command line, such as --tol 0.
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy says what it could not allocate; the interpreter's own
+        # MemoryError has no message.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

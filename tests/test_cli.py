@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -12,7 +13,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import gaugefix
-from gaugefix.cli import SCENARIOS, ConfigError, RunConfig, _sampler_on_first_draw, main
+from gaugefix import fields, symbols, toys
+from gaugefix.cli import (
+    SCENARIOS,
+    ConfigError,
+    RunConfig,
+    _sampler_on_first_draw,
+    build_parser,
+    main,
+)
 from gaugefix.constraints import constraint_set, make_surface_sampler
 from gaugefix.evolution import evolve
 from gaugefix.fields import (
@@ -181,6 +190,21 @@ class TestEvolveCommand:
         assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
         assert "evolution aborted at t=2800.0" in capsys.readouterr().err
         assert len(out.read_text().splitlines()) == 1 + 57
+
+    @pytest.mark.parametrize("message, err", [
+        ("Unable to allocate 2.27 PiB for an array", "Unable to allocate 2.27 PiB for an array"),
+        ("", "out of memory"),
+    ])
+    def test_memory_error_is_a_clean_error(self, tmp_path, capsys, monkeypatch, message, err):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(fields, "random_smooth_fields", exhausted)
+        cfg = write_config(tmp_path, scenario="random_smooth", seed=1)
+        out = tmp_path / "never.csv"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+        assert not out.exists()
 
 
 # The wave_rk4 and growth_diag runs of perfbench/workloads.py, with its
@@ -517,6 +541,86 @@ class TestRunConfig:
             return
         assert isinstance(cfg.dt, float) and isinstance(cfg.t_end, float)
         assert np.isfinite(cfg.dt) and np.isfinite(cfg.t_end)
+
+
+@pytest.mark.parametrize("argv", [
+    ["symbol", "--formulation", "canonical", "--seed", "-1"],
+    ["constraints", "chain-demo", "--seed", "-3"],
+])
+def test_negative_seed_refused_before_any_work(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran with a negative seed")
+
+    monkeypatch.setattr(symbols, "maxwell_canonical_symbol", no_work)
+    monkeypatch.setattr(toys, "get_model", no_work)
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: --seed must be a non-negative integer, got {argv[-1]}\n")
+
+
+def parse_outcome(parse, argv, capsys):
+    """(stdout, stderr, exit code) of a parse that ends in SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return out, err, exc.value.code
+
+
+# Help and each kind of usage error, for every command.
+USAGE_CASES = [
+    ["evolve", "-h"],
+    ["evolve"],
+    ["evolve", "--config", "c.json", "--formulation", "bogus"],
+    ["evolve", "--config", "c.json", "--seed", "x"],
+    ["evolve", "--config", "c.json", "--bogus"],
+    ["symbol", "-h"],
+    ["symbol"],
+    ["symbol", "--formulation", "bogus"],
+    ["symbol", "--formulation", "canonical", "--tol", "x"],
+    ["symbol", "--formulation", "canonical", "extra"],
+    ["project", "-h"],
+    ["project", "in.snap"],
+    ["project", "in.snap", "--out", "o.snap", "--tol", "x"],
+    ["project", "in.snap", "--out", "o.snap", "--bogus", "1"],
+    ["constraints", "-h"],
+    ["constraints"],
+    ["constraints", "bogus"],
+    ["constraints", "chain-demo", "--seed", "x"],
+    ["constraints", "chain-demo", "extra"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_CASES, ids=" ".join)
+def test_command_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    # argparse wraps help to the terminal width it reads from COLUMNS.
+    monkeypatch.setenv("COLUMNS", "80")
+    full = parse_outcome(build_parser().parse_args, argv, capsys)
+    assert parse_outcome(main, argv, capsys) == full
+
+
+def test_a_command_builds_only_its_own_parser(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cfg = write_config(tmp_path)
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]) == 0
+    assert built == ["gaugefix evolve"]
+    built.clear()
+    assert main(["constraints", "chain-demo"]) == 0
+    assert built == ["gaugefix constraints"]
+    built.clear()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert built == ["gaugefix", "gaugefix evolve", "gaugefix symbol", "gaugefix project",
+                     "gaugefix constraints"]
+    assert "{evolve,symbol,project,constraints}" in capsys.readouterr().out
 
 
 def test_cli_import_leaves_scipy_out():
