@@ -26,7 +26,6 @@ from .constraints import (
     commutation_matrix,
     consistency_chain,
     dirac_bracket,
-    make_surface_sampler,
 )
 from .phase import poisson_bracket
 
@@ -85,8 +84,9 @@ class RunConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not self.t_end >= self.dt:
             raise ConfigError("t_end must be at least one step long")
-        if not _is_int(self.grid_n) or self.grid_n < 4:
-            raise ConfigError(f"grid_n must be an integer >= 4, got {self.grid_n!r}")
+        if not _is_int(self.grid_n) or not 4 <= self.grid_n <= np.iinfo(np.intp).max:
+            raise ConfigError(f"grid_n must be an integer from 4 to {np.iinfo(np.intp).max}, "
+                              f"got {self.grid_n!r}")
         message = "domain_length must be a positive finite number"
         self.domain_length = _number(self.domain_length, message)
         if not self.domain_length > 0:
@@ -244,30 +244,13 @@ def cmd_project(args) -> int:
     return 0
 
 
-def _sampler_on_first_draw(seed: int):
-    """make_surface_sampler(np.random.default_rng(seed)), built on its first call.
-
-    The built-in models' affine constraints never draw, so their runs do
-    not load numpy.random; a model that draws gets the same stream.
-    """
-    sampler = None
-
-    def draw(cset):
-        nonlocal sampler
-        if sampler is None:
-            sampler = make_surface_sampler(np.random.default_rng(seed))
-        return sampler(cset)
-
-    return draw
-
-
 def cmd_constraints(args) -> int:
-    sampler = _sampler_on_first_draw(_seed(args))
+    _seed(args)  # validated only: nothing is sampled
     model = toys.get_model(args.model)
     form = model.system.form
 
-    chain = consistency_chain(model.system, model.primaries, sampler)
-    classified = classify_constraints(chain, sampler, form=form)
+    chain = consistency_chain(model.system, model.primaries)
+    classified = classify_constraints(chain, form=form)
     point = model.sample_point
     mat = commutation_matrix(classified, point, form)
 
@@ -356,8 +339,8 @@ COMMANDS = {
         _arg("model", choices=sorted(toys.BUILTIN_MODELS)),
         _arg("--out", default=None, help="JSON report path (default stdout)"),
         _arg("--seed", type=int, default=None,
-             help="seed for the on-surface sampler (unused by the built-in "
-                  "models: their affine constraints draw no samples)"),
+             help="accepted and checked, but has no effect: the chain and the "
+                  "classes are exact, so nothing is sampled"),
     )),
 }
 

@@ -10,29 +10,27 @@ Bracket matrices at a point are products of one stacked constraint
 Jacobian G with the cosymplectic matrix J, [C_A, C_B] = (G J G^T)_AB and
 [C_A, f] = (G J grad f)_A: one gradient evaluation per constraint.
 
-For affine constraints C = R z + r under a constant J and a Hamiltonian
-with coefficients, the chain and the classes are linear algebra on the
-coefficient rows [R | r] (docs/derivations.md section 4): a candidate
-vanishes weakly when its row lies in their span, it is new when its
-linear part raises the rank of R, and the classes come from the constant
-R J R^T. Sampling now serves only non-affine sets or point-dependent
-forms, where weak equality (vanishing on the constraint surface) is
-judged at a batch of on-surface points from a least-squares sampler
-that is independent of the symplectic structure.
+The chain and the classes are linear algebra on the coefficient rows
+[R | r] of affine constraints C = R z + r, under a constant J and a
+Hamiltonian with coefficients (docs/derivations.md section 4): a
+candidate vanishes weakly when its row lies in their span, it is new
+when its linear part raises the rank of R, and the classes come from
+the constant R J R^T. No decision is made at sample points; other input
+is refused with ValueError. make_surface_sampler draws on-surface points
+by least squares, independently of the symplectic structure, for
+callers that want points on the surface.
 
 Brackets as functions (the chain's candidates [C, H], the terms of the
 second-order correction) come from phase.bracket_function, applied to
 phase.combination for weighted sums. Both stay in closed form when every
-input is a polynomial of degree <= 2 and J is constant, which covers all
-the linear and quadratic constraints and Hamiltonians shipped here:
-every generation of the chain then has exact gradients. Only an opaque
-input or a point-dependent J leaves a bracket whose gradient is taken by
-finite differences.
+input is a polynomial of degree <= 2 and J is constant, as the chain
+requires. Only an opaque input or a point-dependent J, such as the
+circle pair's angle in the second-order correction, leaves a bracket
+whose gradient is taken by finite differences.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterator, Sequence
@@ -144,24 +142,16 @@ class ConstraintSet:
         )
         return ConstraintSet(relabeled, self.dim)
 
-    def check_irreducible(self, points) -> None:
-        """Raise if the constraint gradients degenerate at any sample point
-        (smallest singular value below 1e-8 of the largest)."""
-        if len(self.constraints) == 0:
-            return
-        for z in np.atleast_2d(points):
-            _require_full_rank(self.jacobian(z), f" at z={z}")
 
-
-def _require_full_rank(jac: np.ndarray, where: str = "") -> None:
+def _require_full_rank(jac: np.ndarray) -> None:
     # An (M, 2N) Jacobian with M > 2N has only 2N singular values to test.
     if jac.shape[0] > jac.shape[1]:
-        raise ValueError(f"constraint set is not irreducible{where} "
+        raise ValueError("constraint set is not irreducible "
                          f"({jac.shape[0]} constraints on a {jac.shape[1]}-dimensional "
                          f"phase space)")
     s = np.linalg.svd(jac, compute_uv=False)
     if s[0] == 0.0 or s[-1] < 1e-8 * s[0]:
-        raise ValueError(f"constraint set is not irreducible{where} (singular values {s})")
+        raise ValueError(f"constraint set is not irreducible (singular values {s})")
 
 
 def constraint_set(functions: Sequence[PhaseFunction], dim: int,
@@ -291,45 +281,42 @@ def make_surface_sampler(rng: np.random.Generator, n_points: int = 32,
 # ---------------------------------------------------------------------------
 
 def consistency_chain(system: HamiltonianSystem, primaries: ConstraintSet,
-                      sampler: Callable[[ConstraintSet], np.ndarray],
-                      tol_weak: float = 1e-8,
+                      sampler=None, tol_weak: float = 1e-8,
                       max_generations: int = 10) -> ConstraintSet:
     """Run the Dirac-Bergmann consistency algorithm from the primaries.
 
     Each generation demands that every constraint's bracket with the
     Hamiltonian vanish weakly, allowing multipliers of the primaries to
-    absorb what they can: the residual of [C_i, H] + lambda^a [C_i, phi_a]
-    = 0 is minimized over lambda, and only the unabsorbable part (the
-    left-null-space component of the primary bracket matrix) spawns
-    candidate constraints. Candidates are admitted when their gradient
-    leaves the span of the existing ones.
+    absorb what they can: only the unabsorbable part of the conditions
+    (the left null space of the primary bracket matrix) spawns candidate
+    constraints. A candidate is dropped when its coefficient row lies in
+    the span of the existing rows and admitted when its linear part
+    raises their rank; a residual within a factor 10 of tol_weak is
+    refused with AmbiguousClassificationError.
 
-    Affine primaries under a constant form and a Hamiltonian with
-    coefficients take the exact route: rank tests on coefficient rows,
-    no sampler call. A residual within a factor 10 of tol_weak there is
-    refused with AmbiguousClassificationError. Otherwise the decisions
-    are made at on-surface points drawn from the sampler.
+    The primaries must be affine, the form constant and the Hamiltonian a
+    polynomial with coefficients; other input raises ValueError naming
+    the reason. sampler is ignored, since no decision is made at sample
+    points; the slot is kept for callers that still pass one.
 
     Raises ChainTerminationError if the chain is still growing after
     max_generations, or if a residual can neither be absorbed nor yield
     an independent constraint (inconsistent dynamics).
     """
-    _check_tolerance(tol_weak)
+    _check_tolerance("tol_weak", tol_weak)
     if max_generations < 1:
         raise ValueError(f"max_generations must be at least 1, got {max_generations!r}")
     if len(primaries) == 0:
         return primaries
-    rows = _affine_rows(primaries) if system.form.is_constant else None
-    if rows is None or system.hamiltonian.coefficients is None:
-        return _sampled_chain(system, primaries, sampler, tol_weak, max_generations)
     h = system.hamiltonian
     form = system.form
+    rows = _affine_rows(primaries, form, h)
     n_primary = len(primaries)
     cset = primaries
 
     for _generation in range(max_generations):
-        # The primary bracket matrix by the sampled route's operations, so the
-        # left null space, the weights and the labels come out the same.
+        # G J G_prim^T in the operations of the pointwise oracle in the
+        # tests, so the left null space, the weights and the labels agree.
         gj = rows[:, :-1] @ form.at(None)
         a = gj @ rows[:n_primary, :-1].T
         directions = np.eye(len(cset)) if np.max(np.abs(a)) < tol_weak else _left_null(a)
@@ -354,17 +341,28 @@ def consistency_chain(system: HamiltonianSystem, primaries: ConstraintSet,
     raise _still_growing(max_generations, cset)
 
 
-def _check_tolerance(tol_weak: float) -> None:
-    if not (np.isfinite(tol_weak) and tol_weak > 0):
-        raise ValueError(f"tol_weak must be positive and finite, got {tol_weak!r}")
+def _check_tolerance(name: str, tol: float) -> None:
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"{name} must be positive and finite, got {tol!r}")
 
 
-def _affine_rows(cset: ConstraintSet) -> np.ndarray | None:
-    """[R | r] for a set of affine constraints R z + r, else None."""
-    coeffs = [c.function.coefficients for c in cset]
-    if any(k is None or k.lin.size != cset.dim or np.any(k.quad) for k in coeffs):
-        return None
-    return np.array([np.append(k.lin, k.const) for k in coeffs])
+def _affine_rows(cset: ConstraintSet, form: CosymplecticForm,
+                 hamiltonian: PhaseFunction | None = None) -> np.ndarray:
+    """[R | r] for a set of affine constraints R z + r, or ValueError
+    naming why the set, the Hamiltonian or the form has no exact route."""
+    rows = []
+    for i, c in enumerate(cset):
+        k = c.function.coefficients
+        if k is None or k.lin.size != cset.dim or np.any(k.quad):
+            raise ValueError(f"constraint {i} ({c.label or 'unlabelled'}) is not affine "
+                             f"in the {cset.dim}-dimensional phase point")
+        rows.append(np.append(k.lin, k.const))
+    if hamiltonian is not None and hamiltonian.coefficients is None:
+        raise ValueError(f"the Hamiltonian {hamiltonian.label} has no polynomial "
+                         "coefficients")
+    if not form.is_constant:
+        raise ValueError("the cosymplectic form is point-dependent")
+    return np.array(rows)
 
 
 def _residual(rows: np.ndarray, v: np.ndarray, label: str, decision: str,
@@ -403,71 +401,6 @@ def _still_growing(max_generations: int, cset: ConstraintSet) -> ChainTerminatio
     )
 
 
-def _sampled_chain(system: HamiltonianSystem, primaries: ConstraintSet,
-                   sampler: Callable[[ConstraintSet], np.ndarray],
-                   tol_weak: float, max_generations: int) -> ConstraintSet:
-    """consistency_chain with every decision made at on-surface samples."""
-    h = system.hamiltonian
-    form = system.form
-    n_primary = len(primaries)
-    cset = primaries
-
-    for _generation in range(max_generations):
-        points = sampler(cset)
-        m = len(cset)
-        n_pts = points.shape[0]
-
-        # b[k, i] = [C_i, H] at sample k; a[k, i, p] = [C_i, phi_p] there.
-        # Weak vanishing is judged against 1 + |grad C_i| |grad H|.
-        b = np.empty((n_pts, m))
-        a = np.empty((n_pts, m, n_primary))
-        scales = np.empty((n_pts, m))
-        for k, z in enumerate(points):
-            jac = cset.jacobian(z)
-            gh = h.grad(z)
-            gj = jac @ form.at(z)
-            b[k] = gj @ gh
-            a[k] = gj @ jac[:n_primary].T
-            scales[k] = 1.0 + np.linalg.norm(jac, axis=1) * np.linalg.norm(gh)
-
-        # Residual after the best pointwise multiplier fit.
-        resid = np.empty_like(b)
-        for k in range(n_pts):
-            lam, *_ = np.linalg.lstsq(a[k], -b[k], rcond=None)
-            resid[k] = b[k] + a[k] @ lam
-        unabsorbed = np.max(np.abs(resid) / scales, axis=0)
-        failing = np.nonzero(unabsorbed >= tol_weak)[0]
-        if failing.size == 0:
-            return cset
-
-        # Directions of the consistency conditions that no multiplier choice
-        # can touch. When no primary bracket is in play this is just the
-        # identity, and candidates are the raw brackets [C_i, H].
-        a_scale = np.max(np.abs(a)) if a.size else 0.0
-        if a_scale < tol_weak:
-            directions = [np.eye(m)[i] for i in failing]
-        else:
-            a_mean = a.mean(axis=0)
-            if np.max(np.abs(a - a_mean)) > 1e-6 * (1.0 + a_scale):
-                raise ChainTerminationError(
-                    "primary bracket matrix varies across on-surface samples; "
-                    "point-dependent multiplier structure is not supported"
-                )
-            directions = [u for u in _left_null(a_mean)
-                          if np.max(np.abs(resid @ u)) >= tol_weak]
-
-        new = []
-        for u in directions:
-            cand = _combination_bracket(cset, u, h, form)
-            if _gradient_is_new(cset.extended(new), cand, points):
-                new.append(Constraint(cand, ConstraintOrigin.CONSISTENCY))
-        if not new:
-            raise _unsatisfiable([cset[i].label for i in failing])
-        cset = cset.extended(new)
-
-    raise _still_growing(max_generations, cset)
-
-
 def _combination_bracket(cset: ConstraintSet, weights: np.ndarray,
                          h: PhaseFunction, form: CosymplecticForm) -> PhaseFunction:
     """u_i [C_i, H] as the bracket [u_i C_i, H], with single-term labels kept tidy."""
@@ -482,59 +415,29 @@ def _combination_bracket(cset: ConstraintSet, weights: np.ndarray,
     return bracket_function(combination(members, w), h, form, label)
 
 
-def _gradient_is_new(cset: ConstraintSet, cand: PhaseFunction, points) -> bool:
-    """True if cand's gradient leaves the span of the set's gradients
-    at at least one sample point: its least-squares residual exceeds
-    1e-8 of its norm."""
-    for z in np.atleast_2d(points):
-        g = cand.grad(z)
-        gn = np.linalg.norm(g)
-        if gn == 0.0:
-            continue
-        existing = cset.jacobian(z)
-        if existing.shape[0] == 0:
-            return True
-        coeff, *_ = np.linalg.lstsq(existing.T, g, rcond=None)
-        residual = np.linalg.norm(g - existing.T @ coeff)
-        if residual > 1e-8 * gn:
-            return True
-    return False
-
-
-def classify_constraints(cset: ConstraintSet,
-                         sampler: Callable[[ConstraintSet], np.ndarray],
-                         tol_weak: float = 1e-8,
+def classify_constraints(cset: ConstraintSet, sampler=None, tol_weak: float = 1e-8,
                          form: CosymplecticForm | None = None) -> ConstraintSet:
     """Label each constraint first or second class from its brackets.
 
     A constraint is first class when its bracket with every other member
-    vanishes weakly. Magnitudes within a factor of ten of tol_weak on
-    either side are refused as ambiguous rather than silently rounded one
-    way. Affine constraints under a constant form are classified from the
-    constant R J R^T without a sampler call; other sets from the brackets
-    at all sampled points.
+    vanishes weakly, read off the constant R J R^T of the coefficient
+    rows. Magnitudes within a factor of ten of tol_weak on either side
+    are refused as ambiguous rather than silently rounded one way.
+
+    The constraints must be affine and the form (canonical by default)
+    constant; other input raises ValueError naming the reason, and a
+    dependent set raises ValueError as not irreducible. sampler is
+    ignored, since no decision is made at sample points; the slot is
+    kept for callers that still pass one.
     """
-    _check_tolerance(tol_weak)
+    _check_tolerance("tol_weak", tol_weak)
     if len(cset) == 0:
         return cset
     if form is None:
         form = CosymplecticForm.canonical(cset.dim // 2)
-    rows = _affine_rows(cset) if form.is_constant else None
-    if rows is None:
-        return _sampled_classify(cset, sampler, tol_weak, form)
+    rows = _affine_rows(cset, form)
     _require_full_rank(rows[:, :-1])
     return _label_classes(cset, _bracket_magnitudes(rows[:, :-1], form.at(None)), tol_weak)
-
-
-def _sampled_classify(cset: ConstraintSet, sampler: Callable[[ConstraintSet], np.ndarray],
-                      tol_weak: float, form: CosymplecticForm) -> ConstraintSet:
-    """classify_constraints from the largest magnitudes at on-surface samples."""
-    points = sampler(cset)
-    cset.check_irreducible(points)
-    mag = np.zeros((len(cset), len(cset)))
-    for z in points:
-        mag = np.maximum(mag, _bracket_magnitudes(cset.jacobian(z), form.at(z)))
-    return _label_classes(cset, mag, tol_weak)
 
 
 def _bracket_magnitudes(jac: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -653,8 +556,9 @@ def project_to_constraint_surface(cset: ConstraintSet, z_bar, tol: float = 1e-12
     is reported through the returned ProjectionReport, not an exception;
     a singular commutation matrix still raises GaugeNotFixedError.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tolerance("tol", tol)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     if form is None:
         form = CosymplecticForm.canonical(cset.dim // 2)
     z = as_phase_point(z_bar).astype(float).copy()

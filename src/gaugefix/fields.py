@@ -567,15 +567,19 @@ def grid_coordinates(grid_n: int, domain_length: float):
 
 
 def _check_mode(mode: np.ndarray, grid_n: int) -> np.ndarray:
+    # Checked as Python numbers: an int past int64, or abs of the int64
+    # minimum, would wrap around in an integer array.
     mode = np.asarray(mode)
-    if mode.shape != (3,) or not np.all(mode == np.round(mode)):
+    values = mode.tolist() if mode.shape == (3,) else None
+    if values is None or not all(
+            isinstance(v, int) or isinstance(v, float) and v.is_integer() for v in values):
         raise ValueError("mode must be an integer 3-vector")
-    mode = mode.astype(int)
-    if np.all(mode == 0):
+    values = [int(v) for v in values]
+    if not any(values):
         raise ValueError("mode must be nonzero")
-    if np.max(np.abs(mode)) > grid_n // 2 - 1:
-        raise ValueError(f"mode {mode.tolist()} is not resolved on an N={grid_n} grid")
-    return mode
+    if max(map(abs, values)) > grid_n // 2 - 1:
+        raise ValueError(f"mode {values} is not resolved on an N={grid_n} grid")
+    return np.array(values)
 
 
 def _check_polarization(polarization, mode: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from gaugefix.constraints import (
     consistency_chain,
     dirac_bracket,
     error_correction_step,
-    make_surface_sampler,
     project_to_constraint_surface,
 )
 from gaugefix.evolution import evolve
@@ -184,19 +183,16 @@ def test_criterion_5_longitudinal_growth_and_suppression():
 
 def test_criterion_6_toy_model_pipeline():
     t0 = time.monotonic()
-    sampler = make_surface_sampler(np.random.default_rng(SEED))
 
     chain_model = chain_demo()
     chain = classify_constraints(
-        consistency_chain(chain_model.system, chain_model.primaries, sampler),
-        sampler)
+        consistency_chain(chain_model.system, chain_model.primaries))
     chain_ok = (chain.labels == ["p2", "[p2, H]"]
                 and all(c.class_label.value == "first_class" for c in chain))
 
     sc_model = second_class_demo()
     sc = classify_constraints(
-        consistency_chain(sc_model.system, sc_model.primaries, sampler),
-        sampler)
+        consistency_chain(sc_model.system, sc_model.primaries))
     z = sc_model.sample_point
     form = sc_model.system.form
     mat = commutation_matrix(sc, z, form)
@@ -211,7 +207,7 @@ def test_criterion_6_toy_model_pipeline():
     )
 
     reg_model = regular_demo()
-    reg = consistency_chain(reg_model.system, reg_model.primaries, sampler)
+    reg = consistency_chain(reg_model.system, reg_model.primaries)
     regular_ok = len(reg.constraints) == 0
 
     doc = Path(__file__).resolve().parent.parent / "docs" / "derivations.md"
@@ -229,10 +225,8 @@ def test_criterion_6_toy_model_pipeline():
 def test_criterion_7_error_correction_contract():
     t0 = time.monotonic()
     sc_model = second_class_demo()
-    sampler = make_surface_sampler(np.random.default_rng(SEED))
     sc = classify_constraints(
-        consistency_chain(sc_model.system, sc_model.primaries, sampler),
-        sampler)
+        consistency_chain(sc_model.system, sc_model.primaries))
     form = sc_model.system.form
 
     z_bar = np.array([0.4, 0.25, 0.25, 0.1])

@@ -18,11 +18,9 @@ from gaugefix.cli import (
     SCENARIOS,
     ConfigError,
     RunConfig,
-    _sampler_on_first_draw,
     build_parser,
     main,
 )
-from gaugefix.constraints import constraint_set, make_surface_sampler
 from gaugefix.evolution import evolve
 from gaugefix.fields import (
     FieldState,
@@ -36,7 +34,6 @@ from gaugefix.fields import (
     read_snapshot,
     write_snapshot,
 )
-from gaugefix.phase import linear_function
 
 
 JSON = st.recursive(
@@ -190,6 +187,20 @@ class TestEvolveCommand:
         assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
         assert "evolution aborted at t=2800.0" in capsys.readouterr().err
         assert len(out.read_text().splitlines()) == 1 + 57
+
+    @pytest.mark.parametrize("patch, err", [
+        ({"mode": [10 ** 23, 0, 0]},
+         "error: mode [100000000000000000000000, 0, 0] is not resolved on an N=8 grid"),
+        ({"mode": [-2 ** 63, 0, 1], "grid_n": 32},
+         "error: mode [-9223372036854775808, 0, 1] is not resolved on an N=32 grid"),
+        ({"grid_n": 10 ** 20}, "error: grid_n must be an integer from 4 to "),
+    ], ids=["mode-past-int64", "mode-int64-min", "grid_n-past-int64"])
+    def test_integers_past_int64_are_clean_errors(self, tmp_path, capsys, patch, err):
+        cfg = write_config(tmp_path, **patch)
+        out = tmp_path / "x.csv"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("message, err", [
         ("Unable to allocate 2.27 PiB for an array", "Unable to allocate 2.27 PiB for an array"),
@@ -464,13 +475,6 @@ class TestConstraintsCommand:
         golden = Path(__file__).parent / "golden" / f"constraints_{model}.json"
         assert capsys.readouterr().out.encode() == golden.read_bytes()
 
-    def test_sampler_built_on_first_draw_draws_the_seeded_stream(self):
-        cset = constraint_set([linear_function(np.array([1.0, 0.0, 0.0, 0.0]))], 4)
-        lazy = _sampler_on_first_draw(901)
-        eager = make_surface_sampler(np.random.default_rng(901))
-        for _ in range(2):
-            assert lazy(cset).tobytes() == eager(cset).tobytes()
-
     def test_out_flag_and_determinism(self, tmp_path, capsys):
         out1, out2 = tmp_path / "c1.json", tmp_path / "c2.json"
         for out in (out1, out2):
@@ -623,17 +627,27 @@ def test_a_command_builds_only_its_own_parser(tmp_path, capsys, monkeypatch):
     assert "{evolve,symbol,project,constraints}" in capsys.readouterr().out
 
 
-def test_cli_import_leaves_scipy_out():
+def _python(code):
+    """Standard output of ``python -c code`` with this gaugefix first on the path."""
     src = str(Path(gaugefix.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_leaves_scipy_out():
     # The subcommands' modules load with the CLI, not lazily on first use:
     # a lazy import would move its compile time into the command's run.
     code = ("import sys, gaugefix.cli; print('scipy' in sys.modules, "
             "'gaugefix.evolution' in sys.modules, 'gaugefix.fields' in sys.modules)")
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stdout.split() == ["False", "True", "True"]
+    assert _python(code).split() == ["False", "True", "True"]
+
+
+def test_readme_library_sketch_prints_one():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1]
+    assert _python(sketch.split("```", 1)[0]) == "1.0\n"
 
 
 @pytest.mark.parametrize("argv, unused", [
@@ -645,15 +659,10 @@ def test_cli_import_leaves_scipy_out():
 ])
 def test_commands_leave_the_numpy_modules_they_do_not_use_out(argv, unused):
     # Neither the CLI import nor the command loads the module: symbol ranks
-    # its speeds by a sorted set, and the built-in models never draw samples.
-    src = str(Path(gaugefix.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    # its speeds by a sorted set, and constraints samples nothing.
     code = ("import io, sys, contextlib, gaugefix.cli\n"
             f"loaded = {unused!r} in sys.modules\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = gaugefix.cli.main({argv!r})\n"
             f"print(code, loaded, {unused!r} in sys.modules)")
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stdout.split() == ["0", "False", "False"]
+    assert _python(code).split() == ["0", "False", "False"]

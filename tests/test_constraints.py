@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -16,9 +17,13 @@ from gaugefix.constraints import (
     ConstraintSet,
     GaugeNotFixedError,
     SamplerError,
+    _bracket_magnitudes,
     _combination_bracket,
-    _sampled_chain,
-    _sampled_classify,
+    _label_classes,
+    _left_null,
+    _require_full_rank,
+    _still_growing,
+    _unsatisfiable,
     classify_constraints,
     commutation_matrix,
     consistency_chain,
@@ -107,9 +112,9 @@ def test_least_squares_project_reaches_surface():
 # Consistency chain
 # ---------------------------------------------------------------------------
 
-def test_chain_demo_generates_secondary(sampler):
+def test_chain_demo_generates_secondary():
     model = chain_demo()
-    chain = consistency_chain(model.system, model.primaries, sampler)
+    chain = consistency_chain(model.system, model.primaries)
     assert len(chain) == 2
     assert chain[0].label == "p2"
     assert chain[0].origin is ConstraintOrigin.PRIMARY
@@ -121,28 +126,28 @@ def test_chain_demo_generates_secondary(sampler):
     assert_allclose(g / np.linalg.norm(g), [0.0, 0.0, -1.0, 0.0], atol=1e-9)
 
 
-def test_chain_demo_all_first_class(sampler):
+def test_chain_demo_all_first_class():
     model = chain_demo()
-    chain = consistency_chain(model.system, model.primaries, sampler)
-    labeled = classify_constraints(chain, sampler, form=model.system.form)
+    chain = consistency_chain(model.system, model.primaries)
+    labeled = classify_constraints(chain, form=model.system.form)
     assert [c.class_label for c in labeled] == [ConstraintClass.FIRST_CLASS] * 2
 
 
-def test_second_class_demo_chain_terminates_immediately(sampler):
+def test_second_class_demo_chain_terminates_immediately():
     model = second_class_demo()
-    chain = consistency_chain(model.system, model.primaries, sampler)
+    chain = consistency_chain(model.system, model.primaries)
     assert chain.labels == ["p1 - q2", "p2"]
 
 
-def test_second_class_demo_classification(sampler):
+def test_second_class_demo_classification():
     model = second_class_demo()
-    labeled = classify_constraints(model.primaries, sampler, form=model.system.form)
+    labeled = classify_constraints(model.primaries, form=model.system.form)
     assert [c.class_label for c in labeled] == [ConstraintClass.SECOND_CLASS] * 2
 
 
-def test_regular_demo_chain_empty(sampler):
+def test_regular_demo_chain_empty():
     model = regular_demo()
-    chain = consistency_chain(model.system, model.primaries, sampler)
+    chain = consistency_chain(model.system, model.primaries)
     assert len(chain) == 0
 
 
@@ -162,11 +167,11 @@ def _left_null_system():
     return HamiltonianSystem.canonical(3, quadratic_function(quad))
 
 
-def test_four_generation_chain(sampler):
+def test_four_generation_chain():
     """H = p1^2/2 + q1 q2 with primary p2 walks p2 -> q1 -> p1 -> q2."""
     system = _dim4_chain_system()
     primaries = constraint_set([coord(4, 3, "p2")], 4)
-    chain = consistency_chain(system, primaries, sampler)
+    chain = consistency_chain(system, primaries)
     assert len(chain) == 4
     directions = []
     z = np.zeros(4)
@@ -174,11 +179,11 @@ def test_four_generation_chain(sampler):
         g = c.grad(z)
         directions.append(int(np.argmax(np.abs(g))))
     assert directions == [3, 0, 2, 1]
-    labeled = classify_constraints(chain, sampler, form=system.form)
+    labeled = classify_constraints(chain, form=system.form)
     assert all(c.class_label is ConstraintClass.SECOND_CLASS for c in labeled)
 
 
-def test_chain_with_unabsorbable_residual_uses_left_null_space(sampler):
+def test_chain_with_unabsorbable_residual_uses_left_null_space():
     """H = p1^2/2 + p2 q3 on (q1, q2, q3, p1, p2, p3), primaries p1, q1, p3.
 
     [p1, q1] = -1 lets a multiplier absorb the p1 and q1 rows, so the
@@ -187,11 +192,11 @@ def test_chain_with_unabsorbable_residual_uses_left_null_space(sampler):
     """
     system = _left_null_system()
     primaries = constraint_set([coord(6, 3, "p1"), coord(6, 0, "q1"), coord(6, 5, "p3")], 6)
-    chain = consistency_chain(system, primaries, sampler)
+    chain = consistency_chain(system, primaries)
     assert chain.labels == ["p1", "q1", "p3", "[p3, H]"]
     assert chain[3].origin is ConstraintOrigin.CONSISTENCY
     assert_allclose(chain[3].grad(np.arange(6.0)), -np.eye(6)[4], atol=1e-9)
-    labeled = classify_constraints(chain, sampler, form=system.form)
+    labeled = classify_constraints(chain, form=system.form)
     second, first = ConstraintClass.SECOND_CLASS, ConstraintClass.FIRST_CLASS
     assert [c.class_label for c in labeled] == [second, second, first, first]
 
@@ -212,8 +217,8 @@ def test_dim6_six_generation_chain(sampler):
     t0 = time.perf_counter()
     system = _dim6_chain_system()
     primaries = constraint_set([coord(6, 5, "p3")], 6)
-    chain = consistency_chain(system, primaries, sampler)
-    labeled = classify_constraints(chain, sampler, form=system.form)
+    chain = consistency_chain(system, primaries)
+    labeled = classify_constraints(chain, form=system.form)
     elapsed = time.perf_counter() - t0
     e = np.eye(6)
     expected = [e[5], -e[4], e[0], e[3], -e[1], -e[2]]
@@ -224,10 +229,10 @@ def test_dim6_six_generation_chain(sampler):
     assert elapsed < 0.5
 
 
-def test_chain_members_have_exact_gradients(sampler):
+def test_chain_members_have_exact_gradients():
     """Every generation of a polynomial chain is a closed-form bracket."""
     system = _dim4_chain_system()
-    chain = consistency_chain(system, constraint_set([coord(4, 3, "p2")], 4), sampler)
+    chain = consistency_chain(system, constraint_set([coord(4, 3, "p2")], 4))
     assert len(chain) == 4
     assert all(c.function.uses_fd_gradient is False for c in chain)
     assert all(c.function.coefficients is not None for c in chain)
@@ -284,24 +289,126 @@ def test_bracket_function_fd_fallback_opaque_function():
         assert_allclose(fg.grad(z), grad, rtol=1e-7, atol=1e-8)
 
 
-def test_chain_detects_inconsistent_dynamics(sampler):
+def test_chain_detects_inconsistent_dynamics():
     # H = q2 with primary p2: consistency demands -1 = 0.
     system = HamiltonianSystem.canonical(2, coord(4, 1, "q2"))
     primaries = constraint_set([coord(4, 3, "p2")], 4)
     with pytest.raises(ChainTerminationError, match="cannot be satisfied"):
-        consistency_chain(system, primaries, sampler)
+        consistency_chain(system, primaries)
 
 
-def test_chain_respects_generation_cap(sampler):
+def test_chain_respects_generation_cap():
     system = _dim4_chain_system()
     primaries = constraint_set([coord(4, 3, "p2")], 4)
     with pytest.raises(ChainTerminationError, match="generations"):
-        consistency_chain(system, primaries, sampler, max_generations=2)
+        consistency_chain(system, primaries, max_generations=2)
 
 
 # ---------------------------------------------------------------------------
-# Exact linear-algebra route against the sampled route
+# Exact linear-algebra route against a sampled oracle
 # ---------------------------------------------------------------------------
+#
+# The oracle makes every chain and class decision at on-surface sample
+# points from the pointwise brackets: a condition vanishes weakly when its
+# largest scaled value over the points is below tol_weak, and a candidate
+# is new when its gradient leaves the span of the set's gradients at one
+# point. It shares the candidate brackets and the class labelling with the
+# library, not the rank tests.
+
+def _sampled_chain(system, primaries, sampler, tol_weak, max_generations):
+    """consistency_chain with every decision made at on-surface samples."""
+    h = system.hamiltonian
+    form = system.form
+    n_primary = len(primaries)
+    cset = primaries
+
+    for _generation in range(max_generations):
+        points = sampler(cset)
+        m = len(cset)
+        n_pts = points.shape[0]
+
+        # b[k, i] = [C_i, H] at sample k; a[k, i, p] = [C_i, phi_p] there.
+        # Weak vanishing is judged against 1 + |grad C_i| |grad H|.
+        b = np.empty((n_pts, m))
+        a = np.empty((n_pts, m, n_primary))
+        scales = np.empty((n_pts, m))
+        for k, z in enumerate(points):
+            jac = cset.jacobian(z)
+            gh = h.grad(z)
+            gj = jac @ form.at(z)
+            b[k] = gj @ gh
+            a[k] = gj @ jac[:n_primary].T
+            scales[k] = 1.0 + np.linalg.norm(jac, axis=1) * np.linalg.norm(gh)
+
+        # Residual after the best pointwise multiplier fit.
+        resid = np.empty_like(b)
+        for k in range(n_pts):
+            lam, *_ = np.linalg.lstsq(a[k], -b[k], rcond=None)
+            resid[k] = b[k] + a[k] @ lam
+        unabsorbed = np.max(np.abs(resid) / scales, axis=0)
+        failing = np.nonzero(unabsorbed >= tol_weak)[0]
+        if failing.size == 0:
+            return cset
+
+        # Directions of the consistency conditions that no multiplier choice
+        # can touch. When no primary bracket is in play this is just the
+        # identity, and candidates are the raw brackets [C_i, H].
+        a_scale = np.max(np.abs(a)) if a.size else 0.0
+        if a_scale < tol_weak:
+            directions = [np.eye(m)[i] for i in failing]
+        else:
+            a_mean = a.mean(axis=0)
+            if np.max(np.abs(a - a_mean)) > 1e-6 * (1.0 + a_scale):
+                raise ChainTerminationError(
+                    "primary bracket matrix varies across on-surface samples; "
+                    "point-dependent multiplier structure is not supported"
+                )
+            directions = [u for u in _left_null(a_mean)
+                          if np.max(np.abs(resid @ u)) >= tol_weak]
+
+        new = []
+        for u in directions:
+            cand = _combination_bracket(cset, u, h, form)
+            if _gradient_is_new(cset.extended(new), cand, points):
+                new.append(Constraint(cand, ConstraintOrigin.CONSISTENCY))
+        if not new:
+            raise _unsatisfiable([cset[i].label for i in failing])
+        cset = cset.extended(new)
+
+    raise _still_growing(max_generations, cset)
+
+
+def _gradient_is_new(cset, cand, points):
+    """True if cand's gradient leaves the span of the set's gradients
+    at at least one sample point: its least-squares residual exceeds
+    1e-8 of its norm."""
+    for z in np.atleast_2d(points):
+        g = cand.grad(z)
+        gn = np.linalg.norm(g)
+        if gn == 0.0:
+            continue
+        existing = cset.jacobian(z)
+        if existing.shape[0] == 0:
+            return True
+        coeff, *_ = np.linalg.lstsq(existing.T, g, rcond=None)
+        residual = np.linalg.norm(g - existing.T @ coeff)
+        if residual > 1e-8 * gn:
+            return True
+    return False
+
+
+def _sampled_classify(cset, sampler, tol_weak, form):
+    """classify_constraints from the largest magnitudes at on-surface samples."""
+    if len(cset) == 0:
+        return cset
+    points = sampler(cset)
+    mag = np.zeros((len(cset), len(cset)))
+    for z in points:
+        jac = cset.jacobian(z)
+        _require_full_rank(jac)
+        mag = np.maximum(mag, _bracket_magnitudes(jac, form.at(z)))
+    return _label_classes(cset, mag, tol_weak)
+
 
 def _no_sampling(cset):
     raise AssertionError("the exact route drew from the sampler")
@@ -341,8 +448,8 @@ def test_exact_and_sampled_routes_agree(system, primaries, options, sampler):
     tol, cap = 1e-8, options.get("max_generations", 10)
     form = system.form
     exact = _run_route(
-        lambda s, p: consistency_chain(s, p, _no_sampling, max_generations=cap),
-        lambda c: classify_constraints(c, _no_sampling, form=form), system, primaries)
+        lambda s, p: consistency_chain(s, p, max_generations=cap),
+        lambda c: classify_constraints(c, form=form), system, primaries)
     sampled = _run_route(
         lambda s, p: _sampled_chain(s, p, sampler, tol, cap) if len(p) else p,
         lambda c: _sampled_classify(c, sampler, tol, form), system, primaries)
@@ -361,20 +468,28 @@ def test_exact_and_sampled_routes_agree(system, primaries, options, sampler):
 
 
 def test_exact_route_never_samples_and_other_sets_still_do():
+    # A sampler passed in the positional slot is never drawn from.
     system = _dim6_chain_system()
     chain = consistency_chain(system, constraint_set([coord(6, 5, "p3")], 6), _no_sampling)
     classify_constraints(chain, _no_sampling, form=system.form)
-    # A nonlinear set, or an affine one under a point-dependent form, is sampled.
-    with pytest.raises(AssertionError, match="drew from the sampler"):
-        classify_constraints(circle_pair(), _no_sampling, form=FORM2)
+    # Input without an exact route is refused, with the reason named.
+    circle_system = HamiltonianSystem.canonical(1, quadratic_function(np.eye(2), label="H"))
+    radial = re.escape("constraint 0 ((q^2 + p^2)/2 - 1) is not affine")
+    with pytest.raises(ValueError, match=radial):
+        consistency_chain(circle_system, circle_pair())
+    with pytest.raises(ValueError, match=radial):
+        classify_constraints(circle_pair(), form=FORM2)
+    opaque_h = PhaseFunction(lambda z: float(z[2] ** 2 / 2 + np.cos(z[1])), label="H")
+    with pytest.raises(ValueError, match="Hamiltonian H has no polynomial coefficients"):
+        consistency_chain(HamiltonianSystem.canonical(2, opaque_h),
+                          constraint_set([coord(4, 3, "p2")], 4))
     j0 = FORM2.at(None)
     varying = CosymplecticForm(matrix_fn=lambda z: (1.0 + z[0] ** 2) * j0)
-    with pytest.raises(AssertionError, match="drew from the sampler"):
-        classify_constraints(constraint_set([coord(2, 1, "p")], 2), _no_sampling, form=varying)
-    opaque_h = PhaseFunction(lambda z: float(z[2] ** 2 / 2 + np.cos(z[1])), label="H")
-    with pytest.raises(AssertionError, match="drew from the sampler"):
-        consistency_chain(HamiltonianSystem.canonical(2, opaque_h),
-                          constraint_set([coord(4, 3, "p2")], 4), _no_sampling)
+    p = constraint_set([coord(2, 1, "p")], 2)
+    with pytest.raises(ValueError, match="form is point-dependent"):
+        consistency_chain(HamiltonianSystem(1, quadratic_function(np.eye(2)), varying), p)
+    with pytest.raises(ValueError, match="form is point-dependent"):
+        classify_constraints(p, form=varying)
 
 
 def test_exact_route_refuses_a_candidate_residual_in_the_band():
@@ -388,28 +503,28 @@ def test_exact_route_refuses_a_candidate_residual_in_the_band():
 
 
 @pytest.mark.parametrize("tol_weak", [float("nan"), float("inf"), 0.0, -1.0])
-def test_chain_and_classes_reject_bad_tol_weak(tol_weak, sampler):
+def test_chain_and_classes_reject_bad_tol_weak(tol_weak):
     model = chain_demo()
-    chain = consistency_chain(model.system, model.primaries, sampler)
-    # The exact route (the chain demo) and the sampled route (the circle pair).
+    chain = consistency_chain(model.system, model.primaries)
+    # Checked first, for affine sets (the chain demo) and refused ones (the circle pair).
     for cset, form in ((chain, model.system.form), (circle_pair(), FORM2)):
         with pytest.raises(ValueError, match="tol_weak"):
-            classify_constraints(cset, sampler, tol_weak=tol_weak, form=form)
+            classify_constraints(cset, tol_weak=tol_weak, form=form)
     circle_system = HamiltonianSystem.canonical(1, quadratic_function(np.eye(2)))
     for system, primaries in ((model.system, model.primaries),
                               (circle_system, circle_pair())):
         with pytest.raises(ValueError, match="tol_weak"):
-            consistency_chain(system, primaries, sampler, tol_weak=tol_weak)
+            consistency_chain(system, primaries, tol_weak=tol_weak)
 
 
 @pytest.mark.parametrize("max_generations", [0, -1])
-def test_chain_rejects_generation_cap_below_one(max_generations, sampler):
+def test_chain_rejects_generation_cap_below_one(max_generations):
     model = chain_demo()
     circle_system = HamiltonianSystem.canonical(1, quadratic_function(np.eye(2)))
     for system, primaries in ((model.system, model.primaries),
                               (circle_system, circle_pair())):
         with pytest.raises(ValueError, match="max_generations"):
-            consistency_chain(system, primaries, sampler, max_generations=max_generations)
+            consistency_chain(system, primaries, max_generations=max_generations)
 
 
 # ---------------------------------------------------------------------------
@@ -435,20 +550,22 @@ def test_singular_commutation_refuses_solve():
         mat.solve(np.ones(2))
 
 
-def test_classification_ambiguity_band(sampler):
+def test_classification_ambiguity_band():
     # Bracket magnitude 1e-8 sits exactly at tol_weak: refuse to classify.
     c1 = coord(2, 1, "p")
     c2 = linear_function(np.array([1e-8, 0.0]), label="eps q")
     cset = constraint_set([c1, c2], 2)
     with pytest.raises(AmbiguousClassificationError):
-        classify_constraints(cset, sampler, tol_weak=1e-8, form=FORM2)
+        classify_constraints(cset, tol_weak=1e-8, form=FORM2)
 
 
-def test_check_irreducible_rejects_duplicates():
+def test_classification_rejects_duplicate_constraints(sampler):
     c = coord(4, 3, "p2")
     cset = constraint_set([c, c], 4)
     with pytest.raises(ValueError, match="irreducible"):
-        cset.check_irreducible(np.zeros((1, 4)))
+        classify_constraints(cset, form=FORM4)
+    with pytest.raises(ValueError, match="irreducible"):
+        _sampled_classify(cset, sampler, 1e-8, FORM4)
 
 
 def test_more_constraints_than_phase_dimensions_are_not_irreducible(sampler):
@@ -457,9 +574,7 @@ def test_more_constraints_than_phase_dimensions_are_not_irreducible(sampler):
     q, p = coord(2, 0, "q"), coord(2, 1, "p")
     cset = constraint_set([q, p, linear_function(np.array([1.0, 1.0]), label="q + p")], 2)
     with pytest.raises(ValueError, match="not irreducible"):
-        cset.check_irreducible(np.zeros((1, 2)))
-    with pytest.raises(ValueError, match="not irreducible"):
-        classify_constraints(cset, sampler, form=FORM2)
+        classify_constraints(cset, form=FORM2)
     with pytest.raises(ValueError, match="not irreducible"):
         _sampled_classify(cset, sampler, 1e-8, FORM2)
 
@@ -619,6 +734,17 @@ def test_projection_reports_nonconvergence():
 def test_projection_rejects_bad_tol():
     with pytest.raises(ValueError):
         project_to_constraint_surface(circle_pair(), np.ones(2), tol=0.0)
+
+
+@pytest.mark.parametrize("options,message", [
+    ({"tol": float("nan")}, "tol must be positive and finite"),
+    ({"tol": float("inf")}, "tol must be positive and finite"),
+    ({"max_iter": -3}, "max_iter must be at least 1"),
+    ({"max_iter": 0}, "max_iter must be at least 1"),
+], ids=["tol-nan", "tol-inf", "max_iter-negative", "max_iter-zero"])
+def test_projection_rejects_non_finite_tol_and_max_iter_below_one(options, message):
+    with pytest.raises(ValueError, match=message):
+        project_to_constraint_surface(circle_pair(), np.ones(2), **options)
 
 
 def test_bracket_and_least_squares_routes_agree_on_surface():

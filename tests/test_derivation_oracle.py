@@ -18,7 +18,6 @@ from gaugefix.constraints import (
     constraint_set,
     dirac_bracket,
     gauge_fixed_multipliers,
-    make_surface_sampler,
     second_order_coefficients,
 )
 from gaugefix.phase import (
@@ -115,14 +114,13 @@ class TestChainDemoDerivation:
 
     def test_package_agrees(self):
         model = chain_demo()
-        sampler = make_surface_sampler(np.random.default_rng(1))
-        chain = consistency_chain(model.system, model.primaries, sampler)
+        chain = consistency_chain(model.system, model.primaries)
         assert len(chain.constraints) == 2
         secondary = chain.constraints[1]
         lam = sp.lambdify((q1, q2, p1, p2), pb(p2, p1 ** 2 / 2 + q2 * p1))
         for z in np.random.default_rng(2).normal(size=(5, 4)):
             assert secondary(z) == pytest.approx(lam(*z), abs=1e-9)
-        classified = classify_constraints(chain, sampler)
+        classified = classify_constraints(chain)
         assert all(c.class_label.value == "first_class" for c in classified)
 
 
@@ -186,9 +184,8 @@ class TestSecondClassDemoDerivation:
 
     def test_package_agrees(self):
         model = second_class_demo()
-        sampler = make_surface_sampler(np.random.default_rng(1))
-        chain = consistency_chain(model.system, model.primaries, sampler)
-        classified = classify_constraints(chain, sampler)
+        chain = consistency_chain(model.system, model.primaries)
+        classified = classify_constraints(chain)
         form = model.system.form
         pairs = dict(model.check_functions)
         z = np.array([0.4, 0.25, 0.25, 0.0])
@@ -237,8 +234,7 @@ class TestSixGenerationChainDerivation:
         quad[2, 4] = quad[4, 2] = 1.0
         system = HamiltonianSystem.canonical(3, quadratic_function(quad))
         primaries = constraint_set([linear_function(np.eye(6)[5], label="p3")], 6)
-        sampler = make_surface_sampler(np.random.default_rng(1))
-        chain = consistency_chain(system, primaries, sampler)
+        chain = consistency_chain(system, primaries)
         members = self.chain()
         assert len(chain) == len(members)
         for z in np.random.default_rng(2).normal(size=(5, 6)):
@@ -247,7 +243,7 @@ class TestSixGenerationChainDerivation:
                                              abs=1e-12)
                 grad = [float(sp.diff(expr, v)) for v in self.variables]
                 assert np.allclose(c.grad(z), grad, rtol=0, atol=1e-14)
-        classified = classify_constraints(chain, sampler)
+        classified = classify_constraints(chain)
         assert all(c.class_label.value == "second_class" for c in classified)
 
 
