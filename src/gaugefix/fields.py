@@ -44,8 +44,10 @@ class SpectralWorkspace:
     the resolved band |m| <= N/2 - 1 and keeps the transverse projector
     idempotent; pure Nyquist content is carried along as a constant.
 
-    The axes k1 (x, y) and k3 (rfft z), the plane weights and the largest
-    k^2 are set up front; the tables kvec, k2, inv_k2, shells on first use.
+    The axes k1 (x, y) and k3 (rfft z), the plane weights, the largest
+    k^2 and the Parseval scale (L/N^2)^3 are set up front; the tables
+    kvec, k2, inv_k2, shells on first use. A geometry whose wavenumbers,
+    k^2 or scale are not finite and nonzero in float64 raises ValueError.
     """
 
     def __init__(self, grid_n: int, domain_length: float):
@@ -57,13 +59,20 @@ class SpectralWorkspace:
         self.grid_n = int(grid_n)
         self.domain_length = domain_length
         spacing = domain_length / grid_n
-        self.k1 = k1 = 2.0 * np.pi * np.fft.fftfreq(grid_n, d=spacing)
-        self.k3 = k3 = 2.0 * np.pi * np.fft.rfftfreq(grid_n, d=spacing)
-        if grid_n % 2 == 0:
-            k1[grid_n // 2] = 0.0
-            k3[-1] = 0.0
-        # Rounding is monotone, so this is k2.max() bit for bit.
-        self.k2_max = float(np.max(k1 ** 2) + np.max(k1 ** 2) + np.max(k3 ** 2))
+        with np.errstate(all="ignore"):
+            self.k1 = k1 = 2.0 * np.pi * np.fft.fftfreq(grid_n, d=spacing)
+            self.k3 = k3 = 2.0 * np.pi * np.fft.rfftfreq(grid_n, d=spacing)
+            if grid_n % 2 == 0:
+                k1[grid_n // 2] = 0.0
+                k3[-1] = 0.0
+            # Rounding is monotone, so this is k2.max() bit for bit.
+            self.k2_max = float(np.max(k1 ** 2) + np.max(k1 ** 2) + np.max(k3 ** 2))
+            self.scale = float(np.float64(domain_length / grid_n ** 2) ** 3)
+        # A NaN or inf wavenumber makes k2_max NaN or inf.
+        if not (k1[1] ** 2 > 0 and np.isfinite(self.k2_max) and 0 < self.scale < np.inf):
+            raise ValueError(f"an N={grid_n} grid of side L={domain_length!r} is outside "
+                             "float64 range: its wavenumbers, k^2 or Parseval scale "
+                             "(L/N^2)^3 are not finite and nonzero")
         # Parseval weight of each rfft plane: the kz = 0 and (even N) Nyquist
         # planes hold their own mirror modes and count once; every other
         # plane stands for itself and its mirror and counts twice.
@@ -225,7 +234,7 @@ class Modes:
     def __init__(self, ws: SpectralWorkspace, index: tuple | None = None,
                  k2: np.ndarray | None = None):
         self.ws = ws
-        self.scale = (ws.domain_length / ws.grid_n ** 2) ** 3
+        self.scale = ws.scale
         self.whole = index is None
         if self.whole:
             self.index = (Ellipsis,)
@@ -437,8 +446,7 @@ def constraint_norms(state: FieldState):
 
 def div_norm_hat(f_hat: np.ndarray, ws: SpectralWorkspace) -> float:
     """Continuum L2 norm of div f from the half spectrum of f, by Parseval."""
-    scale = (ws.domain_length / ws.grid_n ** 2) ** 3
-    return float(np.sqrt(scale * np.sum(ws.plane_weight * _abs2(k_dot(f_hat, ws.kvec)))))
+    return float(np.sqrt(ws.scale * np.sum(ws.plane_weight * _abs2(k_dot(f_hat, ws.kvec)))))
 
 
 def longitudinal_norms(state: FieldState):
@@ -480,9 +488,11 @@ def correct_initial_data(a_bar: np.ndarray, pi_bar: np.ndarray,
     """
     a_bar = np.asarray(a_bar, dtype=float)
     ws = get_workspace(a_bar.shape[-1], float(domain_length))
-    return FieldState(transverse_project(a_bar, ws),
-                      transverse_project(np.asarray(pi_bar, dtype=float), ws),
-                      float(domain_length))
+    # Data near the float64 limit overflow in the transforms, silently:
+    # FieldState refuses the result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, pi = (transverse_project(f, ws) for f in (a_bar, np.asarray(pi_bar, dtype=float)))
+    return FieldState(a, pi, float(domain_length))
 
 
 def project_state(state: FieldState) -> FieldState:
@@ -497,18 +507,20 @@ def project_in_place(state: FieldState):
     projected grid over the field, and one forward transform of that grid
     gives the norm after, so the norms after are those of the fields as
     left. Norms are by Parseval. The result equals project_state(state)
-    bit for bit; a transform that overflows raises ValueError.
+    bit for bit; a transform that overflows raises ValueError, without
+    a numpy warning.
     """
     ws = state.workspace()
     modes = Modes(ws)
     before, after = [], []
-    for f in (state.a, state.pi):
-        f_hat = ws.forward(f)
-        before.append(div_norm_hat(f_hat, ws))
-        f_hat = modes.split(f_hat)[0]
-        f[...] = ws.backward(f_hat)
-        del f_hat
-        after.append(div_norm_hat(ws.forward(f), ws))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in (state.a, state.pi):
+            f_hat = ws.forward(f)
+            before.append(div_norm_hat(f_hat, ws))
+            f_hat = modes.split(f_hat)[0]
+            f[...] = ws.backward(f_hat)
+            del f_hat
+            after.append(div_norm_hat(ws.forward(f), ws))
     state.check_finite()
     return tuple(before), tuple(after)
 
@@ -595,11 +607,13 @@ def _check_polarization(polarization, mode: np.ndarray) -> np.ndarray:
     return e
 
 
-def _check_wave(mode, polarization, grid_n: int, kind: str = "transverse"):
+def _check_wave(mode, polarization, grid_n: int, domain_length: float,
+                kind: str = "transverse"):
     mode = _check_mode(mode, grid_n)
     e = _check_polarization(polarization, mode)
     if kind not in ("transverse", "contaminated"):
         raise ValueError(f"unknown plane wave kind {kind!r}")
+    get_workspace(grid_n, float(domain_length))  # refuses a geometry outside float64 range
     return mode, e
 
 
@@ -607,7 +621,9 @@ def _wave_entries(mode: np.ndarray, e: np.ndarray, amplitude: float, grid_n: int
     """The half-spectrum entries of +-m and the coefficient a e N^3 / 2 of a e cos(k.x) at each."""
     half = [mode] if mode[2] > 0 else [-mode] if mode[2] < 0 else [mode, -mode]
     support = tuple(np.array([m[i] % grid_n for m in half]) for i in range(3))
-    return support, (0.5 * grid_n ** 3 * amplitude) * e[:, None] * np.ones(len(half))
+    # An amplitude that overflows gives inf, and nan where e is zero, silently.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return support, (0.5 * grid_n ** 3 * amplitude) * e[:, None] * np.ones(len(half))
 
 
 def plane_wave_initial_data(mode, polarization, amplitude: float = 1.0,
@@ -621,7 +637,7 @@ def plane_wave_initial_data(mode, polarization, amplitude: float = 1.0,
     kind="contaminated" a pure-gradient momentum c * grad sin(2 pi x / L)
     is added, which violates the Gauss constraint by a known amount.
     """
-    mode, e = _check_wave(mode, polarization, grid_n, kind)
+    mode, e = _check_wave(mode, polarization, grid_n, domain_length, kind)
     x, y, z = grid_coordinates(grid_n, domain_length)
     k = 2.0 * np.pi * mode / domain_length
     phase = k[0] * x + k[1] * y + k[2] * z
@@ -646,7 +662,7 @@ def plane_wave_spectrum(mode, polarization, amplitude: float = 1.0,
     N^3 / 2 at the entries of (+-1, 0, 0). The grid state differs from
     plane_wave_initial_data's by rounding.
     """
-    mode, e = _check_wave(mode, polarization, grid_n, kind)
+    mode, e = _check_wave(mode, polarization, grid_n, domain_length, kind)
     support, coeff = _wave_entries(mode, e, amplitude, grid_n)
     entries = {tuple(map(int, m)): np.stack([c, np.zeros(3)])
                for m, c in zip(zip(*support), coeff.T)}
@@ -675,7 +691,7 @@ def plane_wave_reference(mode, polarization, amplitude: float = 1.0,
     other coefficient is zero. `grid_n` and `domain_length` name the grid
     these entries belong to.
     """
-    mode, e = _check_wave(mode, polarization, grid_n)
+    mode, e = _check_wave(mode, polarization, grid_n, domain_length)
     k = 2.0 * np.pi * mode / domain_length
     omega = float(np.linalg.norm(k))
     support, coeff = _wave_entries(mode, e, amplitude, grid_n)

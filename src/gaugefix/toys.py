@@ -1,12 +1,12 @@
 """Small built-in systems exercising the constraint pipeline end to end.
 
-The three Lagrangian toys are each one QuadraticLagrangian: legendre
-turns it into the phase-space Hamiltonian and the primary constraints,
-and the toy adds a point on the constraint surface for matrix
-evaluations and the coordinates whose brackets are worth reporting
-(docs/derivations.md sections 1-3). The nonlinear circle pair exists
-purely to stress the iterative surface projection; the Coulomb mode is
-a hand-typed one-mode surrogate of the gauge-fixed field system.
+Every model is one QuadraticLagrangian: legendre turns it into the
+phase-space Hamiltonian and the primary constraints, and the model adds
+a point on the constraint surface for matrix evaluations and the
+coordinates whose brackets are worth reporting (docs/derivations.md
+sections 1-3 for the three demos, 5a for maxwell_mode, one Fourier mode
+of the field system). The nonlinear circle pair is a bare constraint
+set that exists purely to stress the iterative surface projection.
 """
 
 from __future__ import annotations
@@ -113,35 +113,33 @@ def circle_pair(theta0: float = 0.25) -> ConstraintSet:
     )
 
 
-def coulomb_mode_demo(k_abs: float = 1.0) -> ToyModel:
-    """Single-mode surrogate of the Coulomb-gauge-fixed field system.
+def maxwell_mode(k) -> ToyModel:
+    """One standing Fourier mode of vacuum Maxwell theory, wavevector k.
 
-    One conjugate pair (a, p) standing in for a longitudinal Fourier
-    amplitude with wavenumber magnitude k_abs: H = p^2 / 2 with the
-    gauge-fixing pair C0 = k_abs p, C1 = k_abs a. Their commutation
-    matrix is [[0, -k_abs^2], [k_abs^2, 0]] and the multipliers that
-    freeze the pair are (-C0 / k_abs^2, 0).
+    A = a sin(k.x) and phi = f cos(k.x) give L = |adot - k f|^2 / 2 -
+    |k x a|^2 / 2 on q = (a, f) (docs/derivations.md section 5a). The
+    primary is p4 = p_f; the chain adds [p4, H] = -k.p (Gauss's law),
+    and both are first class. With the gauge fixings f and k.a all four
+    are second class, and [a_i, p_j]_D = delta_ij - k_i k_j / k^2 is the
+    field projector at k. The sample point lies on the chain's surface.
+    Raises ValueError unless k is a finite 3-vector with k.k finite and
+    positive.
     """
-    if k_abs <= 0:
-        raise ValueError("k_abs must be positive")
-    dim = 2
-    h = quadratic_function(np.diag([0.0, 1.0]), label="p^2/2")
-    system = HamiltonianSystem.canonical(1, h)
-    c0 = linear_function(np.array([0.0, k_abs]), label="k p")
-    c1 = linear_function(np.array([k_abs, 0.0]), label="k a")
-    pair = ConstraintSet(
-        (
-            Constraint(c0, ConstraintOrigin.PRIMARY),
-            Constraint(c1, ConstraintOrigin.GAUGE_FIXING),
-        ),
-        dim,
-    )
-    return ToyModel(
-        name="coulomb-mode",
-        system=system,
-        primaries=pair,
-        sample_point=np.zeros(2),
-    )
+    k = np.asarray(k, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k2 = float(k @ k) if k.shape == (3,) else np.nan
+    if not (np.isfinite(k2) and k2 > 0):
+        raise ValueError("k must be a finite 3-vector with k.k finite and positive, "
+                         f"got {k.tolist()}")
+    w = np.diag([1.0, 1.0, 1.0, 0.0])
+    b = np.zeros((4, 4))
+    b[:3, 3] = -k
+    kk = np.diag([0.0, 0.0, 0.0, k2])
+    kk[:3, :3] = np.outer(k, k) - k2 * np.eye(3)
+    a = np.array([0.3, -0.2, 0.5])
+    return _lagrangian_toy("maxwell-mode", QuadraticLagrangian(w, b, kk),
+                           np.concatenate([a, [0.0], np.cross(k, a), [0.0]]),
+                           ("q1", "q2", "q3", "p1", "p2", "p3"))
 
 
 BUILTIN_MODELS = {

@@ -410,8 +410,7 @@ class TestProjectCommand:
         a[0] = 1e308 * (-1.0) ** np.arange(8)[:, None, None]
         path, out = tmp_path / "in.gfsn", tmp_path / "out.gfsn"
         write_snapshot(FieldState(a, np.zeros_like(a), 2.0 * np.pi), path)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["project", str(path), "--out", str(out)]) == 1
+        assert main(["project", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: field values must be finite\n"
         assert not out.exists()
 
@@ -627,13 +626,55 @@ def test_a_command_builds_only_its_own_parser(tmp_path, capsys, monkeypatch):
     assert "{evolve,symbol,project,constraints}" in capsys.readouterr().out
 
 
-def _python(code):
-    """Standard output of ``python -c code`` with this gaugefix first on the path."""
+def _run_python(code, *args):
+    """``python -c code args`` with this gaugefix first on the path."""
     src = str(Path(gaugefix.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True)
+
+
+def _python(code):
+    """Standard output of ``python -c code`` with this gaugefix first on the path."""
+    return _run_python(code).stdout
+
+
+def test_out_of_range_geometry_and_data_are_clean_errors(tmp_path):
+    """Each case runs through cli.main in one fresh interpreter, whose stderr
+    shows any numpy warning or traceback as the user would see it."""
+    big = plane_wave_initial_data((1, 0, 0), (0, 1, 0), grid_n=8)
+    cases = []
+    for scenario, length in [("plane_wave", 1e308), ("contaminated", 1e200),
+                             ("contaminated", 1e308), ("random_smooth", 1e200),
+                             ("random_smooth", 1e308), ("plane_wave", 1e-320),
+                             ("contaminated", 1e-320), ("random_smooth", 1e-320)]:
+        cfg = write_config(tmp_path, f"{scenario}_{length}.json", scenario=scenario,
+                           domain_length=length, seed=1)
+        cases.append((["evolve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")],
+                      1, f"error: an N=8 grid of side L={length!r} is outside float64 range"))
+    for length in (1e200, 1e-320):
+        path = tmp_path / f"{length}.gfsn"
+        write_snapshot(FieldState(big.a, big.pi, length), path)
+        cases.append((["project", str(path), "--out", str(tmp_path / "x.gfsn")],
+                      1, f"error: an N=8 grid of side L={length!r} is outside float64 range"))
+    for scenario, code, err in [("plane_wave", 2, "evolution aborted at t=0.0"),
+                                ("random_smooth", 1, "error: field values must be finite")]:
+        cfg = write_config(tmp_path, f"{scenario}_amplitude.json", scenario=scenario,
+                           amplitude=1e308, seed=1)
+        cases.append((["evolve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")],
+                      code, err))
+    driver = ("import json, sys\n"
+              "from gaugefix.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    print('#', file=sys.stderr, flush=True)\n"
+              "    print('exit', main(argv), flush=True)\n")
+    run = _run_python(driver, json.dumps([argv for argv, _, _ in cases]))
+    assert "Traceback" not in run.stderr and "Warning" not in run.stderr
+    codes = [int(line[5:]) for line in run.stdout.splitlines() if line.startswith("exit ")]
+    assert codes == [code for _, code, _ in cases]
+    for (_, _, err), printed in zip(cases, run.stderr.split("#\n")[1:], strict=True):
+        assert printed.startswith(err)
 
 
 def test_cli_import_leaves_scipy_out():

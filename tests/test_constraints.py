@@ -49,7 +49,6 @@ from gaugefix.phase import (
 from gaugefix.toys import (
     chain_demo,
     circle_pair,
-    coulomb_mode_demo,
     regular_demo,
     second_class_demo,
 )
@@ -625,21 +624,23 @@ def test_dirac_bracket_circle_reduces_cleanly():
 # Gauge-fixed multipliers
 # ---------------------------------------------------------------------------
 
-def test_coulomb_mode_multipliers():
-    model = coulomb_mode_demo(k_abs=2.0)
-    z = np.array([0.3, -0.6])
-    lam = gauge_fixed_multipliers(model.primaries, model.system, z)
-    c0 = model.primaries[0](z)
-    assert_allclose(lam, [-c0 / 4.0, 0.0], atol=1e-13)
+def test_maxwell_mode_multipliers(coulomb_gauge):
+    # Constraints (p4, -k.p, f, k.a) of the mode at k = (0, 2, 0).
+    model, cset = coulomb_gauge(np.array([0.0, 2.0, 0.0]))
+    z = np.array([0.3, -0.6, 0.2, 0.5, -0.4, 0.7, 0.1, 0.0])
+    lam = gauge_fixed_multipliers(cset, model.system, z)
+    gauss = cset[1](z)
+    assert_allclose(lam, [0.0, z[3] - gauss / 4.0, gauss, 0.0], atol=1e-13)
 
 
-@given(st.floats(0.5, 4.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
-def test_multipliers_freeze_constraints(k_abs, a, p):
+@given(st.tuples(*[st.floats(-2.0, 2.0)] * 3).filter(lambda k: np.dot(k, k) > 0.25),
+       st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8))
+def test_multipliers_freeze_constraints(coulomb_gauge, k, z):
     """d/dt C_A = grad(C_A) . extended_flow vanishes for every state."""
-    model = coulomb_mode_demo(k_abs=k_abs)
-    z = np.array([a, p])
-    flow = extended_flow(model.system, model.primaries, z)
-    for c in model.primaries:
+    model, cset = coulomb_gauge(np.array(k))
+    z = np.array(z)
+    flow = extended_flow(model.system, cset, z)
+    for c in cset:
         assert abs(c.grad(z) @ flow) < 1e-10 * (1.0 + np.abs(z).max())
 
 

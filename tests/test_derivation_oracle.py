@@ -27,7 +27,7 @@ from gaugefix.phase import (
     poisson_bracket,
     quadratic_function,
 )
-from gaugefix.toys import chain_demo, circle_pair, coulomb_mode_demo, second_class_demo
+from gaugefix.toys import chain_demo, circle_pair, second_class_demo
 
 q1, q2, p1, p2 = sp.symbols("q1 q2 p1 p2", real=True)
 v1, v2 = sp.symbols("v1 v2", real=True)
@@ -267,38 +267,99 @@ class TestCirclePairDerivation:
             assert got == pytest.approx(1.0, abs=1e-9)
 
 
-class TestCoulombModeDerivation:
+class TestMaxwellModeDerivation:
+    """One Maxwell Fourier mode (derivations section 5a) with symbolic k."""
+
+    k = sp.Matrix(sp.symbols("k1:4", real=True))
+    a = sp.Matrix(sp.symbols("a1:4", real=True))
+    p = sp.Matrix(sp.symbols("pa1:4", real=True))
+    f, pf = sp.symbols("f pf", real=True)
+    coords = tuple(zip([*a, f], [*p, pf]))
+    k2 = k.dot(k)
+
+    def hamiltonian(self):
+        # L = |adot - k f|^2 / 2 - |k x a|^2 / 2. Its momenta are
+        # adot - k f and p_f = 0 (the primary), so adot = p + k f and the
+        # undetermined fdot multiplies only the primary.
+        v = sp.Matrix(sp.symbols("v1:4", real=True))
+        lag = ((v - self.k * self.f).dot(v - self.k * self.f)
+               - self.k.cross(self.a).dot(self.k.cross(self.a))) / 2
+        assert [sp.expand(sp.diff(lag, vi)) for vi in v] == list(v - self.k * self.f)
+        velocity = self.p + self.k * self.f
+        return sp.expand(self.p.dot(velocity) - lag.subs(dict(zip(v, velocity))))
+
+    def constraints(self):
+        """(p_f, [p_f, H], f, k.a): the chain, then the two gauge fixings."""
+        return [self.pf, -self.k.dot(self.p), self.f, self.k.dot(self.a)]
+
+    def brackets(self):
+        c = self.constraints()
+        return sp.Matrix(4, 4, lambda i, j: pb(c[i], c[j], self.coords))
+
+    def multipliers(self):
+        return [sp.Integer(0), self.f + self.k.dot(self.p) / self.k2, -self.k.dot(self.p),
+                sp.Integer(0)]
+
+    def test_chain_and_classes(self):
+        h = self.hamiltonian()
+        cross = self.k.cross(self.a)
+        assert sp.expand(h - (self.p.dot(self.p) / 2 + self.f * self.k.dot(self.p)
+                              + cross.dot(cross) / 2)) == 0
+        gauss = pb(self.pf, h, self.coords)
+        assert gauss == -self.k.dot(self.p)
+        assert pb(gauss, h, self.coords) == 0
+        m = self.brackets()
+        # The chain's pair commutes: first class. The fixings make M invertible.
+        assert m[:2, :2] == sp.zeros(2, 2)
+        assert sp.simplify(m.det() - self.k2 ** 2) == 0
+
     def test_multipliers_formula(self):
-        a, p, kappa = sp.symbols("a p kappa", real=True, positive=True)
-        coords = ((a, p),)
-        h = p ** 2 / 2
-        c = [kappa * p, kappa * a]
-        m = sp.Matrix(2, 2, lambda i, j: pb(c[i], c[j], coords))
-        assert m == sp.Matrix([[0, -kappa ** 2], [kappa ** 2, 0]])
-        b = sp.Matrix([pb(c[0], h, coords), pb(c[1], h, coords)])
-        lam = -m.inv() * b
-        assert sp.simplify(lam[0] - (-c[0] / kappa ** 2)) == 0
-        assert lam[1] == 0
+        h = self.hamiltonian()
+        b = sp.Matrix([pb(c, h, self.coords) for c in self.constraints()])
+        lam = -self.brackets().inv() * b
+        assert [sp.simplify(x - y) for x, y in zip(lam, self.multipliers())] == [0] * 4
 
     def test_multipliers_freeze_constraints(self):
-        a, p, kappa = sp.symbols("a p kappa", real=True, positive=True)
-        coords = ((a, p),)
-        h = p ** 2 / 2
-        c = [kappa * p, kappa * a]
-        lam = [-p / kappa, sp.Integer(0)]
+        h = self.hamiltonian()
+        c, lam = self.constraints(), self.multipliers()
         for ci in c:
-            total = pb(ci, h, coords) + sum(
-                lam[j] * pb(ci, c[j], coords) for j in range(2)
-            )
+            total = pb(ci, h, self.coords) + sum(
+                lam[j] * pb(ci, c[j], self.coords) for j in range(4))
             assert sp.simplify(total) == 0
 
-    def test_package_agrees(self):
-        model = coulomb_mode_demo(k_abs=1.7)
-        for z in [(0.3, -0.4), (1.0, 2.0)]:
-            lam = gauge_fixed_multipliers(
-                model.primaries, model.system, np.array(z))
-            assert lam[0] == pytest.approx(-1.7 * z[1] / 1.7 ** 2, abs=1e-10)
-            assert lam[1] == pytest.approx(0.0, abs=1e-12)
+    def dirac(self, f, g):
+        c = self.constraints()
+        minv = self.brackets().inv()
+        correction = sum(pb(f, c[i], self.coords) * minv[i, j] * pb(c[j], g, self.coords)
+                         for i in range(4) for j in range(4))
+        return sp.simplify(pb(f, g, self.coords) - correction)
+
+    def test_dirac_matrix_is_the_transverse_projector(self):
+        for i in range(3):
+            for j in range(3):
+                expected = sp.KroneckerDelta(i, j) - self.k[i] * self.k[j] / self.k2
+                assert sp.simplify(self.dirac(self.a[i], self.p[j]) - expected) == 0
+
+    def test_package_agrees(self, coulomb_gauge):
+        kv = (1.7, -0.4, 0.9)
+        model, cset = coulomb_gauge(np.array(kv))
+        at_k = dict(zip(self.k, kv))
+        z = [*self.a, self.f, *self.p, self.pf]
+        hess = np.array(sp.hessian(self.hamiltonian(), z).subs(at_k), dtype=float)
+        assert np.allclose(model.system.hamiltonian.coefficients.quad, hess,
+                           rtol=0, atol=1e-15)
+        lam = sp.lambdify(z, [x.subs(at_k) for x in self.multipliers()])
+        for point in np.random.default_rng(4).normal(size=(3, 8)):
+            got = gauge_fixed_multipliers(cset, model.system, point)
+            assert np.allclose(got, lam(*point), rtol=0, atol=1e-12)
+        checks = dict(model.check_functions)
+        for i in range(3):
+            for j in range(3):
+                expected = float((sp.KroneckerDelta(i, j)
+                                  - self.k[i] * self.k[j] / self.k2).subs(at_k))
+                got = dirac_bracket(checks[f"q{i + 1}"], checks[f"p{j + 1}"], cset,
+                                    model.sample_point, model.system.form)
+                assert got == pytest.approx(expected, abs=1e-12)
 
 
 class TestCorrectionStepDerivation:

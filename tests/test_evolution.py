@@ -27,7 +27,6 @@ from gaugefix.fields import (
     state_distance,
 )
 from gaugefix.phase import HamiltonianSystem, PhaseFunction, quadratic_function
-from gaugefix.toys import coulomb_mode_demo
 
 TWO_PI = 2.0 * np.pi
 
@@ -786,17 +785,17 @@ class TestEvolveFinite:
         assert series.states.shape == (4, 2)
         assert series.constraint_values is None
 
-    def test_extended_flow_freezes_constraints(self):
-        model = coulomb_mode_demo(2.0)
-        series = evolve_finite(
-            model.system, [0.3, -0.4], 0.01, 2.0, constraint_set=model.primaries
-        )
-        assert series.constraint_values.shape == (len(series.t), 2)
+    def test_extended_flow_freezes_constraints(self, coulomb_gauge):
+        # The Maxwell mode at k = (0, 2, 0), off its surface: f = 0.5, k.p = 1.2.
+        model, cset = coulomb_gauge(np.array([0.0, 2.0, 0.0]))
+        z0 = [0.3, -0.4, 0.2, 0.5, -0.1, 0.6, 0.3, 0.0]
+        series = evolve_finite(model.system, z0, 0.01, 2.0, constraint_set=cset)
+        assert series.constraint_values.shape == (len(series.t), 4)
         drift = np.abs(series.constraint_values - series.constraint_values[0])
         assert np.max(drift) < 1e-10
-        free = evolve_finite(model.system, [0.3, -0.4], 0.01, 2.0)
-        # Without the multiplier terms the same data drifts: p^2/2 moves a.
-        assert abs(free.final_state[0] - 0.3) > 0.1
+        free = evolve_finite(model.system, z0, 0.01, 2.0)
+        # Without the multiplier terms the same data drifts: d(k.a)/dt = k.p + k^2 f.
+        assert abs(free.final_state[1] - (-0.4)) > 0.1
 
     def test_abort_on_unstable_run(self):
         system = self.oscillator()

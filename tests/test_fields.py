@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 import gaugefix.fields as fields
 from gaugefix.fields import (
     FieldState,
+    Modes,
     SnapshotFormatError,
     SpectralWorkspace,
     constraint_norms,
@@ -55,6 +56,24 @@ def test_workspace_validation():
         SpectralWorkspace(8, 0.0)
     with pytest.raises(ValueError):
         SpectralWorkspace(8, -2.0)
+
+
+@pytest.mark.parametrize("length", [1e308, 1e200, 1e105, 1e-107, 1e-320])
+def test_workspace_refuses_a_geometry_outside_float64_range(length):
+    # On an N=8 grid the Parseval scale (L/64)^3 leaves float64 first:
+    # it overflows past L ~ 3.6e104 and underflows to 0 below L ~ 1.1e-106.
+    message = f"an N=8 grid of side L={length!r} is outside float64 range"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SpectralWorkspace(8, length)
+    for build in (plane_wave_initial_data, plane_wave_spectrum, plane_wave_reference):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build((1, 0, 0), (0, 1, 0), grid_n=8, domain_length=length)
+
+
+@pytest.mark.parametrize("length", [1e104, 1e-105, 3.0])
+def test_workspace_scale_is_the_parseval_factor(length):
+    ws = SpectralWorkspace(8, length)
+    assert ws.scale == (length / 8 ** 2) ** 3 == Modes(ws).scale
 
 
 def test_workspace_cache_reuses_instances():
@@ -379,8 +398,18 @@ def test_project_in_place_matches_the_grid_route(rng, n):
 def test_project_in_place_refuses_a_transform_that_overflows():
     a = np.zeros((3, 8, 8, 8))
     a[0] = 1e308 * (-1.0) ** np.arange(8)[:, None, None]
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="finite"):
         project_in_place(FieldState(a=a, pi=np.zeros_like(a), domain_length=TWO_PI))
+
+
+def test_data_that_overflow_give_no_numpy_warning():
+    # The suite turns warnings into errors, so a leaked one fails here.
+    spectrum = plane_wave_spectrum((1, 0, 0), (0, 1, 0), amplitude=1e308, grid_n=8)
+    assert not np.isfinite(spectrum.coeff).all()
+    a = np.zeros((3, 8, 8, 8))
+    a[0] = 1e308 * (-1.0) ** np.arange(8)[:, None, None]
+    with pytest.raises(ValueError, match="finite"):
+        correct_initial_data(a, a, TWO_PI)
 
 
 @pytest.mark.parametrize("n", [8, 16])
