@@ -5,29 +5,26 @@ symbol (hyperbolicity report as JSON), project (snapshot onto the
 constraint surface), constraints (run the Dirac-Bergmann pipeline on a
 built-in model). Exit codes: 0 success, 1 configuration or input error
 (or out of memory), 2 evolution aborted on non-finite values. Given the
-same config and seed the outputs are byte-identical.
+same config and seed the outputs are byte-identical. Imported before numpy,
+this module starts numpy's BLAS on one thread unless OPENBLAS_NUM_THREADS
+is set, since no command has BLAS work large enough to share.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import Callable
 
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
-from . import evolution, fields, symbols, toys
-from .constraints import (
-    GaugeNotFixedError,
-    classify_constraints,
-    commutation_matrix,
-    consistency_chain,
-    dirac_bracket,
-)
-from .phase import poisson_bracket
+from . import evolution, fields
 
 SCENARIOS = ("plane_wave", "contaminated", "random_smooth")
 
@@ -213,6 +210,8 @@ def _seed(args) -> int:
 
 
 def cmd_symbol(args) -> int:
+    from . import symbols
+
     seed = _seed(args)
     if args.formulation == "canonical":
         sym = symbols.maxwell_canonical_symbol()
@@ -245,6 +244,16 @@ def cmd_project(args) -> int:
 
 
 def cmd_constraints(args) -> int:
+    from . import toys
+    from .constraints import (
+        GaugeNotFixedError,
+        classify_constraints,
+        commutation_matrix,
+        consistency_chain,
+        dirac_bracket,
+    )
+    from .phase import poisson_bracket
+
     _seed(args)  # validated only: nothing is sampled
     model = toys.get_model(args.model)
     form = model.system.form
@@ -307,47 +316,58 @@ def _arg(*flags, **kwargs):
 
 @dataclass(frozen=True)
 class Command:
-    """A subcommand: its help line, its handler and its arguments."""
+    """A subcommand: its help line, its handler and its arguments.
+
+    ``arguments`` returns the ``_arg`` tuples when the command's parser is
+    built, so a command's modules load only when its parser is needed.
+    """
 
     help: str
     run: Callable[[argparse.Namespace], int]
-    arguments: tuple
+    arguments: Callable[[], tuple]
+
+
+def _constraints_arguments() -> tuple:
+    from . import toys
+
+    return (
+        _arg("model", choices=sorted(toys.BUILTIN_MODELS)),
+        _arg("--out", default=None, help="JSON report path (default stdout)"),
+        _arg("--seed", type=int, default=None,
+             help="accepted and checked, but has no effect: the chain and the "
+                  "classes are exact, so nothing is sampled"),
+    )
 
 
 COMMANDS = {
-    "evolve": Command("run a field evolution from a JSON config", cmd_evolve, (
+    "evolve": Command("run a field evolution from a JSON config", cmd_evolve, lambda: (
         _arg("--config", required=True, help="path to the run config JSON"),
         _arg("--formulation", choices=["canonical", "gauge-fixed"], default=None,
              help="override the config's formulation"),
         _arg("--out", default=None, help="diagnostics CSV path"),
         _arg("--seed", type=int, default=None, help="override the config seed"),
     )),
-    "symbol": Command("principal-symbol hyperbolicity report", cmd_symbol, (
+    "symbol": Command("principal-symbol hyperbolicity report", cmd_symbol, lambda: (
         _arg("--formulation", choices=["canonical", "gauge-fixed"], required=True),
         _arg("--out", default=None, help="JSON report path (default stdout)"),
         _arg("--tol", type=float, default=1e-10,
              help="imaginary-part tolerance for eigenvalues"),
         _arg("--seed", type=int, default=None, help="seed for the random direction samples"),
     )),
-    "project": Command("project a snapshot onto the constraint surface", cmd_project, (
+    "project": Command("project a snapshot onto the constraint surface", cmd_project, lambda: (
         _arg("input", help="snapshot file to project"),
         _arg("--out", required=True, help="projected snapshot path"),
         _arg("--tol", type=float, default=0.0,
              help="fail if post-projection norms exceed this (0 disables)"),
     )),
-    "constraints": Command("Dirac-Bergmann pipeline on a built-in model", cmd_constraints, (
-        _arg("model", choices=sorted(toys.BUILTIN_MODELS)),
-        _arg("--out", default=None, help="JSON report path (default stdout)"),
-        _arg("--seed", type=int, default=None,
-             help="accepted and checked, but has no effect: the chain and the "
-                  "classes are exact, so nothing is sampled"),
-    )),
+    "constraints": Command("Dirac-Bergmann pipeline on a built-in model", cmd_constraints,
+                           _constraints_arguments),
 }
 
 
 def _command_parser(parser: argparse.ArgumentParser,
                     command: Command) -> argparse.ArgumentParser:
-    for flags, kwargs in command.arguments:
+    for flags, kwargs in command.arguments():
         parser.add_argument(*flags, **kwargs)
     parser.set_defaults(func=command.run)
     return parser

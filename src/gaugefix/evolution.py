@@ -26,13 +26,16 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import fields
-from .constraints import ConstraintSet, extended_flow
 from .fields import FieldState, FormulationKind, SpectralWorkspace
-from .phase import HamiltonianSystem, as_phase_point, hamiltonian_flow
+
+if TYPE_CHECKING:
+    from .constraints import ConstraintSet
+    from .phase import HamiltonianSystem
 
 CSV_HEADER = "t,energy,norm_divA,norm_divPi,norm_A_L,norm_pi_L,l2_error"
 
@@ -495,6 +498,10 @@ def evolve_finite(system: HamiltonianSystem, z0, dt: float, t_end: float,
     the constraint values should stay at their initial size up to
     integration error. More than MAX_LOOP_PASSES steps raise ValueError.
     """
+    # The finite half loads with its only user here, not with the field runs.
+    from .constraints import extended_flow
+    from .phase import as_phase_point, hamiltonian_flow
+
     n_steps = _step_count(dt, t_end)
     if stride < 1:
         raise ValueError("stride must be a positive integer")

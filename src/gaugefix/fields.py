@@ -430,11 +430,20 @@ def longitudinal_part(v: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
 # Diagnostics
 # ---------------------------------------------------------------------------
 
+def _sqrt_dv(domain_length: float, n: int) -> np.float64:
+    """sqrt(dV) = (L/N)^1.5 in float64: inf, not OverflowError, past its range."""
+    with np.errstate(over="ignore"):
+        return np.float64(float(domain_length) / n) ** 1.5
+
+
 def l2_norm(f: np.ndarray, domain_length: float) -> float:
-    """Continuum L2 norm: sqrt(sum f^2 dV) with dV = (L/N)^3."""
-    n = f.shape[-1]
-    dv = (float(domain_length) / n) ** 3
-    return float(np.sqrt(np.sum(f ** 2) * dv))
+    """Continuum L2 norm: sqrt(sum f^2 dV) with dV = (L/N)^3.
+
+    Taken as sqrt(sum f^2) sqrt(dV), so a norm inside float64 range comes
+    back finite however large dV is, and one past it comes back inf.
+    """
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.sum(f ** 2)) * _sqrt_dv(domain_length, f.shape[-1]))
 
 
 def constraint_norms(state: FieldState):
@@ -460,8 +469,10 @@ def energy(state: FieldState) -> float:
     """H = 1/2 integral of (pi^2 + |curl A|^2)."""
     ws = state.workspace()
     b = curl(state.a, ws)
-    dv = (state.domain_length / state.grid_n) ** 3
-    return float(0.5 * np.sum(state.pi ** 2 + b ** 2) * dv)
+    sqrt_dv = _sqrt_dv(state.domain_length, state.grid_n)
+    # Times sqrt(dV) twice: the product overflows only past float64 range.
+    with np.errstate(over="ignore"):
+        return float(0.5 * np.sum(state.pi ** 2 + b ** 2) * sqrt_dv * sqrt_dv)
 
 
 def state_distance(s1: FieldState, s2: FieldState) -> float:

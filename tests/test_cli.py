@@ -678,11 +678,61 @@ def test_out_of_range_geometry_and_data_are_clean_errors(tmp_path):
 
 
 def test_cli_import_leaves_scipy_out():
-    # The subcommands' modules load with the CLI, not lazily on first use:
-    # a lazy import would move its compile time into the command's run.
+    # evolve's modules, evolution and fields, load with the CLI and not on
+    # first use: a caller that times cli.main after the import (as the
+    # perfbench evolve workloads do) would otherwise see their compile time
+    # in the run. The finite half and the symbols load with their commands.
     code = ("import sys, gaugefix.cli; print('scipy' in sys.modules, "
-            "'gaugefix.evolution' in sys.modules, 'gaugefix.fields' in sys.modules)")
-    assert _python(code).split() == ["False", "True", "True"]
+            "'gaugefix.evolution' in sys.modules, 'gaugefix.fields' in sys.modules, "
+            "*(f'gaugefix.{m}' in sys.modules for m in ('constraints', 'phase', 'symbols', "
+            "'toys')))")
+    loaded = _python(code).split()
+    assert loaded[:3] == ["False", "True", "True"]
+    assert loaded[3:] == ["False"] * 4
+
+
+def test_import_gaugefix_loads_no_numpy_and_no_submodule():
+    # The package's names and submodules load on first use, and no module
+    # but the CLI sets anything in the environment.
+    code = ("import os, sys, gaugefix\n"
+            "print('numpy' in sys.modules, [m for m in sys.modules if m.startswith('gaugefix.')])\n"
+            "env = dict(os.environ)\n"
+            "gaugefix.constraints, gaugefix.evolution, gaugefix.fields, gaugefix.phase\n"
+            "gaugefix.symbols\n"
+            "import gaugefix.toys\n"
+            "print(dict(os.environ) == env)")
+    assert _python(code).splitlines() == ["False []", "True"]
+
+
+@pytest.mark.parametrize("before, expected", [
+    ("os.environ.pop('OPENBLAS_NUM_THREADS', None)", "'1' False"),
+    ("os.environ['OPENBLAS_NUM_THREADS'] = '2'", "'2' True"),
+    ("os.environ.pop('OPENBLAS_NUM_THREADS', None); import numpy", "None True"),
+])
+def test_cli_starts_numpy_with_one_blas_thread_unless_told_otherwise(before, expected):
+    # A value the user set wins, and once numpy is loaded its BLAS has
+    # started, so the environment is left as it is.
+    code = (f"import os\n{before}\nenv = dict(os.environ)\nimport gaugefix.cli\n"
+            "print(repr(os.environ.get('OPENBLAS_NUM_THREADS')), dict(os.environ) == env)")
+    assert _python(code) == expected + "\n"
+
+
+@pytest.mark.parametrize("argv, runs", [
+    (["symbol", "--formulation", "canonical"], ["symbols"]),
+    (["symbol", "--formulation", "gauge-fixed"], ["symbols"]),
+    (["project", "{snapshot}", "--out", "{out}"], []),
+    (["constraints", "chain-demo"], ["constraints", "phase", "toys"]),
+])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, runs):
+    snapshot = tmp_path / "in.gfsn"
+    write_snapshot(plane_wave_initial_data((1, 0, 0), (0, 1, 0), grid_n=8), snapshot)
+    argv = [arg.format(snapshot=snapshot, out=tmp_path / "out.gfsn") for arg in argv]
+    code = ("import io, sys, contextlib, gaugefix.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = gaugefix.cli.main({argv!r})\n"
+            "print(code, *(m for m in ('constraints', 'phase', 'symbols', 'toys')\n"
+            "              if f'gaugefix.{m}' in sys.modules))")
+    assert _python(code).split() == ["0", *runs]
 
 
 def test_readme_library_sketch_prints_one():

@@ -153,6 +153,21 @@ def test_l2_norm_of_constant():
     assert l2_norm(f, 2.0) == pytest.approx(3.0 * 2.0**1.5, rel=1e-14)
 
 
+def test_norm_and_energy_where_the_cell_volume_overflows():
+    # At L = 1e104, N = 8 the workspace accepts the grid, though dV = (L/N)^3
+    # is past float64 range: a finite norm or energy still comes back finite,
+    # one past the range comes back inf, and neither raises or warns.
+    length, ones = 1e104, np.ones((3, 8, 8, 8))
+    root_dv = (length / 8) ** 1.5
+    assert l2_norm(ones, length) == pytest.approx(np.sqrt(ones.size) * root_dv, rel=1e-14)
+    assert np.isfinite(l2_norm(ones, length))
+    faint = FieldState(ones, 1e-150 * ones, length)
+    assert energy(faint) == pytest.approx(0.5 * ones.size * 1e-300 * root_dv * root_dv,
+                                          rel=1e-12)
+    assert energy(FieldState(ones, ones, length)) == np.inf
+    assert l2_norm(ones, 1e300) == np.inf
+
+
 def test_plane_wave_energy_closed_form():
     n, length, amp = 16, TWO_PI, 0.7
     state = plane_wave_initial_data(
