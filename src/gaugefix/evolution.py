@@ -199,7 +199,7 @@ def _advanced(modes: _Support, maps: _ShellMaps, y0: np.ndarray, n_steps: int,
     """The n-step map on every mode of y0, with its longitudinal part dropped
     if the run reprojected at all: the map keeps a zero longitudinal part zero."""
     y = modes.advance(maps, n_steps, y0)
-    return modes.split(y)[0] if reprojected else y
+    return modes.remove_longitudinal(y) if reprojected else y
 
 
 def _congruence(m: tuple, g: np.ndarray) -> np.ndarray:

@@ -46,8 +46,11 @@ class SpectralWorkspace:
 
     The axes k1 (x, y) and k3 (rfft z), the plane weights, the largest
     k^2 and the Parseval scale (L/N^2)^3 are set up front; the tables
-    kvec, k2, inv_k2, shells on first use. A geometry whose wavenumbers,
-    k^2 or scale are not finite and nonzero in float64 raises ValueError.
+    k2, inv_k2, shells on first use; the wavevector is k_axes, three views
+    of k1 and k3 that broadcast. A geometry whose wavenumbers, k^2 or
+    scale are not finite and nonzero in float64 raises ValueError. forward
+    and backward go one leading index at a time, into out if given, with
+    the bits of one rfftn or irfftn over the whole stack.
     """
 
     def __init__(self, grid_n: int, domain_length: float):
@@ -73,6 +76,7 @@ class SpectralWorkspace:
             raise ValueError(f"an N={grid_n} grid of side L={domain_length!r} is outside "
                              "float64 range: its wavenumbers, k^2 or Parseval scale "
                              "(L/N^2)^3 are not finite and nonzero")
+        self.k_axes = (k1[:, None, None], k1[None, :, None], k3[None, None, :])
         # Parseval weight of each rfft plane: the kz = 0 and (even N) Nyquist
         # planes hold their own mirror modes and count once; every other
         # plane stands for itself and its mirror and counts twice.
@@ -82,13 +86,9 @@ class SpectralWorkspace:
             self.plane_weight[-1] = 1.0
 
     @functools.cached_property
-    def kvec(self) -> np.ndarray:
-        return np.stack(np.meshgrid(self.k1, self.k1, self.k3, indexing="ij"))
-
-    @functools.cached_property
     def k2(self) -> np.ndarray:
-        return (self.k1[:, None, None] ** 2 + self.k1[None, :, None] ** 2
-                + self.k3[None, None, :] ** 2)
+        kx, ky, kz = self.k_axes
+        return kx ** 2 + ky ** 2 + kz ** 2
 
     @functools.cached_property
     def inv_k2(self) -> np.ndarray:
@@ -105,12 +105,18 @@ class SpectralWorkspace:
         k2, index = np.unique(self.k2.ravel(), return_inverse=True)
         return k2, index
 
-    def forward(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(f, axes=(-3, -2, -1))
+    def forward(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.empty(f.shape[:-1] + (f.shape[-1] // 2 + 1,), complex) if out is None else out
+        for i in np.ndindex(f.shape[:-3]):
+            out[i] = np.fft.rfftn(f[i], axes=(0, 1, 2))
+        return out
 
-    def backward(self, f_hat: np.ndarray) -> np.ndarray:
+    def backward(self, f_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         n = self.grid_n
-        return np.fft.irfftn(f_hat, s=(n, n, n), axes=(-3, -2, -1))
+        out = np.empty(f_hat.shape[:-3] + (n, n, n)) if out is None else out
+        for i in np.ndindex(f_hat.shape[:-3]):
+            out[i] = np.fft.irfftn(f_hat[i], s=(n, n, n), axes=(0, 1, 2))
+        return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -188,14 +194,14 @@ class SparseSpectrum:
 # Spectral operators (hat-level cores and grid-level wrappers)
 # ---------------------------------------------------------------------------
 
-def k_dot(v: np.ndarray, kvec: np.ndarray) -> np.ndarray:
-    """k . v per mode, over v's component axis: the one before kvec's mode axes.
+def k_dot(v: np.ndarray, kvec) -> np.ndarray:
+    """k . v per mode, over v's component axis; kvec is the three components of k.
 
     One component at a time through one product buffer. The sum equals
     np.sum of the whole product over that axis bit for bit: that adds onto
     zero, so the first product gets + 0.0 (-0 becomes +0).
     """
-    lead = (slice(None),) * (v.ndim - kvec.ndim)
+    lead = (slice(None),) * (v.ndim - 1 - kvec[0].ndim)
     dot = kvec[0] * v[lead + (0,)]
     dot += 0.0
     buf = None
@@ -225,7 +231,8 @@ class Modes:
     workspace's tables; Modes(ws, index) the half-spectrum entries that
     three index arrays list, with wavevectors from the workspace's axes
     and shells from the table k2 (by default their own k^2). The tables
-    are the wavevector kvec, inv_k2 = 1/k^2 (0 at k = 0), the Parseval
+    are the wavevector kvec (ws.k_axes for every mode, a (3, entries)
+    table for listed entries), inv_k2 = 1/k^2 (0 at k = 0), the Parseval
     weight, the shell table k2 with each mode's shell index, and the
     Parseval factor scale = (L/N^2)^3. For every mode, k2 and shell come
     from ws.shells on first use; split does not need them.
@@ -238,7 +245,7 @@ class Modes:
         self.whole = index is None
         if self.whole:
             self.index = (Ellipsis,)
-            self.kvec, self.inv_k2, self.weight = ws.kvec, ws.inv_k2, ws.plane_weight
+            self.kvec, self.inv_k2, self.weight = ws.k_axes, ws.inv_k2, ws.plane_weight
             return
         self.index = tuple(np.asarray(i, dtype=np.intp) for i in index)
         ix, iy, iz = self.index
@@ -258,8 +265,8 @@ class Modes:
     def shell(self) -> np.ndarray:
         return self.ws.shells[1].reshape(self.ws.k2.shape)
 
-    def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(transverse, longitudinal) parts of vectors v on these modes.
+    def coef(self, v: np.ndarray) -> np.ndarray:
+        """k . v / k^2 per mode: v's longitudinal part is k times it.
 
         v's component axis is the one before the mode axes. Where k . v
         overflows for a finite v (terms of opposite sign give NaN), it is
@@ -271,10 +278,22 @@ class Modes:
         if redo.any() and np.isfinite(v).all() and (shift := overflow_shift(v)) > 0:
             scaled = k_dot(v * np.ldexp(1.0, -shift), self.kvec) * self.inv_k2
             coef[redo] = scaled[redo] * np.ldexp(1.0, shift)
-        # coef with a unit axis where v has its components.
-        long = self.kvec * coef[(slice(None),) * (v.ndim - self.kvec.ndim) + (None,)]
-        del coef, redo  # Not alive next to both outputs: that is a projection's peak.
+        return coef
+
+    def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(transverse, longitudinal) parts of vectors v on these modes."""
+        coef = self.coef(v)
+        long = (np.stack([k * coef for k in self.kvec], axis=-4) if self.whole
+                else self.kvec * coef[..., None, :])
+        del coef  # Not alive next to both outputs: that is a projection's peak.
         return v - long, long
+
+    def remove_longitudinal(self, v: np.ndarray) -> np.ndarray:
+        """split(v)[0] bit for bit, written over v one component at a time; returns v."""
+        coef = self.coef(v)
+        for k, part in zip(self.kvec, np.moveaxis(v, -1 - self.kvec[0].ndim, 0)):
+            part -= k * coef
+        return v
 
     def moments(self, y: np.ndarray):
         """Transverse and longitudinal second moments of these modes, summed per shell.
@@ -385,15 +404,15 @@ class Modes:
 
 
 def div_hat(v_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    return 1j * k_dot(v_hat, ws.kvec)
+    return 1j * k_dot(v_hat, ws.k_axes)
 
 
 def grad_hat(f_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    return 1j * ws.kvec * f_hat
+    return np.stack([1j * k * f_hat for k in ws.k_axes])
 
 
 def curl_hat(v_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    kx, ky, kz = ws.kvec
+    kx, ky, kz = ws.k_axes
     return 1j * np.stack([
         ky * v_hat[2] - kz * v_hat[1],
         kz * v_hat[0] - kx * v_hat[2],
@@ -402,7 +421,7 @@ def curl_hat(v_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
 
 
 def transverse_project_hat(v_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    return Modes(ws).split(v_hat)[0]
+    return Modes(ws).remove_longitudinal(np.array(v_hat))
 
 
 def div(v: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
@@ -419,7 +438,7 @@ def curl(v: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
 
 def transverse_project(v: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
     """Remove grad(1/lap)div of a vector field; k = 0 passes through."""
-    return ws.backward(transverse_project_hat(ws.forward(v), ws))
+    return ws.backward(Modes(ws).remove_longitudinal(ws.forward(v)))
 
 
 def longitudinal_part(v: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
@@ -436,14 +455,23 @@ def _sqrt_dv(domain_length: float, n: int) -> np.float64:
         return np.float64(float(domain_length) / n) ** 1.5
 
 
+def _root_sum_squares(q: np.ndarray, weight=1.0, inside=1.0, outside=1.0, shift=0) -> float:
+    """sqrt(inside * sum of weight |q|^2) * outside * 2^shift. Only where q's largest
+    magnitude is outside [2^-400, 2^400) are the squares of q scaled near 1 summed."""
+    s = overflow_shift(q) + 256  # the exponent of the largest magnitude; 0 for 0, inf, NaN
+    s = 0 if -400 < s <= 400 else max(s, -1021)
+    with np.errstate(over="ignore"):
+        total = np.sum(weight * _abs2(q * np.ldexp(1.0, -s) if s else q))
+        return float(np.ldexp(np.sqrt(inside * total) * outside, shift + s))
+
+
 def l2_norm(f: np.ndarray, domain_length: float) -> float:
     """Continuum L2 norm: sqrt(sum f^2 dV) with dV = (L/N)^3.
 
     Taken as sqrt(sum f^2) sqrt(dV), so a norm inside float64 range comes
     back finite however large dV is, and one past it comes back inf.
     """
-    with np.errstate(over="ignore"):
-        return float(np.sqrt(np.sum(f ** 2)) * _sqrt_dv(domain_length, f.shape[-1]))
+    return _root_sum_squares(f, outside=_sqrt_dv(domain_length, f.shape[-1]))
 
 
 def constraint_norms(state: FieldState):
@@ -455,7 +483,11 @@ def constraint_norms(state: FieldState):
 
 def div_norm_hat(f_hat: np.ndarray, ws: SpectralWorkspace) -> float:
     """Continuum L2 norm of div f from the half spectrum of f, by Parseval."""
-    return float(np.sqrt(ws.scale * np.sum(ws.plane_weight * _abs2(k_dot(f_hat, ws.kvec)))))
+    dot, shift = k_dot(f_hat, ws.k_axes), 0
+    if not np.isfinite(dot).all() and np.isfinite(f_hat).all():  # as in Modes.coef
+        shift = max(overflow_shift(f_hat), 0)
+        dot = k_dot(f_hat * np.ldexp(1.0, -shift), ws.k_axes)
+    return _root_sum_squares(dot, ws.plane_weight, inside=ws.scale, shift=shift)
 
 
 def longitudinal_norms(state: FieldState):
@@ -513,25 +545,23 @@ def project_state(state: FieldState) -> FieldState:
 def project_in_place(state: FieldState):
     """Project state onto the constraint surface in place: (norms before, norms after).
 
-    One field at a time: one forward transform gives the constraint norm
-    before and the projected spectrum, one backward transform writes the
-    projected grid over the field, and one forward transform of that grid
-    gives the norm after, so the norms after are those of the fields as
-    left. Norms are by Parseval. The result equals project_state(state)
-    bit for bit; a transform that overflows raises ValueError, without
-    a numpy warning.
+    One field at a time in one half-spectrum buffer: one forward transform
+    gives the constraint norm before, the longitudinal part is removed in
+    place, one backward transform writes the projected grid over the field,
+    and one forward transform of that grid gives the norm after, so the
+    norms after are those of the fields as left. Norms are by Parseval.
+    The result equals project_state(state) bit for bit; a transform that
+    overflows raises ValueError, without a numpy warning.
     """
     ws = state.workspace()
     modes = Modes(ws)
+    f_hat = np.empty((3,) + ws.k2.shape, dtype=complex)
     before, after = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for f in (state.a, state.pi):
-            f_hat = ws.forward(f)
-            before.append(div_norm_hat(f_hat, ws))
-            f_hat = modes.split(f_hat)[0]
-            f[...] = ws.backward(f_hat)
-            del f_hat
-            after.append(div_norm_hat(ws.forward(f), ws))
+            before.append(div_norm_hat(ws.forward(f, out=f_hat), ws))
+            ws.backward(modes.remove_longitudinal(f_hat), out=f)
+            after.append(div_norm_hat(ws.forward(f, out=f_hat), ws))
     state.check_finite()
     return tuple(before), tuple(after)
 

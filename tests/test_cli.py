@@ -403,7 +403,10 @@ class TestProjectCommand:
         get_workspace.cache_clear()
         assert main(["project", str(path), "--out", str(tmp_path / "out.gfsn")]) == 0
         ws = vars(get_workspace(state.grid_n, state.domain_length))
-        assert "kvec" in ws and "shells" not in ws
+        n = state.grid_n
+        assert "inv_k2" in ws and "shells" not in ws
+        # Nor a (3, N, N, N/2+1) wavevector table: the wavevector is read as three axes.
+        assert not [v for v in ws.values() if getattr(v, "shape", None) == (3, n, n, n // 2 + 1)]
 
     def test_overflowing_projection_writes_nothing(self, tmp_path, capsys):
         a = np.zeros((3, 8, 8, 8))

@@ -44,6 +44,11 @@ from gaugefix.fields import (
 TWO_PI = 2.0 * np.pi
 
 
+def kvec_table(ws):
+    """The wavevector of every half-spectrum mode as one (3, N, N, N/2+1) table."""
+    return np.stack(np.meshgrid(ws.k1, ws.k1, ws.k3, indexing="ij"))
+
+
 def smooth_vector(rng, n=16, length=TWO_PI):
     a, _ = random_smooth_fields(rng, n, length)
     return a
@@ -153,6 +158,25 @@ def test_l2_norm_of_constant():
     assert l2_norm(f, 2.0) == pytest.approx(3.0 * 2.0**1.5, rel=1e-14)
 
 
+@pytest.mark.parametrize("shift", [-560, 530])
+def test_norms_of_data_past_the_square_range(shift):
+    # Squares of these values over- or underflow although the norms do not:
+    # each norm of the data scaled by 2^shift is the norm scaled by 2^shift.
+    a, pi = random_smooth_fields(np.random.default_rng(0), 16, TWO_PI)
+    state = FieldState(a, pi, TWO_PI)
+    scaled = FieldState(np.ldexp(a, shift), np.ldexp(pi, shift), TWO_PI)
+    assert_allclose(l2_norm(scaled.a, TWO_PI), np.ldexp(l2_norm(a, TWO_PI), shift), rtol=1e-14)
+    ws = state.workspace()
+    f_hat = ws.forward(a)
+    assert_allclose(div_norm_hat(np.ldexp(1.0, shift) * f_hat, ws),
+                    np.ldexp(div_norm_hat(f_hat, ws), shift), rtol=1e-14)
+    norms = project_in_place(state)
+    assert_allclose(project_in_place(scaled), np.ldexp(norms, shift), rtol=1e-14)
+    constant = np.full((3, 8, 8, 8), np.ldexp(1.0, shift))
+    assert l2_norm(constant, TWO_PI) == pytest.approx(
+        np.ldexp(np.sqrt(constant.size), shift) * (TWO_PI / 8) ** 1.5, rel=1e-14)
+
+
 def test_norm_and_energy_where_the_cell_volume_overflows():
     # At L = 1e104, N = 8 the workspace accepts the grid, though dV = (L/N)^3
     # is past float64 range: a finite norm or energy still comes back finite,
@@ -242,11 +266,11 @@ def test_plane_wave_reference_spectral_form(mode, polarization, n):
 @pytest.mark.parametrize("length", [TWO_PI, 3.0, 0.7])
 def test_workspace_tables_from_the_axes(length):
     # The largest k^2, taken from the 1-D axes, and the k^2 table, built
-    # from them without kvec, equal the meshgrid sums bit for bit.
+    # from them without a wavevector table, equal the meshgrid sums bit for bit.
     for n in range(4, 18):
         ws = SpectralWorkspace(n, length)
-        assert "kvec" not in vars(ws) and "k2" not in vars(ws)
-        k2 = np.sum(ws.kvec ** 2, axis=0)
+        assert "k2" not in vars(ws)
+        k2 = np.sum(kvec_table(ws) ** 2, axis=0)
         assert ws.k2_max == k2.max() == ws.k2.max()
         assert np.array_equal(ws.k2, k2)
 
@@ -410,6 +434,80 @@ def test_project_in_place_matches_the_grid_route(rng, n):
     assert after == tuple(div_norm_hat(ws.forward(f), ws) for f in (projected.a, projected.pi))
 
 
+def test_project_in_place_holds_one_half_spectrum():
+    # Beside the state (12 MiB at N = 64), the projection holds one field's
+    # half spectrum, the k^2 tables and per-component transform temporaries.
+    n = 64
+    rng = np.random.default_rng(5)
+    state = FieldState(rng.standard_normal((3, n, n, n)), rng.standard_normal((3, n, n, n)),
+                       TWO_PI)
+    get_workspace.cache_clear()
+    tracemalloc.start()
+    try:
+        project_in_place(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 3 * n * n * (n // 2 + 1) * 16
+
+
+@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("lead", [(3,), (2, 3)])
+def test_transforms_equal_whole_stack_ffts_bit_for_bit(rng, n, lead):
+    ws = SpectralWorkspace(n, TWO_PI)
+    shape = lead + (n, n, n)
+    f = rng.standard_normal(shape) * 10.0 ** rng.uniform(-200, 200, shape)
+    f_hat = np.fft.rfftn(f, axes=(-3, -2, -1))
+    back = np.fft.irfftn(f_hat, s=(n, n, n), axes=(-3, -2, -1))
+    out_hat, out = np.empty_like(f_hat), np.empty_like(f)
+    assert ws.forward(f, out=out_hat) is out_hat and ws.backward(f_hat, out=out) is out
+    for got, want in ((ws.forward(f), f_hat), (out_hat, f_hat),
+                      (ws.backward(f_hat), back), (out, back)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _projected_by_whole_stack_products(f, ws):
+    """The transverse projection as one rfftn, a meshgrid wavevector table and one irfftn."""
+    n = ws.grid_n
+    kvec = kvec_table(ws)
+    f_hat = np.fft.rfftn(f, axes=(-3, -2, -1))
+    coef = np.sum(kvec * f_hat, axis=0) * ws.inv_k2
+    redo = ~np.isfinite(coef)
+    if redo.any() and np.isfinite(f_hat).all() and (shift := fields.overflow_shift(f_hat)) > 0:
+        scaled = np.sum(kvec * (f_hat * np.ldexp(1.0, -shift)), axis=0) * ws.inv_k2
+        coef[redo] = scaled[redo] * np.ldexp(1.0, shift)
+    return np.fft.irfftn(f_hat - kvec * coef, s=(n, n, n), axes=(-3, -2, -1))
+
+
+@given(st.integers(4, 9), st.sampled_from([TWO_PI, 3.0]), st.floats(-300.0, 300.0),
+       st.sampled_from(["none", "spectrum", "grid"]), st.integers(0, 2 ** 32 - 1))
+def test_project_in_place_equals_whole_stack_products(n, length, u, wave, seed):
+    # Amplitudes 10^u, and A may hold a wave c cos(k . x) of polarization
+    # (1, -1, 0) along k = (m, m, 0). With "spectrum" its coefficients
+    # c N^3 / 2 nearly fill float64, so k . A^ sums two overflowing terms of
+    # opposite sign where |k_x| > 1; with "grid" c does, and they overflow.
+    rng = np.random.default_rng(seed)
+    ws = get_workspace(n, length)
+    a, pi = 10.0 ** u * rng.standard_normal((2, 3, n, n, n))
+    if wave != "none":
+        m = n // 2 - 1
+        x, y, _ = fields.grid_coordinates(n, length)
+        k_m = 2.0 * np.pi * m / length
+        c = 1.6e308 if wave == "grid" else 1.6e308 / n ** 3 * 2.0 / np.sqrt(max(k_m, 1.0))
+        a[0] += c * np.cos(k_m * (x + y))
+        a[1] -= c * np.cos(k_m * (x + y))
+    with np.errstate(all="ignore"):
+        want = [_projected_by_whole_stack_products(f, ws) for f in (a, pi)]
+    state = FieldState(a, pi, length)
+    if not all(np.isfinite(w).all() for w in want):
+        with pytest.raises(ValueError, match="finite"):
+            project_in_place(state)
+        return
+    norms = project_in_place(state)
+    assert state.a.tobytes() == want[0].tobytes() and state.pi.tobytes() == want[1].tobytes()
+    assert np.isfinite(norms).all()
+
+
 def test_project_in_place_refuses_a_transform_that_overflows():
     a = np.zeros((3, 8, 8, 8))
     a[0] = 1e308 * (-1.0) ** np.arange(8)[:, None, None]
@@ -439,7 +537,10 @@ def test_dirac_kernel_check_detects_wrong_kernel(monkeypatch):
     n = 8
     good = get_workspace(n, TWO_PI)
     bad = SpectralWorkspace(n, TWO_PI)
-    bad.kvec = bad.kvec * 1.01
+    # 1/k^2 of the true wavenumbers, then k 1% off: the projector's k k / k^2 is 2% off.
+    assert bad.inv_k2[1, 0, 0] == 1.0
+    bad.k1 *= 1.01
+    bad.k3 *= 1.01
     monkeypatch.setattr(fields, "get_workspace", lambda *a: bad)
     state = FieldState(
         a=np.zeros((3, n, n, n)), pi=np.zeros((3, n, n, n)), domain_length=TWO_PI
