@@ -28,8 +28,7 @@ _EXPORTS = {
     ),
     "fields": (
         "FieldState", "FormulationKind", "SnapshotFormatError", "SparseSpectrum",
-        "SpectralWorkspace", "constraint_norms", "correct_initial_data", "dirac_kernel_check",
-        "energy", "get_workspace", "l2_norm", "longitudinal_norms", "plane_wave_initial_data",
+        "SpectralWorkspace", "correct_initial_data", "diagnostics", "get_workspace",
         "plane_wave_reference", "plane_wave_spectrum", "random_smooth_fields", "read_snapshot",
         "transverse_project", "write_snapshot",
     ),
@@ -39,7 +38,7 @@ _EXPORTS = {
         "poisson_bracket", "quadratic_function",
     ),
     "symbols": (
-        "Hyperbolicity", "PrincipalSymbol", "SymbolReport", "adapted_blocks", "analyze_symbol",
+        "Hyperbolicity", "PrincipalSymbol", "SymbolReport", "analyze_symbol",
         "maxwell_canonical_symbol", "maxwell_gauge_fixed_symbol",
     ),
 }

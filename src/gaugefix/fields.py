@@ -71,8 +71,9 @@ class SpectralWorkspace:
             # Rounding is monotone, so this is k2.max() bit for bit.
             self.k2_max = float(np.max(k1 ** 2) + np.max(k1 ** 2) + np.max(k3 ** 2))
             self.scale = float(np.float64(domain_length / grid_n ** 2) ** 3)
-        # A NaN or inf wavenumber makes k2_max NaN or inf.
-        if not (k1[1] ** 2 > 0 and np.isfinite(self.k2_max) and 0 < self.scale < np.inf):
+            # A NaN or inf wavenumber makes k2_max NaN or inf.
+            in_range = k1[1] ** 2 > 0 and np.isfinite(self.k2_max) and 0 < self.scale < np.inf
+        if not in_range:
             raise ValueError(f"an N={grid_n} grid of side L={domain_length!r} is outside "
                              "float64 range: its wavenumbers, k^2 or Parseval scale "
                              "(L/N^2)^3 are not finite and nonzero")
@@ -191,7 +192,7 @@ class SparseSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# Spectral operators (hat-level cores and grid-level wrappers)
+# Spectral operators
 # ---------------------------------------------------------------------------
 
 def k_dot(v: np.ndarray, kvec) -> np.ndarray:
@@ -345,11 +346,12 @@ class Modes:
         mode, where the reference is zero; without g these modes hold all
         the content. Returns an (R, 6) array whose columns are energy, norm
         of div A, norm of div pi, norm of A_L, norm of pi_L and L2 distance
-        to the reference: the values energy, constraint_norms,
-        longitudinal_norms and state_distance give on the grid states up to
-        rounding; the distance is NaN without ref. Every sum runs along a
-        contiguous last axis, one state per row, so a state's row does not
-        depend on the other states of the stack.
+        to the reference: H = 1/2 integral of (pi^2 + |curl A|^2) and
+        continuum L2 norms of the grid states, equal to the grid sums up to
+        rounding (diagnostics gives one state's row); the distance is NaN
+        without ref. Every sum runs along a contiguous last axis, one state
+        per row, so a state's row does not depend on the other states of
+        the stack.
 
         Squares of coefficients past ~1e154 overflow although the norms may
         be finite, and k . A^ overflowing from terms of opposite sign gives
@@ -403,82 +405,24 @@ class Modes:
         return out
 
 
-def div_hat(v_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    return 1j * k_dot(v_hat, ws.k_axes)
-
-
-def grad_hat(f_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    return np.stack([1j * k * f_hat for k in ws.k_axes])
-
-
-def curl_hat(v_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    kx, ky, kz = ws.k_axes
-    return 1j * np.stack([
-        ky * v_hat[2] - kz * v_hat[1],
-        kz * v_hat[0] - kx * v_hat[2],
-        kx * v_hat[1] - ky * v_hat[0],
-    ])
-
-
-def transverse_project_hat(v_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    return Modes(ws).remove_longitudinal(np.array(v_hat))
-
-
-def div(v: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    return ws.backward(div_hat(ws.forward(v), ws))
-
-
-def grad(f: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    return ws.backward(grad_hat(ws.forward(f), ws))
-
-
-def curl(v: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    return ws.backward(curl_hat(ws.forward(v), ws))
-
-
 def transverse_project(v: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
     """Remove grad(1/lap)div of a vector field; k = 0 passes through."""
     return ws.backward(Modes(ws).remove_longitudinal(ws.forward(v)))
-
-
-def longitudinal_part(v: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    return v - transverse_project(v, ws)
 
 
 # ---------------------------------------------------------------------------
 # Diagnostics
 # ---------------------------------------------------------------------------
 
-def _sqrt_dv(domain_length: float, n: int) -> np.float64:
-    """sqrt(dV) = (L/N)^1.5 in float64: inf, not OverflowError, past its range."""
-    with np.errstate(over="ignore"):
-        return np.float64(float(domain_length) / n) ** 1.5
-
-
-def _root_sum_squares(q: np.ndarray, weight=1.0, inside=1.0, outside=1.0, shift=0) -> float:
-    """sqrt(inside * sum of weight |q|^2) * outside * 2^shift. Only where q's largest
-    magnitude is outside [2^-400, 2^400) are the squares of q scaled near 1 summed."""
+def _root_sum_squares(q: np.ndarray, weight, inside, shift) -> float:
+    """sqrt(inside * sum of weight |q|^2) * 2^shift, div_norm_hat's Parseval sum. Only
+    where q's largest magnitude is outside [2^-400, 2^400) are the squares of q scaled
+    near 1 summed, so a norm inside float64 range comes back finite and nonzero."""
     s = overflow_shift(q) + 256  # the exponent of the largest magnitude; 0 for 0, inf, NaN
     s = 0 if -400 < s <= 400 else max(s, -1021)
     with np.errstate(over="ignore"):
         total = np.sum(weight * _abs2(q * np.ldexp(1.0, -s) if s else q))
-        return float(np.ldexp(np.sqrt(inside * total) * outside, shift + s))
-
-
-def l2_norm(f: np.ndarray, domain_length: float) -> float:
-    """Continuum L2 norm: sqrt(sum f^2 dV) with dV = (L/N)^3.
-
-    Taken as sqrt(sum f^2) sqrt(dV), so a norm inside float64 range comes
-    back finite however large dV is, and one past it comes back inf.
-    """
-    return _root_sum_squares(f, outside=_sqrt_dv(domain_length, f.shape[-1]))
-
-
-def constraint_norms(state: FieldState):
-    """(norm of div A, norm of div pi) in the continuum L2 norm."""
-    ws = state.workspace()
-    return (l2_norm(div(state.a, ws), state.domain_length),
-            l2_norm(div(state.pi, ws), state.domain_length))
+        return float(np.ldexp(np.sqrt(inside * total), shift + s))
 
 
 def div_norm_hat(f_hat: np.ndarray, ws: SpectralWorkspace) -> float:
@@ -490,34 +434,24 @@ def div_norm_hat(f_hat: np.ndarray, ws: SpectralWorkspace) -> float:
     return _root_sum_squares(dot, ws.plane_weight, inside=ws.scale, shift=shift)
 
 
-def longitudinal_norms(state: FieldState):
-    """(norm of A_L, norm of pi_L), the longitudinal field content."""
+def diagnostics(state: FieldState) -> dict:
+    """Energy and constraint norms of a grid state, keyed by their CSV column names.
+
+    energy is H = 1/2 integral of (pi^2 + |curl A|^2); norm_divA and
+    norm_divPi the continuum L2 norms of the two constraints; norm_A_L and
+    norm_pi_L those of the longitudinal parts. One Modes.rows row of the
+    state's half spectrum, so finite norms stay finite where the squares
+    of the grid values overflow.
+    """
     ws = state.workspace()
-    return (l2_norm(longitudinal_part(state.a, ws), state.domain_length),
-            l2_norm(longitudinal_part(state.pi, ws), state.domain_length))
-
-
-def energy(state: FieldState) -> float:
-    """H = 1/2 integral of (pi^2 + |curl A|^2)."""
-    ws = state.workspace()
-    b = curl(state.a, ws)
-    sqrt_dv = _sqrt_dv(state.domain_length, state.grid_n)
-    # Times sqrt(dV) twice: the product overflows only past float64 range.
-    with np.errstate(over="ignore"):
-        return float(0.5 * np.sum(state.pi ** 2 + b ** 2) * sqrt_dv * sqrt_dv)
-
-
-def state_distance(s1: FieldState, s2: FieldState) -> float:
-    """L2 distance over both fields jointly."""
-    if s1.a.shape != s2.a.shape or s1.domain_length != s2.domain_length:
-        raise ValueError("states live on different grids")
-    da = l2_norm(s1.a - s2.a, s1.domain_length)
-    dpi = l2_norm(s1.pi - s2.pi, s1.domain_length)
-    return float(np.hypot(da, dpi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = Modes(ws).rows(ws.forward(np.stack([state.a, state.pi]))[None])[0]
+    return dict(zip(("energy", "norm_divA", "norm_divPi", "norm_A_L", "norm_pi_L"),
+                    row[:5].tolist()))
 
 
 # ---------------------------------------------------------------------------
-# Constraint-preserving initial data and the bracket-kernel check
+# Constraint-preserving initial data
 # ---------------------------------------------------------------------------
 
 def correct_initial_data(a_bar: np.ndarray, pi_bar: np.ndarray,
@@ -538,10 +472,6 @@ def correct_initial_data(a_bar: np.ndarray, pi_bar: np.ndarray,
     return FieldState(a, pi, float(domain_length))
 
 
-def project_state(state: FieldState) -> FieldState:
-    return correct_initial_data(state.a, state.pi, state.domain_length)
-
-
 def project_in_place(state: FieldState):
     """Project state onto the constraint surface in place: (norms before, norms after).
 
@@ -550,8 +480,9 @@ def project_in_place(state: FieldState):
     place, one backward transform writes the projected grid over the field,
     and one forward transform of that grid gives the norm after, so the
     norms after are those of the fields as left. Norms are by Parseval.
-    The result equals project_state(state) bit for bit; a transform that
-    overflows raises ValueError, without a numpy warning.
+    The fields left equal those of correct_initial_data(state.a, state.pi,
+    state.domain_length) bit for bit; a transform that overflows raises
+    ValueError, without a numpy warning.
     """
     ws = state.workspace()
     modes = Modes(ws)
@@ -564,49 +495,6 @@ def project_in_place(state: FieldState):
             after.append(div_norm_hat(ws.forward(f, out=f_hat), ws))
     state.check_finite()
     return tuple(before), tuple(after)
-
-
-def dirac_kernel_check(state: FieldState, tol: float = 1e-12) -> bool:
-    """Verify the implemented correction kernel mode by mode.
-
-    Pushes unit impulses through the production transverse_project path
-    and compares the resulting per-mode kernel against the projector
-    delta_ij - k_i k_j / |k|^2 rebuilt from raw integer mode numbers,
-    independent of the workspace tables. Mode components at the Nyquist
-    frequency count as zero, matching the resolved-band convention of
-    the derivative tables. Uses only the grid geometry of the state.
-    """
-    n = state.grid_n
-    length = state.domain_length
-    ws = get_workspace(n, length)
-
-    measured = np.empty((3, 3, n, n, n // 2 + 1), dtype=complex)
-    for j in range(3):
-        impulse = np.zeros((3, n, n, n))
-        impulse[j, 0, 0, 0] = 1.0
-        measured[:, j] = ws.forward(transverse_project(impulse, ws))
-
-    modes = np.arange(n)
-    modes[modes >= (n + 1) // 2] -= n
-    if n % 2 == 0:
-        modes[n // 2] = 0
-    half = np.arange(n // 2 + 1)
-    if n % 2 == 0:
-        half[-1] = 0
-    mx = modes[:, None, None]
-    my = modes[None, :, None]
-    mz = half[None, None, :]
-    k = [2.0 * np.pi * m / length for m in (mx, my, mz)]
-    m2 = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
-    safe = np.where(m2 > 0, m2, 1.0)
-
-    worst = 0.0
-    for i in range(3):
-        for j in range(3):
-            expected = np.where(m2 > 0, (1.0 if i == j else 0.0) - k[i] * k[j] / safe,
-                                1.0 if i == j else 0.0)
-            worst = max(worst, float(np.max(np.abs(measured[i, j] - expected))))
-    return worst <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -667,41 +555,20 @@ def _wave_entries(mode: np.ndarray, e: np.ndarray, amplitude: float, grid_n: int
         return support, (0.5 * grid_n ** 3 * amplitude) * e[:, None] * np.ones(len(half))
 
 
-def plane_wave_initial_data(mode, polarization, amplitude: float = 1.0,
-                            kind: str = "transverse", grid_n: int = 32,
-                            domain_length: float = 2.0 * np.pi,
-                            contamination_amplitude: float = 0.1) -> FieldState:
-    """Standing plane wave A = a e cos(k.x), pi = 0, optionally contaminated.
-
-    The polarization e is normalized and must be orthogonal to the mode
-    vector so the data starts with no longitudinal content. With
-    kind="contaminated" a pure-gradient momentum c * grad sin(2 pi x / L)
-    is added, which violates the Gauss constraint by a known amount.
-    """
-    mode, e = _check_wave(mode, polarization, grid_n, domain_length, kind)
-    x, y, z = grid_coordinates(grid_n, domain_length)
-    k = 2.0 * np.pi * mode / domain_length
-    phase = k[0] * x + k[1] * y + k[2] * z
-    pattern = np.cos(phase)
-    a = amplitude * e[:, None, None, None] * pattern[None]
-    pi = np.zeros_like(a)
-    if kind == "contaminated":
-        k1 = 2.0 * np.pi / domain_length
-        pi[0] += contamination_amplitude * k1 * np.cos(k1 * x) * np.ones_like(phase)
-    return FieldState(a, pi, domain_length)
-
-
 def plane_wave_spectrum(mode, polarization, amplitude: float = 1.0,
                         kind: str = "transverse", grid_n: int = 32,
                         domain_length: float = 2.0 * np.pi,
                         contamination_amplitude: float = 0.1) -> SparseSpectrum:
-    """plane_wave_initial_data as its few Fourier coefficients.
+    """Standing plane wave A = a e cos(k.x), pi = 0, as its few Fourier coefficients.
 
-    Same arguments and checks. The wave sits at the entries of +-m with
-    the coefficients plane_wave_reference's spectrum has at t = 0; the
-    contamination c (2 pi / L) cos(2 pi x / L) of pi_x adds c (2 pi / L)
-    N^3 / 2 at the entries of (+-1, 0, 0). The grid state differs from
-    plane_wave_initial_data's by rounding.
+    The polarization e is normalized and must be orthogonal to the mode
+    vector, so the data starts with no longitudinal content. With
+    kind="contaminated" a pure-gradient momentum c * grad sin(2 pi x / L)
+    is added, which violates the Gauss constraint by a known amount. The
+    wave sits at the entries of +-m with the coefficients
+    plane_wave_reference's spectrum has at t = 0; the contamination
+    c (2 pi / L) cos(2 pi x / L) of pi_x adds c (2 pi / L) N^3 / 2 at the
+    entries of (+-1, 0, 0).
     """
     mode, e = _check_wave(mode, polarization, grid_n, domain_length, kind)
     support, coeff = _wave_entries(mode, e, amplitude, grid_n)
@@ -721,7 +588,7 @@ def plane_wave_reference(mode, polarization, amplitude: float = 1.0,
 
     A(t) = a e cos(k.x) cos(w t) with w = |k|, pi = dA/dt. Valid for both
     formulations since the data is purely transverse. The polarization is
-    checked as in plane_wave_initial_data. The grid pattern is built on
+    checked as in plane_wave_spectrum. The grid pattern is built on
     the first call.
 
     The callable also carries its spectral form. `support` indexes the one

@@ -281,41 +281,3 @@ def maxwell_gauge_fixed_symbol() -> PrincipalSymbol:
         return np.vstack([top, bottom])
 
     return PrincipalSymbol(6, matrix)
-
-
-def adapted_blocks(matrix: np.ndarray, n: np.ndarray):
-    """Split a 6x6 (A, pi) symbol into 2x2 blocks in the frame adapted to n.
-
-    Returns (longitudinal_block, [transverse_block_1, transverse_block_2])
-    where each 2x2 block couples the (A, pi) components along one frame
-    vector. Raises if the matrix actually mixes the frame directions,
-    since then no such block decomposition exists.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (6, 6):
-        raise ValueError("expected a 6x6 symbol matrix")
-    n = np.asarray(n, dtype=float)
-    n = n / np.linalg.norm(n)
-
-    # Orthonormal frame (e1, e2, n) via Gram-Schmidt on the least-aligned axis.
-    axis = np.eye(3)[int(np.argmin(np.abs(n)))]
-    e1 = axis - np.dot(axis, n) * n
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
-
-    # Columns (u_A, u_pi) for u = e1, e2, n: the 2x2 diagonal blocks of the
-    # rotated matrix couple the (A, pi) components along one frame vector.
-    basis = np.zeros((6, 6))
-    for j, u in enumerate((e1, e2, n)):
-        basis[:3, 2 * j] = u
-        basis[3:, 2 * j + 1] = u
-    rotated = basis.T @ matrix @ basis
-    blocks = [rotated[2 * j:2 * j + 2, 2 * j:2 * j + 2].copy() for j in range(3)]
-    off = rotated.copy()
-    for j in range(3):
-        off[2 * j:2 * j + 2, 2 * j:2 * j + 2] = 0.0
-    scale = 1.0 + np.abs(matrix).max()
-    if np.abs(off).max() > 1e-12 * scale:
-        raise ValueError("symbol mixes the adapted frame directions; "
-                         "no 2x2 block decomposition exists")
-    return blocks[2], blocks[:2]

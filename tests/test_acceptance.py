@@ -23,29 +23,31 @@ from gaugefix.constraints import (
 from gaugefix.evolution import evolve
 from gaugefix.fields import (
     FieldState,
-    constraint_norms,
     correct_initial_data,
-    curl,
-    dirac_kernel_check,
-    div,
     get_workspace,
-    l2_norm,
-    plane_wave_initial_data,
     plane_wave_reference,
     random_smooth_fields,
-    state_distance,
     transverse_project,
 )
 from gaugefix.phase import CosymplecticForm, poisson_bracket, quadratic_function
 from gaugefix.symbols import (
     Hyperbolicity,
-    adapted_blocks,
     analyze_symbol,
     maxwell_canonical_symbol,
     maxwell_gauge_fixed_symbol,
     sample_directions,
 )
 from gaugefix.toys import chain_demo, circle_pair, regular_demo, second_class_demo
+from oracles import (
+    adapted_blocks,
+    constraint_norms,
+    curl,
+    dirac_kernel_check,
+    div,
+    l2_norm,
+    plane_wave_initial_data,
+    state_distance,
+)
 
 TWO_PI = 2.0 * np.pi
 SEED = 20240817

@@ -25,15 +25,13 @@ from gaugefix.evolution import evolve
 from gaugefix.fields import (
     FieldState,
     SpectralWorkspace,
-    constraint_norms,
     get_workspace,
-    plane_wave_initial_data,
     plane_wave_reference,
-    project_state,
     random_smooth_fields,
     read_snapshot,
     write_snapshot,
 )
+from oracles import constraint_norms, plane_wave_initial_data, project_state
 
 
 JSON = st.recursive(
@@ -650,13 +648,14 @@ def test_out_of_range_geometry_and_data_are_clean_errors(tmp_path):
     cases = []
     for scenario, length in [("plane_wave", 1e308), ("contaminated", 1e200),
                              ("contaminated", 1e308), ("random_smooth", 1e200),
-                             ("random_smooth", 1e308), ("plane_wave", 1e-320),
+                             ("random_smooth", 1e308), ("plane_wave", 1e-160),
+                             ("plane_wave", 1e-300), ("plane_wave", 1e-320),
                              ("contaminated", 1e-320), ("random_smooth", 1e-320)]:
         cfg = write_config(tmp_path, f"{scenario}_{length}.json", scenario=scenario,
                            domain_length=length, seed=1)
         cases.append((["evolve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")],
                       1, f"error: an N=8 grid of side L={length!r} is outside float64 range"))
-    for length in (1e200, 1e-320):
+    for length in (1e200, 1e-160, 1e-300, 1e-320):
         path = tmp_path / f"{length}.gfsn"
         write_snapshot(FieldState(big.a, big.pi, length), path)
         cases.append((["project", str(path), "--out", str(tmp_path / "x.gfsn")],

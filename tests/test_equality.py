@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gaugefix.evolution import DiagnosticsSeries, FiniteSeries, evolve, evolve_finite
-from gaugefix.fields import FieldState, SparseSpectrum, plane_wave_initial_data, plane_wave_spectrum
+from gaugefix.fields import FieldState, SparseSpectrum, plane_wave_spectrum
 from gaugefix.phase import HamiltonianSystem, QuadraticLagrangian, quadratic_function
 from gaugefix.symbols import (
     DirectionSample,
@@ -20,6 +20,7 @@ from gaugefix.symbols import (
     maxwell_gauge_fixed_symbol,
 )
 from gaugefix.toys import ToyModel, chain_demo
+from oracles import plane_wave_initial_data
 
 
 def wave():

@@ -12,41 +12,42 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import gaugefix.fields as fields
+from gaugefix.evolution import CSV_HEADER
 from gaugefix.fields import (
     FieldState,
     Modes,
     SnapshotFormatError,
     SpectralWorkspace,
-    constraint_norms,
     correct_initial_data,
+    diagnostics,
+    div_norm_hat,
+    get_workspace,
+    plane_wave_reference,
+    plane_wave_spectrum,
+    project_in_place,
+    random_smooth_fields,
+    read_snapshot,
+    transverse_project,
+    write_snapshot,
+)
+import oracles
+from oracles import (
+    constraint_norms,
     curl,
     dirac_kernel_check,
     div,
-    div_norm_hat,
     energy,
-    get_workspace,
     grad,
+    kvec_table,
     l2_norm,
     longitudinal_norms,
     longitudinal_part,
     plane_wave_initial_data,
-    plane_wave_reference,
-    plane_wave_spectrum,
     project_state,
-    project_in_place,
-    random_smooth_fields,
-    read_snapshot,
     state_distance,
-    transverse_project,
-    write_snapshot,
 )
 
 TWO_PI = 2.0 * np.pi
-
-
-def kvec_table(ws):
-    """The wavevector of every half-spectrum mode as one (3, N, N, N/2+1) table."""
-    return np.stack(np.meshgrid(ws.k1, ws.k1, ws.k3, indexing="ij"))
 
 
 def smooth_vector(rng, n=16, length=TWO_PI):
@@ -63,7 +64,7 @@ def test_workspace_validation():
         SpectralWorkspace(8, -2.0)
 
 
-@pytest.mark.parametrize("length", [1e308, 1e200, 1e105, 1e-107, 1e-320])
+@pytest.mark.parametrize("length", [1e308, 1e200, 1e105, 1e-107, 1e-160, 1e-300, 1e-320])
 def test_workspace_refuses_a_geometry_outside_float64_range(length):
     # On an N=8 grid the Parseval scale (L/64)^3 leaves float64 first:
     # it overflows past L ~ 3.6e104 and underflows to 0 below L ~ 1.1e-106.
@@ -190,6 +191,34 @@ def test_norm_and_energy_where_the_cell_volume_overflows():
                                           rel=1e-12)
     assert energy(FieldState(ones, ones, length)) == np.inf
     assert l2_norm(ones, 1e300) == np.inf
+
+
+@pytest.mark.parametrize("n", [8, 9, 16])
+def test_diagnostics_match_the_grid_oracle(rng, n):
+    a, pi = random_smooth_fields(rng, n, TWO_PI)
+    state = FieldState(a, pi, TWO_PI)
+    got = diagnostics(state)
+    assert list(got) == CSV_HEADER.split(",")[1:6]
+    expected = (energy(state), *constraint_norms(state), *longitudinal_norms(state))
+    assert_allclose(list(got.values()), expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 9, 16])
+def test_diagnostics_stay_finite_where_the_grid_squares_overflow(rng, n):
+    # A small cube keeps the energy of data near 2^520 inside float64 range,
+    # though the squares of the grid values, and so the grid energy, overflow.
+    length = 2.0 ** -40
+    a, pi = random_smooth_fields(rng, n, length, amplitude=2.0 ** -80)
+    state = FieldState(a, pi, length)
+    scaled = FieldState(np.ldexp(a, 600), np.ldexp(pi, 600), length)
+    with np.errstate(over="ignore"):
+        assert np.max(scaled.pi ** 2) == np.inf
+    assert energy(scaled) == np.inf
+    got = diagnostics(scaled)
+    assert np.all(np.isfinite(list(got.values())))
+    expected = (energy(state), *constraint_norms(state), *longitudinal_norms(state))
+    assert_allclose(np.ldexp(list(got.values()), [-1200, -600, -600, -600, -600]), expected,
+                    rtol=1e-12)
 
 
 def test_plane_wave_energy_closed_form():
@@ -541,7 +570,7 @@ def test_dirac_kernel_check_detects_wrong_kernel(monkeypatch):
     assert bad.inv_k2[1, 0, 0] == 1.0
     bad.k1 *= 1.01
     bad.k3 *= 1.01
-    monkeypatch.setattr(fields, "get_workspace", lambda *a: bad)
+    monkeypatch.setattr(oracles, "get_workspace", lambda *a: bad)
     state = FieldState(
         a=np.zeros((3, n, n, n)), pi=np.zeros((3, n, n, n)), domain_length=TWO_PI
     )

@@ -14,14 +14,13 @@ EXPORTS = {
         project_to_constraint_surface second_order_coefficients""",
     "evolution": "CSV_HEADER DiagnosticsSeries FiniteSeries StepperKind evolve evolve_finite",
     "fields": """FieldState FormulationKind SnapshotFormatError SparseSpectrum
-        SpectralWorkspace constraint_norms correct_initial_data dirac_kernel_check energy
-        get_workspace l2_norm longitudinal_norms plane_wave_initial_data
+        SpectralWorkspace correct_initial_data diagnostics get_workspace
         plane_wave_reference plane_wave_spectrum random_smooth_fields read_snapshot
         transverse_project write_snapshot""",
     "phase": """CosymplecticForm HamiltonianSystem PhaseFunction QuadraticLagrangian
         bracket_function hamiltonian_flow legendre linear_function poisson_bracket
         quadratic_function""",
-    "symbols": """Hyperbolicity PrincipalSymbol SymbolReport adapted_blocks analyze_symbol
+    "symbols": """Hyperbolicity PrincipalSymbol SymbolReport analyze_symbol
         maxwell_canonical_symbol maxwell_gauge_fixed_symbol""",
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names.split()]

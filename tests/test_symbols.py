@@ -10,13 +10,13 @@ from numpy.testing import assert_allclose
 from gaugefix.symbols import (
     Hyperbolicity,
     PrincipalSymbol,
-    adapted_blocks,
     analyze_symbol,
     maxwell_canonical_symbol,
     maxwell_gauge_fixed_symbol,
     sample_directions,
     transverse_projector,
 )
+from oracles import adapted_blocks
 
 unit_dirs = st.tuples(
     st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)
