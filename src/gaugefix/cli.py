@@ -231,9 +231,7 @@ def cmd_symbol(args) -> int:
 def cmd_project(args) -> int:
     if not args.tol >= 0:
         raise ConfigError(f"--tol must be a non-negative number, got {args.tol!r}")
-    state = fields.read_snapshot(args.input)
-    before, after = fields.project_in_place(state)
-    fields.write_snapshot(state, args.out)
+    before, after = fields.project_snapshot(args.input, args.out)
     print(f"before: norm_divA={before[0]!r} norm_divPi={before[1]!r}")
     print(f"after:  norm_divA={after[0]!r} norm_divPi={after[1]!r}")
     if args.tol > 0 and max(after) >= args.tol:

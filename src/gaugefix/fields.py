@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import stat
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -472,31 +473,6 @@ def correct_initial_data(a_bar: np.ndarray, pi_bar: np.ndarray,
     return FieldState(a, pi, float(domain_length))
 
 
-def project_in_place(state: FieldState):
-    """Project state onto the constraint surface in place: (norms before, norms after).
-
-    One field at a time in one half-spectrum buffer: one forward transform
-    gives the constraint norm before, the longitudinal part is removed in
-    place, one backward transform writes the projected grid over the field,
-    and one forward transform of that grid gives the norm after, so the
-    norms after are those of the fields as left. Norms are by Parseval.
-    The fields left equal those of correct_initial_data(state.a, state.pi,
-    state.domain_length) bit for bit; a transform that overflows raises
-    ValueError, without a numpy warning.
-    """
-    ws = state.workspace()
-    modes = Modes(ws)
-    f_hat = np.empty((3,) + ws.k2.shape, dtype=complex)
-    before, after = [], []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for f in (state.a, state.pi):
-            before.append(div_norm_hat(ws.forward(f, out=f_hat), ws))
-            ws.backward(modes.remove_longitudinal(f_hat), out=f)
-            after.append(div_norm_hat(ws.forward(f, out=f_hat), ws))
-    state.check_finite()
-    return tuple(before), tuple(after)
-
-
 # ---------------------------------------------------------------------------
 # Initial data families
 # ---------------------------------------------------------------------------
@@ -668,11 +644,15 @@ def write_snapshot(state: FieldState, path) -> None:
         fh.write(header)
         for comp in (*state.a, *state.pi):
             fh.write(np.ascontiguousarray(comp, dtype="<f8"))
+    _write_sidecar(path, state.grid_n, state.domain_length)
+
+
+def _write_sidecar(path: Path, grid_n: int, domain_length: float) -> None:
     sidecar = {
         "format": "gaugefix-snapshot",
         "version": _SNAPSHOT_VERSION,
-        "grid_n": state.grid_n,
-        "domain_length": state.domain_length,
+        "grid_n": grid_n,
+        "domain_length": domain_length,
         "dtype": "float64",
         "byte_order": "little",
         "layout": "C",
@@ -683,35 +663,162 @@ def write_snapshot(state: FieldState, path) -> None:
         fh.write("\n")
 
 
+class _SnapshotReader:
+    """A snapshot's checked header, and its payload read in order.
+
+    A file or a pipe: fill reads the next bytes into a buffer, and end
+    checks that nothing follows the payload. A size that disagrees with
+    the header raises SnapshotFormatError, a regular file's from fstat
+    before any payload is read, a pipe's once it ends early or runs on.
+    """
+
+    def __init__(self, path: Path):
+        self.path = path
+        try:
+            self.fh = open(path, "rb")
+        except OSError as exc:
+            raise SnapshotFormatError(f"cannot read snapshot {path}: {exc}") from exc
+        try:
+            self.got = 0
+            header = bytearray(_HEADER.size)
+            if not self._read(header):
+                raise SnapshotFormatError(f"snapshot {path} is too short for a header")
+            magic, version, self.grid_n, self.domain_length = _HEADER.unpack(header)
+            if magic != _SNAPSHOT_MAGIC:
+                raise SnapshotFormatError(f"snapshot {path} has bad magic {magic!r}")
+            if version != _SNAPSHOT_VERSION:
+                raise SnapshotFormatError(f"snapshot {path} has unsupported version {version}")
+            if self.grid_n < 4 or not (np.isfinite(self.domain_length) and self.domain_length > 0):
+                raise SnapshotFormatError(f"snapshot {path} header is invalid "
+                                          f"(N={self.grid_n}, L={self.domain_length})")
+            self.expected = _HEADER.size + 6 * self.grid_n ** 3 * 8
+            info = os.fstat(self.fh.fileno())
+            if stat.S_ISREG(info.st_mode) and info.st_size != self.expected:
+                raise self._size_error(info.st_size)
+        except BaseException:
+            self.fh.close()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def _size_error(self, size: int) -> SnapshotFormatError:
+        return SnapshotFormatError(f"snapshot {self.path} has {size} bytes, "
+                                  f"expected {self.expected}")
+
+    def _read(self, buf) -> bool:
+        """Read into buf until it is full or the input ends; whether it is full."""
+        view, got = memoryview(buf).cast("B"), 0
+        try:
+            while got < len(view) and (n := self.fh.readinto(view[got:])):
+                got += n
+        except OSError as exc:
+            raise SnapshotFormatError(f"cannot read snapshot {self.path}: {exc}") from exc
+        self.got += got
+        return got == len(view)
+
+    def fill(self, buf) -> None:
+        """Fill buf with the next payload bytes."""
+        if not self._read(buf):
+            raise self._size_error(self.got)
+
+    def end(self) -> None:
+        """Check that the input ends with the payload."""
+        chunk = bytearray(1 << 16)
+        while self._read(chunk):
+            pass
+        if self.got != self.expected:
+            raise self._size_error(self.got)
+
+
 def read_snapshot(path) -> FieldState:
     """Read a snapshot written by write_snapshot; raises SnapshotFormatError."""
     path = Path(path)
+    with _SnapshotReader(path) as snap:
+        # One writable buffer that the fields then view. Its pages are
+        # touched as bytes arrive, so a pipe that ends early costs only
+        # what it sent.
+        n = snap.grid_n
+        grids = np.empty((6, n, n, n), dtype="<f8")
+        snap.fill(grids)
+        snap.end()
     try:
-        with open(path, "rb") as fh:
-            # One read into a writable buffer that the fields then view;
-            # a pipe has no size, and a file may have grown since fstat.
-            raw = bytearray(os.fstat(fh.fileno()).st_size)
-            del raw[fh.readinto(raw):]
-            raw += fh.read()
-    except OSError as exc:
-        raise SnapshotFormatError(f"cannot read snapshot {path}: {exc}") from exc
-    if len(raw) < _HEADER.size:
-        raise SnapshotFormatError(f"snapshot {path} is too short for a header")
-    magic, version, grid_n, length = _HEADER.unpack_from(raw)
-    if magic != _SNAPSHOT_MAGIC:
-        raise SnapshotFormatError(f"snapshot {path} has bad magic {magic!r}")
-    if version != _SNAPSHOT_VERSION:
-        raise SnapshotFormatError(f"snapshot {path} has unsupported version {version}")
-    if grid_n < 4 or not (np.isfinite(length) and length > 0):
-        raise SnapshotFormatError(f"snapshot {path} header is invalid "
-                                  f"(N={grid_n}, L={length})")
-    expected = _HEADER.size + 6 * grid_n ** 3 * 8
-    if len(raw) != expected:
-        raise SnapshotFormatError(f"snapshot {path} has {len(raw)} bytes, "
-                                  f"expected {expected}")
-    data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    grids = data.reshape(6, grid_n, grid_n, grid_n)
-    try:
-        return FieldState(grids[:3], grids[3:], length)
+        return FieldState(grids[:3], grids[3:], snap.domain_length)
     except ValueError as exc:
         raise SnapshotFormatError(f"snapshot {path} payload invalid: {exc}") from exc
+
+
+def project_snapshot(src, dst):
+    """Project the snapshot at src onto the constraint surface into dst.
+
+    Returns the constraint norms (div A, div pi) before and after.
+
+    One field at a time through one grid buffer and one half-spectrum
+    buffer, so the snapshot is never held whole. Each component is read,
+    checked and transformed; the field's constraint norm before comes
+    from its half spectrum, and its longitudinal part is removed there.
+    Each component then goes back to the grid, is checked, appended to a
+    new file beside dst and transformed again, so the norm after is that
+    of the field as written. Norms are by Parseval. The fields written
+    equal those of correct_initial_data(a, pi, L) bit for bit.
+
+    src may be a pipe. Only a complete projection replaces dst (through a
+    symbolic link, as open(dst, "wb") would write), keeping an existing
+    dst's mode, and the sidecar follows; dst may be src. An existing dst
+    that is not a regular file is refused first, and a transform that
+    overflows raises ValueError without a numpy warning; in either case,
+    and on a malformed input (SnapshotFormatError), dst is left as it was.
+    """
+    dst = Path(dst)
+    target = Path(os.path.realpath(dst))
+    try:
+        existing = os.stat(target)
+    except FileNotFoundError:
+        existing = None
+    if existing is not None and not stat.S_ISREG(existing.st_mode):
+        raise ValueError(f"cannot write snapshot {dst}: it exists and is not a regular file")
+    with _SnapshotReader(Path(src)) as snap:
+        n, length = snap.grid_n, snap.domain_length
+        ws = get_workspace(n, length)
+        # The k^2 tables wait for a field's worth of input (Modes below),
+        # so a pipe that ends early costs only what it sent.
+        grid = np.empty((n, n, n), dtype="<f8")
+        f_hat = np.empty((3, n, n, n // 2 + 1), dtype=complex)
+        tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
+        try:
+            out = open(tmp, "xb")  # the mode open(dst, "wb") gives a new file
+        except OSError as exc:
+            raise OSError(f"cannot write snapshot {dst}: {exc.strerror}") from exc
+        try:
+            with out:
+                out.write(_HEADER.pack(_SNAPSHOT_MAGIC, _SNAPSHOT_VERSION, n, length))
+                before, after = [], []
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for _ in range(2):  # a, then pi
+                        for part in f_hat:
+                            snap.fill(grid)
+                            if not np.isfinite(grid).all():
+                                raise SnapshotFormatError(f"snapshot {snap.path} payload invalid: "
+                                                          "field values must be finite")
+                            ws.forward(grid, out=part)
+                        before.append(div_norm_hat(f_hat, ws))
+                        Modes(ws).remove_longitudinal(f_hat)
+                        for part in f_hat:
+                            ws.backward(part, out=grid)
+                            if not np.isfinite(grid).all():
+                                raise ValueError("field values must be finite")
+                            out.write(grid)
+                            ws.forward(grid, out=part)
+                        after.append(div_norm_hat(f_hat, ws))
+                snap.end()
+            if existing is not None:
+                os.chmod(tmp, stat.S_IMODE(existing.st_mode))
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    _write_sidecar(dst, n, length)
+    return tuple(before), tuple(after)

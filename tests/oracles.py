@@ -1,7 +1,8 @@
 """The grid oracle that the spectral route of gaugefix is checked against.
 
 The library computes energy, constraint norms and projections from the
-half spectrum (fields.Modes.rows, fields.diagnostics, project_in_place).
+half spectrum (fields.Modes.rows, fields.diagnostics,
+fields.project_snapshot).
 The functions here compute them on the N^3 grid instead: derivatives by
 a forward and a backward transform, norms and energy as sums over grid
 values, and the plane wave as grid samples. adapted_blocks splits a

@@ -1,8 +1,10 @@
 import argparse
 import json
 import os
+import struct
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -368,6 +370,8 @@ class TestProjectCommand:
 
     def test_six_transforms_and_the_outputs_of_the_grid_route(self, tmp_path, capsys,
                                                               monkeypatch):
+        # Six per field, one N^3 component at a time: per component one
+        # forward, one back to the grid and one forward of the written grid.
         a, pi = random_smooth_fields(np.random.default_rng(5), 16, 2.0 * np.pi)
         state = FieldState(a, pi, 2.0 * np.pi)
         path, out, ref = tmp_path / "in.gfsn", tmp_path / "out.gfsn", tmp_path / "ref.gfsn"
@@ -378,14 +382,15 @@ class TestProjectCommand:
             method = getattr(SpectralWorkspace, name)
 
             def wrapper(ws, f, **kwargs):
-                calls.append(name)
+                calls.append((name, f.shape))
                 return method(ws, f, **kwargs)
             return wrapper
 
         for name in ("forward", "backward"):
             monkeypatch.setattr(SpectralWorkspace, name, counted(name))
         assert main(["project", str(path), "--out", str(out)]) == 0
-        assert calls.count("forward") == 4 and calls.count("backward") == 2
+        assert calls.count(("forward", (16, 16, 16))) == 12
+        assert calls.count(("backward", (16, 16, 9))) == 6 and len(calls) == 18
         monkeypatch.undo()
         write_snapshot(project_state(state), ref)
         assert out.read_bytes() == ref.read_bytes()
@@ -406,14 +411,138 @@ class TestProjectCommand:
         # Nor a (3, N, N, N/2+1) wavevector table: the wavevector is read as three axes.
         assert not [v for v in ws.values() if getattr(v, "shape", None) == (3, n, n, n // 2 + 1)]
 
-    def test_overflowing_projection_writes_nothing(self, tmp_path, capsys):
-        a = np.zeros((3, 8, 8, 8))
-        a[0] = 1e308 * (-1.0) ** np.arange(8)[:, None, None]
+    @pytest.mark.parametrize("field", ["a", "pi"])
+    @pytest.mark.parametrize("existing", [None, b"an earlier output"])
+    def test_overflowing_projection_writes_nothing(self, tmp_path, capsys, field, existing):
+        # An overflow in pi comes after a's components went to the new file.
+        wild = np.zeros((3, 8, 8, 8))
+        wild[0] = 1e308 * (-1.0) ** np.arange(8)[:, None, None]
+        tame = random_smooth_fields(np.random.default_rng(1), 8, 2.0 * np.pi)[0]
         path, out = tmp_path / "in.gfsn", tmp_path / "out.gfsn"
-        write_snapshot(FieldState(a, np.zeros_like(a), 2.0 * np.pi), path)
+        write_snapshot(FieldState(*((wild, tame) if field == "a" else (tame, wild)),
+                                  2.0 * np.pi), path)
+        if existing is not None:
+            out.write_bytes(existing)
         assert main(["project", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: field values must be finite\n"
+        assert (out.read_bytes() if out.exists() else None) == existing
+        left = {"in.gfsn", "in.gfsn.json"} | ({"out.gfsn"} if existing else set())
+        assert {p.name for p in tmp_path.iterdir()} == left
+
+    def test_out_may_be_the_input(self, tmp_path, capsys):
+        _, path = self.make_snapshot(tmp_path)
+        out = tmp_path / "out.gfsn"
+        assert main(["project", str(path), "--out", str(out)]) == 0
+        assert main(["project", str(path), "--out", str(path)]) == 0
+        assert path.read_bytes() == out.read_bytes()
+        assert Path(f"{path}.json").read_bytes() == Path(f"{out}.json").read_bytes()
+        assert {p.name for p in tmp_path.iterdir()} == {"in.gfsn", "in.gfsn.json",
+                                                        "out.gfsn", "out.gfsn.json"}
+
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symbolic links")
+    def test_out_through_a_symbolic_link_writes_its_target(self, tmp_path, capsys):
+        _, path = self.make_snapshot(tmp_path)
+        out, elsewhere = tmp_path / "out.gfsn", tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        link = tmp_path / "link.gfsn"
+        link.symlink_to(elsewhere / "target.gfsn")
+        assert main(["project", str(path), "--out", str(out)]) == 0
+        assert main(["project", str(path), "--out", str(link)]) == 0
+        assert link.is_symlink() and link.read_bytes() == out.read_bytes()
+        assert [p.name for p in elsewhere.iterdir()] == ["target.gfsn"]
+
+    def test_out_gets_the_mode_that_open_for_writing_gives(self, tmp_path, capsys):
+        _, path = self.make_snapshot(tmp_path)
+        out, probe = tmp_path / "out.gfsn", tmp_path / "probe"
+        umask = os.umask(0o027)
+        try:
+            open(probe, "wb").close()
+            assert main(["project", str(path), "--out", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        assert out.stat().st_mode == probe.stat().st_mode
+        # An existing output keeps its mode, as when it is opened and truncated.
+        out.chmod(0o604)
+        assert main(["project", str(path), "--out", str(out)]) == 0
+        assert out.stat().st_mode & 0o7777 == 0o604
+
+    def test_out_that_is_not_a_regular_file_is_refused_first(self, tmp_path, capsys):
+        # The input is malformed too: the output is checked before any work.
+        bad = tmp_path / "bad.gfsn"
+        bad.write_bytes(b"JUNK")
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        outs = [directory, Path(os.devnull)]
+        if hasattr(os, "mkfifo"):
+            os.mkfifo(tmp_path / "fifo")
+            outs.append(tmp_path / "fifo")
+        for out in outs:
+            assert main(["project", str(bad), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (f"error: cannot write snapshot {out}: "
+                                               "it exists and is not a regular file\n")
+        assert not any(directory.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["bad.gfsn", "dir"] + (["fifo"] if len(outs) == 3 else []))
+
+    def test_file_size_that_disagrees_with_the_header_is_refused_first(self, tmp_path, capsys):
+        # A header that claims N = 2^20 would need 48 EiB of payload: the size
+        # comes from fstat, before anything of that size is allocated.
+        path, out = tmp_path / "in.gfsn", tmp_path / "out.gfsn"
+        path.write_bytes(struct.pack("<4sIId", b"GFSN", 1, 2 ** 20, 1.0))
+        assert main(["project", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: snapshot {path} has 20 bytes, "
+                                           f"expected {20 + 48 * 2 ** 60}\n")
         assert not out.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw, None),
+        (lambda raw: raw[:-8], "has 3084 bytes, expected 3092"),
+        (lambda raw: raw + bytes(8), "has 3100 bytes, expected 3092"),
+        (lambda raw: raw[:2], "is too short for a header"),
+        # A header that claims N=256: only what the pipe sends is read.
+        (lambda raw: struct.pack("<4sIId", b"GFSN", 1, 256, 1.0) + raw[20:120],
+         f"has 120 bytes, expected {20 + 48 * 256 ** 3}"),
+    ], ids=["whole", "short", "over", "headless", "claims-more"])
+    def test_pipe_input_projects_to_the_bytes_of_the_file_route(self, tmp_path, capsys,
+                                                                 edit, message):
+        state = plane_wave_initial_data((1, 0, 0), (0, 1, 0), grid_n=4, kind="contaminated")
+        path, fifo = tmp_path / "in.gfsn", tmp_path / "pipe"
+        write_snapshot(state, path)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(edit(path.read_bytes()),))
+        writer.start()
+        try:
+            code = main(["project", str(fifo), "--out", str(tmp_path / "piped.gfsn")])
+        finally:
+            if writer.is_alive():  # never opened: let the writer's open return
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        piped = capsys.readouterr()
+        if message is not None:
+            assert (code, piped.err) == (1, f"error: snapshot {fifo} {message}\n")
+            assert not (tmp_path / "piped.gfsn").exists()
+            return
+        assert code == 0
+        assert main(["project", str(path), "--out", str(tmp_path / "out.gfsn")]) == 0
+        assert capsys.readouterr().out == piped.out
+        assert (tmp_path / "piped.gfsn").read_bytes() == (tmp_path / "out.gfsn").read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_dev_stdin_projects_to_the_bytes_of_the_file_route(self, tmp_path):
+        state, path = self.make_snapshot(tmp_path)
+        code = ("import sys\nfrom gaugefix.cli import main\n"
+                "sys.exit(main(['project', '/dev/stdin', '--out', sys.argv[1]]))")
+        src = str(Path(gaugefix.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        piped = subprocess.run([sys.executable, "-c", code, str(tmp_path / "piped.gfsn")],
+                               input=path.read_bytes(), env=env, capture_output=True,
+                               check=True, timeout=60)
+        assert main(["project", str(path), "--out", str(tmp_path / "out.gfsn")]) == 0
+        assert (tmp_path / "piped.gfsn").read_bytes() == (tmp_path / "out.gfsn").read_bytes()
+        assert piped.stderr == b""
 
     @pytest.mark.parametrize("tol", ["-1", "nan"])
     def test_bad_tol_is_a_clean_error(self, tmp_path, capsys, tol):
@@ -421,6 +550,19 @@ class TestProjectCommand:
         out = tmp_path / "out.gfsn"
         assert main(["project", str(path), "--out", str(out), "--tol", tol]) == 1
         assert capsys.readouterr().err.startswith("error: --tol")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", [0, 6 * 8 ** 3 - 1])
+    def test_input_that_is_not_finite_is_a_format_error(self, tmp_path, capsys, where):
+        # The first value of a_x, or the last of pi_z.
+        _, path = self.make_snapshot(tmp_path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, 20 + 8 * where, float("inf"))
+        path.write_bytes(raw)
+        out = tmp_path / "out.gfsn"
+        assert main(["project", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: snapshot {path} payload invalid: "
+                                           "field values must be finite\n")
         assert not out.exists()
 
     def test_malformed_snapshot(self, tmp_path, capsys):

@@ -7,11 +7,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import gaugefix.fields as fields
+from gaugefix.cli import main
 from gaugefix.evolution import CSV_HEADER
 from gaugefix.fields import (
     FieldState,
@@ -24,7 +25,7 @@ from gaugefix.fields import (
     get_workspace,
     plane_wave_reference,
     plane_wave_spectrum,
-    project_in_place,
+    project_snapshot,
     random_smooth_fields,
     read_snapshot,
     transverse_project,
@@ -48,6 +49,13 @@ from oracles import (
 )
 
 TWO_PI = 2.0 * np.pi
+
+
+def project_files(state, tmp_path):
+    """project_snapshot of state written to a file: (norms, path of the projected file)."""
+    src, dst = tmp_path / "in.gfsn", tmp_path / "out.gfsn"
+    write_snapshot(state, src)
+    return project_snapshot(src, dst), dst
 
 
 def smooth_vector(rng, n=16, length=TWO_PI):
@@ -160,7 +168,7 @@ def test_l2_norm_of_constant():
 
 
 @pytest.mark.parametrize("shift", [-560, 530])
-def test_norms_of_data_past_the_square_range(shift):
+def test_norms_of_data_past_the_square_range(shift, tmp_path):
     # Squares of these values over- or underflow although the norms do not:
     # each norm of the data scaled by 2^shift is the norm scaled by 2^shift.
     a, pi = random_smooth_fields(np.random.default_rng(0), 16, TWO_PI)
@@ -171,8 +179,8 @@ def test_norms_of_data_past_the_square_range(shift):
     f_hat = ws.forward(a)
     assert_allclose(div_norm_hat(np.ldexp(1.0, shift) * f_hat, ws),
                     np.ldexp(div_norm_hat(f_hat, ws), shift), rtol=1e-14)
-    norms = project_in_place(state)
-    assert_allclose(project_in_place(scaled), np.ldexp(norms, shift), rtol=1e-14)
+    norms, _ = project_files(state, tmp_path)
+    assert_allclose(project_files(scaled, tmp_path)[0], np.ldexp(norms, shift), rtol=1e-14)
     constant = np.full((3, 8, 8, 8), np.ldexp(1.0, shift))
     assert l2_norm(constant, TWO_PI) == pytest.approx(
         np.ldexp(np.sqrt(constant.size), shift) * (TWO_PI / 8) ** 1.5, rel=1e-14)
@@ -448,12 +456,12 @@ def test_project_state_removes_longitudinal_parts(rng):
 
 
 @pytest.mark.parametrize("n", [8, 9])
-def test_project_in_place_matches_the_grid_route(rng, n):
+def test_project_snapshot_matches_the_grid_route(rng, n, tmp_path):
     # Odd n has no Nyquist plane; the Parseval weights must hold for both.
     a, pi = random_smooth_fields(rng, n, 3.0)
     state = FieldState(a=a + 0.25, pi=pi, domain_length=3.0)
-    projected = state.copy()
-    before, after = project_in_place(projected)
+    (before, after), out = project_files(state, tmp_path)
+    projected = read_snapshot(out)
     reference = project_state(state)
     assert projected.a.tobytes() == reference.a.tobytes()
     assert projected.pi.tobytes() == reference.pi.tobytes()
@@ -463,17 +471,19 @@ def test_project_in_place_matches_the_grid_route(rng, n):
     assert after == tuple(div_norm_hat(ws.forward(f), ws) for f in (projected.a, projected.pi))
 
 
-def test_project_in_place_holds_one_half_spectrum():
-    # Beside the state (12 MiB at N = 64), the projection holds one field's
-    # half spectrum, the k^2 tables and per-component transform temporaries.
+def test_project_command_holds_one_component_and_one_half_spectrum(tmp_path, capsys):
+    # The whole command at N = 64 holds one grid component (2 MiB), one
+    # field's half spectrum (6.2 MiB), the k^2 tables and per-component
+    # transform temporaries, never the 12 MiB snapshot.
     n = 64
     rng = np.random.default_rng(5)
-    state = FieldState(rng.standard_normal((3, n, n, n)), rng.standard_normal((3, n, n, n)),
-                       TWO_PI)
+    src = tmp_path / "in.gfsn"
+    write_snapshot(FieldState(rng.standard_normal((3, n, n, n)),
+                              rng.standard_normal((3, n, n, n)), TWO_PI), src)
     get_workspace.cache_clear()
     tracemalloc.start()
     try:
-        project_in_place(state)
+        assert main(["project", str(src), "--out", str(tmp_path / "out.gfsn")]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -508,9 +518,10 @@ def _projected_by_whole_stack_products(f, ws):
     return np.fft.irfftn(f_hat - kvec * coef, s=(n, n, n), axes=(-3, -2, -1))
 
 
+@settings(suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(st.integers(4, 9), st.sampled_from([TWO_PI, 3.0]), st.floats(-300.0, 300.0),
        st.sampled_from(["none", "spectrum", "grid"]), st.integers(0, 2 ** 32 - 1))
-def test_project_in_place_equals_whole_stack_products(n, length, u, wave, seed):
+def test_project_snapshot_equals_whole_stack_products(tmp_path, n, length, u, wave, seed):
     # Amplitudes 10^u, and A may hold a wave c cos(k . x) of polarization
     # (1, -1, 0) along k = (m, m, 0). With "spectrum" its coefficients
     # c N^3 / 2 nearly fill float64, so k . A^ sums two overflowing terms of
@@ -528,20 +539,23 @@ def test_project_in_place_equals_whole_stack_products(n, length, u, wave, seed):
     with np.errstate(all="ignore"):
         want = [_projected_by_whole_stack_products(f, ws) for f in (a, pi)]
     state = FieldState(a, pi, length)
+    (tmp_path / "out.gfsn").unlink(missing_ok=True)
     if not all(np.isfinite(w).all() for w in want):
         with pytest.raises(ValueError, match="finite"):
-            project_in_place(state)
+            project_files(state, tmp_path)
+        assert not (tmp_path / "out.gfsn").exists()
         return
-    norms = project_in_place(state)
-    assert state.a.tobytes() == want[0].tobytes() and state.pi.tobytes() == want[1].tobytes()
+    norms, out = project_files(state, tmp_path)
+    assert out.read_bytes()[20:] == want[0].tobytes() + want[1].tobytes()
     assert np.isfinite(norms).all()
 
 
-def test_project_in_place_refuses_a_transform_that_overflows():
+def test_project_snapshot_refuses_a_transform_that_overflows(tmp_path):
     a = np.zeros((3, 8, 8, 8))
     a[0] = 1e308 * (-1.0) ** np.arange(8)[:, None, None]
     with pytest.raises(ValueError, match="finite"):
-        project_in_place(FieldState(a=a, pi=np.zeros_like(a), domain_length=TWO_PI))
+        project_files(FieldState(a=a, pi=np.zeros_like(a), domain_length=TWO_PI), tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.gfsn", "in.gfsn.json"]
 
 
 def test_data_that_overflow_give_no_numpy_warning():
@@ -724,6 +738,11 @@ class TestSnapshotIO:
         (b"GF", "is too short for a header"),
         (struct.pack("<4sIId", b"GFSN", 1, 4, 1.0) + bytes(100),
          "has 120 bytes, expected 3092"),
+        (struct.pack("<4sIId", b"GFSN", 1, 4, 1.0) + bytes(6 * 64 * 8 + 8),
+         "has 3100 bytes, expected 3092"),
+        # The size is checked before any payload is read or allocated.
+        (struct.pack("<4sIId", b"GFSN", 1, 2 ** 20, 1.0),
+         f"has 20 bytes, expected {20 + 48 * 2 ** 60}"),
         (struct.pack("<4sIId", b"GFSN", 1, 3, 1.0) + bytes(6 * 27 * 8),
          r"header is invalid \(N=3, L=1.0\)"),
         (struct.pack("<4sIId", b"GFSN", 1, 4, float("nan")) + bytes(6 * 64 * 8),
