@@ -51,7 +51,11 @@ class SpectralWorkspace:
     of k1 and k3 that broadcast. A geometry whose wavenumbers, k^2 or
     scale are not finite and nonzero in float64 raises ValueError. forward
     and backward go one leading index at a time, into out if given, with
-    the bits of one rfftn or irfftn over the whole stack.
+    the bits of one rfftn or irfftn over the whole stack: they make its
+    one-axis passes in its order, each with out=. forward's passes run in
+    place in out, so it allocates nothing beyond out; backward's two
+    complex passes run in one half-spectrum scratch that every index
+    reuses. Neither changes its input.
     """
 
     def __init__(self, grid_n: int, domain_length: float):
@@ -110,15 +114,26 @@ class SpectralWorkspace:
     def forward(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = np.empty(f.shape[:-1] + (f.shape[-1] // 2 + 1,), complex) if out is None else out
         for i in np.ndindex(f.shape[:-3]):
-            out[i] = np.fft.rfftn(f[i], axes=(0, 1, 2))
+            # rfftn's passes, in its order: rfft on z, then fft on y and x in place.
+            part = np.fft.rfft(f[i], axis=2, out=out[i])
+            np.fft.fft(part, axis=1, out=part)
+            np.fft.fft(part, axis=0, out=part)
         return out
 
     def backward(self, f_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         n = self.grid_n
         out = np.empty(f_hat.shape[:-3] + (n, n, n)) if out is None else out
+        scratch = np.empty((n, n, n // 2 + 1), complex)
         for i in np.ndindex(f_hat.shape[:-3]):
-            out[i] = np.fft.irfftn(f_hat[i], s=(n, n, n), axes=(0, 1, 2))
+            self._inverse(f_hat[i], scratch, out[i])
         return out
+
+    def _inverse(self, f_hat: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """irfftn of one half spectrum into out, in its order of passes: ifft on x and on
+        y into scratch, then irfft on z. scratch may be f_hat, whose bytes are then lost."""
+        np.fft.ifft(f_hat, axis=0, out=scratch)
+        np.fft.ifft(scratch, axis=1, out=scratch)
+        return np.fft.irfft(scratch, self.grid_n, axis=2, out=out)
 
 
 @functools.lru_cache(maxsize=8)
@@ -226,6 +241,28 @@ def overflow_shift(y_hat: np.ndarray) -> int:
     return int(np.frexp(peak)[1]) - 256
 
 
+def _extent(q: np.ndarray, axis=None):
+    """(largest magnitude, whether all finite) of complex q over axis, by reductions alone.
+
+    For a finite q the magnitude is the one overflow_shift takes; NaN if q holds NaN.
+    """
+    ends = np.array([f(part, axis=axis, initial=0.0) for part in (q.real, q.imag)
+                     for f in (np.max, np.min)])
+    return np.max(np.abs(ends), axis=0), np.isfinite(ends).all(axis=0)
+
+
+def _coef(v: np.ndarray, kvec, inv_k2, field_shift) -> np.ndarray:
+    """k . v / k^2 per mode; Modes.coef with field_shift() giving the overflow_shift of
+    the field v belongs to, or None when that field is not all finite."""
+    coef = k_dot(v, kvec)
+    coef *= inv_k2
+    redo = ~np.isfinite(coef)
+    if redo.any() and (shift := field_shift()) is not None and shift > 0:
+        scaled = k_dot(v * np.ldexp(1.0, -shift), kvec) * inv_k2
+        coef[redo] = scaled[redo] * np.ldexp(1.0, shift)
+    return coef
+
+
 class Modes:
     """Tables of a set of Fourier modes, and the per-mode algebra on them.
 
@@ -274,13 +311,8 @@ class Modes:
         overflows for a finite v (terms of opposite sign give NaN), it is
         computed again from v scaled by a power of two.
         """
-        coef = k_dot(v, self.kvec)
-        coef *= self.inv_k2
-        redo = ~np.isfinite(coef)
-        if redo.any() and np.isfinite(v).all() and (shift := overflow_shift(v)) > 0:
-            scaled = k_dot(v * np.ldexp(1.0, -shift), self.kvec) * self.inv_k2
-            coef[redo] = scaled[redo] * np.ldexp(1.0, shift)
-        return coef
+        return _coef(v, self.kvec, self.inv_k2,
+                     lambda: overflow_shift(v) if np.isfinite(v).all() else None)
 
     def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(transverse, longitudinal) parts of vectors v on these modes."""
@@ -361,7 +393,11 @@ class Modes:
         y and ref scaled by 2^-overflow_shift(y), and g by its square, and
         those columns are scaled back; powers of two scale exactly. The
         other columns keep their first value, so a column far below the
-        largest one keeps all its digits.
+        largest one keeps all its digits. Squares of coefficients below
+        ~1e-154 underflow: a row whose largest coefficient is nonzero and
+        below 2^-400 is computed again in the same way, scaled up (by at
+        most 2^1021), and each column that comes back finite is taken from
+        there.
         """
         k2, scale = self.k2, self.scale
         # A k^2 = 0 shell (first if present) adds nothing to k^2 A_T, even where A_T overflows.
@@ -394,15 +430,19 @@ class Modes:
         redo = ~np.isfinite(out)
         if ref is None:
             redo[:, 5] = False
+        peak, _ = _extent(y, axis=tuple(range(1, y.ndim)))
+        tiny = (peak > 0) & (peak < 2.0 ** -400)
         powers = np.array([2, 1, 1, 1, 1, 1])
-        for r in np.flatnonzero(redo.any(axis=1)):
-            shift = overflow_shift(y[r])
-            if shift > 0:
+        for r in np.flatnonzero(redo.any(axis=1) | tiny):
+            shift = max(overflow_shift(y[r]), -1021)
+            if shift > 0 or tiny[r]:
                 factor = np.ldexp(1.0, -shift)
                 one = slice(r, r + 1)
                 scaled = columns(y[one] * factor, None if ref is None else ref[one] * factor,
                                  None if g is None else tuple(np.ldexp(m[one], -2 * shift) for m in g))
-                out[r, redo[r]] = np.ldexp(scaled[0], powers * shift)[redo[r]]
+                back = np.ldexp(scaled[0], powers * shift)
+                keep = redo[r] if shift > 0 else np.isfinite(back)
+                out[r, keep] = back[keep]
         return out
 
 
@@ -415,24 +455,70 @@ def transverse_project(v: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
 # Diagnostics
 # ---------------------------------------------------------------------------
 
-def _root_sum_squares(q: np.ndarray, weight, inside, shift) -> float:
-    """sqrt(inside * sum of weight |q|^2) * 2^shift, div_norm_hat's Parseval sum. Only
-    where q's largest magnitude is outside [2^-400, 2^400) are the squares of q scaled
-    near 1 summed, so a norm inside float64 range comes back finite and nonzero."""
-    s = overflow_shift(q) + 256  # the exponent of the largest magnitude; 0 for 0, inf, NaN
+def _plane_k(ws: SpectralWorkspace, x: int) -> tuple:
+    """The wavevector on the kx plane x: ws.k_axes there, three views that broadcast."""
+    kx, ky, kz = ws.k_axes
+    return kx[x], ky[0], kz[0]
+
+
+def _div_norm(f_hat: np.ndarray, ws: SpectralWorkspace, squares: np.ndarray) -> float:
+    """div_norm_hat(f_hat, ws), one kx plane at a time through squares, an (N, N, N/2+1) buffer.
+
+    The weighted squares of k . f^ fill squares plane by plane, and one np.sum
+    adds them as it adds a whole array. As in Modes.coef, where k . f^ is not
+    finite for a finite f^, it is taken of f^ scaled by 2^-shift. Only where its
+    largest magnitude over every plane is outside [2^-400, 2^400) are its squares
+    taken scaled near 1, so a norm inside float64 range comes back finite and nonzero.
+    """
+    def sweep(shift, s):
+        # Squares of k . (f^ 2^-shift) 2^-s; the peak of k . (f^ 2^-shift) and whether it is finite.
+        peak, finite = 0.0, True
+        for x in range(ws.grid_n):
+            v = f_hat[:, x] * np.ldexp(1.0, -shift) if shift else f_hat[:, x]
+            dot = k_dot(v, _plane_k(ws, x))
+            plane_peak, plane_finite = _extent(dot)
+            peak, finite = max(peak, plane_peak), finite and plane_finite
+            with np.errstate(over="ignore"):
+                np.multiply(ws.plane_weight, _abs2(dot * np.ldexp(1.0, -s) if s else dot),
+                            out=squares[x])
+        return peak, finite
+
+    shift = 0
+    peak, finite = sweep(0, 0)
+    if not finite:
+        f_peak, f_finite = _extent(f_hat)
+        if f_finite and (shift := max(int(np.frexp(f_peak)[1]) - 256, 0)):
+            peak, finite = sweep(shift, 0)
+    # A k . f^ that is not finite sums to inf or NaN at any scale.
+    s = int(np.frexp(peak)[1]) if finite else 0
     s = 0 if -400 < s <= 400 else max(s, -1021)
+    if s:
+        sweep(shift, s)
     with np.errstate(over="ignore"):
-        total = np.sum(weight * _abs2(q * np.ldexp(1.0, -s) if s else q))
-        return float(np.ldexp(np.sqrt(inside * total), shift + s))
+        return float(np.ldexp(np.sqrt(ws.scale * np.sum(squares)), shift + s))
 
 
 def div_norm_hat(f_hat: np.ndarray, ws: SpectralWorkspace) -> float:
     """Continuum L2 norm of div f from the half spectrum of f, by Parseval."""
-    dot, shift = k_dot(f_hat, ws.k_axes), 0
-    if not np.isfinite(dot).all() and np.isfinite(f_hat).all():  # as in Modes.coef
-        shift = max(overflow_shift(f_hat), 0)
-        dot = k_dot(f_hat * np.ldexp(1.0, -shift), ws.k_axes)
-    return _root_sum_squares(dot, ws.plane_weight, inside=ws.scale, shift=shift)
+    return _div_norm(f_hat, ws, np.empty(f_hat.shape[1:]))
+
+
+def _remove_longitudinal(f_hat: np.ndarray, ws: SpectralWorkspace) -> None:
+    """Modes(ws).remove_longitudinal(f_hat) bit for bit, one kx plane at a time.
+
+    k^2 is made per plane from ws.k_axes, so no k^2 table is built. Modes.coef's
+    scale for a k . f^ that overflows is taken over f^ before any plane changes.
+    """
+    peak, finite = _extent(f_hat)
+    shift = int(np.frexp(peak)[1]) - 256 if finite else None
+    for x in range(ws.grid_n):
+        kvec = _plane_k(ws, x)
+        k2 = kvec[0] ** 2 + kvec[1] ** 2 + kvec[2] ** 2
+        v = f_hat[:, x]
+        coef = _coef(v, kvec, np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0),
+                     lambda: shift)
+        for k, part in zip(kvec, v):
+            part -= k * coef
 
 
 def diagnostics(state: FieldState) -> dict:
@@ -613,9 +699,12 @@ def random_smooth_fields(rng: np.random.Generator, grid_n: int,
     out = []
     for _ in range(2):
         white = rng.standard_normal((3, grid_n, grid_n, grid_n))
-        smooth = ws.backward(filt * ws.forward(white))
-        rms = float(np.sqrt(np.mean(smooth ** 2)))
-        out.append(smooth * (amplitude / rms if rms > 0 else 1.0))
+        f_hat = ws.forward(white)
+        f_hat *= filt
+        smooth = ws.backward(f_hat)
+        rms = float(np.sqrt(np.mean(np.square(smooth, out=white))))
+        smooth *= amplitude / rms if rms > 0 else 1.0
+        out.append(smooth)
     return out[0], out[1]
 
 
@@ -756,14 +845,19 @@ def project_snapshot(src, dst):
 
     Returns the constraint norms (div A, div pi) before and after.
 
-    One field at a time through one grid buffer and one half-spectrum
-    buffer, so the snapshot is never held whole. Each component is read,
-    checked and transformed; the field's constraint norm before comes
-    from its half spectrum, and its longitudinal part is removed there.
-    Each component then goes back to the grid, is checked, appended to a
-    new file beside dst and transformed again, so the norm after is that
-    of the field as written. Norms are by Parseval. The fields written
-    equal those of correct_initial_data(a, pi, L) bit for bit.
+    One field at a time through one grid buffer and one field's half
+    spectrum, and nothing else field-sized, so the snapshot is never held
+    whole. Each component is read, checked and transformed; the field's
+    constraint norm before comes from its half spectrum, and its
+    longitudinal part is removed there, both one kx plane at a time with
+    k^2 made per plane (no k^2 table), the norm's squares in the grid
+    buffer. Each component then goes back to the grid, its transform
+    running in place in the component's spectrum, which the next forward
+    transform writes over; it is checked, appended to a new file beside
+    dst and transformed again, so the norm after is that of the field as
+    written. Norms are by Parseval. The fields written equal those of
+    correct_initial_data(a, pi, L) bit for bit, and the norms those of
+    div_norm_hat.
 
     src may be a pipe. Only a complete projection replaces dst (through a
     symbolic link, as open(dst, "wb") would write), keeping an existing
@@ -783,9 +877,9 @@ def project_snapshot(src, dst):
     with _SnapshotReader(Path(src)) as snap:
         n, length = snap.grid_n, snap.domain_length
         ws = get_workspace(n, length)
-        # The k^2 tables wait for a field's worth of input (Modes below),
-        # so a pipe that ends early costs only what it sent.
         grid = np.empty((n, n, n), dtype="<f8")
+        # The norms' squares go into the grid buffer, which is free while they are taken.
+        squares = grid.reshape(-1)[:n * n * (n // 2 + 1)].reshape(n, n, n // 2 + 1)
         f_hat = np.empty((3, n, n, n // 2 + 1), dtype=complex)
         tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
         try:
@@ -804,15 +898,15 @@ def project_snapshot(src, dst):
                                 raise SnapshotFormatError(f"snapshot {snap.path} payload invalid: "
                                                           "field values must be finite")
                             ws.forward(grid, out=part)
-                        before.append(div_norm_hat(f_hat, ws))
-                        Modes(ws).remove_longitudinal(f_hat)
+                        before.append(_div_norm(f_hat, ws, squares))
+                        _remove_longitudinal(f_hat, ws)
                         for part in f_hat:
-                            ws.backward(part, out=grid)
+                            ws._inverse(part, part, grid)  # part is written over next
                             if not np.isfinite(grid).all():
                                 raise ValueError("field values must be finite")
                             out.write(grid)
                             ws.forward(grid, out=part)
-                        after.append(div_norm_hat(f_hat, ws))
+                        after.append(_div_norm(f_hat, ws, squares))
                 snap.end()
             if existing is not None:
                 os.chmod(tmp, stat.S_IMODE(existing.st_mode))

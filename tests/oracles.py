@@ -93,7 +93,7 @@ def l2_norm(f: np.ndarray, domain_length: float) -> float:
     Taken as sqrt(sum f^2) sqrt(dV), so a norm inside float64 range comes
     back finite however large dV is, and one past it comes back inf. Only
     where f's largest magnitude is outside [2^-400, 2^400) are the squares
-    of f scaled near 1 summed, as in fields._root_sum_squares.
+    of f scaled near 1 summed, as in fields.div_norm_hat.
     """
     outside = _sqrt_dv(domain_length, f.shape[-1])
     s = overflow_shift(f) + 256  # the exponent of the largest magnitude; 0 for 0, inf, NaN

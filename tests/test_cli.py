@@ -371,7 +371,8 @@ class TestProjectCommand:
     def test_six_transforms_and_the_outputs_of_the_grid_route(self, tmp_path, capsys,
                                                               monkeypatch):
         # Six per field, one N^3 component at a time: per component one
-        # forward, one back to the grid and one forward of the written grid.
+        # forward, one back to the grid (in place in the component's
+        # spectrum, through _inverse) and one forward of the written grid.
         a, pi = random_smooth_fields(np.random.default_rng(5), 16, 2.0 * np.pi)
         state = FieldState(a, pi, 2.0 * np.pi)
         path, out, ref = tmp_path / "in.gfsn", tmp_path / "out.gfsn", tmp_path / "ref.gfsn"
@@ -381,16 +382,16 @@ class TestProjectCommand:
         def counted(name):
             method = getattr(SpectralWorkspace, name)
 
-            def wrapper(ws, f, **kwargs):
+            def wrapper(ws, f, *args, **kwargs):
                 calls.append((name, f.shape))
-                return method(ws, f, **kwargs)
+                return method(ws, f, *args, **kwargs)
             return wrapper
 
-        for name in ("forward", "backward"):
+        for name in ("forward", "backward", "_inverse"):
             monkeypatch.setattr(SpectralWorkspace, name, counted(name))
         assert main(["project", str(path), "--out", str(out)]) == 0
         assert calls.count(("forward", (16, 16, 16))) == 12
-        assert calls.count(("backward", (16, 16, 9))) == 6 and len(calls) == 18
+        assert calls.count(("_inverse", (16, 16, 9))) == 6 and len(calls) == 18
         monkeypatch.undo()
         write_snapshot(project_state(state), ref)
         assert out.read_bytes() == ref.read_bytes()
@@ -401,13 +402,13 @@ class TestProjectCommand:
 
     def test_builds_no_shell_table(self, tmp_path, capsys):
         # The shells (an np.unique over every mode) serve the evolution's
-        # moments; the projection's split does not need them.
+        # moments; the projection makes k^2 one kx plane at a time.
         state, path = self.make_snapshot(tmp_path)
         get_workspace.cache_clear()
         assert main(["project", str(path), "--out", str(tmp_path / "out.gfsn")]) == 0
         ws = vars(get_workspace(state.grid_n, state.domain_length))
         n = state.grid_n
-        assert "inv_k2" in ws and "shells" not in ws
+        assert not {"k2", "inv_k2", "shells"} & set(ws)
         # Nor a (3, N, N, N/2+1) wavevector table: the wavevector is read as three axes.
         assert not [v for v in ws.values() if getattr(v, "shape", None) == (3, n, n, n // 2 + 1)]
 

@@ -469,6 +469,28 @@ def test_moment_path_rescales_support_rows_that_overflow():
                         err_msg=column)
 
 
+@pytest.mark.parametrize("formulation", ["canonical", "gauge_fixed"])
+@pytest.mark.parametrize("kind", ["transverse", "contaminated"])
+def test_rows_of_data_below_the_square_range_scale_by_a_power_of_two(formulation, kind):
+    # Squares of coefficients near 2^-650 underflow although the norms do
+    # not: each row of the data scaled by 2^-660 is the row scaled by
+    # 2^-660, and the energy by 2^-1320, which rounds it to zero.
+    def run(amplitude):
+        wave = ((1, 2, 0), (0, 0, 1), amplitude)
+        spectrum = plane_wave_spectrum(*wave, kind=kind, grid_n=8,
+                                       contamination_amplitude=amplitude)
+        return evolve(spectrum, formulation, "rk4", 0.01, 0.05, stride=2,
+                      reference=plane_wave_reference(*wave, grid_n=8))
+    one, tiny = run(1.0), run(2.0 ** -660)
+    for column, power in (("energy", 2), ("norm_divA", 1), ("norm_divPi", 1),
+                          ("norm_A_L", 1), ("norm_pi_L", 1), ("l2_error", 1)):
+        assert np.array_equal(getattr(tiny, column),
+                              np.ldexp(getattr(one, column), -660 * power)), column
+    assert np.all(tiny.energy == 0.0) and np.all(tiny.l2_error[1:] > 0)
+    if kind == "contaminated":
+        assert np.all(tiny.norm_divPi > 0)
+
+
 @pytest.mark.parametrize("stepper, dt, t_end", [("rk4", 2.0, 1000.0),
                                                 ("stormer_verlet", 0.9, 600.0)])
 def test_state_path_rows_are_scaled_only_where_they_overflow(stepper, dt, t_end):

@@ -472,9 +472,10 @@ def test_project_snapshot_matches_the_grid_route(rng, n, tmp_path):
 
 
 def test_project_command_holds_one_component_and_one_half_spectrum(tmp_path, capsys):
-    # The whole command at N = 64 holds one grid component (2 MiB), one
-    # field's half spectrum (6.2 MiB), the k^2 tables and per-component
-    # transform temporaries, never the 12 MiB snapshot.
+    # The whole command at N = 64 holds one grid component (2 MiB), which
+    # also takes the norms' squares, one field's half spectrum (6.2 MiB)
+    # and per-plane temporaries: no k^2 table, no transform temporaries and
+    # never the 12 MiB snapshot.
     n = 64
     rng = np.random.default_rng(5)
     src = tmp_path / "in.gfsn"
@@ -487,22 +488,61 @@ def test_project_command_holds_one_component_and_one_half_spectrum(tmp_path, cap
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * 3 * n * n * (n // 2 + 1) * 16
+    assert peak <= 1.6 * 3 * n * n * (n // 2 + 1) * 16
 
 
-@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("n", [8, 9, 16, 17])
 @pytest.mark.parametrize("lead", [(3,), (2, 3)])
-def test_transforms_equal_whole_stack_ffts_bit_for_bit(rng, n, lead):
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+def test_transforms_equal_whole_stack_ffts_bit_for_bit(rng, n, lead, layout):
     ws = SpectralWorkspace(n, TWO_PI)
     shape = lead + (n, n, n)
     f = rng.standard_normal(shape) * 10.0 ** rng.uniform(-200, 200, shape)
     f_hat = np.fft.rfftn(f, axes=(-3, -2, -1))
     back = np.fft.irfftn(f_hat, s=(n, n, n), axes=(-3, -2, -1))
-    out_hat, out = np.empty_like(f_hat), np.empty_like(f)
-    assert ws.forward(f, out=out_hat) is out_hat and ws.backward(f_hat, out=out) is out
-    for got, want in ((ws.forward(f), f_hat), (out_hat, f_hat),
-                      (ws.backward(f_hat), back), (out, back)):
+
+    def laid_out(x):
+        # x itself, or a view of every other entry of a larger array on each axis.
+        if layout == "contiguous":
+            return x
+        wide = np.full(tuple(2 * d for d in x.shape), np.nan, dtype=x.dtype)
+        view = wide[(slice(None, None, 2),) * x.ndim]
+        view[...] = x
+        return view
+
+    f_in, hat_in = laid_out(f), laid_out(f_hat)
+    out_hat, out = laid_out(np.empty_like(f_hat)), laid_out(np.empty_like(f))
+    assert ws.forward(f_in, out=out_hat) is out_hat and ws.backward(hat_in, out=out) is out
+    for got, want in ((ws.forward(f_in), f_hat), (out_hat, f_hat),
+                      (ws.backward(hat_in), back), (out, back)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_transforms_allocate_no_temporaries_and_keep_their_input(rng, n):
+    # forward runs its passes in place in out; backward reuses one
+    # component's half-spectrum scratch for every component.
+    ws = SpectralWorkspace(n, TWO_PI)
+    f = rng.standard_normal((2, 3, n, n, n))
+    f_hat = np.empty((2, 3, n, n, n // 2 + 1), dtype=complex)
+    grid = np.empty_like(f)
+    component_hat = n * n * (n // 2 + 1) * 16
+
+    def traced_peak(transform, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            transform(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    f_bytes = f.tobytes()
+    assert traced_peak(ws.forward, f, out=f_hat) < component_hat
+    hat_bytes = f_hat.tobytes()
+    # The scratch, and a few KiB of array views and headers.
+    assert traced_peak(ws.backward, f_hat, out=grid) <= component_hat + 4096
+    assert f.tobytes() == f_bytes and f_hat.tobytes() == hat_bytes
+    assert grid.tobytes() == np.fft.irfftn(f_hat, s=(n, n, n), axes=(-3, -2, -1)).tobytes()
 
 
 def _projected_by_whole_stack_products(f, ws):
