@@ -8,12 +8,12 @@ of j steps takes a moment matrix G to M^j G M^jT. Modes carried as
 explicit vectors go through one loop with the moments, advanced by the
 same maps on their transverse and longitudinal parts: a spectral
 reference's support, every mode where the moments cannot stand in for
-the state (an unstable step, overflowing moments, a reference without a
-spectral form), or, for initial data given by a few Fourier
-coefficients, those and the reference's alone. The per-mode algebra
-(k . v, the transverse split, the Parseval rows) is fields.Modes. The
-final state is built when it is first read, where the run bounds it on
-the grid.
+the state (an unstable step, moments that overflow or underflow, a
+reference without a spectral form), or, for initial data given by a few
+Fourier coefficients, those and the reference's alone. The per-mode
+algebra (k . v, the transverse split, the Parseval rows) is
+fields.Modes. The final state is built when it is first read, where the
+run bounds it on the grid.
 Diagnostics are sampled on a stride, written as CSV with a fixed column
 set, and evolution aborts (flagged, not raised) as soon as a non-finite
 value appears in the state.
@@ -196,10 +196,10 @@ def _deferred(spectrum, ws: SpectralWorkspace) -> FieldState:
 
 def _advanced(modes: _Support, maps: _ShellMaps, y0: np.ndarray, n_steps: int,
               reprojected: bool) -> np.ndarray:
-    """The n-step map on every mode of y0, with its longitudinal part dropped
-    if the run reprojected at all: the map keeps a zero longitudinal part zero."""
+    """The n-step map on every mode of y0, with its longitudinal part dropped in
+    place if the run reprojected at all: the map keeps a zero longitudinal part zero."""
     y = modes.advance(maps, n_steps, y0)
-    return modes.remove_longitudinal(y) if reprojected else y
+    return fields._remove_longitudinal(y, modes.ws) if reprojected else y
 
 
 def _congruence(m: tuple, g: np.ndarray) -> np.ndarray:
@@ -296,15 +296,16 @@ def evolve(initial: FieldState | fields.SparseSpectrum, formulation, stepper, dt
     outside the stepper's stability interval for some mode (then one step
     at a time, so that abort_time is the last step whose state was
     finite), when a moment is not finite (the run restarts from step 0),
-    and when the reference has no spectral form (it is then transformed at
-    every row). A SparseSpectrum (as plane_wave_spectrum gives) with no
-    reference or a spectral one is carried as its entries and the
-    reference's, and nothing else: modes without content stay zero under
-    the mode-diagonal map, and stability is judged on these modes. On
-    this carrier a value that is not finite aborts, and a run that ends
-    with coefficient magnitudes summing below 2^1000 builds its final
-    state when first read, so a SparseSpectrum run makes no N^3 array
-    before then.
+    when the initial spectrum's largest coefficient is nonzero and below
+    2^-400 (its moments would underflow), and when the reference has no
+    spectral form (it is then transformed at every row). A SparseSpectrum
+    (as plane_wave_spectrum gives) with no reference or a spectral one is
+    carried as its entries and the reference's, and nothing else: modes
+    without content stay zero under the mode-diagonal map, and stability
+    is judged on these modes. On this carrier a value that is not finite
+    aborts, and a run that ends with coefficient magnitudes summing below
+    2^1000 builds its final state when first read, so a SparseSpectrum run
+    makes no N^3 array before then.
 
     A run that would pass through its loop more than MAX_LOOP_PASSES
     times (rows plus reprojections, or steps when they go one at a time)
@@ -356,11 +357,11 @@ def evolve(initial: FieldState | fields.SparseSpectrum, formulation, stepper, dt
             y[..., at] = initial.coeff
             maps = _ShellMaps(method, kind, dt, support.k2)
         else:
-            y = (initial.half_spectrum() if isinstance(initial, fields.SparseSpectrum)
-                 else ws.forward(np.stack([initial.a, initial.pi])))
+            y = initial.half_spectrum()
             support = _Support(ws)
             maps = _ShellMaps(method, kind, dt, support.k2)
-            if stable and spectral:
+            # Moments of data below 2^-400 underflow where Modes.rows would rescale them.
+            if stable and spectral and not 0.0 < fields._extent(y)[0] < 2.0 ** -400:
                 every = fields.Modes(ws)
                 carried = _Support(ws, ref_support, every.k2)
                 # The carried modes moved past the last shell, out of the moments.

@@ -175,6 +175,14 @@ class FieldState:
     def workspace(self) -> SpectralWorkspace:
         return get_workspace(self.grid_n, self.domain_length)
 
+    def half_spectrum(self) -> np.ndarray:
+        """The (2, 3, N, N, N/2+1) half spectrum of (a, pi), each forwarded into its half."""
+        ws, n = self.workspace(), self.grid_n
+        y_hat = np.empty((2, 3, n, n, n // 2 + 1), dtype=complex)
+        for f, part in zip((self.a, self.pi), y_hat):
+            ws.forward(f, out=part)
+        return y_hat
+
     def copy(self) -> "FieldState":
         return FieldState(self.a.copy(), self.pi.copy(), self.domain_length)
 
@@ -274,7 +282,8 @@ class Modes:
     table for listed entries), inv_k2 = 1/k^2 (0 at k = 0), the Parseval
     weight, the shell table k2 with each mode's shell index, and the
     Parseval factor scale = (L/N^2)^3. For every mode, k2 and shell come
-    from ws.shells on first use; split does not need them.
+    from ws.shells on first use. split does not need them, nor does
+    _remove_longitudinal, its every-mode transverse part in place.
     """
 
     def __init__(self, ws: SpectralWorkspace, index: tuple | None = None,
@@ -317,17 +326,9 @@ class Modes:
     def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(transverse, longitudinal) parts of vectors v on these modes."""
         coef = self.coef(v)
-        long = (np.stack([k * coef for k in self.kvec], axis=-4) if self.whole
-                else self.kvec * coef[..., None, :])
+        long = np.stack([k * coef for k in self.kvec], axis=-1 - self.kvec[0].ndim)
         del coef  # Not alive next to both outputs: that is a projection's peak.
         return v - long, long
-
-    def remove_longitudinal(self, v: np.ndarray) -> np.ndarray:
-        """split(v)[0] bit for bit, written over v one component at a time; returns v."""
-        coef = self.coef(v)
-        for k, part in zip(self.kvec, np.moveaxis(v, -1 - self.kvec[0].ndim, 0)):
-            part -= k * coef
-        return v
 
     def moments(self, y: np.ndarray):
         """Transverse and longitudinal second moments of these modes, summed per shell.
@@ -447,8 +448,13 @@ class Modes:
 
 
 def transverse_project(v: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    """Remove grad(1/lap)div of a vector field; k = 0 passes through."""
-    return ws.backward(Modes(ws).remove_longitudinal(ws.forward(v)))
+    """Remove grad(1/lap)div of a vector field; k = 0 passes through. Beyond v and the
+    result it holds v's half spectrum, projected and inverted in place per component."""
+    f_hat = _remove_longitudinal(ws.forward(v), ws)
+    out = np.empty(v.shape)
+    for i in np.ndindex(f_hat.shape[:-3]):
+        ws._inverse(f_hat[i], f_hat[i], out[i])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -503,22 +509,23 @@ def div_norm_hat(f_hat: np.ndarray, ws: SpectralWorkspace) -> float:
     return _div_norm(f_hat, ws, np.empty(f_hat.shape[1:]))
 
 
-def _remove_longitudinal(f_hat: np.ndarray, ws: SpectralWorkspace) -> None:
-    """Modes(ws).remove_longitudinal(f_hat) bit for bit, one kx plane at a time.
+def _remove_longitudinal(f_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
+    """The one whole-spectrum projection: Modes(ws).split(f_hat)[0] bit for bit, into f_hat.
 
-    k^2 is made per plane from ws.k_axes, so no k^2 table is built. Modes.coef's
-    scale for a k . f^ that overflows is taken over f^ before any plane changes.
+    Any leading axes, one kx plane at a time, with k^2 made per plane (no table).
+    Modes.coef's scale for a k . f^ that overflows is taken over all of f^ first.
     """
     peak, finite = _extent(f_hat)
     shift = int(np.frexp(peak)[1]) - 256 if finite else None
     for x in range(ws.grid_n):
         kvec = _plane_k(ws, x)
         k2 = kvec[0] ** 2 + kvec[1] ** 2 + kvec[2] ** 2
-        v = f_hat[:, x]
+        v = f_hat[..., x, :, :]
         coef = _coef(v, kvec, np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0),
                      lambda: shift)
-        for k, part in zip(kvec, v):
+        for k, part in zip(kvec, np.moveaxis(v, -3, 0)):
             part -= k * coef
+    return f_hat
 
 
 def diagnostics(state: FieldState) -> dict:
@@ -532,7 +539,7 @@ def diagnostics(state: FieldState) -> dict:
     """
     ws = state.workspace()
     with np.errstate(over="ignore", invalid="ignore"):
-        row = Modes(ws).rows(ws.forward(np.stack([state.a, state.pi]))[None])[0]
+        row = Modes(ws).rows(state.half_spectrum()[None])[0]
     return dict(zip(("energy", "norm_divA", "norm_divPi", "norm_A_L", "norm_pi_L"),
                     row[:5].tolist()))
 
@@ -547,15 +554,15 @@ def correct_initial_data(a_bar: np.ndarray, pi_bar: np.ndarray,
 
     For the (div pi, div A) pair the constraints are linear with constant
     mutual brackets, so the bracket-generated correction terminates in a
-    single exact step: both fields lose their longitudinal parts. The
-    constant k = 0 components are untouched.
+    single exact step: both fields lose their longitudinal parts (k = 0 is
+    untouched), one at a time through transverse_project, so beyond the
+    result no more than one field's half spectrum is held.
     """
-    a_bar = np.asarray(a_bar, dtype=float)
-    ws = get_workspace(a_bar.shape[-1], float(domain_length))
+    ws = get_workspace(np.shape(a_bar)[-1], float(domain_length))
     # Data near the float64 limit overflow in the transforms, silently:
     # FieldState refuses the result.
     with np.errstate(over="ignore", invalid="ignore"):
-        a, pi = (transverse_project(f, ws) for f in (a_bar, np.asarray(pi_bar, dtype=float)))
+        a, pi = (transverse_project(np.asarray(f, dtype=float), ws) for f in (a_bar, pi_bar))
     return FieldState(a, pi, float(domain_length))
 
 
@@ -696,16 +703,19 @@ def random_smooth_fields(rng: np.random.Generator, grid_n: int,
     ws = get_workspace(grid_n, float(domain_length))
     base = (2.0 * np.pi / domain_length) ** 2
     filt = np.exp(-ws.k2 / (8.0 * base))
-    out = []
-    for _ in range(2):
-        white = rng.standard_normal((3, grid_n, grid_n, grid_n))
-        f_hat = ws.forward(white)
+    out = tuple(np.empty((3, grid_n, grid_n, grid_n)) for _ in range(2))
+    f_hat = np.empty((3, grid_n, grid_n, grid_n // 2 + 1), dtype=complex)
+    # The squares of a field, in f_hat's memory once the field is back on the grid.
+    squares = f_hat.view(float).reshape(-1)[:out[0].size].reshape(out[0].shape)
+    for smooth in out:
+        # The white noise is drawn into the output, filtered and brought back in place.
+        ws.forward(rng.standard_normal(out=smooth), out=f_hat)
         f_hat *= filt
-        smooth = ws.backward(f_hat)
-        rms = float(np.sqrt(np.mean(np.square(smooth, out=white))))
+        for part, grid in zip(f_hat, smooth):
+            ws._inverse(part, part, grid)
+        rms = float(np.sqrt(np.mean(np.square(smooth, out=squares))))
         smooth *= amplitude / rms if rms > 0 else 1.0
-        out.append(smooth)
-    return out[0], out[1]
+    return out
 
 
 # ---------------------------------------------------------------------------

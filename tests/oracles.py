@@ -58,7 +58,7 @@ def curl_hat(v_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
 
 
 def transverse_project_hat(v_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    return Modes(ws).remove_longitudinal(np.array(v_hat))
+    return Modes(ws).split(np.asarray(v_hat))[0]
 
 
 def div(v: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:

@@ -491,6 +491,30 @@ def test_rows_of_data_below_the_square_range_scale_by_a_power_of_two(formulation
         assert np.all(tiny.norm_divPi > 0)
 
 
+@pytest.mark.parametrize("reproject_every", [None, 3])
+@pytest.mark.parametrize("formulation", ["canonical", "gauge_fixed"])
+def test_grid_data_below_the_square_range_carry_every_mode(formulation, reproject_every):
+    # Raw random data scaled by 2^-660: their shell moments would underflow
+    # to 0, so every mode is carried and each row rescaled. Its rows are the
+    # moment carrier's rows at amplitude 1 scaled by 2^-660, and the energy
+    # by 2^-1320, which rounds it to zero.
+    def run(a, pi):
+        return evolve(FieldState(a, pi, TWO_PI), formulation, "rk4", 0.01, 0.1, stride=2,
+                      reproject_every=reproject_every)
+    data = random_smooth_fields(np.random.default_rng(3), 8, TWO_PI)
+    tiny_data = random_smooth_fields(np.random.default_rng(3), 8, TWO_PI, amplitude=2.0 ** -660)
+    assert all(np.array_equal(t, np.ldexp(f, -660)) for t, f in zip(tiny_data, data))
+    one, tiny = run(*data), run(*tiny_data)
+    assert len(tiny.t) == 6 and np.all(tiny.energy == 0.0) and np.all(one.energy > 1e3)
+    # Columns that a reprojection zeroes on the moments keep rounding on the
+    # explicit modes.
+    floor = 1e-12 * state_norm(FieldState(*data, TWO_PI))
+    for column in ("norm_divA", "norm_divPi", "norm_A_L", "norm_pi_L"):
+        assert getattr(tiny, column)[0] > 0, column
+        assert_allclose(getattr(tiny, column), np.ldexp(getattr(one, column), -660),
+                        rtol=1e-12, atol=np.ldexp(floor, -660), err_msg=column)
+
+
 @pytest.mark.parametrize("stepper, dt, t_end", [("rk4", 2.0, 1000.0),
                                                 ("stormer_verlet", 0.9, 600.0)])
 def test_state_path_rows_are_scaled_only_where_they_overflow(stepper, dt, t_end):
@@ -883,7 +907,8 @@ def test_support_split_matches_full_products_bit_for_bit(n, data):
             if data == "overflow":
                 kvec = kvec_table(ws) if modes.whole else modes.kvec
                 assert np.isnan(np.sum(kvec * y_s, axis=1)).any()
-            got += (modes.remove_longitudinal(y_s.copy()),)
+            if modes.whole:
+                got += (fields._remove_longitudinal(y_s.copy(), ws),)
             for g, w in zip(got, want + want[:1]):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
