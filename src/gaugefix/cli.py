@@ -88,11 +88,13 @@ class RunConfig:
         self.domain_length = _number(self.domain_length, message)
         if not self.domain_length > 0:
             raise ConfigError(message)
-        if self.formulation not in ("canonical", "gauge-fixed", "gauge_fixed"):
-            raise ConfigError(f"formulation must be canonical or gauge-fixed, "
-                              f"got {self.formulation!r}")
-        if self.stepper not in ("rk4", "stormer_verlet", "stormer-verlet"):
-            raise ConfigError(f"stepper must be rk4 or stormer_verlet, got {self.stepper!r}")
+        for name, kind, names in (("formulation", fields.FormulationKind,
+                                   "canonical or gauge-fixed"),
+                                  ("stepper", evolution.StepperKind, "rk4 or stormer_verlet")):
+            try:
+                evolution._coerce(kind, value := getattr(self, name))
+            except ValueError:
+                raise ConfigError(f"{name} must be {names}, got {value!r}") from None
         if not (_is_triple(self.mode) and all(map(_is_int, self.mode))):
             raise ConfigError("mode must be a 3-vector of integers")
         message = "polarization must be a 3-vector of finite numbers"

@@ -8,8 +8,8 @@ of j steps takes a moment matrix G to M^j G M^jT. Modes carried as
 explicit vectors go through one loop with the moments, advanced by the
 same maps on their transverse and longitudinal parts: a spectral
 reference's support, every mode where the moments cannot stand in for
-the state (an unstable step, moments that overflow or underflow, a
-reference without a spectral form), or, for initial data given by a few
+the state (an unstable step, moments that are not finite, a reference
+without a spectral form), or, for initial data given by a few
 Fourier coefficients, those and the reference's alone. The per-mode
 algebra (k . v, the transverse split, the Parseval rows) is
 fields.Modes. The final state is built when it is first read, where the
@@ -104,16 +104,9 @@ class DiagnosticsSeries:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _coerce_formulation(formulation) -> FormulationKind:
-    if isinstance(formulation, FormulationKind):
-        return formulation
-    return FormulationKind(str(formulation).replace("-", "_"))
-
-
-def _coerce_stepper(stepper) -> StepperKind:
-    if isinstance(stepper, StepperKind):
-        return stepper
-    return StepperKind(str(stepper).replace("-", "_"))
+def _coerce(kind: type[Enum], value) -> Enum:
+    """value as a member of kind, its value spelled with - or _ (else ValueError)."""
+    return value if isinstance(value, kind) else kind(str(value).replace("-", "_"))
 
 
 def _finite(y_hat: np.ndarray) -> bool:
@@ -282,37 +275,38 @@ def evolve(initial: FieldState | fields.SparseSpectrum, formulation, stepper, dt
     reproject_every = n, the transverse projection is applied to both
     fields every n steps, before any diagnostics due at that step.
 
-    A grid state is read off per-shell second moments, advanced between
-    rows by the map powers on each k^2 shell; its final state is one map
-    power applied to the initial spectrum when series.final_state is first
-    read. A reference with a spectral form (`support` and `spectrum(t)`,
-    and the `grid_n` and `domain_length` they belong to, as
-    plane_wave_reference gives) is compared on its support, whose modes
-    the same loop carries as explicit vectors; a spectral form for another
-    grid raises ValueError.
+    A grid state is read off per-shell second moments, advanced between rows
+    by the map powers on each k^2 shell; its final state is one map power
+    applied to the initial spectrum when series.final_state is first read.
+    Moments of a spectrum peaking below 2^-400 (they would underflow) are
+    taken of it times 2^lift and scaled back: its rows are exact powers of
+    two times those of the unscaled data. A reference with a spectral form
+    (`support` and `spectrum(t)`, and the `grid_n` and `domain_length` they
+    belong to, as plane_wave_reference gives) is compared on its support,
+    whose modes the same loop carries as explicit vectors; a spectral form
+    for another grid raises ValueError.
 
     The other carrier is explicit vectors on a mode set, with no moments,
     and rows read off the vectors. Every mode is carried so when dt is
     outside the stepper's stability interval for some mode (then one step
     at a time, so that abort_time is the last step whose state was
     finite), when a moment is not finite (the run restarts from step 0),
-    when the initial spectrum's largest coefficient is nonzero and below
-    2^-400 (its moments would underflow), and when the reference has no
-    spectral form (it is then transformed at every row). A SparseSpectrum
-    (as plane_wave_spectrum gives) with no reference or a spectral one is
-    carried as its entries and the reference's, and nothing else: modes
-    without content stay zero under the mode-diagonal map, and stability
-    is judged on these modes. On this carrier a value that is not finite
-    aborts, and a run that ends with coefficient magnitudes summing below
-    2^1000 builds its final state when first read, so a SparseSpectrum run
-    makes no N^3 array before then.
+    and when the reference has no spectral form (it is then transformed at
+    every row). A SparseSpectrum (as plane_wave_spectrum gives) with no
+    reference or a spectral one is carried as its entries and the
+    reference's, and nothing else: modes without content stay zero under
+    the mode-diagonal map, and stability is judged on these modes. On this
+    carrier a value that is not finite aborts, and a run that ends with
+    coefficient magnitudes summing below 2^1000 builds its final state
+    when first read, so a SparseSpectrum run makes no N^3 array before
+    then.
 
     A run that would pass through its loop more than MAX_LOOP_PASSES
     times (rows plus reprojections, or steps when they go one at a time)
     raises ValueError before anything is allocated.
     """
-    kind = _coerce_formulation(formulation)
-    method = _coerce_stepper(stepper)
+    kind = _coerce(FormulationKind, formulation)
+    method = _coerce(StepperKind, stepper)
     n_steps = _step_count(dt, t_end)
     if reproject_every is not None and reproject_every < 1:
         raise ValueError("reproject_every must be a positive integer")
@@ -360,15 +354,17 @@ def evolve(initial: FieldState | fields.SparseSpectrum, formulation, stepper, dt
             y = initial.half_spectrum()
             support = _Support(ws)
             maps = _ShellMaps(method, kind, dt, support.k2)
-            # Moments of data below 2^-400 underflow where Modes.rows would rescale them.
-            if stable and spectral and not 0.0 < fields._extent(y)[0] < 2.0 ** -400:
+            if stable and spectral:
                 every = fields.Modes(ws)
                 carried = _Support(ws, ref_support, every.k2)
                 # The carried modes moved past the last shell, out of the moments.
                 if carried.shell.size:
                     every.shell = every.shell.copy()
                     every.shell[carried.index] = len(every.k2)
-                g = tuple(m[0] for m in every.moments(y[None]))
+                shift = fields.overflow_shift(y) or 0
+                lift = carried.lift = min(-shift, 1021) if shift + 256 <= -400 else 0
+                factor = np.ldexp(1.0, lift)
+                g = tuple(m[0] for m in every.moments(y[None] * factor if lift else y[None]))
                 result = _run(y[(slice(None), slice(None), *carried.index)], g, maps, carried, *run)
             if result is not None:
                 # The last row's moments are finite, so the final state cannot

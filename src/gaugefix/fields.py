@@ -194,6 +194,7 @@ class SparseSpectrum:
     support holds three index arrays into the rfft half spectrum (the form
     plane_wave_reference's support has) and coeff the (2, 3, entries)
     coefficients of (A, pi) there; every other coefficient is zero.
+    Coefficients that are not finite raise ValueError.
     """
 
     grid_n: int
@@ -204,6 +205,8 @@ class SparseSpectrum:
     def __post_init__(self):
         self.support = tuple(np.asarray(i, dtype=np.intp) for i in self.support)
         self.coeff = np.asarray(self.coeff, dtype=complex)
+        if not np.isfinite(self.coeff).all():
+            raise ValueError("Fourier coefficients must be finite")
 
     def workspace(self) -> SpectralWorkspace:
         return get_workspace(self.grid_n, float(self.domain_length))
@@ -242,26 +245,21 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def overflow_shift(y_hat: np.ndarray) -> int:
-    """The power of two that scales the largest magnitude of y_hat near 2^256."""
-    peak = max(float(np.max(np.abs(y_hat.real), initial=0.0)),
-               float(np.max(np.abs(y_hat.imag), initial=0.0)))
-    return int(np.frexp(peak)[1]) - 256
-
-
 def _extent(q: np.ndarray, axis=None):
-    """(largest magnitude, whether all finite) of complex q over axis, by reductions alone.
-
-    For a finite q the magnitude is the one overflow_shift takes; NaN if q holds NaN.
-    """
+    """(largest |re| or |im|, NaN if q holds NaN; whether all finite) over axis, by reductions."""
     ends = np.array([f(part, axis=axis, initial=0.0) for part in (q.real, q.imag)
                      for f in (np.max, np.min)])
     return np.max(np.abs(ends), axis=0), np.isfinite(ends).all(axis=0)
 
 
+def overflow_shift(y_hat: np.ndarray) -> int | None:
+    """The power of two that scales y_hat's peak near 2^256 (-256 for 0); None if not finite."""
+    peak, finite = _extent(y_hat)
+    return int(np.frexp(peak)[1]) - 256 if finite else None
+
+
 def _coef(v: np.ndarray, kvec, inv_k2, field_shift) -> np.ndarray:
-    """k . v / k^2 per mode; Modes.coef with field_shift() giving the overflow_shift of
-    the field v belongs to, or None when that field is not all finite."""
+    """k . v / k^2 per mode: Modes.coef, with field_shift() the overflow_shift of v's field."""
     coef = k_dot(v, kvec)
     coef *= inv_k2
     redo = ~np.isfinite(coef)
@@ -320,8 +318,7 @@ class Modes:
         overflows for a finite v (terms of opposite sign give NaN), it is
         computed again from v scaled by a power of two.
         """
-        return _coef(v, self.kvec, self.inv_k2,
-                     lambda: overflow_shift(v) if np.isfinite(v).all() else None)
+        return _coef(v, self.kvec, self.inv_k2, lambda: overflow_shift(v))
 
     def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(transverse, longitudinal) parts of vectors v on these modes."""
@@ -371,34 +368,37 @@ class Modes:
             g_t[2] += _abs2(pi_t)
         return np.stack([shell_sum(q) for q in g_t], axis=1), g_l
 
+    lift = 0  # the moments g given to rows are those of the states times 2^lift
+
     def rows(self, y: np.ndarray, ref: np.ndarray | None = None, g: tuple | None = None):
         """Diagnostics rows of a stack of states by Parseval (docs/derivations.md section 7).
 
         y = (A^, pi^) of R states on these modes, shape (R, 2, 3, *modes),
         ref the reference's coefficients there (shaped like y), and
         g = (g_t, g_l), each (R, 3, shells), the moments of every other
-        mode, where the reference is zero; without g these modes hold all
-        the content. Returns an (R, 6) array whose columns are energy, norm
-        of div A, norm of div pi, norm of A_L, norm of pi_L and L2 distance
-        to the reference: H = 1/2 integral of (pi^2 + |curl A|^2) and
-        continuum L2 norms of the grid states, equal to the grid sums up to
-        rounding (diagnostics gives one state's row); the distance is NaN
-        without ref. Every sum runs along a contiguous last axis, one state
-        per row, so a state's row does not depend on the other states of
-        the stack.
+        mode, where the reference is zero, taken of the states times
+        2^self.lift; without g these modes hold all the content. Returns an
+        (R, 6) array whose columns are energy, norm of div A, norm of div
+        pi, norm of A_L, norm of pi_L and L2 distance to the reference:
+        H = 1/2 integral of (pi^2 + |curl A|^2) and continuum L2 norms of
+        the grid states, equal to the grid sums up to rounding (diagnostics
+        gives one state's row); the distance is NaN without ref. Every sum
+        runs along a contiguous last axis, one state per row, so a state's
+        row does not depend on the other states of the stack.
 
         Squares of coefficients past ~1e154 overflow although the norms may
         be finite, and k . A^ overflowing from terms of opposite sign gives
         NaN. A row with a column that is not finite (bar the distance
-        without ref) is computed again alone, as a one-row stack, from its
-        y and ref scaled by 2^-overflow_shift(y), and g by its square, and
+        without ref) is computed again alone, as a one-row stack, from its y
+        and ref scaled by 2^-overflow_shift(y), and g by its square, and
         those columns are scaled back; powers of two scale exactly. The
         other columns keep their first value, so a column far below the
         largest one keeps all its digits. Squares of coefficients below
         ~1e-154 underflow: a row whose largest coefficient is nonzero and
         below 2^-400 is computed again in the same way, scaled up (by at
         most 2^1021), and each column that comes back finite is taken from
-        there.
+        there. With a lift, each column that comes back finite from y and ref
+        times 2^lift with g as given (scaled back) replaces its first value.
         """
         k2, scale = self.k2, self.scale
         # A k^2 = 0 shell (first if present) adds nothing to k^2 A_T, even where A_T overflows.
@@ -427,15 +427,20 @@ class Modes:
                              np.sqrt(scale * total(g_l[:, 0])),
                              np.sqrt(scale * total(g_l[:, 2])), dist], axis=1)
 
-        out = columns(y, ref, g)
+        powers = np.array([2, 1, 1, 1, 1, 1])
+        lift = self.lift
+        out = columns(y, ref, tuple(np.ldexp(m, -2 * lift) for m in g) if lift else g)
+        if lift:
+            up = np.ldexp(1.0, lift)
+            back = np.ldexp(columns(y * up, None if ref is None else ref * up, g), -lift * powers)
+            return np.where(np.isfinite(back), back, out)
         redo = ~np.isfinite(out)
         if ref is None:
             redo[:, 5] = False
         peak, _ = _extent(y, axis=tuple(range(1, y.ndim)))
         tiny = (peak > 0) & (peak < 2.0 ** -400)
-        powers = np.array([2, 1, 1, 1, 1, 1])
         for r in np.flatnonzero(redo.any(axis=1) | tiny):
-            shift = max(overflow_shift(y[r]), -1021)
+            shift = max(overflow_shift(y[r]) or 0, -1021)
             if shift > 0 or tiny[r]:
                 factor = np.ldexp(1.0, -shift)
                 one = slice(r, r + 1)
@@ -491,10 +496,8 @@ def _div_norm(f_hat: np.ndarray, ws: SpectralWorkspace, squares: np.ndarray) -> 
 
     shift = 0
     peak, finite = sweep(0, 0)
-    if not finite:
-        f_peak, f_finite = _extent(f_hat)
-        if f_finite and (shift := max(int(np.frexp(f_peak)[1]) - 256, 0)):
-            peak, finite = sweep(shift, 0)
+    if not finite and (shift := max(overflow_shift(f_hat) or 0, 0)):
+        peak, finite = sweep(shift, 0)
     # A k . f^ that is not finite sums to inf or NaN at any scale.
     s = int(np.frexp(peak)[1]) if finite else 0
     s = 0 if -400 < s <= 400 else max(s, -1021)
@@ -515,8 +518,7 @@ def _remove_longitudinal(f_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray
     Any leading axes, one kx plane at a time, with k^2 made per plane (no table).
     Modes.coef's scale for a k . f^ that overflows is taken over all of f^ first.
     """
-    peak, finite = _extent(f_hat)
-    shift = int(np.frexp(peak)[1]) - 256 if finite else None
+    shift = overflow_shift(f_hat)
     for x in range(ws.grid_n):
         kvec = _plane_k(ws, x)
         k2 = kvec[0] ** 2 + kvec[1] ** 2 + kvec[2] ** 2

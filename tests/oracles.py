@@ -26,7 +26,6 @@ from gaugefix.fields import (
     get_workspace,
     grid_coordinates,
     k_dot,
-    overflow_shift,
     transverse_project,
 )
 
@@ -96,7 +95,9 @@ def l2_norm(f: np.ndarray, domain_length: float) -> float:
     of f scaled near 1 summed, as in fields.div_norm_hat.
     """
     outside = _sqrt_dv(domain_length, f.shape[-1])
-    s = overflow_shift(f) + 256  # the exponent of the largest magnitude; 0 for 0, inf, NaN
+    # The exponent of the largest magnitude; 0 for 0, inf, NaN.
+    s = int(np.frexp(max(float(np.max(np.abs(f.real), initial=0.0)),
+                         float(np.max(np.abs(f.imag), initial=0.0))))[1])
     s = 0 if -400 < s <= 400 else max(s, -1021)
     with np.errstate(over="ignore"):
         total = np.sum(_abs2(f * np.ldexp(1.0, -s) if s else f))

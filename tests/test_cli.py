@@ -668,6 +668,29 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=fragment):
             RunConfig.from_dict(base)
 
+    @pytest.mark.parametrize("key, value", [
+        (key, value) for key in ("formulation", "stepper")
+        for value in ("Canonical", "rk-4", "gauge fixed", "", 5, None, True, ["rk4"])])
+    def test_bad_spellings_keep_their_messages(self, tmp_path, capsys, key, value):
+        expected = {"formulation": "formulation must be canonical or gauge-fixed",
+                    "stepper": "stepper must be rk4 or stormer_verlet"}[key]
+        cfg = write_config(tmp_path, **{key: value})
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {expected}, got {value!r}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("formulation", ["canonical", "gauge-fixed", "gauge_fixed"])
+    @pytest.mark.parametrize("stepper", ["rk4", "stormer_verlet", "stormer-verlet"])
+    def test_accepted_spellings(self, formulation, stepper):
+        cfg = RunConfig.from_dict({"scenario": "plane_wave", "dt": 0.1, "t_end": 1.0,
+                                   "formulation": formulation, "stepper": stepper})
+        assert (cfg.formulation, cfg.stepper) == (formulation, stepper)
+
+    def test_spectral_data_that_overflow_are_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, scenario="contaminated", contamination_amplitude=1e308)
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == "error: Fourier coefficients must be finite\n"
+
     def test_bad_value_is_a_clean_cli_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, mode=["a", "b", "c"])
         assert main(["evolve", "--config", str(cfg), "--out", "x.csv"]) == 1
@@ -803,7 +826,7 @@ def test_out_of_range_geometry_and_data_are_clean_errors(tmp_path):
         write_snapshot(FieldState(big.a, big.pi, length), path)
         cases.append((["project", str(path), "--out", str(tmp_path / "x.gfsn")],
                       1, f"error: an N=8 grid of side L={length!r} is outside float64 range"))
-    for scenario, code, err in [("plane_wave", 2, "evolution aborted at t=0.0"),
+    for scenario, code, err in [("plane_wave", 1, "error: Fourier coefficients must be finite"),
                                 ("random_smooth", 1, "error: field values must be finite")]:
         cfg = write_config(tmp_path, f"{scenario}_amplitude.json", scenario=scenario,
                            amplitude=1e308, seed=1)

@@ -493,11 +493,11 @@ def test_rows_of_data_below_the_square_range_scale_by_a_power_of_two(formulation
 
 @pytest.mark.parametrize("reproject_every", [None, 3])
 @pytest.mark.parametrize("formulation", ["canonical", "gauge_fixed"])
-def test_grid_data_below_the_square_range_carry_every_mode(formulation, reproject_every):
+def test_grid_data_below_the_square_range_take_lifted_moments(formulation, reproject_every):
     # Raw random data scaled by 2^-660: their shell moments would underflow
-    # to 0, so every mode is carried and each row rescaled. Its rows are the
-    # moment carrier's rows at amplitude 1 scaled by 2^-660, and the energy
-    # by 2^-1320, which rounds it to zero.
+    # to 0, so they are taken of the spectrum scaled up by a power of two
+    # and each row scaled back. Its rows are the rows at amplitude 1 scaled
+    # by 2^-660, and the energy by 2^-1320, which rounds it to zero.
     def run(a, pi):
         return evolve(FieldState(a, pi, TWO_PI), formulation, "rk4", 0.01, 0.1, stride=2,
                       reproject_every=reproject_every)
@@ -506,13 +506,76 @@ def test_grid_data_below_the_square_range_carry_every_mode(formulation, reprojec
     assert all(np.array_equal(t, np.ldexp(f, -660)) for t, f in zip(tiny_data, data))
     one, tiny = run(*data), run(*tiny_data)
     assert len(tiny.t) == 6 and np.all(tiny.energy == 0.0) and np.all(one.energy > 1e3)
-    # Columns that a reprojection zeroes on the moments keep rounding on the
-    # explicit modes.
-    floor = 1e-12 * state_norm(FieldState(*data, TWO_PI))
-    for column in ("norm_divA", "norm_divPi", "norm_A_L", "norm_pi_L"):
-        assert getattr(tiny, column)[0] > 0, column
-        assert_allclose(getattr(tiny, column), np.ldexp(getattr(one, column), -660),
-                        rtol=1e-12, atol=np.ldexp(floor, -660), err_msg=column)
+    for column, power in COLUMN_POWERS:
+        assert np.array_equal(getattr(tiny, column), np.ldexp(getattr(one, column), -660 * power))
+        assert column == "energy" or getattr(tiny, column)[0] > 0, column
+
+
+# The data columns of evolve's rows, and the power of the amplitude each scales with.
+COLUMN_POWERS = (("energy", 2), ("norm_divA", 1), ("norm_divPi", 1), ("norm_A_L", 1),
+                 ("norm_pi_L", 1))
+RUNS = [(f, s) for f in ("canonical", "gauge_fixed") for s in ("rk4", "stormer_verlet")]
+
+
+def raw_run(formulation, stepper, a, pi, length=TWO_PI, dt=0.05, t_end=1.0, reproject_every=7):
+    return evolve(FieldState(a, pi, length), formulation, stepper, dt, t_end,
+                  reproject_every=reproject_every, stride=3)
+
+
+def test_rows_scale_exactly_with_the_geometry():
+    # x -> 2^j x with pi -> 2^-j pi keeps the dynamics (dt and t_end scale
+    # too): k scales by 2^-j and each column by a power of two, bit for bit.
+    a, pi = random_smooth_fields(np.random.default_rng(7), 16, TWO_PI)
+    halves = {"t": 2, "energy": 2, "norm_divA": 1, "norm_divPi": -1, "norm_A_L": 3,
+              "norm_pi_L": 1}  # each column's power of 2^(j/2)
+    for formulation, stepper in RUNS:
+        one = raw_run(formulation, stepper, a, pi)
+        for j in (-10, 40, 100, 200):
+            run = raw_run(formulation, stepper, a, np.ldexp(pi, -j),
+                          *(np.ldexp(v, j) for v in (TWO_PI, 0.05, 1.0)))
+            for column, half in halves.items():
+                assert np.array_equal(getattr(run, column),
+                                      np.ldexp(getattr(one, column), half * j // 2)), (
+                    formulation, stepper, j, column)
+
+
+@pytest.mark.parametrize("reproject_every", [None, 7])
+def test_rows_scale_exactly_with_the_amplitude(reproject_every):
+    # Data scaled by 2^-j scale each column by 2^-j (the energy by 2^-2j),
+    # bit for bit, on either side of the 2^-400 below which the moments are
+    # taken of the spectrum scaled up.
+    a, pi = random_smooth_fields(np.random.default_rng(7), 16, TWO_PI)
+    for formulation, stepper in RUNS:
+        one = raw_run(formulation, stepper, a, pi, reproject_every=reproject_every)
+        for j in (100, 500, 900):
+            run = raw_run(formulation, stepper, np.ldexp(a, -j), np.ldexp(pi, -j),
+                          reproject_every=reproject_every)
+            for column, power in COLUMN_POWERS:
+                assert np.array_equal(getattr(run, column),
+                                      np.ldexp(getattr(one, column), -j * power)), (
+                    formulation, stepper, j, column)
+            assert np.all(np.isnan(run.l2_error))
+
+
+def test_tiny_grid_data_keep_their_distance_to_a_unit_reference():
+    # Against an amplitude-1 wave, data near 2^-660 are at the wave's own
+    # norm: the distance reads what it reads for zero data, bit for bit.
+    ref = plane_wave_reference((1, 0, 0), (0, 1, 0), grid_n=8)
+    a, pi = random_smooth_fields(np.random.default_rng(3), 8, TWO_PI, amplitude=2.0 ** -660)
+    tiny = evolve(FieldState(a, pi, TWO_PI), "canonical", "rk4", 0.05, 1.0, reference=ref)
+    zero = evolve(FieldState(0 * a, 0 * pi, TWO_PI), "canonical", "rk4", 0.05, 1.0, reference=ref)
+    assert np.array_equal(tiny.l2_error, zero.l2_error) and np.all(zero.l2_error > 1.0)
+    assert np.all(tiny.norm_divA > 0) and np.all(zero.norm_divA == 0)
+
+
+def test_stable_tiny_grid_runs_build_no_full_row_stack(monkeypatch):
+    # The every-mode carrier stacks N^3 states; the moment carrier without
+    # a reference stacks none.
+    calls = count_row_stacks(monkeypatch)
+    a, pi = random_smooth_fields(np.random.default_rng(3), 16, TWO_PI, amplitude=2.0 ** -660)
+    series = evolve(FieldState(a, pi, TWO_PI), "canonical", "rk4", 0.05, 1.0)
+    assert not series.aborted and series.norm_divA[0] > 0
+    assert sum(r for r, _ in calls) == len(series.t) and all(b == 0 for _, b in calls)
 
 
 @pytest.mark.parametrize("stepper, dt, t_end", [("rk4", 2.0, 1000.0),

@@ -646,12 +646,27 @@ def test_project_snapshot_refuses_a_transform_that_overflows(tmp_path):
 
 def test_data_that_overflow_give_no_numpy_warning():
     # The suite turns warnings into errors, so a leaked one fails here.
-    spectrum = plane_wave_spectrum((1, 0, 0), (0, 1, 0), amplitude=1e308, grid_n=8)
-    assert not np.isfinite(spectrum.coeff).all()
+    # The coefficient a N^3 / 2 overflows: SparseSpectrum refuses it.
+    with pytest.raises(ValueError, match="Fourier coefficients must be finite"):
+        plane_wave_spectrum((1, 0, 0), (0, 1, 0), amplitude=1e308, grid_n=8)
     a = np.zeros((3, 8, 8, 8))
     a[0] = 1e308 * (-1.0) ** np.arange(8)[:, None, None]
     with pytest.raises(ValueError, match="finite"):
         correct_initial_data(a, a, TWO_PI)
+
+
+def test_sparse_spectrum_refuses_coefficients_that_are_not_finite():
+    for bad in (np.inf, -np.inf, np.nan, complex(0.0, np.inf)):
+        coeff = np.zeros((2, 3, 1), dtype=complex)
+        coeff[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="Fourier coefficients must be finite"):
+            fields.SparseSpectrum(8, TWO_PI, ((1,), (0,), (0,)), coeff)
+    with pytest.raises(ValueError, match="Fourier coefficients must be finite"):
+        plane_wave_spectrum((1, 0, 0), (0, 1, 0), kind="contaminated", grid_n=8,
+                            contamination_amplitude=1e308)
+    # The largest finite coefficients are kept as given.
+    coeff = np.full((2, 3, 1), np.finfo(float).max, dtype=complex)
+    assert np.array_equal(fields.SparseSpectrum(8, TWO_PI, ((1,), (0,), (0,)), coeff).coeff, coeff)
 
 
 @pytest.mark.parametrize("n", [8, 16])
