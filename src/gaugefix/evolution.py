@@ -8,12 +8,12 @@ of j steps takes a moment matrix G to M^j G M^jT. Modes carried as
 explicit vectors go through one loop with the moments, advanced by the
 same maps on their transverse and longitudinal parts: a spectral
 reference's support, every mode where the moments cannot stand in for
-the state (an unstable step, moments that are not finite, a reference
-without a spectral form), or, for initial data given by a few
-Fourier coefficients, those and the reference's alone. The per-mode
-algebra (k . v, the transverse split, the Parseval rows) is
-fields.Modes. The final state is built when it is first read, where the
-run bounds it on the grid.
+the state (an unstable step, or a state that may overflow), or, for
+initial data given by a few Fourier coefficients, those and the
+reference's alone. Every carrier reads its rows at one power of two per
+run. The per-mode algebra (k . v, the transverse split, the Parseval
+rows) is fields.Modes. The final state is built when it is first read,
+where the run bounds it on the grid.
 Diagnostics are sampled on a stride, written as CSV with a fixed column
 set, and evolution aborts (flagged, not raised) as soon as a non-finite
 value appears in the state.
@@ -179,7 +179,7 @@ class _ShellMaps:
 
 def _deferred(spectrum, ws: SpectralWorkspace) -> FieldState:
     """The grid state of spectrum(), for a run that bounds its grid values
-    (finite moments, or coefficient magnitudes summing below 2^1000)."""
+    (coefficient magnitudes summing below 2^1000, or moments bounding them so)."""
     with np.errstate(over="ignore", invalid="ignore"):
         state = _grid_state(spectrum(), ws)
     if state is None:
@@ -217,11 +217,9 @@ class _Support(fields.Modes):
         self._blocks = {}
 
     def reference_at(self, reference, t: float) -> np.ndarray:
-        """The reference's coefficients on these modes at time t."""
-        if self.whole:
-            return self.ws.forward(np.stack(reference(t)))
-        r = np.zeros((2, 3, self.shell.size), dtype=complex)
-        r[..., self.ref_at] = reference.spectrum(t)
+        """The reference's spectrum at time t set into these modes (every mode: at its support)."""
+        r = np.zeros((2, 3) + self.inv_k2.shape, dtype=complex)
+        r[(Ellipsis, *(reference.support if self.whole else (self.ref_at,)))] = reference.spectrum(t)
         return r
 
     def advance(self, maps: _ShellMaps, j: int, y_s: np.ndarray) -> np.ndarray:
@@ -270,30 +268,30 @@ def evolve(initial: FieldState | fields.SparseSpectrum, formulation, stepper, dt
 
     t_end is rounded to a whole number of steps. Diagnostics rows land at
     t = 0, every `stride` steps (default 1 for N <= 32, else 10), and the
-    final step. With `reference` (a callable t -> (a, pi)) the l2_error
-    column holds the joint L2 distance to it, otherwise NaN. When
-    reproject_every = n, the transverse projection is applied to both
-    fields every n steps, before any diagnostics due at that step.
+    final step. With `reference` (an exact solution in spectral form, see
+    below) the l2_error column holds the joint L2 distance to it, otherwise
+    NaN. When reproject_every = n, the transverse projection is applied to
+    both fields every n steps, before any diagnostics due at that step.
 
     A grid state is read off per-shell second moments, advanced between rows
     by the map powers on each k^2 shell; its final state is one map power
     applied to the initial spectrum when series.final_state is first read.
-    Moments of a spectrum peaking below 2^-400 (they would underflow) are
-    taken of it times 2^lift and scaled back: its rows are exact powers of
-    two times those of the unscaled data. A reference with a spectral form
-    (`support` and `spectrum(t)`, and the `grid_n` and `domain_length` they
-    belong to, as plane_wave_reference gives) is compared on its support,
-    whose modes the same loop carries as explicit vectors; a spectral form
-    for another grid raises ValueError.
+    A reference has a spectral form (`support`, `spectrum(t)`, and their
+    `grid_n` and `domain_length`, as plane_wave_reference gives; else
+    TypeError, and ValueError for another grid), compared on its support,
+    whose modes the same loop carries as explicit vectors. Every carrier
+    reads its rows at one power of two, the fields.row_lift of the initial
+    spectrum (the moments are taken of it times 2^lift): data scaled by 2^j
+    give rows scaled by 2^j (the energy by 2^2j) bit for bit.
 
     The other carrier is explicit vectors on a mode set, with no moments,
     and rows read off the vectors. Every mode is carried so when dt is
     outside the stepper's stability interval for some mode (then one step
     at a time, so that abort_time is the last step whose state was
-    finite), when a moment is not finite (the run restarts from step 0),
-    and when the reference has no spectral form (it is then transformed at
-    every row). A SparseSpectrum (as plane_wave_spectrum gives) with no
-    reference or a spectral one is carried as its entries and the
+    finite), and when the state may overflow: the moments, read at the
+    data's own scale, no longer bound its coefficient magnitudes below
+    2^1000 (the run restarts from step 0). A SparseSpectrum (as
+    plane_wave_spectrum gives) is carried as its entries and the
     reference's, and nothing else: modes without content stay zero under
     the mode-diagonal map, and stability is judged on these modes. On this
     carrier a value that is not finite aborts, and a run that ends with
@@ -310,14 +308,15 @@ def evolve(initial: FieldState | fields.SparseSpectrum, formulation, stepper, dt
     n_steps = _step_count(dt, t_end)
     if reproject_every is not None and reproject_every < 1:
         raise ValueError("reproject_every must be a positive integer")
-    spectral = reference is None or hasattr(reference, "spectrum")
     ws = initial.workspace()
-    if reference is not None and spectral and (
+    if reference is not None and not hasattr(reference, "spectrum"):
+        raise TypeError("reference has no spectral form, as fields.plane_wave_reference gives")
+    if reference is not None and (
             (reference.grid_n, reference.domain_length) != (ws.grid_n, ws.domain_length)):
         raise ValueError(
             f"reference is for N={reference.grid_n}, L={reference.domain_length!r}; "
             f"the initial data is for N={ws.grid_n}, L={ws.domain_length!r}")
-    sparse = isinstance(initial, fields.SparseSpectrum) and spectral
+    sparse = isinstance(initial, fields.SparseSpectrum)
     if stride is None:
         stride = 1 if initial.grid_n <= 32 else 10
     if stride < 1:
@@ -349,26 +348,23 @@ def evolve(initial: FieldState | fields.SparseSpectrum, formulation, stepper, dt
         if sparse:
             y = np.zeros((2, 3, entries.size), dtype=complex)
             y[..., at] = initial.coeff
-            maps = _ShellMaps(method, kind, dt, support.k2)
         else:
             y = initial.half_spectrum()
             support = _Support(ws)
-            maps = _ShellMaps(method, kind, dt, support.k2)
-            if stable and spectral:
-                every = fields.Modes(ws)
-                carried = _Support(ws, ref_support, every.k2)
-                # The carried modes moved past the last shell, out of the moments.
-                if carried.shell.size:
-                    every.shell = every.shell.copy()
-                    every.shell[carried.index] = len(every.k2)
-                shift = fields.overflow_shift(y) or 0
-                lift = carried.lift = min(-shift, 1021) if shift + 256 <= -400 else 0
-                factor = np.ldexp(1.0, lift)
-                g = tuple(m[0] for m in every.moments(y[None] * factor if lift else y[None]))
-                result = _run(y[(slice(None), slice(None), *carried.index)], g, maps, carried, *run)
+        lift = support.lift = fields.row_lift(y)
+        maps = _ShellMaps(method, kind, dt, support.k2)
+        if stable and not sparse:
+            every = fields.Modes(ws)
+            carried = _Support(ws, ref_support, every.k2)
+            carried.lift = lift
+            # The carried modes moved past the last shell, out of the moments.
+            if carried.shell.size:
+                every.shell = every.shell.copy()
+                every.shell[carried.index] = len(every.k2)
+            g = tuple(m[0] for m in every.moments(y[None] * np.ldexp(1.0, lift) if lift else y[None]))
+            result = _run(y[(slice(None), slice(None), *carried.index)], g, maps, carried, *run)
             if result is not None:
-                # The last row's moments are finite, so the final state cannot
-                # overflow on the grid: it is built when first read.
+                # The moments bound the final state on the grid: it is built when first read.
                 rows, _, step = result
                 reprojected = reproject_every is not None and reproject_every <= n_steps
                 final = partial(_deferred, partial(_advanced, support, maps, y, n_steps, reprojected), ws)
@@ -397,13 +393,14 @@ def _run(y_s: np.ndarray, g, maps: _ShellMaps, support: _Support, stable: bool,
          n_steps: int, dt: float, stride: int, reproject_every: int | None, reference):
     """Rows of one run: the support modes as vectors, every other mode as moments.
 
-    g is the moments (g_t, g_l) of the modes outside the support, or None
-    when the support holds all the content: rows are then read off the
-    vectors alone and a value that is not finite aborts the run. Returns
-    (rows as an array with t first, the support vectors at the last
-    finite step, that step); a step short of n_steps means the run
-    aborted there. With moments, a value that is not finite returns None
-    at once.
+    g is the moments (g_t, g_l) of the modes outside the support, taken
+    of the state times 2^support.lift, or None when the support holds all
+    the content: rows are then read off the vectors alone and a value that
+    is not finite aborts the run. Returns (rows as an array with t first,
+    the support vectors at the last finite step, that step); a step short
+    of n_steps means the run aborted there. With moments, None returns at
+    once where the state may overflow: its magnitudes, bounded by the
+    moments at the data's own scale, reach 2^1000 (derivations section 7).
 
     A row records (t, vectors, moments). The recorded states go to
     fields.Modes.rows as one stack when the run ends or aborts, or before
@@ -433,7 +430,11 @@ def _run(y_s: np.ndarray, g, maps: _ShellMaps, support: _Support, stable: bool,
         saved_bytes += size
 
     def finite(g, y_s) -> bool:
-        return _finite(y_s) and (g is None or (_finite(g[0]) and _finite(g[1])))
+        if g is None:
+            return _finite(y_s)
+        squares = 6.0 * support.ws.grid_n ** 3 * sum(np.sum(m[::2]) for m in g)
+        bound = np.sum(support.weight * np.abs(y_s)) + np.ldexp(np.sqrt(squares), -support.lift)
+        return _finite(g[0]) and _finite(g[1]) and bool(bound < 2.0 ** 1000)
 
     if g is not None and not finite(g, y_s):
         return None

@@ -245,17 +245,23 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _extent(q: np.ndarray, axis=None):
-    """(largest |re| or |im|, NaN if q holds NaN; whether all finite) over axis, by reductions."""
-    ends = np.array([f(part, axis=axis, initial=0.0) for part in (q.real, q.imag)
-                     for f in (np.max, np.min)])
-    return np.max(np.abs(ends), axis=0), np.isfinite(ends).all(axis=0)
+def _extent(q: np.ndarray):
+    """(largest |re| or |im|, NaN if q holds NaN; whether all finite), by reductions."""
+    ends = np.array([f(part, initial=0.0) for part in (q.real, q.imag) for f in (np.max, np.min)])
+    return np.max(np.abs(ends)), np.isfinite(ends).all()
 
 
 def overflow_shift(y_hat: np.ndarray) -> int | None:
     """The power of two that scales y_hat's peak near 2^256 (-256 for 0); None if not finite."""
     peak, finite = _extent(y_hat)
     return int(np.frexp(peak)[1]) - 256 if finite else None
+
+
+def row_lift(y_hat: np.ndarray) -> int:
+    """The power of two that Modes.rows reads a run's states at: -overflow_shift(y_hat)
+    (at most 1021) where y_hat's peak is outside [2^-400, 2^400), else 0."""
+    shift = overflow_shift(y_hat) or 0
+    return 0 if -400 < shift + 256 <= 400 else min(-shift, 1021)
 
 
 def _coef(v: np.ndarray, kvec, inv_k2, field_shift) -> np.ndarray:
@@ -368,7 +374,7 @@ class Modes:
             g_t[2] += _abs2(pi_t)
         return np.stack([shell_sum(q) for q in g_t], axis=1), g_l
 
-    lift = 0  # the moments g given to rows are those of the states times 2^lift
+    lift = 0  # rows reads its states and reference times 2^lift, and g as so taken
 
     def rows(self, y: np.ndarray, ref: np.ndarray | None = None, g: tuple | None = None):
         """Diagnostics rows of a stack of states by Parseval (docs/derivations.md section 7).
@@ -386,19 +392,15 @@ class Modes:
         runs along a contiguous last axis, one state per row, so a state's
         row does not depend on the other states of the stack.
 
-        Squares of coefficients past ~1e154 overflow although the norms may
-        be finite, and k . A^ overflowing from terms of opposite sign gives
-        NaN. A row with a column that is not finite (bar the distance
-        without ref) is computed again alone, as a one-row stack, from its y
-        and ref scaled by 2^-overflow_shift(y), and g by its square, and
-        those columns are scaled back; powers of two scale exactly. The
-        other columns keep their first value, so a column far below the
-        largest one keeps all its digits. Squares of coefficients below
-        ~1e-154 underflow: a row whose largest coefficient is nonzero and
-        below 2^-400 is computed again in the same way, scaled up (by at
-        most 2^1021), and each column that comes back finite is taken from
-        there. With a lift, each column that comes back finite from y and ref
-        times 2^lift with g as given (scaled back) replaces its first value.
+        The columns are taken of y and ref times 2^lift (a run's row_lift,
+        so that squares neither under- nor overflow) and scaled back, the
+        energy by 2^-2 lift; powers of two scale exactly. A state grown past
+        that range (an unstable step) can still square past ~1e308, and
+        k . A^ from terms of opposite sign overflow to NaN: a row with a
+        column not finite (bar the distance without ref) is redone alone
+        from its y and ref times 2^-s, s the overflow_shift of their peak,
+        and only those columns are scaled back from there, so a column far
+        below the largest keeps all its digits.
         """
         k2, scale = self.k2, self.scale
         # A k^2 = 0 shell (first if present) adds nothing to k^2 A_T, even where A_T overflows.
@@ -429,27 +431,22 @@ class Modes:
 
         powers = np.array([2, 1, 1, 1, 1, 1])
         lift = self.lift
-        out = columns(y, ref, tuple(np.ldexp(m, -2 * lift) for m in g) if lift else g)
-        if lift:
-            up = np.ldexp(1.0, lift)
-            back = np.ldexp(columns(y * up, None if ref is None else ref * up, g), -lift * powers)
-            return np.where(np.isfinite(back), back, out)
+        up = np.ldexp(1.0, lift)
+        out = columns(y * up, None if ref is None else ref * up, g) if lift else columns(y, ref, g)
+        exponents = np.tile(-lift * powers, (len(out), 1))
         redo = ~np.isfinite(out)
         if ref is None:
             redo[:, 5] = False
-        peak, _ = _extent(y, axis=tuple(range(1, y.ndim)))
-        tiny = (peak > 0) & (peak < 2.0 ** -400)
-        for r in np.flatnonzero(redo.any(axis=1) | tiny):
-            shift = max(overflow_shift(y[r]) or 0, -1021)
-            if shift > 0 or tiny[r]:
+        for r in np.flatnonzero(redo.any(axis=1)):
+            shift = max(overflow_shift(q[r]) or 0 for q in (y, ref) if q is not None)
+            if shift + lift > 0:
                 factor = np.ldexp(1.0, -shift)
-                one = slice(r, r + 1)
-                scaled = columns(y[one] * factor, None if ref is None else ref[one] * factor,
-                                 None if g is None else tuple(np.ldexp(m[one], -2 * shift) for m in g))
-                back = np.ldexp(scaled[0], powers * shift)
-                keep = redo[r] if shift > 0 else np.isfinite(back)
-                out[r, keep] = back[keep]
-        return out
+                one, keep = slice(r, r + 1), redo[r]
+                g_one = None if g is None else tuple(np.ldexp(m[one], -2 * (shift + lift)) for m in g)
+                scaled = columns(y[one] * factor, None if ref is None else ref[one] * factor, g_one)
+                out[r, keep] = scaled[0, keep]
+                exponents[r, keep] = powers[keep] * shift
+        return np.ldexp(out, exponents)
 
 
 def transverse_project(v: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
@@ -536,12 +533,14 @@ def diagnostics(state: FieldState) -> dict:
     energy is H = 1/2 integral of (pi^2 + |curl A|^2); norm_divA and
     norm_divPi the continuum L2 norms of the two constraints; norm_A_L and
     norm_pi_L those of the longitudinal parts. One Modes.rows row of the
-    state's half spectrum, so finite norms stay finite where the squares
-    of the grid values overflow.
+    state's half spectrum, read at its row_lift as evolve reads it, so
+    finite norms stay finite and nonzero where the squares of the grid
+    values over- or underflow.
     """
-    ws = state.workspace()
+    modes = Modes(state.workspace())
     with np.errstate(over="ignore", invalid="ignore"):
-        row = Modes(ws).rows(state.half_spectrum()[None])[0]
+        modes.lift = row_lift(y := state.half_spectrum())
+        row = modes.rows(y[None])[0]
     return dict(zip(("energy", "norm_divA", "norm_divPi", "norm_A_L", "norm_pi_L"),
                     row[:5].tolist()))
 

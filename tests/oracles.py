@@ -6,8 +6,9 @@ fields.project_snapshot).
 The functions here compute them on the N^3 grid instead: derivatives by
 a forward and a backward transform, norms and energy as sums over grid
 values, and the plane wave as grid samples. adapted_blocks splits a
-principal symbol into 2x2 blocks in a frame adapted to a direction, and
-kvec_table builds the wavevector of every mode as one dense table.
+principal symbol into 2x2 blocks in a frame adapted to a direction,
+kvec_table builds the wavevector of every mode as one dense table, and
+peak_shift takes an overflow scale from np.frexp, apart from the library's.
 
 A plain module that the tests import: pytest collects nothing from it.
 """
@@ -33,6 +34,11 @@ from gaugefix.fields import (
 def kvec_table(ws):
     """The wavevector of every half-spectrum mode as one (3, N, N, N/2+1) table."""
     return np.stack(np.meshgrid(ws.k1, ws.k1, ws.k3, indexing="ij"))
+
+
+def peak_shift(y):
+    """The power of two that brings y's largest |re| or |im| near 2^256, by np.frexp."""
+    return int(np.frexp(max(np.max(np.abs(y.real)), np.max(np.abs(y.imag))))[1]) - 256
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 import warnings
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gaugefix import fields
+from gaugefix import evolution, fields
 from gaugefix.constraints import constraint_set
 from gaugefix.evolution import (
     CSV_HEADER,
@@ -25,7 +26,7 @@ from gaugefix.fields import (
 )
 from gaugefix.phase import HamiltonianSystem, PhaseFunction, quadratic_function
 import oracles
-from oracles import kvec_table, l2_norm, plane_wave_initial_data, state_distance
+from oracles import kvec_table, l2_norm, peak_shift, plane_wave_initial_data, state_distance
 
 TWO_PI = 2.0 * np.pi
 
@@ -383,35 +384,50 @@ def test_rows_with_reference_match_rhs_oracle(kind, stepper, data, mode, polariz
 @pytest.mark.parametrize("stepper", ["rk4", "stormer_verlet"])
 @pytest.mark.parametrize("kind", ["canonical", "gauge_fixed"])
 def test_support_and_all_modes_carriers_agree_row_by_row(kind, stepper, data, reproject_every):
-    # The same stable run twice: plane_wave_reference carries its support
-    # modes as vectors and the rest as shell moments; a plain callable has
-    # no spectral form, so every mode is carried explicitly and the
-    # reference is transformed at each row.
+    # The same stable run twice: evolve carries the reference's support
+    # modes as vectors and the rest as shell moments; the every-mode
+    # carrier, which evolve enters only for an unstable dt or a state that
+    # may overflow, carries every mode explicitly and sets the reference's
+    # spectrum into the whole half spectrum at each row.
     n, dt = 8, 0.1
     state = plane_wave_initial_data((1, 0, 0), (0, 1, 0), grid_n=n, kind=data)
     ref = plane_wave_reference((1, 0, 0), (0, 1, 0), grid_n=n)
     calls = []
-
-    def plain(t):
-        calls.append(t)
-        return ref(t)
-
+    counted = functools.wraps(ref)(lambda t: ref(t))
+    counted.spectrum = lambda t: calls.append(t) or ref.spectrum(t)
     kw = dict(reproject_every=reproject_every, stride=3)
     spectral = evolve(state, kind, stepper, dt, 2.0, reference=ref, **kw)
-    explicit = evolve(state, kind, stepper, dt, 2.0, reference=plain, **kw)
-    assert calls == explicit.t.tolist() == spectral.t.tolist()
-    for column in ("energy", "norm_divA", "norm_divPi", "norm_A_L", "norm_pi_L"):
+    explicit, _ = every_mode_run(state, kind, stepper, dt, 20, reference=counted, **kw)
+    assert calls == explicit[:, 0].tolist() == spectral.t.tolist()
+    for i, column in enumerate(("energy", "norm_divA", "norm_divPi", "norm_A_L", "norm_pi_L")):
         # atol: columns that a reprojection zeroes on the moments keep
         # ~1e-33 of rounding on the explicit modes.
-        assert_allclose(getattr(explicit, column), getattr(spectral, column),
+        assert_allclose(explicit[:, 1 + i], getattr(spectral, column),
                         rtol=1e-12, atol=1e-30, err_msg=column)
-    assert_allclose(explicit.l2_error, spectral.l2_error, rtol=0, atol=1e-13)
+    assert_allclose(explicit[:, 6], spectral.l2_error, rtol=0, atol=1e-13)
     assert spectral.l2_error[-1] > 1e-6  # the comparison is not between zeros
 
 
+def every_mode_run(state, kind, stepper, dt, n_steps, reference=None, stride=1,
+                   reproject_every=None):
+    """evolve's every-mode carrier on a stable dt: evolution._run with no moments.
+
+    Returns the rows (t first) and the final grid state.
+    """
+    ws = state.workspace()
+    support = evolution._Support(ws)
+    maps = evolution._ShellMaps(StepperKind(stepper), FormulationKind(kind), dt, support.k2)
+    assert evolution._stable(StepperKind(stepper), dt * dt * ws.k2_max)
+    rows, y, step = evolution._run(state.half_spectrum(), None, maps, support, True, n_steps, dt,
+                                   stride, reproject_every, reference)
+    assert step == n_steps
+    return rows, FieldState(*ws.backward(y), state.domain_length)
+
+
 def overflowing_later(n, longitudinal):
-    # Moments square the amplitudes: finite at t = 0, they overflow once the
-    # modes pass ~1e154, long before the state itself does. Longitudinal:
+    # Moments square the amplitudes: finite at t = 0, unscaled they overflow
+    # once the modes pass ~1e154, long before the state itself does; the run
+    # takes them at its power of two and keeps to them. Longitudinal:
     # pi_x = c cos x makes A_L = t pi_L grow (canonical). Transverse:
     # pi_y = c cos(k x) on a long box (k = 0.01) swings into A_T = pi_T / k,
     # with a smaller c so that the energy itself stays below the overflow.
@@ -540,21 +556,56 @@ def test_rows_scale_exactly_with_the_geometry():
 
 
 @pytest.mark.parametrize("reproject_every", [None, 7])
-def test_rows_scale_exactly_with_the_amplitude(reproject_every):
+def test_rows_scale_exactly_with_the_amplitude(monkeypatch, reproject_every):
     # Data scaled by 2^-j scale each column by 2^-j (the energy by 2^-2j),
-    # bit for bit, on either side of the 2^-400 below which the moments are
-    # taken of the spectrum scaled up.
+    # bit for bit, on either side of the 2^-400 below and the 2^400 above
+    # which rows are read at a power of two. Where that overflows (the
+    # energy from 2^-560), the column reads inf. Scaled up, the runs keep
+    # to the moments: no row stack holds a full-size state.
     a, pi = random_smooth_fields(np.random.default_rng(7), 16, TWO_PI)
     for formulation, stepper in RUNS:
         one = raw_run(formulation, stepper, a, pi, reproject_every=reproject_every)
-        for j in (100, 500, 900):
+        for j in (100, 500, 900, -500, -560, -600):
+            calls = count_row_stacks(monkeypatch)
             run = raw_run(formulation, stepper, np.ldexp(a, -j), np.ldexp(pi, -j),
                           reproject_every=reproject_every)
+            monkeypatch.undo()
             for column, power in COLUMN_POWERS:
-                assert np.array_equal(getattr(run, column),
-                                      np.ldexp(getattr(one, column), -j * power)), (
-                    formulation, stepper, j, column)
+                with np.errstate(over="ignore"):
+                    want = np.ldexp(getattr(one, column), -j * power)
+                assert np.array_equal(getattr(run, column), want), (formulation, stepper, j, column)
+            assert np.all(np.isinf(run.energy)) == (j <= -560)
             assert np.all(np.isnan(run.l2_error))
+            assert sum(r for r, _ in calls) == len(run.t) and all(b == 0 for _, b in calls)
+
+
+def test_every_mode_carrier_compares_a_spectral_reference_up_to_the_abort():
+    # dt = 1 is unstable at N = 8, so grid data go on the every-mode carrier,
+    # which sets the reference's spectrum into the whole half spectrum at
+    # each row. Every row against the grid diagnostics of the per-step
+    # oracle state, taken of it scaled by a power of two so that its squares
+    # do not overflow; floor: the longitudinal columns, which the oracle's
+    # projection pollutes with rounding of the growing transverse modes.
+    n, dt = 8, 1.0
+    wave = ((1, 2, 1), (1, 0, -1))
+    state = plane_wave_initial_data(*wave, grid_n=n, kind="contaminated")
+    ref = plane_wave_reference(*wave, grid_n=n)
+    series = evolve(state, "canonical", "rk4", dt, 1000.0, reference=ref, stride=5)
+    assert series.aborted and series.abort_time == series.t[-1] and len(series.t) > 40
+    steps = np.rint(series.t / dt).astype(int)
+    oracle = oracle_states(state, "canonical", "rk4", dt, steps[-1])
+    for i, step in enumerate(steps):
+        s = oracle[step]
+        e = int(np.frexp(max(np.max(np.abs(s.a)), np.max(np.abs(s.pi))))[1])
+        s, r = (FieldState(np.ldexp(f[0], -e), np.ldexp(f[1], -e), TWO_PI)
+                for f in ((s.a, s.pi), ref(series.t[i])))
+        with np.errstate(over="ignore"):
+            expected = np.ldexp([oracles.energy(s), *oracles.constraint_norms(s),
+                                 *oracles.longitudinal_norms(s), state_distance(s, r)],
+                                [2 * e, e, e, e, e, e])
+        got = [getattr(series, c)[i] for c in CSV_HEADER.split(",")[1:]]
+        assert_allclose(got, expected, rtol=1e-12, atol=np.ldexp(1e-12 * state_norm(s), e))
+    assert np.isinf(series.energy[-1]) and np.isfinite(series.l2_error[-1])
 
 
 def test_tiny_grid_data_keep_their_distance_to_a_unit_reference():
@@ -820,34 +871,38 @@ def test_reference_for_another_grid_is_refused(sparse, grid):
 
 
 def test_every_mode_path_builds_bounded_final_state_on_first_read(backward_calls):
-    # A reference without spectral form puts every mode into the vectors.
-    state, other = raw_random_state(8), raw_random_state(8, seed=4)
+    # dt = 0.6 is unstable at N = 8 (h^2 k^2 = 9.72 > 8), so every mode is
+    # carried as a vector; two steps stay far below the 2^1000 bound.
+    state = raw_random_state(8)
     backward_calls[0] = 0
-    series = evolve(state, "canonical", "rk4", 0.05, 0.5, reference=lambda t: (other.a, other.pi))
-    assert backward_calls[0] == 0 and not series.aborted
+    series = evolve(state, "canonical", "rk4", 0.6, 1.2)
+    assert backward_calls[0] == 0 and not series.aborted and len(series.t) == 3
     first = series.final_state
     assert backward_calls[0] == 1 and series.final_state is first
-    expected = rhs_oracle(state, "canonical", "rk4", 0.05, 10)
+    expected = rhs_oracle(state, "canonical", "rk4", 0.6, 2)
     assert state_distance(first, expected) <= 1e-13 * state_norm(expected)
+
+
+def test_reference_without_spectral_form_is_refused():
+    state, ref = small_wave()
+    with pytest.raises(TypeError, match="plane_wave_reference"):
+        evolve(state, "canonical", "rk4", 0.05, 0.5, reference=lambda t: ref(t))
 
 
 @pytest.mark.parametrize("n", [8, 9])
 def test_parseval_diagnostics_match_grid_diagnostics(n):
+    # The every-mode carrier's rows, summed by Parseval over the whole
+    # half spectrum, against the grid sums of the state at rows 0 and last.
     state = raw_random_state(n)
-    other = raw_random_state(n, seed=4)
     length = state.domain_length
-
-    def reference(t):
-        return other.a, other.pi
-
-    series = evolve(state, "canonical", "stormer_verlet", 0.05, 0.5, reference=reference)
-    for row, s in ((0, state), (-1, series.final_state)):
+    ref = plane_wave_reference((1, 2, 1), (1, 0, -1), grid_n=n)
+    rows, final = every_mode_run(state, "canonical", "stormer_verlet", 0.05, 10, reference=ref)
+    for row, s in ((0, state), (-1, final)):
+        r_a, r_pi = ref(rows[row, 0])
         expected = (oracles.energy(s), *oracles.constraint_norms(s),
                     *oracles.longitudinal_norms(s),
-                    np.hypot(l2_norm(s.a - other.a, length), l2_norm(s.pi - other.pi, length)))
-        got = (series.energy[row], series.norm_divA[row], series.norm_divPi[row],
-               series.norm_A_L[row], series.norm_pi_L[row], series.l2_error[row])
-        assert_allclose(got, expected, rtol=1e-13)
+                    np.hypot(l2_norm(s.a - r_a, length), l2_norm(s.pi - r_pi, length)))
+        assert_allclose(rows[row, 1:], expected, rtol=1e-13)
 
 
 def test_evolve_validation():
@@ -943,7 +998,7 @@ def _split_by_full_products(modes, y):
     kvec = kvec_table(modes.ws) if modes.whole else modes.kvec
     coef = np.sum(kvec * y, axis=1) * modes.inv_k2
     redo = ~np.isfinite(coef)
-    if redo.any() and np.isfinite(y).all() and (shift := fields.overflow_shift(y)) > 0:
+    if redo.any() and np.isfinite(y).all() and (shift := peak_shift(y)) > 0:
         scaled = np.sum(kvec * (y * np.ldexp(1.0, -shift)), axis=1) * modes.inv_k2
         coef[redo] = scaled[redo] * np.ldexp(1.0, shift)
     long = kvec * coef[:, None]

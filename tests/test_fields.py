@@ -43,6 +43,7 @@ from oracles import (
     l2_norm,
     longitudinal_norms,
     longitudinal_part,
+    peak_shift,
     plane_wave_initial_data,
     project_state,
     state_distance,
@@ -227,6 +228,22 @@ def test_diagnostics_stay_finite_where_the_grid_squares_overflow(rng, n):
     expected = (energy(state), *constraint_norms(state), *longitudinal_norms(state))
     assert_allclose(np.ldexp(list(got.values()), [-1200, -600, -600, -600, -600]), expected,
                     rtol=1e-12)
+
+
+@pytest.mark.parametrize("j", [-660, 600])
+def test_diagnostics_scale_exactly_with_the_amplitude(rng, j):
+    # Data scaled by 2^j give each column scaled by 2^j (the energy by 2^2j,
+    # which overflows at 2^600), bit for bit: the row is read at one power
+    # of two from the spectrum's peak, so squares near 2^-1320 do not
+    # underflow to 0 and squares near 2^1200 do not overflow.
+    a, pi = random_smooth_fields(rng, 8, TWO_PI)
+    one = diagnostics(FieldState(a, pi, TWO_PI))
+    got = diagnostics(FieldState(np.ldexp(a, j), np.ldexp(pi, j), TWO_PI))
+    with np.errstate(over="ignore"):
+        want = np.ldexp(list(one.values()), [2 * j, j, j, j, j])
+    assert np.array_equal(list(got.values()), want)
+    assert got["norm_divA"] > 0 and np.isfinite(got["norm_divA"])
+    assert got["energy"] == (0.0 if j < 0 else np.inf)
 
 
 def test_plane_wave_energy_closed_form():
@@ -598,7 +615,7 @@ def _projected_by_whole_stack_products(f, ws):
     f_hat = np.fft.rfftn(f, axes=(-3, -2, -1))
     coef = np.sum(kvec * f_hat, axis=0) * ws.inv_k2
     redo = ~np.isfinite(coef)
-    if redo.any() and np.isfinite(f_hat).all() and (shift := fields.overflow_shift(f_hat)) > 0:
+    if redo.any() and np.isfinite(f_hat).all() and (shift := peak_shift(f_hat)) > 0:
         scaled = np.sum(kvec * (f_hat * np.ldexp(1.0, -shift)), axis=0) * ws.inv_k2
         coef[redo] = scaled[redo] * np.ldexp(1.0, shift)
     return np.fft.irfftn(f_hat - kvec * coef, s=(n, n, n), axes=(-3, -2, -1))
