@@ -16,7 +16,8 @@ _EXPORTS = {
     "constraints": (
         "AmbiguousClassificationError", "ChainTerminationError", "CommutationMatrix",
         "Constraint", "ConstraintClass", "ConstraintOrigin", "ConstraintSet",
-        "GaugeNotFixedError", "ProjectionReport", "SamplerError", "classify_constraints",
+        "GaugeNotFixedError", "LinearModel", "ProjectionReport", "SamplerError",
+        "classify_constraints",
         "commutation_matrix", "consistency_chain", "constraint_set", "dirac_bracket",
         "error_correction_step", "extended_flow", "gauge_fixed_multipliers",
         "least_squares_project", "make_surface_sampler", "project_to_constraint_surface",

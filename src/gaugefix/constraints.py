@@ -1,38 +1,31 @@
-"""Dirac-Bergmann constraint machinery for finite-dimensional systems.
+"""Dirac-Bergmann constraint machinery for finite-dimensional systems:
+consistency chains, first/second-class classification, the commutation
+matrix M_AB = [C_A, C_B], Dirac brackets, gauge-fixed multipliers and
+the bracket-generated correction step back onto the constraint surface.
 
-Covers the full pipeline: consistency chains from primary constraints,
-first/second-class classification, the constraint commutation matrix
-M_AB = [C_A, C_B], Dirac brackets, gauge-fixed Lagrange multipliers, and
-the bracket-generated correction step that projects an off-surface point
-back onto the constraint surface.
+Bracket matrices at a point are products of the stacked constraint
+Jacobian G with J: [C_A, C_B] = (G J G^T)_AB, [C_A, f] = (G J grad f)_A.
+A set of affine constraints C = R z + r caches its rows [R | r]
+(ConstraintSet.rows), and G is that R at every point; other sets take
+one gradient per constraint at the point.
 
-Bracket matrices at a point are products of one stacked constraint
-Jacobian G with the cosymplectic matrix J, [C_A, C_B] = (G J G^T)_AB and
-[C_A, f] = (G J grad f)_A: one gradient evaluation per constraint.
-
-The chain and the classes are linear algebra on the coefficient rows
-[R | r] of affine constraints C = R z + r, under a constant J and a
-Hamiltonian with coefficients (docs/derivations.md section 4): a
-candidate vanishes weakly when its row lies in their span, it is new
-when its linear part raises the rank of R, and the classes come from
-the constant R J R^T. No decision is made at sample points; other input
-is refused with ValueError. make_surface_sampler draws on-surface points
-by least squares, independently of the symplectic structure, for
-callers that want points on the surface.
-
-Brackets as functions (the chain's candidates [C, H], the terms of the
-second-order correction) come from phase.bracket_function, applied to
-phase.combination for weighted sums. Both stay in closed form when every
-input is a polynomial of degree <= 2 and J is constant, as the chain
-requires. Only an opaque input or a point-dependent J, such as the
-circle pair's angle in the second-order correction, leaves a bracket
-whose gradient is taken by finite differences.
+The exact route is linear algebra on one LinearModel of J, H = z.W.z/2 +
+w.z + w0 and [R | r] (docs/derivations.md sections 4 and 5): candidates
+u R J W | u R J w, dropped when in the span of [R | r] and admitted when
+they raise the rank of R, classes from R J R^T, and the constant
+extended flow A z + b of evolve_finite. No decision is made at sample
+points; other input is refused with ValueError. make_surface_sampler
+draws on-surface points by least squares for callers that want them.
+The second-order correction takes its brackets from
+phase.bracket_function, by finite differences only for an opaque input
+or a point-dependent J (the circle pair's angle).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -44,6 +37,7 @@ from .phase import (
     as_phase_point,
     bracket_function,
     combination,
+    linear_function,
     poisson_bracket,
 )
 
@@ -124,11 +118,24 @@ class ConstraintSet:
         z = as_phase_point(z)
         return np.array([c(z) for c in self.constraints])
 
+    @cached_property
+    def rows(self) -> np.ndarray | None:
+        """[R | r] of C = R z + r, shape (M, 2N + 1) and read-only, or None
+        unless every member is affine in the 2N-dimensional phase point."""
+        if not all(_is_affine(c.function, self.dim) for c in self.constraints):
+            return None
+        rows = np.empty((len(self.constraints), self.dim + 1))
+        for row, c in zip(rows, self.constraints):
+            row[:-1], row[-1] = c.function.coefficients.lin, c.function.coefficients.const
+        rows.flags.writeable = False
+        return rows
+
     def jacobian(self, z) -> np.ndarray:
-        """Stacked gradients, one row per constraint, shape (M, 2N)."""
+        """Stacked gradients, one row per constraint, shape (M, 2N): the
+        cached R of an affine set, else each member's gradient at z."""
         z = as_phase_point(z)
-        if len(self.constraints) == 0:
-            return np.zeros((0, self.dim))
+        if self.rows is not None:
+            return self.rows[:, :-1]
         return np.vstack([c.grad(z) for c in self.constraints])
 
     def extended(self, new: Sequence[Constraint]) -> "ConstraintSet":
@@ -175,20 +182,15 @@ class CommutationMatrix:
         if entries.size and np.abs(entries + entries.T).max() > 1e-12 * (1.0 + scale):
             raise ValueError("commutation matrix is not antisymmetric to 1e-12")
         self.entries = entries
-        self._sv = None
 
-    @property
+    @cached_property
     def singular_values(self) -> np.ndarray:
-        if self._sv is None:
-            self._sv = np.linalg.svd(self.entries, compute_uv=False)
-        return self._sv
+        return np.linalg.svd(self.entries, compute_uv=False)
 
     def is_invertible(self) -> bool:
         """Smallest singular value above 1e-10 of the largest."""
         s = self.singular_values
-        if s.size == 0:
-            return False
-        return bool(s[-1] > 1e-10 * s[0])
+        return bool(s.size and s[-1] > 1e-10 * s[0])
 
     def solve(self, rhs) -> np.ndarray:
         """Solve M x = rhs, refusing when M is numerically singular."""
@@ -221,10 +223,9 @@ def least_squares_project(cset: ConstraintSet, z0, tol: float = 1e-12,
                           max_iter: int = 60) -> np.ndarray:
     """Gauss-Newton projection of z0 onto the constraint surface.
 
-    Uses minimum-norm Newton updates z <- z - G^+ C(z). Works for any
-    irreducible set, including fully first-class ones where the
-    bracket-generated step is unavailable; serves as the independent
-    cross-check for the canonical correction machinery.
+    Minimum-norm Newton updates z <- z - G^+ C(z) work for any
+    irreducible set, first class included, and cross-check the
+    bracket-generated correction step.
     """
     z = as_phase_point(z0).astype(float).copy()
     if len(cset) == 0:
@@ -244,12 +245,9 @@ def least_squares_project(cset: ConstraintSet, z0, tol: float = 1e-12,
 def make_surface_sampler(rng: np.random.Generator, n_points: int = 32,
                          scale: float = 1.0, tol: float = 1e-10,
                          max_iter: int = 60) -> Callable[[ConstraintSet], np.ndarray]:
-    """Build a sampler(cset) -> (n_points, dim) array of on-surface points.
-
-    Seeds are Gaussian with the given scale, projected by
-    least_squares_project and kept only if all constraints evaluate
-    below tol. Reproducible through the supplied generator.
-    """
+    """Build a sampler(cset) -> (n_points, dim) array of on-surface points:
+    Gaussian seeds of the given scale, projected by least_squares_project
+    and kept if every constraint is below tol there."""
 
     def sampler(cset: ConstraintSet) -> np.ndarray:
         points = []
@@ -285,19 +283,14 @@ def consistency_chain(system: HamiltonianSystem, primaries: ConstraintSet,
                       max_generations: int = 10) -> ConstraintSet:
     """Run the Dirac-Bergmann consistency algorithm from the primaries.
 
-    Each generation demands that every constraint's bracket with the
-    Hamiltonian vanish weakly, allowing multipliers of the primaries to
-    absorb what they can: only the unabsorbable part of the conditions
-    (the left null space of the primary bracket matrix) spawns candidate
-    constraints. A candidate is dropped when its coefficient row lies in
-    the span of the existing rows and admitted when its linear part
-    raises their rank; a residual within a factor 10 of tol_weak is
-    refused with AmbiguousClassificationError.
-
-    The primaries must be affine, the form constant and the Hamiltonian a
-    polynomial with coefficients; other input raises ValueError naming
-    the reason. sampler is ignored, since no decision is made at sample
-    points; the slot is kept for callers that still pass one.
+    Each generation demands that every bracket [C, H] vanish weakly, up
+    to multipliers of the primaries: the left null space of the primary
+    bracket matrix spawns the candidates. A candidate is dropped when its
+    row lies in the span of the existing rows and admitted when its
+    linear part raises their rank; a residual within a factor 10 of
+    tol_weak raises AmbiguousClassificationError. Input off the exact
+    route (LinearModel.of) raises ValueError naming the reason. sampler
+    is ignored: no decision is made at sample points.
 
     Raises ChainTerminationError if the chain is still growing after
     max_generations, or if a residual can neither be absorbed nor yield
@@ -308,35 +301,37 @@ def consistency_chain(system: HamiltonianSystem, primaries: ConstraintSet,
         raise ValueError(f"max_generations must be at least 1, got {max_generations!r}")
     if len(primaries) == 0:
         return primaries
-    h = system.hamiltonian
-    form = system.form
-    rows = _affine_rows(primaries, form, h)
+    model = LinearModel.of(system, primaries)
     n_primary = len(primaries)
-    cset = primaries
+    cset, untested = primaries, 0
 
     for _generation in range(max_generations):
-        # G J G_prim^T in the operations of the pointwise oracle in the
-        # tests, so the left null space, the weights and the labels agree.
-        gj = rows[:, :-1] @ form.at(None)
-        a = gj @ rows[:n_primary, :-1].T
-        directions = np.eye(len(cset)) if np.max(np.abs(a)) < tol_weak else _left_null(a)
+        rows = model.rows
+        # R J R_prim^T in the operations of the bracket-function oracle in
+        # the tests, so the left null space, the weights and the labels agree.
+        a = (rows[:, :-1] @ model.j) @ rows[:n_primary, :-1].T
+        # Without multipliers the candidates are the [C_i, H]; those of members
+        # older than the last generation passed before, against fewer rows.
+        directions = (np.eye(len(cset))[untested:] if np.max(np.abs(a)) < tol_weak
+                      else _left_null(a))
+        untested = len(cset)
 
         new = []
         for u in directions:
-            cand = _combination_bracket(cset, u, h, form)
-            row = np.append(cand.coefficients.lin, cand.coefficients.const)
+            row, label = model.bracket_with_h(u)
             # Vanishes weakly, or repeats a member admitted this generation.
-            if _residual(rows, row, cand.label, "weak vanishing", tol_weak) < tol_weak:
+            if _residual(rows, row, label, "weak vanishing", tol_weak) < tol_weak:
                 continue
             # A nonzero constant on the surface: inconsistent dynamics.
-            if _residual(rows[:, :-1], row[:-1], cand.label, "newness", tol_weak) < tol_weak:
-                raise _unsatisfiable([cset[int(i)].label
-                                      for i in np.flatnonzero(np.abs(u) > 1e-12)])
-            new.append(Constraint(cand, ConstraintOrigin.CONSISTENCY))
+            if _residual(rows[:, :-1], row[:-1], label, "newness", tol_weak) < tol_weak:
+                raise _unsatisfiable([model.labels[i] for i in np.flatnonzero(np.abs(u) > 1e-12)])
+            new.append(Constraint(linear_function(row[:-1], row[-1], label),
+                                  ConstraintOrigin.CONSISTENCY))
             rows = np.vstack([rows, row])
         if not new:
             return cset
         cset = cset.extended(new)
+        model = replace(model, rows=rows, labels=tuple(cset.labels))
 
     raise _still_growing(max_generations, cset)
 
@@ -346,23 +341,67 @@ def _check_tolerance(name: str, tol: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {tol!r}")
 
 
-def _affine_rows(cset: ConstraintSet, form: CosymplecticForm,
-                 hamiltonian: PhaseFunction | None = None) -> np.ndarray:
-    """[R | r] for a set of affine constraints R z + r, or ValueError
-    naming why the set, the Hamiltonian or the form has no exact route."""
-    rows = []
-    for i, c in enumerate(cset):
-        k = c.function.coefficients
-        if k is None or k.lin.size != cset.dim or np.any(k.quad):
-            raise ValueError(f"constraint {i} ({c.label or 'unlabelled'}) is not affine "
-                             f"in the {cset.dim}-dimensional phase point")
-        rows.append(np.append(k.lin, k.const))
+def _is_affine(f: PhaseFunction, dim: int) -> bool:
+    k = f.coefficients
+    return k is not None and k.lin.size == dim and not k.quad.any()
+
+
+def _exact_rows(cset: ConstraintSet, form: CosymplecticForm,
+                hamiltonian: PhaseFunction | None = None) -> np.ndarray:
+    """cset.rows, or ValueError naming why there is no exact route."""
+    if cset.rows is None:
+        i, c = next((i, c) for i, c in enumerate(cset) if not _is_affine(c.function, cset.dim))
+        raise ValueError(f"constraint {i} ({c.label or 'unlabelled'}) is not affine "
+                         f"in the {cset.dim}-dimensional phase point")
     if hamiltonian is not None and hamiltonian.coefficients is None:
         raise ValueError(f"the Hamiltonian {hamiltonian.label} has no polynomial "
                          "coefficients")
     if not form.is_constant:
         raise ValueError("the cosymplectic form is point-dependent")
-    return np.array(rows)
+    return cset.rows
+
+
+@dataclass(frozen=True, eq=False)
+class LinearModel:
+    """The exact route of a constraint set and a system as arrays: the
+    constant J, H = z.W.z/2 + w.z + w0 as (quad, lin) = (W, w), and the
+    rows [R | r] of C = R z + r with their labels."""
+
+    j: np.ndarray
+    quad: np.ndarray
+    lin: np.ndarray
+    rows: np.ndarray
+    labels: tuple[str, ...]
+
+    @classmethod
+    def of(cls, system: HamiltonianSystem, cset: ConstraintSet) -> "LinearModel":
+        """The model, or ValueError naming why there is no exact route."""
+        rows = _exact_rows(cset, system.form, system.hamiltonian)
+        k = system.hamiltonian.coefficients
+        return cls(system.form.at(None), k.quad, k.lin, rows, tuple(cset.labels))
+
+    def bracket_with_h(self, u: np.ndarray) -> tuple[np.ndarray, str]:
+        """u_i [C_i, H] as its row [u R J W | u R J w] and its label. Weights
+        within 1e-12 of zero drop out, a lone one within 1e-12 of +-1 becomes
+        exactly that, and u R J W is formed as 0 - (W J)(u R), in
+        phase.bracket_function's order and bits."""
+        (idx,) = np.nonzero(np.abs(u) > 1e-12)
+        w = u[idx]
+        if idx.size == 1 and abs(abs(w[0]) - 1.0) < 1e-12:
+            w = np.sign(w)
+            label = f"{'-' if w[0] < 0 else ''}[{self.labels[idx[0]]}, H]"
+        else:
+            label = " + ".join(f"{wi:+.3g}[{self.labels[i]}, H]" for wi, i in zip(w, idx))
+        ur = w @ self.rows[idx, :-1]
+        return np.concatenate((0.0 - self.quad @ self.j @ ur, [ur @ self.j @ self.lin])), label
+
+    def flow(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A, b) of the extended flow P (W z + w), P = J (I - R^T M^-1 R J),
+        M = R J R^T, P = J without constraints; GaugeNotFixedError if M is singular."""
+        r, p = self.rows[:, :-1], self.j
+        if len(r):
+            p = p - (p @ r.T) @ _commutation(r, p).solve(r @ p)
+        return p @ self.quad, p @ self.lin
 
 
 def _residual(rows: np.ndarray, v: np.ndarray, label: str, decision: str,
@@ -401,41 +440,23 @@ def _still_growing(max_generations: int, cset: ConstraintSet) -> ChainTerminatio
     )
 
 
-def _combination_bracket(cset: ConstraintSet, weights: np.ndarray,
-                         h: PhaseFunction, form: CosymplecticForm) -> PhaseFunction:
-    """u_i [C_i, H] as the bracket [u_i C_i, H], with single-term labels kept tidy."""
-    (idx,) = np.nonzero(np.abs(weights) > 1e-12)
-    members = [cset[int(i)].function for i in idx]
-    w = weights[idx].astype(float)
-    if idx.size == 1 and abs(abs(w[0]) - 1.0) < 1e-12:
-        w = np.sign(w)
-        label = f"{'-' if w[0] < 0 else ''}[{members[0].label}, H]"
-    else:
-        label = " + ".join(f"{wi:+.3g}[{c.label}, H]" for wi, c in zip(w, members))
-    return bracket_function(combination(members, w), h, form, label)
-
-
 def classify_constraints(cset: ConstraintSet, sampler=None, tol_weak: float = 1e-8,
                          form: CosymplecticForm | None = None) -> ConstraintSet:
     """Label each constraint first or second class from its brackets.
 
     A constraint is first class when its bracket with every other member
-    vanishes weakly, read off the constant R J R^T of the coefficient
-    rows. Magnitudes within a factor of ten of tol_weak on either side
-    are refused as ambiguous rather than silently rounded one way.
-
-    The constraints must be affine and the form (canonical by default)
-    constant; other input raises ValueError naming the reason, and a
-    dependent set raises ValueError as not irreducible. sampler is
-    ignored, since no decision is made at sample points; the slot is
-    kept for callers that still pass one.
+    vanishes weakly, read off the constant R J R^T of the cached rows.
+    Magnitudes within a factor of ten of tol_weak on either side are
+    refused as ambiguous. Non-affine members or a point-dependent form
+    (canonical by default) raise ValueError naming the reason, and so
+    does a dependent set. sampler is ignored.
     """
     _check_tolerance("tol_weak", tol_weak)
     if len(cset) == 0:
         return cset
     if form is None:
         form = CosymplecticForm.canonical(cset.dim // 2)
-    rows = _affine_rows(cset, form)
+    rows = _exact_rows(cset, form)
     _require_full_rank(rows[:, :-1])
     return _label_classes(cset, _bracket_magnitudes(rows[:, :-1], form.at(None)), tol_weak)
 
@@ -460,12 +481,8 @@ def _label_classes(cset: ConstraintSet, mag: np.ndarray, tol_weak: float) -> Con
             f"bracket magnitudes within a factor 10 of tol_weak={tol_weak:g}: {detail}"
         )
 
-    labels = [
-        ConstraintClass.FIRST_CLASS
-        if np.all(mag[a] < tol_weak) else ConstraintClass.SECOND_CLASS
-        for a in range(m)
-    ]
-    return cset.with_labels(labels)
+    return cset.with_labels([ConstraintClass.FIRST_CLASS if np.all(row < tol_weak)
+                             else ConstraintClass.SECOND_CLASS for row in mag])
 
 
 # ---------------------------------------------------------------------------
@@ -577,10 +594,8 @@ def project_to_constraint_surface(cset: ConstraintSet, z_bar, tol: float = 1e-12
 
 def second_order_coefficients(cset: ConstraintSet, z_bar,
                               form: CosymplecticForm) -> np.ndarray:
-    """Second-order correction coefficients (diagnostic).
-
-    Extends the frozen first-order coefficients with the terms that
-    appear when the constraint brackets depend on the phase-space point:
+    """Second-order correction coefficients (diagnostic): the terms the
+    frozen first-order step leaves when the brackets depend on the point:
 
         eps2_G = sum_P (M^-1)_GP [[C_P, E], E]
                + 1/2 sum_{S,P,T} (M^-1)_GS (M^-1)_PT [[C_S, C_T], E] [C_P, E]

@@ -492,12 +492,15 @@ def evolve_finite(system: HamiltonianSystem, z0, dt: float, t_end: float,
 
     Without constraints this integrates the plain Hamiltonian flow. With
     a (second-class) constraint set the flow is extended by the
-    gauge-fixed multiplier terms, re-solved at every stage evaluation, so
-    the constraint values should stay at their initial size up to
-    integration error. More than MAX_LOOP_PASSES steps raise ValueError.
+    gauge-fixed multiplier terms, so the constraint values should stay at
+    their initial size up to integration error. On the exact route (a
+    Hamiltonian with coefficients, affine constraints, a constant form)
+    that flow is the constant A z + b of constraints.LinearModel.flow,
+    built once; otherwise the multipliers are re-solved at every stage
+    evaluation. More than MAX_LOOP_PASSES steps raise ValueError.
     """
     # The finite half loads with its only user here, not with the field runs.
-    from .constraints import extended_flow
+    from .constraints import ConstraintSet, LinearModel, extended_flow
     from .phase import as_phase_point, hamiltonian_flow
 
     n_steps = _step_count(dt, t_end)
@@ -507,7 +510,17 @@ def evolve_finite(system: HamiltonianSystem, z0, dt: float, t_end: float,
         raise ValueError(f"run needs {n_steps:.3g} steps, more than the limit of {MAX_LOOP_PASSES}")
 
     z = as_phase_point(z0).astype(float).copy()
-    if constraint_set is None:
+    try:
+        model = LinearModel.of(system, ConstraintSet((), 2 * system.n_dof)
+                               if constraint_set is None else constraint_set)
+    except ValueError:
+        model = None
+    if model is not None:
+        a, b = model.flow()
+
+        def rhs(pt):
+            return a @ pt + b
+    elif constraint_set is None:
         def rhs(pt):
             return hamiltonian_flow(system, pt)
     else:

@@ -8,15 +8,12 @@ Phase points are plain 1-d numpy arrays of length 2N ordered as
 with the canonical cosymplectic matrix J = [[0, I], [-I, 0]], so that
 [q^a, p_b] = delta^a_b and Hamilton's equations read zdot = J grad(H).
 
-Linear and quadratic phase functions carry their coefficients, and so
-do their weighted sums (combination). Under a constant J their bracket
-is again such a polynomial: bracket_function builds it in closed form
-(docs/derivations.md section 4), falling back to pointwise brackets
-with finite-difference gradients only for opaque inputs or a
-point-dependent J.
-
-Systems enter either as a HamiltonianSystem with primary constraints
-given directly, or as a QuadraticLagrangian, whose exact Legendre map
+Linear and quadratic phase functions and their weighted sums
+(combination) carry their coefficients; under a constant J
+bracket_function builds their bracket in closed form
+(docs/derivations.md section 4), and pointwise with finite-difference
+gradients otherwise. Systems enter as a HamiltonianSystem with primary
+constraints, or as a QuadraticLagrangian whose exact Legendre map
 (legendre) yields both (docs/derivations.md section 3a).
 """
 
@@ -45,13 +42,11 @@ def as_phase_point(z) -> np.ndarray:
 
 
 def fd_gradient(value: Callable[[np.ndarray], float], z) -> np.ndarray:
-    """Central finite-difference gradient of a scalar callable.
-
-    The step for component k is ``cbrt(eps) * max(1, |z_k|)``. Free of
-    truncation error for polynomials of degree <= 2, but each level of
-    nesting multiplies the rounding error. PhaseFunction uses it only for
-    functions without an analytic gradient: opaque callables, and
-    brackets that involve one or are taken under a point-dependent form.
+    """Central finite-difference gradient of a scalar callable, step
+    ``cbrt(eps) * max(1, |z_k|)`` for component k: free of truncation
+    error for polynomials of degree <= 2, but each level of nesting
+    multiplies the rounding error. PhaseFunction uses it only for
+    functions without an analytic gradient.
     """
     z = np.asarray(z, dtype=float)
     grad = np.empty_like(z)
@@ -77,12 +72,10 @@ class Coefficients(NamedTuple):
 class PhaseFunction:
     """Scalar function of a phase point together with its gradient.
 
-    ``gradient`` may be None, in which case a central finite-difference
-    fallback is used; ``uses_fd_gradient`` flags that situation so callers
-    can tell analytic from approximate gradients. ``coefficients`` is set
-    for polynomials of degree <= 2 (linear_function, quadratic_function,
-    their combinations and closed-form brackets) and None for opaque
-    callables.
+    A ``gradient`` of None falls back to central finite differences, which
+    ``uses_fd_gradient`` flags. ``coefficients`` is set for polynomials of
+    degree <= 2 (linear_function, quadratic_function, their combinations
+    and closed-form brackets) and None for opaque callables.
     """
 
     value: Callable[[np.ndarray], float]
@@ -111,7 +104,7 @@ class PhaseFunction:
 
 
 def _is_symmetric(m: np.ndarray) -> bool:
-    return bool(np.allclose(m, m.T, atol=1e-14 * (1.0 + np.abs(m).max(initial=0.0))))
+    return bool(np.abs(m - m.T).max(initial=0.0) <= 1e-14 * (1.0 + np.abs(m).max(initial=0.0)))
 
 
 def linear_function(coeffs, const: float = 0.0, label: str = "") -> PhaseFunction:
@@ -147,12 +140,9 @@ def quadratic_function(quad, lin=None, const: float = 0.0, label: str = "") -> P
 
 
 class CosymplecticForm:
-    """Antisymmetric bracket kernel J, either a constant matrix or a callback.
-
-    The canonical constant form is the block matrix [[0, I], [-I, 0]].
-    Antisymmetry is validated at construction for constant forms and at
-    every evaluation for callback forms.
-    """
+    """Antisymmetric bracket kernel J, a constant matrix (canonical:
+    [[0, I], [-I, 0]]) or a callback, validated at construction or at
+    every evaluation respectively."""
 
     def __init__(self, matrix=None, matrix_fn: Callable[[np.ndarray], np.ndarray] | None = None):
         if (matrix is None) == (matrix_fn is None):
@@ -230,14 +220,11 @@ def bracket_function(f: PhaseFunction, g: PhaseFunction, form: CosymplecticForm,
     """The bracket [f, g] as a new phase function.
 
     For f = z.A.z/2 + a.z + alpha and g = z.B.z/2 + b.z + beta under a
-    constant J, [f, g] = (Az + a) . J (Bz + b) is the polynomial with
-    quadratic matrix AJB - BJA, linear part AJb - BJa and constant a.J.b
-    (docs/derivations.md section 4). It has an exact gradient and
-    coefficients of its own, so brackets of brackets stay exact.
-    Otherwise (an input without coefficients, or a point-dependent J)
-    the value is the pointwise poisson_bracket and its gradient falls
-    back to finite differences, since second derivatives are not part of
-    the PhaseFunction contract.
+    constant J it is the polynomial with quadratic matrix AJB - BJA,
+    linear part AJb - BJa and constant a.J.b (docs/derivations.md
+    section 4), with coefficients of its own. Otherwise (an input without
+    coefficients, or a point-dependent J) its value is the pointwise
+    poisson_bracket and its gradient is taken by finite differences.
     """
     label = label or f"[{f.label}, {g.label}]"
     cf, cg = f.coefficients, g.coefficients
@@ -256,12 +243,9 @@ def bracket_function(f: PhaseFunction, g: PhaseFunction, form: CosymplecticForm,
 
 
 def combination(fs: Sequence[PhaseFunction], weights, label: str = "") -> PhaseFunction:
-    """The weighted sum sum_i w_i f_i as a phase function.
-
-    Carries the weighted sums of the coefficients when every f_i has
-    them, so its brackets stay in closed form. Otherwise its value and
-    gradient are the weighted sums of the members' values and gradients.
-    """
+    """The weighted sum sum_i w_i f_i as a phase function: with the
+    weighted sums of the coefficients when every f_i has them, else with
+    the weighted sums of the members' values and gradients."""
     fs = tuple(fs)
     w = np.asarray(weights, dtype=float)
     coeffs = [f.coefficients for f in fs]

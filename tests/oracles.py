@@ -1,4 +1,5 @@
-"""The grid oracle that the spectral route of gaugefix is checked against.
+"""The oracles that the spectral route and the finite half's linear model
+are checked against.
 
 The library computes energy, constraint norms and projections from the
 half spectrum (fields.Modes.rows, fields.diagnostics,
@@ -10,6 +11,11 @@ principal symbol into 2x2 blocks in a frame adapted to a direction,
 kvec_table builds the wavevector of every mode as one dense table, and
 peak_shift takes an overflow scale from np.frexp, apart from the library's.
 
+For the finite half, bracket_chain runs the consistency chain with each
+candidate built as a phase function, phase.bracket_function of
+phase.combination, and its row read back from its coefficients, and
+stacked_gradients takes a set's Jacobian one gradient at a time at z.
+
 A plain module that the tests import: pytest collects nothing from it.
 """
 
@@ -17,6 +23,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from gaugefix.constraints import (
+    Constraint,
+    ConstraintOrigin,
+    _left_null,
+    _residual,
+    _still_growing,
+    _unsatisfiable,
+)
 from gaugefix.fields import (
     FieldState,
     Modes,
@@ -29,6 +43,7 @@ from gaugefix.fields import (
     k_dot,
     transverse_project,
 )
+from gaugefix.phase import bracket_function, combination
 
 
 def kvec_table(ws):
@@ -262,3 +277,61 @@ def adapted_blocks(matrix: np.ndarray, n: np.ndarray):
         raise ValueError("symbol mixes the adapted frame directions; "
                          "no 2x2 block decomposition exists")
     return blocks[2], blocks[:2]
+
+
+# ---------------------------------------------------------------------------
+# The consistency chain from bracket functions
+# ---------------------------------------------------------------------------
+
+def combination_bracket(cset, weights, h, form):
+    """u_i [C_i, H] as the bracket [u_i C_i, H], with single-term labels kept tidy."""
+    (idx,) = np.nonzero(np.abs(weights) > 1e-12)
+    members = [cset[int(i)].function for i in idx]
+    w = weights[idx].astype(float)
+    if idx.size == 1 and abs(abs(w[0]) - 1.0) < 1e-12:
+        w = np.sign(w)
+        label = f"{'-' if w[0] < 0 else ''}[{members[0].label}, H]"
+    else:
+        label = " + ".join(f"{wi:+.3g}[{c.label}, H]" for wi, c in zip(w, members))
+    return bracket_function(combination(members, w), h, form, label)
+
+
+def _coefficient_row(f):
+    return np.append(f.coefficients.lin, f.coefficients.const)
+
+
+def bracket_chain(system, primaries, tol_weak=1e-8, max_generations=10):
+    """consistency_chain of affine primaries with every candidate a
+    closed-form bracket function, formed for every member in every
+    generation: the same left null space and residual decisions, rows read
+    back from each candidate's coefficients."""
+    if len(primaries) == 0:
+        return primaries
+    h, form = system.hamiltonian, system.form
+    rows = np.array([_coefficient_row(c.function) for c in primaries])
+    n_primary = len(primaries)
+    cset = primaries
+    for _generation in range(max_generations):
+        gj = rows[:, :-1] @ form.at(None)
+        a = gj @ rows[:n_primary, :-1].T
+        directions = np.eye(len(cset)) if np.max(np.abs(a)) < tol_weak else _left_null(a)
+        new = []
+        for u in directions:
+            cand = combination_bracket(cset, u, h, form)
+            row = _coefficient_row(cand)
+            if _residual(rows, row, cand.label, "weak vanishing", tol_weak) < tol_weak:
+                continue
+            if _residual(rows[:, :-1], row[:-1], cand.label, "newness", tol_weak) < tol_weak:
+                raise _unsatisfiable([cset[int(i)].label
+                                      for i in np.flatnonzero(np.abs(u) > 1e-12)])
+            new.append(Constraint(cand, ConstraintOrigin.CONSISTENCY))
+            rows = np.vstack([rows, row])
+        if not new:
+            return cset
+        cset = cset.extended(new)
+    raise _still_growing(max_generations, cset)
+
+
+def stacked_gradients(cset, z):
+    """The set's Jacobian at z, one gradient evaluation per member."""
+    return np.array([c.grad(z) for c in cset]).reshape(len(cset), cset.dim)

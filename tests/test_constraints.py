@@ -16,9 +16,9 @@ from gaugefix.constraints import (
     ConstraintOrigin,
     ConstraintSet,
     GaugeNotFixedError,
+    LinearModel,
     SamplerError,
     _bracket_magnitudes,
-    _combination_bracket,
     _label_classes,
     _left_null,
     _require_full_rank,
@@ -49,9 +49,11 @@ from gaugefix.phase import (
 from gaugefix.toys import (
     chain_demo,
     circle_pair,
+    maxwell_mode,
     regular_demo,
     second_class_demo,
 )
+from oracles import bracket_chain, combination_bracket, stacked_gradients
 
 FORM2 = CosymplecticForm.canonical(1)
 FORM4 = CosymplecticForm.canonical(2)
@@ -247,7 +249,7 @@ def test_combination_bracket_closed_form_and_fallback():
                            label="opaque")
     for fns, exact in ((members, True), ([members[0], opaque], False)):
         cset = constraint_set(fns, 4)
-        combo = _combination_bracket(cset, w, h, FORM4)
+        combo = combination_bracket(cset, w, h, FORM4)
         assert combo.uses_fd_gradient is not exact
         for z in rng.standard_normal((4, 4)):
             expected = sum(wi * poisson_bracket(f, h, z, FORM4) for wi, f in zip(w, fns))
@@ -332,7 +334,7 @@ def _sampled_chain(system, primaries, sampler, tol_weak, max_generations):
         a = np.empty((n_pts, m, n_primary))
         scales = np.empty((n_pts, m))
         for k, z in enumerate(points):
-            jac = cset.jacobian(z)
+            jac = stacked_gradients(cset, z)
             gh = h.grad(z)
             gj = jac @ form.at(z)
             b[k] = gj @ gh
@@ -367,7 +369,7 @@ def _sampled_chain(system, primaries, sampler, tol_weak, max_generations):
 
         new = []
         for u in directions:
-            cand = _combination_bracket(cset, u, h, form)
+            cand = combination_bracket(cset, u, h, form)
             if _gradient_is_new(cset.extended(new), cand, points):
                 new.append(Constraint(cand, ConstraintOrigin.CONSISTENCY))
         if not new:
@@ -386,7 +388,7 @@ def _gradient_is_new(cset, cand, points):
         gn = np.linalg.norm(g)
         if gn == 0.0:
             continue
-        existing = cset.jacobian(z)
+        existing = stacked_gradients(cset, z)
         if existing.shape[0] == 0:
             return True
         coeff, *_ = np.linalg.lstsq(existing.T, g, rcond=None)
@@ -403,7 +405,7 @@ def _sampled_classify(cset, sampler, tol_weak, form):
     points = sampler(cset)
     mag = np.zeros((len(cset), len(cset)))
     for z in points:
-        jac = cset.jacobian(z)
+        jac = stacked_gradients(cset, z)
         _require_full_rank(jac)
         mag = np.maximum(mag, _bracket_magnitudes(jac, form.at(z)))
     return _label_classes(cset, mag, tol_weak)
@@ -524,6 +526,152 @@ def test_chain_rejects_generation_cap_below_one(max_generations):
                               (circle_system, circle_pair())):
         with pytest.raises(ValueError, match="max_generations"):
             consistency_chain(system, primaries, max_generations=max_generations)
+
+
+# ---------------------------------------------------------------------------
+# The linear model against bracket functions and gradients at z
+# ---------------------------------------------------------------------------
+#
+# bracket_chain (tests/oracles.py) builds each candidate as
+# bracket_function(combination(...), H) and reads its row back; the
+# Jacobian-at-z route stacks one gradient per member. The model takes
+# both from its arrays in the same floating-point operations, so the
+# rows, matrices and brackets agree bit for bit, signed zeros included.
+
+def _coefficient_rows(cset):
+    return np.array([np.append(c.function.coefficients.lin, c.function.coefficients.const)
+                     for c in cset]).reshape(len(cset), cset.dim + 1)
+
+
+def _model_cases():
+    cases = [pytest.param(m.system, m.primaries, id=name) for name, m in (
+        ("chain-demo", chain_demo()), ("second-class-demo", second_class_demo()),
+        ("regular-demo", regular_demo()))]
+    modes = [maxwell_mode(k) for k in ([0.0, 2.0, 0.0], [1.0, -0.5, 0.3], [0.3, 0.7, -1.2])]
+    cases += [pytest.param(m.system, m.primaries, id=f"maxwell-{i}") for i, m in enumerate(modes)]
+    return cases + [
+        pytest.param(_dim4_chain_system(), constraint_set([coord(4, 3, "p2")], 4), id="dim4"),
+        pytest.param(_dim6_chain_system(), constraint_set([coord(6, 5, "p3")], 6), id="dim6"),
+        pytest.param(_left_null_system(),
+                     constraint_set([coord(6, 3, "p1"), coord(6, 0, "q1"), coord(6, 5, "p3")], 6),
+                     id="left-null-space"),
+    ]
+
+
+def _routes(system, primaries, z, pairs, fixings=()):
+    """(chain, classes, commutation matrix, Dirac brackets) by the model and by
+    the oracles, the classes onward of the chain extended by the fixings; a
+    ChainTerminationError, ValueError or AmbiguousClassificationError in
+    place of what it stopped, and None for brackets of a singular matrix."""
+    form = system.form
+    j = form.at(None)
+
+    def model_route():
+        chain = consistency_chain(system, primaries).extended(fixings)
+        classes = classify_constraints(chain, form=form)
+        mat = commutation_matrix(chain, z, form)
+        brackets = ([dirac_bracket(f, g, chain, z, form) for f, g in pairs]
+                    if mat.is_invertible() else None)
+        return chain, classes, mat.entries, brackets
+
+    def oracle_route():
+        chain = bracket_chain(system, primaries).extended(fixings)
+        g = stacked_gradients(chain, z)
+        classes = chain
+        if len(chain):
+            _require_full_rank(g)
+            classes = _label_classes(chain, _bracket_magnitudes(g, j), 1e-8)
+        entries = g @ j @ g.T
+        np.fill_diagonal(entries, 0.0)
+        mat = CommutationMatrix(entries)
+        brackets = None
+        if mat.is_invertible():
+            brackets = [float(f.grad(z) @ j @ f2.grad(z))
+                        - float((f.grad(z) @ j @ g.T) @ mat.solve(g @ j @ f2.grad(z)))
+                        for f, f2 in pairs]
+        return chain, classes, entries, brackets
+
+    found = []
+    for route in (model_route, oracle_route):
+        try:
+            found.append(route())
+        except (ChainTerminationError, AmbiguousClassificationError, ValueError) as exc:
+            found.append(exc)
+    return found
+
+
+def _assert_routes_agree(model, oracle):
+    if isinstance(oracle, Exception):
+        assert type(model) is type(oracle) and str(model) == str(oracle)
+        return
+    (chain, classes, entries, brackets), (chain_o, classes_o, entries_o, brackets_o) = model, oracle
+    assert chain.labels == chain_o.labels
+    assert [c.origin for c in chain] == [c.origin for c in chain_o]
+    assert _coefficient_rows(chain).tobytes() == _coefficient_rows(chain_o).tobytes()
+    assert [c.class_label for c in classes] == [c.class_label for c in classes_o]
+    assert entries.tobytes() == entries_o.tobytes()
+    assert brackets == brackets_o
+
+
+def _coordinate_pairs(dim):
+    coords = [coord(dim, i) for i in range(dim)]
+    return [(coords[a], coords[b]) for a in range(dim) for b in range(a + 1, dim)]
+
+
+@pytest.mark.parametrize("system,primaries", _model_cases())
+def test_model_route_equals_bracket_functions_and_gradients(system, primaries):
+    dim = primaries.dim
+    z = np.linspace(-0.7, 0.9, dim)
+    model, oracle = _routes(system, primaries, z, _coordinate_pairs(dim))
+    assert not isinstance(oracle, Exception)
+    _assert_routes_agree(model, oracle)
+
+
+@pytest.mark.parametrize("u", [[1.0 - 1e-13, 1e-13, 0.0], [-1.0 + 1e-13, 0.0, -3e-13],
+                               [0.6, 1e-13, -0.8]])
+def test_model_candidate_drops_and_snaps_weights_as_the_bracket_function(u):
+    """Weights within 1e-12 of 0 drop out and a lone one within 1e-12 of +-1
+    becomes exactly that, in the row as in the label."""
+    rng = np.random.default_rng(8)
+    system = HamiltonianSystem.canonical(3, _random_quadratic(rng, 6, "H"))
+    cset = constraint_set([linear_function(rng.standard_normal(6), rng.standard_normal(),
+                                           label=f"c{i}") for i in range(3)], 6)
+    row, label = LinearModel.of(system, cset).bracket_with_h(np.array(u))
+    oracle = combination_bracket(cset, np.array(u), system.hamiltonian, system.form)
+    assert label == oracle.label
+    assert row.tobytes() == _coefficient_rows(constraint_set([oracle], 6))[0].tobytes()
+
+
+@pytest.mark.parametrize("k", [[0.0, 2.0, 0.0], [1.0, -0.5, 0.3], [0.3, 0.7, -1.2]])
+def test_model_route_equals_gradients_on_the_coulomb_gauge_mode(coulomb_gauge, k):
+    """The Maxwell mode's chain with the fixings f and k.a: all four second
+    class, so the Dirac brackets are compared too."""
+    model, cset = coulomb_gauge(np.array(k))
+    fixings = cset.constraints[len(cset) - 2:]
+    found, oracle = _routes(model.system, model.primaries, model.sample_point,
+                            _coordinate_pairs(8), fixings)
+    _assert_routes_agree(found, oracle)
+    assert [c.class_label for c in found[1]] == [ConstraintClass.SECOND_CLASS] * 4
+    assert found[3] is not None
+
+
+@given(st.integers(2, 4), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_model_route_equals_bracket_functions_on_random_affine_sets(n_dof, seed, integer):
+    """Random W, w, R, r on 4 to 8 dimensions: small integers, whose
+    products are exact, or Gaussian entries."""
+    rng = np.random.default_rng(seed)
+    dim = 2 * n_dof
+
+    def draw(*shape):
+        return rng.integers(-2, 3, shape).astype(float) if integer else rng.standard_normal(shape)
+
+    quad = draw(dim, dim)
+    system = HamiltonianSystem.canonical(n_dof, quadratic_function(quad + quad.T, draw(dim)))
+    rows = draw(int(rng.integers(1, dim)), dim + 1)
+    primaries = constraint_set([linear_function(row[:-1], row[-1], label=f"c{i}")
+                                for i, row in enumerate(rows)], dim)
+    f, g = (linear_function(draw(dim)) for _ in range(2))
+    _assert_routes_agree(*_routes(system, primaries, draw(dim), [(f, g)]))
 
 
 # ---------------------------------------------------------------------------

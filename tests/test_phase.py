@@ -180,6 +180,18 @@ class TestLegendre:
             QuadraticLagrangian(w, b, k)
 
 
+def test_asymmetry_small_against_the_entries_is_refused():
+    """max |m - m^T| may reach 1e-14 (1 + max |m|) and no more: at 5e-6 the
+    gradient A z + b would differ from the derivative of z.A.z/2 + b.z."""
+    with pytest.raises(ValueError, match="must be symmetric"):
+        quadratic_function([[1.0, 1.0 + 5e-6], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="W and K symmetric"):
+        QuadraticLagrangian([[1.0, 1e-6], [0.0, 1.0]], np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="W and K symmetric"):
+        QuadraticLagrangian(np.eye(2), np.zeros((2, 2)), [[0.0, 1e-6], [0.0, 0.0]])
+    quadratic_function([[1.0, 1.0 + 2.0 ** -52], [1.0, 1.0]])
+
+
 def test_nonfinite_gradient_raises():
     f = PhaseFunction(lambda z: z[0], lambda z: np.array([np.inf, 0.0]))
     with pytest.raises(FloatingPointError):
