@@ -13,9 +13,10 @@ The exact route is linear algebra on one LinearModel of J, H = z.W.z/2 +
 w.z + w0 and [R | r] (docs/derivations.md sections 4 and 5): candidates
 u R J W | u R J w, dropped when in the span of [R | r] and admitted when
 they raise the rank of R, classes from R J R^T, and the constant
-extended flow A z + b of evolve_finite. No decision is made at sample
-points; other input is refused with ValueError. make_surface_sampler
-draws on-surface points by least squares for callers that want them.
+extended flow A z + b of evolve_finite with the H and C of its states.
+No decision is made at sample points; other input is refused with
+ValueError. make_surface_sampler draws on-surface points by least
+squares for callers that want them.
 The second-order correction takes its brackets from
 phase.bracket_function, by finite differences only for an opaque input
 or a point-dependent J (the circle pair's angle).
@@ -364,12 +365,13 @@ def _exact_rows(cset: ConstraintSet, form: CosymplecticForm,
 @dataclass(frozen=True, eq=False)
 class LinearModel:
     """The exact route of a constraint set and a system as arrays: the
-    constant J, H = z.W.z/2 + w.z + w0 as (quad, lin) = (W, w), and the
-    rows [R | r] of C = R z + r with their labels."""
+    constant J, H = z.W.z/2 + w.z + w0 as (quad, lin, const) = (W, w, w0),
+    and the rows [R | r] of C = R z + r with their labels."""
 
     j: np.ndarray
     quad: np.ndarray
     lin: np.ndarray
+    const: float
     rows: np.ndarray
     labels: tuple[str, ...]
 
@@ -378,7 +380,7 @@ class LinearModel:
         """The model, or ValueError naming why there is no exact route."""
         rows = _exact_rows(cset, system.form, system.hamiltonian)
         k = system.hamiltonian.coefficients
-        return cls(system.form.at(None), k.quad, k.lin, rows, tuple(cset.labels))
+        return cls(system.form.at(None), k.quad, k.lin, k.const, rows, tuple(cset.labels))
 
     def bracket_with_h(self, u: np.ndarray) -> tuple[np.ndarray, str]:
         """u_i [C_i, H] as its row [u R J W | u R J w] and its label. Weights
@@ -402,6 +404,11 @@ class LinearModel:
         if len(r):
             p = p - (p @ r.T) @ _commutation(r, p).solve(r @ p)
         return p @ self.quad, p @ self.lin
+
+    def values(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """H and C = R z + r at each row z of states, shapes (n,) and (n, M)."""
+        h = 0.5 * np.sum(states @ self.quad * states, axis=1) + states @ self.lin + self.const
+        return h, states @ self.rows[:, :-1].T + self.rows[:, -1]
 
 
 def _residual(rows: np.ndarray, v: np.ndarray, label: str, decision: str,
@@ -551,7 +558,14 @@ def error_correction_step(cset: ConstraintSet, z_bar, form: CosymplecticForm):
     report.converged records whether it fell below 1e-12 (1 + max |z_bar|).
     """
     z = as_phase_point(z_bar)
-    c_bar = cset.values(z)
+    delta, _, report = _correction(cset, z, cset.values(z), form)
+    return delta, report
+
+
+def _correction(cset: ConstraintSet, z: np.ndarray, c_bar: np.ndarray,
+                form: CosymplecticForm):
+    """error_correction_step at z with C(z) = c_bar given: (delta_z,
+    C(z + delta_z), report), so an iteration evaluates C once per point."""
     initial = float(np.max(np.abs(c_bar))) if len(cset) else 0.0
     report_tol = 1e-12 * (1.0 + float(np.max(np.abs(z))))
 
@@ -559,9 +573,9 @@ def error_correction_step(cset: ConstraintSet, z_bar, form: CosymplecticForm):
     eps = _commutation(jac, j).solve(c_bar)
     delta = -(j @ jac.T) @ eps
 
-    final = float(np.max(np.abs(cset.values(z + delta))))
-    report = ProjectionReport(1, initial, final, bool(final < report_tol))
-    return delta, report
+    c_next = cset.values(z + delta)
+    final = float(np.max(np.abs(c_next)))
+    return delta, c_next, ProjectionReport(1, initial, final, bool(final < report_tol))
 
 
 def project_to_constraint_surface(cset: ConstraintSet, z_bar, tol: float = 1e-12,
@@ -569,7 +583,8 @@ def project_to_constraint_surface(cset: ConstraintSet, z_bar, tol: float = 1e-12
                                   form: CosymplecticForm | None = None):
     """Iterate error_correction_step until max |C_A| < tol.
 
-    Barred constraint values are recomputed each pass. Non-convergence
+    The constraint values are evaluated once per iterate: those at
+    z + delta_z of one step are the barred values of the next. Non-convergence
     is reported through the returned ProjectionReport, not an exception;
     a singular commutation matrix still raises GaugeNotFixedError.
     """
@@ -579,12 +594,13 @@ def project_to_constraint_surface(cset: ConstraintSet, z_bar, tol: float = 1e-12
     if form is None:
         form = CosymplecticForm.canonical(cset.dim // 2)
     z = as_phase_point(z_bar).astype(float).copy()
-    initial = float(np.max(np.abs(cset.values(z)))) if len(cset) else 0.0
+    c = cset.values(z)
+    initial = float(np.max(np.abs(c))) if len(cset) else 0.0
     if initial < tol:
         return z, ProjectionReport(0, initial, initial, True)
     final = initial
     for it in range(1, max_iter + 1):
-        delta, step = error_correction_step(cset, z, form)
+        delta, c, step = _correction(cset, z, c, form)
         z = z + delta
         final = step.final_norm
         if final < tol:

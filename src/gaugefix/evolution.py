@@ -493,15 +493,17 @@ def evolve_finite(system: HamiltonianSystem, z0, dt: float, t_end: float,
     Without constraints this integrates the plain Hamiltonian flow. With
     a (second-class) constraint set the flow is extended by the
     gauge-fixed multiplier terms, so the constraint values should stay at
-    their initial size up to integration error. On the exact route (a
-    Hamiltonian with coefficients, affine constraints, a constant form)
-    that flow is the constant A z + b of constraints.LinearModel.flow,
-    built once; otherwise the multipliers are re-solved at every stage
-    evaluation. More than MAX_LOOP_PASSES steps raise ValueError.
+    their initial size up to integration error. Either flow is the
+    constant A z + b of constraints.LinearModel.flow, built once, and the
+    recorded H and constraint values are read off the same model. Input
+    off that exact route (a Hamiltonian without coefficients, a
+    non-affine constraint, a point-dependent form) raises
+    LinearModel.of's ValueError; so do a z0 of the wrong dimension and
+    more than MAX_LOOP_PASSES steps.
     """
     # The finite half loads with its only user here, not with the field runs.
-    from .constraints import ConstraintSet, LinearModel, extended_flow
-    from .phase import as_phase_point, hamiltonian_flow
+    from .constraints import ConstraintSet, LinearModel
+    from .phase import as_phase_point
 
     n_steps = _step_count(dt, t_end)
     if stride < 1:
@@ -509,65 +511,38 @@ def evolve_finite(system: HamiltonianSystem, z0, dt: float, t_end: float,
     if n_steps > MAX_LOOP_PASSES:
         raise ValueError(f"run needs {n_steps:.3g} steps, more than the limit of {MAX_LOOP_PASSES}")
 
-    z = as_phase_point(z0).astype(float).copy()
-    try:
-        model = LinearModel.of(system, ConstraintSet((), 2 * system.n_dof)
-                               if constraint_set is None else constraint_set)
-    except ValueError:
-        model = None
-    if model is not None:
-        a, b = model.flow()
+    z = as_phase_point(z0)
+    if z.size != 2 * system.n_dof:
+        raise ValueError(f"point has dimension {z.size}, system expects {2 * system.n_dof}")
+    model = LinearModel.of(system, ConstraintSet((), z.size)
+                           if constraint_set is None else constraint_set)
+    a, b = model.flow()
 
-        def rhs(pt):
-            return a @ pt + b
-    elif constraint_set is None:
-        def rhs(pt):
-            return hamiltonian_flow(system, pt)
-    else:
-        def rhs(pt):
-            return extended_flow(system, constraint_set, pt)
-
-    ts, zs = [], []
-
-    def record(t, pt):
-        ts.append(t)
-        zs.append(pt.copy())
-
-    record(0.0, z)
-    aborted = False
+    # Each step makes a new z and nothing is written in place, so the
+    # states are recorded as they are: zs[-1] is z when z is recorded.
+    ts, zs = [0.0], [z]
     abort_time = None
-    last_recorded = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
-            try:
-                k1 = rhs(z)
-                k2 = rhs(z + 0.5 * dt * k1)
-                k3 = rhs(z + 0.5 * dt * k2)
-                k4 = rhs(z + dt * k3)
-                z_next = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            except (FloatingPointError, OverflowError, ValueError):
-                # z0 was validated up front, so a ValueError here is the
-                # phase-point check rejecting an intermediate state that
-                # overflowed inside a stage; treat it like any blowup.
-                z_next = np.full_like(z, np.nan)
+            k1 = a @ z + b
+            k2 = a @ (z + 0.5 * dt * k1) + b
+            k3 = a @ (z + 0.5 * dt * k2) + b
+            k4 = a @ (z + dt * k3) + b
+            z_next = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.isfinite(z_next)):
-                aborted = True
                 abort_time = (step - 1) * dt
-                if last_recorded != step - 1:
-                    record(abort_time, z)
+                if zs[-1] is not z:
+                    ts.append(abort_time)
+                    zs.append(z)
                 break
             z = z_next
             if step % stride == 0 or step == n_steps:
-                record(step * dt, z)
-                last_recorded = step
+                ts.append(step * dt)
+                zs.append(z)
 
-    states = np.array(zs)
-    # Recorded states are finite, but scalars derived from nearly
-    # overflowed ones may still saturate to inf.
-    with np.errstate(over="ignore", invalid="ignore"):
-        hvals = np.array([system.hamiltonian(pt) for pt in states])
-        cvals = None
-        if constraint_set is not None:
-            cvals = np.array([constraint_set.values(pt) for pt in states])
-    return FiniteSeries(np.array(ts), states, hvals, cvals,
-                        aborted=aborted, abort_time=abort_time)
+        states = np.array(zs)
+        # Recorded states are finite, but scalars derived from nearly
+        # overflowed ones may still saturate to inf.
+        hvals, cvals = model.values(states)
+    return FiniteSeries(np.array(ts), states, hvals, None if constraint_set is None else cvals,
+                        aborted=abort_time is not None, abort_time=abort_time)

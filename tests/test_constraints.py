@@ -17,6 +17,7 @@ from gaugefix.constraints import (
     ConstraintSet,
     GaugeNotFixedError,
     LinearModel,
+    ProjectionReport,
     SamplerError,
     _bracket_magnitudes,
     _label_classes,
@@ -861,6 +862,27 @@ def test_projection_converges_within_budget():
     assert report.iterations <= 6
     assert report.final_norm == np.max(np.abs(cset.values(z))) < 1e-12
     assert report.final_norm <= report.initial_norm
+
+
+def test_projection_evaluates_the_constraints_once_per_iterate(monkeypatch):
+    # The circle projection of the dirac_chain benchmark: 4 iterations,
+    # so C is evaluated at the start and after each step, 5 times in all.
+    cset, z_bar = circle_pair(), np.array([1.3, 0.4])
+    calls = []
+    values = ConstraintSet.values
+    monkeypatch.setattr(ConstraintSet, "values", lambda self, z: calls.append(1) or values(self, z))
+    z, report = project_to_constraint_surface(cset, z_bar, tol=1e-12, form=FORM2)
+    assert report.iterations == 4
+    assert len(calls) == 5
+    monkeypatch.undo()
+    # A hand loop of error_correction_step gives the same point and report bits.
+    z_hand = z_bar.copy()
+    initial = float(np.max(np.abs(cset.values(z_hand))))
+    for _ in range(report.iterations):
+        delta, step = error_correction_step(cset, z_hand, FORM2)
+        z_hand = z_hand + delta
+    assert np.array_equal(z, z_hand)
+    assert report == ProjectionReport(4, initial, step.final_norm, True)
 
 
 def test_projection_identity_on_surface():

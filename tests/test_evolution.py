@@ -1,4 +1,5 @@
 import functools
+import re
 import tracemalloc
 import warnings
 
@@ -7,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gaugefix import evolution, fields
-from gaugefix.constraints import consistency_chain, constraint_set, extended_flow
+from gaugefix.constraints import LinearModel, consistency_chain, constraint_set, extended_flow
 from gaugefix.evolution import (
     CSV_HEADER,
     MAX_LOOP_PASSES,
@@ -24,8 +25,14 @@ from gaugefix.fields import (
     plane_wave_spectrum,
     random_smooth_fields,
 )
-from gaugefix.phase import HamiltonianSystem, PhaseFunction, quadratic_function
-from gaugefix.toys import second_class_demo
+from gaugefix.phase import (
+    CosymplecticForm,
+    HamiltonianSystem,
+    PhaseFunction,
+    linear_function,
+    quadratic_function,
+)
+from gaugefix.toys import circle_pair, second_class_demo
 import oracles
 from oracles import kvec_table, l2_norm, peak_shift, plane_wave_initial_data, state_distance
 
@@ -409,20 +416,28 @@ def test_support_and_all_modes_carriers_agree_row_by_row(kind, stepper, data, re
     assert spectral.l2_error[-1] > 1e-6  # the comparison is not between zeros
 
 
-def every_mode_run(state, kind, stepper, dt, n_steps, reference=None, stride=1,
-                   reproject_every=None):
+def every_mode_rows(state, kind, stepper, dt, n_steps, reference=None, stride=1,
+                    reproject_every=None):
     """evolve's every-mode carrier on a stable dt: evolution._run with no moments.
 
-    Returns the rows (t first) and the final grid state.
+    Returns the rows (t first), the half spectrum at the last finite step
+    and that step.
     """
     ws = state.workspace()
     support = evolution._Support(ws)
     maps = evolution._ShellMaps(StepperKind(stepper), FormulationKind(kind), dt, support.k2)
     assert evolution._stable(StepperKind(stepper), dt * dt * ws.k2_max)
-    rows, y, step = evolution._run(state.half_spectrum(), None, maps, support, True, n_steps, dt,
-                                   stride, reproject_every, reference)
+    return evolution._run(state.half_spectrum(), None, maps, support, True, n_steps, dt,
+                          stride, reproject_every, reference)
+
+
+def every_mode_run(state, kind, stepper, dt, n_steps, reference=None, stride=1,
+                   reproject_every=None):
+    """every_mode_rows of a run that ends: the rows and the final grid state."""
+    rows, y, step = every_mode_rows(state, kind, stepper, dt, n_steps, reference, stride,
+                                    reproject_every)
     assert step == n_steps
-    return rows, FieldState(*ws.backward(y), state.domain_length)
+    return rows, FieldState(*state.workspace().backward(y), state.domain_length)
 
 
 def overflowing_later(n, longitudinal):
@@ -463,6 +478,46 @@ def test_moment_overflow_mid_run_is_recorded_silently(longitudinal, dt, t_end):
     assert np.all(np.isfinite(series.energy))
     energies = [oracles.energy(oracle[step]) for step in np.rint(series.t / dt).astype(int)]
     assert_allclose(series.energy, energies, rtol=1e-12)
+
+
+@pytest.mark.parametrize("t_end, stride, rows, aborted", [
+    (5e9, 10 ** 8, 101, False), (2e16, 10 ** 14, 141, True)])
+def test_moment_carrier_giving_up_mid_run_restarts_on_every_mode(monkeypatch, t_end, stride,
+                                                                  rows, aborted):
+    # pi_x = 1e290 cos x: the moments bound the state below 2^1000 at t = 0,
+    # and A_L = t pi_L carries it past that bound after some steps. The
+    # moment carrier then gives up, and the run starts again from step 0
+    # on every mode; the longer run overflows there at t = 7e15.
+    n, dt = 8, 0.5
+    x, _, _ = fields.grid_coordinates(n, TWO_PI)
+    pi = np.zeros((3, n, n, n))
+    pi[0] = 1e290 * np.cos(x)
+    state = FieldState(np.zeros_like(pi), pi, TWO_PI)
+    runs, congruences = [], []
+    run, congruence = evolution._run, evolution._congruence
+
+    def counted_run(y, g, *args):
+        result = run(y, g, *args)
+        runs.append((g is not None, result is None))
+        return result
+
+    monkeypatch.setattr(evolution, "_run", counted_run)
+    monkeypatch.setattr(evolution, "_congruence",
+                        lambda *a: congruences.append(1) or congruence(*a))
+    series = evolve(state, "canonical", "rk4", dt, t_end, stride=stride)
+    # (with moments, gave up): the moment carrier, then the every-mode one.
+    assert runs == [(True, True), (False, False)]
+    assert congruences, "the moment carrier gave up at step 0, not mid-run"
+    assert len(series.t) == rows and series.aborted is aborted
+    monkeypatch.undo()
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected, _, step = every_mode_rows(state, "canonical", "rk4", dt,
+                                            int(round(t_end / dt)), stride=stride)
+    if aborted:
+        assert series.abort_time == step * dt == 7e15
+    columns = (series.t, series.energy, series.norm_divA, series.norm_divPi,
+               series.norm_A_L, series.norm_pi_L, series.l2_error)
+    assert np.array_equal(np.column_stack(columns), expected, equal_nan=True)
 
 
 def test_moment_path_rescales_support_rows_that_overflow():
@@ -997,20 +1052,54 @@ class TestEvolveFinite:
         assert series.abort_time is not None
         assert np.all(np.isfinite(series.states[-1]))
 
-    def test_quartic_blowup_mid_derivative(self):
-        # q' = p, p' = q^3 escapes to infinity in finite time; eventually
-        # the cubed coordinate overflows inside a stage derivative,
-        # exercising the non-finite-derivative path rather than the
-        # post-step NaN check.
-        h = PhaseFunction(
+    def test_abort_between_recorded_steps_records_the_last_finite_state(self):
+        system = self.oscillator()
+        every = evolve_finite(system, [1.0, 0.0], 10.0, 5000.0)
+        abort_step = int(round(every.abort_time / 10.0))
+        stride = 7
+        assert abort_step % stride, "the abort must fall between recorded steps"
+        series = evolve_finite(system, [1.0, 0.0], 10.0, 5000.0, stride=stride)
+        assert series.aborted and series.abort_time == every.abort_time
+        assert series.t.tolist() == [10.0 * s for s in range(0, abort_step, stride)] + [
+            every.abort_time]
+        assert np.array_equal(series.states, every.states[list(range(0, abort_step, stride))
+                                                           + [abort_step]])
+        assert np.all(np.isfinite(series.states[-1]))
+
+    def test_input_off_the_exact_route_is_refused(self):
+        # Each raises the ValueError that the chain raises for the same input.
+        quartic = HamiltonianSystem.canonical(1, PhaseFunction(
             lambda z: 0.5 * float(z[1]) ** 2 - 0.25 * float(z[0]) ** 4,
-            lambda z: np.array([-float(z[0]) ** 3, float(z[1])]),
-            label="H",
-        )
-        system = HamiltonianSystem.canonical(1, h)
-        series = evolve_finite(system, [3.0, 0.0], 0.5, 500.0)
-        assert series.aborted
-        assert series.abort_time is not None and series.abort_time < 500.0
+            lambda z: np.array([-float(z[0]) ** 3, float(z[1])]), label="H"))
+        oscillator = self.oscillator()
+        j0 = oscillator.form.at(None)
+        curved = HamiltonianSystem(1, oscillator.hamiltonian, CosymplecticForm(
+            matrix_fn=lambda z: (1.0 + z[0] ** 2) * j0))
+        p = constraint_set([linear_function([0.0, 1.0], label="p")], 2)
+        for system, cset in ((quartic, None), (oscillator, circle_pair()), (curved, None)):
+            with pytest.raises(ValueError) as chain_error:
+                consistency_chain(system, p if cset is None else cset)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(chain_error.value))}$"):
+                evolve_finite(system, [1.0, 0.0], 0.1, 1.0, constraint_set=cset)
+
+    def test_dimension_of_z0_is_checked_before_any_step(self, monkeypatch):
+        monkeypatch.setattr(LinearModel, "flow", lambda self: pytest.fail("stepped"))
+        with pytest.raises(ValueError, match=r"^point has dimension 4, system expects 2$"):
+            evolve_finite(self.oscillator(), [1.0, 0.0, 0.0, 0.0], 0.1, 1.0)
+
+    def test_recorded_h_and_constraints_equal_the_pointwise_values(self, coulomb_gauge):
+        demo = second_class_demo()
+        cases = [(demo.system, consistency_chain(demo.system, demo.primaries),
+                  demo.sample_point + [0.1, -0.2, 0.3, 0.4])]
+        for k in ([0.0, 2.0, 0.0], [1.0, -0.5, 0.3], [0.3, 0.7, -1.2]):
+            model, cset = coulomb_gauge(np.array(k))
+            cases.append((model.system, cset, np.array([0.3, -0.4, 0.2, 0.5, -0.1, 0.6, 0.3, 0.0])))
+        for system, cset, z0 in cases:
+            series = evolve_finite(system, z0, 0.01, 10.0, constraint_set=cset)
+            h = np.array([system.hamiltonian(z) for z in series.states])
+            assert_allclose(series.hamiltonian, h, rtol=0, atol=1e-14 * np.abs(h).max())
+            assert np.array_equal(series.constraint_values,
+                                  np.array([cset.values(z) for z in series.states]))
 
     def test_validation(self):
         system = self.oscillator()
