@@ -377,7 +377,11 @@ class LinearModel:
 
     @classmethod
     def of(cls, system: HamiltonianSystem, cset: ConstraintSet) -> "LinearModel":
-        """The model, or ValueError naming why there is no exact route."""
+        """The model, or ValueError naming why there is no exact route or
+        that cset's phase dimension is not the system's."""
+        if cset.dim != 2 * system.n_dof:
+            raise ValueError(f"the constraint set has phase dimension {cset.dim}, "
+                             f"the system {2 * system.n_dof}")
         rows = _exact_rows(cset, system.form, system.hamiltonian)
         k = system.hamiltonian.coefficients
         return cls(system.form.at(None), k.quad, k.lin, k.const, rows, tuple(cset.labels))

@@ -1082,6 +1082,16 @@ class TestEvolveFinite:
             with pytest.raises(ValueError, match=f"^{re.escape(str(chain_error.value))}$"):
                 evolve_finite(system, [1.0, 0.0], 0.1, 1.0, constraint_set=cset)
 
+    def test_constraint_set_of_another_dimension_is_refused(self):
+        system = self.oscillator()
+        cset = constraint_set([linear_function([0, 0, 0, 1], label="p2")], 4)
+        message = r"^the constraint set has phase dimension 4, the system 2$"
+        for call in (lambda: LinearModel.of(system, cset),
+                     lambda: evolve_finite(system, [1.0, 0.0], 0.1, 1.0, constraint_set=cset),
+                     lambda: consistency_chain(system, cset)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
     def test_dimension_of_z0_is_checked_before_any_step(self, monkeypatch):
         monkeypatch.setattr(LinearModel, "flow", lambda self: pytest.fail("stepped"))
         with pytest.raises(ValueError, match=r"^point has dimension 4, system expects 2$"):
