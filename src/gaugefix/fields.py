@@ -251,23 +251,17 @@ def _extent(q: np.ndarray):
     return np.max(np.abs(ends)), np.isfinite(ends).all()
 
 
-def overflow_shift(y_hat: np.ndarray, extent=None) -> int | None:
-    """The power of two that scales y_hat's peak near 2^256 (-256 for 0); None if not
-    finite. extent is y_hat's _extent where it is already taken."""
-    peak, finite = extent or _extent(y_hat)
+def overflow_shift(y_hat: np.ndarray) -> int | None:
+    """The power of two that scales y_hat's peak near 2^256 (-256 for 0); None if not finite."""
+    peak, finite = _extent(y_hat)
     return int(np.frexp(peak)[1]) - 256 if finite else None
-
-
-def _band_shift(exponent: int, near: int) -> int:
-    """0 for a peak of np.frexp exponent `exponent` in [2^-400, 2^400), whose squares add up
-    in float64 as they are; else the power of two, at least -1021, that divides it near 2^near."""
-    return 0 if -400 < exponent <= 400 else max(exponent - near, -1021)
 
 
 def row_lift(y_hat: np.ndarray) -> int:
     """The power of two that Modes.rows reads a run's states at: -overflow_shift(y_hat)
     (at most 1021) where y_hat's peak is outside [2^-400, 2^400), else 0."""
-    return -_band_shift((overflow_shift(y_hat) or 0) + 256, 256)
+    shift = overflow_shift(y_hat) or 0
+    return 0 if -400 < shift + 256 <= 400 else min(-shift, 1021)
 
 
 def _coef(v: np.ndarray, kvec, inv_k2, field_shift) -> np.ndarray:
@@ -475,25 +469,34 @@ def _plane_k(ws: SpectralWorkspace, x: int) -> tuple:
     return kx[x], ky[0], kz[0]
 
 
-def _div_norm(f_hat: np.ndarray, ws: SpectralWorkspace, squares: np.ndarray,
-              extent=None) -> float:
+def _ldexp(z: np.ndarray, n: int) -> np.ndarray:
+    """z 2^n, each part rounded once: np.ldexp on the real and imaginary parts."""
+    out = np.empty_like(z)
+    np.ldexp(z.real, n, out=out.real)
+    np.ldexp(z.imag, n, out=out.imag)
+    return out
+
+
+def _div_norm(f_hat: np.ndarray, ws: SpectralWorkspace, squares: np.ndarray) -> float:
     """div_norm_hat(f_hat, ws), one kx plane at a time through squares, an (N, N, N/2+1) buffer.
 
     The weighted squares of k . f^ fill squares plane by plane, and one np.sum
     adds them as it adds a whole array. f^ is read at one power of two, 2^-e,
-    and the norm scaled back by 2^e. e is 0 while f^'s peak (from extent, its
-    _extent, where already taken) times the largest |k|, by the sum of their
-    exponents, lies in [2^-400, 2^400): no k . f^ overflows and the largest
-    squares do not underflow. Else 2^-e brings that product near 1. The norm
-    of f^ 2^j is then the norm of f^ times 2^j.
+    and the norm scaled back by 2^e. e is 0 while f^'s peak times the largest
+    |k|, by the sum of their exponents, lies in [2^-400, 2^400): no k . f^
+    overflows and the largest squares do not underflow. Else 2^-e brings that
+    product near 1. The cell factor ws.scale enters as m 4^h, m in [0.5, 2),
+    so its product with the sum neither under- nor overflows. The norm of
+    f^ 2^j is then the norm of f^ times 2^j.
     """
-    peak = (extent or _extent(f_hat))[0]
-    e = _band_shift(int(np.sum(np.frexp([peak, np.sqrt(ws.k2_max)])[1])), 0)
+    e = int(np.sum(np.frexp([_extent(f_hat)[0], np.sqrt(ws.k2_max)])[1]))
+    e = 0 if -400 < e <= 400 else e
+    h = int(np.frexp(ws.scale)[1]) // 2
     for x in range(ws.grid_n):
-        dot = k_dot(f_hat[:, x] * np.ldexp(1.0, -e) if e else f_hat[:, x], _plane_k(ws, x))
+        dot = k_dot(_ldexp(f_hat[:, x], -e) if e else f_hat[:, x], _plane_k(ws, x))
         np.multiply(ws.plane_weight, _abs2(dot), out=squares[x])
     with np.errstate(over="ignore"):
-        return float(np.ldexp(np.sqrt(ws.scale * np.sum(squares)), e))
+        return float(np.ldexp(np.sqrt(np.ldexp(ws.scale, -2 * h) * np.sum(squares)), e + h))
 
 
 def div_norm_hat(f_hat: np.ndarray, ws: SpectralWorkspace) -> float:
@@ -501,14 +504,13 @@ def div_norm_hat(f_hat: np.ndarray, ws: SpectralWorkspace) -> float:
     return _div_norm(f_hat, ws, np.empty(f_hat.shape[1:]))
 
 
-def _remove_longitudinal(f_hat: np.ndarray, ws: SpectralWorkspace, extent=None) -> np.ndarray:
+def _remove_longitudinal(f_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
     """The one whole-spectrum projection: Modes(ws).split(f_hat)[0] bit for bit, into f_hat.
 
     Any leading axes, one kx plane at a time, with k^2 made per plane (no table).
-    Modes.coef's scale for a k . f^ that overflows is taken over all of f^ first,
-    from extent, f_hat's _extent, where it is already taken.
+    Modes.coef's scale for a k . f^ that overflows is taken over all of f^ first.
     """
-    shift = overflow_shift(f_hat, extent)
+    shift = overflow_shift(f_hat)
     for x in range(ws.grid_n):
         kvec = _plane_k(ws, x)
         k2 = kvec[0] ** 2 + kvec[1] ** 2 + kvec[2] ** 2
@@ -853,15 +855,15 @@ def project_snapshot(src, dst):
     spectrum, and nothing else field-sized, so the snapshot is never held
     whole. Each component is read, checked and transformed; the field's
     constraint norm before comes from its half spectrum, and its
-    longitudinal part is removed there, both scaled from one read of its
-    peak and one kx plane at a time with k^2 made per plane (no k^2 table),
-    the norm's squares in the grid buffer. Each component then goes back to
-    the grid, its transform running in place in the component's spectrum,
-    which the next forward transform writes over; it is checked, appended
-    to a new file beside dst and transformed again, so the norm after is
-    that of the field as written. Norms are by Parseval. The fields written
-    equal those of correct_initial_data(a, pi, L) bit for bit, and the
-    norms those of div_norm_hat.
+    longitudinal part is removed there, both one kx plane at a time with
+    k^2 made per plane (no k^2 table), the norm's squares in the grid
+    buffer. Each component then goes back to the grid, its transform
+    running in place in the component's spectrum, which the next forward
+    transform writes over; it is checked, appended to a new file beside
+    dst and transformed again, so the norm after is that of the field as
+    written. Norms are by Parseval. The fields written equal those of
+    correct_initial_data(a, pi, L) bit for bit, and the norms those of
+    div_norm_hat.
 
     src may be a pipe. Only a complete projection replaces dst (through a
     symbolic link, as open(dst, "wb") would write), keeping an existing
@@ -902,9 +904,8 @@ def project_snapshot(src, dst):
                                 raise SnapshotFormatError(f"snapshot {snap.path} payload invalid: "
                                                           "field values must be finite")
                             ws.forward(grid, out=part)
-                        extent = _extent(f_hat)
-                        before.append(_div_norm(f_hat, ws, squares, extent))
-                        _remove_longitudinal(f_hat, ws, extent)
+                        before.append(_div_norm(f_hat, ws, squares))
+                        _remove_longitudinal(f_hat, ws)
                         for part in f_hat:
                             ws._inverse(part, part, grid)  # part is written over next
                             if not np.isfinite(grid).all():

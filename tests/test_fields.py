@@ -169,23 +169,31 @@ def test_l2_norm_of_constant():
 
 
 @pytest.mark.parametrize("shift", [-900, -600, -560, -450, 450, 530, 600, 900])
-def test_norms_of_data_past_the_square_range(shift, tmp_path):
+@pytest.mark.parametrize("length", [TWO_PI, 1e-60], ids=["2pi", "1e-60"])
+def test_norms_of_data_past_the_square_range(length, shift, tmp_path, request):
     # Squares of these values over- or underflow although the norms do not:
     # each norm of the data scaled by 2^shift is the norm scaled by 2^shift,
-    # the spectral ones bit for bit.
-    a, pi = random_smooth_fields(np.random.default_rng(0), 16, TWO_PI)
-    state = FieldState(a, pi, TWO_PI)
-    scaled = FieldState(np.ldexp(a, shift), np.ldexp(pi, shift), TWO_PI)
-    assert_allclose(l2_norm(scaled.a, TWO_PI), np.ldexp(l2_norm(a, TWO_PI), shift), rtol=1e-14)
+    # the spectral ones bit for bit. At L = 1e-60 the largest |k| is near
+    # 2^206 and the cell factor near 2^-621, so the exponent of the spectrum
+    # read passes 1074 at shift 900, and the squares' sum at its own scale
+    # underflows at shift -450.
+    a, pi = random_smooth_fields(np.random.default_rng(0), 16, length)
+    state = FieldState(a, pi, length)
+    scaled = FieldState(np.ldexp(a, shift), np.ldexp(pi, shift), length)
+    assert_allclose(l2_norm(scaled.a, length), np.ldexp(l2_norm(a, length), shift), rtol=1e-14)
     ws = state.workspace()
     f_hat = ws.forward(a)
     unit = div_norm_hat(f_hat, ws)
     assert div_norm_hat(np.ldexp(1.0, shift) * f_hat, ws) == np.ldexp(unit, shift)
+    if length < 1 and shift == -900:
+        # k . f^ / k^2 is below 2^-1074: the projection removes nothing.
+        request.applymarker(pytest.mark.xfail(strict=True, reason="longitudinal "
+                                              "coefficient underflows"))
     norms, _ = project_files(state, tmp_path)
     assert np.array_equal(project_files(scaled, tmp_path)[0], np.ldexp(norms, shift))
     constant = np.full((3, 8, 8, 8), np.ldexp(1.0, shift))
-    assert l2_norm(constant, TWO_PI) == pytest.approx(
-        np.ldexp(np.sqrt(constant.size), shift) * (TWO_PI / 8) ** 1.5, rel=1e-14)
+    assert l2_norm(constant, length) == pytest.approx(
+        np.ldexp(np.sqrt(constant.size), shift) * (length / 8) ** 1.5, rel=1e-14)
 
 
 def test_norm_and_energy_where_the_cell_volume_overflows():
