@@ -9,17 +9,18 @@ A set of affine constraints C = R z + r caches its rows [R | r]
 (ConstraintSet.rows), and G is that R at every point; other sets take
 one gradient per constraint at the point.
 
-The exact route is linear algebra on one LinearModel of J, H = z.W.z/2 +
-w.z + w0 and [R | r] (docs/derivations.md sections 4 and 5): candidates
-u R J W | u R J w, dropped when in the span of [R | r] and admitted when
-they raise the rank of R, classes from R J R^T, and the constant
-extended flow A z + b of evolve_finite with the H and C of its states.
-No decision is made at sample points; other input is refused with
+The exact route is linear algebra on one LinearModel of the constant J,
+H = z.W.z/2 + w.z + w0 and [R | r] (docs/derivations.md sections 4 and
+5): candidates u R J W | u R J w, dropped when in the span of [R | r]
+and admitted when they raise the rank of R, classes from R J R^T, and
+the constant extended flow A z + b of evolve_finite with the H and C of
+its states. No decision is made at sample points; a non-affine
+constraint or a Hamiltonian without coefficients is refused with
 ValueError. make_surface_sampler draws on-surface points by least
 squares for callers that want them.
 The second-order correction takes its brackets from
 phase.bracket_function, by finite differences only for an opaque input
-or a point-dependent J (the circle pair's angle).
+(the circle pair's angle).
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ def _commutation(jac: np.ndarray, j: np.ndarray) -> CommutationMatrix:
 def commutation_matrix(cset: ConstraintSet, z, form: CosymplecticForm) -> CommutationMatrix:
     """All mutual Poisson brackets of the set's members at z."""
     z = as_phase_point(z)
-    return _commutation(cset.jacobian(z), form.at(z))
+    return _commutation(cset.jacobian(z), form.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +290,10 @@ def consistency_chain(system: HamiltonianSystem, primaries: ConstraintSet,
     bracket matrix spawns the candidates. A candidate is dropped when its
     row lies in the span of the existing rows and admitted when its
     linear part raises their rank; a residual within a factor 10 of
-    tol_weak raises AmbiguousClassificationError. Input off the exact
-    route (LinearModel.of) raises ValueError naming the reason. sampler
-    is ignored: no decision is made at sample points.
+    tol_weak raises AmbiguousClassificationError. A non-affine constraint
+    or a Hamiltonian without coefficients raises LinearModel.of's
+    ValueError naming it. sampler is ignored: no decision is made at
+    sample points.
 
     Raises ChainTerminationError if the chain is still growing after
     max_generations, or if a residual can neither be absorbed nor yield
@@ -347,8 +349,7 @@ def _is_affine(f: PhaseFunction, dim: int) -> bool:
     return k is not None and k.lin.size == dim and not k.quad.any()
 
 
-def _exact_rows(cset: ConstraintSet, form: CosymplecticForm,
-                hamiltonian: PhaseFunction | None = None) -> np.ndarray:
+def _exact_rows(cset: ConstraintSet, hamiltonian: PhaseFunction | None = None) -> np.ndarray:
     """cset.rows, or ValueError naming why there is no exact route."""
     if cset.rows is None:
         i, c = next((i, c) for i, c in enumerate(cset) if not _is_affine(c.function, cset.dim))
@@ -357,8 +358,6 @@ def _exact_rows(cset: ConstraintSet, form: CosymplecticForm,
     if hamiltonian is not None and hamiltonian.coefficients is None:
         raise ValueError(f"the Hamiltonian {hamiltonian.label} has no polynomial "
                          "coefficients")
-    if not form.is_constant:
-        raise ValueError("the cosymplectic form is point-dependent")
     return cset.rows
 
 
@@ -377,14 +376,15 @@ class LinearModel:
 
     @classmethod
     def of(cls, system: HamiltonianSystem, cset: ConstraintSet) -> "LinearModel":
-        """The model, or ValueError naming why there is no exact route or
-        that cset's phase dimension is not the system's."""
+        """The model, or ValueError naming a non-affine constraint, a
+        Hamiltonian without coefficients, or a phase dimension of cset
+        other than the system's."""
         if cset.dim != 2 * system.n_dof:
             raise ValueError(f"the constraint set has phase dimension {cset.dim}, "
                              f"the system {2 * system.n_dof}")
-        rows = _exact_rows(cset, system.form, system.hamiltonian)
+        rows = _exact_rows(cset, system.hamiltonian)
         k = system.hamiltonian.coefficients
-        return cls(system.form.at(None), k.quad, k.lin, k.const, rows, tuple(cset.labels))
+        return cls(system.form.matrix, k.quad, k.lin, k.const, rows, tuple(cset.labels))
 
     def bracket_with_h(self, u: np.ndarray) -> tuple[np.ndarray, str]:
         """u_i [C_i, H] as its row [u R J W | u R J w] and its label. Weights
@@ -458,18 +458,18 @@ def classify_constraints(cset: ConstraintSet, sampler=None, tol_weak: float = 1e
     A constraint is first class when its bracket with every other member
     vanishes weakly, read off the constant R J R^T of the cached rows.
     Magnitudes within a factor of ten of tol_weak on either side are
-    refused as ambiguous. Non-affine members or a point-dependent form
-    (canonical by default) raise ValueError naming the reason, and so
-    does a dependent set. sampler is ignored.
+    refused as ambiguous. form is canonical by default. A non-affine
+    member raises ValueError naming it, and so does a dependent set.
+    sampler is ignored.
     """
     _check_tolerance("tol_weak", tol_weak)
     if len(cset) == 0:
         return cset
     if form is None:
         form = CosymplecticForm.canonical(cset.dim // 2)
-    rows = _exact_rows(cset, form)
+    rows = _exact_rows(cset)
     _require_full_rank(rows[:, :-1])
-    return _label_classes(cset, _bracket_magnitudes(rows[:, :-1], form.at(None)), tol_weak)
+    return _label_classes(cset, _bracket_magnitudes(rows[:, :-1], form.matrix), tol_weak)
 
 
 def _bracket_magnitudes(jac: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -508,7 +508,7 @@ def dirac_bracket(f: PhaseFunction, g: PhaseFunction, cset: ConstraintSet, z,
     gauge freedom is unfixed and raises GaugeNotFixedError.
     """
     z = as_phase_point(z)
-    jac, j = cset.jacobian(z), form.at(z)
+    jac, j = cset.jacobian(z), form.matrix
     gf, gg = f.grad(z), g.grad(z)
     correction = 0.0
     if len(cset):
@@ -526,7 +526,7 @@ def gauge_fixed_multipliers(cset: ConstraintSet, system: HamiltonianSystem,
     transports the constraint surface into itself to first order.
     """
     z = as_phase_point(z)
-    return _multipliers(cset.jacobian(z), system.form.at(z), system.hamiltonian.grad(z))
+    return _multipliers(cset.jacobian(z), system.form.matrix, system.hamiltonian.grad(z))
 
 
 def _multipliers(jac: np.ndarray, j: np.ndarray, gh: np.ndarray) -> np.ndarray:
@@ -536,7 +536,7 @@ def _multipliers(jac: np.ndarray, j: np.ndarray, gh: np.ndarray) -> np.ndarray:
 def extended_flow(system: HamiltonianSystem, cset: ConstraintSet, z) -> np.ndarray:
     """Flow J (grad H + G^T Lambda) of H + Lambda . C, multipliers taken at z."""
     z = as_phase_point(z)
-    jac, j, gh = cset.jacobian(z), system.form.at(z), system.hamiltonian.grad(z)
+    jac, j, gh = cset.jacobian(z), system.form.matrix, system.hamiltonian.grad(z)
     return j @ (gh + jac.T @ _multipliers(jac, j, gh))
 
 
@@ -573,7 +573,7 @@ def _correction(cset: ConstraintSet, z: np.ndarray, c_bar: np.ndarray,
     initial = float(np.max(np.abs(c_bar))) if len(cset) else 0.0
     report_tol = 1e-12 * (1.0 + float(np.max(np.abs(z))))
 
-    jac, j = cset.jacobian(z), form.at(z)
+    jac, j = cset.jacobian(z), form.matrix
     eps = _commutation(jac, j).solve(c_bar)
     delta = -(j @ jac.T) @ eps
 

@@ -495,9 +495,8 @@ def evolve_finite(system: HamiltonianSystem, z0, dt: float, t_end: float,
     gauge-fixed multiplier terms, so the constraint values should stay at
     their initial size up to integration error. Either flow is the
     constant A z + b of constraints.LinearModel.flow, built once, and the
-    recorded H and constraint values are read off the same model. Input
-    off that exact route (a Hamiltonian without coefficients, a
-    non-affine constraint, a point-dependent form) raises
+    recorded H and constraint values are read off the same model. A
+    Hamiltonian without coefficients or a non-affine constraint raises
     LinearModel.of's ValueError; so do a z0 of the wrong dimension and
     more than MAX_LOOP_PASSES steps.
     """

@@ -3,16 +3,17 @@
 Phase points are plain 1-d numpy arrays of length 2N ordered as
 (q^1 .. q^N, p_1 .. p_N). The Poisson bracket convention is
 
-    [f, g](z) = grad(f) . J(z) . grad(g)
+    [f, g](z) = grad(f) . J . grad(g)
 
-with the canonical cosymplectic matrix J = [[0, I], [-I, 0]], so that
-[q^a, p_b] = delta^a_b and Hamilton's equations read zdot = J grad(H).
+with a constant antisymmetric J (CosymplecticForm), canonically
+[[0, I], [-I, 0]], so that [q^a, p_b] = delta^a_b and Hamilton's
+equations read zdot = J grad(H).
 
 Linear and quadratic phase functions and their weighted sums
-(combination) carry their coefficients; under a constant J
-bracket_function builds their bracket in closed form
-(docs/derivations.md section 4), and pointwise with finite-difference
-gradients otherwise. Systems enter as a HamiltonianSystem with primary
+(combination) carry their coefficients, and bracket_function builds
+their bracket in closed form (docs/derivations.md section 4); only an
+opaque function without coefficients takes the pointwise bracket with
+finite-difference gradients. Systems enter as a HamiltonianSystem with primary
 constraints, or as a QuadraticLagrangian whose exact Legendre map
 (legendre) yields both (docs/derivations.md section 3a).
 """
@@ -141,44 +142,28 @@ def quadratic_function(quad, lin=None, const: float = 0.0, label: str = "") -> P
 
 class CosymplecticForm:
     """Antisymmetric bracket kernel J, a constant matrix (canonical:
-    [[0, I], [-I, 0]]) or a callback, validated at construction or at
-    every evaluation respectively."""
+    [[0, I], [-I, 0]]), checked at construction and held as a read-only
+    copy in ``matrix``."""
 
-    def __init__(self, matrix=None, matrix_fn: Callable[[np.ndarray], np.ndarray] | None = None):
-        if (matrix is None) == (matrix_fn is None):
-            raise ValueError("provide exactly one of matrix or matrix_fn")
-        if matrix is not None:
-            matrix = self._check(np.asarray(matrix, dtype=float))
-        self._matrix = matrix
-        self._matrix_fn = matrix_fn
-
-    @staticmethod
-    def _check(j: np.ndarray) -> np.ndarray:
+    def __init__(self, matrix):
+        j = np.array(matrix, dtype=float)
         if j.ndim != 2 or j.shape[0] != j.shape[1] or j.shape[0] % 2:
             raise ValueError(f"cosymplectic matrix must be square of even size, got {j.shape}")
         scale = np.abs(j).max() or 1.0
         if np.abs(j + j.T).max() > 1e-14 * scale:
             raise ValueError("cosymplectic matrix is not antisymmetric")
-        return j
+        j.flags.writeable = False
+        self.matrix = j
 
     @classmethod
     def canonical(cls, n_dof: int) -> "CosymplecticForm":
         eye = np.eye(n_dof)
         zero = np.zeros((n_dof, n_dof))
-        return cls(matrix=np.block([[zero, eye], [-eye, zero]]))
+        return cls(np.block([[zero, eye], [-eye, zero]]))
 
     @property
-    def is_constant(self) -> bool:
-        return self._matrix is not None
-
-    @property
-    def size(self) -> int | None:
-        return None if self._matrix is None else self._matrix.shape[0]
-
-    def at(self, z) -> np.ndarray:
-        if self._matrix is not None:
-            return self._matrix
-        return self._check(np.asarray(self._matrix_fn(np.asarray(z, dtype=float)), dtype=float))
+    def size(self) -> int:
+        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -192,7 +177,7 @@ class HamiltonianSystem:
     def __post_init__(self):
         if self.n_dof < 1:
             raise ValueError("n_dof must be positive")
-        if self.form.is_constant and self.form.size != 2 * self.n_dof:
+        if self.form.size != 2 * self.n_dof:
             raise ValueError(
                 f"form size {self.form.size} does not match phase dimension {2 * self.n_dof}"
             )
@@ -207,7 +192,7 @@ def poisson_bracket(f: PhaseFunction, g: PhaseFunction, z, form: CosymplecticFor
     z = as_phase_point(z)
     gf = f.grad(z)
     gg = g.grad(z)
-    j = form.at(z)
+    j = form.matrix
     if gf.size != gg.size or j.shape[0] != gf.size:
         raise ValueError(
             f"dimension mismatch: gradients {gf.size}/{gg.size}, form {j.shape[0]}"
@@ -219,23 +204,23 @@ def bracket_function(f: PhaseFunction, g: PhaseFunction, form: CosymplecticForm,
                      label: str = "") -> PhaseFunction:
     """The bracket [f, g] as a new phase function.
 
-    For f = z.A.z/2 + a.z + alpha and g = z.B.z/2 + b.z + beta under a
-    constant J it is the polynomial with quadratic matrix AJB - BJA,
-    linear part AJb - BJa and constant a.J.b (docs/derivations.md
-    section 4), with coefficients of its own. Otherwise (an input without
-    coefficients, or a point-dependent J) its value is the pointwise
-    poisson_bracket and its gradient is taken by finite differences.
+    For f = z.A.z/2 + a.z + alpha and g = z.B.z/2 + b.z + beta it is the
+    polynomial with quadratic matrix AJB - BJA, linear part AJb - BJa and
+    constant a.J.b (docs/derivations.md section 4), with coefficients of
+    its own. When an input has no coefficients (an opaque function) its
+    value is the pointwise poisson_bracket and its gradient is taken by
+    finite differences.
     """
     label = label or f"[{f.label}, {g.label}]"
     cf, cg = f.coefficients, g.coefficients
-    if cf is None or cg is None or not form.is_constant:
+    if cf is None or cg is None:
         def value(z, f=f, g=g, form=form):
             return poisson_bracket(f, g, z, form)
 
         return PhaseFunction(value, None, label=label)
     if cf.lin.size != form.size or cg.lin.size != form.size:
         raise ValueError(f"polynomial dimension does not match form size {form.size}")
-    j = form.at(None)
+    j = form.matrix
     ajb = cf.quad @ j @ cg.quad
     # AJB - BJA, with BJA = -(AJB)^T written so the sum is exactly symmetric.
     return quadratic_function(ajb + ajb.T, cf.quad @ j @ cg.lin - cg.quad @ j @ cf.lin,
@@ -268,7 +253,7 @@ def hamiltonian_flow(system: HamiltonianSystem, z) -> np.ndarray:
     z = as_phase_point(z)
     if z.size != 2 * system.n_dof:
         raise ValueError(f"point has dimension {z.size}, system expects {2 * system.n_dof}")
-    return system.form.at(z) @ system.hamiltonian.grad(z)
+    return system.form.matrix @ system.hamiltonian.grad(z)
 
 
 # Rank cut for constant matrices: an eigenvalue that is zero in exact

@@ -312,7 +312,7 @@ def bracket_chain(system, primaries, tol_weak=1e-8, max_generations=10):
     n_primary = len(primaries)
     cset = primaries
     for _generation in range(max_generations):
-        gj = rows[:, :-1] @ form.at(None)
+        gj = rows[:, :-1] @ form.matrix
         a = gj @ rows[:n_primary, :-1].T
         directions = np.eye(len(cset)) if np.max(np.abs(a)) < tol_weak else _left_null(a)
         new = []

@@ -257,23 +257,6 @@ def test_combination_bracket_closed_form_and_fallback():
             assert combo(z) == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
 
-def test_bracket_function_fd_fallback_point_dependent_form():
-    """J(z) = (1 + q^2) J0: no closed form, so the gradient is finite-differenced."""
-    rng = np.random.default_rng(4)
-    j0 = FORM2.at(None)
-    form = CosymplecticForm(matrix_fn=lambda z: (1.0 + z[0] ** 2) * j0)
-    f, g = _random_quadratic(rng, 2, "f"), _random_quadratic(rng, 2, "g")
-    fg = bracket_function(f, g, form)
-    assert fg.uses_fd_gradient
-    a, b = f.coefficients.quad, g.coefficients.quad
-    for z in rng.standard_normal((4, 2)):
-        assert fg(z) == poisson_bracket(f, g, z, form)
-        gf, gg = f.grad(z), g.grad(z)
-        grad = (1.0 + z[0] ** 2) * (a @ j0 @ gg - b @ j0 @ gf)
-        grad[0] += 2.0 * z[0] * (gf @ j0 @ gg)
-        assert_allclose(fg.grad(z), grad, rtol=1e-7, atol=1e-8)
-
-
 def test_bracket_function_fd_fallback_opaque_function():
     """f = sin(q) has no coefficients: [f, g] = cos(q) dg/dp, gradient by FD."""
     rng = np.random.default_rng(6)
@@ -337,7 +320,7 @@ def _sampled_chain(system, primaries, sampler, tol_weak, max_generations):
         for k, z in enumerate(points):
             jac = stacked_gradients(cset, z)
             gh = h.grad(z)
-            gj = jac @ form.at(z)
+            gj = jac @ form.matrix
             b[k] = gj @ gh
             a[k] = gj @ jac[:n_primary].T
             scales[k] = 1.0 + np.linalg.norm(jac, axis=1) * np.linalg.norm(gh)
@@ -408,7 +391,7 @@ def _sampled_classify(cset, sampler, tol_weak, form):
     for z in points:
         jac = stacked_gradients(cset, z)
         _require_full_rank(jac)
-        mag = np.maximum(mag, _bracket_magnitudes(jac, form.at(z)))
+        mag = np.maximum(mag, _bracket_magnitudes(jac, form.matrix))
     return _label_classes(cset, mag, tol_weak)
 
 
@@ -485,13 +468,6 @@ def test_exact_route_never_samples_and_other_sets_still_do():
     with pytest.raises(ValueError, match="Hamiltonian H has no polynomial coefficients"):
         consistency_chain(HamiltonianSystem.canonical(2, opaque_h),
                           constraint_set([coord(4, 3, "p2")], 4))
-    j0 = FORM2.at(None)
-    varying = CosymplecticForm(matrix_fn=lambda z: (1.0 + z[0] ** 2) * j0)
-    p = constraint_set([coord(2, 1, "p")], 2)
-    with pytest.raises(ValueError, match="form is point-dependent"):
-        consistency_chain(HamiltonianSystem(1, quadratic_function(np.eye(2)), varying), p)
-    with pytest.raises(ValueError, match="form is point-dependent"):
-        classify_constraints(p, form=varying)
 
 
 def test_exact_route_refuses_a_candidate_residual_in_the_band():
@@ -565,7 +541,7 @@ def _routes(system, primaries, z, pairs, fixings=()):
     ChainTerminationError, ValueError or AmbiguousClassificationError in
     place of what it stopped, and None for brackets of a singular matrix."""
     form = system.form
-    j = form.at(None)
+    j = form.matrix
 
     def model_route():
         chain = consistency_chain(system, primaries).extended(fixings)
@@ -992,13 +968,6 @@ def _random_quadratic(rng, dim, label):
     return quadratic_function(a + a.T, lin=rng.standard_normal(dim), label=label)
 
 
-def _point_dependent_form(rng):
-    k = rng.standard_normal((4, 4))
-    k = k - k.T
-    j0 = CosymplecticForm.canonical(2).at(np.zeros(4))
-    return CosymplecticForm(matrix_fn=lambda z: j0 + 0.3 * np.sin(z[0]) * k)
-
-
 def _oracle_cases():
     rng = np.random.default_rng(11)
     quadratic = constraint_set([_random_quadratic(rng, 4, f"c{i}") for i in range(4)], 4)
@@ -1007,8 +976,6 @@ def _oracle_cases():
     return [
         pytest.param(circle_pair(), FORM2, np.array([1.3, 0.5]), fg2, id="circle_pair"),
         pytest.param(quadratic, FORM4, rng.standard_normal(4), fg4, id="quadratic"),
-        pytest.param(quadratic, _point_dependent_form(rng), rng.standard_normal(4), fg4,
-                     id="point_dependent_form"),
     ]
 
 

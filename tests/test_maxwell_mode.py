@@ -118,7 +118,7 @@ def test_flows_give_the_principal_symbols(coulomb_gauge):
     worst = 0.0
     for k in WAVEVECTORS:
         model, cset = coulomb_gauge(k)
-        j = model.system.form.at(None)
+        j = model.system.form.matrix
         hess = model.system.hamiltonian.coefficients.quad
         # Hamiltonian flow on the slice f = 0.
         canonical = _symbol((j @ hess)[np.ix_(AP, AP)], k)

@@ -38,7 +38,7 @@ def test_as_phase_point_rejects_odd_and_nonfinite():
 
 
 def test_canonical_form_blocks():
-    j = CosymplecticForm.canonical(2).at(np.zeros(4))
+    j = CosymplecticForm.canonical(2).matrix
     expected = np.array([
         [0, 0, 1, 0],
         [0, 0, 0, 1],
@@ -51,6 +51,17 @@ def test_canonical_form_blocks():
 def test_form_rejects_symmetric_matrix():
     with pytest.raises(ValueError):
         CosymplecticForm(matrix=np.eye(2))
+
+
+def test_form_holds_a_read_only_copy_of_its_matrix():
+    m = np.array([[0.0, 2.0], [-2.0, 0.0]])
+    form = CosymplecticForm(m)
+    m[0, 1] = 5.0
+    assert form.matrix.tolist() == [[0.0, 2.0], [-2.0, 0.0]] and form.size == 2
+    with pytest.raises(ValueError, match="read-only"):
+        form.matrix[0, 1] = 5.0
+    with pytest.raises(TypeError, match="matrix_fn"):
+        CosymplecticForm(matrix_fn=lambda z: m)
 
 
 def test_coordinate_momentum_bracket_is_plus_one():
@@ -220,7 +231,7 @@ def test_closed_form_bracket_matches_oracle(dim, kind):
     rng = np.random.default_rng(100 + dim)
     form = (CosymplecticForm.canonical(dim // 2) if kind == "canonical"
             else _constant_noncanonical_form(rng, dim))
-    j = form.at(None)
+    j = form.matrix
     for _ in range(20):
         f, g = _random_polynomial(rng, dim), _random_polynomial(rng, dim)
         fg = bracket_function(f, g, form)
@@ -266,8 +277,8 @@ def test_linear_function_coefficients():
 
 
 def test_bracket_function_falls_back_without_closed_form():
-    """An opaque input, also inside a combination, or a point-dependent form
-    gives the pointwise bracket with a finite-difference gradient."""
+    """An opaque input, also inside a combination, gives the pointwise
+    bracket with a finite-difference gradient."""
     f = quadratic_function(np.eye(2))
     opaque = PhaseFunction(lambda z: float(np.sin(z[0])), lambda z: np.array([np.cos(z[0]), 0.0]))
     mixed = combination([f, opaque], [2.0, -1.0])
@@ -275,11 +286,9 @@ def test_bracket_function_falls_back_without_closed_form():
     z = np.array([0.3, -0.7])
     assert mixed(z) == pytest.approx(2.0 * f(z) - opaque(z), rel=1e-15)
     assert_allclose(mixed.grad(z), 2.0 * f.grad(z) - opaque.grad(z), rtol=1e-15)
-    point_dependent = CosymplecticForm(
-        matrix_fn=lambda z: (1.0 + z[0] ** 2) * np.array([[0.0, 1.0], [-1.0, 0.0]]))
     canonical = CosymplecticForm.canonical(1)
     for a, b, form in ((f, opaque, canonical), (opaque, f, canonical),
-                       (mixed, f, canonical), (f, f, point_dependent)):
+                       (mixed, f, canonical)):
         fg = bracket_function(a, b, form)
         assert fg.coefficients is None and fg.uses_fd_gradient
         assert fg(z) == poisson_bracket(a, b, z, form)
