@@ -139,11 +139,11 @@ def _number(value, message: str) -> float:
 
 def load_config(path, seed_override: int | None = None) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if seed_override is not None:
         raw = dict(raw, seed=seed_override)
@@ -187,6 +187,11 @@ def cmd_evolve(args) -> int:
     out = args.out or cfg.out_csv
     if out is None:
         raise ConfigError("no output path: pass --out or set out_csv in the config")
+    # Checked before the run, which can take long, not when the CSV is written.
+    if os.path.isdir(out):
+        raise ConfigError(f"cannot write {out}: it is a directory")
+    if not os.path.isdir(parent := os.path.dirname(out) or "."):
+        raise ConfigError(f"cannot write {out}: {parent} is not a directory")
     state, reference = build_initial_data(cfg)
     series = evolution.evolve(
         state, cfg.formulation, cfg.stepper, cfg.dt, cfg.t_end,

@@ -172,14 +172,17 @@ def constraint_set(functions: Sequence[PhaseFunction], dim: int,
 class CommutationMatrix:
     """Mutual bracket matrix M_AB = [C_A, C_B] at a point.
 
-    Antisymmetry is a checked invariant rather than a solver assumption,
-    and a numerically singular matrix is refused before any solve.
+    Finite entries and antisymmetry are checked invariants rather than
+    solver assumptions, and a numerically singular matrix is refused
+    before any solve.
     """
 
     def __init__(self, entries: np.ndarray):
         entries = np.asarray(entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("commutation matrix must be square")
+        if not np.isfinite(entries).all():
+            raise ValueError("commutation matrix entries must be finite")
         scale = np.abs(entries).max() if entries.size else 0.0
         if entries.size and np.abs(entries + entries.T).max() > 1e-12 * (1.0 + scale):
             raise ValueError("commutation matrix is not antisymmetric to 1e-12")

@@ -111,6 +111,8 @@ def _is_symmetric(m: np.ndarray) -> bool:
 def linear_function(coeffs, const: float = 0.0, label: str = "") -> PhaseFunction:
     """Affine phase function coeffs . z + const with its exact gradient."""
     coeffs = np.asarray(coeffs, dtype=float)
+    if not (np.isfinite(coeffs).all() and np.isfinite(const)):
+        raise ValueError("linear function coefficients and constant must be finite")
 
     def value(z, c=coeffs, c0=const):
         return float(c @ z + c0)
@@ -126,9 +128,11 @@ def linear_function(coeffs, const: float = 0.0, label: str = "") -> PhaseFunctio
 def quadratic_function(quad, lin=None, const: float = 0.0, label: str = "") -> PhaseFunction:
     """Phase function z.A.z/2 + b.z + c for symmetric A, with exact gradient."""
     quad = np.asarray(quad, dtype=float)
+    lin = np.zeros(quad.shape[0]) if lin is None else np.asarray(lin, dtype=float)
+    if not (np.isfinite(quad).all() and np.isfinite(lin).all() and np.isfinite(const)):
+        raise ValueError("quadratic function coefficients and constant must be finite")
     if not _is_symmetric(quad):
         raise ValueError("quadratic coefficient matrix must be symmetric")
-    lin = np.zeros(quad.shape[0]) if lin is None else np.asarray(lin, dtype=float)
 
     def value(z, a=quad, b=lin, c=const):
         return float(0.5 * z @ a @ z + b @ z + c)
@@ -149,6 +153,8 @@ class CosymplecticForm:
         j = np.array(matrix, dtype=float)
         if j.ndim != 2 or j.shape[0] != j.shape[1] or j.shape[0] % 2:
             raise ValueError(f"cosymplectic matrix must be square of even size, got {j.shape}")
+        if not np.isfinite(j).all():
+            raise ValueError("cosymplectic matrix must be finite")
         scale = np.abs(j).max() or 1.0
         if np.abs(j + j.T).max() > 1e-14 * scale:
             raise ValueError("cosymplectic matrix is not antisymmetric")

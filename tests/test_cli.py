@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import gaugefix
-from gaugefix import fields, symbols, toys
+from gaugefix import cli, evolution, fields, symbols, toys
 from gaugefix.cli import (
     SCENARIOS,
     ConfigError,
@@ -141,6 +141,42 @@ class TestEvolveCommand:
         path.write_text("{not json")
         assert main(["evolve", "--config", str(path), "--out", "x.csv"]) == 1
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.fixture
+    def no_run(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "build_initial_data", refuse)
+        monkeypatch.setattr(evolution, "evolve", refuse)
+
+    @pytest.mark.parametrize("source", ["--out", "out_csv"])
+    @pytest.mark.parametrize("where", ["missing-directory", "file-as-directory", "directory"])
+    def test_out_that_cannot_be_written_is_refused_before_the_run(self, tmp_path, capsys, no_run,
+                                                                  where, source):
+        (tmp_path / "file").write_text("")
+        out = {"missing-directory": tmp_path / "missing" / "diag.csv",
+               "file-as-directory": tmp_path / "file" / "diag.csv",
+               "directory": tmp_path}[where]
+        argv = ["evolve", "--config"]
+        if source == "--out":
+            argv += [str(write_config(tmp_path)), "--out", str(out)]
+        else:
+            argv += [str(write_config(tmp_path, out_csv=str(out)))]
+        assert main(argv) == 1
+        reason = "it is a directory" if where == "directory" else f"{out.parent} is not a directory"
+        assert capsys.readouterr() == ("", f"error: cannot write {out}: {reason}\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["file", "run.json"]
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys, no_run):
+        raw = b'{"scenario": "plane_wave", "dt": 0.1, "t_end": 1.0, "note": "caf\xe9"}'
+        path = tmp_path / "run.json"
+        path.write_bytes(raw)
+        with pytest.raises(UnicodeDecodeError) as decode:
+            raw.decode("utf-8")
+        assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: config {path} is not valid JSON: {decode.value}\n")
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["evolve", "--config", str(tmp_path / "none.json"),
@@ -661,6 +697,10 @@ class TestRunConfig:
         ({"polarization": [10 ** 400, 0, 0]}, "polarization"),
         ({"domain_length": "2pi"}, "domain_length"),
         ({"out_csv": 5}, "out_csv"),
+        ({"polarization": [0.0, 1.0]}, "^polarization must be a 3-vector of finite numbers$"),
+        ({"polarization": 1.0}, "^polarization must be a 3-vector of finite numbers$"),
+        *(({"scenario": "contaminated", "contamination_amplitude": value},
+           "^scenario contaminated requires contamination_amplitude > 0$") for value in (0.0, -0.1)),
     ])
     def test_validation_failures(self, patch, fragment):
         base = {"scenario": "plane_wave", "dt": 0.1, "t_end": 1.0}

@@ -50,6 +50,7 @@ from gaugefix.phase import (
 from gaugefix.toys import (
     chain_demo,
     circle_pair,
+    get_model,
     maxwell_mode,
     regular_demo,
     second_class_demo,
@@ -108,6 +109,10 @@ def test_least_squares_project_reaches_surface():
     cset = circle_pair(theta0=0.25)
     z = least_squares_project(cset, np.array([1.7, 0.9]))
     assert np.max(np.abs(cset.values(z))) < 1e-12
+    # The empty set returns (a copy of) its start.
+    start = np.array([1.7, 0.9])
+    z = least_squares_project(ConstraintSet((), 2), start)
+    assert np.array_equal(z, start) and z is not start
 
 
 # ---------------------------------------------------------------------------
@@ -662,9 +667,27 @@ def test_commutation_matrix_frozen_value():
     assert mat.is_invertible()
 
 
-def test_commutation_matrix_rejects_nonantisymmetric():
-    with pytest.raises(ValueError, match="antisymmetric"):
-        CommutationMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entries, message", [
+    ([[0.0, 1.0], [1.0, 0.0]], "commutation matrix is not antisymmetric to 1e-12"),
+    ([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]], "commutation matrix must be square"),
+    # Accepted before, and is_invertible then raised LinAlgError.
+    ([[0.0, np.nan], [np.nan, 0.0]], "commutation matrix entries must be finite"),
+], ids=["symmetric", "not-square", "nan"])
+def test_commutation_matrix_rejects_bad_entries(entries, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CommutationMatrix(np.array(entries))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_chain_of_a_nonfinite_primary_is_refused_at_its_construction(bad):
+    # Before, nan made the chain's SVD fail to converge and inf warned
+    # "invalid value encountered in matmul".
+    system = HamiltonianSystem.canonical(2, quadratic_function(np.diag([0.0, 0.0, 1.0, 1.0])))
+    with pytest.raises(ValueError, match="^linear function coefficients and constant "
+                                         "must be finite$"):
+        consistency_chain(system, constraint_set([linear_function([bad, 0.0, 0.0, 1.0])], 4))
 
 
 def test_singular_commutation_refuses_solve():
@@ -950,6 +973,22 @@ def test_constraint_set_relabeling_is_pure():
         [ConstraintClass.SECOND_CLASS, ConstraintClass.SECOND_CLASS])
     assert all(c.class_label is ConstraintClass.UNKNOWN for c in model.primaries)
     assert all(c.class_label is ConstraintClass.SECOND_CLASS for c in labeled)
+    with pytest.raises(ValueError, match="^one class label per constraint required$"):
+        model.primaries.with_labels([ConstraintClass.SECOND_CLASS])
+
+
+@pytest.mark.parametrize("dim", [3, 0, -2])
+def test_constraint_set_refuses_an_odd_or_small_dimension(dim):
+    with pytest.raises(ValueError, match=f"^ambient phase dimension must be even and "
+                                         f"positive, got {dim}$"):
+        ConstraintSet((), dim)
+
+
+def test_unknown_model_names_the_available_ones():
+    with pytest.raises(KeyError) as error:
+        get_model("chain demo")
+    assert error.value.args == ("unknown model 'chain demo' (available: chain-demo, "
+                                "regular-demo, second-class-demo)",)
 
 
 def test_constraint_set_jacobian_shape():

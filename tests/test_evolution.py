@@ -352,7 +352,10 @@ def test_rows_match_rhs_oracle(kind, stepper, stride, reproject_every, n):
         assert_allclose(got, expected, rtol=1e-12, atol=floor)
 
 
-@pytest.mark.parametrize("reproject_every", [None, 3])
+# Stride 7 with reproject_every 5 advances the support by gaps of 5, 2, 3, 4,
+# 1 and 5 steps: the fifth power evicts the four block powers kept before it.
+@pytest.mark.parametrize("stride, reproject_every", [
+    pytest.param(3, None, id="None"), pytest.param(3, 3, id="3"), pytest.param(7, 5, id="7-5")])
 @pytest.mark.parametrize("data, mode, polarization", [
     ("transverse", (1, 0, 0), (0, 1, 0)),    # support: the two entries +-m
     ("transverse", (1, 2, 1), (1, 0, -1)),   # support: one entry
@@ -362,7 +365,7 @@ def test_rows_match_rhs_oracle(kind, stepper, stride, reproject_every, n):
 @pytest.mark.parametrize("stepper", ["rk4", "stormer_verlet"])
 @pytest.mark.parametrize("kind", ["canonical", "gauge_fixed"])
 def test_rows_with_reference_match_rhs_oracle(kind, stepper, data, mode, polarization,
-                                              reproject_every):
+                                              stride, reproject_every):
     # The plane-wave reference is compared in spectral form, on its support
     # modes; every column against the grid diagnostics of the oracle state.
     n, dt = 8, 0.1
@@ -371,7 +374,7 @@ def test_rows_with_reference_match_rhs_oracle(kind, stepper, data, mode, polariz
     else:
         state = plane_wave_initial_data(mode, polarization, grid_n=n, kind=data)
     ref = plane_wave_reference(mode, polarization, grid_n=n)
-    series = evolve(state, kind, stepper, dt, 2.0, reference=ref, stride=3,
+    series = evolve(state, kind, stepper, dt, 2.0, reference=ref, stride=stride,
                     reproject_every=reproject_every)
     oracle = oracle_states(state, kind, stepper, dt, 20, reproject_every)
     floor = 1e-12 * state_norm(state)

@@ -387,6 +387,7 @@ def test_plane_wave_spectrum_is_the_grid_data_transformed(kind, mode, polarizati
     (dict(mode=(4, 0, 0)), "resolved"),
     (dict(kind="dirty"), "kind"),
     (dict(polarization=(np.inf, 0, 0)), "polarization"),
+    (dict(mode=(1.5, 0, 0)), "^mode must be an integer 3-vector$"),
 ])
 def test_plane_wave_spectrum_validation(kwargs, match):
     args = dict(mode=(1, 0, 0), polarization=(0, 1, 0), grid_n=8) | kwargs
@@ -751,6 +752,14 @@ def test_field_state_validation():
     nan[0, 0, 0, 0] = np.nan
     with pytest.raises(ValueError):
         FieldState(a=nan, pi=good, domain_length=1.0)
+    cubic = r"^a and pi must both be \(3, N, N, N\) with a cubic grid$"
+    with pytest.raises(ValueError, match=cubic):
+        FieldState(a=good[..., :4], pi=good[..., :4], domain_length=1.0)
+    with pytest.raises(ValueError, match=cubic):
+        FieldState(a=good, pi=good[:, :4, :4, :4], domain_length=1.0)
+    small = np.zeros((3, 2, 2, 2))
+    with pytest.raises(ValueError, match=r"^grid must be at least 4\^3, got 2\^3$"):
+        FieldState(a=small, pi=small, domain_length=1.0)
 
 
 def test_state_distance_zero_and_positive(rng):

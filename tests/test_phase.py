@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -62,6 +64,48 @@ def test_form_holds_a_read_only_copy_of_its_matrix():
         form.matrix[0, 1] = 5.0
     with pytest.raises(TypeError, match="matrix_fn"):
         CosymplecticForm(matrix_fn=lambda z: m)
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (np.zeros((2, 4)), "cosymplectic matrix must be square of even size, got (2, 4)"),
+    (np.zeros((3, 3)), "cosymplectic matrix must be square of even size, got (3, 3)"),
+    (np.zeros(4), "cosymplectic matrix must be square of even size, got (4,)"),
+    ([[0.0, np.inf], [-np.inf, 0.0]], "cosymplectic matrix must be finite"),
+])
+def test_form_refuses_a_matrix_not_square_of_even_size_or_not_finite(matrix, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CosymplecticForm(matrix)
+
+
+def test_system_and_bracket_check_their_dimensions():
+    h = quadratic_function(np.eye(2))
+    with pytest.raises(ValueError, match="^n_dof must be positive$"):
+        HamiltonianSystem(0, h, CosymplecticForm.canonical(1))
+    with pytest.raises(ValueError, match="^form size 2 does not match phase dimension 4$"):
+        HamiltonianSystem(2, h, CosymplecticForm.canonical(1))
+    with pytest.raises(ValueError, match="^dimension mismatch: gradients 4/2, form 2$"):
+        poisson_bracket(linear_function(np.ones(4)), linear_function(np.ones(2)), np.zeros(2),
+                        CosymplecticForm.canonical(1))
+
+
+LINEAR_NOT_FINITE = "linear function coefficients and constant must be finite"
+QUADRATIC_NOT_FINITE = "quadratic function coefficients and constant must be finite"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("build, message", [
+    (lambda: linear_function([np.nan, 0.0, 0.0, 1.0]), LINEAR_NOT_FINITE),
+    (lambda: linear_function([np.inf, 0.0, 0.0, 1.0]), LINEAR_NOT_FINITE),
+    (lambda: linear_function([0.0, 1.0], const=np.nan), LINEAR_NOT_FINITE),
+    (lambda: quadratic_function(np.diag([np.inf, 1.0, 1.0, 1.0])), QUADRATIC_NOT_FINITE),
+    (lambda: quadratic_function(np.eye(2), lin=[np.nan, 0.0]), QUADRATIC_NOT_FINITE),
+    (lambda: quadratic_function(np.eye(2), const=-np.inf), QUADRATIC_NOT_FINITE),
+], ids=["linear-nan", "linear-inf", "linear-const", "quad-inf", "quad-lin", "quad-const"])
+def test_nonfinite_coefficients_are_refused_at_construction(build, message):
+    # quadratic_function checks before its symmetry test, whose inf - inf
+    # would warn "invalid value encountered in subtract".
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_coordinate_momentum_bracket_is_plus_one():

@@ -148,6 +148,8 @@ def test_indeterminate_on_solver_failure(monkeypatch):
     report = analyze_symbol(maxwell_gauge_fixed_symbol(), n_samples=2)
     assert report.classification is Hyperbolicity.INDETERMINATE
     assert "failed" in report.message
+    errors = [sample["error"] for sample in report.to_json_dict()["samples"]]
+    assert errors == ["eigendecomposition failed: did not converge"] * 8
 
 
 def test_sample_directions_layout():
@@ -172,12 +174,17 @@ def test_bad_symbol_shape_rejected():
     sym = PrincipalSymbol(3, lambda n: np.eye(2))
     with pytest.raises(ValueError, match="shape"):
         sym.at([1.0, 0.0, 0.0])
+    sym = PrincipalSymbol(2, lambda n: np.array([[0.0, np.inf], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="^symbol callback returned non-finite entries$"):
+        sym.at([1.0, 0.0, 0.0])
 
 
 def test_analyze_validates_arguments():
     sym = maxwell_canonical_symbol()
     with pytest.raises(ValueError):
         analyze_symbol(sym, n_samples=-1)
+    # No random directions: the six fixed ones alone.
+    assert len(analyze_symbol(sym, n_samples=0).samples) == 6
     for tol_imag in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError):
             analyze_symbol(sym, tol_imag=tol_imag)
