@@ -151,8 +151,9 @@ class CosymplecticForm:
 
     def __init__(self, matrix):
         j = np.array(matrix, dtype=float)
-        if j.ndim != 2 or j.shape[0] != j.shape[1] or j.shape[0] % 2:
-            raise ValueError(f"cosymplectic matrix must be square of even size, got {j.shape}")
+        if j.ndim != 2 or j.shape[0] != j.shape[1] or j.shape[0] % 2 or not j.size:
+            raise ValueError(f"cosymplectic matrix must be square of even positive size, "
+                             f"got {j.shape}")
         if not np.isfinite(j).all():
             raise ValueError("cosymplectic matrix must be finite")
         scale = np.abs(j).max() or 1.0

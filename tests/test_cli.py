@@ -700,7 +700,8 @@ class TestRunConfig:
         ({"polarization": [0.0, 1.0]}, "^polarization must be a 3-vector of finite numbers$"),
         ({"polarization": 1.0}, "^polarization must be a 3-vector of finite numbers$"),
         *(({"scenario": "contaminated", "contamination_amplitude": value},
-           "^scenario contaminated requires contamination_amplitude > 0$") for value in (0.0, -0.1)),
+           "^scenario contaminated requires contamination_amplitude > 0$")
+          for value in (0.0, -0.1)),
     ])
     def test_validation_failures(self, patch, fragment):
         base = {"scenario": "plane_wave", "dt": 0.1, "t_end": 1.0}
