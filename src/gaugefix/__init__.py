@@ -19,9 +19,8 @@ _EXPORTS = {
         "GaugeNotFixedError", "LinearModel", "ProjectionReport", "SamplerError",
         "classify_constraints",
         "commutation_matrix", "consistency_chain", "constraint_set", "dirac_bracket",
-        "error_correction_step", "extended_flow", "gauge_fixed_multipliers",
-        "least_squares_project", "make_surface_sampler", "project_to_constraint_surface",
-        "second_order_coefficients",
+        "error_correction_step", "least_squares_project", "make_surface_sampler",
+        "project_to_constraint_surface", "second_order_coefficients",
     ),
     "evolution": (
         "CSV_HEADER", "DiagnosticsSeries", "FiniteSeries", "StepperKind", "evolve",
@@ -35,7 +34,7 @@ _EXPORTS = {
     ),
     "phase": (
         "CosymplecticForm", "HamiltonianSystem", "PhaseFunction", "QuadraticLagrangian",
-        "bracket_function", "hamiltonian_flow", "legendre", "linear_function",
+        "bracket_function", "legendre", "linear_function",
         "poisson_bracket", "quadratic_function",
     ),
     "symbols": (

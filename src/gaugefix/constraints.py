@@ -12,15 +12,15 @@ one gradient per constraint at the point.
 The exact route is linear algebra on one LinearModel of the constant J,
 H = z.W.z/2 + w.z + w0 and [R | r] (docs/derivations.md sections 4 and
 5): candidates u R J W | u R J w, dropped when in the span of [R | r]
-and admitted when they raise the rank of R, classes from R J R^T, and
-the constant extended flow A z + b of evolve_finite with the H and C of
-its states. No decision is made at sample points; a non-affine
-constraint or a Hamiltonian without coefficients is refused with
-ValueError. make_surface_sampler draws on-surface points by least
-squares for callers that want them.
-The second-order correction takes its brackets from
-phase.bracket_function, by finite differences only for an opaque input
-(the circle pair's angle).
+and admitted when they raise the rank of R, classes from R J R^T, the
+multipliers K z + k, and the constant extended flow A z + b of
+evolve_finite with the H and C of its states. No decision is made at
+sample points; a non-affine constraint or a Hamiltonian without
+coefficients is refused with ValueError. make_surface_sampler draws
+on-surface points by least squares for callers that want them.
+The second-order correction takes its brackets in closed form from
+phase.bracket_function, so it too refuses a constraint without
+polynomial coefficients.
 """
 
 from __future__ import annotations
@@ -193,9 +193,10 @@ class CommutationMatrix:
         return np.linalg.svd(self.entries, compute_uv=False)
 
     def is_invertible(self) -> bool:
-        """Smallest singular value above 1e-10 of the largest."""
+        """Smallest singular value above 1e-10 of the largest; the 0 x 0
+        matrix of an empty set is invertible."""
         s = self.singular_values
-        return bool(s.size and s[-1] > 1e-10 * s[0])
+        return bool(not s.size or s[-1] > 1e-10 * s[0])
 
     def solve(self, rhs) -> np.ndarray:
         """Solve M x = rhs, refusing when M is numerically singular."""
@@ -214,10 +215,28 @@ def _commutation(jac: np.ndarray, j: np.ndarray) -> CommutationMatrix:
     return CommutationMatrix(entries)
 
 
+def _check_size(what: str, size: int, dim: int) -> None:
+    if size != dim:
+        raise ValueError(f"{what} size {size} does not match phase dimension {dim}")
+
+
+def _kernel(cset: ConstraintSet, form: CosymplecticForm | None, z=None) -> np.ndarray:
+    """The bracket kernel J for cset's phase space, canonical when form is
+    None; ValueError naming both sizes when the form or the point z has
+    another."""
+    if form is None:
+        form = CosymplecticForm.canonical(cset.dim // 2)
+    _check_size("form", form.size, cset.dim)
+    if z is not None:
+        _check_size("point", z.size, cset.dim)
+    return form.matrix
+
+
 def commutation_matrix(cset: ConstraintSet, z, form: CosymplecticForm) -> CommutationMatrix:
     """All mutual Poisson brackets of the set's members at z."""
     z = as_phase_point(z)
-    return _commutation(cset.jacobian(z), form.matrix)
+    j = _kernel(cset, form, z)
+    return _commutation(cset.jacobian(z), j)
 
 
 # ---------------------------------------------------------------------------
@@ -404,13 +423,22 @@ class LinearModel:
         ur = w @ self.rows[idx, :-1]
         return np.concatenate((0.0 - self.quad @ self.j @ ur, [ur @ self.j @ self.lin])), label
 
+    def multipliers(self) -> tuple[np.ndarray, np.ndarray]:
+        """(K, k) of the gauge-fixed multipliers lambda(z) = K z + k =
+        -M^-1 R J (W z + w), M = R J R^T, which solve M lambda = -[C, H]
+        so that every dC/dt = [C, H] + M lambda vanishes
+        (docs/derivations.md section 5); GaugeNotFixedError if M is singular."""
+        r = self.rows[:, :-1]
+        x = _commutation(r, self.j).solve(r @ self.j)
+        return -(x @ self.quad), -(x @ self.lin)
+
     def flow(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A, b) of the extended flow P (W z + w), P = J (I - R^T M^-1 R J),
-        M = R J R^T, P = J without constraints; GaugeNotFixedError if M is singular."""
-        r, p = self.rows[:, :-1], self.j
-        if len(r):
-            p = p - (p @ r.T) @ _commutation(r, p).solve(r @ p)
-        return p @ self.quad, p @ self.lin
+        """(A, b) of the extended flow J (W z + w + R^T lambda(z)) = A z + b
+        with the multipliers lambda = K z + k, J (W z + w) without constraints;
+        GaugeNotFixedError if M is singular."""
+        k, k0 = self.multipliers()
+        r = self.rows[:, :-1]
+        return self.j @ (self.quad + r.T @ k), self.j @ (self.lin + r.T @ k0)
 
     def values(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """H and C = R z + r at each row z of states, shapes (n,) and (n, M)."""
@@ -466,13 +494,12 @@ def classify_constraints(cset: ConstraintSet, sampler=None, tol_weak: float = 1e
     sampler is ignored.
     """
     _check_tolerance("tol_weak", tol_weak)
+    j = _kernel(cset, form)
     if len(cset) == 0:
         return cset
-    if form is None:
-        form = CosymplecticForm.canonical(cset.dim // 2)
     rows = _exact_rows(cset)
     _require_full_rank(rows[:, :-1])
-    return _label_classes(cset, _bracket_magnitudes(rows[:, :-1], form.matrix), tol_weak)
+    return _label_classes(cset, _bracket_magnitudes(rows[:, :-1], j), tol_weak)
 
 
 def _bracket_magnitudes(jac: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -511,36 +538,13 @@ def dirac_bracket(f: PhaseFunction, g: PhaseFunction, cset: ConstraintSet, z,
     gauge freedom is unfixed and raises GaugeNotFixedError.
     """
     z = as_phase_point(z)
-    jac, j = cset.jacobian(z), form.matrix
+    j = _kernel(cset, form, z)
     gf, gg = f.grad(z), g.grad(z)
-    correction = 0.0
-    if len(cset):
-        bf, bg = gf @ j @ jac.T, jac @ j @ gg
-        correction = float(bf @ _commutation(jac, j).solve(bg))
-    return float(gf @ j @ gg) - correction
-
-
-def gauge_fixed_multipliers(cset: ConstraintSet, system: HamiltonianSystem,
-                            z) -> np.ndarray:
-    """Multipliers that freeze the constraints along the extended flow.
-
-    Solves M Lambda = -[C, H] so that d/dt C_B = [C_B, H] + Lambda^A
-    [C_B, C_A] vanishes; the extended Hamiltonian H + Lambda . C then
-    transports the constraint surface into itself to first order.
-    """
-    z = as_phase_point(z)
-    return _multipliers(cset.jacobian(z), system.form.matrix, system.hamiltonian.grad(z))
-
-
-def _multipliers(jac: np.ndarray, j: np.ndarray, gh: np.ndarray) -> np.ndarray:
-    return -_commutation(jac, j).solve(jac @ j @ gh)
-
-
-def extended_flow(system: HamiltonianSystem, cset: ConstraintSet, z) -> np.ndarray:
-    """Flow J (grad H + G^T Lambda) of H + Lambda . C, multipliers taken at z."""
-    z = as_phase_point(z)
-    jac, j, gh = cset.jacobian(z), system.form.matrix, system.hamiltonian.grad(z)
-    return j @ (gh + jac.T @ _multipliers(jac, j, gh))
+    for fn, grad in ((f, gf), (g, gg)):
+        _check_size(f"{fn.label or 'function'} gradient", grad.size, cset.dim)
+    jac = cset.jacobian(z)
+    correction = (gf @ j @ jac.T) @ _commutation(jac, j).solve(jac @ j @ gg)
+    return float(gf @ j @ gg) - float(correction)
 
 
 @dataclass(frozen=True)
@@ -565,24 +569,28 @@ def error_correction_step(cset: ConstraintSet, z_bar, form: CosymplecticForm):
     report.converged records whether it fell below 1e-12 (1 + max |z_bar|).
     """
     z = as_phase_point(z_bar)
-    delta, _, report = _correction(cset, z, cset.values(z), form)
+    j = _kernel(cset, form, z)
+    delta, _, report = _correction(cset, z, cset.values(z), j)
     return delta, report
 
 
-def _correction(cset: ConstraintSet, z: np.ndarray, c_bar: np.ndarray,
-                form: CosymplecticForm):
-    """error_correction_step at z with C(z) = c_bar given: (delta_z,
-    C(z + delta_z), report), so an iteration evaluates C once per point."""
-    initial = float(np.max(np.abs(c_bar))) if len(cset) else 0.0
-    report_tol = 1e-12 * (1.0 + float(np.max(np.abs(z))))
+def _max_abs(c: np.ndarray) -> float:
+    return float(np.max(np.abs(c), initial=0.0))
 
-    jac, j = cset.jacobian(z), form.matrix
+
+def _correction(cset: ConstraintSet, z: np.ndarray, c_bar: np.ndarray, j: np.ndarray):
+    """error_correction_step at z with C(z) = c_bar given and kernel J:
+    (delta_z, C(z + delta_z), report), so an iteration evaluates C once
+    per point."""
+    report_tol = 1e-12 * (1.0 + _max_abs(z))
+
+    jac = cset.jacobian(z)
     eps = _commutation(jac, j).solve(c_bar)
     delta = -(j @ jac.T) @ eps
 
     c_next = cset.values(z + delta)
-    final = float(np.max(np.abs(c_next)))
-    return delta, c_next, ProjectionReport(1, initial, final, bool(final < report_tol))
+    final = _max_abs(c_next)
+    return delta, c_next, ProjectionReport(1, _max_abs(c_bar), final, bool(final < report_tol))
 
 
 def project_to_constraint_surface(cset: ConstraintSet, z_bar, tol: float = 1e-12,
@@ -598,16 +606,15 @@ def project_to_constraint_surface(cset: ConstraintSet, z_bar, tol: float = 1e-12
     _check_tolerance("tol", tol)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
-    if form is None:
-        form = CosymplecticForm.canonical(cset.dim // 2)
     z = as_phase_point(z_bar).astype(float).copy()
+    j = _kernel(cset, form, z)
     c = cset.values(z)
-    initial = float(np.max(np.abs(c))) if len(cset) else 0.0
+    initial = _max_abs(c)
     if initial < tol:
         return z, ProjectionReport(0, initial, initial, True)
     final = initial
     for it in range(1, max_iter + 1):
-        delta, c, step = _correction(cset, z, c, form)
+        delta, c, step = _correction(cset, z, c, j)
         z = z + delta
         final = step.final_norm
         if final < tol:
@@ -623,16 +630,19 @@ def second_order_coefficients(cset: ConstraintSet, z_bar,
         eps2_G = sum_P (M^-1)_GP [[C_P, E], E]
                + 1/2 sum_{S,P,T} (M^-1)_GS (M^-1)_PT [[C_S, C_T], E] [C_P, E]
 
-    where E = -eps1 . C is the first-order generator, a polynomial when
-    every C_A is one, so that all these brackets are then exact.
-    Identically zero when all brackets are constant, which covers every
-    shipped scenario; provided so field-dependent algebras can at least
-    be probed.
+    where E = -eps1 . C is the first-order generator, a polynomial as
+    every C_A must be, so that all these brackets are exact; a constraint
+    without polynomial coefficients raises ValueError naming it, and an
+    empty set gives an empty eps2. Identically zero when all brackets are
+    constant, which covers every shipped scenario; provided so
+    field-dependent algebras can at least be probed.
     """
     z = as_phase_point(z_bar)
     m = len(cset)
     mat = commutation_matrix(cset, z, form)
     eps1 = mat.solve(cset.values(z))
+    if not m:
+        return eps1
     minv = np.linalg.inv(mat.entries)
 
     e_fn = combination([c.function for c in cset], -eps1, label="correction generator")

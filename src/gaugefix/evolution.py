@@ -123,7 +123,9 @@ def _stable(method: StepperKind, x_max: float) -> bool:
     """Whether every power of the one-step map stays bounded for h^2 k^2 <= x_max.
 
     RK4's stability polynomial has |R(iy)| <= 1 for y^2 <= 8; the Verlet
-    map has determinant 1 and |trace| < 2 for x < 4.
+    map has determinant 1 and |trace| < 2 for x < 4, and a Jordan block at
+    x = 4 (sympy check: tests/test_derivation_oracle.py,
+    TestFieldStepMapDerivation).
     """
     if method is StepperKind.RK4:
         return x_max <= 8.0
@@ -137,7 +139,9 @@ def _step_blocks(method: StepperKind, h: float, k2: np.ndarray) -> tuple:
     [[c, s], [-k^2 s, c]], c = 1 - x/2 + x^2/24, s = h (1 - x/6), and
     kick-drift-kick Verlet is [[1 - x/2, h], [-k^2 h (1 - x/4), 1 - x/2]].
     Both steppers are exact on the longitudinal pair: A_L += h pi_L in the
-    canonical formulation, nothing moves once gauge-fixed.
+    canonical formulation, nothing moves once gauge-fixed. Both blocks are
+    checked with sympy in tests/test_derivation_oracle.py,
+    TestFieldStepMapDerivation.
     """
     x = h * h * k2
     if method is StepperKind.RK4:

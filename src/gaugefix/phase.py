@@ -9,11 +9,12 @@ with a constant antisymmetric J (CosymplecticForm), canonically
 [[0, I], [-I, 0]], so that [q^a, p_b] = delta^a_b and Hamilton's
 equations read zdot = J grad(H).
 
-Linear and quadratic phase functions and their weighted sums
-(combination) carry their coefficients, and bracket_function builds
-their bracket in closed form (docs/derivations.md section 4); only an
-opaque function without coefficients takes the pointwise bracket with
-finite-difference gradients. Systems enter as a HamiltonianSystem with primary
+Every phase function carries its gradient. Linear and quadratic ones
+and their weighted sums (combination) also carry their coefficients,
+and bracket_function builds their bracket in closed form
+(docs/derivations.md section 4); a function without coefficients has
+only the pointwise poisson_bracket, and bracket_function and
+combination refuse it. Systems enter as a HamiltonianSystem with primary
 constraints, or as a QuadraticLagrangian whose exact Legendre map
 (legendre) yields both (docs/derivations.md section 3a).
 """
@@ -24,10 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-
-# Central-difference step prefactor: cbrt(eps) balances truncation and
-# rounding for first derivatives.
-_FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
 
 def as_phase_point(z) -> np.ndarray:
@@ -42,25 +39,6 @@ def as_phase_point(z) -> np.ndarray:
     return z
 
 
-def fd_gradient(value: Callable[[np.ndarray], float], z) -> np.ndarray:
-    """Central finite-difference gradient of a scalar callable, step
-    ``cbrt(eps) * max(1, |z_k|)`` for component k: free of truncation
-    error for polynomials of degree <= 2, but each level of nesting
-    multiplies the rounding error. PhaseFunction uses it only for
-    functions without an analytic gradient.
-    """
-    z = np.asarray(z, dtype=float)
-    grad = np.empty_like(z)
-    for k in range(z.size):
-        h = _FD_STEP * max(1.0, abs(z[k]))
-        zp = z.copy()
-        zm = z.copy()
-        zp[k] += h
-        zm[k] -= h
-        grad[k] = (value(zp) - value(zm)) / (2.0 * h)
-    return grad
-
-
 class Coefficients(NamedTuple):
     """(A, a, alpha) of the polynomial z.A.z/2 + a.z + alpha, A symmetric."""
 
@@ -73,30 +51,22 @@ class Coefficients(NamedTuple):
 class PhaseFunction:
     """Scalar function of a phase point together with its gradient.
 
-    A ``gradient`` of None falls back to central finite differences, which
-    ``uses_fd_gradient`` flags. ``coefficients`` is set for polynomials of
-    degree <= 2 (linear_function, quadratic_function, their combinations
-    and closed-form brackets) and None for opaque callables.
+    ``coefficients`` is set for polynomials of degree <= 2
+    (linear_function, quadratic_function, their combinations and
+    closed-form brackets) and None for opaque callables.
     """
 
     value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray] | None = None
+    gradient: Callable[[np.ndarray], np.ndarray]
     label: str = ""
     coefficients: Coefficients | None = None
-
-    @property
-    def uses_fd_gradient(self) -> bool:
-        return self.gradient is None
 
     def __call__(self, z) -> float:
         return float(self.value(np.asarray(z, dtype=float)))
 
     def grad(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        if self.gradient is None:
-            g = fd_gradient(self.value, z)
-        else:
-            g = np.asarray(self.gradient(z), dtype=float)
+        g = np.asarray(self.gradient(z), dtype=float)
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(
                 f"gradient of {self.label or 'phase function'} is not finite at z={z}"
@@ -207,6 +177,14 @@ def poisson_bracket(f: PhaseFunction, g: PhaseFunction, z, form: CosymplecticFor
     return float(gf @ j @ gg)
 
 
+def _coefficients(f: PhaseFunction) -> Coefficients:
+    """f's coefficients, or ValueError naming f when it has none."""
+    if f.coefficients is None:
+        raise ValueError(f"phase function {f.label or '(unlabelled)'} has no polynomial "
+                         "coefficients, so no closed-form bracket")
+    return f.coefficients
+
+
 def bracket_function(f: PhaseFunction, g: PhaseFunction, form: CosymplecticForm,
                      label: str = "") -> PhaseFunction:
     """The bracket [f, g] as a new phase function.
@@ -214,17 +192,10 @@ def bracket_function(f: PhaseFunction, g: PhaseFunction, form: CosymplecticForm,
     For f = z.A.z/2 + a.z + alpha and g = z.B.z/2 + b.z + beta it is the
     polynomial with quadratic matrix AJB - BJA, linear part AJb - BJa and
     constant a.J.b (docs/derivations.md section 4), with coefficients of
-    its own. When an input has no coefficients (an opaque function) its
-    value is the pointwise poisson_bracket and its gradient is taken by
-    finite differences.
+    its own. An input without coefficients raises ValueError naming it.
     """
     label = label or f"[{f.label}, {g.label}]"
-    cf, cg = f.coefficients, g.coefficients
-    if cf is None or cg is None:
-        def value(z, f=f, g=g, form=form):
-            return poisson_bracket(f, g, z, form)
-
-        return PhaseFunction(value, None, label=label)
+    cf, cg = _coefficients(f), _coefficients(g)
     if cf.lin.size != form.size or cg.lin.size != form.size:
         raise ValueError(f"polynomial dimension does not match form size {form.size}")
     j = form.matrix
@@ -235,32 +206,14 @@ def bracket_function(f: PhaseFunction, g: PhaseFunction, form: CosymplecticForm,
 
 
 def combination(fs: Sequence[PhaseFunction], weights, label: str = "") -> PhaseFunction:
-    """The weighted sum sum_i w_i f_i as a phase function: with the
-    weighted sums of the coefficients when every f_i has them, else with
-    the weighted sums of the members' values and gradients."""
-    fs = tuple(fs)
+    """The weighted sum sum_i w_i f_i as a phase function, with the
+    weighted sums of the members' coefficients; a member without
+    coefficients raises ValueError naming it."""
+    coeffs = [_coefficients(f) for f in fs]
     w = np.asarray(weights, dtype=float)
-    coeffs = [f.coefficients for f in fs]
-    if all(c is not None for c in coeffs):
-        return quadratic_function(np.tensordot(w, [c.quad for c in coeffs], axes=1),
-                                  w @ [c.lin for c in coeffs],
-                                  float(w @ [c.const for c in coeffs]), label=label)
-
-    def value(z, fs=fs, w=w):
-        return float(w @ [f(z) for f in fs])
-
-    def gradient(z, fs=fs, w=w):
-        return w @ [f.grad(z) for f in fs]
-
-    return PhaseFunction(value, gradient, label=label)
-
-
-def hamiltonian_flow(system: HamiltonianSystem, z) -> np.ndarray:
-    """Hamiltonian flow vector zdot = J grad(H) at z."""
-    z = as_phase_point(z)
-    if z.size != 2 * system.n_dof:
-        raise ValueError(f"point has dimension {z.size}, system expects {2 * system.n_dof}")
-    return system.form.matrix @ system.hamiltonian.grad(z)
+    return quadratic_function(np.tensordot(w, [c.quad for c in coeffs], axes=1),
+                              w @ [c.lin for c in coeffs],
+                              float(w @ [c.const for c in coeffs]), label=label)
 
 
 # Rank cut for constant matrices: an eigenvalue that is zero in exact

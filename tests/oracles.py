@@ -15,6 +15,9 @@ For the finite half, bracket_chain runs the consistency chain with each
 candidate built as a phase function, phase.bracket_function of
 phase.combination, and its row read back from its coefficients, and
 stacked_gradients takes a set's Jacobian one gradient at a time at z.
+gauge_fixed_multipliers and extended_flow solve for the multipliers at
+each point from the set's Jacobian there, where the library's
+LinearModel.multipliers and LinearModel.flow are constant maps.
 
 A plain module that the tests import: pytest collects nothing from it.
 """
@@ -26,6 +29,7 @@ import numpy as np
 from gaugefix.constraints import (
     Constraint,
     ConstraintOrigin,
+    _commutation,
     _left_null,
     _residual,
     _still_growing,
@@ -43,7 +47,7 @@ from gaugefix.fields import (
     k_dot,
     transverse_project,
 )
-from gaugefix.phase import bracket_function, combination
+from gaugefix.phase import as_phase_point, bracket_function, combination
 
 
 def kvec_table(ws):
@@ -335,3 +339,29 @@ def bracket_chain(system, primaries, tol_weak=1e-8, max_generations=10):
 def stacked_gradients(cset, z):
     """The set's Jacobian at z, one gradient evaluation per member."""
     return np.array([c.grad(z) for c in cset]).reshape(len(cset), cset.dim)
+
+
+# ---------------------------------------------------------------------------
+# Pointwise multipliers and the extended flow
+# ---------------------------------------------------------------------------
+
+def gauge_fixed_multipliers(cset, system, z):
+    """Multipliers that freeze the constraints along the extended flow.
+
+    Solves M Lambda = -[C, H] at z so that d/dt C_B = [C_B, H] + Lambda^A
+    [C_B, C_A] vanishes; the extended Hamiltonian H + Lambda . C then
+    transports the constraint surface into itself to first order.
+    """
+    z = as_phase_point(z)
+    return _multipliers(cset.jacobian(z), system.form.matrix, system.hamiltonian.grad(z))
+
+
+def _multipliers(jac, j, gh):
+    return -_commutation(jac, j).solve(jac @ j @ gh)
+
+
+def extended_flow(system, cset, z):
+    """Flow J (grad H + G^T Lambda) of H + Lambda . C, multipliers taken at z."""
+    z = as_phase_point(z)
+    jac, j, gh = cset.jacobian(z), system.form.matrix, system.hamiltonian.grad(z)
+    return j @ (gh + jac.T @ _multipliers(jac, j, gh))

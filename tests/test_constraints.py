@@ -31,8 +31,6 @@ from gaugefix.constraints import (
     constraint_set,
     dirac_bracket,
     error_correction_step,
-    extended_flow,
-    gauge_fixed_multipliers,
     least_squares_project,
     make_surface_sampler,
     project_to_constraint_surface,
@@ -55,7 +53,13 @@ from gaugefix.toys import (
     regular_demo,
     second_class_demo,
 )
-from oracles import bracket_chain, combination_bracket, stacked_gradients
+from oracles import (
+    bracket_chain,
+    combination_bracket,
+    extended_flow,
+    gauge_fixed_multipliers,
+    stacked_gradients,
+)
 
 FORM2 = CosymplecticForm.canonical(1)
 FORM4 = CosymplecticForm.canonical(2)
@@ -241,42 +245,34 @@ def test_chain_members_have_exact_gradients():
     system = _dim4_chain_system()
     chain = consistency_chain(system, constraint_set([coord(4, 3, "p2")], 4))
     assert len(chain) == 4
-    assert all(c.function.uses_fd_gradient is False for c in chain)
     assert all(c.function.coefficients is not None for c in chain)
 
 
-def test_combination_bracket_closed_form_and_fallback():
+def test_combination_bracket_closed_form_and_refusal():
     rng = np.random.default_rng(21)
     members = [_random_quadratic(rng, 4, f"c{i}") for i in range(2)]
     h = _random_quadratic(rng, 4, "H")
     w = np.array([0.6, -0.8])
+    combo = combination_bracket(constraint_set(members, 4), w, h, FORM4)
+    assert combo.coefficients is not None
+    for z in rng.standard_normal((4, 4)):
+        expected = sum(wi * poisson_bracket(f, h, z, FORM4) for wi, f in zip(w, members))
+        assert combo(z) == pytest.approx(expected, rel=1e-13, abs=1e-13)
     opaque = PhaseFunction(lambda z: float(np.sin(z[0]) * z[2]),
                            lambda z: np.array([np.cos(z[0]) * z[2], 0.0, np.sin(z[0]), 0.0]),
                            label="opaque")
-    for fns, exact in ((members, True), ([members[0], opaque], False)):
-        cset = constraint_set(fns, 4)
-        combo = combination_bracket(cset, w, h, FORM4)
-        assert combo.uses_fd_gradient is not exact
-        for z in rng.standard_normal((4, 4)):
-            expected = sum(wi * poisson_bracket(f, h, z, FORM4) for wi, f in zip(w, fns))
-            assert combo(z) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+    with pytest.raises(ValueError, match="^phase function opaque has no polynomial coefficients"):
+        combination_bracket(constraint_set([members[0], opaque], 4), w, h, FORM4)
 
 
-def test_bracket_function_fd_fallback_opaque_function():
-    """f = sin(q) has no coefficients: [f, g] = cos(q) dg/dp, gradient by FD."""
-    rng = np.random.default_rng(6)
+def test_bracket_function_refuses_an_opaque_function():
+    """f = sin(q) has no coefficients, so no closed-form bracket."""
     f = PhaseFunction(lambda z: float(np.sin(z[0])),
                       lambda z: np.array([np.cos(z[0]), 0.0]), label="sin q")
-    g = _random_quadratic(rng, 2, "g")
-    b = g.coefficients.quad
-    fg = bracket_function(f, g, FORM2)
-    assert fg.uses_fd_gradient
-    for z in rng.standard_normal((4, 2)):
-        dg_dp = g.grad(z)[1]
-        assert fg(z) == pytest.approx(np.cos(z[0]) * dg_dp, rel=1e-13, abs=1e-13)
-        grad = np.array([-np.sin(z[0]) * dg_dp + np.cos(z[0]) * b[1, 0],
-                         np.cos(z[0]) * b[1, 1]])
-        assert_allclose(fg.grad(z), grad, rtol=1e-7, atol=1e-8)
+    g = _random_quadratic(np.random.default_rng(6), 2, "g")
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(ValueError, match="^phase function sin q has no polynomial"):
+            bracket_function(a, b, FORM2)
 
 
 def test_chain_detects_inconsistent_dynamics():
@@ -469,7 +465,8 @@ def test_exact_route_never_samples_and_other_sets_still_do():
         consistency_chain(circle_system, circle_pair())
     with pytest.raises(ValueError, match=radial):
         classify_constraints(circle_pair(), form=FORM2)
-    opaque_h = PhaseFunction(lambda z: float(z[2] ** 2 / 2 + np.cos(z[1])), label="H")
+    opaque_h = PhaseFunction(lambda z: float(z[2] ** 2 / 2 + np.cos(z[1])),
+                             lambda z: np.array([0.0, -np.sin(z[1]), z[2], 0.0]), label="H")
     with pytest.raises(ValueError, match="Hamiltonian H has no polynomial coefficients"):
         consistency_chain(HamiltonianSystem.canonical(2, opaque_h),
                           constraint_set([coord(4, 3, "p2")], 4))
@@ -761,11 +758,16 @@ def test_dirac_bracket_circle_reduces_cleanly():
 # Gauge-fixed multipliers
 # ---------------------------------------------------------------------------
 
+def _multipliers_at(system, cset, z):
+    k, k0 = LinearModel.of(system, cset).multipliers()
+    return k @ z + k0
+
+
 def test_maxwell_mode_multipliers(coulomb_gauge):
     # Constraints (p4, -k.p, f, k.a) of the mode at k = (0, 2, 0).
     model, cset = coulomb_gauge(np.array([0.0, 2.0, 0.0]))
     z = np.array([0.3, -0.6, 0.2, 0.5, -0.4, 0.7, 0.1, 0.0])
-    lam = gauge_fixed_multipliers(cset, model.system, z)
+    lam = _multipliers_at(model.system, cset, z)
     gauss = cset[1](z)
     assert_allclose(lam, [0.0, z[3] - gauss / 4.0, gauss, 0.0], atol=1e-13)
 
@@ -773,19 +775,41 @@ def test_maxwell_mode_multipliers(coulomb_gauge):
 @given(st.tuples(*[st.floats(-2.0, 2.0)] * 3).filter(lambda k: np.dot(k, k) > 0.25),
        st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8))
 def test_multipliers_freeze_constraints(coulomb_gauge, k, z):
-    """d/dt C_A = grad(C_A) . extended_flow vanishes for every state."""
+    """d/dt C_A = grad(C_A) . (A z + b) vanishes for every state, on the
+    flow of LinearModel.flow and on the pointwise extended_flow."""
     model, cset = coulomb_gauge(np.array(k))
     z = np.array(z)
-    flow = extended_flow(model.system, cset, z)
-    for c in cset:
-        assert abs(c.grad(z) @ flow) < 1e-10 * (1.0 + np.abs(z).max())
+    a, b = LinearModel.of(model.system, cset).flow()
+    for flow in (a @ z + b, extended_flow(model.system, cset, z)):
+        for c in cset:
+            assert abs(c.grad(z) @ flow) < 1e-10 * (1.0 + np.abs(z).max())
 
 
 def test_multipliers_second_class_demo_vanish():
     # H = 0, so nothing sources the multipliers.
     model = second_class_demo()
-    lam = gauge_fixed_multipliers(model.primaries, model.system, model.sample_point)
-    assert_allclose(lam, [0.0, 0.0], atol=1e-14)
+    k, k0 = LinearModel.of(model.system, model.primaries).multipliers()
+    assert_allclose(k, np.zeros((2, 4)), atol=1e-14)
+    assert_allclose(k0, [0.0, 0.0], atol=1e-14)
+
+
+def _multiplier_cases():
+    demo = second_class_demo()
+    yield pytest.param(demo.system, demo.primaries, id="second_class_demo")
+    for k in ([0.0, 2.0, 0.0], [1.0, -0.5, 0.3], [0.3, 0.7, -1.2]):
+        yield pytest.param(k, None, id=f"maxwell_mode{tuple(k)}")
+
+
+@pytest.mark.parametrize("system,cset", _multiplier_cases())
+def test_linear_multipliers_match_the_pointwise_oracle(coulomb_gauge, system, cset):
+    """K z + k against the multipliers solved at z from the Jacobian there."""
+    if cset is None:
+        model, cset = coulomb_gauge(np.array(system))
+        system = model.system
+    for z in np.random.default_rng(8).normal(size=(20, cset.dim)):
+        expected = gauge_fixed_multipliers(cset, system, z)
+        assert_allclose(_multipliers_at(system, cset, z), expected, rtol=1e-13,
+                        atol=1e-13 * np.abs(expected).max())
 
 
 # ---------------------------------------------------------------------------
@@ -929,9 +953,18 @@ def test_second_order_vanishes_for_linear_constraints():
 
 
 def test_second_order_vanishes_for_constant_brackets():
-    # Nonlinear constraints, constant mutual bracket: still zero.
-    eps2 = second_order_coefficients(circle_pair(), np.array([1.4, 0.3]), FORM2)
-    assert_allclose(eps2, np.zeros(2), atol=1e-7)
+    # Nonlinear constraints q + p^2 and p, constant mutual bracket 1: exactly zero.
+    cset = constraint_set([quadratic_function(np.diag([0.0, 2.0]), lin=[1.0, 0.0],
+                                              label="q + p^2"), coord(2, 1, "p")], 2)
+    assert commutation_matrix(cset, np.array([1.4, 0.3]), FORM2).entries.tolist() == [
+        [0.0, 1.0], [-1.0, 0.0]]
+    eps2 = second_order_coefficients(cset, np.array([1.4, 0.3]), FORM2)
+    assert eps2.tolist() == [0.0, 0.0]
+
+
+def test_second_order_refuses_a_constraint_without_coefficients():
+    with pytest.raises(ValueError, match=re.escape("phase function atan2(p, q) - theta0 has no")):
+        second_order_coefficients(circle_pair(), np.array([1.4, 0.3]), FORM2)
 
 
 def test_second_order_finite_for_field_dependent_brackets():
@@ -942,6 +975,65 @@ def test_second_order_finite_for_field_dependent_brackets():
     cset = constraint_set([c1, c2], 2)
     eps2 = second_order_coefficients(cset, np.array([0.4, 0.3]), FORM2)
     assert np.all(np.isfinite(eps2))
+
+
+# ---------------------------------------------------------------------------
+# Form and point sizes, and the empty set
+# ---------------------------------------------------------------------------
+
+_ENTRY_POINTS = {
+    "commutation_matrix": lambda cset, z, form: commutation_matrix(cset, z, form),
+    "classify_constraints": lambda cset, z, form: classify_constraints(cset, form=form),
+    "dirac_bracket": lambda cset, z, form: dirac_bracket(coord(4, 0), coord(4, 2), cset, z,
+                                                         form),
+    "error_correction_step": lambda cset, z, form: error_correction_step(cset, z, form),
+    "project_to_constraint_surface":
+        lambda cset, z, form: project_to_constraint_surface(cset, z, form=form),
+    "second_order_coefficients":
+        lambda cset, z, form: second_order_coefficients(cset, z, form),
+}
+_SIZE_CASES = [
+    pytest.param(name, form, z, message, id=f"{name}-{case}")
+    for name in _ENTRY_POINTS
+    for case, form, z, message in (
+        ("form", FORM2, [0.4, 0.25, 0.25, 0.1], "form size 2"),
+        ("point2", FORM4, [0.4, 0.25], "point size 2"),
+        ("point6", FORM4, [0.4, 0.25, 0.25, 0.1, 0.0, 0.0], "point size 6"),
+    )
+    # The classes take no point.
+    if case == "form" or name != "classify_constraints"
+]
+
+
+@pytest.mark.parametrize("name,form,z,message", _SIZE_CASES)
+def test_a_form_or_point_of_another_size_is_refused(name, form, z, message):
+    with pytest.raises(ValueError, match=f"^{message} does not match phase dimension 4$"):
+        _ENTRY_POINTS[name](second_class_demo().primaries, np.array(z), form)
+
+
+def test_dirac_bracket_refuses_a_gradient_of_another_size():
+    z = np.array([0.4, 0.25, 0.25, 0.1])
+    for f, g in ((coord(2, 0, "q"), coord(4, 2)), (coord(4, 0), coord(2, 0, "q"))):
+        with pytest.raises(ValueError, match="^q gradient size 2 does not match phase "
+                                             "dimension 4$"):
+            dirac_bracket(f, g, second_class_demo().primaries, z, FORM4)
+
+
+def test_an_empty_set_needs_no_correction():
+    """No constraints: an invertible 0 x 0 matrix, a zero step that has
+    converged, no second-order term, and the Poisson bracket."""
+    cset = ConstraintSet((), 4)
+    z = np.array([0.3, -0.2, 0.5, 0.1])
+    assert CommutationMatrix(np.zeros((0, 0))).is_invertible()
+    delta, report = error_correction_step(cset, z, FORM4)
+    assert delta.tolist() == [0.0] * 4
+    assert report == ProjectionReport(1, 0.0, 0.0, True)
+    assert second_order_coefficients(cset, z, FORM4).shape == (0,)
+    z_proj, report = project_to_constraint_surface(cset, z)
+    assert z_proj.tolist() == z.tolist()
+    assert report == ProjectionReport(0, 0.0, 0.0, True)
+    f, g = coord(4, 0), coord(4, 2)
+    assert dirac_bracket(f, g, cset, z, FORM4) == poisson_bracket(f, g, z, FORM4) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -1042,21 +1134,15 @@ def _counting(fn, calls):
     return PhaseFunction(fn.value, gradient, label=fn.label)
 
 
-@pytest.mark.parametrize("op", ["commutation_matrix", "dirac_bracket",
-                                "gauge_fixed_multipliers", "extended_flow"])
+@pytest.mark.parametrize("op", ["commutation_matrix", "dirac_bracket"])
 def test_each_constraint_gradient_evaluated_once(op):
     rng = np.random.default_rng(3)
     calls = {}
     cset = constraint_set(
         [_counting(_random_quadratic(rng, 4, f"c{i}"), calls) for i in range(4)], 4)
-    system = HamiltonianSystem.canonical(2, _random_quadratic(rng, 4, "H"))
     z = rng.standard_normal(4)
     if op == "commutation_matrix":
         commutation_matrix(cset, z, FORM4)
-    elif op == "dirac_bracket":
-        dirac_bracket(coord(4, 0), coord(4, 2), cset, z, FORM4)
-    elif op == "gauge_fixed_multipliers":
-        gauge_fixed_multipliers(cset, system, z)
     else:
-        extended_flow(system, cset, z)
+        dirac_bracket(coord(4, 0), coord(4, 2), cset, z, FORM4)
     assert calls == {f"c{i}": 1 for i in range(4)}

@@ -13,13 +13,14 @@ import sympy as sp
 
 from gaugefix import phase
 from gaugefix.constraints import (
+    LinearModel,
     classify_constraints,
     consistency_chain,
     constraint_set,
     dirac_bracket,
-    gauge_fixed_multipliers,
     second_order_coefficients,
 )
+from gaugefix.evolution import StepperKind, _stable, _step_blocks
 from gaugefix.phase import (
     CosymplecticForm,
     HamiltonianSystem,
@@ -348,10 +349,12 @@ class TestMaxwellModeDerivation:
         hess = np.array(sp.hessian(self.hamiltonian(), z).subs(at_k), dtype=float)
         assert np.allclose(model.system.hamiltonian.coefficients.quad, hess,
                            rtol=0, atol=1e-15)
-        lam = sp.lambdify(z, [x.subs(at_k) for x in self.multipliers()])
-        for point in np.random.default_rng(4).normal(size=(3, 8)):
-            got = gauge_fixed_multipliers(cset, model.system, point)
-            assert np.allclose(got, lam(*point), rtol=0, atol=1e-12)
+        # lambda is linear in z: its Jacobian is K and its value at 0 is k.
+        lam = sp.Matrix([x.subs(at_k) for x in self.multipliers()])
+        k, k0 = LinearModel.of(model.system, cset).multipliers()
+        assert np.allclose(k, np.array(lam.jacobian(z), dtype=float), rtol=0, atol=1e-12)
+        assert np.allclose(k0, np.array(lam.subs(dict.fromkeys(z, 0)), dtype=float).ravel(),
+                           rtol=0, atol=1e-12)
         checks = dict(model.check_functions)
         for i in range(3):
             for j in range(3):
@@ -416,11 +419,7 @@ class TestSecondOrderCorrectionDerivation:
     def test_worked_example_numbers(self):
         assert self.eps2() == [sp.Rational(196, 3645), sp.Rational(-7, 243)]
 
-    def test_package_exact_without_finite_differences(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("fd_gradient called on polynomial constraints")
-
-        monkeypatch.setattr(phase, "fd_gradient", refuse)
+    def test_package_exact_without_finite_differences(self):
         cset = constraint_set([
             linear_function(np.array([0.0, 1.0]), label="p"),
             quadratic_function(np.diag([2.0, 0.0]), lin=np.array([1.0, 0.0]), label="q + q^2"),
@@ -454,3 +453,64 @@ class TestFieldEnergyDerivation:
         t, pi_l = sp.symbols("t piL", real=True)
         a_l = sp.integrate(pi_l, (t, 0, t))
         assert sp.simplify(a_l - t * pi_l) == 0
+
+
+class TestFieldStepMapDerivation:
+    """One step of each stepper on the transverse oscillator a' = p,
+    p' = -k^2 a of one shell (derivations section 7), with x = h^2 k^2."""
+
+    h, k2, y = sp.symbols("h k2 y", positive=True)
+    x = h ** 2 * k2
+
+    def package_block(self, method):
+        """_step_blocks on the symbols, its float constants read back as
+        rationals (Verlet's h comes back as a 0-d object array)."""
+        return sp.Matrix(2, 2, [sp.nsimplify(np.asarray(e, dtype=object).item())
+                                for e in _step_blocks(method, self.h, self.k2)])
+
+    def generator(self):
+        """h L for the oscillator's L = [[0, 1], [-k^2, 0]]."""
+        return self.h * sp.Matrix([[0, 1], [-self.k2, 0]])
+
+    @staticmethod
+    def rk4(w):
+        """RK4's stability polynomial R(w) = 1 + w + w^2/2 + w^3/6 + w^4/24."""
+        return sum((w ** n / sp.factorial(n) for n in range(1, 5)), sp.Integer(1))
+
+    def test_rk4_block_is_the_stability_polynomial(self):
+        hl = self.generator()
+        assert sp.expand(hl ** 2 + self.x * sp.eye(2)) == sp.zeros(2, 2)
+        expected = sp.eye(2) + sum((hl ** n / sp.factorial(n) for n in range(1, 5)),
+                                   sp.zeros(2, 2))
+        assert sp.expand(self.package_block(StepperKind.RK4) - expected) == sp.zeros(2, 2)
+
+    def test_rk4_modulus_on_the_imaginary_axis(self):
+        modulus2 = sp.expand(self.rk4(sp.I * self.y) * self.rk4(-sp.I * self.y))
+        assert modulus2 == 1 - self.y ** 6 / 72 + self.y ** 8 / 576
+        # <= 1 exactly for y^2 <= 8, so x = 8 is the last stable value.
+        assert sp.factor(modulus2 - 1) == self.y ** 6 * (self.y ** 2 - 8) / 576
+        # At the edge the block still has two distinct unit eigenvalues c +- i k s.
+        edge = self.package_block(StepperKind.RK4).subs(self.k2, 8 / self.h ** 2)
+        assert sp.simplify(edge[0, 1]) == -self.h / 3
+        eigenvalues = list(edge.eigenvals())
+        assert len(eigenvalues) == 2
+        assert all(sp.simplify(sp.Abs(ev) - 1) == 0 for ev in eigenvalues)
+
+    def test_verlet_block_and_its_edge(self):
+        kick = sp.Matrix([[1, 0], [-self.h * self.k2 / 2, 1]])
+        drift = sp.Matrix([[1, self.h], [0, 1]])
+        block = self.package_block(StepperKind.STORMER_VERLET)
+        assert sp.expand(block - kick * drift * kick) == sp.zeros(2, 2)
+        assert sp.expand(block.det()) == 1
+        assert sp.expand(block.trace()) == 2 - self.x
+        # At x = 4: a double eigenvalue -1 and one eigenvector, a Jordan block
+        # whose powers grow linearly, so x = 4 is already unstable.
+        edge = block.subs(self.k2, 4 / self.h ** 2).applyfunc(sp.simplify)
+        assert edge.eigenvals() == {-1: 2}
+        assert (edge + sp.eye(2)).rank() == 1
+
+    def test_stable_edges(self):
+        assert _stable(StepperKind.RK4, 8.0) is True
+        assert _stable(StepperKind.RK4, float(np.nextafter(8.0, np.inf))) is False
+        assert _stable(StepperKind.STORMER_VERLET, 4.0) is False
+        assert _stable(StepperKind.STORMER_VERLET, float(np.nextafter(4.0, 0.0))) is True

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gaugefix import evolution, fields
-from gaugefix.constraints import LinearModel, consistency_chain, constraint_set, extended_flow
+from gaugefix.constraints import LinearModel, consistency_chain, constraint_set
 from gaugefix.evolution import (
     CSV_HEADER,
     MAX_LOOP_PASSES,
@@ -33,7 +33,14 @@ from gaugefix.phase import (
 )
 from gaugefix.toys import circle_pair, second_class_demo
 import oracles
-from oracles import kvec_table, l2_norm, peak_shift, plane_wave_initial_data, state_distance
+from oracles import (
+    extended_flow,
+    kvec_table,
+    l2_norm,
+    peak_shift,
+    plane_wave_initial_data,
+    state_distance,
+)
 
 TWO_PI = 2.0 * np.pi
 

@@ -9,17 +9,16 @@ EXPORTS = {
     "constraints": """AmbiguousClassificationError ChainTerminationError CommutationMatrix
         Constraint ConstraintClass ConstraintOrigin ConstraintSet GaugeNotFixedError
         LinearModel ProjectionReport SamplerError classify_constraints commutation_matrix
-        consistency_chain constraint_set dirac_bracket error_correction_step extended_flow
-        gauge_fixed_multipliers least_squares_project make_surface_sampler
-        project_to_constraint_surface second_order_coefficients""",
+        consistency_chain constraint_set dirac_bracket error_correction_step
+        least_squares_project make_surface_sampler project_to_constraint_surface
+        second_order_coefficients""",
     "evolution": "CSV_HEADER DiagnosticsSeries FiniteSeries StepperKind evolve evolve_finite",
     "fields": """FieldState FormulationKind SnapshotFormatError SparseSpectrum
         SpectralWorkspace correct_initial_data diagnostics get_workspace
         plane_wave_reference plane_wave_spectrum random_smooth_fields read_snapshot
         transverse_project write_snapshot""",
     "phase": """CosymplecticForm HamiltonianSystem PhaseFunction QuadraticLagrangian
-        bracket_function hamiltonian_flow legendre linear_function poisson_bracket
-        quadratic_function""",
+        bracket_function legendre linear_function poisson_bracket quadratic_function""",
     "symbols": """Hyperbolicity PrincipalSymbol SymbolReport analyze_symbol
         maxwell_canonical_symbol maxwell_gauge_fixed_symbol""",
 }

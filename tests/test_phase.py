@@ -15,8 +15,6 @@ from gaugefix.phase import (
     as_phase_point,
     bracket_function,
     combination,
-    fd_gradient,
-    hamiltonian_flow,
     legendre,
     linear_function,
     poisson_bracket,
@@ -152,34 +150,9 @@ def test_jacobi_identity_for_polynomials(z):
     assert abs(total) <= 1e-12 * (1.0 + np.linalg.norm(z) ** 2)
 
 
-def test_fd_gradient_matches_analytic_quadratic():
-    quad = np.array([[2.0, 0.5], [0.5, 1.0]])
-    f = quadratic_function(quad, lin=np.array([1.0, -1.0]))
-    z = np.array([0.7, -0.4])
-    assert_allclose(fd_gradient(f.value, z), f.grad(z), atol=1e-9)
-
-
-def test_phase_function_fd_fallback_flagged():
-    f = PhaseFunction(lambda z: float(np.sin(z[0]) * z[1]), None)
-    assert f.uses_fd_gradient
-    z = np.array([0.3, 1.1])
-    assert_allclose(f.grad(z), [np.cos(0.3) * 1.1, np.sin(0.3)], atol=1e-9)
-    g = linear_function(np.ones(2))
-    assert not g.uses_fd_gradient
-
-
-def test_hamiltonian_flow_harmonic_oscillator():
-    h = quadratic_function(np.eye(2))
-    system = HamiltonianSystem.canonical(1, h)
-    z = np.array([1.0, 0.0])
-    assert_allclose(hamiltonian_flow(system, z), [0.0, -1.0])
-
-
-def test_hamiltonian_flow_dimension_mismatch():
-    h = quadratic_function(np.eye(2))
-    system = HamiltonianSystem.canonical(1, h)
-    with pytest.raises(ValueError):
-        hamiltonian_flow(system, np.zeros(4))
+def test_phase_function_requires_a_gradient():
+    with pytest.raises(TypeError, match="gradient"):
+        PhaseFunction(lambda z: float(np.sin(z[0]) * z[1]))
 
 
 def _random_lagrangian(rng, n, rank):
@@ -282,7 +255,6 @@ def test_closed_form_bracket_matches_oracle(dim, kind):
     for _ in range(20):
         f, g = _random_polynomial(rng, dim), _random_polynomial(rng, dim)
         fg = bracket_function(f, g, form)
-        assert not fg.uses_fd_gradient
         assert fg.coefficients is not None
         for z in rng.standard_normal((5, dim)):
             expected = poisson_bracket(f, g, z, form)
@@ -323,22 +295,24 @@ def test_linear_function_coefficients():
     assert bracket.coefficients.const == 0.0
 
 
-def test_bracket_function_falls_back_without_closed_form():
-    """An opaque input, also inside a combination, gives the pointwise
-    bracket with a finite-difference gradient."""
+def test_bracket_function_refuses_input_without_closed_form():
+    """An opaque input, also as a member of a combination, is refused with
+    its label named; its pointwise bracket is still poisson_bracket's."""
     f = quadratic_function(np.eye(2))
-    opaque = PhaseFunction(lambda z: float(np.sin(z[0])), lambda z: np.array([np.cos(z[0]), 0.0]))
-    mixed = combination([f, opaque], [2.0, -1.0])
-    assert mixed.coefficients is None
-    z = np.array([0.3, -0.7])
-    assert mixed(z) == pytest.approx(2.0 * f(z) - opaque(z), rel=1e-15)
-    assert_allclose(mixed.grad(z), 2.0 * f.grad(z) - opaque.grad(z), rtol=1e-15)
+    opaque = PhaseFunction(lambda z: float(np.sin(z[0])), lambda z: np.array([np.cos(z[0]), 0.0]),
+                           label="sin q")
     canonical = CosymplecticForm.canonical(1)
-    for a, b, form in ((f, opaque, canonical), (opaque, f, canonical),
-                       (mixed, f, canonical)):
-        fg = bracket_function(a, b, form)
-        assert fg.coefficients is None and fg.uses_fd_gradient
-        assert fg(z) == poisson_bracket(a, b, z, form)
+    refusal = r"^phase function sin q has no polynomial coefficients"
+    for a, b in ((f, opaque), (opaque, f)):
+        with pytest.raises(ValueError, match=refusal):
+            bracket_function(a, b, canonical)
+    with pytest.raises(ValueError, match=refusal):
+        combination([f, opaque], [2.0, -1.0])
+    with pytest.raises(ValueError, match=r"^phase function \(unlabelled\) has no"):
+        bracket_function(f, PhaseFunction(opaque.value, opaque.gradient), canonical)
+    z = np.array([0.3, -0.7])
+    assert poisson_bracket(opaque, f, z, canonical) == pytest.approx(np.cos(0.3) * -0.7,
+                                                                     rel=1e-15)
 
 
 def test_bracket_function_rejects_dimension_mismatch():
