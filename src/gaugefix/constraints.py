@@ -535,13 +535,20 @@ def dirac_bracket(f: PhaseFunction, g: PhaseFunction, cset: ConstraintSet, z,
     """Dirac bracket [f, g] - [f, C_A] (M^-1)_AB [C_B, g] at z.
 
     Requires an invertible commutation matrix; a singular one means some
-    gauge freedom is unfixed and raises GaugeNotFixedError.
+    gauge freedom is unfixed and raises GaugeNotFixedError. An f or g of
+    another size raises ValueError naming it, from its coefficients
+    before it is evaluated where it has them.
     """
     z = as_phase_point(z)
     j = _kernel(cset, form, z)
-    gf, gg = f.grad(z), g.grad(z)
-    for fn, grad in ((f, gf), (g, gg)):
-        _check_size(f"{fn.label or 'function'} gradient", grad.size, cset.dim)
+    grads = []
+    for fn in (f, g):
+        name = f"{fn.label or 'function'} gradient"
+        if fn.coefficients is not None:
+            _check_size(name, fn.coefficients.lin.size, cset.dim)
+        grads.append(fn.grad(z))
+        _check_size(name, grads[-1].size, cset.dim)
+    gf, gg = grads
     jac = cset.jacobian(z)
     correction = (gf @ j @ jac.T) @ _commutation(jac, j).solve(jac @ j @ gg)
     return float(gf @ j @ gg) - float(correction)

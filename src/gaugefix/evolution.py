@@ -152,11 +152,9 @@ def _step_blocks(method: StepperKind, h: float, k2: np.ndarray) -> tuple:
     return d, np.full_like(k2, h), -k2 * h * (1.0 - x / 4.0), d
 
 
-def _compose(m: tuple, first: tuple) -> tuple:
-    """The 2x2 blocks that apply `first`, then m."""
-    aa, ap, pa, pp = m
-    fa, fb, fc, fd = first
-    return aa * fa + ap * fc, aa * fb + ap * fd, pa * fa + pp * fc, pa * fb + pp * fd
+def _compose(m: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The 2x2 blocks, stacked (2, 2, shells), that apply `first`, then m."""
+    return m[:, :1] * first[:1] + m[:, 1:] * first[1:]
 
 
 class _ShellMaps:
@@ -166,11 +164,11 @@ class _ShellMaps:
     """
 
     def __init__(self, method: StepperKind, kind: FormulationKind, h: float, k2: np.ndarray):
-        self.step = _step_blocks(method, h, k2)
+        self.step = np.reshape(_step_blocks(method, h, k2), (2, 2) + np.shape(k2))
         self.lp = h if kind is FormulationKind.CANONICAL else 0.0
 
-    def power(self, j: int) -> tuple:
-        """Transverse blocks of j >= 1 steps, by repeated squaring."""
+    def power(self, j: int) -> np.ndarray:
+        """Transverse blocks [[aa, ap], [pa, pp]] of j >= 1 steps, by repeated squaring."""
         result, base = None, self.step
         while True:
             if j & 1:
@@ -199,9 +197,9 @@ def _advanced(modes: _Support, maps: _ShellMaps, y0: np.ndarray, n_steps: int,
     return fields._remove_longitudinal(y, modes.ws) if reprojected else y
 
 
-def _congruence(m: tuple, g: np.ndarray) -> np.ndarray:
+def _congruence(m: np.ndarray, g: np.ndarray) -> np.ndarray:
     """M G M^T per shell, for symmetric G stored as rows (aa, ap, pp)."""
-    m_aa, m_ap, m_pa, m_pp = m
+    (m_aa, m_ap), (m_pa, m_pp) = m
     g_aa, g_ap, g_pp = g
     # Rows of M G.
     x_a, x_p = m_aa * g_aa + m_ap * g_ap, m_aa * g_ap + m_ap * g_pp
@@ -212,7 +210,8 @@ def _congruence(m: tuple, g: np.ndarray) -> np.ndarray:
 
 class _Support(fields.Modes):
     """Modes the loop carries as explicit vectors: a fields.Modes set with
-    the reference's entries at ref_at, and the step blocks in mode shape."""
+    the reference's entries at ref_at (every mode: at its support), and the
+    step blocks in mode shape; one split and one step for either carrier."""
 
     ref_at = slice(None)
 
@@ -220,27 +219,27 @@ class _Support(fields.Modes):
         super().__init__(*modes)
         self._blocks = {}
 
-    def reference_at(self, reference, t: float) -> np.ndarray:
-        """The reference's spectrum at time t set into these modes (every mode: at its support)."""
-        r = np.zeros((2, 3) + self.inv_k2.shape, dtype=complex)
-        r[(Ellipsis, *(reference.support if self.whole else (self.ref_at,)))] = reference.spectrum(t)
-        return r
-
     def advance(self, maps: _ShellMaps, j: int, y_s: np.ndarray) -> np.ndarray:
         """Apply j steps: the transverse blocks and the longitudinal [[1, j lp], [0, 1]].
 
-        The two parts are advanced apart: pi_L passes through as it is and
-        A_L gains j lp pi_L, however much the transverse block amplifies.
-        The blocks are gathered into mode shape once per j (up to four kept).
+        The two parts are advanced apart: A_L + j lp pi_L and pi_L are added,
+        in place and in that order, to aa A_T + ap pi_T and pa A_T + pp pi_T,
+        however much the transverse block amplifies. The blocks are gathered
+        into mode shape once per j (up to four kept).
         """
         if j not in self._blocks:
             if len(self._blocks) >= 4:
                 self._blocks.clear()
-            self._blocks[j] = tuple(b[self.shell] for b in maps.power(j))
-        aa, ap, pa, pp = self._blocks[j]
-        lp = j * maps.lp
+            self._blocks[j] = maps.power(j)[..., self.shell]
+        (aa, ap), (pa, pp) = self._blocks[j]
         (a_t, p_t), (a_l, p_l) = self.split(y_s)
-        return np.stack([aa * a_t + ap * p_t + a_l + lp * p_l, pa * a_t + pp * p_t + p_l])
+        out, buf = np.empty_like(y_s), np.empty_like(a_l)
+        for row, from_a, from_p, long in zip(out, (aa, pa), (ap, pp), (a_l, p_l)):
+            np.multiply(from_a, a_t, out=row)
+            row += np.multiply(from_p, p_t, out=buf)
+            row += long
+        out[0] += np.multiply(j * maps.lp, p_l, out=buf)
+        return out
 
 
 def _step_count(dt: float, t_end: float) -> int:
@@ -417,8 +416,12 @@ def _run(y_s: np.ndarray, g, maps: _ShellMaps, support: _Support, stable: bool,
     def build() -> None:
         nonlocal saved_bytes
         ts, ys, gs = zip(*saved)
-        ref = None if reference is None else np.stack(
-            [support.reference_at(reference, t) for t in ts])
+        ref = None
+        if reference is not None:
+            ref = np.zeros((len(ts),) + ys[0].shape, dtype=complex)
+            at = (Ellipsis, *(reference.support if support.whole else (support.ref_at,)))
+            for r, t in zip(ref, ts):
+                r[at] = reference.spectrum(t)
         g_stack = None if gs[0] is None else tuple(np.stack(m) for m in zip(*gs))
         rows.append(np.column_stack([ts, support.rows(np.stack(ys), ref, g_stack)]))
         saved.clear()

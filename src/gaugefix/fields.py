@@ -225,10 +225,13 @@ class SparseSpectrum:
 def k_dot(v: np.ndarray, kvec) -> np.ndarray:
     """k . v per mode, over v's component axis; kvec is the three components of k.
 
-    One component at a time through one product buffer. The sum equals
-    np.sum of the whole product over that axis bit for bit: that adds onto
-    zero, so the first product gets + 0.0 (-0 becomes +0).
+    Listed modes' (3, entries) table takes one product and one sum over that
+    axis; every mode's three broadcasting views go one component at a time
+    through one product buffer, to save memory. Both add onto zero in the
+    same order, so the first product gets + 0.0 (-0 becomes +0).
     """
+    if isinstance(kvec, np.ndarray):
+        return np.add.reduce(kvec * v, axis=-kvec.ndim)
     lead = (slice(None),) * (v.ndim - 1 - kvec[0].ndim)
     dot = kvec[0] * v[lead + (0,)]
     dot += 0.0
@@ -268,8 +271,8 @@ def _coef(v: np.ndarray, kvec, inv_k2, field_shift) -> np.ndarray:
     """k . v / k^2 per mode: Modes.coef, with field_shift() the overflow_shift of v's field."""
     coef = k_dot(v, kvec)
     coef *= inv_k2
-    redo = ~np.isfinite(coef)
-    if redo.any() and (shift := field_shift()) is not None and shift > 0:
+    if not np.isfinite(coef).all() and (shift := field_shift()) is not None and shift > 0:
+        redo = ~np.isfinite(coef)
         scaled = k_dot(v * np.ldexp(1.0, -shift), kvec) * inv_k2
         coef[redo] = scaled[redo] * np.ldexp(1.0, shift)
     return coef
@@ -329,7 +332,8 @@ class Modes:
     def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(transverse, longitudinal) parts of vectors v on these modes."""
         coef = self.coef(v)
-        long = np.stack([k * coef for k in self.kvec], axis=-1 - self.kvec[0].ndim)
+        long = np.stack([k * coef for k in self.kvec], axis=-4) if self.whole else (
+            self.kvec * coef[..., None, :])
         del coef  # Not alive next to both outputs: that is a projection's peak.
         return v - long, long
 
@@ -414,8 +418,8 @@ class Modes:
             g_t, g_l = self.moments(y)
             dist = np.full(y.shape[0], np.nan)
             if ref is not None:
-                dist2 = sum(total(self.weight * _abs2(y[:, f, i] - ref[:, f, i]))
-                            for f in range(2) for i in range(3))
+                squares = (self.weight * _abs2(y - ref)).reshape(len(y), 6, -1)
+                dist2 = np.add.reduce(np.add.reduce(squares, axis=-1), axis=1)
                 if g is not None:
                     # Off these modes the distance is the state's own moments.
                     dist2 = dist2 + sum(total(m[:, p]) for m in g for p in (0, 2))
@@ -433,7 +437,7 @@ class Modes:
         lift = self.lift
         up = np.ldexp(1.0, lift)
         out = columns(y * up, None if ref is None else ref * up, g) if lift else columns(y, ref, g)
-        exponents = np.tile(-lift * powers, (len(out), 1))
+        exponents = np.zeros(out.shape, dtype=int) - lift * powers
         redo = ~np.isfinite(out)
         if ref is None:
             redo[:, 5] = False
@@ -668,6 +672,7 @@ def plane_wave_reference(mode, polarization, amplitude: float = 1.0,
     k = 2.0 * np.pi * mode / domain_length
     omega = float(np.linalg.norm(k))
     support, coeff = _wave_entries(mode, e, amplitude, grid_n)
+    parts = np.stack([coeff, -omega * coeff])  # spectrum(t): parts times cos(w t), sin(w t)
 
     @functools.cache
     def pattern():
@@ -678,7 +683,7 @@ def plane_wave_reference(mode, polarization, amplitude: float = 1.0,
         return pattern() * np.cos(omega * t), -omega * pattern() * np.sin(omega * t)
 
     def spectrum(t: float) -> np.ndarray:
-        return np.stack([coeff * np.cos(omega * t), -omega * coeff * np.sin(omega * t)])
+        return parts * np.array([np.cos(omega * t), np.sin(omega * t)])[:, None, None]
 
     reference.omega = omega
     reference.period = 2.0 * np.pi / omega

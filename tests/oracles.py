@@ -6,7 +6,9 @@ half spectrum (fields.Modes.rows, fields.diagnostics,
 fields.project_snapshot).
 The functions here compute them on the N^3 grid instead: derivatives by
 a forward and a backward transform, norms and energy as sums over grid
-values, and the plane wave as grid samples. adapted_blocks splits a
+values, and the plane wave as grid samples. split_then_stack_step is
+the field step as one split and one stack of the two rows, with k . v
+summed one component at a time on every mode set. adapted_blocks splits a
 principal symbol into 2x2 blocks in a frame adapted to a direction,
 kvec_table builds the wavevector of every mode as one dense table, and
 peak_shift takes an overflow scale from np.frexp, apart from the library's.
@@ -41,10 +43,12 @@ from gaugefix.fields import (
     SpectralWorkspace,
     _abs2,
     _check_wave,
+    _coef,
     correct_initial_data,
     get_workspace,
     grid_coordinates,
     k_dot,
+    overflow_shift,
     transverse_project,
 )
 from gaugefix.phase import as_phase_point, bracket_function, combination
@@ -83,6 +87,19 @@ def curl_hat(v_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
 
 def transverse_project_hat(v_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
     return Modes(ws).split(np.asarray(v_hat))[0]
+
+
+def split_then_stack_step(modes, maps, j: int, y_s: np.ndarray) -> np.ndarray:
+    """j steps of maps on y_s, modes an evolution._Support: k . v one
+    component at a time (kvec as three rows), the longitudinal part stacked
+    from its components, the two rows of the step stacked."""
+    kvec = tuple(modes.kvec)
+    coef = _coef(y_s, kvec, modes.inv_k2, lambda: overflow_shift(y_s))
+    long = np.stack([k * coef for k in kvec], axis=-1 - kvec[0].ndim)
+    (a_t, p_t), (a_l, p_l) = y_s - long, long
+    (aa, ap), (pa, pp) = maps.power(j)[..., modes.shell]
+    lp = j * maps.lp
+    return np.stack([aa * a_t + ap * p_t + a_l + lp * p_l, pa * a_t + pp * p_t + p_l])
 
 
 def div(v: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:

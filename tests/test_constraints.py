@@ -1013,7 +1013,10 @@ def test_a_form_or_point_of_another_size_is_refused(name, form, z, message):
 
 def test_dirac_bracket_refuses_a_gradient_of_another_size():
     z = np.array([0.4, 0.25, 0.25, 0.1])
-    for f, g in ((coord(2, 0, "q"), coord(4, 2)), (coord(4, 0), coord(2, 0, "q"))):
+    # A quadratic of size 2 would fail inside its own gradient at a point of size 4.
+    quad = quadratic_function(np.eye(2), label="q")
+    for f, g in ((coord(2, 0, "q"), coord(4, 2)), (coord(4, 0), coord(2, 0, "q")),
+                 (quad, coord(4, 2)), (coord(4, 0), quad)):
         with pytest.raises(ValueError, match="^q gradient size 2 does not match phase "
                                              "dimension 4$"):
             dirac_bracket(f, g, second_class_demo().primaries, z, FORM4)

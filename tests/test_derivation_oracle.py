@@ -20,7 +20,8 @@ from gaugefix.constraints import (
     dirac_bracket,
     second_order_coefficients,
 )
-from gaugefix.evolution import StepperKind, _stable, _step_blocks
+from gaugefix.evolution import StepperKind, _ShellMaps, _stable, _step_blocks
+from gaugefix.fields import FormulationKind
 from gaugefix.phase import (
     CosymplecticForm,
     HamiltonianSystem,
@@ -508,6 +509,27 @@ class TestFieldStepMapDerivation:
         edge = block.subs(self.k2, 4 / self.h ** 2).applyfunc(sp.simplify)
         assert edge.eigenvals() == {-1: 2}
         assert (edge + sp.eye(2)).rank() == 1
+
+    @pytest.mark.parametrize("method", list(StepperKind))
+    @pytest.mark.parametrize("kind", list(FormulationKind))
+    def test_longitudinal_powers(self, method, kind):
+        """j steps on the longitudinal pair alpha' = c beta, beta' = f alpha,
+        with c = 1 (canonical) or 0 (gauge-fixed: dA/dt = P_T pi) and
+        f = -k^2 + k^2 = 0 (curl curl kills A_L), are [[1, j h c], [0, 1]]:
+        the package's [[1, j lp], [0, 1]], A_L gaining j lp pi_L."""
+        c = 1 if kind is FormulationKind.CANONICAL else 0
+        f = -self.k2 + self.k2
+        if method is StepperKind.RK4:
+            hl = self.h * sp.Matrix([[0, c], [f, 0]])
+            step = sp.eye(2) + sum((hl ** n / sp.factorial(n) for n in range(1, 5)),
+                                   sp.zeros(2, 2))
+        else:
+            kick = sp.Matrix([[1, 0], [self.h * f / 2, 1]])
+            step = kick * sp.Matrix([[1, self.h * c], [0, 1]]) * kick
+        lp = sp.nsimplify(_ShellMaps(method, kind, self.h, self.k2).lp)
+        assert lp == c * self.h
+        for j in range(1, 8):
+            assert sp.expand(step ** j) == sp.Matrix([[1, j * lp], [0, 1]])
 
     def test_stable_edges(self):
         assert _stable(StepperKind.RK4, 8.0) is True

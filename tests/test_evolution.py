@@ -1,4 +1,5 @@
 import functools
+import itertools
 import re
 import tracemalloc
 import warnings
@@ -39,6 +40,7 @@ from oracles import (
     l2_norm,
     peak_shift,
     plane_wave_initial_data,
+    split_then_stack_step,
     state_distance,
 )
 
@@ -1192,6 +1194,60 @@ def test_stacked_rows_equal_one_row_stacks_bit_for_bit(whole, with_g, with_ref):
     assert np.all(np.isinf(stacked[[1, 3], 0])) and np.all(np.isfinite(stacked[[0, 2], 0]))
     assert np.all(np.isfinite(stacked[:, 1:5]))
     assert np.all(np.isfinite(stacked[:, 5]) if with_ref else np.isnan(stacked[:, 5]))
+
+
+@pytest.mark.parametrize("method", list(StepperKind))
+@pytest.mark.parametrize("kind", list(FormulationKind))
+def test_step_in_place_equals_split_then_stack_bit_for_bit(method, kind):
+    # Random listed supports, every mode, and k = +-(3, 3, 0) against
+    # e = (1, -1, 0) 1e308/sqrt 2, where k . y overflows to NaN and takes
+    # the power-of-two redo; dt = 1 is unstable there, so powers blow up too.
+    n = 8
+    ws = fields.SpectralWorkspace(n, TWO_PI)
+    rng = np.random.default_rng(11)
+    shape = ws.k2.shape
+    overflow = ((3, n - 3, 1), (3, n - 3, 2), (0, 0, 3))
+    supports = [np.unravel_index(rng.choice(np.prod(shape), size, replace=False), shape)
+                for size in (1, 2, 5, 40)] + [overflow, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for index, dt in itertools.product(supports, (0.05, 1.0)):
+            support = evolution._Support(ws) if index is None else evolution._Support(ws, index)
+            y = rng.standard_normal((2, 3) + support.inv_k2.shape) * (1.0 + 1j)
+            y[..., :1] *= 1e-300
+            if index is overflow:
+                y[:, :, :2] = 1e308 * np.array([1.0, -1.0, 0.0])[:, None] / np.sqrt(2.0)
+                assert np.isnan(fields.k_dot(y, support.kvec)).any()
+            maps = evolution._ShellMaps(method, kind, dt, support.k2)
+            for j in range(1, 8):
+                got = support.advance(maps, j, y)
+                want = split_then_stack_step(support, maps, j, y)
+                assert np.array_equal(got, want, equal_nan=True)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_reference_stack_equals_the_spectrum_at_each_time(monkeypatch, sparse):
+    refs = []
+    rows = fields.Modes.rows
+
+    def keeping(self, y, ref=None, g=None):
+        refs.append((self, ref))
+        return rows(self, y, ref, g)
+
+    monkeypatch.setattr(fields.Modes, "rows", keeping)
+    spec = plane_wave_spectrum((0, 1, 0), (1, 0, 0), kind="contaminated", grid_n=8)
+    ref = plane_wave_reference((1, 1, 0), (0, 0, 1), grid_n=8)
+    series = evolve(spec if sparse else grid_of(spec), "canonical", "rk4", 0.05, 1.0,
+                    reference=ref, stride=4)
+    ((modes, stack),) = refs
+    assert stack.shape == (len(series.t), 2, 3) + modes.inv_k2.shape
+    for r, t in zip(stack, series.t):
+        want = np.zeros_like(r)
+        want[..., modes.ref_at] = ref.spectrum(t)
+        assert r.tobytes() == want.tobytes()
+    if sparse:
+        # The reference's two entries among the wave's and the contamination's four.
+        assert modes.inv_k2.size == 6 and np.count_nonzero(np.abs(stack).sum(axis=(0, 1, 2))) == 2
 
 
 def count_row_stacks(monkeypatch):
