@@ -12,8 +12,7 @@ the state (an unstable step, or a state that may overflow), or, for
 initial data given by a few Fourier coefficients, those and the
 reference's alone. Every carrier reads its rows at one power of two per
 run. The per-mode algebra (k . v, the transverse split, the Parseval
-rows) is fields.Modes. The final state is built when it is first read,
-where the run bounds it on the grid.
+rows) is fields.Modes. The final state is built when it is first read.
 Diagnostics are sampled on a stride, written as CSV with a fixed column
 set, and evolution aborts (flagged, not raised) as soon as a non-finite
 value appears in the state.
@@ -60,21 +59,19 @@ class StepperKind(Enum):
 class DiagnosticsSeries:
     """Sampled scalar diagnostics of one field evolution.
 
-    final_state is the last finite state, or None (and the run aborted)
-    when that state's finite spectrum overflows on the grid. A run read
-    off shell moments holds the initial spectrum and the shell maps
-    instead, and builds the state from them when final_state is first
-    read: one map power on every mode, the reprojection if any, one
-    transform back to the grid. A run carrying explicit vectors holds them
-    and sets them into a zero half spectrum then (every mode: the spectrum
-    as it is), when it ran to the end with coefficient magnitudes summing
-    below 2^1000; otherwise its state is built at once. The state is then
-    kept and the spectrum released. Deferring runs bound the state on the
-    grid (docs/derivations.md section 7), so a non-finite result there
-    raises FloatingPointError.
+    aborted means the state stopped being finite; abort_time is then the
+    time of the last finite state the run reached (a run in blocks reaches
+    its rows and reprojections, not every step). final_state is that
+    state on the grid, built by one backward transform of the run's last
+    spectrum when it is first read, then kept and the spectrum released;
+    it reads None where that finite spectrum overflows on the grid, which
+    is no abort. A run read off shell moments gives the spectrum as one
+    map power on every mode of the initial spectrum, the longitudinal part
+    left out if the run reprojected; a run carrying explicit vectors, as
+    the vectors set into a zero half spectrum (every mode: the spectrum as
+    it is).
     The final state takes no part in repr. Series compare by identity:
-    == never looks at the arrays, so it neither raises nor builds the
-    final state.
+    == never looks at the arrays, so it never builds the final state.
     """
 
     t: np.ndarray
@@ -86,7 +83,7 @@ class DiagnosticsSeries:
     l2_error: np.ndarray
     aborted: bool = False
     abort_time: float | None = None
-    _final: FieldState | Callable[[], FieldState] | None = field(default=None, repr=False)
+    _final: FieldState | Callable[[], FieldState | None] | None = field(default=None, repr=False)
 
     @property
     def final_state(self) -> FieldState | None:
@@ -113,9 +110,10 @@ def _finite(y_hat: np.ndarray) -> bool:
     return bool(np.isfinite(y_hat).all())
 
 
-def _grid_state(y_hat: np.ndarray, ws: SpectralWorkspace) -> FieldState | None:
-    """The state of spectrum y_hat on the grid, or None where it is not finite there."""
-    grid = ws.backward(y_hat)
+def _grid_state(spectrum: Callable[[], np.ndarray], ws: SpectralWorkspace) -> FieldState | None:
+    """The state of spectrum() on the grid, or None where it is not finite there."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = ws.backward(spectrum())
     return FieldState(grid[0], grid[1], ws.domain_length) if _finite(grid) else None
 
 
@@ -179,24 +177,6 @@ class _ShellMaps:
             base = _compose(base, base)
 
 
-def _deferred(spectrum, ws: SpectralWorkspace) -> FieldState:
-    """The grid state of spectrum(), for a run that bounds its grid values
-    (coefficient magnitudes summing below 2^1000, or moments bounding them so)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        state = _grid_state(spectrum(), ws)
-    if state is None:
-        raise FloatingPointError("final state is not finite on the grid although the run bounds it")
-    return state
-
-
-def _advanced(modes: _Support, maps: _ShellMaps, y0: np.ndarray, n_steps: int,
-              reprojected: bool) -> np.ndarray:
-    """The n-step map on every mode of y0, with its longitudinal part dropped in
-    place if the run reprojected at all: the map keeps a zero longitudinal part zero."""
-    y = modes.advance(maps, n_steps, y0)
-    return fields._remove_longitudinal(y, modes.ws) if reprojected else y
-
-
 def _congruence(m: np.ndarray, g: np.ndarray) -> np.ndarray:
     """M G M^T per shell, for symmetric G stored as rows (aa, ap, pp)."""
     (m_aa, m_ap), (m_pa, m_pp) = m
@@ -219,13 +199,17 @@ class _Support(fields.Modes):
         super().__init__(*modes)
         self._blocks = {}
 
-    def advance(self, maps: _ShellMaps, j: int, y_s: np.ndarray) -> np.ndarray:
+    def advance(self, maps: _ShellMaps, j: int, y_s: np.ndarray,
+                reproject: bool = False) -> np.ndarray:
         """Apply j steps: the transverse blocks and the longitudinal [[1, j lp], [0, 1]].
 
         The two parts are advanced apart: A_L + j lp pi_L and pi_L are added,
         in place and in that order, to aa A_T + ap pi_T and pa A_T + pp pi_T,
-        however much the transverse block amplifies. The blocks are gathered
-        into mode shape once per j (up to four kept).
+        however much the transverse block amplifies. With reproject (a pass
+        that ends in the transverse projection) they are left out: the
+        transverse block's part is the projected state, with no second
+        split. The blocks are gathered into mode shape once per j (up to
+        four kept).
         """
         if j not in self._blocks:
             if len(self._blocks) >= 4:
@@ -237,8 +221,10 @@ class _Support(fields.Modes):
         for row, from_a, from_p, long in zip(out, (aa, pa), (ap, pp), (a_l, p_l)):
             np.multiply(from_a, a_t, out=row)
             row += np.multiply(from_p, p_t, out=buf)
-            row += long
-        out[0] += np.multiply(j * maps.lp, p_l, out=buf)
+            if not reproject:
+                row += long
+        if not reproject:
+            out[0] += np.multiply(j * maps.lp, p_l, out=buf)
         return out
 
 
@@ -253,6 +239,13 @@ def _step_count(dt: float, t_end: float) -> int:
     if n_steps < 1:
         raise ValueError(f"t_end={t_end} is less than one step dt={dt}")
     return n_steps
+
+
+def _positive_int(name: str, value) -> int:
+    """value as an int, refusing a bool, a value that is not an integer, or one below 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _next_event(step: int, n_steps: int, stride: int,
@@ -277,8 +270,7 @@ def evolve(initial: FieldState | fields.SparseSpectrum, formulation, stepper, dt
     both fields every n steps, before any diagnostics due at that step.
 
     A grid state is read off per-shell second moments, advanced between rows
-    by the map powers on each k^2 shell; its final state is one map power
-    applied to the initial spectrum when series.final_state is first read.
+    by the map powers on each k^2 shell.
     A reference has a spectral form (`support`, `spectrum(t)`, and their
     `grid_n` and `domain_length`, as plane_wave_reference gives; else
     TypeError, and ValueError for another grid), compared on its support,
@@ -293,24 +285,30 @@ def evolve(initial: FieldState | fields.SparseSpectrum, formulation, stepper, dt
     at a time, so that abort_time is the last step whose state was
     finite), and when the state may overflow: the moments, read at the
     data's own scale, no longer bound its coefficient magnitudes below
-    2^1000 (the run restarts from step 0). A SparseSpectrum (as
-    plane_wave_spectrum gives) is carried as its entries and the
-    reference's, and nothing else: modes without content stay zero under
-    the mode-diagonal map, and stability is judged on these modes. On this
-    carrier a value that is not finite aborts, and a run that ends with
-    coefficient magnitudes summing below 2^1000 builds its final state
-    when first read, so a SparseSpectrum run makes no N^3 array before
-    then.
+    2^1000 (the run restarts from step 0; moments read at a lift can stay
+    finite while the coefficients overflow, so this bound is what finds
+    the abort). A SparseSpectrum (as plane_wave_spectrum gives)
+    is carried as its entries and the reference's, and nothing else: modes
+    without content stay zero under the mode-diagonal map, and stability
+    is judged on these modes. On this carrier a value that is not finite
+    aborts.
 
-    A run that would pass through its loop more than MAX_LOOP_PASSES
-    times (rows plus reprojections, or steps when they go one at a time)
-    raises ValueError before anything is allocated.
+    Every run ends one way: aborted only where the state stopped being
+    finite, and the final state built from the last finite spectrum when
+    series.final_state is first read, None where it overflows on the grid
+    (see DiagnosticsSeries). So a SparseSpectrum run makes no N^3 array
+    before then.
+
+    stride and reproject_every must be integers (not bools) of at least 1.
+    These, and a run that would pass through its loop more than
+    MAX_LOOP_PASSES times (rows plus reprojections, or steps when they go
+    one at a time), raise ValueError before anything is allocated.
     """
     kind = _coerce(FormulationKind, formulation)
     method = _coerce(StepperKind, stepper)
     n_steps = _step_count(dt, t_end)
-    if reproject_every is not None and reproject_every < 1:
-        raise ValueError("reproject_every must be a positive integer")
+    if reproject_every is not None:
+        reproject_every = _positive_int("reproject_every", reproject_every)
     ws = initial.workspace()
     if reference is not None and not hasattr(reference, "spectrum"):
         raise TypeError("reference has no spectral form, as fields.plane_wave_reference gives")
@@ -322,8 +320,7 @@ def evolve(initial: FieldState | fields.SparseSpectrum, formulation, stepper, dt
     sparse = isinstance(initial, fields.SparseSpectrum)
     if stride is None:
         stride = 1 if initial.grid_n <= 32 else 10
-    if stride < 1:
-        raise ValueError("stride must be a positive integer")
+    stride = _positive_int("stride", stride)
     ref_support = getattr(reference, "support", np.zeros((3, 0), dtype=int))
     k2_max = ws.k2_max
     if sparse:
@@ -367,28 +364,24 @@ def evolve(initial: FieldState | fields.SparseSpectrum, formulation, stepper, dt
             g = tuple(m[0] for m in every.moments(y[None] * np.ldexp(1.0, lift) if lift else y[None]))
             result = _run(y[(slice(None), slice(None), *carried.index)], g, maps, carried, *run)
             if result is not None:
-                # The moments bound the final state on the grid: it is built when first read.
+                # The last spectrum is one map power on every mode; a zero
+                # longitudinal part stays zero after the last reprojection.
                 rows, _, step = result
                 reprojected = reproject_every is not None and reproject_every <= n_steps
-                final = partial(_deferred, partial(_advanced, support, maps, y, n_steps, reprojected), ws)
+                spectrum = partial(support.advance, maps, n_steps, y, reprojected)
         if result is None:
             # Explicit vectors on a mode set (the sparse entries, or every
             # mode), with nothing outside it.
             rows, y, step = _run(y, None, maps, support, *run)
             spectrum = (lambda: y) if support.whole else fields.SparseSpectrum(
                 ws.grid_n, ws.domain_length, support.index, y).half_spectrum
-            # Past the bound, or after an abort, the grid state is built now
-            # to tell whether it is finite.
-            bounded = step == n_steps and np.sum(support.weight * np.abs(y)) < 2.0 ** 1000
-            final = partial(_deferred, spectrum, ws) if bounded else _grid_state(spectrum(), ws)
-    # A finite spectrum near the overflow threshold can overflow on the grid.
-    aborted = step < n_steps or final is None
+    aborted = step < n_steps
 
     return DiagnosticsSeries(
         t=rows[:, 0], energy=rows[:, 1], norm_divA=rows[:, 2],
         norm_divPi=rows[:, 3], norm_A_L=rows[:, 4], norm_pi_L=rows[:, 5],
         l2_error=rows[:, 6], aborted=aborted,
-        abort_time=step * dt if aborted else None, _final=final,
+        abort_time=step * dt if aborted else None, _final=partial(_grid_state, spectrum, ws),
     )
 
 
@@ -404,6 +397,8 @@ def _run(y_s: np.ndarray, g, maps: _ShellMaps, support: _Support, stable: bool,
     of n_steps means the run aborted there. With moments, None returns at
     once where the state may overflow: its magnitudes, bounded by the
     moments at the data's own scale, reach 2^1000 (derivations section 7).
+    Moments read at a lift can stay finite past that, so the bound is what
+    hands the run to the every-mode carrier, which finds the abort.
 
     A row records (t, vectors, moments). The recorded states go to
     fields.Modes.rows as one stack when the run ends or aborts, or before
@@ -451,9 +446,7 @@ def _run(y_s: np.ndarray, g, maps: _ShellMaps, support: _Support, stable: bool,
     while step < n_steps:
         j = _next_event(step, n_steps, stride, reproject_every) - step if stable else 1
         reproject = reproject_every is not None and (step + j) % reproject_every == 0
-        y_next = support.advance(maps, j, y_s)
-        if reproject:
-            y_next = support.split(y_next)[0]
+        y_next = support.advance(maps, j, y_s, reproject)
         g_next = None
         if g is not None:
             s = j * maps.lp
@@ -512,8 +505,7 @@ def evolve_finite(system: HamiltonianSystem, z0, dt: float, t_end: float,
     from .phase import as_phase_point
 
     n_steps = _step_count(dt, t_end)
-    if stride < 1:
-        raise ValueError("stride must be a positive integer")
+    stride = _positive_int("stride", stride)
     if n_steps > MAX_LOOP_PASSES:
         raise ValueError(f"run needs {n_steps:.3g} steps, more than the limit of {MAX_LOOP_PASSES}")
 

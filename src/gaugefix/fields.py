@@ -513,6 +513,8 @@ def _remove_longitudinal(f_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray
 
     Any leading axes, one kx plane at a time, with k^2 made per plane (no table).
     Modes.coef's scale for a k . f^ that overflows is taken over all of f^ first.
+    transverse_project and the snapshot projection use it; evolve does not,
+    since a step that ends in a reprojection leaves the longitudinal terms out.
     """
     shift = overflow_shift(f_hat)
     for x in range(ws.grid_n):

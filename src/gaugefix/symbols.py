@@ -254,7 +254,8 @@ def maxwell_canonical_symbol() -> PrincipalSymbol:
 
     A feeds on the full pi while pi feeds only on the transverse part of
     A, so the longitudinal sector is a Jordan block: real spectrum but a
-    defective eigenbasis in every direction.
+    defective eigenbasis in every direction (sympy check:
+    tests/test_derivation_oracle.py, TestPrincipalSymbolDerivation).
     """
 
     def matrix(n):
@@ -270,7 +271,9 @@ def maxwell_gauge_fixed_symbol() -> PrincipalSymbol:
     """Symbol after the Coulomb-style fixing: both blocks transverse.
 
     The longitudinal sector decouples into a zero block (two genuine
-    zero-speed eigenvectors), leaving a complete eigenbasis everywhere.
+    zero-speed eigenvectors), leaving a complete eigenbasis everywhere
+    (sympy check: tests/test_derivation_oracle.py,
+    TestPrincipalSymbolDerivation).
     """
 
     def matrix(n):

@@ -192,13 +192,30 @@ class TestEvolveCommand:
         assert out.exists()
 
     def test_grid_overflow_is_an_abort(self, tmp_path, capsys):
-        # pi_x = 4e303 cos x: the last finite spectrum overflows on the grid.
+        # pi_x = 4e303 cos x: A_L = t pi_L grows until the spectrum
+        # overflows after t = 175.5.
         cfg = write_config(tmp_path, scenario="contaminated", dt=0.5, t_end=1000.0,
                            amplitude=0.0, contamination_amplitude=4e303)
         out = tmp_path / "overflow.csv"
         assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
         assert "evolution aborted at t=175.5" in capsys.readouterr().err
         assert len(out.read_text().splitlines()) == 1 + 352
+
+    def test_finite_state_overflowing_on_the_grid_is_no_abort(self, tmp_path, capsys):
+        # Amplitude 6.6e305: every grid value is at most 6.6e305, but the
+        # backward transform of the wave's two 1.69e308 coefficients
+        # overflows. The command writes only the CSV and never makes that
+        # grid state, and the state it carries stayed finite: exit 0.
+        cfg = write_config(tmp_path, dt=0.1, t_end=0.3, amplitude=6.6e305)
+        out = tmp_path / "big.csv"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr() == (f"wrote {out} (4 rows)\n", "")
+        assert out.read_text() == (
+            "t,energy,norm_divA,norm_divPi,norm_A_L,norm_pi_L,l2_error\n"
+            "0.0,inf,0.0,0.0,0.0,0.0,0.0\n"
+            "0.1,inf,0.0,0.0,0.0,0.0,6.124553184653958e+299\n"
+            "0.2,inf,0.0,0.0,0.0,0.0,1.2249106327628798e+300\n"
+            "0.30000000000000004,inf,0.0,0.0,0.0,0.0,1.8373659431111744e+300\n")
 
     def test_astronomical_step_count_refused_fast(self, tmp_path, capsys):
         # 1e302 steps in 1e296 rows: refused before the loop, not run forever.

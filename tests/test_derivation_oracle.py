@@ -10,6 +10,7 @@ guard all the frozen constants used elsewhere.
 import numpy as np
 import pytest
 import sympy as sp
+from numpy.testing import assert_allclose
 
 from gaugefix import phase
 from gaugefix.constraints import (
@@ -28,6 +29,13 @@ from gaugefix.phase import (
     linear_function,
     poisson_bracket,
     quadratic_function,
+)
+from gaugefix.symbols import (
+    Hyperbolicity,
+    _probe_direction,
+    analyze_symbol,
+    maxwell_canonical_symbol,
+    maxwell_gauge_fixed_symbol,
 )
 from gaugefix.toys import chain_demo, circle_pair, second_class_demo
 
@@ -536,3 +544,55 @@ class TestFieldStepMapDerivation:
         assert _stable(StepperKind.RK4, float(np.nextafter(8.0, np.inf))) is False
         assert _stable(StepperKind.STORMER_VERLET, 4.0) is False
         assert _stable(StepperKind.STORMER_VERLET, float(np.nextafter(4.0, 0.0))) is True
+
+
+class TestPrincipalSymbolDerivation:
+    """The Maxwell principal symbols of derivations section 8 at rational
+    unit covectors n: S_c = [[0, I], [P, 0]] and S_g = [[0, P], [P, 0]],
+    P = I - n n^T the transverse projector."""
+
+    directions = [(1, 0, 0), (sp.Rational(3, 5), sp.Rational(4, 5), 0),
+                  (sp.Rational(2, 7), sp.Rational(3, 7), sp.Rational(6, 7)),
+                  (sp.Rational(1, 3), sp.Rational(2, 3), sp.Rational(2, 3))]
+
+    @staticmethod
+    def symbols(n):
+        n = sp.Matrix(n)
+        assert n.dot(n) == 1
+        p, zero, eye = sp.eye(3) - n * n.T, sp.zeros(3, 3), sp.eye(3)
+        return (sp.Matrix(sp.BlockMatrix([[zero, eye], [p, zero]])),
+                sp.Matrix(sp.BlockMatrix([[zero, p], [p, zero]])))
+
+    @pytest.mark.parametrize("n", directions, ids=str)
+    def test_spectra_and_jordan_structure(self, n):
+        canonical, fixed = self.symbols(n)
+        for s in (canonical, fixed):
+            assert s.eigenvals() == {-1: 2, 0: 2, 1: 2}
+        # One 2x2 Jordan block, at 0, and four 1x1 blocks: a defective basis.
+        _, jordan = canonical.jordan_form()
+        blocks = [i for i in range(5) if jordan[i, i + 1] != 0]
+        assert len(blocks) == 1 and jordan[blocks[0], blocks[0]] == 0
+        assert not canonical.is_diagonalizable() and fixed.is_diagonalizable()
+
+    @pytest.mark.parametrize("n", directions, ids=str)
+    def test_package_symbols_agree(self, n):
+        point = np.array([float(v) for v in n])
+        for exact, sym in zip(self.symbols(n), (maxwell_canonical_symbol(),
+                                                maxwell_gauge_fixed_symbol())):
+            assert_allclose(sym.at(point), np.array(exact, dtype=float), rtol=0, atol=1e-15)
+        # The classes: a canonical direction is real but defective, a
+        # gauge-fixed one complete.
+        for sym, complete in ((maxwell_canonical_symbol(), False),
+                              (maxwell_gauge_fixed_symbol(), True)):
+            sample = _probe_direction(sym, point, 1e8)
+            assert sample.complete is complete and sample.error is None
+            assert np.max(sample.imag_defect) <= 1e-10  # analyze_symbol's tol_imag
+            assert_allclose(np.sort(sample.eigenvalues.real), [-1, -1, 0, 0, 1, 1], atol=1e-7)
+
+    def test_package_classification(self):
+        speeds = sorted(float(v) for v in self.symbols(self.directions[0])[0].eigenvals())
+        for sym, expected in ((maxwell_canonical_symbol(), Hyperbolicity.WEAKLY_HYPERBOLIC),
+                              (maxwell_gauge_fixed_symbol(), Hyperbolicity.STRONGLY_HYPERBOLIC)):
+            report = analyze_symbol(sym)
+            assert report.classification is expected
+            assert report.kappa.tolist() == speeds

@@ -170,6 +170,27 @@ def test_reprojection_resets_longitudinal_growth():
     assert np.max(series.norm_pi_L[1:]) < 1e-10
 
 
+def test_reprojection_keeps_the_transverse_part_exactly():
+    # One mode m = (1, 2, 3): a unit transverse A and a longitudinal
+    # pi = c k^, with c = 1e8. Every row after t = 0 follows a
+    # reprojection, so it must read the energy of the c = 0 run. A second
+    # split of the advanced vector would put the rounding of its
+    # longitudinal part, about eps c, into the transverse part (1.9e-10
+    # relative); the transverse block's own part carries none of it.
+    k = np.array([1.0, 2.0, 3.0])
+
+    def run(c):
+        coeff = np.zeros((2, 3, 1))
+        coeff[0, :, 0] = np.array([2.0, -1.0, 0.0]) / np.sqrt(5.0)
+        coeff[1, :, 0] = c * k / np.linalg.norm(k)
+        spec = fields.SparseSpectrum(16, TWO_PI, ((1,), (2,), (3,)), coeff)
+        return evolve(spec, "canonical", "rk4", 0.01, 2.0, reproject_every=10, stride=10)
+
+    loaded, clean = run(1e8), run(0.0)
+    assert len(loaded.t) == 21 and loaded.norm_pi_L[0] > 1e5
+    assert_allclose(loaded.energy[1:], clean.energy[1:], rtol=1e-14, atol=0)
+
+
 def test_abort_on_blowup(tmp_path):
     state, _ = small_wave(n=8)
     # dt far above the stability limit makes RK4 amplify every step until
@@ -747,10 +768,11 @@ def test_moment_path_builds_final_state_on_first_read(backward_calls, reproject_
     assert state_distance(first, expected) <= 1e-13 * state_norm(expected)
 
 
-def test_state_path_builds_final_state_eagerly(backward_calls):
+def test_aborted_state_path_builds_final_state_on_first_read(backward_calls):
     state, _ = small_wave(n=8)
+    backward_calls[0] = 0
     series = evolve(state, "canonical", "rk4", 50.0, 5000.0)
-    assert series.aborted and backward_calls[0] == 1
+    assert series.aborted and backward_calls[0] == 0
     assert series.final_state is series.final_state
     assert backward_calls[0] == 1
 
@@ -775,13 +797,12 @@ def test_moment_path_near_overflow_builds_finite_final_state(backward_calls):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_non_finite_deferred_final_state_raises(monkeypatch):
+def test_final_state_not_finite_on_the_grid_reads_none(monkeypatch):
     state, _ = small_wave(n=8)
     series = evolve(state, "canonical", "rk4", 0.05, 0.5)
     monkeypatch.setattr(fields.SpectralWorkspace, "backward",
                         lambda ws, f_hat: np.full((2, 3, 8, 8, 8), np.inf))
-    with pytest.raises(FloatingPointError):
-        series.final_state
+    assert not series.aborted and series.final_state is None
 
 
 def grid_of(spectrum):
@@ -874,15 +895,15 @@ def test_spectral_run_makes_no_grid_array(monkeypatch):
     assert not {"kvec", "k2", "inv_k2", "shells"} & set(vars(spec.workspace()))
 
 
-def test_spectral_final_state_overflowing_on_the_grid_is_an_abort():
+def test_spectral_final_state_overflowing_on_the_grid_is_no_abort():
     # Two finite coefficients near the largest double: their sum in the
-    # backward transform overflows, so the state is built at once and the
-    # run reported as aborted, as a grid run with every mode explicit is.
+    # backward transform overflows. The run's state stayed finite, so it
+    # did not abort; its grid state reads None.
     coeff = np.zeros((2, 3, 2))
     coeff[0, 1] = 1.7e308
     spec = fields.SparseSpectrum(8, TWO_PI, ((1, 7), (0, 0), (0, 0)), coeff)
     series = evolve(spec, "gauge_fixed", "rk4", 1e-6, 1e-6)
-    assert series.aborted and series.abort_time == 1e-6 and series.final_state is None
+    assert not series.aborted and series.abort_time is None and series.final_state is None
     assert len(series.t) == 2
 
 
@@ -986,6 +1007,16 @@ def test_evolve_validation():
         evolve(state, "axial", "rk4", 0.1, 1.0)
     with pytest.raises(ValueError):
         evolve(state, "canonical", "leapfrog2", 0.1, 1.0)
+    # A bool or a float is no step count, even where it equals one.
+    for option in ("stride", "reproject_every"):
+        for value in (2.0, True, np.float64(2.0), np.bool_(True)):
+            with pytest.raises(ValueError, match=f"{option} must be a positive integer"):
+                evolve(state, "canonical", "rk4", 0.1, 1.0, **{option: value})
+    plain = evolve(state, "canonical", "rk4", 0.1, 1.0, stride=2, reproject_every=5)
+    numpy_ints = evolve(state, "canonical", "rk4", 0.1, 1.0, stride=np.int64(2),
+                        reproject_every=np.int32(5))
+    for column in ("t", "energy", "norm_divA", "norm_A_L"):
+        assert np.array_equal(getattr(plain, column), getattr(numpy_ints, column))
 
 
 def test_stepper_name_coercion():
@@ -1126,6 +1157,11 @@ class TestEvolveFinite:
             evolve_finite(system, [1.0, 0.0], 1.0, 0.1)
         with pytest.raises(ValueError):
             evolve_finite(system, [1.0, 0.0], 0.1, 1.0, stride=0)
+        for value in (2.0, True, np.float64(2.0), np.bool_(True)):
+            with pytest.raises(ValueError, match="stride must be a positive integer"):
+                evolve_finite(system, [1.0, 0.0], 0.1, 1.0, stride=value)
+        series = evolve_finite(system, [1.0, 0.0], 0.1, 1.0, stride=np.int64(5))
+        assert series.t.tolist() == [0.0, 0.5, 1.0]
 
 
 def _split_by_full_products(modes, y):
