@@ -18,8 +18,8 @@ evolve_finite with the H and C of its states. No decision is made at
 sample points; a non-affine constraint or a Hamiltonian without
 coefficients is refused with ValueError. make_surface_sampler draws
 on-surface points by least squares for callers that want them.
-The second-order correction takes its brackets in closed form from
-phase.bracket_function, so it too refuses a constraint without
+The second-order correction takes its brackets as products of the
+members' stacked coefficients, so it too refuses a constraint without
 polynomial coefficients.
 """
 
@@ -36,11 +36,9 @@ from .phase import (
     CosymplecticForm,
     HamiltonianSystem,
     PhaseFunction,
+    _coefficients,
     as_phase_point,
-    bracket_function,
-    combination,
     linear_function,
-    poisson_bracket,
 )
 
 
@@ -637,34 +635,29 @@ def second_order_coefficients(cset: ConstraintSet, z_bar,
         eps2_G = sum_P (M^-1)_GP [[C_P, E], E]
                + 1/2 sum_{S,P,T} (M^-1)_GS (M^-1)_PT [[C_S, C_T], E] [C_P, E]
 
-    where E = -eps1 . C is the first-order generator, a polynomial as
-    every C_A must be, so that all these brackets are exact; a constraint
-    without polynomial coefficients raises ValueError naming it, and an
-    empty set gives an empty eps2. Identically zero when all brackets are
-    constant, which covers every shipped scenario; provided so
-    field-dependent algebras can at least be probed.
+    where E = -eps1 . C is the first-order generator. Every C_A must be a
+    polynomial z.Q_A.z/2 + l_A.z + c_A, so that these brackets are exact
+    products of the stacked Q (m, n, n) and l (m, n) (docs/derivations.md
+    section 6): with G = Q z + l and u = J grad E, [C_P, E] = G u,
+    [[C_P, E], E] = (Q u) u + G J Q_E u and [[C_S, C_T], E] = X - X^T for
+    X = G J (Q u)^T. Each M^-1 is a solve. A constraint without
+    polynomial coefficients raises ValueError naming it, and an empty set
+    gives an empty eps2. Identically zero when all brackets are constant,
+    which covers every shipped scenario; provided so field-dependent
+    algebras can at least be probed.
     """
     z = as_phase_point(z_bar)
-    m = len(cset)
     mat = commutation_matrix(cset, z, form)
     eps1 = mat.solve(cset.values(z))
-    if not m:
+    if not len(cset):
         return eps1
-    minv = np.linalg.inv(mat.entries)
-
-    e_fn = combination([c.function for c in cset], -eps1, label="correction generator")
-
-    # [C_P, E] both as numbers at z and as functions for the outer brackets.
-    ce_fns = [bracket_function(c.function, e_fn, form) for c in cset]
-    ce_vals = np.array([fn(z) for fn in ce_fns])
-    term1 = minv @ np.array([poisson_bracket(fn, e_fn, z, form) for fn in ce_fns])
-
-    ccbe = np.zeros((m, m))
-    for s in range(m):
-        for t in range(m):
-            if s == t:
-                continue
-            pair = bracket_function(cset[s].function, cset[t].function, form)
-            ccbe[s, t] = poisson_bracket(pair, e_fn, z, form)
-    term2 = 0.5 * (minv @ (ccbe @ (minv.T @ ce_vals)))
-    return term1 + term2
+    coeffs = [_coefficients(c.function) for c in cset]
+    quad = np.stack([k.quad for k in coeffs])
+    grads = quad @ z + np.stack([k.lin for k in coeffs])
+    j = form.matrix
+    u = j @ -(eps1 @ grads)
+    v = quad @ u
+    x = grads @ j @ v.T
+    nested = v @ u + grads @ (j @ (np.tensordot(-eps1, quad, axes=1) @ u))
+    # sum_P (M^-1)_PT [C_P, E] is (M^-T G u)_T = (M^-1 (-G u))_T: M is antisymmetric.
+    return mat.solve(nested + 0.5 * ((x - x.T) @ mat.solve(-(grads @ u))))

@@ -14,8 +14,8 @@ reference's alone. Every carrier reads its rows at one power of two per
 run. The per-mode algebra (k . v, the transverse split, the Parseval
 rows) is fields.Modes. The final state is built when it is first read.
 Diagnostics are sampled on a stride, written as CSV with a fixed column
-set, and evolution aborts (flagged, not raised) as soon as a non-finite
-value appears in the state.
+set, and evolution aborts (flagged, not raised) at the first step or
+block end where the state is not finite.
 """
 
 from __future__ import annotations
@@ -61,15 +61,16 @@ class DiagnosticsSeries:
 
     aborted means the state stopped being finite; abort_time is then the
     time of the last finite state the run reached (a run in blocks reaches
-    its rows and reprojections, not every step). final_state is that
-    state on the grid, built by one backward transform of the run's last
-    spectrum when it is first read, then kept and the spectrum released;
-    it reads None where that finite spectrum overflows on the grid, which
-    is no abort. A run read off shell moments gives the spectrum as one
-    map power on every mode of the initial spectrum, the longitudinal part
-    left out if the run reprojected; a run carrying explicit vectors, as
-    the vectors set into a zero half spectrum (every mode: the spectrum as
-    it is).
+    its rows and reprojections, not every step, and checks only a block's
+    end: it steps past a state that overflows inside a block and is finite
+    again at its end). final_state is that state on the grid, built by one
+    backward transform of the run's last spectrum when it is first read,
+    then kept and the spectrum released; it reads None where that finite
+    spectrum overflows on the grid, which is no abort. A run read off shell
+    moments gives the spectrum as one map power on every mode of the
+    initial spectrum, the longitudinal part left out if the run
+    reprojected; a run carrying explicit vectors, as the vectors set into a
+    zero half spectrum (every mode: the spectrum as it is).
     The final state takes no part in repr. Series compare by identity:
     == never looks at the arrays, so it never builds the final state.
     """
@@ -361,7 +362,7 @@ def evolve(initial: FieldState | fields.SparseSpectrum, formulation, stepper, dt
             if carried.shell.size:
                 every.shell = every.shell.copy()
                 every.shell[carried.index] = len(every.k2)
-            g = tuple(m[0] for m in every.moments(y[None] * np.ldexp(1.0, lift) if lift else y[None]))
+            g = every.moments(y[None] * np.ldexp(1.0, lift) if lift else y[None])[0]
             result = _run(y[(slice(None), slice(None), *carried.index)], g, maps, carried, *run)
             if result is not None:
                 # The last spectrum is one map power on every mode; a zero
@@ -389,16 +390,17 @@ def _run(y_s: np.ndarray, g, maps: _ShellMaps, support: _Support, stable: bool,
          n_steps: int, dt: float, stride: int, reproject_every: int | None, reference):
     """Rows of one run: the support modes as vectors, every other mode as moments.
 
-    g is the moments (g_t, g_l) of the modes outside the support, taken
-    of the state times 2^support.lift, or None when the support holds all
-    the content: rows are then read off the vectors alone and a value that
-    is not finite aborts the run. Returns (rows as an array with t first,
-    the support vectors at the last finite step, that step); a step short
-    of n_steps means the run aborted there. With moments, None returns at
-    once where the state may overflow: its magnitudes, bounded by the
-    moments at the data's own scale, reach 2^1000 (derivations section 7).
-    Moments read at a lift can stay finite past that, so the bound is what
-    hands the run to the every-mode carrier, which finds the abort.
+    g is the (6, shells) fields.Modes.moments table of the modes outside
+    the support, taken of the state times 2^support.lift, or None when the
+    support holds all the content: rows are then read off the vectors
+    alone and a value that is not finite aborts the run. Returns (rows as
+    an array with t first, the support vectors at the last finite step,
+    that step); a step short of n_steps means the run aborted there. With
+    moments, None returns at once where the state may overflow: its
+    magnitudes, bounded by the moments at the data's own scale, reach
+    2^1000 (derivations section 7). Moments read at a lift can stay finite
+    past that, so the bound is what hands the run to the every-mode
+    carrier, which finds the abort.
 
     A row records (t, vectors, moments). The recorded states go to
     fields.Modes.rows as one stack when the run ends or aborts, or before
@@ -417,15 +419,14 @@ def _run(y_s: np.ndarray, g, maps: _ShellMaps, support: _Support, stable: bool,
             at = (Ellipsis, *(reference.support if support.whole else (support.ref_at,)))
             for r, t in zip(ref, ts):
                 r[at] = reference.spectrum(t)
-        g_stack = None if gs[0] is None else tuple(np.stack(m) for m in zip(*gs))
+        g_stack = None if gs[0] is None else np.stack(gs)
         rows.append(np.column_stack([ts, support.rows(np.stack(ys), ref, g_stack)]))
         saved.clear()
         saved_bytes = 0
 
     def record(t: float) -> None:
         nonlocal saved_bytes
-        size = y_s.nbytes * (1 if reference is None else 2) + (
-            0 if g is None else g[0].nbytes + g[1].nbytes)
+        size = y_s.nbytes * (1 if reference is None else 2) + (0 if g is None else g.nbytes)
         if saved and saved_bytes + size > ROW_STACK_BYTES:
             build()
         saved.append((t, y_s, g))
@@ -434,9 +435,9 @@ def _run(y_s: np.ndarray, g, maps: _ShellMaps, support: _Support, stable: bool,
     def finite(g, y_s) -> bool:
         if g is None:
             return _finite(y_s)
-        squares = 6.0 * support.ws.grid_n ** 3 * sum(np.sum(m[::2]) for m in g)
+        squares = 6.0 * support.ws.grid_n ** 3 * (np.sum(g[0:3:2]) + np.sum(g[3::2]))
         bound = np.sum(support.weight * np.abs(y_s)) + np.ldexp(np.sqrt(squares), -support.lift)
-        return _finite(g[0]) and _finite(g[1]) and bool(bound < 2.0 ** 1000)
+        return _finite(g) and bool(bound < 2.0 ** 1000)
 
     if g is not None and not finite(g, y_s):
         return None
@@ -450,9 +451,10 @@ def _run(y_s: np.ndarray, g, maps: _ShellMaps, support: _Support, stable: bool,
         g_next = None
         if g is not None:
             s = j * maps.lp
-            a_l, ap_l, p_l = g_l = g[1]
-            g_next = (_congruence(maps.power(j), g[0]), np.zeros_like(g_l) if reproject else
-                      np.stack([a_l + 2.0 * s * ap_l + s * s * p_l, ap_l + s * p_l, p_l]))
+            a_l, ap_l, p_l = g[3:]
+            long = np.zeros_like(g[3:]) if reproject else np.stack(
+                [a_l + 2.0 * s * ap_l + s * s * p_l, ap_l + s * p_l, p_l])
+            g_next = np.concatenate([_congruence(maps.power(j), g[:3]), long])
         if not finite(g_next, y_next):
             if g is not None:
                 return None

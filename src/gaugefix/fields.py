@@ -267,11 +267,12 @@ def row_lift(y_hat: np.ndarray) -> int:
     return 0 if -400 < shift + 256 <= 400 else min(-shift, 1021)
 
 
-def _coef(v: np.ndarray, kvec, inv_k2, field_shift) -> np.ndarray:
-    """k . v / k^2 per mode: Modes.coef, with field_shift() the overflow_shift of v's field."""
+def _coef(v: np.ndarray, kvec, inv_k2) -> np.ndarray:
+    """k . v / k^2 per mode: Modes.coef. Only where a coefficient is not
+    finite is v's overflow_shift taken, for the redo."""
     coef = k_dot(v, kvec)
     coef *= inv_k2
-    if not np.isfinite(coef).all() and (shift := field_shift()) is not None and shift > 0:
+    if not np.isfinite(coef).all() and (shift := overflow_shift(v)) is not None and shift > 0:
         redo = ~np.isfinite(coef)
         scaled = k_dot(v * np.ldexp(1.0, -shift), kvec) * inv_k2
         coef[redo] = scaled[redo] * np.ldexp(1.0, shift)
@@ -327,7 +328,7 @@ class Modes:
         overflows for a finite v (terms of opposite sign give NaN), it is
         computed again from v scaled by a power of two.
         """
-        return _coef(v, self.kvec, self.inv_k2, lambda: overflow_shift(v))
+        return _coef(v, self.kvec, self.inv_k2)
 
     def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(transverse, longitudinal) parts of vectors v on these modes."""
@@ -341,51 +342,49 @@ class Modes:
         """Transverse and longitudinal second moments of these modes, summed per shell.
 
         y = (A^, pi^) stacked, for R states: shape (R, 2, 3, *modes). Modes
-        whose shell index is the number of shells are left out. Returns
-        (g_t, g_l), each of shape (R, 3, shells): the weighted sums of
-        |A^|^2, Re A^ . conj(pi^) and |pi^|^2 over the transverse and over
-        the longitudinal part of a shell's modes. The transverse part is the
-        projected mode itself, not the full moment minus the longitudinal
-        one, so a longitudinal part that overflows when squared leaves it
-        finite. It is made one component at a time. One bincount per moment
-        sums every state, state r's shells offset by r (shells + 1); each
-        bin adds its modes in the order a single state's bincount does.
+        whose shell index is the number of shells are left out. Returns one
+        (R, 6, shells) table: the weighted sums of |A^|^2, Re A^ . conj(pi^)
+        and |pi^|^2 over the transverse part of a shell's modes (moments
+        0-2), then over the longitudinal part (3-5). The transverse part is
+        the projected mode itself, not the full moment minus the
+        longitudinal one, so a longitudinal part that overflows when squared
+        leaves it finite. It is made one component at a time. The weights
+        are applied once and one bincount sums the table, moment m of state
+        r in the bins from (6 r + m)(shells + 1); each bin adds its modes in
+        the order a single moment's bincount does.
         """
         n_rows, n_shells = y.shape[0], len(self.k2)
-        bins = (self.shell.ravel() + (n_shells + 1) * np.arange(n_rows)[:, None]).ravel()
-
-        def shell_sum(q):
-            sums = np.bincount(bins, (self.weight * q).ravel(), minlength=n_rows * (n_shells + 1))
-            return sums.reshape(n_rows, n_shells + 1)[:, :n_shells]
-
         # A_L^ = k alpha, pi_L^ = k beta.
         inv_k2 = self.inv_k2
         dot = k_dot(y, self.kvec)
         ka, kp = dot[:, 0], dot[:, 1]
-        g_l = np.stack([shell_sum(_abs2(ka) * inv_k2),
-                        shell_sum((ka.real * kp.real + ka.imag * kp.imag) * inv_k2),
-                        shell_sum(_abs2(kp) * inv_k2)], axis=1)
+        q = np.zeros((n_rows, 6) + inv_k2.shape)
+        q[:, 3] = _abs2(ka) * inv_k2
+        q[:, 4] = (ka.real * kp.real + ka.imag * kp.imag) * inv_k2
+        q[:, 5] = _abs2(kp) * inv_k2
         alpha = ka * inv_k2
         beta = kp * inv_k2
         del dot, ka, kp
-        g_t = np.zeros((3, n_rows) + inv_k2.shape)
         for i, k in enumerate(self.kvec):
             a_t = y[:, 0, i] - k * alpha
             pi_t = y[:, 1, i] - k * beta
-            g_t[0] += _abs2(a_t)
-            g_t[1] += a_t.real * pi_t.real
-            g_t[1] += a_t.imag * pi_t.imag
-            g_t[2] += _abs2(pi_t)
-        return np.stack([shell_sum(q) for q in g_t], axis=1), g_l
+            q[:, 0] += _abs2(a_t)
+            q[:, 1] += a_t.real * pi_t.real
+            q[:, 1] += a_t.imag * pi_t.imag
+            q[:, 2] += _abs2(pi_t)
+        q *= self.weight
+        bins = self.shell.ravel() + (n_shells + 1) * np.arange(6 * n_rows)[:, None]
+        sums = np.bincount(bins.ravel(), q.ravel(), minlength=6 * n_rows * (n_shells + 1))
+        return sums.reshape(n_rows, 6, n_shells + 1)[..., :n_shells]
 
     lift = 0  # rows reads its states and reference times 2^lift, and g as so taken
 
-    def rows(self, y: np.ndarray, ref: np.ndarray | None = None, g: tuple | None = None):
+    def rows(self, y: np.ndarray, ref: np.ndarray | None = None, g: np.ndarray | None = None):
         """Diagnostics rows of a stack of states by Parseval (docs/derivations.md section 7).
 
         y = (A^, pi^) of R states on these modes, shape (R, 2, 3, *modes),
-        ref the reference's coefficients there (shaped like y), and
-        g = (g_t, g_l), each (R, 3, shells), the moments of every other
+        ref the reference's coefficients there (shaped like y), and g, an
+        (R, 6, shells) table as moments gives, the moments of every other
         mode, where the reference is zero, taken of the states times
         2^self.lift; without g these modes hold all the content. Returns an
         (R, 6) array whose columns are energy, norm of div A, norm of div
@@ -415,23 +414,23 @@ class Modes:
             return np.sum(q.reshape(q.shape[0], q[0].size), axis=-1)
 
         def columns(y, ref, g):
-            g_t, g_l = self.moments(y)
+            m = self.moments(y)
             dist = np.full(y.shape[0], np.nan)
             if ref is not None:
                 squares = (self.weight * _abs2(y - ref)).reshape(len(y), 6, -1)
                 dist2 = np.add.reduce(np.add.reduce(squares, axis=-1), axis=1)
                 if g is not None:
                     # Off these modes the distance is the state's own moments.
-                    dist2 = dist2 + sum(total(m[:, p]) for m in g for p in (0, 2))
+                    dist2 = dist2 + sum(total(g[:, p]) for p in (0, 2, 3, 5))
                 dist = np.sqrt(scale * dist2)
             if g is not None:
-                g_t, g_l = g_t + g[0], g_l + g[1]
-            energy = total(g_t[:, 2]) + total(g_l[:, 2]) + total(k2[skip:] * g_t[:, 0, skip:])
+                m = m + g
+            energy = total(m[:, 2]) + total(m[:, 5]) + total(k2[skip:] * m[:, 0, skip:])
             return np.stack([0.5 * scale * energy,
-                             np.sqrt(scale * total(k2 * g_l[:, 0])),
-                             np.sqrt(scale * total(k2 * g_l[:, 2])),
-                             np.sqrt(scale * total(g_l[:, 0])),
-                             np.sqrt(scale * total(g_l[:, 2])), dist], axis=1)
+                             np.sqrt(scale * total(k2 * m[:, 3])),
+                             np.sqrt(scale * total(k2 * m[:, 5])),
+                             np.sqrt(scale * total(m[:, 3])),
+                             np.sqrt(scale * total(m[:, 5])), dist], axis=1)
 
         powers = np.array([2, 1, 1, 1, 1, 1])
         lift = self.lift
@@ -446,7 +445,7 @@ class Modes:
             if shift + lift > 0:
                 factor = np.ldexp(1.0, -shift)
                 one, keep = slice(r, r + 1), redo[r]
-                g_one = None if g is None else tuple(np.ldexp(m[one], -2 * (shift + lift)) for m in g)
+                g_one = None if g is None else np.ldexp(g[one], -2 * (shift + lift))
                 scaled = columns(y[one] * factor, None if ref is None else ref[one] * factor, g_one)
                 out[r, keep] = scaled[0, keep]
                 exponents[r, keep] = powers[keep] * shift
@@ -512,17 +511,17 @@ def _remove_longitudinal(f_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray
     """The one whole-spectrum projection: Modes(ws).split(f_hat)[0] bit for bit, into f_hat.
 
     Any leading axes, one kx plane at a time, with k^2 made per plane (no table).
-    Modes.coef's scale for a k . f^ that overflows is taken over all of f^ first.
+    A plane whose coefficient k . f^ / k^2 is not finite takes Modes.coef's
+    redo at that plane's own overflow_shift, which gives the same bits as
+    one taken over all of f^.
     transverse_project and the snapshot projection use it; evolve does not,
     since a step that ends in a reprojection leaves the longitudinal terms out.
     """
-    shift = overflow_shift(f_hat)
     for x in range(ws.grid_n):
         kvec = _plane_k(ws, x)
         k2 = kvec[0] ** 2 + kvec[1] ** 2 + kvec[2] ** 2
         v = f_hat[..., x, :, :]
-        coef = _coef(v, kvec, np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0),
-                     lambda: shift)
+        coef = _coef(v, kvec, np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0))
         for k, part in zip(kvec, np.moveaxis(v, -3, 0)):
             part -= k * coef
     return f_hat
@@ -674,7 +673,6 @@ def plane_wave_reference(mode, polarization, amplitude: float = 1.0,
     k = 2.0 * np.pi * mode / domain_length
     omega = float(np.linalg.norm(k))
     support, coeff = _wave_entries(mode, e, amplitude, grid_n)
-    parts = np.stack([coeff, -omega * coeff])  # spectrum(t): parts times cos(w t), sin(w t)
 
     @functools.cache
     def pattern():
@@ -685,7 +683,8 @@ def plane_wave_reference(mode, polarization, amplitude: float = 1.0,
         return pattern() * np.cos(omega * t), -omega * pattern() * np.sin(omega * t)
 
     def spectrum(t: float) -> np.ndarray:
-        return parts * np.array([np.cos(omega * t), np.sin(omega * t)])[:, None, None]
+        # The factor -w sin(w t) is taken first: -w times a finite coefficient can overflow.
+        return coeff * np.array([np.cos(omega * t), -omega * np.sin(omega * t)])[:, None, None]
 
     reference.omega = omega
     reference.period = 2.0 * np.pi / omega

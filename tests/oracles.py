@@ -20,6 +20,9 @@ stacked_gradients takes a set's Jacobian one gradient at a time at z.
 gauge_fixed_multipliers and extended_flow solve for the multipliers at
 each point from the set's Jacobian there, where the library's
 LinearModel.multipliers and LinearModel.flow are constant maps.
+pairwise_second_order builds second_order_coefficients' m + m^2 brackets
+one at a time as phase functions, with M inverted, where the library
+takes them as products of the stacked coefficients.
 
 A plain module that the tests import: pytest collects nothing from it.
 """
@@ -36,6 +39,7 @@ from gaugefix.constraints import (
     _residual,
     _still_growing,
     _unsatisfiable,
+    commutation_matrix,
 )
 from gaugefix.fields import (
     FieldState,
@@ -48,10 +52,9 @@ from gaugefix.fields import (
     get_workspace,
     grid_coordinates,
     k_dot,
-    overflow_shift,
     transverse_project,
 )
-from gaugefix.phase import as_phase_point, bracket_function, combination
+from gaugefix.phase import as_phase_point, bracket_function, combination, poisson_bracket
 
 
 def kvec_table(ws):
@@ -94,7 +97,7 @@ def split_then_stack_step(modes, maps, j: int, y_s: np.ndarray) -> np.ndarray:
     component at a time (kvec as three rows), the longitudinal part stacked
     from its components, the two rows of the step stacked."""
     kvec = tuple(modes.kvec)
-    coef = _coef(y_s, kvec, modes.inv_k2, lambda: overflow_shift(y_s))
+    coef = _coef(y_s, kvec, modes.inv_k2)
     long = np.stack([k * coef for k in kvec], axis=-1 - kvec[0].ndim)
     (a_t, p_t), (a_l, p_l) = y_s - long, long
     (aa, ap), (pa, pp) = maps.power(j)[..., modes.shell]
@@ -382,3 +385,37 @@ def extended_flow(system, cset, z):
     z = as_phase_point(z)
     jac, j, gh = cset.jacobian(z), system.form.matrix, system.hamiltonian.grad(z)
     return j @ (gh + jac.T @ _multipliers(jac, j, gh))
+
+
+# ---------------------------------------------------------------------------
+# The second-order correction, bracket by bracket
+# ---------------------------------------------------------------------------
+
+def pairwise_second_order(cset, z_bar, form):
+    """second_order_coefficients with E = -eps1 . C as a phase function,
+    each [C_P, E] and [C_S, C_T] a phase.bracket_function, their brackets
+    with E taken pointwise at z_bar, and M^-1 formed once."""
+    z = as_phase_point(z_bar)
+    m = len(cset)
+    mat = commutation_matrix(cset, z, form)
+    eps1 = mat.solve(cset.values(z))
+    if not m:
+        return eps1
+    minv = np.linalg.inv(mat.entries)
+
+    e_fn = combination([c.function for c in cset], -eps1, label="correction generator")
+
+    # [C_P, E] both as numbers at z and as functions for the outer brackets.
+    ce_fns = [bracket_function(c.function, e_fn, form) for c in cset]
+    ce_vals = np.array([fn(z) for fn in ce_fns])
+    term1 = minv @ np.array([poisson_bracket(fn, e_fn, z, form) for fn in ce_fns])
+
+    ccbe = np.zeros((m, m))
+    for s in range(m):
+        for t in range(m):
+            if s == t:
+                continue
+            pair = bracket_function(cset[s].function, cset[t].function, form)
+            ccbe[s, t] = poisson_bracket(pair, e_fn, z, form)
+    term2 = 0.5 * (minv @ (ccbe @ (minv.T @ ce_vals)))
+    return term1 + term2

@@ -29,7 +29,7 @@ from gaugefix.fields import (
     random_smooth_fields,
     transverse_project,
 )
-from gaugefix.phase import CosymplecticForm, poisson_bracket, quadratic_function
+from gaugefix.phase import CosymplecticForm, bracket_function, poisson_bracket, quadratic_function
 from gaugefix.symbols import (
     Hyperbolicity,
     analyze_symbol,
@@ -281,7 +281,6 @@ def test_criterion_8_property_bundle():
         bracket_dev = max(bracket_dev, abs(fg + gf))
     antisymmetry_ok = bracket_dev < 1e-10
 
-    from gaugefix.constraints import bracket_function
     jacobi_dev = 0.0
     for _ in range(10):
         fs = []

@@ -217,6 +217,18 @@ class TestEvolveCommand:
             "0.2,inf,0.0,0.0,0.0,0.0,1.2249106327628798e+300\n"
             "0.30000000000000004,inf,0.0,0.0,0.0,0.0,1.8373659431111744e+300\n")
 
+    def test_plane_wave_of_a_higher_frequency_reads_its_reference_finite(self, tmp_path,
+                                                                         capsys):
+        # omega = 2, coefficients 1.28e308: the reference's coefficients are
+        # finite at t = 0, and pi = -2 c sin(2 t) overflows after t = 0.38.
+        cfg = write_config(tmp_path, mode=[2, 0, 0], amplitude=5e305,
+                           formulation="gauge_fixed", dt=0.01, t_end=3.14)
+        out = tmp_path / "fast.csv"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "evolution aborted at t=0.38: non-finite state\n"
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + 39 and lines[1].split(",")[-1] == "0.0"
+
     def test_astronomical_step_count_refused_fast(self, tmp_path, capsys):
         # 1e302 steps in 1e296 rows: refused before the loop, not run forever.
         cfg = write_config(tmp_path, dt=0.01, t_end=1e300, stride=1000000)

@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -58,6 +58,7 @@ from oracles import (
     combination_bracket,
     extended_flow,
     gauge_fixed_multipliers,
+    pairwise_second_order,
     stacked_gradients,
 )
 
@@ -975,6 +976,29 @@ def test_second_order_finite_for_field_dependent_brackets():
     cset = constraint_set([c1, c2], 2)
     eps2 = second_order_coefficients(cset, np.array([0.4, 0.3]), FORM2)
     assert np.all(np.isfinite(eps2))
+
+
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_second_order_products_equal_pairwise_brackets(n_dof, seed):
+    """Random quadratic sets on 2 to 6 dimensions with an even number of
+    members and cond(M) <= 1e4: the stacked products against each bracket
+    built as a phase function."""
+    rng = np.random.default_rng(seed)
+    dim = 2 * n_dof
+    form = CosymplecticForm.canonical(n_dof)
+    for _ in range(20):
+        members = []
+        for i in range(2 * int(rng.integers(1, n_dof + 1))):
+            quad = rng.standard_normal((dim, dim))
+            members.append(quadratic_function(quad + quad.T, rng.standard_normal(dim),
+                                              float(rng.standard_normal()), label=f"c{i}"))
+        cset, z = constraint_set(members, dim), rng.standard_normal(dim)
+        if np.linalg.cond(commutation_matrix(cset, z, form).entries) <= 1e4:
+            break
+    else:
+        assume(False)
+    got, want = second_order_coefficients(cset, z, form), pairwise_second_order(cset, z, form)
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------

@@ -438,6 +438,57 @@ class TestSecondOrderCorrectionDerivation:
             assert g == pytest.approx(float(expected), rel=1e-14)
 
 
+class TestSecondOrderProductDerivation:
+    """The bracket products second_order_coefficients takes (derivations
+    section 6), for general quadratics C = z.Q.z/2 + l.z + c on one degree
+    of freedom, two members and E = -(e1 C_1 + e2 C_2)."""
+
+    q, p = sp.symbols("q p", real=True)
+    z = sp.Matrix([q, p])
+    j = sp.Matrix([[0, 1], [-1, 0]])
+
+    def member(self, name):
+        """(C, Q, grad C) with every coefficient its own symbol."""
+        a, b, c, l1, l2, c0 = sp.symbols(f"{name}_a {name}_b {name}_c {name}_l1 {name}_l2 "
+                                         f"{name}_c0", real=True)
+        quad = sp.Matrix([[a, b], [b, c]])
+        f = (self.z.T * quad * self.z)[0] / 2 + l1 * self.q + l2 * self.p + c0
+        return f, quad, quad * self.z + sp.Matrix([l1, l2])
+
+    def bracket(self, f, g):
+        return sp.diff(f, self.q) * sp.diff(g, self.p) - sp.diff(f, self.p) * sp.diff(g, self.q)
+
+    def generator(self):
+        (c1, q1_, g1), (c2, q2_, g2) = self.member("f"), self.member("g")
+        e1, e2 = sp.symbols("e1 e2", real=True)
+        e = -(e1 * c1 + e2 * c2)
+        u = self.j * sp.Matrix([sp.diff(e, x) for x in self.z])
+        return (c1, c2), (q1_, q2_), (g1, g2), e, -(e1 * q1_ + e2 * q2_), u
+
+    def test_gradient_of_a_bracket(self):
+        (f, qf, gf), (g, qg, gg) = self.member("f"), self.member("g")
+        fg = self.bracket(f, g)
+        grad = sp.Matrix([sp.diff(fg, x) for x in self.z])
+        assert sp.expand(grad - (qf * self.j * gg - qg * self.j * gf)) == sp.zeros(2, 1)
+
+    def test_nested_bracket_with_the_generator(self):
+        # [[C_P, E], E] = (Q_P u) . u + G_P J Q_E u, and [C_P, E] = G_P u.
+        cs, qs, gs, e, q_e, u = self.generator()
+        for c, quad, grad in zip(cs, qs, gs):
+            assert sp.expand(self.bracket(c, e) - (grad.T * u)[0]) == 0
+            want = (quad * u).dot(u) + (grad.T * self.j * q_e * u)[0]
+            assert sp.expand(self.bracket(self.bracket(c, e), e) - want) == 0
+
+    def test_bracket_of_a_pair_with_the_generator(self):
+        # [[C_S, C_T], E] = X_ST - X_TS, X = G J (Q u)^T.
+        cs, qs, gs, e, _, u = self.generator()
+        x = [[(gs[s].T * self.j * qs[t] * u)[0] for t in range(2)] for s in range(2)]
+        for s in range(2):
+            for t in range(2):
+                got = self.bracket(self.bracket(cs[s], cs[t]), e)
+                assert sp.expand(got - (x[s][t] - x[t][s])) == 0
+
+
 class TestFieldEnergyDerivation:
     def test_standing_wave_energy_integral(self):
         x, y, z, length, amp = sp.symbols("x y z L a", positive=True)

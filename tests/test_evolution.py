@@ -217,6 +217,29 @@ def test_abort_time_independent_of_stride():
     assert runs[0].abort_time == runs[1].abort_time == 2150.0
 
 
+def wave_through_the_overflow_edge():
+    # A_y = 1e308 at mode (2, 0, 0), gauge-fixed: pi = -2 A sin(2 t) passes
+    # the largest double after t = 0.55 and is back below it by t = pi.
+    coeff = np.zeros((2, 3, 1), dtype=complex)
+    coeff[0, 1] = 1e308
+    return fields.SparseSpectrum(8, TWO_PI, ([2], [0], [0]), coeff)
+
+
+def test_one_step_blocks_abort_where_a_coefficient_overflows():
+    series = evolve(wave_through_the_overflow_edge(), "gauge_fixed", "rk4", 0.01, np.pi,
+                    stride=1)
+    assert series.aborted and series.abort_time == 0.55 and series.t[-1] == 0.55
+
+
+@pytest.mark.xfail(strict=True, reason="a stable run steps in blocks to its next row, "
+                                       "past an overflow inside the block")
+def test_block_runs_abort_where_a_coefficient_overflows():
+    # Blocks of 10, 100 and 314 steps report 0.5, 0.0 and no abort.
+    runs = [evolve(wave_through_the_overflow_edge(), "gauge_fixed", "rk4", 0.01, np.pi,
+                   stride=stride) for stride in (10, 100, 314)]
+    assert [(s.aborted, s.abort_time) for s in runs] == [(True, 0.55)] * 3
+
+
 @pytest.mark.parametrize("kwargs", [
     # Stable steps go in blocks: rows (and reprojections) count.
     dict(dt=0.01, t_end=0.01 * (MAX_LOOP_PASSES + 1), stride=1),
@@ -783,8 +806,8 @@ def test_moment_path_near_overflow_builds_finite_final_state(backward_calls):
     n, dt = 8, 0.1
     state = plane_wave_initial_data((1, 0, 0), (0, 1, 0), amplitude=1e151, grid_n=n)
     ws = state.workspace()
-    g_t, _ = fields.Modes(ws).moments(ws.forward(np.stack([state.a, state.pi]))[None])
-    assert 1e306 < np.max(g_t) < np.finfo(float).max
+    g = fields.Modes(ws).moments(ws.forward(np.stack([state.a, state.pi]))[None])
+    assert 1e306 < np.max(g[:, :3]) < np.finfo(float).max
     backward_calls[0] = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1217,13 +1240,14 @@ def test_stacked_rows_equal_one_row_stacks_bit_for_bit(whole, with_g, with_ref):
     y[1] *= 1e160
     y[3] *= 1e300
     ref = y * (1.0 + 1e-3 * rng.standard_normal(shape)) if with_ref else None
-    g = tuple(np.abs(rng.standard_normal((4, 3, len(modes.k2)))) for _ in range(2)) if with_g else None
+    g = np.concatenate([np.abs(rng.standard_normal((4, 3, len(modes.k2)))) for _ in range(2)],
+                       axis=1) if with_g else None
     with np.errstate(over="ignore", invalid="ignore"):
         stacked = modes.rows(y, ref, g)
         for r in range(4):
             one = slice(r, r + 1)
             single = modes.rows(y[one], None if ref is None else ref[one],
-                                None if g is None else tuple(m[one] for m in g))
+                                None if g is None else g[one])
             assert single.shape == (1, 6) and stacked[r].tobytes() == single[0].tobytes()
         assert np.isinf(np.sum(np.abs(y[1]) ** 2))
     assert stacked.shape == (4, 6)

@@ -357,6 +357,19 @@ def test_plane_wave_reference_builds_its_grid_pattern_on_first_call():
     assert np.array_equal(pi, -ref.omega * pattern * np.sin(ref.omega * 0.3))
 
 
+@pytest.mark.filterwarnings("error")
+def test_plane_wave_reference_spectrum_of_a_finite_wave_is_finite():
+    # omega = 2 and coefficients of 1.28e308: -omega times them would
+    # overflow, but the wave's coefficients themselves are finite.
+    args = ((2, 0, 0), (0, 1, 0), 5e305)
+    ref = plane_wave_reference(*args, grid_n=8)
+    assert ref.omega == 2.0
+    start = ref.spectrum(0.0)
+    assert np.isfinite(start).all()
+    want = plane_wave_spectrum(*args, grid_n=8).coeff
+    assert np.array_equal(start[0], want[0]) and np.array_equal(start[1], want[1])
+
+
 @pytest.mark.parametrize("kind", ["transverse", "contaminated"])
 @pytest.mark.parametrize("mode, polarization", [
     ((1, 0, 0), (0, 1, 0)),    # the contamination shares the wave's entries
@@ -427,7 +440,7 @@ def test_shell_moments_split_transverse_and_longitudinal(rng):
     ws = get_workspace(n, TWO_PI)
     a, pi = random_smooth_fields(rng, n, TWO_PI)
     y_hat = ws.forward(np.stack([a, pi]))
-    g_t, g_l = (g[0] for g in fields.Modes(ws).moments(y_hat[None]))
+    g_t, g_l = fields.Modes(ws).moments(y_hat[None])[0].reshape(2, 3, -1)
     a_t, pi_t = transverse_project(a, ws), transverse_project(pi, ws)
     a_l, pi_l = a - a_t, pi - pi_t
     for g, (u, v) in ((g_t, (a_t, pi_t)), (g_l, (a_l, pi_l))):
