@@ -417,8 +417,7 @@ def _run(y_s: np.ndarray, g, maps: _ShellMaps, support: _Support, stable: bool,
         if reference is not None:
             ref = np.zeros((len(ts),) + ys[0].shape, dtype=complex)
             at = (Ellipsis, *(reference.support if support.whole else (support.ref_at,)))
-            for r, t in zip(ref, ts):
-                r[at] = reference.spectrum(t)
+            ref[at] = reference.spectrum(np.array(ts))
         g_stack = None if gs[0] is None else np.stack(gs)
         rows.append(np.column_stack([ts, support.rows(np.stack(ys), ref, g_stack)]))
         saved.clear()

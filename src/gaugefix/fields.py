@@ -68,8 +68,13 @@ class SpectralWorkspace:
         self.domain_length = domain_length
         spacing = domain_length / grid_n
         with np.errstate(all="ignore"):
-            self.k1 = k1 = 2.0 * np.pi * np.fft.fftfreq(grid_n, d=spacing)
-            self.k3 = k3 = 2.0 * np.pi * np.fft.rfftfreq(grid_n, d=spacing)
+            # The mode numbers times 1 / (N spacing): fftfreq's and rfftfreq's own
+            # arithmetic, without importing numpy.fft.
+            val = 1.0 / (grid_n * spacing)
+            m = np.arange(grid_n)
+            m[(grid_n + 1) // 2:] -= grid_n
+            self.k1 = k1 = 2.0 * np.pi * (m * val)
+            self.k3 = k3 = 2.0 * np.pi * (np.arange(grid_n // 2 + 1) * val)
             if grid_n % 2 == 0:
                 k1[grid_n // 2] = 0.0
                 k3[-1] = 0.0
@@ -665,9 +670,10 @@ def plane_wave_reference(mode, polarization, amplitude: float = 1.0,
     or two entries of the rfft half spectrum that hold the modes +-m (one
     when m_z != 0, since -m is then the stored entry's mirror), and
     `spectrum(t)` gives the (2, 3, entries) Fourier coefficients of
-    (a, pi) there: (a e N^3 / 2) times cos(w t) and -w sin(w t). Every
-    other coefficient is zero. `grid_n` and `domain_length` name the grid
-    these entries belong to.
+    (a, pi) there: (a e N^3 / 2) times cos(w t) and -w sin(w t); a 1-D
+    array of times gives them stacked along a leading axis. Every other
+    coefficient is zero. `grid_n` and `domain_length` name the grid these
+    entries belong to.
     """
     mode, e = _check_wave(mode, polarization, grid_n, domain_length)
     k = 2.0 * np.pi * mode / domain_length
@@ -679,12 +685,13 @@ def plane_wave_reference(mode, polarization, amplitude: float = 1.0,
         x, y, z = grid_coordinates(grid_n, domain_length)
         return amplitude * e[:, None, None, None] * np.cos(k[0] * x + k[1] * y + k[2] * z)[None]
 
+    # The factor -w sin(w t) is taken first: -w times a finite value can overflow.
     def reference(t: float):
-        return pattern() * np.cos(omega * t), -omega * pattern() * np.sin(omega * t)
+        return pattern() * np.cos(omega * t), pattern() * (-omega * np.sin(omega * t))
 
-    def spectrum(t: float) -> np.ndarray:
-        # The factor -w sin(w t) is taken first: -w times a finite coefficient can overflow.
-        return coeff * np.array([np.cos(omega * t), -omega * np.sin(omega * t)])[:, None, None]
+    def spectrum(t) -> np.ndarray:
+        wt = omega * np.asarray(t)
+        return coeff * np.stack([np.cos(wt), -omega * np.sin(wt)], axis=-1)[..., None, None]
 
     reference.omega = omega
     reference.period = 2.0 * np.pi / omega
@@ -857,19 +864,23 @@ def project_snapshot(src, dst):
 
     Returns the constraint norms (div A, div pi) before and after.
 
-    One field at a time through one grid buffer and one field's half
-    spectrum, and nothing else field-sized, so the snapshot is never held
-    whole. Each component is read, checked and transformed; the field's
-    constraint norm before comes from its half spectrum, and its
-    longitudinal part is removed there, both one kx plane at a time with
-    k^2 made per plane (no k^2 table), the norm's squares in the grid
-    buffer. Each component then goes back to the grid, its transform
-    running in place in the component's spectrum, which the next forward
-    transform writes over; it is checked, appended to a new file beside
-    dst and transformed again, so the norm after is that of the field as
-    written. Norms are by Parseval. The fields written equal those of
-    correct_initial_data(a, pi, L) bit for bit, and the norms those of
-    div_norm_hat.
+    One field at a time through one field's half spectrum and one table of
+    the norms' squares, and nothing else field-sized, so the snapshot is
+    never held whole. The table's memory, while no norm is taken, holds up
+    to N/2+1 x-planes of one component on the grid: each component goes
+    through it in x-slabs, each slab read, checked and transformed along z
+    into its slab of the component's spectrum, and the component then
+    transformed along y and x in place. The field's constraint norm before
+    comes from its half spectrum, and its longitudinal part is removed
+    there, both one kx plane at a time with k^2 made per plane (no k^2
+    table). Each component then goes back along x and y in place; each
+    slab is transformed back along z, checked, appended to a new file
+    beside dst and transformed along z again into the spectrum, which after
+    its y and x passes gives the norm of the field as written. Every
+    one-dimensional transform is that of rfftn or irfftn on the same line,
+    in the same order of passes. Norms are by Parseval. The fields written
+    equal those of correct_initial_data(a, pi, L) bit for bit, and the norms
+    those of div_norm_hat.
 
     src may be a pipe. Only a complete projection replaces dst (through a
     symbolic link, as open(dst, "wb") would write), keeping an existing
@@ -889,10 +900,16 @@ def project_snapshot(src, dst):
     with _SnapshotReader(Path(src)) as snap:
         n, length = snap.grid_n, snap.domain_length
         ws = get_workspace(n, length)
-        grid = np.empty((n, n, n), dtype="<f8")
-        # The norms' squares go into the grid buffer, which is free while they are taken.
-        squares = grid.reshape(-1)[:n * n * (n // 2 + 1)].reshape(n, n, n // 2 + 1)
         f_hat = np.empty((3, n, n, n // 2 + 1), dtype=complex)
+        # The norms' squares, whose memory is free for the slabs while they are not taken.
+        squares = np.empty((n, n, n // 2 + 1), dtype="<f8")
+        buf = squares.reshape(-1, n, n)
+        slabs = [(slice(x, x + len(buf)), buf[:n - x]) for x in range(0, n, len(buf))]
+
+        def along_yx(part):  # rfftn's passes after the one on z
+            np.fft.fft(part, axis=1, out=part)
+            np.fft.fft(part, axis=0, out=part)
+
         tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
         try:
             out = open(tmp, "xb")  # the mode open(dst, "wb") gives a new file
@@ -905,19 +922,27 @@ def project_snapshot(src, dst):
                 with np.errstate(over="ignore", invalid="ignore"):
                     for _ in range(2):  # a, then pi
                         for part in f_hat:
-                            snap.fill(grid)
-                            if not np.isfinite(grid).all():
-                                raise SnapshotFormatError(f"snapshot {snap.path} payload invalid: "
-                                                          "field values must be finite")
-                            ws.forward(grid, out=part)
+                            for x, grid in slabs:
+                                snap.fill(grid)
+                                if not np.isfinite(grid).all():
+                                    raise SnapshotFormatError(
+                                        f"snapshot {snap.path} payload invalid: "
+                                        "field values must be finite")
+                                np.fft.rfft(grid, axis=2, out=part[x])
+                            along_yx(part)
                         before.append(_div_norm(f_hat, ws, squares))
                         _remove_longitudinal(f_hat, ws)
                         for part in f_hat:
-                            ws._inverse(part, part, grid)  # part is written over next
-                            if not np.isfinite(grid).all():
-                                raise ValueError("field values must be finite")
-                            out.write(grid)
-                            ws.forward(grid, out=part)
+                            # irfftn's passes: ifft on x and y in place, then irfft on z.
+                            np.fft.ifft(part, axis=0, out=part)
+                            np.fft.ifft(part, axis=1, out=part)
+                            for x, grid in slabs:
+                                np.fft.irfft(part[x], n, axis=2, out=grid)
+                                if not np.isfinite(grid).all():
+                                    raise ValueError("field values must be finite")
+                                out.write(grid)
+                                np.fft.rfft(grid, axis=2, out=part[x])
+                            along_yx(part)
                         after.append(_div_norm(f_hat, ws, squares))
                 snap.end()
             if existing is not None:

@@ -26,7 +26,6 @@ from gaugefix.cli import (
 from gaugefix.evolution import evolve
 from gaugefix.fields import (
     FieldState,
-    SpectralWorkspace,
     get_workspace,
     plane_wave_reference,
     random_smooth_fields,
@@ -437,7 +436,9 @@ class TestProjectCommand:
                                                               monkeypatch):
         # Six per field, one N^3 component at a time: per component one
         # forward, one back to the grid (in place in the component's
-        # spectrum, through _inverse) and one forward of the written grid.
+        # spectrum) and one forward of the written grid, each as rfftn's or
+        # irfftn's one-axis passes in their order, the passes along z over
+        # x-slabs of at most N/2+1 = 9 planes.
         a, pi = random_smooth_fields(np.random.default_rng(5), 16, 2.0 * np.pi)
         state = FieldState(a, pi, 2.0 * np.pi)
         path, out, ref = tmp_path / "in.gfsn", tmp_path / "out.gfsn", tmp_path / "ref.gfsn"
@@ -445,18 +446,23 @@ class TestProjectCommand:
         calls = []
 
         def counted(name):
-            method = getattr(SpectralWorkspace, name)
+            transform = getattr(np.fft, name)
 
-            def wrapper(ws, f, *args, **kwargs):
-                calls.append((name, f.shape))
-                return method(ws, f, *args, **kwargs)
+            def wrapper(f, *args, axis=-1, **kwargs):
+                calls.append((name, axis, f.shape))
+                return transform(f, *args, axis=axis, **kwargs)
             return wrapper
 
-        for name in ("forward", "backward", "_inverse"):
-            monkeypatch.setattr(SpectralWorkspace, name, counted(name))
+        for name in ("rfft", "irfft", "fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counted(name))
         assert main(["project", str(path), "--out", str(out)]) == 0
-        assert calls.count(("forward", (16, 16, 16))) == 12
-        assert calls.count(("_inverse", (16, 16, 9))) == 6 and len(calls) == 18
+        half = (16, 16, 9)
+        along_yx = [("fft", 1, half), ("fft", 0, half)]
+        forward = [("rfft", 2, (w, 16, 16)) for w in (9, 7)] + along_yx
+        inverse = ([("ifft", 0, half), ("ifft", 1, half)]
+                   + [c for w in (9, 7) for c in (("irfft", 2, (w, 16, 9)), ("rfft", 2, (w, 16, 16)))]
+                   + along_yx)
+        assert calls == 2 * (3 * forward + 3 * inverse)
         monkeypatch.undo()
         write_snapshot(project_state(state), ref)
         assert out.read_bytes() == ref.read_bytes()
@@ -985,10 +991,15 @@ def test_readme_library_sketch_prints_one():
     (["constraints", "chain-demo"], "numpy.random"),
     (["constraints", "second-class-demo"], "numpy.random"),
     (["constraints", "regular-demo"], "numpy.random"),
+    (["evolve", "--config", "{config}", "--out", "{out}"], "numpy.fft"),
 ])
-def test_commands_leave_the_numpy_modules_they_do_not_use_out(argv, unused):
+def test_commands_leave_the_numpy_modules_they_do_not_use_out(tmp_path, argv, unused):
     # Neither the CLI import nor the command loads the module: symbol ranks
-    # its speeds by a sorted set, and constraints samples nothing.
+    # its speeds by a sorted set, constraints samples nothing, and a plane
+    # wave evolves as its few Fourier coefficients, on wavenumbers made
+    # without numpy.fft.
+    config = write_config(tmp_path, grid_n=16, t_end=2.0)
+    argv = [arg.format(config=config, out=tmp_path / "out.csv") for arg in argv]
     code = ("import io, sys, contextlib, gaugefix.cli\n"
             f"loaded = {unused!r} in sys.modules\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"

@@ -91,6 +91,26 @@ def test_workspace_scale_is_the_parseval_factor(length):
     assert ws.scale == (length / 8 ** 2) ** 3 == Modes(ws).scale
 
 
+def test_workspace_wavenumbers_are_numpy_fft_frequencies_bit_for_bit():
+    # k1 and k3 come from integer mode numbers by fftfreq's and rfftfreq's
+    # own arithmetic, for every accepted side L (the Nyquist entries zeroed).
+    lengths = [TWO_PI, 3.0, 1.0 / 3.0, *(10.0 ** np.arange(-110.0, 111.0, 3.0))]
+    for n in range(4, 71):
+        accepted = 0
+        for length in lengths:
+            try:
+                ws = SpectralWorkspace(n, length)
+            except ValueError:
+                continue
+            accepted += 1
+            k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
+            k3 = 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
+            if n % 2 == 0:
+                k1[n // 2] = k3[-1] = 0.0
+            assert ws.k1.tobytes() == k1.tobytes() and ws.k3.tobytes() == k3.tobytes()
+        assert accepted > 60
+
+
 def test_workspace_cache_reuses_instances():
     a = get_workspace(16, TWO_PI)
     b = get_workspace(16, TWO_PI)
@@ -354,7 +374,7 @@ def test_plane_wave_reference_builds_its_grid_pattern_on_first_call():
     pattern = 0.7 * e[:, None, None, None] * np.cos(1.0 * x + 2.0 * y + 1.0 * z)[None]
     a, pi = ref(0.3)
     assert np.array_equal(a, pattern * np.cos(ref.omega * 0.3))
-    assert np.array_equal(pi, -ref.omega * pattern * np.sin(ref.omega * 0.3))
+    assert np.array_equal(pi, pattern * (-ref.omega * np.sin(ref.omega * 0.3)))
 
 
 @pytest.mark.filterwarnings("error")
@@ -368,6 +388,36 @@ def test_plane_wave_reference_spectrum_of_a_finite_wave_is_finite():
     assert np.isfinite(start).all()
     want = plane_wave_spectrum(*args, grid_n=8).coeff
     assert np.array_equal(start[0], want[0]) and np.array_equal(start[1], want[1])
+
+
+@pytest.mark.filterwarnings("error")
+def test_plane_wave_reference_grid_momentum_of_a_finite_wave_is_finite():
+    # omega = 400 and amplitude 5e305: -omega times the grid pattern would
+    # overflow, but pi = -omega sin(omega t) times it is ~8e304 at t = 1e-6.
+    ref = plane_wave_reference((1, 0, 0), (0, 1, 0), 5e305, grid_n=8,
+                               domain_length=TWO_PI / 400)
+    assert ref.omega == pytest.approx(400.0, rel=1e-15)
+    a, pi = ref(1e-6)
+    assert np.isfinite(a).all() and np.isfinite(pi).all()
+    assert np.max(np.abs(pi)) == 5e305 * (ref.omega * np.sin(ref.omega * 1e-6))
+
+
+def test_plane_wave_reference_spectrum_stacks_its_scalar_calls():
+    # A 1-D array of times gives the scalar calls' coefficients stacked, bit
+    # for bit, out to omega t ~ 1e300; coefficients of 1.28e308 too, whose
+    # momentum overflows where |2 sin(2 t)| > 1.4.
+    rng = np.random.default_rng(3)
+    ts = np.concatenate([np.arange(0.0, 50.0, 0.05), -rng.uniform(0.0, 50.0, 100),
+                         10.0 ** rng.uniform(-10.0, 300.0, 1000)])
+    for args, n, length in [(((1, -2, 1), (1, 0, -1), 0.7), 8, 3.0),
+                            (((2, 0, 0), (0, 1, 0), 5e305), 8, TWO_PI),
+                            (((1, 2, 0), (0, 0, 1), 1.0), 9, 1e-3)]:
+        ref = plane_wave_reference(*args, grid_n=n, domain_length=length)
+        with np.errstate(over="ignore"):
+            want = np.stack([ref.spectrum(t) for t in ts.tolist()])
+            got = ref.spectrum(ts)
+        assert got.shape == (ts.size, 2, 3, ref.support[0].size)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["transverse", "contaminated"])
@@ -511,11 +561,14 @@ def test_project_snapshot_matches_the_grid_route(rng, n, tmp_path):
     assert after == tuple(div_norm_hat(ws.forward(f), ws) for f in (projected.a, projected.pi))
 
 
-def test_project_command_holds_one_component_and_one_half_spectrum(tmp_path, capsys):
-    # The whole command at N = 64 holds one grid component (2 MiB), which
-    # also takes the norms' squares, one field's half spectrum (6.2 MiB)
-    # and per-plane temporaries: no k^2 table, no transform temporaries and
-    # never the 12 MiB snapshot.
+def test_project_command_holds_one_half_spectrum_and_its_squares_table(tmp_path, capsys):
+    # The whole command at N = 64 holds one field's half spectrum (6.2 MiB),
+    # the norms' squares table (a sixth of it), whose memory also takes the
+    # x-slabs of each component on the grid, and per-plane temporaries: no
+    # grid buffer, no k^2 table, no transform temporaries and never the
+    # 12 MiB snapshot. numpy.fft is imported first: its import is not the
+    # command's arrays.
+    import numpy.fft  # noqa: F401
     n = 64
     rng = np.random.default_rng(5)
     src = tmp_path / "in.gfsn"
@@ -528,7 +581,7 @@ def test_project_command_holds_one_component_and_one_half_spectrum(tmp_path, cap
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.6 * 3 * n * n * (n // 2 + 1) * 16
+    assert peak <= 1.25 * 3 * n * n * (n // 2 + 1) * 16
 
 
 def test_correct_initial_data_holds_one_half_spectrum_beyond_its_result():
