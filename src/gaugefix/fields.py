@@ -120,9 +120,7 @@ class SpectralWorkspace:
         out = np.empty(f.shape[:-1] + (f.shape[-1] // 2 + 1,), complex) if out is None else out
         for i in np.ndindex(f.shape[:-3]):
             # rfftn's passes, in its order: rfft on z, then fft on y and x in place.
-            part = np.fft.rfft(f[i], axis=2, out=out[i])
-            np.fft.fft(part, axis=1, out=part)
-            np.fft.fft(part, axis=0, out=part)
+            _fft_yx(np.fft.rfft(f[i], axis=2, out=out[i]))
         return out
 
     def backward(self, f_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -139,6 +137,12 @@ class SpectralWorkspace:
         np.fft.ifft(f_hat, axis=0, out=scratch)
         np.fft.ifft(scratch, axis=1, out=scratch)
         return np.fft.irfft(scratch, self.grid_n, axis=2, out=out)
+
+
+def _fft_yx(part: np.ndarray) -> None:
+    """rfftn's passes after the one on z: fft on y, then on x, in place in part."""
+    np.fft.fft(part, axis=1, out=part)
+    np.fft.fft(part, axis=0, out=part)
 
 
 @functools.lru_cache(maxsize=8)
@@ -905,11 +909,6 @@ def project_snapshot(src, dst):
         squares = np.empty((n, n, n // 2 + 1), dtype="<f8")
         buf = squares.reshape(-1, n, n)
         slabs = [(slice(x, x + len(buf)), buf[:n - x]) for x in range(0, n, len(buf))]
-
-        def along_yx(part):  # rfftn's passes after the one on z
-            np.fft.fft(part, axis=1, out=part)
-            np.fft.fft(part, axis=0, out=part)
-
         tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
         try:
             out = open(tmp, "xb")  # the mode open(dst, "wb") gives a new file
@@ -929,7 +928,7 @@ def project_snapshot(src, dst):
                                         f"snapshot {snap.path} payload invalid: "
                                         "field values must be finite")
                                 np.fft.rfft(grid, axis=2, out=part[x])
-                            along_yx(part)
+                            _fft_yx(part)
                         before.append(_div_norm(f_hat, ws, squares))
                         _remove_longitudinal(f_hat, ws)
                         for part in f_hat:
@@ -942,7 +941,7 @@ def project_snapshot(src, dst):
                                     raise ValueError("field values must be finite")
                                 out.write(grid)
                                 np.fft.rfft(grid, axis=2, out=part[x])
-                            along_yx(part)
+                            _fft_yx(part)
                         after.append(_div_norm(f_hat, ws, squares))
                 snap.end()
             if existing is not None:
