@@ -14,13 +14,14 @@ H = z.W.z/2 + w.z + w0 and [R | r] (docs/derivations.md sections 4 and
 5): candidates u R J W | u R J w, dropped when in the span of [R | r]
 and admitted when they raise the rank of R, classes from R J R^T, the
 multipliers K z + k, and the constant extended flow A z + b of
-evolve_finite with the H and C of its states. No decision is made at
-sample points; a non-affine constraint or a Hamiltonian without
-coefficients is refused with ValueError. make_surface_sampler draws
-on-surface points by least squares for callers that want them.
-The second-order correction takes its brackets as products of the
-members' stacked coefficients, so it too refuses a constraint without
-polynomial coefficients.
+evolve_finite with the H and C of its states. Each rank is one SVD of
+rows scaled to unit length (_rank), so no decision depends on the scale
+of a constraint or of H, and none on sample points. A non-affine
+constraint or a Hamiltonian without coefficients is refused with
+ValueError; make_surface_sampler draws on-surface points by least
+squares for callers that want them. The second-order correction takes
+its brackets as products of the members' stacked coefficients, so it
+too refuses a constraint without polynomial coefficients.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ from .phase import (
     as_phase_point,
     linear_function,
 )
+
+# The one cut of every rank and class decision, on unit rows: tol_weak's default.
+_TOL_WEAK = 1e-8
 
 
 class GaugeNotFixedError(RuntimeError):
@@ -150,15 +154,11 @@ class ConstraintSet:
         return ConstraintSet(relabeled, self.dim)
 
 
-def _require_full_rank(jac: np.ndarray) -> None:
-    # An (M, 2N) Jacobian with M > 2N has only 2N singular values to test.
-    if jac.shape[0] > jac.shape[1]:
-        raise ValueError("constraint set is not irreducible "
-                         f"({jac.shape[0]} constraints on a {jac.shape[1]}-dimensional "
-                         f"phase space)")
-    s = np.linalg.svd(jac, compute_uv=False)
-    if s[0] == 0.0 or s[-1] < 1e-8 * s[0]:
-        raise ValueError(f"constraint set is not irreducible (singular values {s})")
+def _require_full_rank(jac: np.ndarray, tol: float = _TOL_WEAK) -> None:
+    rank, _ = _rank(jac / _row_norms(jac), tol, "irreducibility of the constraint set")
+    if rank < len(jac):
+        raise ValueError(f"constraint set is not irreducible (rank {rank} for {len(jac)} "
+                         f"constraints on a {jac.shape[1]}-dimensional phase space)")
 
 
 def constraint_set(functions: Sequence[PhaseFunction], dim: int,
@@ -185,16 +185,15 @@ class CommutationMatrix:
         if entries.size and np.abs(entries + entries.T).max() > 1e-12 * (1.0 + scale):
             raise ValueError("commutation matrix is not antisymmetric to 1e-12")
         self.entries = entries
-
-    @cached_property
-    def singular_values(self) -> np.ndarray:
-        return np.linalg.svd(self.entries, compute_uv=False)
+        self._unit = entries  # the brackets at unit rows; _commutation sets them
 
     def is_invertible(self) -> bool:
-        """Smallest singular value above 1e-10 of the largest; the 0 x 0
-        matrix of an empty set is invertible."""
-        s = self.singular_values
-        return bool(not s.size or s[-1] > 1e-10 * s[0])
+        """Full rank of the unit rows' brackets: every singular value above
+        tol_weak = 1e-8, a relative cut since the rows are unit, and one
+        within a factor 10 of it raises AmbiguousClassificationError. The
+        0 x 0 matrix of an empty set is invertible."""
+        what = "invertibility of the commutation matrix"
+        return _rank(self._unit, _TOL_WEAK, what)[0] == len(self._unit)
 
     def solve(self, rhs) -> np.ndarray:
         """Solve M x = rhs, refusing when M is numerically singular."""
@@ -207,10 +206,39 @@ class CommutationMatrix:
 
 
 def _commutation(jac: np.ndarray, j: np.ndarray) -> CommutationMatrix:
-    """G J G^T for the stacked constraint Jacobian G, zero on the diagonal."""
-    entries = jac @ j @ jac.T
-    np.fill_diagonal(entries, 0.0)
-    return CommutationMatrix(entries)
+    """G J G^T for the stacked constraint Jacobian G, zero on the diagonal,
+    with the brackets of the unit rows G / |G_a| that decide its rank."""
+    entries, unit = [g @ j @ g.T for g in (jac, jac / _row_norms(jac))]
+    for m in (entries, unit):
+        np.fill_diagonal(m, 0.0)
+    mat = CommutationMatrix(entries)
+    mat._unit = unit
+    return mat
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """The length of each row of a as a column, 1 for a zero row; hypot
+    neither underflows nor overflows where the squares of the entries do."""
+    norms = np.hypot.reduce(a, axis=1, keepdims=True)
+    return np.where(norms > 0.0, norms, 1.0)
+
+
+def _rank(a: np.ndarray, tol: float, what: str) -> tuple[int, np.ndarray]:
+    """(rank, vh) of a matrix at unit scale, from its one SVD a = U S vh:
+    singular values above tol count, and one in _band raises
+    AmbiguousClassificationError naming what."""
+    _, s, vh = np.linalg.svd(a)
+    # A handful of values: a list is quicker than array operations.
+    near = [x for x in s.tolist() if _band(x, tol)]
+    if near:
+        raise AmbiguousClassificationError(f"{what} is ambiguous: singular value {near[0]:.3e} "
+                                           f"within a factor 10 of tol_weak={tol:g}")
+    return sum(x > tol for x in s.tolist()), vh
+
+
+def _band(x, tol: float):
+    """Where x, a number or an array, is within a factor 10 of tol: too close to call."""
+    return (tol / 10.0 <= x) & (x <= tol * 10.0)
 
 
 def _check_size(what: str, size: int, dim: int) -> None:
@@ -250,18 +278,13 @@ def least_squares_project(cset: ConstraintSet, z0, tol: float = 1e-12,
     bracket-generated correction step.
     """
     z = as_phase_point(z0).astype(float).copy()
-    if len(cset) == 0:
-        return z
     for _ in range(max_iter):
         c = cset.values(z)
-        if np.max(np.abs(c)) < tol:
+        if _max_abs(c) < tol:
             return z
-        g = cset.jacobian(z)
-        step, *_ = np.linalg.lstsq(g, c, rcond=None)
-        z = z - step
-    raise SamplerError(
-        f"least-squares projection stalled at residual {np.max(np.abs(cset.values(z))):.3e}"
-    )
+        z = z - np.linalg.pinv(cset.jacobian(z)) @ c
+    raise SamplerError(f"least-squares projection stalled at residual "
+                       f"{_max_abs(cset.values(z)):.3e}")
 
 
 def make_surface_sampler(rng: np.random.Generator, n_points: int = 32,
@@ -272,24 +295,18 @@ def make_surface_sampler(rng: np.random.Generator, n_points: int = 32,
     and kept if every constraint is below tol there."""
 
     def sampler(cset: ConstraintSet) -> np.ndarray:
-        points = []
-        attempts = 0
+        points, attempts = [], 0
         while len(points) < n_points:
             attempts += 1
             if attempts > 50 * n_points:
-                raise SamplerError(
-                    f"could not find {n_points} on-surface points "
-                    f"after {attempts} attempts"
-                )
+                raise SamplerError(f"could not find {n_points} on-surface points "
+                                   f"after {attempts} attempts")
             z0 = scale * rng.standard_normal(cset.dim)
-            if len(cset) == 0:
-                points.append(z0)
-                continue
             try:
                 z = least_squares_project(cset, z0, tol=tol, max_iter=max_iter)
             except SamplerError:
                 continue
-            if np.max(np.abs(cset.values(z))) < tol:
+            if _max_abs(cset.values(z)) < tol:
                 points.append(z)
         return np.array(points)
 
@@ -301,19 +318,20 @@ def make_surface_sampler(rng: np.random.Generator, n_points: int = 32,
 # ---------------------------------------------------------------------------
 
 def consistency_chain(system: HamiltonianSystem, primaries: ConstraintSet,
-                      sampler=None, tol_weak: float = 1e-8,
+                      sampler=None, tol_weak: float = _TOL_WEAK,
                       max_generations: int = 10) -> ConstraintSet:
     """Run the Dirac-Bergmann consistency algorithm from the primaries.
 
     Each generation demands that every bracket [C, H] vanish weakly, up
-    to multipliers of the primaries: the left null space of the primary
-    bracket matrix spawns the candidates. A candidate is dropped when its
-    row lies in the span of the existing rows and admitted when its
-    linear part raises their rank; a residual within a factor 10 of
-    tol_weak raises AmbiguousClassificationError. A non-affine constraint
-    or a Hamiltonian without coefficients raises LinearModel.of's
-    ValueError naming it. sampler is ignored: no decision is made at
-    sample points.
+    to multipliers of the primaries. Each decision is a rank of the unit
+    rows C_i / |R_i| of C = R z + r: their primary bracket matrix's left
+    null space spawns the candidates, and a candidate, over the bound its
+    product puts on it, is dropped when it adds no rank to [R | r] and
+    admitted when it adds rank to R. So tol_weak is relative, and a
+    singular value within a factor 10 of it raises
+    AmbiguousClassificationError. A non-affine constraint or a Hamiltonian
+    without coefficients raises LinearModel.of's ValueError naming it.
+    sampler is ignored: no decision is made at sample points.
 
     Raises ChainTerminationError if the chain is still growing after
     max_generations, or if a residual can neither be absorbed nor yield
@@ -325,32 +343,40 @@ def consistency_chain(system: HamiltonianSystem, primaries: ConstraintSet,
     if len(primaries) == 0:
         return primaries
     model = LinearModel.of(system, primaries)
+    rows = model.rows / _row_norms(model.rows[:, :-1])
+    model = replace(model, rows=rows)
+    # |u R J| |[W | w]| bounds the candidate row (u R J)[W | w] and its rounding.
+    h_abs = np.abs(np.column_stack((model.quad, model.lin)))
     n_primary = len(primaries)
     cset, untested = primaries, 0
+    ranks = [_rank(m, tol_weak, "rank of the primaries")[0] for m in (rows, rows[:, :-1])]
 
     for _generation in range(max_generations):
-        rows = model.rows
-        # R J R_prim^T in the operations of the bracket-function oracle in
-        # the tests, so the left null space, the weights and the labels agree.
-        a = (rows[:, :-1] @ model.j) @ rows[:n_primary, :-1].T
+        rj = rows[:, :-1] @ model.j
+        # R J R_prim^T as the bracket-function oracle in the tests forms it.
+        rank, vh = _rank((rj @ rows[:n_primary, :-1].T).T, tol_weak, "the primary bracket matrix")
         # Without multipliers the candidates are the [C_i, H]; those of members
         # older than the last generation passed before, against fewer rows.
-        directions = (np.eye(len(cset))[untested:] if np.max(np.abs(a)) < tol_weak
-                      else _left_null(a))
+        directions = np.eye(len(cset))[untested:] if rank == 0 else vh[rank:]
         untested = len(cset)
 
         new = []
         for u in directions:
             row, label = model.bracket_with_h(u)
+            v = row / (np.linalg.norm(np.abs(u @ rj) @ h_abs) or 1.0)
             # Vanishes weakly, or repeats a member admitted this generation.
-            if _residual(rows, row, label, "weak vanishing", tol_weak) < tol_weak:
+            full = _rank(np.vstack([rows, v]), tol_weak, f"weak vanishing of candidate {label}")[0]
+            if full == ranks[0]:
                 continue
             # A nonzero constant on the surface: inconsistent dynamics.
-            if _residual(rows[:, :-1], row[:-1], label, "newness", tol_weak) < tol_weak:
+            lin = _rank(np.vstack([rows[:, :-1], v[:-1]]), tol_weak,
+                        f"newness of candidate {label}")[0]
+            if lin == ranks[1]:
                 raise _unsatisfiable([model.labels[i] for i in np.flatnonzero(np.abs(u) > 1e-12)])
             new.append(Constraint(linear_function(row[:-1], row[-1], label),
                                   ConstraintOrigin.CONSISTENCY))
-            rows = np.vstack([rows, row])
+            rows = np.vstack([rows, row / _row_norms(row[None, :-1])])
+            ranks = [full, lin]
         if not new:
             return cset
         cset = cset.extended(new)
@@ -444,28 +470,6 @@ class LinearModel:
         return h, states @ self.rows[:, :-1].T + self.rows[:, -1]
 
 
-def _residual(rows: np.ndarray, v: np.ndarray, label: str, decision: str,
-              tol_weak: float) -> float:
-    """|v - its least-squares projection onto the rows| / (1 + |v|),
-    refused within a factor 10 of tol_weak on either side."""
-    coef, *_ = np.linalg.lstsq(rows.T, v, rcond=None)
-    res = float(np.linalg.norm(v - rows.T @ coef) / (1.0 + np.linalg.norm(v)))
-    if tol_weak / 10.0 <= res <= tol_weak * 10.0:
-        raise AmbiguousClassificationError(
-            f"{decision} of candidate {label} is ambiguous: residual {res:.3e} "
-            f"within a factor 10 of tol_weak={tol_weak:g}"
-        )
-    return res
-
-
-def _left_null(a: np.ndarray) -> np.ndarray:
-    """Rows spanning the left null space of a; singular values above
-    max(shape) * eps * s_max count toward the rank."""
-    _, s, vh = np.linalg.svd(a.T)
-    rank = int(np.sum(s > max(a.shape) * np.finfo(float).eps * s[0]))
-    return vh[rank:]
-
-
 def _unsatisfiable(labels: list[str]) -> ChainTerminationError:
     return ChainTerminationError(
         f"consistency conditions cannot be satisfied: residuals of {labels} are "
@@ -480,14 +484,15 @@ def _still_growing(max_generations: int, cset: ConstraintSet) -> ChainTerminatio
     )
 
 
-def classify_constraints(cset: ConstraintSet, sampler=None, tol_weak: float = 1e-8,
+def classify_constraints(cset: ConstraintSet, sampler=None, tol_weak: float = _TOL_WEAK,
                          form: CosymplecticForm | None = None) -> ConstraintSet:
     """Label each constraint first or second class from its brackets.
 
     A constraint is first class when its bracket with every other member
-    vanishes weakly, read off the constant R J R^T of the cached rows.
-    Magnitudes within a factor of ten of tol_weak on either side are
-    refused as ambiguous. form is canonical by default. A non-affine
+    vanishes weakly, read off the constant R J R^T of the cached rows
+    scaled to unit length, so tol_weak is relative: a magnitude below it
+    is weakly zero, and one within a factor of ten of it on either side
+    is refused as ambiguous. form is canonical by default. A non-affine
     member raises ValueError naming it, and so does a dependent set.
     sampler is ignored.
     """
@@ -496,26 +501,20 @@ def classify_constraints(cset: ConstraintSet, sampler=None, tol_weak: float = 1e
     if len(cset) == 0:
         return cset
     rows = _exact_rows(cset)
-    _require_full_rank(rows[:, :-1])
+    _require_full_rank(rows[:, :-1], tol_weak)
     return _label_classes(cset, _bracket_magnitudes(rows[:, :-1], j), tol_weak)
 
 
 def _bracket_magnitudes(jac: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """|[C_a, C_b]| / (1 + |grad C_a| |grad C_b|), so the tolerance means the
-    same for O(1) and large-gradient pairs."""
-    norms = np.linalg.norm(jac, axis=1)
-    return np.abs(_commutation(jac, j).entries) / (1.0 + np.outer(norms, norms))
+    """|[C_a, C_b]| / (|grad C_a| |grad C_b|), the brackets of the unit rows."""
+    return np.abs(_commutation(jac, j)._unit)
 
 
 def _label_classes(cset: ConstraintSet, mag: np.ndarray, tol_weak: float) -> ConstraintSet:
-    m = len(cset)
-    ambiguous = [
-        (cset[a].label, cset[b].label, mag[a, b])
-        for a in range(m) for b in range(a + 1, m)
-        if tol_weak / 10.0 <= mag[a, b] <= tol_weak * 10.0
-    ]
-    if ambiguous:
-        detail = ", ".join(f"[{la}, {lb}] ~ {v:.3e}" for la, lb, v in ambiguous)
+    ambiguous = np.argwhere(np.triu(_band(mag, tol_weak), 1))
+    if ambiguous.size:
+        detail = ", ".join(f"[{cset[a].label}, {cset[b].label}] ~ {mag[a, b]:.3e}"
+                           for a, b in ambiguous)
         raise AmbiguousClassificationError(
             f"bracket magnitudes within a factor 10 of tol_weak={tol_weak:g}: {detail}"
         )

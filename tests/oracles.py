@@ -15,8 +15,10 @@ peak_shift takes an overflow scale from np.frexp, apart from the library's.
 
 For the finite half, bracket_chain runs the consistency chain with each
 candidate built as a phase function, phase.bracket_function of
-phase.combination, and its row read back from its coefficients, and
-stacked_gradients takes a set's Jacobian one gradient at a time at z.
+phase.combination, its row read back from its coefficients, and each
+candidate judged by a least-squares residual where the library counts
+ranks; stacked_gradients takes a set's Jacobian one gradient at a time
+at z.
 gauge_fixed_multipliers and extended_flow solve for the multipliers at
 each point from the set's Jacobian there, where the library's
 LinearModel.multipliers and LinearModel.flow are constant maps.
@@ -32,14 +34,16 @@ from __future__ import annotations
 import numpy as np
 
 from gaugefix.constraints import (
+    AmbiguousClassificationError,
     Constraint,
     ConstraintOrigin,
     _commutation,
-    _left_null,
-    _residual,
+    _rank,
+    _row_norms,
     _still_growing,
     _unsatisfiable,
     commutation_matrix,
+    constraint_set,
 )
 from gaugefix.fields import (
     FieldState,
@@ -54,7 +58,13 @@ from gaugefix.fields import (
     k_dot,
     transverse_project,
 )
-from gaugefix.phase import as_phase_point, bracket_function, combination, poisson_bracket
+from gaugefix.phase import (
+    as_phase_point,
+    bracket_function,
+    combination,
+    linear_function,
+    poisson_bracket,
+)
 
 
 def kvec_table(ws):
@@ -324,24 +334,48 @@ def _coefficient_row(f):
     return np.append(f.coefficients.lin, f.coefficients.const)
 
 
+def _residual(rows, v, label, decision, tol_weak):
+    """|v - its least-squares projection onto the rows| / (1 + |v|),
+    refused within a factor 10 of tol_weak on either side: how
+    consistency_chain judged a candidate before it counted ranks."""
+    coef, *_ = np.linalg.lstsq(rows.T, v, rcond=None)
+    res = float(np.linalg.norm(v - rows.T @ coef) / (1.0 + np.linalg.norm(v)))
+    if tol_weak / 10.0 <= res <= tol_weak * 10.0:
+        raise AmbiguousClassificationError(
+            f"{decision} of candidate {label} is ambiguous: residual {res:.3e} "
+            f"within a factor 10 of tol_weak={tol_weak:g}"
+        )
+    return res
+
+
+def _unit_members(rows, labels, dim):
+    """The members C_i / |R_i| of the rows [R | r], as affine phase functions."""
+    rows = rows / _row_norms(rows[:, :-1])
+    return constraint_set([linear_function(row[:-1], row[-1], label)
+                           for row, label in zip(rows, labels)], dim)
+
+
 def bracket_chain(system, primaries, tol_weak=1e-8, max_generations=10):
     """consistency_chain of affine primaries with every candidate a
-    closed-form bracket function, formed for every member in every
-    generation: the same left null space and residual decisions, rows read
-    back from each candidate's coefficients."""
+    closed-form bracket function of the unit members, formed for every
+    member in every generation, and its row read back from its
+    coefficients: the library's left null space from _rank, and the
+    residual decisions of _residual in place of its rank increases."""
     if len(primaries) == 0:
         return primaries
     h, form = system.hamiltonian, system.form
-    rows = np.array([_coefficient_row(c.function) for c in primaries])
     n_primary = len(primaries)
     cset = primaries
+    units = _unit_members(np.array([_coefficient_row(c.function) for c in primaries]),
+                          primaries.labels, primaries.dim)
     for _generation in range(max_generations):
-        gj = rows[:, :-1] @ form.matrix
-        a = gj @ rows[:n_primary, :-1].T
-        directions = np.eye(len(cset)) if np.max(np.abs(a)) < tol_weak else _left_null(a)
+        rows = np.array([_coefficient_row(c.function) for c in units])
+        r = rows[:, :-1]
+        rank, vh = _rank(((r @ form.matrix) @ r[:n_primary].T).T, tol_weak,
+                         "the primary bracket matrix")
         new = []
-        for u in directions:
-            cand = combination_bracket(cset, u, h, form)
+        for u in (np.eye(len(cset)) if rank == 0 else vh[rank:]):
+            cand = combination_bracket(units, u, h, form)
             row = _coefficient_row(cand)
             if _residual(rows, row, cand.label, "weak vanishing", tol_weak) < tol_weak:
                 continue
@@ -349,7 +383,8 @@ def bracket_chain(system, primaries, tol_weak=1e-8, max_generations=10):
                 raise _unsatisfiable([cset[int(i)].label
                                       for i in np.flatnonzero(np.abs(u) > 1e-12)])
             new.append(Constraint(cand, ConstraintOrigin.CONSISTENCY))
-            rows = np.vstack([rows, row])
+            units = units.extended(_unit_members(row[None], [cand.label], cset.dim))
+            rows = np.vstack([rows, _coefficient_row(units[-1].function)])
         if not new:
             return cset
         cset = cset.extended(new)

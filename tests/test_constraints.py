@@ -1,9 +1,10 @@
 import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -21,8 +22,8 @@ from gaugefix.constraints import (
     SamplerError,
     _bracket_magnitudes,
     _label_classes,
-    _left_null,
     _require_full_rank,
+    _row_norms,
     _still_growing,
     _unsatisfiable,
     classify_constraints,
@@ -249,6 +250,74 @@ def test_chain_members_have_exact_gradients():
     assert all(c.function.coefficients is not None for c in chain)
 
 
+# (system, primaries, gauge fixings) of each model whose scale is swept; the
+# Coulomb-gauge mode comes from its fixture.
+_SCALED_MODELS = {
+    "dim6": lambda: (_dim6_chain_system(), constraint_set([coord(6, 5, "p3")], 6), ()),
+    "chain-demo": lambda: ((m := chain_demo()).system, m.primaries, ()),
+    "second-class-demo": lambda: ((m := second_class_demo()).system, m.primaries, ()),
+    "left-null-space": lambda: (_left_null_system(), constraint_set(
+        [coord(6, 3, "p1"), coord(6, 0, "q1"), coord(6, 5, "p3")], 6), ()),
+}
+
+
+def _scaled_pipeline(system, primaries, fixings, member, a, b):
+    """Chain, classes and commutation matrix with H times 2^b and the
+    member-th of the primaries and fixings times 2^a."""
+    h = system.hamiltonian
+    k = h.coefficients
+    system = HamiltonianSystem(system.n_dof, quadratic_function(
+        np.ldexp(k.quad, b), np.ldexp(k.lin, b), np.ldexp(k.const, b), h.label), system.form)
+    members = list(primaries) + list(fixings)
+    c = members[member].function.coefficients
+    members[member] = replace(members[member], function=linear_function(
+        np.ldexp(c.lin, a), np.ldexp(c.const, a), members[member].label))
+    n = len(primaries)
+    chain = consistency_chain(system, ConstraintSet(tuple(members[:n]), primaries.dim))
+    chain = chain.extended(members[n:])
+    classes = classify_constraints(chain, form=system.form)
+    return chain, classes, commutation_matrix(chain, np.zeros(chain.dim), system.form)
+
+
+def _unit_rows(cset):
+    rows = _coefficient_rows(cset)
+    return rows / _row_norms(rows[:, :-1])
+
+
+@given(st.sampled_from(sorted(_SCALED_MODELS) + ["coulomb-gauge-mode"]), st.integers(0, 5),
+       st.integers(-40, 40), st.integers(-40, 40))
+# Relative to absolute floors the dim-6 chain refused H 2^-6, labelled three
+# members first class at H 2^-10, found them dependent at H 2^6, kept growing
+# from H 2^14, and labelled all six first class with p3 2^-20; the
+# left-null-space system raised ValueError with a member at 2^+-40.
+@example("dim6", 0, 0, -6)
+@example("dim6", 0, 0, -10)
+@example("dim6", 0, 0, 6)
+@example("dim6", 0, 0, 14)
+@example("dim6", 0, -20, 0)
+@example("left-null-space", 2, 40, 0)
+@example("left-null-space", 0, -40, 0)
+def test_chain_and_classes_do_not_depend_on_units(coulomb_gauge, name, member, a, b):
+    """C and 2^a C cut out the same surface, and H and 2^b H differ by the
+    unit of time: the same generations, labels and classes, and member rows
+    equal bit for bit once each is scaled to a unit linear part. Where all
+    are second class the commutation matrix is invertible."""
+    if name == "coulomb-gauge-mode":
+        model, cset = coulomb_gauge(np.array([1.0, 2.0, -0.5]))
+        system, primaries, fixings = model.system, model.primaries, cset[len(cset) - 2:]
+    else:
+        system, primaries, fixings = _SCALED_MODELS[name]()
+    member %= len(primaries) + len(fixings)
+    chain, classes, _ = _scaled_pipeline(system, primaries, fixings, member, 0, 0)
+    chain_s, classes_s, mat_s = _scaled_pipeline(system, primaries, fixings, member, a, b)
+    assert chain_s.labels == chain.labels
+    assert [c.origin for c in chain_s] == [c.origin for c in chain]
+    assert _unit_rows(chain_s).tobytes() == _unit_rows(chain).tobytes()
+    assert [c.class_label for c in classes_s] == [c.class_label for c in classes]
+    if all(c.class_label is ConstraintClass.SECOND_CLASS for c in classes_s):
+        assert mat_s.is_invertible()
+
+
 def test_combination_bracket_closed_form_and_refusal():
     rng = np.random.default_rng(21)
     members = [_random_quadratic(rng, 4, f"c{i}") for i in range(2)]
@@ -365,6 +434,14 @@ def _sampled_chain(system, primaries, sampler, tol_weak, max_generations):
     raise _still_growing(max_generations, cset)
 
 
+def _left_null(a):
+    """Rows spanning the left null space of a; singular values above
+    max(shape) * eps * s_max count toward the rank."""
+    _, s, vh = np.linalg.svd(a.T)
+    rank = int(np.sum(s > max(a.shape) * np.finfo(float).eps * s[0]))
+    return vh[rank:]
+
+
 def _gradient_is_new(cset, cand, points):
     """True if cand's gradient leaves the span of the set's gradients
     at at least one sample point: its least-squares residual exceeds
@@ -474,13 +551,23 @@ def test_exact_route_never_samples_and_other_sets_still_do():
 
 
 def test_exact_route_refuses_a_candidate_residual_in_the_band():
-    # [p2, H] = -1e-8 q1: its row sits ~1e-8 off the span of p2's row.
+    # [p2, H] = -(p2 + 1e-8 q1): its row sits ~1e-8 off the span of p2's row,
+    # in every unit of H.
     quad = np.zeros((4, 4))
     quad[2, 2] = 1.0
+    quad[1, 3] = quad[3, 1] = 1.0
     quad[0, 1] = quad[1, 0] = 1e-8
     system = HamiltonianSystem.canonical(2, quadratic_function(quad))
     with pytest.raises(AmbiguousClassificationError, match=r"candidate \[p2, H\]"):
         consistency_chain(system, constraint_set([coord(4, 3, "p2")], 4), _no_sampling)
+    # Without q2 p2, [p2, H] = -1e-8 q1 is q1 in the unit of H = p1^2/2 + 1e-8 q1 q2:
+    # the four-generation chain, all second class.
+    quad[1, 3] = quad[3, 1] = 0.0
+    system = HamiltonianSystem.canonical(2, quadratic_function(quad))
+    chain = consistency_chain(system, constraint_set([coord(4, 3, "p2")], 4), _no_sampling)
+    assert len(chain) == 4
+    labeled = classify_constraints(chain, form=system.form)
+    assert [c.class_label for c in labeled] == [ConstraintClass.SECOND_CLASS] * 4
 
 
 @pytest.mark.parametrize("tol_weak", [float("nan"), float("inf"), 0.0, -1.0])
@@ -607,6 +694,28 @@ def test_model_route_equals_bracket_functions_and_gradients(system, primaries):
     _assert_routes_agree(model, oracle)
 
 
+def test_a_rounding_residue_leaves_the_first_class_chain_without_a_dirac_bracket():
+    """Gauss's row in the chain of maxwell_mode((1, -0.5, 0.3)) may carry a
+    rounding residue of ~2.2e-16 on f, and so may [p4, [p4, H]]. Read at
+    unit rows that bracket is weakly zero, as the classes say, so the
+    matrix is singular and there is no Dirac bracket, however small its
+    largest entry: by the model and by the oracle, which compare None.
+    Cut relative to that entry, the matrix was invertible and [q1, q4]_D
+    came out as 4.5e15."""
+    model = maxwell_mode([1.0, -0.5, 0.3])
+    form, z = model.system.form, model.sample_point
+    chain = consistency_chain(model.system, model.primaries)
+    mat = commutation_matrix(chain, z, form)
+    assert np.abs(mat.entries).max() < 1e-15
+    labeled = classify_constraints(chain, form=form)
+    assert [c.class_label for c in labeled] == [ConstraintClass.FIRST_CLASS] * 2
+    assert not mat.is_invertible()
+    with pytest.raises(GaugeNotFixedError, match="gauge not fully fixed"):
+        dirac_bracket(coord(8, 0), coord(8, 3), chain, z, form)
+    found, oracle = _routes(model.system, model.primaries, z, _coordinate_pairs(8))
+    assert found[3] is None and oracle[3] is None
+
+
 @pytest.mark.parametrize("u", [[1.0 - 1e-13, 1e-13, 0.0], [-1.0 + 1e-13, 0.0, -3e-13],
                                [0.6, 1e-13, -0.8]])
 def test_model_candidate_drops_and_snaps_weights_as_the_bracket_function(u):
@@ -685,12 +794,17 @@ def test_singular_commutation_refuses_solve():
 
 
 def test_classification_ambiguity_band():
-    # Bracket magnitude 1e-8 sits exactly at tol_weak: refuse to classify.
-    c1 = coord(2, 1, "p")
-    c2 = linear_function(np.array([1e-8, 0.0]), label="eps q")
-    cset = constraint_set([c1, c2], 2)
+    # [p1, q2 + 1e-8 q1] = -1e-8 between unit-scale rows sits exactly at
+    # tol_weak: refuse to classify.
+    c2 = linear_function(np.array([1e-8, 1.0, 0.0, 0.0]), label="q2 + 1e-8 q1")
+    cset = constraint_set([coord(4, 2, "p1"), c2], 4)
     with pytest.raises(AmbiguousClassificationError):
-        classify_constraints(cset, tol_weak=1e-8, form=FORM2)
+        classify_constraints(cset, tol_weak=1e-8, form=FORM4)
+    # p and 1e-8 q are a conjugate pair whatever the unit of q: second class.
+    cset = constraint_set([coord(2, 1, "p"), linear_function(np.array([1e-8, 0.0]),
+                                                             label="eps q")], 2)
+    labeled = classify_constraints(cset, tol_weak=1e-8, form=FORM2)
+    assert [c.class_label for c in labeled] == [ConstraintClass.SECOND_CLASS] * 2
 
 
 def test_classification_rejects_duplicate_constraints(sampler):

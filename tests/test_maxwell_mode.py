@@ -78,6 +78,19 @@ def test_dirac_matrix_is_the_transverse_projector(coulomb_gauge):
     assert worst < 1e-12
 
 
+def test_every_scale_of_k_gives_the_same_classes_and_projector(coulomb_gauge):
+    """k 2^j for j in [-30, 30]: all four second class, and [a_i, p_j]_D is
+    the projector at k/|k|. Against absolute floors k 2^-30 refused the
+    chain, k 2^+-20 and k 2^30 found the matrix singular, and k 1e-5 made
+    Gauss's law and k.a first class."""
+    k_hat = K / np.linalg.norm(K)
+    for k in [np.ldexp(K, j) for j in range(-30, 31)] + [1e-5 * K]:
+        model, cset = coulomb_gauge(k)
+        assert ([c.class_label for c in classify_constraints(cset)]
+                == [ConstraintClass.SECOND_CLASS] * 4)
+        assert np.abs(dirac_matrix(model, cset) - np.eye(3) + np.outer(k_hat, k_hat)).max() < 1e-12
+
+
 def test_dirac_matrix_is_the_field_kernel_on_every_resolved_mode(coulomb_gauge):
     """Criterion 2 by a second route: impulses through fields.transverse_project
     measure the kernel at every entry of the N=8 half spectrum, and the mode's
