@@ -207,13 +207,24 @@ class CommutationMatrix:
 
 def _commutation(jac: np.ndarray, j: np.ndarray) -> CommutationMatrix:
     """G J G^T for the stacked constraint Jacobian G, zero on the diagonal,
-    with the brackets of the unit rows G / |G_a| that decide its rank."""
-    entries, unit = [g @ j @ g.T for g in (jac, jac / _row_norms(jac))]
-    for m in (entries, unit):
-        np.fill_diagonal(m, 0.0)
+    with the brackets of the unit rows G / |G_a| that decide its rank.
+    Entries that overflow are refused by CommutationMatrix, without a
+    numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = jac @ j @ jac.T
+    np.fill_diagonal(entries, 0.0)
     mat = CommutationMatrix(entries)
-    mat._unit = unit
+    mat._unit = _unit_brackets(jac, j)
     return mat
+
+
+def _unit_brackets(jac: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """[C_a, C_b] / (|grad C_a| |grad C_b|): G J G^T of the unit rows, zero
+    on the diagonal, finite whatever the rows' scale."""
+    unit = jac / _row_norms(jac)
+    brackets = unit @ j @ unit.T
+    np.fill_diagonal(brackets, 0.0)
+    return brackets
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -507,7 +518,7 @@ def classify_constraints(cset: ConstraintSet, sampler=None, tol_weak: float = _T
 
 def _bracket_magnitudes(jac: np.ndarray, j: np.ndarray) -> np.ndarray:
     """|[C_a, C_b]| / (|grad C_a| |grad C_b|), the brackets of the unit rows."""
-    return np.abs(_commutation(jac, j)._unit)
+    return np.abs(_unit_brackets(jac, j))
 
 
 def _label_classes(cset: ConstraintSet, mag: np.ndarray, tol_weak: float) -> ConstraintSet:

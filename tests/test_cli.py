@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import struct
@@ -32,6 +34,7 @@ from gaugefix.fields import (
     read_snapshot,
     write_snapshot,
 )
+from cli_cases import CASES, check_case, command_runner
 from oracles import constraint_norms, plane_wave_initial_data, project_state
 
 
@@ -76,29 +79,12 @@ class TestEvolveCommand:
         assert table["t"][-1] == pytest.approx(1.0)
         assert np.all(np.isfinite(table["l2_error"]))
 
-    def test_out_from_config(self, tmp_path):
-        out = tmp_path / "from_config.csv"
-        cfg = write_config(tmp_path, out_csv=str(out))
-        assert main(["evolve", "--config", str(cfg)]) == 0
-        assert out.exists()
-
-    def test_missing_out(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        assert main(["evolve", "--config", str(cfg)]) == 1
-        assert "no output path" in capsys.readouterr().err
-
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["evolve", "--config", str(cfg), "--out", str(out1)]) == 0
         assert main(["evolve", "--config", str(cfg), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
-
-    def test_random_smooth_requires_seed(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, scenario="random_smooth")
-        out = tmp_path / "r.csv"
-        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "seed" in capsys.readouterr().err
 
     def test_seed_override_enables_and_varies_run(self, tmp_path):
         cfg = write_config(tmp_path, scenario="random_smooth")
@@ -121,25 +107,6 @@ class TestEvolveCommand:
         fixed = read_csv(out_g)
         assert canonical["norm_A_L"][-1] > 0.1
         assert np.max(fixed["norm_A_L"]) < 1e-10
-
-    def test_unknown_key_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, grdi_n=16)
-        assert main(["evolve", "--config", str(cfg), "--out", "x.csv"]) == 1
-        err = capsys.readouterr().err
-        assert "unknown config keys" in err
-        assert "grdi_n" in err
-
-    def test_missing_required_key(self, tmp_path, capsys):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({"scenario": "plane_wave", "dt": 0.1}))
-        assert main(["evolve", "--config", str(path), "--out", "x.csv"]) == 1
-        assert "t_end" in capsys.readouterr().err
-
-    def test_invalid_json(self, tmp_path, capsys):
-        path = tmp_path / "run.json"
-        path.write_text("{not json")
-        assert main(["evolve", "--config", str(path), "--out", "x.csv"]) == 1
-        assert "not valid JSON" in capsys.readouterr().err
 
     @pytest.fixture
     def no_run(self, monkeypatch):
@@ -177,57 +144,6 @@ class TestEvolveCommand:
         assert capsys.readouterr() == (
             "", f"error: config {path} is not valid JSON: {decode.value}\n")
 
-    def test_missing_config_file(self, tmp_path, capsys):
-        assert main(["evolve", "--config", str(tmp_path / "none.json"),
-                     "--out", "x.csv"]) == 1
-        assert "cannot read config" in capsys.readouterr().err
-
-    def test_abort_exit_code(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, dt=50.0, t_end=5000.0)
-        out = tmp_path / "aborted.csv"
-        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert "aborted" in captured.err
-        assert out.exists()
-
-    def test_grid_overflow_is_an_abort(self, tmp_path, capsys):
-        # pi_x = 4e303 cos x: A_L = t pi_L grows until the spectrum
-        # overflows after t = 175.5.
-        cfg = write_config(tmp_path, scenario="contaminated", dt=0.5, t_end=1000.0,
-                           amplitude=0.0, contamination_amplitude=4e303)
-        out = tmp_path / "overflow.csv"
-        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "evolution aborted at t=175.5" in capsys.readouterr().err
-        assert len(out.read_text().splitlines()) == 1 + 352
-
-    def test_finite_state_overflowing_on_the_grid_is_no_abort(self, tmp_path, capsys):
-        # Amplitude 6.6e305: every grid value is at most 6.6e305, but the
-        # backward transform of the wave's two 1.69e308 coefficients
-        # overflows. The command writes only the CSV and never makes that
-        # grid state, and the state it carries stayed finite: exit 0.
-        cfg = write_config(tmp_path, dt=0.1, t_end=0.3, amplitude=6.6e305)
-        out = tmp_path / "big.csv"
-        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
-        assert capsys.readouterr() == (f"wrote {out} (4 rows)\n", "")
-        assert out.read_text() == (
-            "t,energy,norm_divA,norm_divPi,norm_A_L,norm_pi_L,l2_error\n"
-            "0.0,inf,0.0,0.0,0.0,0.0,0.0\n"
-            "0.1,inf,0.0,0.0,0.0,0.0,6.124553184653958e+299\n"
-            "0.2,inf,0.0,0.0,0.0,0.0,1.2249106327628798e+300\n"
-            "0.30000000000000004,inf,0.0,0.0,0.0,0.0,1.8373659431111744e+300\n")
-
-    def test_plane_wave_of_a_higher_frequency_reads_its_reference_finite(self, tmp_path,
-                                                                         capsys):
-        # omega = 2, coefficients 1.28e308: the reference's coefficients are
-        # finite at t = 0, and pi = -2 c sin(2 t) overflows after t = 0.38.
-        cfg = write_config(tmp_path, mode=[2, 0, 0], amplitude=5e305,
-                           formulation="gauge_fixed", dt=0.01, t_end=3.14)
-        out = tmp_path / "fast.csv"
-        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "evolution aborted at t=0.38: non-finite state\n"
-        lines = out.read_text().splitlines()
-        assert len(lines) == 1 + 39 and lines[1].split(",")[-1] == "0.0"
-
     def test_astronomical_step_count_refused_fast(self, tmp_path, capsys):
         # 1e302 steps in 1e296 rows: refused before the loop, not run forever.
         cfg = write_config(tmp_path, dt=0.01, t_end=1e300, stride=1000000)
@@ -236,34 +152,6 @@ class TestEvolveCommand:
         assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
         assert time.perf_counter() - t0 < 1.0
         assert capsys.readouterr().err.startswith("error: ")
-        assert not out.exists()
-
-    def test_bad_polarization_reported(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, polarization=[1, 0, 0])
-        assert main(["evolve", "--config", str(cfg), "--out", "x.csv"]) == 1
-        assert "orthogonal" in capsys.readouterr().err
-
-    def test_unstable_plane_wave_aborts_when_its_mode_overflows(self, tmp_path, capsys):
-        # The command evolves the wave's Fourier coefficients alone, so the
-        # abort comes from the wave's own mode, not from grid rounding noise.
-        cfg = write_config(tmp_path, dt=50.0, t_end=5000.0)
-        out = tmp_path / "aborted.csv"
-        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "evolution aborted at t=2800.0" in capsys.readouterr().err
-        assert len(out.read_text().splitlines()) == 1 + 57
-
-    @pytest.mark.parametrize("patch, err", [
-        ({"mode": [10 ** 23, 0, 0]},
-         "error: mode [100000000000000000000000, 0, 0] is not resolved on an N=8 grid"),
-        ({"mode": [-2 ** 63, 0, 1], "grid_n": 32},
-         "error: mode [-9223372036854775808, 0, 1] is not resolved on an N=32 grid"),
-        ({"grid_n": 10 ** 20}, "error: grid_n must be an integer from 4 to "),
-    ], ids=["mode-past-int64", "mode-int64-min", "grid_n-past-int64"])
-    def test_integers_past_int64_are_clean_errors(self, tmp_path, capsys, patch, err):
-        cfg = write_config(tmp_path, **patch)
-        out = tmp_path / "x.csv"
-        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(err)
         assert not out.exists()
 
     @pytest.mark.parametrize("message, err", [
@@ -321,32 +209,6 @@ def test_benchmark_runs_pass_their_checks(tmp_path, name):
     assert_allclose(table["l2_error"], grid.l2_error, rtol=0, atol=3e-15)
 
 
-# Evolve CSVs pinned byte for byte, one per carrier: the README example and
-# the growth_diag run (a few Fourier coefficients as vectors), random_smooth
-# with reprojection (shell moments), the unstable N=8 plane wave (its
-# coefficients, aborting at t=2800) and an unstable random_smooth run
-# (every mode as a vector, aborting at t=106).
-GOLDEN_EVOLVE = {
-    "readme_example": (dict(scenario="plane_wave", dt=0.0062831853, t_end=6.2831853, grid_n=32,
-                            formulation="gauge_fixed", stepper="rk4", stride=50), 0),
-    "growth_diag": (BENCH_CONFIGS["growth_diag"], 0),
-    "random_smooth_reproject": (dict(scenario="random_smooth", grid_n=16, seed=3, dt=0.05,
-                                     t_end=1.0, reproject_every=4, stride=3), 0),
-    "plane_wave_unstable": (dict(scenario="plane_wave", grid_n=8, dt=50.0, t_end=5000.0), 2),
-    "random_smooth_unstable": (dict(scenario="random_smooth", grid_n=16, seed=1, dt=1.0,
-                                    t_end=200.0), 2),
-}
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN_EVOLVE))
-def test_evolve_csv_matches_golden_file(tmp_path, name):
-    cfg, code = GOLDEN_EVOLVE[name]
-    out = tmp_path / "diagnostics.csv"
-    assert main(["evolve", "--config", str(write_config(tmp_path, **cfg)), "--out", str(out)]) == code
-    golden = Path(__file__).parent / "golden" / f"evolve_{name}.csv"
-    assert out.read_bytes() == golden.read_bytes()
-
-
 class TestSymbolCommand:
     def run_json(self, capsys, *argv):
         assert main(["symbol", *argv]) == 0
@@ -383,15 +245,6 @@ class TestSymbolCommand:
         assert main(["symbol", "--formulation", "canonical"]) == 0
         doc = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert any(s["cond"] is None for s in doc["samples"])
-
-    def test_zero_tol_is_a_clean_error(self, capsys):
-        # Negative, NaN and infinite tolerances are refused the same way as zero.
-        for tol in ("0", "-1", "nan", "inf"):
-            assert main(["symbol", "--formulation", "canonical", "--tol", tol]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error:")
-            assert "tol" in err
-
 
 class TestProjectCommand:
     def make_snapshot(self, tmp_path):
@@ -556,17 +409,6 @@ class TestProjectCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["bad.gfsn", "dir"] + (["fifo"] if len(outs) == 3 else []))
 
-    def test_file_size_that_disagrees_with_the_header_is_refused_first(self, tmp_path, capsys):
-        # A header that claims N = 2^20 would need 48 EiB of payload: the size
-        # comes from fstat, before anything of that size is allocated.
-        path, out = tmp_path / "in.gfsn", tmp_path / "out.gfsn"
-        path.write_bytes(struct.pack("<4sIId", b"GFSN", 1, 2 ** 20, 1.0))
-        assert main(["project", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (f"error: snapshot {path} has 20 bytes, "
-                                           f"expected {20 + 48 * 2 ** 60}\n")
-        assert not out.exists()
-
-    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     @pytest.mark.parametrize("edit, message", [
         (lambda raw: raw, None),
         (lambda raw: raw[:-8], "has 3084 bytes, expected 3092"),
@@ -579,18 +421,10 @@ class TestProjectCommand:
     def test_pipe_input_projects_to_the_bytes_of_the_file_route(self, tmp_path, capsys,
                                                                  edit, message):
         state = plane_wave_initial_data((1, 0, 0), (0, 1, 0), grid_n=4, kind="contaminated")
-        path, fifo = tmp_path / "in.gfsn", tmp_path / "pipe"
+        path = tmp_path / "in.gfsn"
         write_snapshot(state, path)
-        os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_bytes, args=(edit(path.read_bytes()),))
-        writer.start()
-        try:
+        with fifo_fed(tmp_path / "pipe", edit(path.read_bytes())) as fifo:
             code = main(["project", str(fifo), "--out", str(tmp_path / "piped.gfsn")])
-        finally:
-            if writer.is_alive():  # never opened: let the writer's open return
-                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
-            writer.join(timeout=10)
-        assert not writer.is_alive()
         piped = capsys.readouterr()
         if message is not None:
             assert (code, piped.err) == (1, f"error: snapshot {fifo} {message}\n")
@@ -600,29 +434,6 @@ class TestProjectCommand:
         assert main(["project", str(path), "--out", str(tmp_path / "out.gfsn")]) == 0
         assert capsys.readouterr().out == piped.out
         assert (tmp_path / "piped.gfsn").read_bytes() == (tmp_path / "out.gfsn").read_bytes()
-
-    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
-    def test_dev_stdin_projects_to_the_bytes_of_the_file_route(self, tmp_path):
-        state, path = self.make_snapshot(tmp_path)
-        code = ("import sys\nfrom gaugefix.cli import main\n"
-                "sys.exit(main(['project', '/dev/stdin', '--out', sys.argv[1]]))")
-        src = str(Path(gaugefix.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        piped = subprocess.run([sys.executable, "-c", code, str(tmp_path / "piped.gfsn")],
-                               input=path.read_bytes(), env=env, capture_output=True,
-                               check=True, timeout=60)
-        assert main(["project", str(path), "--out", str(tmp_path / "out.gfsn")]) == 0
-        assert (tmp_path / "piped.gfsn").read_bytes() == (tmp_path / "out.gfsn").read_bytes()
-        assert piped.stderr == b""
-
-    @pytest.mark.parametrize("tol", ["-1", "nan"])
-    def test_bad_tol_is_a_clean_error(self, tmp_path, capsys, tol):
-        _, path = self.make_snapshot(tmp_path)
-        out = tmp_path / "out.gfsn"
-        assert main(["project", str(path), "--out", str(out), "--tol", tol]) == 1
-        assert capsys.readouterr().err.startswith("error: --tol")
-        assert not out.exists()
 
     @pytest.mark.parametrize("where", [0, 6 * 8 ** 3 - 1])
     def test_input_that_is_not_finite_is_a_format_error(self, tmp_path, capsys, where):
@@ -636,13 +447,6 @@ class TestProjectCommand:
         assert capsys.readouterr().err == (f"error: snapshot {path} payload invalid: "
                                            "field values must be finite\n")
         assert not out.exists()
-
-    def test_malformed_snapshot(self, tmp_path, capsys):
-        bad = tmp_path / "bad.gfsn"
-        bad.write_bytes(b"JUNKJUNKJUNK")
-        assert main(["project", str(bad), "--out", str(tmp_path / "o.gfsn")]) == 1
-        assert "error:" in capsys.readouterr().err
-
 
 class TestConstraintsCommand:
     def run_json(self, capsys, *argv):
@@ -681,21 +485,6 @@ class TestConstraintsCommand:
     def test_unknown_model_rejected(self):
         with pytest.raises(SystemExit):
             main(["constraints", "nonexistent-model"])
-
-    @pytest.mark.parametrize("seed", ["0", "901"])
-    @pytest.mark.parametrize("model", ["chain-demo", "second-class-demo", "regular-demo"])
-    def test_output_matches_golden_file(self, capsys, model, seed):
-        assert main(["constraints", model, "--seed", seed]) == 0
-        golden = Path(__file__).parent / "golden" / f"constraints_{model}.json"
-        assert capsys.readouterr().out.encode() == golden.read_bytes()
-
-    def test_out_flag_and_determinism(self, tmp_path, capsys):
-        out1, out2 = tmp_path / "c1.json", tmp_path / "c2.json"
-        for out in (out1, out2):
-            assert main(["constraints", "second-class-demo", "--out", str(out)]) == 0
-            capsys.readouterr()
-        assert out1.read_bytes() == out2.read_bytes()
-
 
 class TestRunConfig:
     def test_defaults_round_trip(self):
@@ -744,33 +533,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=fragment):
             RunConfig.from_dict(base)
 
-    @pytest.mark.parametrize("key, value", [
-        (key, value) for key in ("formulation", "stepper")
-        for value in ("Canonical", "rk-4", "gauge fixed", "", 5, None, True, ["rk4"])])
-    def test_bad_spellings_keep_their_messages(self, tmp_path, capsys, key, value):
-        expected = {"formulation": "formulation must be canonical or gauge-fixed",
-                    "stepper": "stepper must be rk4 or stormer_verlet"}[key]
-        cfg = write_config(tmp_path, **{key: value})
-        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
-        assert capsys.readouterr().err == f"error: {expected}, got {value!r}\n"
-        assert not (tmp_path / "x.csv").exists()
-
     @pytest.mark.parametrize("formulation", ["canonical", "gauge-fixed", "gauge_fixed"])
     @pytest.mark.parametrize("stepper", ["rk4", "stormer_verlet", "stormer-verlet"])
     def test_accepted_spellings(self, formulation, stepper):
         cfg = RunConfig.from_dict({"scenario": "plane_wave", "dt": 0.1, "t_end": 1.0,
                                    "formulation": formulation, "stepper": stepper})
         assert (cfg.formulation, cfg.stepper) == (formulation, stepper)
-
-    def test_spectral_data_that_overflow_are_a_config_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, scenario="contaminated", contamination_amplitude=1e308)
-        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
-        assert capsys.readouterr().err == "error: Fourier coefficients must be finite\n"
-
-    def test_bad_value_is_a_clean_cli_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, mode=["a", "b", "c"])
-        assert main(["evolve", "--config", str(cfg), "--out", "x.csv"]) == 1
-        assert capsys.readouterr().err.startswith("error: mode")
 
     @given(st.fixed_dictionaries(
         {"scenario": st.sampled_from(SCENARIOS) | JSON, "dt": st.floats(0.01, 1.0) | JSON,
@@ -869,70 +637,16 @@ def test_a_command_builds_only_its_own_parser(tmp_path, capsys, monkeypatch):
     assert "{evolve,symbol,project,constraints}" in capsys.readouterr().out
 
 
-def _run_python(code, *args):
-    """``python -c code args`` with this gaugefix first on the path."""
+def _pythonpath():
+    """PYTHONPATH with this gaugefix first."""
     src = str(Path(gaugefix.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True, check=True)
+    return os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
 
 
 def _python(code):
     """Standard output of ``python -c code`` with this gaugefix first on the path."""
-    return _run_python(code).stdout
-
-
-def test_out_of_range_geometry_and_data_are_clean_errors(tmp_path):
-    """Each case runs through cli.main in one fresh interpreter, whose stderr
-    shows any numpy warning or traceback as the user would see it."""
-    big = plane_wave_initial_data((1, 0, 0), (0, 1, 0), grid_n=8)
-    cases = []
-    for scenario, length in [("plane_wave", 1e308), ("contaminated", 1e200),
-                             ("contaminated", 1e308), ("random_smooth", 1e200),
-                             ("random_smooth", 1e308), ("plane_wave", 1e-160),
-                             ("plane_wave", 1e-300), ("plane_wave", 1e-320),
-                             ("contaminated", 1e-320), ("random_smooth", 1e-320)]:
-        cfg = write_config(tmp_path, f"{scenario}_{length}.json", scenario=scenario,
-                           domain_length=length, seed=1)
-        cases.append((["evolve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")],
-                      1, f"error: an N=8 grid of side L={length!r} is outside float64 range"))
-    for length in (1e200, 1e-160, 1e-300, 1e-320):
-        path = tmp_path / f"{length}.gfsn"
-        write_snapshot(FieldState(big.a, big.pi, length), path)
-        cases.append((["project", str(path), "--out", str(tmp_path / "x.gfsn")],
-                      1, f"error: an N=8 grid of side L={length!r} is outside float64 range"))
-    for scenario, code, err in [("plane_wave", 1, "error: Fourier coefficients must be finite"),
-                                ("random_smooth", 1, "error: field values must be finite")]:
-        cfg = write_config(tmp_path, f"{scenario}_amplitude.json", scenario=scenario,
-                           amplitude=1e308, seed=1)
-        cases.append((["evolve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")],
-                      code, err))
-    driver = ("import json, sys\n"
-              "from gaugefix.cli import main\n"
-              "for argv in json.loads(sys.argv[1]):\n"
-              "    print('#', file=sys.stderr, flush=True)\n"
-              "    print('exit', main(argv), flush=True)\n")
-    run = _run_python(driver, json.dumps([argv for argv, _, _ in cases]))
-    assert "Traceback" not in run.stderr and "Warning" not in run.stderr
-    codes = [int(line[5:]) for line in run.stdout.splitlines() if line.startswith("exit ")]
-    assert codes == [code for _, code, _ in cases]
-    for (_, _, err), printed in zip(cases, run.stderr.split("#\n")[1:], strict=True):
-        assert printed.startswith(err)
-
-
-def test_cli_import_leaves_scipy_out():
-    # evolve's modules, evolution and fields, load with the CLI and not on
-    # first use: a caller that times cli.main after the import (as the
-    # perfbench evolve workloads do) would otherwise see their compile time
-    # in the run. The finite half and the symbols load with their commands.
-    code = ("import sys, gaugefix.cli; print('scipy' in sys.modules, "
-            "'gaugefix.evolution' in sys.modules, 'gaugefix.fields' in sys.modules, "
-            "*(f'gaugefix.{m}' in sys.modules for m in ('constraints', 'phase', 'symbols', "
-            "'toys')))")
-    loaded = _python(code).split()
-    assert loaded[:3] == ["False", "True", "True"]
-    assert loaded[3:] == ["False"] * 4
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=_pythonpath()), check=True).stdout
 
 
 def test_import_gaugefix_loads_no_numpy_and_no_submodule():
@@ -961,48 +675,84 @@ def test_cli_starts_numpy_with_one_blas_thread_unless_told_otherwise(before, exp
     assert _python(code) == expected + "\n"
 
 
-@pytest.mark.parametrize("argv, runs", [
-    (["symbol", "--formulation", "canonical"], ["symbols"]),
-    (["symbol", "--formulation", "gauge-fixed"], ["symbols"]),
-    (["project", "{snapshot}", "--out", "{out}"], []),
-    (["constraints", "chain-demo"], ["constraints", "phase", "toys"]),
+
+
+@pytest.mark.parametrize("argv, runs, unused", [
+    (["symbol", "--formulation", "canonical"], ["symbols"], "numpy.ma"),
+    (["symbol", "--formulation", "gauge-fixed"], ["symbols"], "numpy.ma"),
+    (["project", "{snapshot}", "--out", "{out}"], [], "numpy.random"),
+    *((["constraints", model], ["constraints", "phase", "toys"], "numpy.random")
+      for model in ("chain-demo", "second-class-demo", "regular-demo")),
+    (["evolve", "--config", "{config}", "--out", "{out}"], [], "numpy.fft"),
 ])
-def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, runs):
-    snapshot = tmp_path / "in.gfsn"
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, runs, unused):
+    # evolve's modules load with the CLI, so that a caller that times
+    # cli.main after the import (as perfbench does) does not time their
+    # compilation; the others load with their commands, and scipy never.
+    # symbol ranks its speeds by a sorted set, project and constraints
+    # sample nothing, and a plane wave evolves as its Fourier coefficients.
+    snapshot, config = tmp_path / "in.gfsn", write_config(tmp_path, grid_n=16, t_end=2.0)
     write_snapshot(plane_wave_initial_data((1, 0, 0), (0, 1, 0), grid_n=8), snapshot)
-    argv = [arg.format(snapshot=snapshot, out=tmp_path / "out.gfsn") for arg in argv]
-    code = ("import io, sys, contextlib, gaugefix.cli\n"
+    argv = [arg.format(snapshot=snapshot, config=config, out=tmp_path / "out") for arg in argv]
+    code = ("import contextlib, io, json, sys\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules\n"
+            f"                  if m.startswith('gaugefix.') or m in ('scipy', {unused!r}))\n"
+            "import gaugefix.cli\n"
+            "after_import = loaded()\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = gaugefix.cli.main({argv!r})\n"
-            "print(code, *(m for m in ('constraints', 'phase', 'symbols', 'toys')\n"
-            "              if f'gaugefix.{m}' in sys.modules))")
-    assert _python(code).split() == ["0", *runs]
+            "print(json.dumps([after_import, code, loaded()]))")
+    cli_modules = ["gaugefix.cli", "gaugefix.evolution", "gaugefix.fields"]
+    assert json.loads(_python(code)) == [
+        cli_modules, 0, sorted(cli_modules + [f"gaugefix.{m}" for m in runs])]
 
 
-def test_readme_library_sketch_prints_one():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1]
-    assert _python(sketch.split("```", 1)[0]) == "1.0\n"
+@contextlib.contextmanager
+def fifo_fed(fifo, data):
+    """A named pipe at fifo that a thread writes data into while the block
+    runs, removed after it."""
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("needs named pipes")
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+    writer.start()
+    try:
+        yield fifo
+    finally:
+        if writer.is_alive():  # never opened: let the writer's open return
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+        fifo.unlink()
+    assert not writer.is_alive()
 
 
-@pytest.mark.parametrize("argv, unused", [
-    (["symbol", "--formulation", "canonical"], "numpy.ma"),
-    (["symbol", "--formulation", "gauge-fixed"], "numpy.ma"),
-    (["constraints", "chain-demo"], "numpy.random"),
-    (["constraints", "second-class-demo"], "numpy.random"),
-    (["constraints", "regular-demo"], "numpy.random"),
-    (["evolve", "--config", "{config}", "--out", "{out}"], "numpy.fft"),
-])
-def test_commands_leave_the_numpy_modules_they_do_not_use_out(tmp_path, argv, unused):
-    # Neither the CLI import nor the command loads the module: symbol ranks
-    # its speeds by a sorted set, constraints samples nothing, and a plane
-    # wave evolves as its few Fourier coefficients, on wavenumbers made
-    # without numpy.fft.
-    config = write_config(tmp_path, grid_n=16, t_end=2.0)
-    argv = [arg.format(config=config, out=tmp_path / "out.csv") for arg in argv]
-    code = ("import io, sys, contextlib, gaugefix.cli\n"
-            f"loaded = {unused!r} in sys.modules\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    code = gaugefix.cli.main({argv!r})\n"
-            f"print(code, loaded, {unused!r} in sys.modules)")
-    assert _python(code).split() == ["0", "False", "False"]
+def run_in_process(argv, stdin):
+    """(exit code, stdout, stderr) of cli.main(argv), or of a "-c" script
+    exec'd here. A pipe's bytes reach the command through a named pipe
+    that a thread writes, where the command line reads /dev/stdin."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        if stdin is not None:
+            fifo = str(stack.enter_context(fifo_fed(Path("stdin.fifo"), stdin)))
+            argv = [fifo if arg == "/dev/stdin" else arg for arg in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            if argv[0] == "-c":
+                exec(argv[1], {"__name__": "__main__"})
+                code = 0
+            else:
+                code = main(argv)
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.id)
+def test_cli_case(case, tmp_path):
+    check_case(case, run_in_process, tmp_path)
+
+
+def test_a_pipe_case_reads_dev_stdin_in_a_fresh_process(tmp_path, monkeypatch):
+    # In process a pipe case reads a named pipe; here, as the installed
+    # script does in CI, it reads /dev/stdin.
+    monkeypatch.setenv("PYTHONPATH", _pythonpath())
+    case = next(case for case in CASES if case.id == "project-pipe-n17")
+    check_case(case, command_runner([sys.executable, "-m", "gaugefix.cli"]), tmp_path)

@@ -786,6 +786,25 @@ def test_commutation_matrix_rejects_bad_entries(entries, message):
         CommutationMatrix(np.array(entries))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [1e-300, 1.0, 1e160, 1e300, 1.7e308])
+def test_classes_of_rows_past_the_square_range_read_their_unit_rows(s):
+    # q1 s, p1 s are a conjugate pair at any s; past 1e154 their bare
+    # bracket s^2 overflows, and only the bare matrix refuses it.
+    q1, p1 = (linear_function(s * np.eye(4)[i], label=label)
+              for i, label in ((0, "q1 s"), (2, "p1 s")))
+    labeled = classify_constraints(constraint_set([q1, p1], 4), form=FORM4)
+    assert [c.class_label for c in labeled] == [ConstraintClass.SECOND_CLASS] * 2
+    z, q2, p2 = np.zeros(4), coord(4, 1), coord(4, 3)
+    if s * s <= np.finfo(float).max:
+        assert commutation_matrix(labeled, z, FORM4).is_invertible()
+        return
+    with pytest.raises(ValueError, match="^commutation matrix entries must be finite$"):
+        commutation_matrix(labeled, z, FORM4)
+    with pytest.raises(ValueError, match="^commutation matrix entries must be finite$"):
+        dirac_bracket(q2, p2, labeled, z, FORM4)
+
+
 def test_singular_commutation_refuses_solve():
     mat = CommutationMatrix(np.zeros((2, 2)))
     assert not mat.is_invertible()
