@@ -187,11 +187,7 @@ def cmd_evolve(args) -> int:
     out = args.out or cfg.out_csv
     if out is None:
         raise ConfigError("no output path: pass --out or set out_csv in the config")
-    # Checked before the run, which can take long, not when the CSV is written.
-    if os.path.isdir(out):
-        raise ConfigError(f"cannot write {out}: it is a directory")
-    if not os.path.isdir(parent := os.path.dirname(out) or "."):
-        raise ConfigError(f"cannot write {out}: {parent} is not a directory")
+    _check_out(out)
     state, reference = build_initial_data(cfg)
     series = evolution.evolve(
         state, cfg.formulation, cfg.stepper, cfg.dt, cfg.t_end,
@@ -207,6 +203,18 @@ def cmd_evolve(args) -> int:
     return 0
 
 
+def _check_out(out: str | None) -> None:
+    """ConfigError if out is a directory or in a missing one (None, for
+    stdout, passes): checked before the work, which can take long, not
+    when the output is written."""
+    if out is None:
+        return
+    if os.path.isdir(out):
+        raise ConfigError(f"cannot write {out}: it is a directory")
+    if not os.path.isdir(parent := os.path.dirname(out) or "."):
+        raise ConfigError(f"cannot write {out}: {parent} is not a directory")
+
+
 def _seed(args) -> int:
     """The --seed of symbol and constraints, 0 when it is not given."""
     if args.seed is None:
@@ -220,6 +228,7 @@ def cmd_symbol(args) -> int:
     from . import symbols
 
     seed = _seed(args)
+    _check_out(args.out)
     if args.formulation == "canonical":
         sym = symbols.maxwell_canonical_symbol()
     else:
@@ -260,6 +269,7 @@ def cmd_constraints(args) -> int:
     from .phase import poisson_bracket
 
     _seed(args)  # validated only: nothing is sampled
+    _check_out(args.out)
     model = toys.get_model(args.model)
     form = model.system.form
 

@@ -42,8 +42,10 @@ from .phase import (
     linear_function,
 )
 
-# The one cut of every rank and class decision, on unit rows: tol_weak's default.
+# The one cut of every rank and class decision, on unit rows: tol_weak.
 _TOL_WEAK = 1e-8
+# Correction steps project_to_constraint_surface takes before it reports failure.
+_PROJECTION_STEPS = 20
 
 
 class GaugeNotFixedError(RuntimeError):
@@ -52,7 +54,7 @@ class GaugeNotFixedError(RuntimeError):
 
 
 class ChainTerminationError(RuntimeError):
-    """Consistency chain failed to terminate or ran into inconsistency."""
+    """Consistency chain ran into inconsistency."""
 
 
 class SamplerError(RuntimeError):
@@ -154,8 +156,8 @@ class ConstraintSet:
         return ConstraintSet(relabeled, self.dim)
 
 
-def _require_full_rank(jac: np.ndarray, tol: float = _TOL_WEAK) -> None:
-    rank, _ = _rank(jac / _row_norms(jac), tol, "irreducibility of the constraint set")
+def _require_full_rank(jac: np.ndarray) -> None:
+    rank, _ = _rank(jac / _row_norms(jac), "irreducibility of the constraint set")
     if rank < len(jac):
         raise ValueError(f"constraint set is not irreducible (rank {rank} for {len(jac)} "
                          f"constraints on a {jac.shape[1]}-dimensional phase space)")
@@ -193,16 +195,25 @@ class CommutationMatrix:
         within a factor 10 of it raises AmbiguousClassificationError. The
         0 x 0 matrix of an empty set is invertible."""
         what = "invertibility of the commutation matrix"
-        return _rank(self._unit, _TOL_WEAK, what)[0] == len(self._unit)
+        return _rank(self._unit, what)[0] == len(self._unit)
 
     def solve(self, rhs) -> np.ndarray:
-        """Solve M x = rhs, refusing when M is numerically singular."""
+        """Solve M x = rhs, refusing when M is numerically singular, and with
+        ValueError when the bare entries, which may underflow where the unit
+        rows' brackets do not, give no finite solution."""
         if not self.is_invertible():
             raise GaugeNotFixedError(
                 "commutation matrix is singular (gauge not fully fixed): "
                 "first-class directions remain, no Dirac bracket exists"
             )
-        return np.linalg.solve(self.entries, np.asarray(rhs, dtype=float))
+        try:
+            with np.errstate(all="ignore"):
+                x = np.linalg.solve(self.entries, np.asarray(rhs, dtype=float))
+        except np.linalg.LinAlgError:
+            x = None
+        if x is None or not np.isfinite(x).all():
+            raise ValueError("commutation matrix solve is not finite in float64")
+        return x
 
 
 def _commutation(jac: np.ndarray, j: np.ndarray) -> CommutationMatrix:
@@ -234,22 +245,22 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.where(norms > 0.0, norms, 1.0)
 
 
-def _rank(a: np.ndarray, tol: float, what: str) -> tuple[int, np.ndarray]:
+def _rank(a: np.ndarray, what: str) -> tuple[int, np.ndarray]:
     """(rank, vh) of a matrix at unit scale, from its one SVD a = U S vh:
-    singular values above tol count, and one in _band raises
+    singular values above tol_weak count, and one in _band raises
     AmbiguousClassificationError naming what."""
     _, s, vh = np.linalg.svd(a)
     # A handful of values: a list is quicker than array operations.
-    near = [x for x in s.tolist() if _band(x, tol)]
+    near = [x for x in s.tolist() if _band(x)]
     if near:
         raise AmbiguousClassificationError(f"{what} is ambiguous: singular value {near[0]:.3e} "
-                                           f"within a factor 10 of tol_weak={tol:g}")
-    return sum(x > tol for x in s.tolist()), vh
+                                           f"within a factor 10 of tol_weak={_TOL_WEAK:g}")
+    return sum(x > _TOL_WEAK for x in s.tolist()), vh
 
 
-def _band(x, tol: float):
-    """Where x, a number or an array, is within a factor 10 of tol: too close to call."""
-    return (tol / 10.0 <= x) & (x <= tol * 10.0)
+def _band(x):
+    """Where x, a number or an array, is within a factor 10 of tol_weak: too close to call."""
+    return (_TOL_WEAK / 10.0 <= x) & (x <= _TOL_WEAK * 10.0)
 
 
 def _check_size(what: str, size: int, dim: int) -> None:
@@ -329,8 +340,7 @@ def make_surface_sampler(rng: np.random.Generator, n_points: int = 32,
 # ---------------------------------------------------------------------------
 
 def consistency_chain(system: HamiltonianSystem, primaries: ConstraintSet,
-                      sampler=None, tol_weak: float = _TOL_WEAK,
-                      max_generations: int = 10) -> ConstraintSet:
+                      sampler=None) -> ConstraintSet:
     """Run the Dirac-Bergmann consistency algorithm from the primaries.
 
     Each generation demands that every bracket [C, H] vanish weakly, up
@@ -338,19 +348,18 @@ def consistency_chain(system: HamiltonianSystem, primaries: ConstraintSet,
     rows C_i / |R_i| of C = R z + r: their primary bracket matrix's left
     null space spawns the candidates, and a candidate, over the bound its
     product puts on it, is dropped when it adds no rank to [R | r] and
-    admitted when it adds rank to R. So tol_weak is relative, and a
-    singular value within a factor 10 of it raises
+    admitted when it adds rank to R. So tol_weak = 1e-8 is relative, and
+    a singular value within a factor 10 of it raises
     AmbiguousClassificationError. A non-affine constraint or a Hamiltonian
     without coefficients raises LinearModel.of's ValueError naming it.
     sampler is ignored: no decision is made at sample points.
 
-    Raises ChainTerminationError if the chain is still growing after
-    max_generations, or if a residual can neither be absorbed nor yield
+    The chain ends with the first generation that admits nothing. Every
+    admission raises the rank of R, which is at most the phase dimension,
+    so that is at most dim - rank R_prim + 1 generations. Raises
+    ChainTerminationError if a residual can neither be absorbed nor yield
     an independent constraint (inconsistent dynamics).
     """
-    _check_tolerance("tol_weak", tol_weak)
-    if max_generations < 1:
-        raise ValueError(f"max_generations must be at least 1, got {max_generations!r}")
     if len(primaries) == 0:
         return primaries
     model = LinearModel.of(system, primaries)
@@ -360,12 +369,12 @@ def consistency_chain(system: HamiltonianSystem, primaries: ConstraintSet,
     h_abs = np.abs(np.column_stack((model.quad, model.lin)))
     n_primary = len(primaries)
     cset, untested = primaries, 0
-    ranks = [_rank(m, tol_weak, "rank of the primaries")[0] for m in (rows, rows[:, :-1])]
+    ranks = [_rank(m, "rank of the primaries")[0] for m in (rows, rows[:, :-1])]
 
-    for _generation in range(max_generations):
+    while True:
         rj = rows[:, :-1] @ model.j
         # R J R_prim^T as the bracket-function oracle in the tests forms it.
-        rank, vh = _rank((rj @ rows[:n_primary, :-1].T).T, tol_weak, "the primary bracket matrix")
+        rank, vh = _rank((rj @ rows[:n_primary, :-1].T).T, "the primary bracket matrix")
         # Without multipliers the candidates are the [C_i, H]; those of members
         # older than the last generation passed before, against fewer rows.
         directions = np.eye(len(cset))[untested:] if rank == 0 else vh[rank:]
@@ -376,12 +385,11 @@ def consistency_chain(system: HamiltonianSystem, primaries: ConstraintSet,
             row, label = model.bracket_with_h(u)
             v = row / (np.linalg.norm(np.abs(u @ rj) @ h_abs) or 1.0)
             # Vanishes weakly, or repeats a member admitted this generation.
-            full = _rank(np.vstack([rows, v]), tol_weak, f"weak vanishing of candidate {label}")[0]
+            full = _rank(np.vstack([rows, v]), f"weak vanishing of candidate {label}")[0]
             if full == ranks[0]:
                 continue
             # A nonzero constant on the surface: inconsistent dynamics.
-            lin = _rank(np.vstack([rows[:, :-1], v[:-1]]), tol_weak,
-                        f"newness of candidate {label}")[0]
+            lin = _rank(np.vstack([rows[:, :-1], v[:-1]]), f"newness of candidate {label}")[0]
             if lin == ranks[1]:
                 raise _unsatisfiable([model.labels[i] for i in np.flatnonzero(np.abs(u) > 1e-12)])
             new.append(Constraint(linear_function(row[:-1], row[-1], label),
@@ -392,13 +400,6 @@ def consistency_chain(system: HamiltonianSystem, primaries: ConstraintSet,
             return cset
         cset = cset.extended(new)
         model = replace(model, rows=rows, labels=tuple(cset.labels))
-
-    raise _still_growing(max_generations, cset)
-
-
-def _check_tolerance(name: str, tol: float) -> None:
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"{name} must be positive and finite, got {tol!r}")
 
 
 def _is_affine(f: PhaseFunction, dim: int) -> bool:
@@ -488,49 +489,37 @@ def _unsatisfiable(labels: list[str]) -> ChainTerminationError:
     )
 
 
-def _still_growing(max_generations: int, cset: ConstraintSet) -> ChainTerminationError:
-    return ChainTerminationError(
-        f"consistency chain still growing after {max_generations} generations "
-        f"({len(cset)} constraints so far)"
-    )
-
-
-def classify_constraints(cset: ConstraintSet, sampler=None, tol_weak: float = _TOL_WEAK,
+def classify_constraints(cset: ConstraintSet, sampler=None,
                          form: CosymplecticForm | None = None) -> ConstraintSet:
     """Label each constraint first or second class from its brackets.
 
     A constraint is first class when its bracket with every other member
     vanishes weakly, read off the constant R J R^T of the cached rows
-    scaled to unit length, so tol_weak is relative: a magnitude below it
-    is weakly zero, and one within a factor of ten of it on either side
-    is refused as ambiguous. form is canonical by default. A non-affine
-    member raises ValueError naming it, and so does a dependent set.
-    sampler is ignored.
+    scaled to unit length, so tol_weak = 1e-8 is relative: a magnitude
+    below it is weakly zero, and one within a factor of ten of it on
+    either side is refused as ambiguous. form is canonical by default. A
+    non-affine member raises ValueError naming it, and so does a
+    dependent set. sampler is ignored.
     """
-    _check_tolerance("tol_weak", tol_weak)
     j = _kernel(cset, form)
     if len(cset) == 0:
         return cset
     rows = _exact_rows(cset)
-    _require_full_rank(rows[:, :-1], tol_weak)
-    return _label_classes(cset, _bracket_magnitudes(rows[:, :-1], j), tol_weak)
+    _require_full_rank(rows[:, :-1])
+    return _label_classes(cset, np.abs(_unit_brackets(rows[:, :-1], j)))
 
 
-def _bracket_magnitudes(jac: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """|[C_a, C_b]| / (|grad C_a| |grad C_b|), the brackets of the unit rows."""
-    return np.abs(_unit_brackets(jac, j))
-
-
-def _label_classes(cset: ConstraintSet, mag: np.ndarray, tol_weak: float) -> ConstraintSet:
-    ambiguous = np.argwhere(np.triu(_band(mag, tol_weak), 1))
+def _label_classes(cset: ConstraintSet, mag: np.ndarray) -> ConstraintSet:
+    """The labels from mag, the unit rows' bracket magnitudes."""
+    ambiguous = np.argwhere(np.triu(_band(mag), 1))
     if ambiguous.size:
         detail = ", ".join(f"[{cset[a].label}, {cset[b].label}] ~ {mag[a, b]:.3e}"
                            for a, b in ambiguous)
         raise AmbiguousClassificationError(
-            f"bracket magnitudes within a factor 10 of tol_weak={tol_weak:g}: {detail}"
+            f"bracket magnitudes within a factor 10 of tol_weak={_TOL_WEAK:g}: {detail}"
         )
 
-    return cset.with_labels([ConstraintClass.FIRST_CLASS if np.all(row < tol_weak)
+    return cset.with_labels([ConstraintClass.FIRST_CLASS if np.all(row < _TOL_WEAK)
                              else ConstraintClass.SECOND_CLASS for row in mag])
 
 
@@ -609,18 +598,16 @@ def _correction(cset: ConstraintSet, z: np.ndarray, c_bar: np.ndarray, j: np.nda
 
 
 def project_to_constraint_surface(cset: ConstraintSet, z_bar, tol: float = 1e-12,
-                                  max_iter: int = 20,
                                   form: CosymplecticForm | None = None):
-    """Iterate error_correction_step until max |C_A| < tol.
+    """Iterate error_correction_step until max |C_A| < tol, at most 20 steps.
 
     The constraint values are evaluated once per iterate: those at
     z + delta_z of one step are the barred values of the next. Non-convergence
     is reported through the returned ProjectionReport, not an exception;
     a singular commutation matrix still raises GaugeNotFixedError.
     """
-    _check_tolerance("tol", tol)
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     z = as_phase_point(z_bar).astype(float).copy()
     j = _kernel(cset, form, z)
     c = cset.values(z)
@@ -628,13 +615,13 @@ def project_to_constraint_surface(cset: ConstraintSet, z_bar, tol: float = 1e-12
     if initial < tol:
         return z, ProjectionReport(0, initial, initial, True)
     final = initial
-    for it in range(1, max_iter + 1):
+    for it in range(1, _PROJECTION_STEPS + 1):
         delta, c, step = _correction(cset, z, c, j)
         z = z + delta
         final = step.final_norm
         if final < tol:
             return z, ProjectionReport(it, initial, final, True)
-    return z, ProjectionReport(max_iter, initial, final, False)
+    return z, ProjectionReport(_PROJECTION_STEPS, initial, final, False)
 
 
 def second_order_coefficients(cset: ConstraintSet, z_bar,

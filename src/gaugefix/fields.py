@@ -123,9 +123,9 @@ class SpectralWorkspace:
             _fft_yx(np.fft.rfft(f[i], axis=2, out=out[i]))
         return out
 
-    def backward(self, f_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def backward(self, f_hat: np.ndarray) -> np.ndarray:
         n = self.grid_n
-        out = np.empty(f_hat.shape[:-3] + (n, n, n)) if out is None else out
+        out = np.empty(f_hat.shape[:-3] + (n, n, n))
         scratch = np.empty((n, n, n // 2 + 1), complex)
         for i in np.ndindex(f_hat.shape[:-3]):
             self._inverse(f_hat[i], scratch, out[i])
@@ -277,8 +277,12 @@ def row_lift(y_hat: np.ndarray) -> int:
 
 
 def _coef(v: np.ndarray, kvec, inv_k2) -> np.ndarray:
-    """k . v / k^2 per mode: Modes.coef. Only where a coefficient is not
-    finite is v's overflow_shift taken, for the redo."""
+    """k . v / k^2 per mode: v's longitudinal part is k times it.
+
+    v's component axis is the one before the mode axes. Where k . v
+    overflows for a finite v (terms of opposite sign give NaN), it is
+    computed again from v scaled by v's overflow_shift, taken only then.
+    """
     coef = k_dot(v, kvec)
     coef *= inv_k2
     if not np.isfinite(coef).all() and (shift := overflow_shift(v)) is not None and shift > 0:
@@ -330,18 +334,9 @@ class Modes:
     def shell(self) -> np.ndarray:
         return self.ws.shells[1].reshape(self.ws.k2.shape)
 
-    def coef(self, v: np.ndarray) -> np.ndarray:
-        """k . v / k^2 per mode: v's longitudinal part is k times it.
-
-        v's component axis is the one before the mode axes. Where k . v
-        overflows for a finite v (terms of opposite sign give NaN), it is
-        computed again from v scaled by a power of two.
-        """
-        return _coef(v, self.kvec, self.inv_k2)
-
     def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(transverse, longitudinal) parts of vectors v on these modes."""
-        coef = self.coef(v)
+        coef = _coef(v, self.kvec, self.inv_k2)
         long = np.stack([k * coef for k in self.kvec], axis=-4) if self.whole else (
             self.kvec * coef[..., None, :])
         del coef  # Not alive next to both outputs: that is a projection's peak.
@@ -520,7 +515,7 @@ def _remove_longitudinal(f_hat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray
     """The one whole-spectrum projection: Modes(ws).split(f_hat)[0] bit for bit, into f_hat.
 
     Any leading axes, one kx plane at a time, with k^2 made per plane (no table).
-    A plane whose coefficient k . f^ / k^2 is not finite takes Modes.coef's
+    A plane whose coefficient k . f^ / k^2 is not finite takes _coef's
     redo at that plane's own overflow_shift, which gives the same bits as
     one taken over all of f^.
     transverse_project and the snapshot projection use it; evolve does not,

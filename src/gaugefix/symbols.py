@@ -17,6 +17,11 @@ from typing import Callable
 
 import numpy as np
 
+# Random unit directions analyze_symbol samples after the six fixed ones.
+_N_SAMPLES = 64
+# Eigenbasis condition number from which a direction counts as defective.
+_COND_BOUND = 1e8
+
 
 class Hyperbolicity(Enum):
     STRONGLY_HYPERBOLIC = "strongly_hyperbolic"
@@ -145,8 +150,7 @@ def _cluster_basis_cond(matrix: np.ndarray, w: np.ndarray) -> float:
     return float(s[0] / s[-1]) if s[-1] > 0 else np.inf
 
 
-def _probe_direction(sym: PrincipalSymbol, n: np.ndarray,
-                     cond_bound: float) -> DirectionSample:
+def _probe_direction(sym: PrincipalSymbol, n: np.ndarray) -> DirectionSample:
     matrix = sym.at(n)
     try:
         w, _ = np.linalg.eig(matrix)
@@ -154,7 +158,7 @@ def _probe_direction(sym: PrincipalSymbol, n: np.ndarray,
     except np.linalg.LinAlgError as exc:
         return DirectionSample(n, np.zeros(0, dtype=complex), np.inf, False,
                                error=f"eigendecomposition failed: {exc}")
-    return DirectionSample(n, w, cond, bool(cond < cond_bound),
+    return DirectionSample(n, w, cond, bool(cond < _COND_BOUND),
                            _certified_imag(matrix, w))
 
 
@@ -181,28 +185,24 @@ def sample_directions(n_samples: int, rng: np.random.Generator) -> np.ndarray:
     return np.vstack([fixed, rand / norms[:, None]])
 
 
-def analyze_symbol(sym: PrincipalSymbol, n_samples: int = 64,
-                   tol_imag: float = 1e-10, cond_bound: float = 1e8,
+def analyze_symbol(sym: PrincipalSymbol, tol_imag: float = 1e-10,
                    seed: int = 0) -> SymbolReport:
-    """Classify a symbol by sweeping sampled unit directions.
+    """Classify a symbol by sweeping 70 unit directions: the six fixed
+    ones of sample_directions, then 64 random ones drawn from seed.
 
     The verdict is the worst case over samples: any eigenvalue whose
     certified imaginary part (see _certified_imag) exceeds tol_imag
-    makes the system not hyperbolic, a real spectrum with a defective or
-    ill-conditioned eigenbasis anywhere downgrades strong to weak, and
-    an eigensolver failure yields 'indeterminate'. kappa collects the
-    distinct propagation speeds seen across the real-spectrum samples.
+    makes the system not hyperbolic, a real spectrum with a defective
+    eigenbasis or one of condition number 1e8 or more anywhere
+    downgrades strong to weak, and an eigensolver failure yields
+    'indeterminate'. kappa collects the distinct propagation speeds seen
+    across the real-spectrum samples.
     """
-    if n_samples < 0:
-        raise ValueError("n_samples must be >= 0")
-    # isfinite rejects NaN and inf: an infinite tol_imag or cond_bound
-    # would certify any spectrum.
+    # isfinite rejects NaN and inf: an infinite tol_imag would certify any spectrum.
     if not (math.isfinite(tol_imag) and tol_imag > 0):
         raise ValueError(f"tol_imag must be positive and finite, got {tol_imag!r}")
-    if not (math.isfinite(cond_bound) and cond_bound > 1):
-        raise ValueError(f"cond_bound must be finite and > 1, got {cond_bound!r}")
-    directions = sample_directions(n_samples, np.random.default_rng(seed))
-    samples = [_probe_direction(sym, n, cond_bound) for n in directions]
+    directions = sample_directions(_N_SAMPLES, np.random.default_rng(seed))
+    samples = [_probe_direction(sym, n) for n in directions]
 
     failed = [s for s in samples if s.error is not None]
     speeds: list[float] = []

@@ -85,19 +85,19 @@ def regular_demo() -> ToyModel:
     return _lagrangian_toy("regular-demo", lag, [0.1, 0.2, 0.3, 0.4])
 
 
-def circle_pair(theta0: float = 0.25) -> ConstraintSet:
+def circle_pair() -> ConstraintSet:
     """Nonlinear second-class pair on a 2-dimensional phase space.
 
-    C1 = (q^2 + p^2)/2 - 1 pins the unit circle, C2 = atan2(p, q) - theta0
-    pins the angle. [C1, C2] = 1 everywhere away from the origin, so the
-    commutation matrix is constant even though the constraints are not
-    linear: the correction step contracts quadratically instead of
-    terminating in one shot.
+    C1 = (q^2 + p^2)/2 - 1 pins the circle of radius sqrt 2, C2 =
+    atan2(p, q) - theta0 the angle theta0 = 0.25. [C1, C2] = 1 everywhere
+    away from the origin, so the commutation matrix is constant even
+    though the constraints are not linear: the correction step contracts
+    quadratically instead of terminating in one shot.
     """
     radial = quadratic_function(np.eye(2), const=-1.0, label="(q^2 + p^2)/2 - 1")
 
-    def angle_value(z, theta0=theta0):
-        return math.atan2(z[1], z[0]) - theta0
+    def angle_value(z):
+        return math.atan2(z[1], z[0]) - 0.25
 
     def angle_gradient(z):
         r2 = z[0] ** 2 + z[1] ** 2

@@ -34,13 +34,13 @@ from __future__ import annotations
 import numpy as np
 
 from gaugefix.constraints import (
+    _TOL_WEAK,
     AmbiguousClassificationError,
     Constraint,
     ConstraintOrigin,
     _commutation,
     _rank,
     _row_norms,
-    _still_growing,
     _unsatisfiable,
     commutation_matrix,
     constraint_set,
@@ -334,16 +334,16 @@ def _coefficient_row(f):
     return np.append(f.coefficients.lin, f.coefficients.const)
 
 
-def _residual(rows, v, label, decision, tol_weak):
+def _residual(rows, v, label, decision):
     """|v - its least-squares projection onto the rows| / (1 + |v|),
     refused within a factor 10 of tol_weak on either side: how
     consistency_chain judged a candidate before it counted ranks."""
     coef, *_ = np.linalg.lstsq(rows.T, v, rcond=None)
     res = float(np.linalg.norm(v - rows.T @ coef) / (1.0 + np.linalg.norm(v)))
-    if tol_weak / 10.0 <= res <= tol_weak * 10.0:
+    if _TOL_WEAK / 10.0 <= res <= _TOL_WEAK * 10.0:
         raise AmbiguousClassificationError(
             f"{decision} of candidate {label} is ambiguous: residual {res:.3e} "
-            f"within a factor 10 of tol_weak={tol_weak:g}"
+            f"within a factor 10 of tol_weak={_TOL_WEAK:g}"
         )
     return res
 
@@ -355,12 +355,14 @@ def _unit_members(rows, labels, dim):
                            for row, label in zip(rows, labels)], dim)
 
 
-def bracket_chain(system, primaries, tol_weak=1e-8, max_generations=10):
+def bracket_chain(system, primaries):
     """consistency_chain of affine primaries with every candidate a
     closed-form bracket function of the unit members, formed for every
     member in every generation, and its row read back from its
     coefficients: the library's left null space from _rank, and the
-    residual decisions of _residual in place of its rank increases."""
+    residual decisions of _residual in place of its rank increases.
+    Each admission raises the rank of the rows, so dim + 1 generations
+    bound a chain that ends."""
     if len(primaries) == 0:
         return primaries
     h, form = system.hamiltonian, system.form
@@ -368,18 +370,17 @@ def bracket_chain(system, primaries, tol_weak=1e-8, max_generations=10):
     cset = primaries
     units = _unit_members(np.array([_coefficient_row(c.function) for c in primaries]),
                           primaries.labels, primaries.dim)
-    for _generation in range(max_generations):
+    for _generation in range(primaries.dim + 1):
         rows = np.array([_coefficient_row(c.function) for c in units])
         r = rows[:, :-1]
-        rank, vh = _rank(((r @ form.matrix) @ r[:n_primary].T).T, tol_weak,
-                         "the primary bracket matrix")
+        rank, vh = _rank(((r @ form.matrix) @ r[:n_primary].T).T, "the primary bracket matrix")
         new = []
         for u in (np.eye(len(cset)) if rank == 0 else vh[rank:]):
             cand = combination_bracket(units, u, h, form)
             row = _coefficient_row(cand)
-            if _residual(rows, row, cand.label, "weak vanishing", tol_weak) < tol_weak:
+            if _residual(rows, row, cand.label, "weak vanishing") < _TOL_WEAK:
                 continue
-            if _residual(rows[:, :-1], row[:-1], cand.label, "newness", tol_weak) < tol_weak:
+            if _residual(rows[:, :-1], row[:-1], cand.label, "newness") < _TOL_WEAK:
                 raise _unsatisfiable([cset[int(i)].label
                                       for i in np.flatnonzero(np.abs(u) > 1e-12)])
             new.append(Constraint(cand, ConstraintOrigin.CONSISTENCY))
@@ -388,7 +389,7 @@ def bracket_chain(system, primaries, tol_weak=1e-8, max_generations=10):
         if not new:
             return cset
         cset = cset.extended(new)
-    raise _still_growing(max_generations, cset)
+    raise AssertionError(f"bracket chain still growing after {primaries.dim + 1} generations")
 
 
 def stacked_gradients(cset, z):

@@ -33,7 +33,7 @@ def oscillator_run():
 
 
 def symbol_report():
-    return analyze_symbol(maxwell_gauge_fixed_symbol(), n_samples=4)
+    return analyze_symbol(maxwell_gauge_fixed_symbol())
 
 
 FACTORIES = {
