@@ -353,16 +353,27 @@ def test_chain_detects_inconsistent_dynamics():
         consistency_chain(system, primaries)
 
 
+def _ladder_system(n, q1_squared=False):
+    """H = p1^2/2 + sum_i p_i q_{i+1}, plus q1^2/2 if q1_squared, on n
+    degrees of freedom."""
+    quad = np.zeros((2 * n, 2 * n))
+    quad[n, n] = 1.0
+    quad[0, 0] = float(q1_squared)
+    for i in range(n - 1):
+        quad[n + i, i + 1] = quad[i + 1, n + i] = 1.0
+    return HamiltonianSystem.canonical(n, quadratic_function(quad, label="H"))
+
+
+def _ladder_primary(n):
+    return constraint_set([coord(2 * n, 2 * n - 1, f"p{n}")], 2 * n)
+
+
 @pytest.mark.parametrize("n", [11, 16, 30])
 def test_chain_of_n_first_class_generations_completes(n):
     # H = p1^2/2 + sum_i p_i q_{i+1}, primary p_n: [p_k, H] = -p_{k-1} down
     # to [p1, H] = 0, one new member per generation, n generations.
-    quad = np.zeros((2 * n, 2 * n))
-    quad[n, n] = 1.0
-    for i in range(n - 1):
-        quad[n + i, i + 1] = quad[i + 1, n + i] = 1.0
-    system = HamiltonianSystem.canonical(n, quadratic_function(quad, label="H"))
-    chain = consistency_chain(system, constraint_set([coord(2 * n, 2 * n - 1, f"p{n}")], 2 * n))
+    system = _ladder_system(n)
+    chain = consistency_chain(system, _ladder_primary(n))
     assert chain.labels == ["[" * k + f"p{n}" + ", H]" * k for k in range(n)]
     assert [c.origin for c in chain] == [ConstraintOrigin.PRIMARY] + [
         ConstraintOrigin.CONSISTENCY] * (n - 1)
@@ -372,6 +383,25 @@ def test_chain_of_n_first_class_generations_completes(n):
     assert not _coefficient_rows(chain)[:, -1].any()
     labeled = classify_constraints(chain, form=system.form)
     assert [c.class_label for c in labeled] == [ConstraintClass.FIRST_CLASS] * n
+
+
+@pytest.mark.parametrize("n", [1, 2, 11])
+def test_chain_that_fills_the_phase_space_ends_at_its_dimension(n):
+    # With q1^2/2 in H the ladder turns at p1: [p1, H] = -q1, then q2, ...,
+    # q_n up to terms in the p_k, one member per generation, until R has
+    # rank 2n. The last member brackets with the primary p_n, so its
+    # [., H] fixes the multiplier instead of spawning a candidate: the
+    # chain ends after 2n generations with 2n second-class members.
+    system = _ladder_system(n, q1_squared=True)
+    chain = consistency_chain(system, _ladder_primary(n))
+    assert chain.labels == ["[" * k + f"p{n}" + ", H]" * k for k in range(2 * n)]
+    assert [c.origin for c in chain] == [ConstraintOrigin.PRIMARY] + [
+        ConstraintOrigin.CONSISTENCY] * (2 * n - 1)
+    assert np.linalg.matrix_rank(_coefficient_rows(chain)[:, :-1]) == 2 * n
+    assert not _coefficient_rows(chain)[:, -1].any()
+    labeled = classify_constraints(chain, form=system.form)
+    assert [c.class_label for c in labeled] == [ConstraintClass.SECOND_CLASS] * (2 * n)
+    assert commutation_matrix(labeled, np.zeros(2 * n), system.form).is_invertible()
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +537,9 @@ def _route_cases():
                      id="left-null-space"),
         pytest.param(HamiltonianSystem.canonical(2, coord(4, 1, "q2")),
                      constraint_set([coord(4, 3, "p2")], 4), id="inconsistent"),
+        pytest.param(_ladder_system(11), _ladder_primary(11), id="eleven-generations"),
+        pytest.param(_ladder_system(2, q1_squared=True), _ladder_primary(2),
+                     id="fills-phase-space"),
     ]
 
 
