@@ -18,7 +18,6 @@ import os
 import sys
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
-from typing import Callable
 
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -193,7 +192,7 @@ def cmd_evolve(args) -> int:
         state, cfg.formulation, cfg.stepper, cfg.dt, cfg.t_end,
         reproject_every=cfg.reproject_every, reference=reference,
         stride=cfg.stride)
-    series.to_csv(out)
+    _write(out, series.to_csv)
     if series.aborted:
         print(f"evolution aborted at t={series.abort_time!r}: non-finite state",
               file=sys.stderr)
@@ -234,13 +233,8 @@ def cmd_symbol(args) -> int:
     else:
         sym = symbols.maxwell_gauge_fixed_symbol()
     report = symbols.analyze_symbol(sym, tol_imag=args.tol, seed=seed)
-    text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True,
-                      allow_nan=False) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"classification: {report.classification.value} (wrote {args.out})")
-    else:
-        sys.stdout.write(text)
+    _write_report(report.to_json_dict(), args.out,
+                  f"classification: {report.classification.value} (wrote {args.out})")
     return 0
 
 
@@ -278,24 +272,6 @@ def cmd_constraints(args) -> int:
     point = model.sample_point
     mat = commutation_matrix(classified, point, form)
 
-    checks = []
-    note = None
-    pairs = [(fa, fb) for i, fa in enumerate(model.check_functions)
-             for fb in model.check_functions[i + 1:]]
-    for (la, fa), (lb, fb) in pairs:
-        entry = {
-            "f": la,
-            "g": lb,
-            "poisson": float(np.round(poisson_bracket(fa, fb, point, form), 14)),
-        }
-        try:
-            entry["dirac"] = float(np.round(
-                dirac_bracket(fa, fb, classified, point, form), 14))
-        except GaugeNotFixedError as exc:
-            entry["dirac"] = None
-            note = str(exc)
-        checks.append(entry)
-
     result = {
         "model": model.name,
         "phase_dim": classified.dim,
@@ -308,84 +284,91 @@ def cmd_constraints(args) -> int:
             "point": [float(v) for v in point],
             "entries": [[float(np.round(v, 14)) for v in row] for row in mat.entries],
         },
-        "dirac_checks": checks,
     }
-    if note is not None:
-        result["dirac_note"] = note
-    text = json.dumps(result, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    pairs = [(fa, fb) for i, fa in enumerate(model.check_functions)
+             for fb in model.check_functions[i + 1:]]
+    # A singular commutation matrix refuses every pair alike.
+    try:
+        dirac = [float(np.round(dirac_bracket(fa, fb, classified, point, form), 14))
+                 for (_, fa), (_, fb) in pairs]
+    except GaugeNotFixedError as exc:
+        dirac, result["dirac_note"] = [None] * len(pairs), str(exc)
+    result["dirac_checks"] = [
+        {"f": la, "g": lb, "dirac": d,
+         "poisson": float(np.round(poisson_bracket(fa, fb, point, form), 14))}
+        for ((la, fa), (lb, fb)), d in zip(pairs, dirac)]
+    _write_report(result, args.out, f"wrote {args.out}")
     return 0
+
+
+def _write(out: str, write) -> None:
+    """write(out), an OSError from it raised as one that names out."""
+    try:
+        write(out)
+    except OSError as exc:
+        raise OSError(f"cannot write {out}: {exc.strerror or exc}") from exc
+
+
+def _write_report(result: dict, out: str | None, message: str) -> None:
+    """result as strict JSON on stdout, or written to out, then message printed."""
+    text = json.dumps(result, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if not out:
+        sys.stdout.write(text)
+        return
+    _write(out, lambda path: Path(path).write_text(text))
+    print(message)
 
 
 PROG = "gaugefix"
 
 
-def _arg(*flags, **kwargs):
-    """One ``add_argument`` call of a command's parser."""
-    return flags, kwargs
+def _evolve_arguments(parser: argparse.ArgumentParser) -> None:
+    add = parser.add_argument
+    add("--config", required=True, help="path to the run config JSON")
+    add("--formulation", choices=["canonical", "gauge-fixed"], default=None,
+        help="override the config's formulation")
+    add("--out", default=None, help="diagnostics CSV path")
+    add("--seed", type=int, default=None, help="override the config seed")
 
 
-@dataclass(frozen=True)
-class Command:
-    """A subcommand: its help line, its handler and its arguments.
-
-    ``arguments`` returns the ``_arg`` tuples when the command's parser is
-    built, so a command's modules load only when its parser is needed.
-    """
-
-    help: str
-    run: Callable[[argparse.Namespace], int]
-    arguments: Callable[[], tuple]
+def _symbol_arguments(parser: argparse.ArgumentParser) -> None:
+    add = parser.add_argument
+    add("--formulation", choices=["canonical", "gauge-fixed"], required=True)
+    add("--out", default=None, help="JSON report path (default stdout)")
+    add("--tol", type=float, default=1e-10, help="imaginary-part tolerance for eigenvalues")
+    add("--seed", type=int, default=None, help="seed for the random direction samples")
 
 
-def _constraints_arguments() -> tuple:
+def _project_arguments(parser: argparse.ArgumentParser) -> None:
+    add = parser.add_argument
+    add("input", help="snapshot file to project")
+    add("--out", required=True, help="projected snapshot path")
+    add("--tol", type=float, default=0.0,
+        help="fail if post-projection norms exceed this (0 disables)")
+
+
+def _constraints_arguments(parser: argparse.ArgumentParser) -> None:
     from . import toys
 
-    return (
-        _arg("model", choices=sorted(toys.BUILTIN_MODELS)),
-        _arg("--out", default=None, help="JSON report path (default stdout)"),
-        _arg("--seed", type=int, default=None,
-             help="accepted and checked, but has no effect: the chain and the "
-                  "classes are exact, so nothing is sampled"),
-    )
+    add = parser.add_argument
+    add("model", choices=sorted(toys.BUILTIN_MODELS))
+    add("--out", default=None, help="JSON report path (default stdout)")
+    add("--seed", type=int, default=None,
+        help="accepted and checked, but has no effect: the chain and the "
+             "classes are exact, so nothing is sampled")
 
 
+# name -> (help line, handler, adder of its arguments). A command's
+# arguments are added only when its parser is built, so the modules they
+# need (toys, for the model names) load only then.
 COMMANDS = {
-    "evolve": Command("run a field evolution from a JSON config", cmd_evolve, lambda: (
-        _arg("--config", required=True, help="path to the run config JSON"),
-        _arg("--formulation", choices=["canonical", "gauge-fixed"], default=None,
-             help="override the config's formulation"),
-        _arg("--out", default=None, help="diagnostics CSV path"),
-        _arg("--seed", type=int, default=None, help="override the config seed"),
-    )),
-    "symbol": Command("principal-symbol hyperbolicity report", cmd_symbol, lambda: (
-        _arg("--formulation", choices=["canonical", "gauge-fixed"], required=True),
-        _arg("--out", default=None, help="JSON report path (default stdout)"),
-        _arg("--tol", type=float, default=1e-10,
-             help="imaginary-part tolerance for eigenvalues"),
-        _arg("--seed", type=int, default=None, help="seed for the random direction samples"),
-    )),
-    "project": Command("project a snapshot onto the constraint surface", cmd_project, lambda: (
-        _arg("input", help="snapshot file to project"),
-        _arg("--out", required=True, help="projected snapshot path"),
-        _arg("--tol", type=float, default=0.0,
-             help="fail if post-projection norms exceed this (0 disables)"),
-    )),
-    "constraints": Command("Dirac-Bergmann pipeline on a built-in model", cmd_constraints,
-                           _constraints_arguments),
+    "evolve": ("run a field evolution from a JSON config", cmd_evolve, _evolve_arguments),
+    "symbol": ("principal-symbol hyperbolicity report", cmd_symbol, _symbol_arguments),
+    "project": ("project a snapshot onto the constraint surface", cmd_project,
+                _project_arguments),
+    "constraints": ("Dirac-Bergmann pipeline on a built-in model", cmd_constraints,
+                    _constraints_arguments),
 }
-
-
-def _command_parser(parser: argparse.ArgumentParser,
-                    command: Command) -> argparse.ArgumentParser:
-    for flags, kwargs in command.arguments():
-        parser.add_argument(*flags, **kwargs)
-    parser.set_defaults(func=command.run)
-    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,22 +378,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="constrained Maxwell evolution and Dirac-Bergmann analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        _command_parser(sub.add_parser(name, help=command.help), command)
+    for name, (help_line, _, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse argv, building only the named command's parser when one is named.
 
-    That parser is the subparser ``build_parser`` makes for the command, so
-    its help, errors and exit codes are the same. Left-over arguments are
-    reported by the top-level parser, so those go to the full parser, as
-    does anything that does not start with a command name.
+    That parser has the arguments of the subparser ``build_parser`` makes for
+    the command, so its help, errors and exit codes are the same. Left-over
+    arguments are reported by the top-level parser, so those go to the full
+    parser, as does anything that does not start with a command name.
     """
-    command = COMMANDS.get(argv[0]) if argv else None
-    if command is not None:
-        parser = _command_parser(argparse.ArgumentParser(prog=f"{PROG} {argv[0]}"), command)
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"{PROG} {argv[0]}")
+        COMMANDS[argv[0]][2](parser)
         args, extras = parser.parse_known_args(argv[1:])
         if not extras:
             args.command = argv[0]
@@ -421,7 +404,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.func(args)
+        return COMMANDS[args.command][1](args)
     except (ValueError, OSError) as exc:
         # ValueError covers ConfigError, SnapshotFormatError and library
         # input guards reachable from the command line, such as --tol 0.

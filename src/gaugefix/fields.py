@@ -885,8 +885,9 @@ def project_snapshot(src, dst):
     symbolic link, as open(dst, "wb") would write), keeping an existing
     dst's mode, and the sidecar follows; dst may be src. An existing dst
     that is not a regular file is refused first, and a transform that
-    overflows raises ValueError without a numpy warning; in either case,
-    and on a malformed input (SnapshotFormatError), dst is left as it was.
+    overflows raises ValueError without a numpy warning, and a failed write
+    OSError("cannot write snapshot dst: ..."); in each case, and on a
+    malformed input (SnapshotFormatError), dst is left as it was.
     """
     dst = Path(dst)
     target = Path(os.path.realpath(dst))
@@ -942,6 +943,9 @@ def project_snapshot(src, dst):
             if existing is not None:
                 os.chmod(tmp, stat.S_IMODE(existing.st_mode))
             os.replace(tmp, target)
+        except OSError as exc:
+            tmp.unlink(missing_ok=True)
+            raise OSError(f"cannot write snapshot {dst}: {exc.strerror or exc}") from exc
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -448,6 +449,47 @@ class TestProjectCommand:
                                            "field values must be finite\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("failure", ["read", "runs-on", "write"])
+    def test_a_failed_read_or_write_leaves_dst_as_it_was(self, tmp_path, capsys, monkeypatch,
+                                                         failure):
+        # A payload read that fails (EIO), a pipe that runs on past one whole
+        # 64 KiB read after the payload (its size counts every byte), and a
+        # write that fails (ENOSPC).
+        _, path = self.make_snapshot(tmp_path)
+        size, extra = path.stat().st_size, (1 << 16) + 8
+        out = tmp_path / "out.gfsn"
+        out.write_bytes(b"an earlier output")
+
+        class Failing(io.FileIO):
+            def readinto(self, buf):
+                if self.tell() >= 20:
+                    raise OSError(errno.EIO, os.strerror(errno.EIO))
+                return super().readinto(buf)
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def failing_open(file, mode="r", **kwargs):
+            if mode == {"read": "rb", "write": "xb"}.get(failure):
+                return Failing(file, mode.rstrip("b"))
+            return open(file, mode, **kwargs)
+
+        with contextlib.ExitStack() as stack:
+            src = path
+            if failure == "runs-on":
+                src = stack.enter_context(
+                    fifo_fed(tmp_path / "pipe", path.read_bytes() + bytes(extra)))
+            else:
+                monkeypatch.setattr(fields, "open", failing_open, raising=False)
+            code = main(["project", str(src), "--out", str(out)])
+        err = {"read": f"cannot read snapshot {path}: [Errno 5] Input/output error",
+               "runs-on": f"snapshot {src} has {size + extra} bytes, expected {size}",
+               "write": f"cannot write snapshot {out}: No space left on device"}[failure]
+        assert (code, capsys.readouterr()) == (1, ("", f"error: {err}\n"))
+        assert out.read_bytes() == b"an earlier output"
+        assert {p.name for p in tmp_path.iterdir()} == {"in.gfsn", "in.gfsn.json", "out.gfsn"}
+
+
 class TestConstraintsCommand:
     def run_json(self, capsys, *argv):
         assert main(["constraints", *argv]) == 0
@@ -747,6 +789,8 @@ def run_in_process(argv, stdin):
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case.id)
 def test_cli_case(case, tmp_path):
+    if case.skipped():
+        pytest.skip(f"needs {case.needs}")
     check_case(case, run_in_process, tmp_path)
 
 

@@ -160,6 +160,29 @@ def test_sample_directions_layout():
     assert_allclose(dirs[3], np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
 
 
+def test_sample_directions_draws_a_degenerate_row_again():
+    # A zero row in the first draw is drawn again, not divided by.
+    class Generator:
+        def __init__(self):
+            self.draws = []
+
+        def standard_normal(self, shape):
+            self.draws.append(shape)
+            rows = np.random.default_rng(len(self.draws)).standard_normal(shape)
+            if len(self.draws) == 1:
+                rows[5] = 0.0
+            return rows
+
+    rng = Generator()
+    dirs = sample_directions(64, rng)
+    assert rng.draws == [(64, 3), (1, 3)]
+    assert dirs.shape == (70, 3)
+    assert_allclose(np.linalg.norm(dirs, axis=1), np.ones(70), atol=1e-12)
+    assert_allclose(dirs[:6], sample_directions(0, rng))
+    redrawn = np.random.default_rng(2).standard_normal((1, 3))[0]
+    assert_allclose(dirs[6 + 5], redrawn / np.linalg.norm(redrawn))
+
+
 def test_symbol_at_validates():
     sym = maxwell_canonical_symbol()
     with pytest.raises(ValueError):
