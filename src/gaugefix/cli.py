@@ -5,19 +5,26 @@ symbol (hyperbolicity report as JSON), project (snapshot onto the
 constraint surface), constraints (run the Dirac-Bergmann pipeline on a
 built-in model). Exit codes: 0 success, 1 configuration or input error
 (or out of memory), 2 evolution aborted on non-finite values. Given the
-same config and seed the outputs are byte-identical. Imported before numpy,
+same config and seed the outputs are byte-identical. A well-formed command
+line (exact long flags with separate values, and positionals) is read
+without argparse, which loads only for help and usage errors, so help,
+usage errors and their exit code 2 are argparse's. Imported before numpy,
 this module starts numpy's BLAS on one thread unless OPENBLAS_NUM_THREADS
 is set, since no command has BLAS work large enough to share.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import argparse
 
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -358,9 +365,9 @@ def _constraints_arguments(parser: argparse.ArgumentParser) -> None:
              "classes are exact, so nothing is sampled")
 
 
-# name -> (help line, handler, adder of its arguments). A command's
-# arguments are added only when its parser is built, so the modules they
-# need (toys, for the model names) load only then.
+# name -> (help line, handler, adder of its arguments). The adder serves
+# argparse and _read_plainly alike, and runs only for its command, so the
+# modules it needs (toys, for the model names) load only then.
 COMMANDS = {
     "evolve": ("run a field evolution from a JSON config", cmd_evolve, _evolve_arguments),
     "symbol": ("principal-symbol hyperbolicity report", cmd_symbol, _symbol_arguments),
@@ -373,6 +380,8 @@ COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """The full parser: every command as a subparser of ``gaugefix``."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="constrained Maxwell evolution and Dirac-Bergmann analysis",
@@ -383,15 +392,68 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv, building only the named command's parser when one is named.
+def _declared(name: str) -> list[tuple[str, dict]]:
+    """(flag or positional, keywords) of each add_argument call that command
+    name's adder makes, recorded without a parser."""
+    declared = []
+    COMMANDS[name][2](SimpleNamespace(add_argument=lambda arg, **kw: declared.append((arg, kw))))
+    return declared
 
-    That parser has the arguments of the subparser ``build_parser`` makes for
-    the command, so its help, errors and exit codes are the same. Left-over
-    arguments are reported by the top-level parser, so those go to the full
-    parser, as does anything that does not start with a command name.
+
+def _read_plainly(name: str, argv: list[str]) -> SimpleNamespace | None:
+    """The namespace command name's parser gives argv, read without argparse.
+
+    None, for argparse to read, unless argv is only exact long flags of the
+    command, each followed by a separate value, and its positionals, no
+    value or positional starting with "-", each converted by its type and
+    within its choices, and every required argument given.
+    """
+    declared = _declared(name)
+    flags = {arg: kw for arg, kw in declared if arg.startswith("-")}
+    positionals = [(arg, kw) for arg, kw in declared if arg not in flags]
+    values = {arg: kw.get("default") for arg, kw in declared}
+    given = set()
+    args = iter(argv)
+    for arg in args:
+        if arg in flags:
+            kw, value = flags[arg], next(args, None)
+        elif positionals:
+            (arg, kw), value = positionals.pop(0), arg
+        else:
+            return None
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            values[arg] = kw.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in kw and values[arg] not in kw["choices"]:
+            return None
+        given.add(arg)
+    if positionals or any(kw.get("required") and arg not in given for arg, kw in flags.items()):
+        return None
+    # Each value under argparse's dest for its argument.
+    return SimpleNamespace(command=name, **{arg.lstrip("-").replace("-", "_"): value
+                                            for arg, value in values.items()})
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace | SimpleNamespace:
+    """Parse argv, with argparse only for help and usage errors.
+
+    A command line of the forms _read_plainly takes is read without
+    argparse. Any other with a command name goes to a parser of that
+    command alone, with the arguments of the subparser ``build_parser``
+    makes for it, so its help, errors and exit codes are the same.
+    Left-over arguments are reported by the top-level parser, so those go
+    to the full parser, as does anything that does not start with a
+    command name.
     """
     if argv and argv[0] in COMMANDS:
+        args = _read_plainly(argv[0], argv[1:])
+        if args is not None:
+            return args
+        import argparse
+
         parser = argparse.ArgumentParser(prog=f"{PROG} {argv[0]}")
         COMMANDS[argv[0]][2](parser)
         args, extras = parser.parse_known_args(argv[1:])

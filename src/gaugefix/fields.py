@@ -751,10 +751,11 @@ def write_snapshot(state: FieldState, path) -> None:
         fh.write(header)
         for comp in (*state.a, *state.pi):
             fh.write(np.ascontiguousarray(comp, dtype="<f8"))
-    _write_sidecar(path, state.grid_n, state.domain_length)
+    _write_sidecar(path.with_name(path.name + ".json"), state.grid_n, state.domain_length)
 
 
 def _write_sidecar(path: Path, grid_n: int, domain_length: float) -> None:
+    """Write the JSON sidecar of a snapshot to path."""
     sidecar = {
         "format": "gaugefix-snapshot",
         "version": _SNAPSHOT_VERSION,
@@ -765,7 +766,7 @@ def _write_sidecar(path: Path, grid_n: int, domain_length: float) -> None:
         "layout": "C",
         "components": _COMPONENTS,
     }
-    with open(path.with_name(path.name + ".json"), "w") as fh:
+    with open(path, "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -881,22 +882,29 @@ def project_snapshot(src, dst):
     equal those of correct_initial_data(a, pi, L) bit for bit, and the norms
     those of div_norm_hat.
 
-    src may be a pipe. Only a complete projection replaces dst (through a
+    src may be a pipe. Only a complete projection replaces dst and its
+    sidecar dst.json, both written beside them first (each through a
     symbolic link, as open(dst, "wb") would write), keeping an existing
-    dst's mode, and the sidecar follows; dst may be src. An existing dst
-    that is not a regular file is refused first, and a transform that
-    overflows raises ValueError without a numpy warning, and a failed write
-    OSError("cannot write snapshot dst: ..."); in each case, and on a
-    malformed input (SnapshotFormatError), dst is left as it was.
+    file's mode; dst may be src. An existing dst or dst.json that is not a
+    regular file is refused first, and a transform that overflows raises
+    ValueError without a numpy warning, and a failed write
+    OSError("cannot write snapshot <dst or dst.json>: ..."); in each case,
+    and on a malformed input (SnapshotFormatError), dst and dst.json are
+    left as they were.
     """
     dst = Path(dst)
-    target = Path(os.path.realpath(dst))
-    try:
-        existing = os.stat(target)
-    except FileNotFoundError:
-        existing = None
-    if existing is not None and not stat.S_ISREG(existing.st_mode):
-        raise ValueError(f"cannot write snapshot {dst}: it exists and is not a regular file")
+    # (path, the file written there, its stat if it exists) of the snapshot
+    # and its sidecar.
+    outputs = []
+    for path in (dst, Path(f"{dst}.json")):
+        target = Path(os.path.realpath(path))
+        try:
+            existing = os.stat(target)
+        except FileNotFoundError:
+            existing = None
+        if existing is not None and not stat.S_ISREG(existing.st_mode):
+            raise ValueError(f"cannot write snapshot {path}: it exists and is not a regular file")
+        outputs.append((path, target, existing))
     with _SnapshotReader(Path(src)) as snap:
         n, length = snap.grid_n, snap.domain_length
         ws = get_workspace(n, length)
@@ -905,11 +913,13 @@ def project_snapshot(src, dst):
         squares = np.empty((n, n, n // 2 + 1), dtype="<f8")
         buf = squares.reshape(-1, n, n)
         slabs = [(slice(x, x + len(buf)), buf[:n - x]) for x in range(0, n, len(buf))]
-        tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
+        token = os.urandom(6).hex()
+        tmps = [target.with_name(f".{target.name}.{token}.tmp") for _, target, _ in outputs]
         try:
-            out = open(tmp, "xb")  # the mode open(dst, "wb") gives a new file
+            out = open(tmps[0], "xb")  # the mode open(dst, "wb") gives a new file
         except OSError as exc:
             raise OSError(f"cannot write snapshot {dst}: {exc.strerror}") from exc
+        named = dst  # the file a failed write names
         try:
             with out:
                 out.write(_HEADER.pack(_SNAPSHOT_MAGIC, _SNAPSHOT_VERSION, n, length))
@@ -940,14 +950,18 @@ def project_snapshot(src, dst):
                             _fft_yx(part)
                         after.append(_div_norm(f_hat, ws, squares))
                 snap.end()
-            if existing is not None:
-                os.chmod(tmp, stat.S_IMODE(existing.st_mode))
-            os.replace(tmp, target)
+            named = outputs[1][0]
+            _write_sidecar(tmps[1], n, length)
+            for (named, target, existing), tmp in zip(outputs, tmps):
+                if existing is not None:
+                    os.chmod(tmp, stat.S_IMODE(existing.st_mode))
+                os.replace(tmp, target)
         except OSError as exc:
-            tmp.unlink(missing_ok=True)
-            raise OSError(f"cannot write snapshot {dst}: {exc.strerror or exc}") from exc
+            for tmp in tmps:
+                tmp.unlink(missing_ok=True)
+            raise OSError(f"cannot write snapshot {named}: {exc.strerror or exc}") from exc
         except BaseException:
-            tmp.unlink(missing_ok=True)
+            for tmp in tmps:
+                tmp.unlink(missing_ok=True)
             raise
-    _write_sidecar(dst, n, length)
     return tuple(before), tuple(after)

@@ -100,6 +100,20 @@ def _readme_block(heading: str, lang: str) -> str:
 SKETCH = _readme_block("## Library sketch", "python")
 SKETCH_PRINTS = "".join(f"{v}\n" for v in re.findall(r"^# (\S+):", SKETCH, re.M))
 assert SKETCH_PRINTS, "the README library sketch has no '# value:' comment"
+# A well-formed command line loads no argparse. The script sets a loaded
+# argparse aside while it imports the CLI and runs the command, as a test
+# process has its own.
+PLAIN_SYMBOL = """\
+import sys
+loaded = sys.modules.pop("argparse", None)
+try:
+    from gaugefix.cli import main
+    main(["symbol", "--formulation", "canonical", "--out", "report.json"])
+    print("argparse" in sys.modules)
+finally:
+    if loaded is not None:
+        sys.modules["argparse"] = loaded
+"""
 EVOLVE = ("evolve", "--config", "run.json", "--out", "run.csv")
 PROJECT = ("project", "in.gfsn", "--out", "out.gfsn")
 SNAPSHOT_OUT = {"out.gfsn": Prefix(""), "out.gfsn.json": Prefix("")}
@@ -140,6 +154,9 @@ REPORT_ERRORS = ("cannot write missing/out: missing is not a directory",
 
 CASES = [
     Case("readme-library-sketch", ("-c", SKETCH), stdout=SKETCH_PRINTS),
+    Case("symbol-without-argparse", ("-c", PLAIN_SYMBOL),
+         stdout="classification: weakly_hyperbolic (wrote report.json)\nFalse\n",
+         files={"report.json": Prefix('{\n  "classification": "weakly_hyperbolic"')}),
     # The README's evolve command line and run.json, and the CSV they give.
     Case("readme-evolve-example", tuple(_readme_block("### evolve", "sh").split()[1:]),
          config=_readme_block("### evolve", "json").encode(),

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -393,22 +393,25 @@ class TestProjectCommand:
         assert out.stat().st_mode & 0o7777 == 0o604
 
     def test_out_that_is_not_a_regular_file_is_refused_first(self, tmp_path, capsys):
-        # The input is malformed too: the output is checked before any work.
+        # The input is malformed too: the output is checked before any work,
+        # and so is its sidecar, here a directory at out.gfsn.json.
         bad = tmp_path / "bad.gfsn"
         bad.write_bytes(b"JUNK")
-        directory = tmp_path / "dir"
+        directory, sidecar = tmp_path / "dir", tmp_path / "out.gfsn.json"
         directory.mkdir()
-        outs = [directory, Path(os.devnull)]
+        sidecar.mkdir()
+        outs = [(directory, directory), (Path(os.devnull), Path(os.devnull)),
+                (tmp_path / "out.gfsn", sidecar)]
         if hasattr(os, "mkfifo"):
             os.mkfifo(tmp_path / "fifo")
-            outs.append(tmp_path / "fifo")
-        for out in outs:
+            outs.append((tmp_path / "fifo", tmp_path / "fifo"))
+        for out, refused in outs:
             assert main(["project", str(bad), "--out", str(out)]) == 1
-            assert capsys.readouterr().err == (f"error: cannot write snapshot {out}: "
+            assert capsys.readouterr().err == (f"error: cannot write snapshot {refused}: "
                                                "it exists and is not a regular file\n")
-        assert not any(directory.iterdir())
+        assert not any(directory.iterdir()) and not any(sidecar.iterdir())
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            ["bad.gfsn", "dir"] + (["fifo"] if len(outs) == 3 else []))
+            ["bad.gfsn", "dir", "out.gfsn.json"] + (["fifo"] if len(outs) == 4 else []))
 
     @pytest.mark.parametrize("edit, message", [
         (lambda raw: raw, None),
@@ -449,16 +452,17 @@ class TestProjectCommand:
                                            "field values must be finite\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("failure", ["read", "runs-on", "write"])
+    @pytest.mark.parametrize("failure", ["read", "runs-on", "write", "sidecar"])
     def test_a_failed_read_or_write_leaves_dst_as_it_was(self, tmp_path, capsys, monkeypatch,
                                                          failure):
         # A payload read that fails (EIO), a pipe that runs on past one whole
         # 64 KiB read after the payload (its size counts every byte), and a
-        # write that fails (ENOSPC).
+        # write that fails (ENOSPC), of the snapshot or of its sidecar.
         _, path = self.make_snapshot(tmp_path)
         size, extra = path.stat().st_size, (1 << 16) + 8
-        out = tmp_path / "out.gfsn"
+        out, sidecar = tmp_path / "out.gfsn", tmp_path / "out.gfsn.json"
         out.write_bytes(b"an earlier output")
+        sidecar.write_bytes(b"an earlier sidecar")
 
         class Failing(io.FileIO):
             def readinto(self, buf):
@@ -470,6 +474,8 @@ class TestProjectCommand:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
         def failing_open(file, mode="r", **kwargs):
+            if (failure, mode) == ("sidecar", "w"):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
             if mode == {"read": "rb", "write": "xb"}.get(failure):
                 return Failing(file, mode.rstrip("b"))
             return open(file, mode, **kwargs)
@@ -484,10 +490,13 @@ class TestProjectCommand:
             code = main(["project", str(src), "--out", str(out)])
         err = {"read": f"cannot read snapshot {path}: [Errno 5] Input/output error",
                "runs-on": f"snapshot {src} has {size + extra} bytes, expected {size}",
-               "write": f"cannot write snapshot {out}: No space left on device"}[failure]
+               "write": f"cannot write snapshot {out}: No space left on device",
+               "sidecar": f"cannot write snapshot {sidecar}: No space left on device"}[failure]
         assert (code, capsys.readouterr()) == (1, ("", f"error: {err}\n"))
-        assert out.read_bytes() == b"an earlier output"
-        assert {p.name for p in tmp_path.iterdir()} == {"in.gfsn", "in.gfsn.json", "out.gfsn"}
+        assert (out.read_bytes(), sidecar.read_bytes()) == (b"an earlier output",
+                                                            b"an earlier sidecar")
+        assert {p.name for p in tmp_path.iterdir()} == {"in.gfsn", "in.gfsn.json", "out.gfsn",
+                                                        "out.gfsn.json"}
 
 
 class TestConstraintsCommand:
@@ -654,7 +663,61 @@ def test_command_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, 
     assert parse_outcome(main, argv, capsys) == full
 
 
+FLAGS = sorted({arg for name in cli.COMMANDS for arg, _ in cli._declared(name) if arg[0] == "-"})
+CHOICES = sorted({c for name in cli.COMMANDS for _, kw in cli._declared(name)
+                  for c in kw.get("choices", ())})
+VALUES = st.sampled_from(["-1", "0", "7", "x", "nan", "1e-10", "", "extra", *CHOICES])
+TOKENS = st.one_of(
+    st.sampled_from(FLAGS), VALUES,
+    st.sampled_from(["-h", "--", "--out=x", *(f[:n] for f in FLAGS for n in range(3, len(f)))]))
+
+
+FULL_PARSER = build_parser()
+
+
+def _full_parse(argv):
+    """vars of the full parser's namespace for argv, or None where it exits."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            return vars(FULL_PARSER.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_plain_reading_gives_what_argparse_gives(data):
+    # Every namespace read without argparse is the full parser's, and every
+    # argv of exact flags with separate values and positionals, none
+    # starting with "-", that argparse takes is read without it. The argv:
+    # most of the command's arguments in any order, most with a value its
+    # type and choices take, then up to two tokens of any kind put anywhere.
+    name = data.draw(st.sampled_from(sorted(cli.COMMANDS)))
+    argv = []
+    for arg, kw in data.draw(st.permutations(cli._declared(name))):
+        if data.draw(st.sampled_from([True, True, False])):
+            valid = kw.get("choices") or {int: ["0", "7"], float: ["nan", "1e-10", "7"]}.get(
+                kw.get("type"), ["x", "nan", ""])
+            value = data.draw(st.sampled_from(valid) if data.draw(st.integers(0, 3)) else VALUES)
+            argv += [arg, value] if arg[0] == "-" else [value]
+    for _ in range(data.draw(st.integers(0, 2))):
+        argv.insert(data.draw(st.integers(0, len(argv))), data.draw(TOKENS))
+    plain, full = cli._read_plainly(name, argv), _full_parse([name, *argv])
+    if plain is not None:
+        # Compared as repr, in which nan equals nan.
+        assert full is not None and repr(sorted(vars(plain).items())) == repr(sorted(full.items()))
+    flags, tokens, plain_form = {a for a, _ in cli._declared(name) if a[0] == "-"}, iter(argv), True
+    for token in tokens:
+        if token in flags:
+            token = next(tokens, "-")
+        plain_form &= not token.startswith("-")
+    if plain_form and full is not None:
+        assert plain is not None, argv
+
+
 def test_a_command_builds_only_its_own_parser(tmp_path, capsys, monkeypatch):
+    # A well-formed command line builds no parser, a usage error only its
+    # command's, and the top-level help all five.
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -665,17 +728,16 @@ def test_a_command_builds_only_its_own_parser(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     cfg = write_config(tmp_path)
     assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]) == 0
-    assert built == ["gaugefix evolve"]
-    built.clear()
     assert main(["constraints", "chain-demo"]) == 0
-    assert built == ["gaugefix constraints"]
-    built.clear()
+    assert built == []
     capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["-h"])
-    assert exc.value.code == 0
-    assert built == ["gaugefix", "gaugefix evolve", "gaugefix symbol", "gaugefix project",
-                     "gaugefix constraints"]
+    for argv, code, prog in [(["constraints", "bogus"], 2, ["gaugefix constraints"]),
+                             (["-h"], 0, ["gaugefix", "gaugefix evolve", "gaugefix symbol",
+                                          "gaugefix project", "gaugefix constraints"])]:
+        built.clear()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert (exc.value.code, built) == (code, prog)
     assert "{evolve,symbol,project,constraints}" in capsys.readouterr().out
 
 
@@ -726,28 +788,47 @@ def test_cli_starts_numpy_with_one_blas_thread_unless_told_otherwise(before, exp
     *((["constraints", model], ["constraints", "phase", "toys"], "numpy.random")
       for model in ("chain-demo", "second-class-demo", "regular-demo")),
     (["evolve", "--config", "{config}", "--out", "{out}"], [], "numpy.fft"),
+    # Help and a usage error: argparse, as the full parser prints them.
+    (["evolve", "-h"], [], "numpy.fft"),
+    (["constraints", "bogus"], ["constraints", "phase", "toys"], "numpy.random"),
 ])
-def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, runs, unused):
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, capsys, monkeypatch, argv, runs,
+                                                  unused):
     # evolve's modules load with the CLI, so that a caller that times
     # cli.main after the import (as perfbench does) does not time their
     # compilation; the others load with their commands, and scipy never.
     # symbol ranks its speeds by a sorted set, project and constraints
     # sample nothing, and a plane wave evolves as its Fourier coefficients.
+    # A well-formed command line loads no argparse, nor the gettext and
+    # locale that its messages load.
+    monkeypatch.setenv("COLUMNS", "80")
     snapshot, config = tmp_path / "in.gfsn", write_config(tmp_path, grid_n=16, t_end=2.0)
     write_snapshot(plane_wave_initial_data((1, 0, 0), (0, 1, 0), grid_n=8), snapshot)
     argv = [arg.format(snapshot=snapshot, config=config, out=tmp_path / "out") for arg in argv]
     code = ("import contextlib, io, json, sys\n"
             "def loaded():\n"
             "    return sorted(m for m in sys.modules\n"
-            f"                  if m.startswith('gaugefix.') or m in ('scipy', {unused!r}))\n"
+            "                  if m.startswith('gaugefix.')\n"
+            f"                  or m in ('scipy', 'argparse', 'gettext', 'locale', {unused!r}))\n"
             "import gaugefix.cli\n"
             "after_import = loaded()\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    code = gaugefix.cli.main({argv!r})\n"
-            "print(json.dumps([after_import, code, loaded()]))")
+            "out, err = io.StringIO(), io.StringIO()\n"
+            "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "    try:\n"
+            f"        code = gaugefix.cli.main({argv!r})\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            "print(json.dumps([after_import, code, loaded(), out.getvalue(), err.getvalue()]))")
     cli_modules = ["gaugefix.cli", "gaugefix.evolution", "gaugefix.fields"]
-    assert json.loads(_python(code)) == [
-        cli_modules, 0, sorted(cli_modules + [f"gaugefix.{m}" for m in runs])]
+    after_import, code, modules, out, err = json.loads(_python(code))
+    parser_modules = []
+    if "-h" in argv or "bogus" in argv:
+        parser_modules = ["argparse", "gettext", "locale"]
+        assert (out, err, code) == parse_outcome(build_parser().parse_args, argv, capsys)
+    else:
+        assert (code, err) == (0, "")
+    assert after_import == cli_modules
+    assert modules == sorted(cli_modules + [f"gaugefix.{m}" for m in runs] + parser_modules)
 
 
 @contextlib.contextmanager
